@@ -81,12 +81,19 @@ func TestIntegrationMultiProcess(t *testing.T) {
 		t.Fatalf("gengraph: %v\n%s", err, out)
 	}
 
+	// The shard count is part of the sample's identity (each shard draws
+	// its own stream), and the binaries default it differently — dimmd to
+	// GOMAXPROCS, dimm -machines 2 to GOMAXPROCS/2 — so every process is
+	// pinned to the same explicit value. ROADMAP item 1 (P out of the
+	// sample identity) removes the pin.
+	const parallelism = "2"
+
 	// 2. Start two dimmd worker processes.
 	ports := freePorts(t, 2)
 	for i, port := range ports {
 		cmd := exec.Command(filepath.Join(bin, "dimmd"),
 			"-graph", graphPath, "-listen", fmt.Sprintf("127.0.0.1:%d", port),
-			"-model", "ic", "-seed", "9", "-seed-index", fmt.Sprint(i))
+			"-model", "ic", "-seed", "9", "-seed-index", fmt.Sprint(i), "-parallelism", parallelism)
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting dimmd %d: %v", i, err)
 		}
@@ -115,7 +122,7 @@ func TestIntegrationMultiProcess(t *testing.T) {
 	addrs := fmt.Sprintf("127.0.0.1:%d,127.0.0.1:%d", ports[0], ports[1])
 	out, err = exec.Command(filepath.Join(bin, "dimm"),
 		"-graph", graphPath, "-workers", addrs,
-		"-k", "5", "-eps", "0.4", "-delta", "0.05", "-seed", "9",
+		"-k", "5", "-eps", "0.4", "-delta", "0.05", "-seed", "9", "-parallelism", parallelism,
 		"-verify", "2000").CombinedOutput()
 	if err != nil {
 		t.Fatalf("dimm master: %v\n%s", err, out)
@@ -132,7 +139,7 @@ func TestIntegrationMultiProcess(t *testing.T) {
 	// seed line (same base seed, same machine count, same streams).
 	out2, err := exec.Command(filepath.Join(bin, "dimm"),
 		"-graph", graphPath, "-machines", "2",
-		"-k", "5", "-eps", "0.4", "-delta", "0.05", "-seed", "9").CombinedOutput()
+		"-k", "5", "-eps", "0.4", "-delta", "0.05", "-seed", "9", "-parallelism", parallelism).CombinedOutput()
 	if err != nil {
 		t.Fatalf("dimm local: %v\n%s", err, out2)
 	}

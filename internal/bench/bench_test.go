@@ -58,13 +58,15 @@ func TestFig6Shape(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("want 2 rows (ℓ=1,2), got %d", len(rows))
 	}
-	// ℓ=2 must share the generation work: critical-path generation should
-	// be well below ℓ=1's.
-	if rows[1].Gen >= rows[0].Gen {
-		t.Fatalf("no generation sharing: ℓ=1 gen %v, ℓ=2 gen %v", rows[0].Gen, rows[1].Gen)
+	// ℓ=2 must share the generation work. Corollary 1 is a claim about
+	// balanced work, so assert it on the machines' RR-set volume, which
+	// no scheduler can move: timing "speedup" on a box with fewer idle
+	// cores than machines is ≤ 1 by construction.
+	if rows[0].MaxShare != 1 {
+		t.Fatalf("ℓ=1 holds %.3f of its own sample", rows[0].MaxShare)
 	}
-	if rows[1].Speedup(rows[0]) <= 1 {
-		t.Fatalf("ℓ=2 speedup %.2f ≤ 1", rows[1].Speedup(rows[0]))
+	if rows[1].MaxShare > 0.5+0.05 {
+		t.Fatalf("ℓ=2 left %.3f of the RR volume on one machine, want about 1/2", rows[1].MaxShare)
 	}
 }
 

@@ -24,6 +24,10 @@ type IMRow struct {
 	Bytes     int64         // total payload bytes both directions
 	Theta     int64         // RR sets generated
 	TotalSize int64         // Σ |R|
+	// MaxShare is the busiest machine's share of TotalSize: 1/ℓ when the
+	// sampling work is perfectly balanced (Corollary 1), and unlike the
+	// time columns independent of how many cores this box has.
+	MaxShare  float64
 	EstSpread float64
 }
 
@@ -104,6 +108,10 @@ func (c Config) runOnce(spec workload.Spec, g *graph.Graph, machines int, model 
 		return IMRow{}, fmt.Errorf("bench: %s ℓ=%d: %w", spec.Name, machines, err)
 	}
 	m := res.Metrics
+	var maxSize int64
+	for _, w := range res.Workers {
+		maxSize = max(maxSize, w.TotalSize)
+	}
 	return IMRow{
 		Dataset:   spec.Name,
 		Machines:  machines,
@@ -115,6 +123,7 @@ func (c Config) runOnce(spec workload.Spec, g *graph.Graph, machines int, model 
 		Bytes:     m.BytesSent + m.BytesReceived,
 		Theta:     res.Theta,
 		TotalSize: res.Stats.TotalSize,
+		MaxShare:  float64(maxSize) / float64(res.Stats.TotalSize),
 		EstSpread: res.EstSpread,
 	}, nil
 }

@@ -572,10 +572,7 @@ func (c *Cluster) Generate(addTotal int64) (GenerateStats, error) {
 			return GenerateStats{}, fmt.Errorf("cluster: worker %d: %w", i, err)
 		}
 		handlers[i] = time.Duration(nanos)
-		agg.Count += s.Count
-		agg.TotalSize += s.TotalSize
-		agg.EdgesExamined += s.EdgesExamined
-		agg.Batch.Add(s.Batch)
+		agg.Add(s)
 		c.setBatchLast(i, s.Batch)
 		if counts[i] > 0 {
 			c.record(i, reqs[i], counts[i], 0)
@@ -723,20 +720,32 @@ func (c *Cluster) syncDegreesOne(worker int) error {
 
 // Stats aggregates collection statistics across live workers.
 func (c *Cluster) Stats() (GenerateStats, error) {
+	per, err := c.WorkerStats()
+	var agg GenerateStats
+	for _, s := range per {
+		agg.Add(s)
+	}
+	return agg, err
+}
+
+// WorkerStats returns each worker's collection statistics, indexed by
+// worker (zero for a quarantined one): the per-machine work counts
+// behind the balanced-work claim of the paper's Corollary 1.
+func (c *Cluster) WorkerStats() ([]GenerateStats, error) {
 	for {
 		resps, wall, downs, err := c.broadcast(c.same(encodeSimpleReq(msgStats)))
 		if err != nil {
-			return GenerateStats{}, err
+			return nil, err
 		}
 		if len(downs) > 0 {
 			// The dead workers' sets must be regenerated before the
-			// aggregate means anything; repair then re-read.
+			// counts mean anything; repair then re-read.
 			if err := c.repair(downs, nil); err != nil {
-				return GenerateStats{}, err
+				return nil, err
 			}
 			continue
 		}
-		var agg GenerateStats
+		per := make([]GenerateStats, len(resps))
 		handlers := make([]time.Duration, len(resps))
 		for i, resp := range resps {
 			if resp == nil {
@@ -744,17 +753,14 @@ func (c *Cluster) Stats() (GenerateStats, error) {
 			}
 			nanos, s, err := decodeStatsResp(resp)
 			if err != nil {
-				return GenerateStats{}, err
+				return nil, err
 			}
 			handlers[i] = time.Duration(nanos)
-			agg.Count += s.Count
-			agg.TotalSize += s.TotalSize
-			agg.EdgesExamined += s.EdgesExamined
-			agg.Batch.Add(s.Batch)
+			per[i] = s
 			c.setBatchLast(i, s.Batch)
 		}
 		c.account("sel", wall, handlers)
-		return agg, nil
+		return per, nil
 	}
 }
 

@@ -56,6 +56,14 @@ type GenerateStats struct {
 	Batch rrset.BatchStats
 }
 
+// Add accumulates another worker's statistics into s.
+func (s *GenerateStats) Add(o GenerateStats) {
+	s.Count += o.Count
+	s.TotalSize += o.TotalSize
+	s.EdgesExamined += o.EdgesExamined
+	s.Batch.Add(o.Batch)
+}
+
 // --- primitive append/consume helpers -------------------------------------
 
 func appendU32(b []byte, v uint32) []byte {

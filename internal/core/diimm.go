@@ -88,7 +88,10 @@ func (o Options) withDefaults(n int) Options {
 // (Table IV).
 type Result struct {
 	imm.Result
-	Stats   cluster.GenerateStats
+	Stats cluster.GenerateStats
+	// Workers holds each machine's share of Stats: the scheduler-free
+	// measure of how evenly the sampling work was split.
+	Workers []cluster.GenerateStats
 	Metrics cluster.Metrics
 	// Wall is the end-to-end master wall time. On a genuinely parallel
 	// deployment this approaches Metrics.CriticalPath(); on an
@@ -192,13 +195,18 @@ func RunDIIMMOnCluster(n int, cl *cluster.Cluster, opt Options) (*Result, error)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	stats, err := cl.Stats()
+	workers, err := cl.WorkerStats()
 	if err != nil {
 		return nil, err
+	}
+	var stats cluster.GenerateStats
+	for _, w := range workers {
+		stats.Add(w)
 	}
 	return &Result{
 		Result:  *immRes,
 		Stats:   stats,
+		Workers: workers,
 		Metrics: cl.Metrics(),
 		Wall:    time.Since(start),
 	}, nil

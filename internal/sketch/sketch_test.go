@@ -164,63 +164,6 @@ func TestAbsorbParallelismDeterminism(t *testing.T) {
 	}
 }
 
-func TestSelectGreedyDeterministicAndCovering(t *testing.T) {
-	c, member := genInstances(t, 150, 1000, 3)
-	s := mustNew(t, 150, Params{K: 64, Seed: 11})
-	s.Absorb(c.Snapshot(), 2)
-
-	seeds, covEst, evals := s.SelectGreedy(8)
-	if len(seeds) != 8 || len(covEst) != 8 {
-		t.Fatalf("got %d seeds, %d prefix estimates", len(seeds), len(covEst))
-	}
-	if evals <= 0 {
-		t.Fatal("estimator evaluation count not tracked")
-	}
-	seen := map[uint32]bool{}
-	for _, v := range seeds {
-		if seen[v] {
-			t.Fatalf("seed %d selected twice", v)
-		}
-		seen[v] = true
-	}
-	for i := 1; i < len(covEst); i++ {
-		if covEst[i] < covEst[i-1] {
-			t.Fatalf("prefix coverage estimates decreased: %v", covEst)
-		}
-	}
-	// Same sketch, same call → identical selection.
-	again, _, _ := s.SelectGreedy(8)
-	for i := range seeds {
-		if seeds[i] != again[i] {
-			t.Fatalf("selection not deterministic: %v vs %v", seeds, again)
-		}
-	}
-	// The sketch-greedy seed set should cover nearly as much as it
-	// estimates, judged against ground truth.
-	truth := float64(trueUnion(member, seeds))
-	if est := covEst[len(covEst)-1]; math.Abs(est-truth)/truth > 0.5 {
-		t.Fatalf("greedy coverage estimate %.1f far from true union %.0f", est, truth)
-	}
-	// A greedy pick should beat the worst singleton by a wide margin.
-	if truth < float64(trueCovers(member, seeds[0])) {
-		t.Fatal("union of 8 greedy seeds below its own first pick")
-	}
-}
-
-func TestSelectGreedyPadsShortGraphs(t *testing.T) {
-	c := rrset.NewCollection(0)
-	c.Append([]uint32{2}, 0) // only node 2 ever covered
-	s := mustNew(t, 5, Params{K: 4, Seed: 1})
-	s.Absorb(c.Snapshot(), 1)
-	seeds, _, _ := s.SelectGreedy(3)
-	if len(seeds) != 3 || seeds[0] != 2 {
-		t.Fatalf("want [2 pad pad], got %v", seeds)
-	}
-	if seeds[1] == seeds[0] || seeds[2] == seeds[0] || seeds[1] == seeds[2] {
-		t.Fatalf("padding repeated a seed: %v", seeds)
-	}
-}
-
 func TestEstimateSpreadScaling(t *testing.T) {
 	c, member := genInstances(t, 100, 800, 13)
 	s := mustNew(t, 100, Params{K: 48, Seed: 2})
