@@ -87,10 +87,11 @@ func main() {
 		epsFloor = flag.Float64("eps-floor", 0.1, "tightest admissible query epsilon")
 		delta    = flag.Float64("delta", 0, "service-lifetime failure probability (0 = 1/n)")
 
-		sketchK = flag.Int("sketch-k", 0, "bottom-k size of the sketch tier behind GET /v1/spread?mode=fast (0 = default, negative disables the tier)")
+		sketchK = flag.Int("sketch-k", 0, "bottom-k size of the ?mode=fast sketch tier (0 = default, negative disables the tier)")
 
 		dynamic = flag.Bool("dynamic", false, "accept streaming graph updates on POST /v1/update, repairing the resident RR sample in place (TCP workers must run dimmd -dynamic; incompatible with -subsim and -restore)")
 
+		cacheSize   = flag.Int("cache", 256, "LRU capacity for recent (k, eps) answers (negative disables)")
 		maxInFlight = flag.Int("max-inflight", 64, "concurrently admitted query requests; excess get 429")
 		warm        = flag.Bool("warm", false, "grow the resident sample for the hardest admissible query before accepting traffic")
 		callTimeout = flag.Duration("call-timeout", 0, "per-call deadline for TCP worker requests (0 = none)")
@@ -131,6 +132,7 @@ func main() {
 		KMax:          *kMax,
 		EpsFloor:      *epsFloor,
 		Delta:         *delta,
+		CacheSize:     *cacheSize,
 		MaxInFlight:   *maxInFlight,
 		Retries:       *retries,
 		RetryBackoff:  *retryBackoff,

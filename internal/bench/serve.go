@@ -73,7 +73,8 @@ type ServeLevelResult struct {
 	P50Ms       float64 `json:"p50_ms"`
 	P99Ms       float64 `json:"p99_ms"`
 	// ReuseRate is the fraction of this level's queries answered with
-	// zero new RR generation, from the service's own counters.
+	// zero new RR generation (LRU hits + resident-sample hits), from the
+	// service's own counters.
 	ReuseRate float64 `json:"reuse_rate"`
 }
 
@@ -166,7 +167,7 @@ func RunServeBench(opt ServeOptions) (*ServeReport, error) {
 }
 
 // driveLevel fires total POST /v1/seeds requests from conc goroutines,
-// with k varied per request.
+// with k varied per request so the LRU alone cannot absorb the load.
 func driveLevel(base string, svc *serve.Service, conc, total, kMax int, eps float64) (*ServeLevelResult, error) {
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: conc}}
 	before := svc.Stats()
@@ -227,7 +228,7 @@ func driveLevel(base string, svc *serve.Service, conc, total, kMax int, eps floa
 		res.P99Ms = float64(all[quantIdx(len(all), 0.99)]) / 1e6
 	}
 	if dq := after.Queries - before.Queries; dq > 0 {
-		res.ReuseRate = float64(after.ReuseHits-before.ReuseHits) / float64(dq)
+		res.ReuseRate = float64((after.CacheHits-before.CacheHits)+(after.ReuseHits-before.ReuseHits)) / float64(dq)
 	}
 	return res, nil
 }

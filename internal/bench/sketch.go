@@ -108,15 +108,23 @@ type SketchReport struct {
 	SketchBuilds       int64   `json:"sketch_builds"`
 	SketchBuildSeconds float64 `json:"sketch_build_seconds"`
 
+	// Seed-set agreement between the tiers over k = 1..KMax at the
+	// service's ε floor: AgreementOverlap is Σ|fast ∩ certified| / Σk
+	// (the acceptance metric), AgreementExact the fraction of k whose
+	// sets matched exactly.
+	AgreementK       int     `json:"agreement_k"`
+	AgreementOverlap float64 `json:"agreement_overlap"`
+	AgreementExact   float64 `json:"agreement_exact"`
+
 	Fast      SketchTierResult `json:"fast"`
 	Certified SketchTierResult `json:"certified"`
 	// Speedup is Fast.QPS / Certified.QPS at equal concurrency.
 	Speedup float64 `json:"speedup"`
 }
 
-// RunSketchBench warms a resident service, then load-drives
-// GET /v1/spread on both tiers over real loopback HTTP at equal
-// concurrency.
+// RunSketchBench warms a resident service, measures fast/certified
+// seed-set agreement, then load-drives GET /v1/spread on both tiers over
+// real loopback HTTP at equal concurrency.
 func RunSketchBench(opt SketchOptions) (*SketchReport, error) {
 	opt = opt.withDefaults()
 	g, err := graph.GenPreferential(graph.GenConfig{
@@ -162,6 +170,38 @@ func RunSketchBench(opt SketchOptions) (*SketchReport, error) {
 		WarmTheta:   warmAns.Theta,
 	}
 
+	// Agreement sweep before the load phase so both tiers answer on the
+	// warmed epoch.
+	var overlap, total, exact int
+	for k := 1; k <= opt.KMax; k++ {
+		ansC, err := svc.Query(k, opt.EpsFloor)
+		if err != nil {
+			return nil, err
+		}
+		ansF, err := svc.QueryMode(k, opt.EpsFloor, serve.ModeFast)
+		if err != nil {
+			return nil, err
+		}
+		in := make(map[uint32]bool, k)
+		for _, v := range ansC.Seeds {
+			in[v] = true
+		}
+		common := 0
+		for _, v := range ansF.Seeds {
+			if in[v] {
+				common++
+			}
+		}
+		overlap += common
+		total += k
+		if common == k {
+			exact++
+		}
+	}
+	rep.AgreementK = opt.KMax
+	rep.AgreementOverlap = float64(overlap) / float64(total)
+	rep.AgreementExact = float64(exact) / float64(opt.KMax)
+
 	st := svc.Stats()
 	rep.SketchK = st.SketchK
 	rep.SketchTheta = st.SketchTheta
@@ -180,7 +220,10 @@ func RunSketchBench(opt SketchOptions) (*SketchReport, error) {
 	// Both tiers estimate spread for prefixes of the hardest certified
 	// answer — realistic inputs (high-influence nodes), identical across
 	// tiers so the comparison is apples to apples.
-	pool := warmAns
+	pool, err := svc.Query(opt.KMax, opt.EpsFloor)
+	if err != nil {
+		return nil, err
+	}
 	fast, err := driveSpreadLevel(base, "fast", 0, pool.Seeds, opt.Concurrency, opt.FastRequests)
 	if err != nil {
 		return nil, err
@@ -294,6 +337,8 @@ func (c Config) Sketch(jsonPath string, opt SketchOptions) (*SketchReport, error
 	c.printf("warm: theta=%d in %.1fs; sketch: %d absorbs, %.3fs build (%.1f%% of warm)\n",
 		rep.WarmTheta, rep.WarmSeconds, rep.SketchBuilds, rep.SketchBuildSeconds,
 		100*rep.SketchBuildSeconds/rep.WarmSeconds)
+	c.printf("seed agreement over k=1..%d: %.1f%% overlap, %.1f%% exact sets\n",
+		rep.AgreementK, 100*rep.AgreementOverlap, 100*rep.AgreementExact)
 	c.printf("%10s %8s %8s %10s %10s %7s\n", "tier", "reqs", "QPS", "p50", "p99", "errors")
 	for _, r := range []SketchTierResult{rep.Fast, rep.Certified} {
 		c.printf("%10s %8d %8.0f %8.2fms %8.2fms %7d\n",

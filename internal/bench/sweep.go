@@ -416,6 +416,7 @@ func runSweepSketch(c Config, p sweepProfile, _ SweepOptions, eb *envelopeBuilde
 	eb.observe("warm_s", ClassTime, "s", rep.WarmSeconds)
 	eb.observe("sketch_build_s", ClassTime, "s", rep.SketchBuildSeconds)
 	eb.observe("sketch_theta", ClassExact, "sets", float64(rep.SketchTheta))
+	eb.observe("agreement_overlap", ClassExact, "frac", rep.AgreementOverlap)
 	eb.observe("fast.qps", ClassRate, "req/s", rep.Fast.QPS)
 	eb.setTolScale("fast.qps", httpRateTolScale)
 	eb.observe("certified.qps", ClassRate, "req/s", rep.Certified.QPS)

@@ -223,6 +223,7 @@ func RunUpdateBench(opt UpdateOptions) (*UpdateReport, error) {
 			WeightTag: graph.WeightedCascade.String(),
 			Dynamic:   true,
 			SketchK:   -1, // measure the sample path, not sketch rebuilds
+			CacheSize: -1, // every query does real selection work
 		}
 	}
 	g, err := mkGraph()

@@ -76,6 +76,69 @@ func SelectFromSample(c *rrset.Collection, idx *rrset.Index, n, k, parallelism i
 	return coverage.RunGreedy(o, k)
 }
 
+// SelectFromSampleCandidates runs the same exact lazy-bucket greedy but
+// restricted to a candidate pool: non-candidates keep a zero marginal
+// throughout, so the selection is exactly what full greedy would return
+// whenever every pick it makes lies inside the pool. The serving fast
+// tier uses this with a sketch-ranked pool — O(|candidates|) live heap
+// entries instead of O(n) — and the usual certificate machinery then
+// measures what the restriction cost.
+func SelectFromSampleCandidates(c *rrset.Collection, idx *rrset.Index, n, k, parallelism int, candidates []uint32) (*coverage.Result, error) {
+	if c == nil || idx == nil {
+		return nil, fmt.Errorf("core: select from nil sample")
+	}
+	o, err := coverage.NewLocalOracle(c, idx, n)
+	if err != nil {
+		return nil, err
+	}
+	o.SetParallelism(parallelism)
+	allow := make([]bool, n)
+	for _, v := range candidates {
+		if int(v) >= n {
+			return nil, fmt.Errorf("core: candidate %d outside the %d-node graph", v, n)
+		}
+		allow[v] = true
+	}
+	return coverage.RunGreedy(&candidateOracle{inner: o, allow: allow}, k)
+}
+
+// candidateOracle masks a coverage oracle down to a candidate pool:
+// outside degrees start at zero and outside deltas are dropped, so the
+// bucket scan never sees (or drives negative) a non-candidate.
+type candidateOracle struct {
+	inner coverage.Oracle
+	allow []bool
+}
+
+func (o *candidateOracle) NumItems() int { return o.inner.NumItems() }
+
+func (o *candidateOracle) InitialDegrees() ([]int64, error) {
+	deg, err := o.inner.InitialDegrees()
+	if err != nil {
+		return nil, err
+	}
+	for v := range deg {
+		if !o.allow[v] {
+			deg[v] = 0
+		}
+	}
+	return deg, nil
+}
+
+func (o *candidateOracle) Select(u uint32) ([]coverage.Delta, error) {
+	deltas, err := o.inner.Select(u)
+	if err != nil {
+		return nil, err
+	}
+	kept := deltas[:0]
+	for _, d := range deltas {
+		if o.allow[d.Node] {
+			kept = append(kept, d)
+		}
+	}
+	return kept, nil
+}
+
 // DefaultSketchK is the bottom-k size the serving fast tier defaults
 // to: a ≈ 1/√62 ≈ 13% relative standard error per estimate at 8·64
 // bytes per covered node, small enough that sketch maintenance

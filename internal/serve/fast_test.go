@@ -6,11 +6,113 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"reflect"
 	"testing"
 	"time"
 )
+
+// TestFastQuery drives the fast tier end to end: sketch-ranked seeds,
+// certified before serving, cached under the fast mode key only.
+func TestFastQuery(t *testing.T) {
+	s := testService(t, Config{Machines: 2})
+
+	ansF, err := s.QueryMode(5, 0.3, ModeFast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ansF.Mode != ModeFast || len(ansF.Seeds) != 5 {
+		t.Fatalf("fast answer: mode=%q seeds=%v", ansF.Mode, ansF.Seeds)
+	}
+	target := 1 - 1/math.E - 0.3
+	if ansF.Ratio < target && ansF.Theta < s.budget.ThetaMax {
+		t.Fatalf("fast answer served with ratio %.4f < %.4f pre-cap", ansF.Ratio, target)
+	}
+	if ansF.SketchSpread <= 0 {
+		t.Fatalf("fast answer carries no sketch spread estimate: %+v", ansF)
+	}
+	seen := map[uint32]bool{}
+	for _, u := range ansF.Seeds {
+		if int(u) >= s.n || seen[u] {
+			t.Fatalf("bad fast seed set %v", ansF.Seeds)
+		}
+		seen[u] = true
+	}
+
+	// Mode-aliasing regression: the cached fast answer must NOT be served
+	// to a certified query for the same (k, ε) — the modes select
+	// differently and the client asked for the greedy guarantee.
+	ansC, err := s.Query(5, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ansC.Cached {
+		t.Fatal("certified query aliased the fast tier's cache entry")
+	}
+	if ansC.Mode != ModeCertified {
+		t.Fatalf("certified answer labeled %q", ansC.Mode)
+	}
+
+	// Both modes re-queried: each hits its own entry, modes preserved.
+	for ansC.Epoch != ansF.Epoch {
+		// Certified growth invalidated the fast entry; recompute fast on
+		// the new epoch (bounded: the sample only grows toward its cap).
+		if ansF, err = s.QueryMode(5, 0.3, ModeFast); err != nil {
+			t.Fatal(err)
+		}
+		if ansF.Epoch == ansC.Epoch {
+			break
+		}
+		if ansC, err = s.Query(5, 0.3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hitF, err := s.QueryMode(5, 0.3, ModeFast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitC, err := s.Query(5, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hitF.Cached || hitF.Mode != ModeFast {
+		t.Fatalf("fast re-query: cached=%v mode=%q", hitF.Cached, hitF.Mode)
+	}
+	if !hitC.Cached || hitC.Mode != ModeCertified {
+		t.Fatalf("certified re-query: cached=%v mode=%q", hitC.Cached, hitC.Mode)
+	}
+
+	st := s.Stats()
+	if st.FastSeedQueries == 0 || st.SketchBuilds == 0 || st.SketchEstimates == 0 {
+		t.Fatalf("fast-tier counters empty: %+v", st)
+	}
+	if st.FastAgreeChecked == 0 {
+		t.Fatal("no fast/certified agreement sample collected at a shared epoch")
+	}
+	if st.SketchTheta != st.Theta {
+		t.Fatalf("sketch absorbed %d instances, sample holds %d", st.SketchTheta, st.Theta)
+	}
+}
+
+// TestFastQueryDeterministic: fast answers are a pure function of
+// (config, epoch), like certified ones.
+func TestFastQueryDeterministic(t *testing.T) {
+	g := testGraph(t)
+	a := testService(t, Config{Graph: g, Machines: 2})
+	b := testService(t, Config{Graph: g, Machines: 2})
+	ansA, err := a.QueryMode(7, 0.3, ModeFast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ansB, err := b.QueryMode(7, 0.3, ModeFast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ansA.Seeds) != fmt.Sprint(ansB.Seeds) || ansA.Epoch != ansB.Epoch {
+		t.Fatalf("fast answers diverged:\n  %v @%d\n  %v @%d",
+			ansA.Seeds, ansA.Epoch, ansB.Seeds, ansB.Epoch)
+	}
+}
 
 // TestFastSpreadAvoidsSampleLock is the acceptance check that
 // ?mode=fast spread reads never touch the RR sample's lock: with the
@@ -44,11 +146,14 @@ func TestFastSpreadAvoidsSampleLock(t *testing.T) {
 	}
 }
 
-// TestFastTierDisabled: SketchK < 0 turns the sketch tier off; fast
-// spread requests are typed client errors, seed service is unaffected.
+// TestFastTierDisabled: SketchK < 0 turns the tier off; fast requests
+// are typed client errors, certified service is unaffected.
 func TestFastTierDisabled(t *testing.T) {
 	s := testService(t, Config{SketchK: -1})
 	var bad *BadQueryError
+	if _, err := s.QueryMode(5, 0.3, ModeFast); !errors.As(err, &bad) {
+		t.Fatalf("fast query on disabled tier: %v, want *BadQueryError", err)
+	}
 	if _, _, err := s.SpreadSketch([]uint32{1}); !errors.As(err, &bad) {
 		t.Fatalf("fast spread on disabled tier: %v, want *BadQueryError", err)
 	}
@@ -83,8 +188,8 @@ func TestSketchRestore(t *testing.T) {
 		t.Fatalf("sketch not adopted from the store: restored=%v theta=%d/%d",
 			st.SketchRestored, st.SketchTheta, theta)
 	}
-	if est, _, err := s2.SpreadSketch([]uint32{1, 2}); err != nil || est <= 0 {
-		t.Fatalf("restored sketch not serving: %v, %v", est, err)
+	if _, err := s2.QueryMode(5, 0.3, ModeFast); err != nil {
+		t.Fatal(err)
 	}
 	s2.Close()
 
@@ -98,8 +203,8 @@ func TestSketchRestore(t *testing.T) {
 	if st.SketchK != 32 || st.SketchTheta != theta {
 		t.Fatalf("rebuild after mismatch: %+v", st)
 	}
-	if est, _, err := s3.SpreadSketch([]uint32{1, 2}); err != nil || est <= 0 {
-		t.Fatalf("rebuilt sketch not serving: %v, %v", est, err)
+	if _, err := s3.QueryMode(5, 0.3, ModeFast); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -138,19 +243,10 @@ func TestHTTPModeKnob(t *testing.T) {
 			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 
-	// ?mode=fast on seeds is accepted and returns the certified answer,
-	// field for field (it is read off the same ledger).
-	fast, code := postSeedsMode(t, ts.URL, 5, 0.3, "fast")
-	if code != http.StatusOK {
-		t.Fatalf("fast seeds -> %d", code)
-	}
-	cert, code := postSeedsMode(t, ts.URL, 5, 0.3, "certified")
-	if code != http.StatusOK || cert.Mode != ModeCertified || len(cert.Seeds) != 5 {
-		t.Fatalf("certified seeds -> %d %+v", code, cert)
-	}
-	fast.GrowRounds = cert.GrowRounds // the first of the two warmed the sample
-	if !reflect.DeepEqual(fast, cert) {
-		t.Fatalf("mode=fast seeds differ from the certified answer:\n  %+v\n  %+v", fast, cert)
+	// Fast seeds over HTTP.
+	ans, code := postSeedsMode(t, ts.URL, 5, 0.3, "fast")
+	if code != http.StatusOK || ans.Mode != ModeFast || len(ans.Seeds) != 5 {
+		t.Fatalf("fast seeds -> %d %+v", code, ans)
 	}
 
 	// Warm fast spread: sketch-only estimate with its error bar.

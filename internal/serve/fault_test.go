@@ -135,7 +135,8 @@ func TestServeAnswersFromSurvivingSample(t *testing.T) {
 	s, err := New(Config{
 		Graph: g, Model: diffusion.IC, Seed: 42,
 		KMax: 10, EpsFloor: 0.3,
-		C1: c1, C2: c2,
+		CacheSize: -1, // disable the LRU so reuse hits the resident sample
+		C1:        c1, C2: c2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,9 +14,9 @@ import (
 
 // Handler returns the service's HTTP API:
 //
-//	POST /v1/seeds   {"k": 10, "eps": 0.2}        → Answer (?mode= accepted, ignored)
+//	POST /v1/seeds   {"k": 10, "eps": 0.2}        → Answer
 //	POST /v1/update  {"seq": 1, "ops": [...]}     → UpdateResult (dynamic services)
-//	GET  /v1/spread?seeds=1,2,3&rounds=10000      → spread estimate (?mode=fast: sketch tier)
+//	GET  /v1/spread?seeds=1,2,3&rounds=10000      → spread estimate
 //	GET  /healthz                                 → 200 "ok"
 //	GET  /statsz                                  → Stats
 //	GET  /metricsz                                → raw metric registry snapshot
@@ -119,9 +119,8 @@ type seedsRequest struct {
 }
 
 func (s *Service) handleSeeds(w http.ResponseWriter, r *http.Request) error {
-	// ?mode= is validated for compatibility and otherwise ignored: fast
-	// and certified both read the same greedy ledger.
-	if _, err := ParseMode(r.URL.Query().Get("mode")); err != nil {
+	mode, err := ParseMode(r.URL.Query().Get("mode"))
+	if err != nil {
 		return err
 	}
 	var req seedsRequest
@@ -130,7 +129,7 @@ func (s *Service) handleSeeds(w http.ResponseWriter, r *http.Request) error {
 	if err := dec.Decode(&req); err != nil {
 		return &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
 	}
-	ans, err := s.Query(req.K, req.Eps)
+	ans, err := s.QueryMode(req.K, req.Eps, mode)
 	if err != nil {
 		return err
 	}

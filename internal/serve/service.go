@@ -13,10 +13,9 @@
 // generate, the master pulls just the new sets (cluster.FetchNew), and
 // the inverted indexes extend in place (rrset.Index.AppendFrom).
 //
-// Concurrency follows an RWMutex epoch scheme: each epoch of the resident
-// sample gets one greedy run (the ledger, see ledger.go), built under the
-// read lock by the first query that sees the epoch and read by every
-// other, while at most one grower extends the sample; the slow part of
+// Concurrency follows an RWMutex epoch scheme: any number of readers
+// select seeds over the resident sample concurrently (selection state is
+// per-query), while at most one grower extends it; the slow part of
 // growth (cluster RPCs) happens outside the write lock, which is held
 // only for the append + reindex. Every answer is a deterministic
 // function of (seed, machines, parallelism, epoch).
@@ -34,6 +33,7 @@ import (
 	"dimm/internal/core"
 	"dimm/internal/diffusion"
 	"dimm/internal/graph"
+	"dimm/internal/imm"
 	"dimm/internal/metrics"
 	"dimm/internal/rrset"
 	"dimm/internal/sketch"
@@ -74,11 +74,11 @@ type Config struct {
 	Dynamic bool
 
 	// SketchK sets the bottom-k size of the resident sketch tier backing
-	// GET /v1/spread?mode=fast (internal/sketch): 0 selects
-	// core.DefaultSketchK, negative disables the tier entirely. The
-	// sketch rides on the same RR instances the certificates use and
+	// ?mode=fast queries (internal/sketch): 0 selects
+	// core.DefaultSketchK, negative disables the fast tier entirely.
+	// The sketch rides on the same RR instances the certificates use and
 	// rebuilds incrementally after every growth epoch; it never affects
-	// seed answers.
+	// certified answers.
 	SketchK int
 
 	// KMax bounds the admissible query seed-set size (default 50).
@@ -90,6 +90,9 @@ type Config struct {
 	// with probability ≥ 1 − δ, every certificate ever issued is valid.
 	Delta float64
 
+	// CacheSize bounds the LRU of recent (k, ε) answers (default 256;
+	// negative disables caching).
+	CacheSize int
 	// MaxInFlight bounds concurrently admitted HTTP requests; excess
 	// requests get 429 (default 64).
 	MaxInFlight int
@@ -141,17 +144,19 @@ func (c Config) withDefaults() Config {
 	if c.Delta == 0 && c.Graph != nil {
 		c.Delta = 1 / float64(c.Graph.NumNodes())
 	}
+	if c.CacheSize == 0 {
+		c.CacheSize = 256
+	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 64
 	}
 	return c
 }
 
-// Mode is the ?mode= knob. On GET /v1/spread it picks the estimator:
-// certified runs forward Monte-Carlo on the workers, fast reads the
-// bottom-k sketch tier. On POST /v1/seeds both values are accepted and
-// return the same certified greedy answer (the ledger serves it in O(k),
-// so there is nothing faster to fall back to).
+// Mode selects which query tier answers: the certified path (default,
+// full OPIM-C machinery, the (1 − 1/e − ε) guarantee) or the fast path
+// (seeds pre-ranked by the bottom-k sketch tier, then verified by the
+// same certificate machinery before being served).
 type Mode string
 
 const (
@@ -177,8 +182,9 @@ type Answer struct {
 	Eps   float64  `json:"eps"`
 	Seeds []uint32 `json:"seeds"`
 
-	// Mode is always ModeCertified: every seed answer is the exact greedy
-	// the (1 − 1/e − ε) analysis covers.
+	// Mode records which tier selected the seeds. Both tiers' answers
+	// carry a certificate; only certified-mode selection is the exact
+	// greedy the (1 − 1/e − ε) analysis covers (see DESIGN.md).
 	Mode Mode `json:"mode"`
 
 	// Epoch identifies the resident-sample generation the answer was
@@ -198,13 +204,15 @@ type Answer struct {
 	Ratio       float64 `json:"ratio"`
 	// EstSpread is the unbiased point estimate n·cov2/θ from R2.
 	EstSpread float64 `json:"est_spread"`
+	// SketchSpread is the fast tier's own σ estimate for the answer's
+	// seeds (zero on certified answers): n·union/θ over the bottom-k
+	// sketches, relative standard error ≈ 1/√(K−2).
+	SketchSpread float64 `json:"sketch_spread,omitempty"`
 
 	// GrowRounds counts the doubling rounds this query triggered (0 = the
-	// resident sample was reused as-is).
-	GrowRounds int `json:"grow_rounds"`
-	// Cached is always false (answers are not cached). The field stays
-	// until benchmark/, which compiles against it, drops it.
-	Cached bool `json:"cached"`
+	// resident sample was reused as-is). Cached marks an LRU hit.
+	GrowRounds int  `json:"grow_rounds"`
+	Cached     bool `json:"cached"`
 }
 
 // BadQueryError reports an inadmissible query; the HTTP layer maps it to
@@ -288,23 +296,20 @@ type Service struct {
 	// queue on it and re-check the epoch afterwards.
 	growMu sync.Mutex
 
-	// led returns the current epoch's greedy ledger, building it on first
-	// call (see ledger.go). Replaced under mu (write) together with every
-	// epoch bump, called under mu (read).
-	led func() (*ledger, error)
-
 	// sketchMu guards the fast tier's bottom-k sketch set, separately
 	// from mu so ?mode=fast spread reads never touch the RR sample's
-	// lock: any number of fast readers proceed while a seed query
-	// holds mu, and only the grower and the updater (already serialized
-	// by growMu) write-lock it to absorb a growth epoch or swap in a
-	// rebuilt set. Nil sk = tier disabled; the pointer itself is read
-	// under sketchMu or growMu only.
+	// lock: any number of fast readers proceed while a certified query
+	// holds mu, and only the grower (already serialized by growMu)
+	// write-locks it to absorb a growth epoch. The tier is disabled iff
+	// cfg.SketchK < 0 (sk stays nil); readers test the config, not the
+	// pointer, which rebuildSketch swaps under sketchMu.
 	sketchMu   sync.RWMutex
 	sk         *sketch.Set
+	skEpoch    uint64 // sample epoch the sketch last absorbed or rebuilt to
 	skRestored bool
 
-	sem chan struct{} // admission-control slots (HTTP layer)
+	cache *answerCache
+	sem   chan struct{} // admission-control slots (HTTP layer)
 
 	// st is the durable RR-sample store (nil when checkpointing is off).
 	// Only the grower touches it, under growMu.
@@ -326,11 +331,11 @@ type Service struct {
 // registry handles resolved once at New, so recording stays one atomic
 // per event while /statsz and /metricsz snapshot concurrently.
 type serviceCounters struct {
-	queries      *metrics.Counter // Query calls that produced an answer
-	reuseHits    *metrics.Counter // served from the resident sample, zero growth
-	ledgerBuilds *metrics.Counter // greedy runs: one per epoch that saw a query
-	growRounds   *metrics.Counter // doubling rounds executed
-	generated    *metrics.Counter // RR sets generated since startup (R1 + R2)
+	queries    *metrics.Counter // Query calls that produced an answer
+	cacheHits  *metrics.Counter // served from the LRU
+	reuseHits  *metrics.Counter // served from the resident sample, zero growth
+	growRounds *metrics.Counter // doubling rounds executed
+	generated  *metrics.Counter // RR sets generated since startup (R1 + R2)
 
 	ckptEpochs *metrics.Counter // checkpoint segments written since startup
 	ckptBytes  *metrics.Counter // checkpoint bytes written since startup
@@ -340,18 +345,25 @@ type serviceCounters struct {
 	degraded *metrics.Counter // requests refused 503 for lost worker capacity
 
 	// Dynamic-graph accounting: update batches applied, RR sets repaired
-	// in place across both mirrors, and full re-mirrors forced by a
-	// cluster rebalance mid-update.
+	// in place across both mirrors, full re-mirrors forced by a cluster
+	// rebalance mid-update, and fast-mode queries that fell back to the
+	// certified tier because the sketch lagged the sample epoch.
 	updates      *metrics.Counter
 	repairedSets *metrics.Counter
 	remirrors    *metrics.Counter
+	skStale      *metrics.Counter
 
-	// Sketch-tier accounting: build passes and their wall time (one
-	// univariate observation per pass), estimator evaluations served,
-	// and ?mode=fast spread queries.
-	skBuild     *metrics.Univariate
-	skEstimates *metrics.Counter
-	fastSpreads *metrics.Counter
+	// Fast-tier accounting: sketch build passes and their wall time
+	// (one univariate observation per pass), estimator evaluations
+	// served, fast-mode queries per endpoint, and the fast/certified
+	// agreement samples collected whenever both tiers answered the same
+	// (k, ε) on the same epoch.
+	skBuild      *metrics.Univariate
+	skEstimates  *metrics.Counter
+	fastSeeds    *metrics.Counter
+	fastSpreads  *metrics.Counter
+	agreeChecked *metrics.Counter
+	agreeMatched *metrics.Counter
 
 	// batchMu guards the last-seen cumulative batch counters reported by
 	// the two clusters' workers. The grower overwrites them after every
@@ -368,7 +380,7 @@ type serviceCounters struct {
 func newServiceCounters(reg *metrics.Registry) serviceCounters {
 	return serviceCounters{
 		queries:      reg.Counter("svc.queries"),
-		ledgerBuilds: reg.Counter("svc.ledger_builds"),
+		cacheHits:    reg.Counter("svc.cache_hits"),
 		reuseHits:    reg.Counter("svc.reuse_hits"),
 		growRounds:   reg.Counter("svc.grow_rounds"),
 		generated:    reg.Counter("svc.generated"),
@@ -380,9 +392,13 @@ func newServiceCounters(reg *metrics.Registry) serviceCounters {
 		updates:      reg.Counter("svc.update.calls"),
 		repairedSets: reg.Counter("svc.update.repaired_sets"),
 		remirrors:    reg.Counter("svc.update.remirrors"),
+		skStale:      reg.Counter("svc.sketch.stale"),
 		skBuild:      reg.Univariate("svc.sketch.build_ns"),
 		skEstimates:  reg.Counter("svc.sketch.estimates"),
+		fastSeeds:    reg.Counter("svc.fast.seed_queries"),
 		fastSpreads:  reg.Counter("svc.fast.spread_queries"),
+		agreeChecked: reg.Counter("svc.fast.agree_checked"),
+		agreeMatched: reg.Counter("svc.fast.agree_matched"),
 	}
 }
 
@@ -422,12 +438,12 @@ func New(cfg Config) (*Service, error) {
 		budget: budget,
 		r1:     rrset.NewCollection(1 << 16),
 		r2:     rrset.NewCollection(1 << 16),
+		cache:  newAnswerCache(cfg.CacheSize),
 		sem:    make(chan struct{}, cfg.MaxInFlight),
 		reg:    reg,
 		stats:  newServiceCounters(reg),
 	}
 	s.http.init(reg)
-	s.led = sync.OnceValues(s.buildLedger)
 	if (cfg.C1 == nil) != (cfg.C2 == nil) {
 		return nil, fmt.Errorf("serve: C1 and C2 must be supplied together")
 	}
@@ -588,18 +604,32 @@ func (s *Service) KMax() int { return s.cfg.KMax }
 func (s *Service) EpsFloor() float64 { return s.cfg.EpsFloor }
 
 // Query answers an influence-maximization query: k seeds with a
-// certified (1 − 1/e − ε)-approximation, read off the current epoch's
-// greedy ledger in O(k). It reuses the resident sample when the
-// certificate suffices and grows it otherwise, up to the (KMax, EpsFloor)
-// cap — at the cap the answer carries the best certificate the
-// worst-case-sized sample supports (the IMM guarantee still applies to
-// it with probability 1 − δ).
+// certified (1 − 1/e − ε)-approximation. It reuses the resident sample
+// when the certificate suffices and grows it otherwise, up to the
+// (KMax, EpsFloor) cap — at the cap the answer carries the best
+// certificate the worst-case-sized sample supports (the IMM guarantee
+// still applies to it with probability 1 − δ).
 func (s *Service) Query(k int, eps float64) (*Answer, error) {
+	return s.QueryMode(k, eps, ModeCertified)
+}
+
+// QueryMode answers a query on the requested tier. Certified is Query.
+// Fast pre-ranks the seeds with the bottom-k sketch tier (O(k·K) merges
+// instead of a greedy pass over the RR index), then runs the same
+// certificate machinery over those seeds and only grows the resident
+// sample when the certificate falls short of 1 − 1/e − ε. Fast answers
+// therefore still carry a sound spread lower bound; what they give up is
+// the greedy-selection premise of the (1 − 1/e − ε) analysis (see
+// DESIGN.md).
+func (s *Service) QueryMode(k int, eps float64, mode Mode) (*Answer, error) {
 	if k < 1 || k > s.cfg.KMax {
 		return nil, badQueryf("serve: k=%d outside [1, kmax=%d]", k, s.cfg.KMax)
 	}
 	if eps < s.cfg.EpsFloor || eps >= 1 {
 		return nil, badQueryf("serve: eps=%v outside [floor=%v, 1)", eps, s.cfg.EpsFloor)
+	}
+	if mode == ModeFast && s.cfg.SketchK < 0 {
+		return nil, badQueryf("serve: fast tier disabled (sketch-k < 0)")
 	}
 	if s.updateDebt.Load() {
 		// A graph update partially applied: the master graph moved past
@@ -610,34 +640,271 @@ func (s *Service) Query(k int, eps float64) (*Answer, error) {
 		return nil, &DegradedError{RetryAfter: degradeRetryAfter,
 			Err: fmt.Errorf("serve: resident sample behind the graph after an interrupted update; retry the update")}
 	}
+	if ans, ok := s.cache.get(k, eps, mode); ok {
+		s.stats.queries.Inc()
+		s.stats.cacheHits.Inc()
+		hit := *ans
+		hit.Cached = true
+		return &hit, nil
+	}
 	target := 1 - 1/math.E - eps
-	for grew := 0; ; grew++ {
-		l, err := s.currentLedger()
+	grew := 0
+	for {
+		var (
+			ans  *Answer
+			done bool
+			err  error
+		)
+		if mode == ModeFast {
+			ans, done, err = s.tryServeFast(k, eps, target, grew)
+		} else {
+			ans, done, err = s.tryServe(k, eps, target, grew)
+		}
 		if err != nil {
 			return nil, err
 		}
-		// Grow iff some greedy prefix ≤ k misses the target and the sample
-		// is below its cap. Small prefixes are the binding constraint (few
-		// covered sets, so relatively more Chernoff slack), which is why
-		// the rule covers every prefix and not just k: once it holds, any
-		// later query with k' ≤ k at ε' ≥ ε is served without growth too.
-		if l.theta > 0 && (l.minRatio[k-1] >= target || l.theta >= s.budget.ThetaMax) {
-			s.stats.queries.Inc()
-			if grew == 0 {
-				s.stats.reuseHits.Inc()
-			}
-			return l.answer(s.n, k, eps, grew), nil
+		if done {
+			return ans, nil
 		}
-		if err := s.grow(l.epoch); err != nil {
+		if err := s.grow(ans.Epoch); err != nil {
 			return nil, err
 		}
+		grew++
 	}
 }
 
-// QueryMode is Query: the mode selects nothing for seeds. It stays until
-// benchmark/, which compiles against it, calls Query.
-func (s *Service) QueryMode(k int, eps float64, _ Mode) (*Answer, error) {
-	return s.Query(k, eps)
+// tryServe attempts one selection + certification pass over the current
+// resident sample. done=false means the certificate fell short and the
+// sample can still grow; the returned answer then only carries the epoch
+// the attempt saw.
+func (s *Service) tryServe(k int, eps, target float64, grew int) (*Answer, bool, error) {
+	s.mu.RLock()
+	epoch := s.epoch
+	gver := s.gver
+	theta := int64(s.r1.Count())
+	if theta == 0 {
+		s.mu.RUnlock()
+		return &Answer{Epoch: epoch}, false, nil
+	}
+	sel, err := core.SelectFromSample(s.r1, s.idx1, s.n, k, s.par)
+	if err != nil {
+		s.mu.RUnlock()
+		return nil, false, err
+	}
+	cov2s := prefixCoverage(s.idx2, s.r2.Count(), sel.Seeds)
+	s.mu.RUnlock()
+
+	// Certify every greedy prefix, not just the queried k. Small prefixes
+	// are the binding constraint (few covered sets → relatively more
+	// Chernoff slack), and greedy prefix consistency means a later query
+	// with k' < k at eps' ≥ eps returns exactly Seeds[:k'] — so once all
+	// prefixes certify here, that later query is guaranteed to be served
+	// from the resident sample with zero new RR generation.
+	var cert imm.Certificate
+	allPass := true
+	var cov1 int64
+	for i := 0; i < k; i++ {
+		cov1 += sel.Marginals[i]
+		cert = core.CertifySelection(s.n, theta, cov1, cov2s[i], s.budget.TailMass)
+		if cert.Ratio < target {
+			allPass = false
+		}
+	}
+	cov2 := cov2s[k-1]
+	if !allPass && theta < s.budget.ThetaMax {
+		return &Answer{Epoch: epoch}, false, nil
+	}
+	ans := &Answer{
+		K:            k,
+		Eps:          eps,
+		Seeds:        sel.Seeds,
+		Mode:         ModeCertified,
+		Epoch:        epoch,
+		GraphVersion: gver,
+		Theta:        theta,
+		SpreadLower:  cert.SpreadLower,
+		OptUpper:     cert.OptUpper,
+		Ratio:        cert.Ratio,
+		EstSpread:    float64(s.n) * float64(cov2) / float64(theta),
+		GrowRounds:   grew,
+	}
+	s.cache.put(k, eps, ModeCertified, ans)
+	s.noteAgreement(ans)
+	s.stats.queries.Inc()
+	if grew == 0 {
+		s.stats.reuseHits.Inc()
+	}
+	return ans, true, nil
+}
+
+// prefixCoverage returns, for each prefix seeds[:i+1], the number of the
+// index's RR sets it covers, via the inverted index and a per-query mark
+// array sized count. Caller holds mu (read); both tiers' certification
+// paths share it.
+func prefixCoverage(idx *rrset.Index, count int, seeds []uint32) []int64 {
+	mark := make([]bool, count)
+	out := make([]int64, len(seeds))
+	var covered int64
+	for i, u := range seeds {
+		for si := 0; si < idx.NumSegments(); si++ {
+			for _, j := range idx.SegCovers(si, u) {
+				if j&rrset.DeadPosting != 0 {
+					continue
+				}
+				if !mark[j] {
+					mark[j] = true
+					covered++
+				}
+			}
+		}
+		out[i] = covered
+	}
+	return out
+}
+
+// sketchCandidatePool sizes the fast tier's sketch-ranked candidate
+// shortlist: wide enough that exact greedy's picks virtually never fall
+// outside it (the pruning error the estimator's ≈ 1/√(K−2) noise can
+// cause), narrow enough that restricted selection stays O(k) in live
+// candidates instead of O(n).
+func sketchCandidatePool(k, n int) int {
+	c := 16 * k
+	if c < 64 {
+		c = 64
+	}
+	if c > n {
+		c = n
+	}
+	return c
+}
+
+// tryServeFast is tryServe's fast-tier counterpart: the bottom-k
+// sketches rank a candidate shortlist (under sketchMu only), exact
+// greedy runs over the RR sample restricted to that shortlist, and the
+// same certificate machinery verifies the outcome — actual prefix
+// coverages on R1 feed the OPT upper bound, R2 the spread lower bound.
+// done=false means the certificate fell short and the caller should grow
+// (which also re-absorbs the new instances into the sketch, so the next
+// attempt re-ranks on fresher estimates).
+func (s *Service) tryServeFast(k int, eps, target float64, grew int) (*Answer, bool, error) {
+	s.sketchMu.RLock()
+	skTheta := s.sk.Theta()
+	skEpoch := s.skEpoch
+	var cands []uint32
+	var evals int
+	if skTheta > 0 {
+		cands, evals = s.sk.TopCandidates(sketchCandidatePool(k, s.n))
+	}
+	s.sketchMu.RUnlock()
+	s.stats.skEstimates.Add(int64(evals))
+
+	s.mu.RLock()
+	epoch := s.epoch
+	gver := s.gver
+	theta := int64(s.r1.Count())
+	if skTheta == 0 || theta == 0 || len(cands) == 0 {
+		s.mu.RUnlock()
+		return &Answer{Epoch: epoch}, false, nil // cold: growth builds the sketch
+	}
+	if skEpoch != epoch {
+		// The sketch lags the published sample (a growth or repair epoch
+		// it has not absorbed): its rankings are stale, so serve this
+		// query from the certified tier instead of pre-ranking on them.
+		s.mu.RUnlock()
+		s.stats.skStale.Inc()
+		return s.tryServe(k, eps, target, grew)
+	}
+	sel, err := core.SelectFromSampleCandidates(s.r1, s.idx1, s.n, k, s.par, cands)
+	if err != nil {
+		s.mu.RUnlock()
+		return nil, false, err
+	}
+	seeds := sel.Seeds
+	cov2s := prefixCoverage(s.idx2, s.r2.Count(), seeds)
+	s.mu.RUnlock()
+
+	// The sketch's own spread estimate for the answer, for clients that
+	// want to compare the tiers (and the bench agreement sweep).
+	s.sketchMu.RLock()
+	skSpread, unionEvals := s.sk.EstimateSpreadSet(seeds)
+	s.sketchMu.RUnlock()
+	s.stats.skEstimates.Add(int64(unionEvals))
+
+	var cert imm.Certificate
+	allPass := true
+	var cov1 int64
+	for i := 0; i < k; i++ {
+		cov1 += sel.Marginals[i]
+		cert = core.CertifySelection(s.n, theta, cov1, cov2s[i], s.budget.TailMass)
+		if cert.Ratio < target {
+			allPass = false
+		}
+	}
+	if !allPass && theta < s.budget.ThetaMax {
+		return &Answer{Epoch: epoch}, false, nil
+	}
+	ans := &Answer{
+		K:            k,
+		Eps:          eps,
+		Seeds:        seeds,
+		Mode:         ModeFast,
+		Epoch:        epoch,
+		GraphVersion: gver,
+		Theta:        theta,
+		SpreadLower:  cert.SpreadLower,
+		OptUpper:     cert.OptUpper,
+		Ratio:        cert.Ratio,
+		EstSpread:    float64(s.n) * float64(cov2s[k-1]) / float64(theta),
+		SketchSpread: skSpread,
+		GrowRounds:   grew,
+	}
+	s.cache.put(k, eps, ModeFast, ans)
+	s.noteAgreement(ans)
+	s.stats.queries.Inc()
+	s.stats.fastSeeds.Inc()
+	if grew == 0 {
+		s.stats.reuseHits.Inc()
+	}
+	return ans, true, nil
+}
+
+// noteAgreement samples fast/certified seed-set agreement: whenever the
+// other tier's answer to the same (k, ε) on the same epoch is still
+// cached, compare the seed sets (order-insensitively — the tiers rank
+// differently but the set is what a client acts on). The running ratio
+// is exported on /statsz and measured offline by bench -run sketch.
+func (s *Service) noteAgreement(ans *Answer) {
+	if s.cfg.SketchK < 0 {
+		return
+	}
+	other := ModeCertified
+	if ans.Mode == ModeCertified {
+		other = ModeFast
+	}
+	peer, ok := s.cache.get(ans.K, ans.Eps, other)
+	if !ok || peer.Epoch != ans.Epoch {
+		return
+	}
+	s.stats.agreeChecked.Inc()
+	if sameSeedSet(ans.Seeds, peer.Seeds) {
+		s.stats.agreeMatched.Inc()
+	}
+}
+
+func sameSeedSet(a, b []uint32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	in := make(map[uint32]bool, len(a))
+	for _, v := range a {
+		in[v] = true
+	}
+	for _, v := range b {
+		if !in[v] {
+			return false
+		}
+	}
+	return true
 }
 
 // grow extends the resident sample by one doubling round (θ → 2θ, or to
@@ -735,7 +1002,8 @@ func (s *Service) grow(fromEpoch uint64) error {
 		} else if err = s.idx2.AppendFrom(s.r2, from2); err != nil {
 			return err
 		}
-		s.advanceEpoch()
+		s.epoch++
+		s.cache.advance(s.epoch)
 		return nil
 	}()
 	s.mu.Unlock()
@@ -750,21 +1018,22 @@ func (s *Service) grow(fromEpoch uint64) error {
 // updateSketch absorbs the RR instances appended since the last absorb
 // into the fast tier's bottom-k sketches. Runs after growth with the
 // epoch write lock already released: the snapshot is immutable, so
-// seed queries proceed while the sketch rebuilds, and fast spread
-// readers block only on sketchMu for the absorb itself. No-op when the
-// tier is disabled or nothing was appended. Caller holds growMu (or is
-// New).
+// certified readers proceed while the sketch rebuilds, and fast readers
+// block only on sketchMu for the absorb itself. No-op when the tier is
+// disabled or nothing was appended.
 func (s *Service) updateSketch() {
-	if s.sk == nil {
+	if s.cfg.SketchK < 0 {
 		return
 	}
 	s.mu.RLock()
 	snap := s.r1.Snapshot()
+	epoch := s.epoch
 	s.mu.RUnlock()
 	s.sketchMu.Lock()
 	start := time.Now()
 	added := core.BuildSketch(s.sk, snap, s.par)
 	d := time.Since(start)
+	s.skEpoch = epoch
 	s.sketchMu.Unlock()
 	if added > 0 {
 		s.stats.skBuild.ObserveDuration(d)
@@ -796,7 +1065,7 @@ func (s *Service) maybeCheckpoint() {
 		s.stats.ckptEpochs.Inc()
 		s.stats.ckptBytes.Add(n)
 	}
-	if s.sk != nil {
+	if s.cfg.SketchK >= 0 {
 		// The sketch segment is superseded, not appended: it is a pure
 		// function of (params, absorbed prefix), so only the newest one
 		// matters. Same failure policy as the RR checkpoint — the
@@ -817,8 +1086,8 @@ func (s *Service) maybeCheckpoint() {
 // SpreadSketch estimates σ(seeds) from the bottom-k sketches alone —
 // GET /v1/spread?mode=fast. It never touches the RR sample, its lock, or
 // the worker clusters: the only synchronization is sketchMu (read), so
-// fast spread reads proceed at full concurrency while seed queries
-// build a ledger, grow, or checkpoint. Returns the estimate and the estimator's
+// fast spread reads proceed at full concurrency while certified queries
+// select, grow, or checkpoint. Returns the estimate and the estimator's
 // relative standard error ≈ 1/√(K−2).
 func (s *Service) SpreadSketch(seeds []uint32) (est, relStdErr float64, err error) {
 	if s.cfg.SketchK < 0 {
@@ -880,27 +1149,26 @@ type Stats struct {
 	KMax        int     `json:"k_max"`
 	EpsFloor    float64 `json:"eps_floor"`
 
-	Queries int64 `json:"queries"`
-	// CacheHits is always 0 (answers are not cached). The field stays
-	// until benchmark/, which compiles against it, drops it.
+	Queries    int64 `json:"queries"`
 	CacheHits  int64 `json:"cache_hits"`
 	ReuseHits  int64 `json:"reuse_hits"`
 	GrowRounds int64 `json:"grow_rounds"`
 	Generated  int64 `json:"generated"`
-	// LedgerBuilds counts greedy runs over the resident sample: one per
-	// epoch that saw a seed query, however many queries it served.
-	LedgerBuilds int64 `json:"ledger_builds"`
 
-	// Sketch-tier figures: the sketch's configuration and progress (zero
+	// Fast-tier figures: the sketch's configuration and progress (zero
 	// K = tier disabled), build passes and their wall time, estimator
-	// evaluations served, and ?mode=fast spread queries.
+	// evaluations served, per-endpoint fast-mode query counts, and the
+	// running fast/certified seed-set agreement sample.
 	SketchK            int     `json:"sketch_k"`
 	SketchTheta        int64   `json:"sketch_theta"`
 	SketchRestored     bool    `json:"sketch_restored"`
 	SketchBuilds       int64   `json:"sketch_builds"`
 	SketchBuildSeconds float64 `json:"sketch_build_seconds"`
 	SketchEstimates    int64   `json:"sketch_estimates"`
+	FastSeedQueries    int64   `json:"fast_seed_queries"`
 	FastSpreadQueries  int64   `json:"fast_spread_queries"`
+	FastAgreeChecked   int64   `json:"fast_agree_checked"`
+	FastAgreeMatched   int64   `json:"fast_agree_matched"`
 
 	// Durable-store figures: what startup replayed and what the
 	// checkpoint hook has written since (all zero with no CheckpointDir).
@@ -936,13 +1204,15 @@ type Stats struct {
 	// Dynamic-graph figures: the graph-update sequence number the
 	// published sample reflects, how many update batches were applied,
 	// how many resident RR sets were repaired in place, how many updates
-	// fell back to a full re-mirror of the workers' samples, and whether
-	// an interrupted update is currently degrading queries (healed by
-	// retrying the same batch).
+	// fell back to a full re-mirror of the workers' samples, how many
+	// fast queries were bounced to the certified tier because the sketch
+	// lagged the sample epoch, and whether an interrupted update is
+	// currently degrading queries (healed by retrying the same batch).
 	GraphVersion uint64 `json:"graph_version"`
 	Updates      int64  `json:"updates"`
 	RepairedSets int64  `json:"repaired_rr_sets"`
 	Remirrors    int64  `json:"remirrors"`
+	SketchStale  int64  `json:"sketch_stale"`
 	UpdateDebt   bool   `json:"update_debt"`
 
 	InFlight int64                       `json:"in_flight"`
@@ -952,12 +1222,12 @@ type Stats struct {
 }
 
 // ReuseRate returns the fraction of queries served without any RR
-// generation.
+// generation (LRU hits plus resident-sample hits).
 func (st Stats) ReuseRate() float64 {
 	if st.Queries == 0 {
 		return 0
 	}
-	return float64(st.ReuseHits) / float64(st.Queries)
+	return float64(st.CacheHits+st.ReuseHits) / float64(st.Queries)
 }
 
 // MetricsSnapshot exports the raw metric registries behind /statsz: the
@@ -988,17 +1258,19 @@ func (s *Service) Stats() Stats {
 		KMax:        s.cfg.KMax,
 		EpsFloor:    s.cfg.EpsFloor,
 		Queries:     s.stats.queries.Value(),
+		CacheHits:   s.stats.cacheHits.Value(),
 		ReuseHits:   s.stats.reuseHits.Value(),
 		GrowRounds:  s.stats.growRounds.Value(),
 		Generated:   s.stats.generated.Value(),
-
-		LedgerBuilds: s.stats.ledgerBuilds.Value(),
 
 		SketchRestored:     s.skRestored,
 		SketchBuilds:       s.stats.skBuild.Count(),
 		SketchBuildSeconds: float64(s.stats.skBuild.Sum()) / 1e9,
 		SketchEstimates:    s.stats.skEstimates.Value(),
+		FastSeedQueries:    s.stats.fastSeeds.Value(),
 		FastSpreadQueries:  s.stats.fastSpreads.Value(),
+		FastAgreeChecked:   s.stats.agreeChecked.Value(),
+		FastAgreeMatched:   s.stats.agreeMatched.Value(),
 
 		Restored:          s.restoredTheta > 0,
 		RestoredEpochs:    s.restoredEpochs,
@@ -1018,6 +1290,7 @@ func (s *Service) Stats() Stats {
 		Updates:      s.stats.updates.Value(),
 		RepairedSets: s.stats.repairedSets.Value(),
 		Remirrors:    s.stats.remirrors.Value(),
+		SketchStale:  s.stats.skStale.Value(),
 		UpdateDebt:   s.updateDebt.Load(),
 
 		InFlight: int64(len(s.sem)),
@@ -1025,12 +1298,12 @@ func (s *Service) Stats() Stats {
 		Uptime:   time.Since(s.http.started).Seconds(),
 		Endpoint: s.http.snapshot(),
 	}
-	s.sketchMu.RLock()
-	if s.sk != nil {
+	if s.cfg.SketchK >= 0 {
+		s.sketchMu.RLock()
 		st.SketchK = s.sk.K()
 		st.SketchTheta = s.sk.Theta()
+		s.sketchMu.RUnlock()
 	}
-	s.sketchMu.RUnlock()
 	s.stats.batchMu.Lock()
 	batch := s.stats.batch1
 	batch.Add(s.stats.batch2)

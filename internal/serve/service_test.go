@@ -73,8 +73,8 @@ func TestQueryReuse(t *testing.T) {
 		t.Fatalf("second query generated %d new RR sets, want 0 (reuse)",
 			st.Generated-genAfterFirst)
 	}
-	if a2.GrowRounds != 0 {
-		t.Fatalf("second query: growRounds=%d, want reuse", a2.GrowRounds)
+	if a2.Cached || a2.GrowRounds != 0 {
+		t.Fatalf("second query: cached=%v growRounds=%d, want fresh reuse", a2.Cached, a2.GrowRounds)
 	}
 	if st.ReuseHits != 1 {
 		t.Fatalf("reuse hits = %d, want 1", st.ReuseHits)
@@ -155,12 +155,52 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// TestQueryCache: repeating a query hits the LRU; growth invalidates it.
+func TestQueryCache(t *testing.T) {
+	s := testService(t, Config{})
+	a1, err := s.Query(5, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a1.Cached {
+		t.Fatal("first query served from an empty cache")
+	}
+	a2, err := s.Query(5, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a2.Cached {
+		t.Fatal("repeat query missed the cache")
+	}
+	if fmt.Sprint(a2.Seeds) != fmt.Sprint(a1.Seeds) {
+		t.Fatal("cached answer differs from the original")
+	}
+	if got := s.Stats().CacheHits; got != 1 {
+		t.Fatalf("cache hits = %d, want 1", got)
+	}
+
+	// Growth bumps the epoch; the stale entry must not be served.
+	if err := s.grow(a1.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	a3, err := s.Query(5, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a3.Cached {
+		t.Fatal("served a pre-growth cached answer after the epoch moved")
+	}
+	if a3.Epoch == a1.Epoch {
+		t.Fatalf("epoch did not move across growth")
+	}
+}
+
 // TestConcurrentQueriesDeterministic hammers the service with mixed k
 // from many goroutines while growth races underneath (run with -race).
 // Every answer must carry a certificate meeting its ε, and answers for
 // the same (k, ε, epoch) must be identical across goroutines.
 func TestConcurrentQueriesDeterministic(t *testing.T) {
-	s := testService(t, Config{Machines: 2})
+	s := testService(t, Config{Machines: 2, CacheSize: -1}) // no LRU: every answer recomputed
 
 	const goroutines = 8
 	const perG = 6
@@ -239,5 +279,36 @@ func TestSpread(t *testing.T) {
 	}
 	if _, _, err := s.Spread([]uint32{999}, 100); err == nil {
 		t.Fatal("out-of-range seed accepted")
+	}
+}
+
+func TestAnswerCacheLRU(t *testing.T) {
+	c := newAnswerCache(2)
+	mk := func(k int) *Answer { return &Answer{K: k} }
+	c.put(1, 0.3, ModeCertified, mk(1))
+	c.put(2, 0.3, ModeCertified, mk(2))
+	c.put(3, 0.3, ModeCertified, mk(3)) // evicts k=1
+	if _, ok := c.get(1, 0.3, ModeCertified); ok {
+		t.Fatal("k=1 survived past capacity")
+	}
+	if _, ok := c.get(2, 0.3, ModeCertified); !ok {
+		t.Fatal("k=2 evicted early")
+	}
+	c.put(4, 0.3, ModeCertified, mk(4)) // k=3 is now LRU, evicted
+	if _, ok := c.get(3, 0.3, ModeCertified); ok {
+		t.Fatal("k=3 survived past capacity")
+	}
+	// Epoch bump invalidates everything.
+	c.put(5, 0.3, ModeCertified, &Answer{K: 5, Epoch: 1})
+	if _, ok := c.get(2, 0.3, ModeCertified); ok {
+		t.Fatal("stale-epoch entry served")
+	}
+	if c.len() != 1 {
+		t.Fatalf("cache holds %d entries after epoch flush, want 1", c.len())
+	}
+	// Older-epoch answers arriving late are dropped.
+	c.put(6, 0.3, ModeCertified, &Answer{K: 6, Epoch: 0})
+	if _, ok := c.get(6, 0.3, ModeCertified); ok {
+		t.Fatal("pre-growth answer cached after the epoch moved")
 	}
 }

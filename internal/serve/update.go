@@ -35,8 +35,8 @@ type UpdateResult struct {
 	Remirrored bool `json:"remirrored"`
 	// Theta and Epoch describe the published sample after the update:
 	// Theta is unchanged by design (repair replaces sets one-for-one),
-	// Epoch advances so the greedy ledger of the pre-update sample is
-	// dropped and the next query rebuilds it on the repaired one.
+	// Epoch advances so caches and sketches tied to the pre-update
+	// sample are invalidated.
 	Theta int64  `json:"theta"`
 	Epoch uint64 `json:"epoch"`
 }
@@ -46,8 +46,7 @@ type UpdateResult struct {
 // clusters re-run exactly the lanes whose RR sets a mutated edge could
 // have touched, the returned patches are spliced into the resident
 // mirrors through the fetch-span translation table, and the epoch
-// advances so the old sample's greedy ledger drops and its sketch is
-// rebuilt.
+// advances so every cache and sketch keyed to the old sample drops.
 //
 // Sequencing: seq must be Version()+1; zero asks the service to assign
 // the next number. A batch at or below the current version is an
@@ -231,7 +230,8 @@ func (s *Service) splicePatches(p1, p2 [][]rrset.Patch) error {
 		return err
 	}
 	s.gver = s.cfg.Graph.Version()
-	s.advanceEpoch()
+	s.epoch++
+	s.cache.advance(s.epoch)
 	return nil
 }
 
@@ -307,7 +307,8 @@ func (s *Service) remirror() error {
 	// values are already absolute.
 	s.spans1, s.spans2 = spans1, spans2
 	s.gver = s.cfg.Graph.Version()
-	s.advanceEpoch()
+	s.epoch++
+	s.cache.advance(s.epoch)
 	s.stats.remirrors.Inc()
 	return nil
 }
@@ -340,14 +341,15 @@ func (s *Service) maybeCheckpointDelta(b mutate.Batch, repaired int, remirrored 
 // repair. The incremental absorb in updateSketch only ever appends the
 // sample's new suffix; a repair rewrites sets in the absorbed prefix,
 // which the bottom-k structure cannot un-absorb, so the repaired sample
-// gets a fresh build with the same parameters, swapped in under
-// sketchMu. No-op when the tier is disabled. Caller holds growMu.
+// gets a fresh build with the same parameters. No-op when the tier is
+// disabled.
 func (s *Service) rebuildSketch() {
-	if s.sk == nil {
+	if s.cfg.SketchK < 0 {
 		return
 	}
 	s.mu.RLock()
 	snap := s.r1.Snapshot()
+	epoch := s.epoch
 	s.mu.RUnlock()
 	fresh, err := sketch.New(s.n, sketch.Params{K: s.sk.K(), Seed: s.sk.Seed()})
 	if err != nil {
@@ -358,6 +360,7 @@ func (s *Service) rebuildSketch() {
 	d := time.Since(start)
 	s.sketchMu.Lock()
 	s.sk = fresh
+	s.skEpoch = epoch
 	s.sketchMu.Unlock()
 	s.stats.skBuild.ObserveDuration(d)
 }

@@ -331,6 +331,55 @@ func TestUpdateDebtDegradesAndHeals(t *testing.T) {
 	}
 }
 
+// TestSketchStaleFallback (satellite): a fast query whose sketch lags
+// the sample epoch must fall back to the certified tier — never serve
+// rankings computed on a pre-repair sample — and count the fallback.
+func TestSketchStaleFallback(t *testing.T) {
+	g := dynGraph(t)
+	s := testService(t, Config{Graph: g, Dynamic: true})
+	if _, err := s.Query(10, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	fast, err := s.QueryMode(8, 0.3, ModeFast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.Mode != ModeFast {
+		t.Fatalf("warm fast query answered on tier %q", fast.Mode)
+	}
+
+	// Pretend the sketch missed the last epoch (the window between an
+	// update's publish and its sketch rebuild).
+	s.sketchMu.Lock()
+	s.skEpoch--
+	s.sketchMu.Unlock()
+	before := s.stats.skStale.Value()
+	ans, err := s.QueryMode(7, 0.3, ModeFast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Mode != ModeCertified {
+		t.Fatalf("stale-sketch fast query answered on tier %q, want the certified fallback", ans.Mode)
+	}
+	if got := s.stats.skStale.Value(); got != before+1 {
+		t.Fatalf("sketch_stale counter %d, want %d", got, before+1)
+	}
+	// An update rebuilds the sketch to the new epoch, so fast service
+	// resumes (no permanent downgrade).
+	if _, err := s.Update(0, dynOps(t, g)); err != nil {
+		t.Fatal(err)
+	}
+	s.sketchMu.RLock()
+	skEpoch := s.skEpoch
+	s.sketchMu.RUnlock()
+	s.mu.RLock()
+	epoch := s.epoch
+	s.mu.RUnlock()
+	if skEpoch != epoch {
+		t.Fatalf("sketch at epoch %d after update, sample at %d", skEpoch, epoch)
+	}
+}
+
 // TestDynamicHTTP drives the whole path over the wire: POST /v1/update
 // applies, replays acknowledge, malformed ops 400, /statsz reports the
 // dynamic figures, and /v1/seeds answers carry the graph version.
