@@ -213,8 +213,12 @@ type Cluster struct {
 
 	baseDeg []int64 // Δ(v) over all RR sets generated so far
 
-	mergeScratch []int32
-	mergeTouched []uint32
+	// Reduce-stage scratch of distOracle.Select, reused every round:
+	// merge sums the workers' decoded replies (pairBuf) and drains into
+	// deltas, the slice handed to the greedy.
+	merge   *coverage.DeltaAccum
+	pairBuf []DeltaPair
+	deltas  []coverage.Delta
 
 	// sequential issues broadcast calls one worker at a time instead of
 	// concurrently. On a host with fewer free cores than workers the
@@ -288,14 +292,14 @@ func New(conns []Conn, numItems int) (*Cluster, error) {
 	}
 	reg := metrics.NewRegistry()
 	return &Cluster{
-		conns:        conns,
-		numItems:     numItems,
-		baseDeg:      make([]int64, numItems),
-		mergeScratch: make([]int32, numItems),
-		sequential:   runtime.GOMAXPROCS(0) == 1,
-		batchLast:    make([]rrset.BatchStats, len(conns)),
-		reg:          reg,
-		met:          newClusterMetrics(reg),
+		conns:      conns,
+		numItems:   numItems,
+		baseDeg:    make([]int64, numItems),
+		merge:      coverage.NewDeltaAccum(numItems),
+		sequential: runtime.GOMAXPROCS(0) == 1,
+		batchLast:  make([]rrset.BatchStats, len(conns)),
+		reg:        reg,
+		met:        newClusterMetrics(reg),
 	}, nil
 }
 
@@ -1158,37 +1162,32 @@ func (o *distOracle) Select(u uint32) ([]coverage.Delta, error) {
 	}
 	handlers := make([]time.Duration, len(resps))
 	start := time.Now()
-	c.mergeTouched = c.mergeTouched[:0]
-	var buf []DeltaPair
+	fail := func(worker int, err error) ([]coverage.Delta, error) {
+		c.merge.Drain(c.deltas[:0]) // discard the partial reduce
+		return nil, fmt.Errorf("cluster: worker %d: %w", worker, err)
+	}
 	for i, resp := range resps {
 		if resp == nil {
 			continue
 		}
-		nanos, pairs, err := decodeDeltasResp(resp, buf, i)
+		nanos, pairs, err := decodeDeltasResp(resp, c.pairBuf, i)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: worker %d: %w", i, err)
+			return fail(i, err)
 		}
-		buf = pairs
+		c.pairBuf = pairs
 		handlers[i] = time.Duration(nanos)
 		c.countDeltaFrame(resp, pairs)
 		for _, p := range pairs {
 			if int(p.Node) >= c.numItems {
-				return nil, fmt.Errorf("cluster: worker %d delta for node %d outside item space", i, p.Node)
+				return fail(i, fmt.Errorf("delta for node %d outside item space", p.Node))
 			}
-			if c.mergeScratch[p.Node] == 0 {
-				c.mergeTouched = append(c.mergeTouched, p.Node)
-			}
-			c.mergeScratch[p.Node] += p.Dec
+			c.merge.Add(p.Node, p.Dec)
 		}
 	}
-	out := make([]coverage.Delta, len(c.mergeTouched))
-	for i, v := range c.mergeTouched {
-		out[i] = coverage.Delta{Node: v, Dec: c.mergeScratch[v]}
-		c.mergeScratch[v] = 0
-		// Keep the baseline in sync: these RR sets are now covered for the
-		// remainder of this greedy run only, so the baseline must NOT
-		// change here. Baseline tracks all-uncovered degrees.
-	}
+	// The baseline is NOT touched here: these RR sets are covered for the
+	// remainder of this greedy run only, and baseDeg tracks all-uncovered
+	// degrees.
+	c.deltas = c.merge.Drain(c.deltas[:0])
 	if c.rec != nil {
 		// Journal the seed: a replacement worker resyncing mid-greedy
 		// replays beginSelect plus this prefix to rebuild its covered
@@ -1197,7 +1196,7 @@ func (o *distOracle) Select(u uint32) ([]coverage.Delta, error) {
 	}
 	c.met.masterCompute.AddDuration(time.Since(start))
 	c.account("sel", wall, handlers)
-	return out, nil
+	return c.deltas, nil
 }
 
 // AddMasterCompute lets the selection driver account bucket-scan time.

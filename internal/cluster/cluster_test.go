@@ -82,7 +82,7 @@ func TestProtoErrors(t *testing.T) {
 		t.Fatalf("worker error not surfaced: %v", err)
 	}
 	// Corrupt pair count.
-	frame := encodeDeltasResp(0, []DeltaPair{{1, 2}}, 0)
+	frame := encodeDeltasResp(0, []DeltaPair{{Node: 1, Dec: 2}}, 0)
 	frame = frame[:len(frame)-3]
 	if _, _, err := decodeDeltasResp(frame, nil, -1); err == nil {
 		t.Fatal("truncated delta frame accepted")
@@ -455,7 +455,7 @@ func TestSequentialAndConcurrentBroadcastAgree(t *testing.T) {
 func TestCriticalPathMetric(t *testing.T) {
 	g := testGraph(t)
 	cl := localCluster(t, g, 4, diffusion.IC, 21)
-	if _, err := cl.Generate(2000); err != nil {
+	if _, err := cl.Generate(40000); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coverage.RunGreedy(cl.Oracle(), 10); err != nil {

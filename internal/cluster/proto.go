@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"dimm/internal/checksum"
+	"dimm/internal/coverage"
 	"dimm/internal/rrset"
 )
 
@@ -38,12 +39,11 @@ const (
 	msgError       = byte(0x7f)
 )
 
-// DeltaPair mirrors coverage.Delta on the wire: a node id and how much its
-// marginal coverage decreases.
-type DeltaPair struct {
-	Node uint32
-	Dec  int32
-}
+// DeltaPair is coverage.Delta on the wire: a node id and how much its
+// marginal coverage decreases. One type end to end, so a worker's drain
+// buffer is what the encoder reads and the master's decode buffer is what
+// the reduce stage folds.
+type DeltaPair = coverage.Delta
 
 // GenerateStats is the reply payload of msgGenerate and msgStats.
 type GenerateStats struct {
@@ -264,9 +264,9 @@ func encodeStatsResp(tag byte, handlerNanos int64, s GenerateStats) []byte {
 //     4n bytes is the break-even the encoder switches at.
 //
 // The encoder only considers the dense form when numItems > 0 and the
-// pairs hold strictly ascending node ids with positive decrements — the
-// invariant of the worker's drain paths (which sort); numItems = 0
-// forces the sparse form for arbitrary pair lists.
+// pairs hold strictly ascending node ids with positive decrements — what
+// coverage.DeltaAccum.Drain emits on the worker's select and degree-sync
+// paths; numItems = 0 forces the sparse form for arbitrary pair lists.
 const (
 	deltaFormSparse = byte(1)
 	deltaFormDense  = byte(2)
@@ -275,45 +275,50 @@ const (
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// encodeDeltaPayload picks the smaller of the sparse and dense forms.
-func encodeDeltaPayload(pairs []DeltaPair, numItems int) []byte {
-	sparse := make([]byte, 0, 1+binary.MaxVarintLen32+6*len(pairs))
-	sparse = append(sparse, deltaFormSparse)
-	sparse = binary.AppendUvarint(sparse, uint64(len(pairs)))
+// appendDeltaPayload appends the smaller of the sparse and dense forms
+// of pairs to b. The sparse form is written in place; when the dense one
+// is smaller (and can represent the pairs) it overwrites those bytes, so
+// a reply is never staged in a second buffer.
+func appendDeltaPayload(b []byte, pairs []DeltaPair, numItems int) []byte {
+	at := len(b)
+	b = append(b, deltaFormSparse)
+	b = binary.AppendUvarint(b, uint64(len(pairs)))
 	prev := int64(0)
 	for _, p := range pairs {
-		sparse = binary.AppendUvarint(sparse, zigzag(int64(p.Node)-prev))
+		b = binary.AppendUvarint(b, zigzag(int64(p.Node)-prev))
 		prev = int64(p.Node)
-		sparse = binary.AppendUvarint(sparse, uint64(uint32(p.Dec)))
+		b = binary.AppendUvarint(b, uint64(uint32(p.Dec)))
 	}
 	denseSize := 1 + 4 + 4*numItems
-	if numItems <= 0 || len(sparse) <= denseSize {
-		return sparse
+	if numItems <= 0 || len(b)-at <= denseSize {
+		return b
 	}
 	for i, p := range pairs {
 		if int(p.Node) >= numItems || p.Dec <= 0 || (i > 0 && pairs[i-1].Node >= p.Node) {
-			return sparse // drain invariant violated; stay lossless
+			return b // drain invariant violated; stay lossless
 		}
 	}
-	dense := make([]byte, denseSize)
-	dense[0] = deltaFormDense
-	binary.LittleEndian.PutUint32(dense[1:5], uint32(numItems))
+	b = b[:at+denseSize] // shorter than the sparse bytes it replaces
+	clear(b[at:])
+	b[at] = deltaFormDense
+	binary.LittleEndian.PutUint32(b[at+1:], uint32(numItems))
 	for _, p := range pairs {
-		binary.LittleEndian.PutUint32(dense[5+4*int(p.Node):], uint32(p.Dec))
+		binary.LittleEndian.PutUint32(b[at+5+4*int(p.Node):], uint32(p.Dec))
 	}
-	return dense
+	return b
 }
 
-// encodeDeltasResp frames a delta payload: tag, handler nanos, then the
-// integrity trailer (declared length + CRC32C) and the adaptive payload.
+// encodeDeltasResp frames a delta reply in one buffer: tag, handler
+// nanos, the integrity trailer (declared length + CRC32C, patched once
+// the payload is in place) and the adaptive payload.
 func encodeDeltasResp(handlerNanos int64, pairs []DeltaPair, numItems int) []byte {
-	payload := encodeDeltaPayload(pairs, numItems)
-	b := make([]byte, 0, framePayloadOffset+len(payload))
-	b = append(b, 0)
-	b = appendI64(b, handlerNanos)
-	b = appendU32(b, uint32(len(payload)))
-	b = appendU32(b, checksum.Sum(payload))
-	return append(b, payload...)
+	b := make([]byte, framePayloadOffset, framePayloadOffset+1+binary.MaxVarintLen32+4*len(pairs))
+	b = appendDeltaPayload(b, pairs, numItems)
+	payload := b[framePayloadOffset:]
+	binary.LittleEndian.PutUint64(b[1:9], uint64(handlerNanos))
+	binary.LittleEndian.PutUint32(b[9:13], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[13:17], checksum.Sum(payload))
+	return b
 }
 
 func encodeErrorResp(err error) []byte {

@@ -29,8 +29,8 @@ func TestDeltaPayloadThreshold(t *testing.T) {
 		flipped := false
 		for numItems := 1; numItems <= 64; numItems++ {
 			pairs := sortedPairs(numItems, dec)
-			sparseLen := len(encodeDeltaPayload(pairs, 0)) // numItems=0 forces sparse
-			payload := encodeDeltaPayload(pairs, numItems)
+			sparseLen := len(appendDeltaPayload(nil, pairs, 0)) // numItems=0 forces sparse
+			payload := appendDeltaPayload(nil, pairs, numItems)
 			wantDense := sparseLen > 1+4+4*numItems
 			if gotDense := payload[0] == deltaFormDense; gotDense != wantDense {
 				t.Fatalf("dec=%d numItems=%d: form %d, sparse %dB vs dense %dB",
@@ -64,14 +64,14 @@ func TestDeltaPayloadThreshold(t *testing.T) {
 // to the lossless sparse form even when dense would be smaller.
 func TestDeltaPayloadStaysSparse(t *testing.T) {
 	cases := map[string][]DeltaPair{
-		"unsorted":    {{5, 1 << 20}, {2, 1 << 20}, {9, 1 << 20}},
-		"duplicate":   {{2, 1 << 20}, {2, 1 << 20}, {3, 1 << 20}},
-		"nonpositive": {{1, 1 << 20}, {2, 0}, {3, 1 << 20}},
-		"outofrange":  {{1, 1 << 20}, {99, 1 << 20}},
+		"unsorted":    {{Node: 5, Dec: 1 << 20}, {Node: 2, Dec: 1 << 20}, {Node: 9, Dec: 1 << 20}},
+		"duplicate":   {{Node: 2, Dec: 1 << 20}, {Node: 2, Dec: 1 << 20}, {Node: 3, Dec: 1 << 20}},
+		"nonpositive": {{Node: 1, Dec: 1 << 20}, {Node: 2, Dec: 0}, {Node: 3, Dec: 1 << 20}},
+		"outofrange":  {{Node: 1, Dec: 1 << 20}, {Node: 99, Dec: 1 << 20}},
 		"empty":       {},
 	}
 	for name, pairs := range cases {
-		payload := encodeDeltaPayload(pairs, 4) // dense would be 21 bytes
+		payload := appendDeltaPayload(nil, pairs, 4) // dense would be 21 bytes
 		if payload[0] != deltaFormSparse {
 			t.Errorf("%s: encoder chose form %d, want sparse", name, payload[0])
 		}

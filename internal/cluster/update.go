@@ -153,53 +153,26 @@ func (w *Worker) handleUpdate(rest []byte, start time.Time) ([]byte, error) {
 // degreeDelta. Must run before the patches are applied to the
 // collection: it reads pre-patch membership.
 func (w *Worker) repairDeltas(patches []rrset.Patch) ([]DeltaPair, error) {
-	if len(w.degStamp) < w.numItems() {
-		w.degStamp = make([]uint32, w.numItems())
-		w.degRound = 0
-	}
-	w.degRound++
-	if w.degRound == 0 { // wrapped: stale stamps could collide
-		clear(w.degStamp)
-		w.degRound = 1
-	}
-	w.touched = w.touched[:0]
-	oob := -1
-	mark := func(v uint32, d int32) {
-		if int(v) >= len(w.decScratch) {
-			oob = int(v)
-			return
-		}
-		if w.degStamp[v] != w.degRound {
-			w.degStamp[v] = w.degRound
-			w.touched = append(w.touched, v)
-		}
-		w.decScratch[v] += d
-	}
 	for _, p := range patches {
 		if p.Pos >= w.reported {
 			continue
 		}
-		for _, v := range w.coll.Set(p.Pos) {
-			mark(v, -1)
-		}
+		// Pre-patch members were range-checked when their coverage was
+		// reported; incoming ones come from the sampler and are checked
+		// here before they index the scratch.
 		for _, v := range p.Members {
-			mark(v, 1)
+			if int(v) >= w.numItems() {
+				w.deg.Drain(w.pairBuf[:0]) // discard the partial corrections
+				return nil, fmt.Errorf("RR member %d outside item space %d", v, w.numItems())
+			}
+			w.deg.Add(v, 1)
+		}
+		for _, v := range w.coll.Set(p.Pos) {
+			w.deg.Add(v, -1)
 		}
 	}
-	w.pairBuf = w.pairBuf[:0]
-	for _, v := range w.touched {
-		if d := w.decScratch[v]; d != 0 {
-			w.pairBuf = append(w.pairBuf, DeltaPair{Node: v, Dec: d})
-		}
-		w.decScratch[v] = 0
-	}
-	if oob >= 0 {
-		return nil, fmt.Errorf("RR member %d outside item space %d", oob, len(w.decScratch))
-	}
-	// First-encounter order is already deterministic, and the repair
-	// response's fixed-width delta section (unlike the gap-coded
-	// msgDegreeDelta forms) does not require ascending nodes — skip the
-	// O(p log p) sort a high-churn repair would pay.
+	// Signed corrections can cancel; Drain drops the zero-net nodes.
+	w.pairBuf = w.deg.Drain(w.pairBuf[:0])
 	return w.pairBuf, nil
 }
 

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"time"
 
 	"dimm/internal/bitset"
@@ -28,12 +26,13 @@ type WorkerConfig struct {
 	// Parallelism is the number of intra-worker goroutines, used on both
 	// sides of the algorithm: RR-generation shards and the map-stage
 	// Select kernel. 0 or 1 runs sequentially on the handler goroutine;
-	// P > 1 runs P deterministic shard streams merged in shard order
-	// (rrset.ShardedSampler for generation, coverage.SelectKernel for
-	// selection), modeling a machine with P cores. Generated samples
-	// depend on (Seed, Parallelism) — so all workers of a reproducible
-	// run must agree on P — while Select output is bit-identical at
-	// every P.
+	// P > 1 runs P goroutines — deterministic shard streams merged in
+	// shard order for generation (rrset.ShardedSampler), disjoint RR-id
+	// ranges with an order-free merge for selection
+	// (coverage.SelectKernel) — modeling a machine with P cores.
+	// Generated samples depend on (Seed, Parallelism) — so all workers of
+	// a reproducible run must agree on P — while Select output is
+	// bit-identical at every P.
 	Parallelism int
 	// Batch is the frontier-batch width B of each generation shard
 	// (rrset.BatchSampler): how many RR traversals advance per adjacency
@@ -69,10 +68,10 @@ type Worker struct {
 	idx     *rrset.Index // lazily built, then extended incrementally
 	covered *bitset.Bits // per-RR-set covered labels (1 bit each)
 	kern    *coverage.SelectKernel
-	// decScratch/touched are the degree-sync scratch (msgDegreeDelta);
-	// the per-seed map stage runs on kern instead.
-	decScratch []int32
-	touched    []uint32
+	// deg is the degree-sync scratch (msgDegreeDelta and the signed
+	// repair corrections of msgUpdate); the per-seed map stage runs on
+	// kern instead. Its length is the selectable-item space.
+	deg *coverage.DeltaAccum
 
 	// covMark is an epoch-stamped mark array over RR-set ids used by
 	// coverageOf: marking is covMark[j] = covEpoch, so repeated coverage
@@ -101,14 +100,7 @@ type Worker struct {
 	// ResampleLane during incremental repair.
 	repairer *rrset.Sampler
 
-	pairBuf []DeltaPair
-
-	// degStamp/degRound dedupe the nodes repairDeltas touches. Its
-	// corrections are signed and can transit zero, so degreeDelta's
-	// decScratch==0 first-touch test would double-append; a per-round
-	// stamp cannot.
-	degStamp []uint32
-	degRound uint32
+	pairBuf []DeltaPair // drain target of every delta reply, reused
 }
 
 // stats assembles the worker's cumulative collection and batching
@@ -133,6 +125,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg:  cfg,
 		coll: rrset.NewCollection(1 << 16),
 	}
+	numItems := 0
 	if cfg.Graph != nil {
 		s, err := rrset.NewShardedSamplerBatch(cfg.Graph, cfg.Model, cfg.Seed, cfg.Subset, cfg.Parallelism, ResolveBatch(cfg.Batch))
 		if err != nil {
@@ -144,14 +137,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 			}
 		}
 		w.sampler = s
-		w.decScratch = make([]int32, cfg.Graph.NumNodes())
+		numItems = cfg.Graph.NumNodes()
 	}
-	w.kern = coverage.NewSelectKernel(len(w.decScratch), cfg.Parallelism)
+	w.deg = coverage.NewDeltaAccum(numItems)
+	w.kern = coverage.NewSelectKernel(numItems, cfg.Parallelism)
 	return w, nil
 }
 
 // numItems is the size of the selectable-item space.
-func (w *Worker) numItems() int { return len(w.decScratch) }
+func (w *Worker) numItems() int { return w.deg.Len() }
 
 // Handle processes one request frame and returns the response frame.
 // It never panics on malformed input; errors come back as msgError frames.
@@ -190,6 +184,7 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 		// Journal the new sets' lane seeds before sampling advances the
 		// shard counters (repair provenance; see the lanes field).
 		w.lanes = w.sampler.AppendLaneSeeds(w.lanes, count)
+		w.reserve(count)
 		w.sampler.SampleManyInto(w.coll, count)
 		// The index is NOT invalidated here: ensureIndex extends it
 		// incrementally over just the new RR sets (Index.AppendFrom).
@@ -350,12 +345,8 @@ func (w *Worker) ingest(payload []byte) error {
 	for _, members := range lists {
 		w.coll.Append(members, 0)
 	}
-	if need := int(itemCount); need > len(w.decScratch) {
-		grown := make([]int32, need)
-		copy(grown, w.decScratch)
-		w.decScratch = grown
-		w.kern.Grow(need)
-	}
+	w.deg.Grow(int(itemCount))
+	w.kern.Grow(int(itemCount))
 	w.idx = nil
 	return nil
 }
@@ -387,9 +378,22 @@ func (w *Worker) generateAux(streamSeed uint64, count int64) error {
 		}
 	}
 	w.lanes = aux.AppendLaneSeeds(w.lanes, count)
+	w.reserve(count)
 	aux.SampleManyInto(w.coll, count)
 	w.auxBatch.Add(aux.BatchStats())
 	return nil
+}
+
+// reserve sizes the collection's arenas for count more RR sets before
+// sampling starts: the offset table exactly, the member arena from the
+// mean set size observed so far plus 1/32 slack (sets are i.i.d., so the
+// mean of a large shard barely moves between rounds). An empty worker has
+// no mean yet and reserves members for nothing; that round, and any
+// under-estimate, falls back to Collection's doubling. count is capped
+// at maxGenerateBatch by the callers.
+func (w *Worker) reserve(count int64) {
+	members := w.coll.AvgSize() * float64(count)
+	w.coll.Reserve(int(count), int64(members+members/32))
 }
 
 // ensureIndex brings the inverted index up to date with the collection.
@@ -413,20 +417,18 @@ func (w *Worker) ensureIndex() error {
 // degreeDelta returns coverage counts over RR sets added since the last
 // call (Algorithm 1 line 3 with the §III-C incremental-sync optimization).
 func (w *Worker) degreeDelta() ([]DeltaPair, error) {
-	w.touched = w.touched[:0]
 	for i := w.reported; i < w.coll.Count(); i++ {
 		for _, v := range w.coll.Set(i) {
-			if int(v) >= len(w.decScratch) {
-				return nil, fmt.Errorf("RR member %d outside item space %d", v, len(w.decScratch))
+			if int(v) >= w.numItems() {
+				w.deg.Drain(w.pairBuf[:0]) // discard the partial count
+				return nil, fmt.Errorf("RR member %d outside item space %d", v, w.numItems())
 			}
-			if w.decScratch[v] == 0 {
-				w.touched = append(w.touched, v)
-			}
-			w.decScratch[v]++
+			w.deg.Add(v, 1)
 		}
 	}
 	w.reported = w.coll.Count()
-	return w.drainScratch(), nil
+	w.pairBuf = w.deg.Drain(w.pairBuf[:0])
+	return w.pairBuf, nil
 }
 
 // beginSelection relabels every RR set uncovered (Algorithm 1 line 2) and
@@ -445,8 +447,8 @@ func (w *Worker) beginSelection() error {
 
 // selectSeed is the map stage (Algorithm 1 lines 14–21) for new seed u,
 // run on the shared coverage.SelectKernel: cfg.Parallelism goroutines
-// over contiguous chunks of the covers list, merged in shard order so
-// the reply frame is bit-identical at every parallelism level.
+// over disjoint RR-id ranges, drained in ascending node order so the
+// reply frame is bit-identical at every parallelism level.
 func (w *Worker) selectSeed(u uint32) ([]DeltaPair, error) {
 	if w.idx == nil || w.covered == nil || w.covered.Len() != w.coll.Count() {
 		return nil, fmt.Errorf("select before beginSelection")
@@ -455,11 +457,7 @@ func (w *Worker) selectSeed(u uint32) ([]DeltaPair, error) {
 		return nil, fmt.Errorf("seed %d outside item space %d", u, w.numItems())
 	}
 	w.kern.Select(w.coll, w.idx, w.covered, u)
-	w.pairBuf = w.pairBuf[:0]
-	w.kern.Drain(func(node uint32, dec int32) {
-		w.pairBuf = append(w.pairBuf, DeltaPair{Node: node, Dec: dec})
-	})
-	sortPairs(w.pairBuf)
+	w.pairBuf = w.kern.Drain(w.pairBuf[:0])
 	return w.pairBuf, nil
 }
 
@@ -563,25 +561,6 @@ func (w *Worker) coverageOf(seeds []uint32) (int64, error) {
 		}
 	}
 	return covered, nil
-}
-
-// drainScratch converts the touched counters into delta pairs and resets
-// the scratch for the next call.
-func (w *Worker) drainScratch() []DeltaPair {
-	w.pairBuf = w.pairBuf[:0]
-	for _, v := range w.touched {
-		w.pairBuf = append(w.pairBuf, DeltaPair{Node: v, Dec: w.decScratch[v]})
-		w.decScratch[v] = 0
-	}
-	sortPairs(w.pairBuf)
-	return w.pairBuf
-}
-
-// sortPairs orders delta pairs by ascending node id before they hit the
-// wire: the adaptive encoder gap-codes node ids (small positive gaps
-// compress best) and its dense form requires ascending unique nodes.
-func sortPairs(pairs []DeltaPair) {
-	slices.SortFunc(pairs, func(a, b DeltaPair) int { return cmp.Compare(a.Node, b.Node) })
 }
 
 // DeriveSeed is a convenience re-export so callers do not import xrand

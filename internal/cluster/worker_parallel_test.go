@@ -5,6 +5,7 @@ import (
 
 	"dimm/internal/coverage"
 	"dimm/internal/diffusion"
+	"dimm/internal/graph"
 	"dimm/internal/rrset"
 )
 
@@ -141,5 +142,85 @@ func TestCoverageOfEpochMarks(t *testing.T) {
 	check()
 	if w.covEpoch >= ^uint32(0)-1 {
 		t.Fatalf("epoch did not advance across the wrap: %d", w.covEpoch)
+	}
+}
+
+// TestGenerateReservesArena pins the reserve-before-sampling rule over a
+// doubling schedule (the shape of DIIMM's θ rounds). The first Generate
+// on an empty worker has no mean set size to go by: it must still size
+// the offset table for the request in one step (the member arena doubles
+// up from its hint). Every later Generate reserves both arenas from the
+// observed mean, so it reallocates each at most once — and an
+// under-estimate falls back to doubling, so even then the count stays
+// logarithmic, never append's 1.25× ladder.
+func TestGenerateReservesArena(t *testing.T) {
+	for _, p := range []int{1, 2} {
+		w, err := NewWorker(WorkerConfig{Graph: testGraph(t), Model: diffusion.LT, Seed: DeriveSeed(77, 0), Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := int64(200000) // past the 64 K-member, 1 K-set hints
+		mustAck(t, w, encodeGenerateReq(count))
+		// One offset-table reservation; the member arena grows 2^16 → ≥
+		// count·mean by doubling, mean < 4 on this graph: ≤ 4 steps.
+		if got := w.coll.Regrows(); got > 5 {
+			t.Fatalf("P=%d: first Generate reallocated %d times, want ≤ 5 (1 offset reservation + member doublings)", p, got)
+		}
+		for round := 2; round <= 3; round++ {
+			before := w.coll.Regrows()
+			mustAck(t, w, encodeGenerateReq(count))
+			if got := w.coll.Regrows() - before; got > 2 {
+				t.Fatalf("P=%d round %d: Generate(%d) reallocated %d times, want ≤ 1 per arena", p, round, count, got)
+			}
+			count *= 2
+		}
+	}
+}
+
+// BenchmarkWorkerSelectRound times one NEWGREEDI round on the worker —
+// msgSelect request in, reply frame out — averaged over a k = 200 greedy
+// sequence on an LT sample, the shape of the diimm_lt_tcp workload where
+// most rounds touch few nodes. A sort of the reply pairs or a per-round
+// buffer would show here as ns/op and B/op.
+func BenchmarkWorkerSelectRound(b *testing.B) {
+	g, err := graph.GenRMAT(graph.RMATConfig{GenConfig: graph.GenConfig{Nodes: 1 << 15, AvgDegree: 16, Seed: 17}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if g, err = graph.AssignWeights(g, graph.WeightedCascade, 0, 0); err != nil {
+		b.Fatal(err)
+	}
+	w, err := NewWorker(WorkerConfig{Graph: g, Model: diffusion.LT, Seed: DeriveSeed(5, 0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := New([]Conn{NewLocalConn(w)}, g.NumNodes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Generate(400000); err != nil {
+		b.Fatal(err)
+	}
+	res, err := coverage.RunGreedy(cl.Oracle(), 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := make([][]byte, len(res.Seeds))
+	for i, u := range res.Seeds {
+		reqs[i] = encodeSelectReq(u)
+	}
+	begin := encodeSimpleReq(msgBeginSelect)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(reqs) == 0 {
+			b.StopTimer()
+			w.Handle(begin)
+			b.StartTimer()
+		}
+		if frame := w.Handle(reqs[i%len(reqs)]); frame[0] == msgError {
+			b.Fatalf("select failed: %s", frame[9:])
+		}
 	}
 }

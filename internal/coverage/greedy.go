@@ -14,7 +14,6 @@ package coverage
 
 import (
 	"fmt"
-	"slices"
 
 	"dimm/internal/bitset"
 	"dimm/internal/rrset"
@@ -40,7 +39,10 @@ type Oracle interface {
 	InitialDegrees() ([]int64, error)
 	// Select marks u as chosen: every element covered by u that was still
 	// uncovered becomes covered, and the returned deltas say how much each
-	// item's marginal coverage decreases (Algorithm 1 lines 14-22).
+	// item's marginal coverage decreases (Algorithm 1 lines 14-22). The
+	// slice is the oracle's reusable reply buffer: it is valid (and may be
+	// filtered in place) until the next call on the oracle, so a caller
+	// that keeps deltas across rounds must copy them.
 	Select(u uint32) ([]Delta, error)
 }
 
@@ -152,6 +154,7 @@ type LocalOracle struct {
 
 	covered *bitset.Bits
 	kern    *SelectKernel
+	deltas  []Delta // Select's reply buffer, reused every round
 }
 
 // NewLocalOracle builds the oracle for n selectable items over c. The
@@ -194,7 +197,8 @@ func (o *LocalOracle) Select(u uint32) ([]Delta, error) {
 		return nil, fmt.Errorf("coverage: select of out-of-range item %d", u)
 	}
 	o.kern.Select(o.c, o.idx, o.covered, u)
-	return o.kern.AppendDeltas(make([]Delta, 0, o.kern.TouchedLen())), nil
+	o.deltas = o.kern.Drain(o.deltas[:0])
+	return o.deltas, nil
 }
 
 // CoveredCount returns how many RR sets are currently covered; after a
@@ -212,11 +216,11 @@ type MultiOracle struct {
 	machines []*LocalOracle
 	n        int
 
-	// mergeDec/mergeTouched are the reduce-stage scratch: summing the
-	// per-machine deltas through a vector instead of a map keeps Select
-	// deterministic (Go map iteration order is randomized).
-	mergeDec     []int32
-	mergeTouched []uint32
+	// merge is the reduce-stage scratch: summing the per-machine deltas
+	// through a DeltaAccum instead of a map keeps Select deterministic
+	// (Go map iteration order is randomized).
+	merge  *DeltaAccum
+	deltas []Delta // Select's reply buffer, reused every round
 }
 
 // NewMultiOracle combines per-machine oracles; all must agree on NumItems.
@@ -230,7 +234,7 @@ func NewMultiOracle(machines []*LocalOracle) (*MultiOracle, error) {
 			return nil, fmt.Errorf("coverage: machine %d has %d items, machine 0 has %d", i, m.NumItems(), n)
 		}
 	}
-	return &MultiOracle{machines: machines, n: n, mergeDec: make([]int32, n)}, nil
+	return &MultiOracle{machines: machines, n: n, merge: NewDeltaAccum(n)}, nil
 }
 
 // NumItems implements Oracle.
@@ -257,24 +261,15 @@ func (m *MultiOracle) InitialDegrees() ([]int64, error) {
 // Oracle contract requires (a map-keyed merge would emit in randomized
 // iteration order).
 func (m *MultiOracle) Select(u uint32) ([]Delta, error) {
-	m.mergeTouched = m.mergeTouched[:0]
 	for _, mach := range m.machines {
 		deltas, err := mach.Select(u)
 		if err != nil {
 			return nil, err
 		}
 		for _, d := range deltas {
-			if m.mergeDec[d.Node] == 0 {
-				m.mergeTouched = append(m.mergeTouched, d.Node)
-			}
-			m.mergeDec[d.Node] += d.Dec
+			m.merge.Add(d.Node, d.Dec)
 		}
 	}
-	slices.Sort(m.mergeTouched)
-	out := make([]Delta, len(m.mergeTouched))
-	for i, v := range m.mergeTouched {
-		out[i] = Delta{Node: v, Dec: m.mergeDec[v]}
-		m.mergeDec[v] = 0
-	}
-	return out, nil
+	m.deltas = m.merge.Drain(m.deltas[:0])
+	return m.deltas, nil
 }

@@ -1,11 +1,90 @@
 package coverage
 
 import (
+	"math/bits"
+	"sort"
 	"sync"
 
 	"dimm/internal/bitset"
 	"dimm/internal/rrset"
 )
+
+// DeltaAccum is the map-stage hash map Δ_i of Algorithm 1 line 15 as a
+// dense per-node decrement vector plus a touched bitset: Add is two
+// branch-free stores, and Drain walks the set bits, so the pairs come out
+// in ascending node order — the order the wire's gap coding and dense
+// form want — without ever being sorted. Every delta producer in the
+// system (the select kernel, the worker's degree sync and repair
+// corrections, both reduce stages) accumulates and drains through this
+// one type.
+type DeltaAccum struct {
+	dec  []int32
+	mark []uint64 // bit v set ⇔ node v was Added since the last Drain
+}
+
+// NewDeltaAccum returns an empty accumulator over an n-node space.
+func NewDeltaAccum(n int) *DeltaAccum {
+	return &DeltaAccum{dec: make([]int32, n), mark: make([]uint64, (n+63)/64)}
+}
+
+// Len returns the node-space size; Add requires v < Len().
+func (a *DeltaAccum) Len() int { return len(a.dec) }
+
+// Grow extends the node space to n, keeping accumulated state; shrinking
+// is a no-op.
+func (a *DeltaAccum) Grow(n int) {
+	if n <= len(a.dec) {
+		return
+	}
+	dec := make([]int32, n)
+	copy(dec, a.dec)
+	mark := make([]uint64, (n+63)/64)
+	copy(mark, a.mark)
+	a.dec, a.mark = dec, mark
+}
+
+// Add accumulates d onto node v.
+func (a *DeltaAccum) Add(v uint32, d int32) {
+	a.dec[v] += d
+	a.mark[v>>6] |= 1 << (v & 63)
+}
+
+// Drain appends the accumulated pairs to out in ascending node order and
+// clears the accumulator. Nodes whose signed contributions cancelled to
+// zero are dropped.
+func (a *DeltaAccum) Drain(out []Delta) []Delta {
+	for wi, w := range a.mark {
+		if w == 0 {
+			continue
+		}
+		a.mark[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			v := uint32(wi<<6 + bits.TrailingZeros64(w))
+			if d := a.dec[v]; d != 0 {
+				out = append(out, Delta{Node: v, Dec: d})
+				a.dec[v] = 0
+			}
+		}
+	}
+	return out
+}
+
+// absorb folds o into a and clears o. Marks OR and decrements add, so
+// the result is independent of the order accumulators are absorbed in.
+func (a *DeltaAccum) absorb(o *DeltaAccum) {
+	for wi, w := range o.mark {
+		if w == 0 {
+			continue
+		}
+		o.mark[wi] = 0
+		a.mark[wi] |= w
+		for ; w != 0; w &= w - 1 {
+			v := wi<<6 + bits.TrailingZeros64(w)
+			a.dec[v] += o.dec[v]
+			o.dec[v] = 0
+		}
+	}
+}
 
 // minParallelCovers is the covers-list length below which the kernel
 // stays sequential: partitioning a short list across goroutines costs
@@ -19,41 +98,30 @@ const minParallelCovers = 256
 // every still-uncovered RR set containing the new seed as covered and
 // accumulate, per node, how much its marginal coverage decreases.
 //
-// With parallelism P > 1 the covers list idx.Covers(u) is split into P
-// contiguous chunks processed by P goroutines. This is safe and exact:
+// With parallelism P > 1 the RR-id space is split into P contiguous
+// ranges of covered-bitset words and each goroutine scans the part of
+// every index segment's covers list that falls in its range (the lists
+// are ascending, so that part is a sub-slice found by binary search).
+// This is safe and exact:
 //
-//   - RR-set ids within a covers list are unique and ascending, and chunk
-//     boundaries are advanced to 64-bit word boundaries of the covered
-//     bitset, so no two goroutines ever write the same bitset word.
-//   - Each goroutine accumulates decrements into its own scratch; the
-//     shards are then merged in shard order, which reproduces exactly the
-//     sequential scan's first-encounter node order (a node's first
-//     encounter lands in exactly one chunk, and within a chunk shard
-//     order equals scan order). The emitted delta vector is therefore
-//     bit-identical to the sequential one — Lemma 2 (exact equivalence
-//     with centralized greedy) is preserved by construction, the same
-//     shard-order argument rrset.ShardedSampler uses for generation.
+//   - Ranges are whole bitset words, so no two goroutines ever write the
+//     same covered word, and an RR set is counted by exactly one of them.
+//   - Each goroutine accumulates into its own DeltaAccum and the shards
+//     are absorbed into the kernel's afterwards. Absorbing is OR-of-marks
+//     plus add-of-decrements — commutative — and Drain emits by node id,
+//     so the delta vector is bit-identical to the sequential one at every
+//     P with no ordering argument needed: Lemma 2 (exact equivalence with
+//     centralized greedy) is preserved by construction.
 type SelectKernel struct {
-	n   int // selectable-item space (size of the decrement scratch)
-	par int
-
-	// dec/touched implement the map-stage hash map Δ_i of Algorithm 1
-	// line 15 without per-call allocation; touched holds the nodes with
-	// nonzero dec in first-encounter order.
-	dec     []int32
-	touched []uint32
-
-	coversBuf []uint32 // flattens multi-segment covers lists, reused
-	bounds    []int    // chunk boundaries, reused
-
-	shardDec     [][]int32
-	shardTouched [][]uint32
+	par    int
+	acc    *DeltaAccum
+	shards []*DeltaAccum // per-goroutine accumulators, sized lazily
 }
 
 // NewSelectKernel builds a kernel over an n-item space. parallelism <= 1
 // means sequential.
 func NewSelectKernel(n, parallelism int) *SelectKernel {
-	k := &SelectKernel{n: n, dec: make([]int32, n)}
+	k := &SelectKernel{acc: NewDeltaAccum(n)}
 	k.SetParallelism(parallelism)
 	return k
 }
@@ -71,122 +139,76 @@ func (k *SelectKernel) SetParallelism(p int) {
 func (k *SelectKernel) Parallelism() int { return k.par }
 
 // NumItems returns the item-space size.
-func (k *SelectKernel) NumItems() int { return k.n }
+func (k *SelectKernel) NumItems() int { return k.acc.Len() }
 
 // Grow extends the item space to n (ingest can enlarge it); shrinking is
 // a no-op. Must not be called while a Select is in flight.
 func (k *SelectKernel) Grow(n int) {
-	if n <= k.n {
+	if n <= k.acc.Len() {
 		return
 	}
-	grown := make([]int32, n)
-	copy(grown, k.dec)
-	k.dec = grown
-	k.n = n
-	k.shardDec = nil // re-sized lazily on the next parallel Select
-	k.shardTouched = nil
+	k.acc.Grow(n)
+	k.shards = nil // re-sized lazily on the next parallel Select
 }
 
 // Select runs the map stage for seed u over collection c and its index,
 // marking newly covered RR sets in covered. Results accumulate in the
-// kernel until drained with Drain or AppendDeltas.
+// kernel until Drain.
 func (k *SelectKernel) Select(c *rrset.Collection, idx *rrset.Index, covered *bitset.Bits, u uint32) {
-	covers := k.flatCovers(idx, u)
+	segs := idx.NumSegments()
 	p := k.par
-	if idx.Patched() {
-		// A patched index's covers lists are not globally ascending
-		// (overlay postings trail, tombstones intersperse), which breaks
-		// the word-disjoint chunking below; scan sequentially. Output is
-		// unchanged — coverage marking is order-invariant and the merge
-		// order argument is moot with one shard.
-		p = 1
+	if p > 1 {
+		total := 0
+		for si := 0; si < segs; si++ {
+			total += len(idx.SegCovers(si, u))
+		}
+		if pmax := total / minParallelCovers; p > pmax {
+			p = pmax
+		}
 	}
-	if pmax := len(covers) / minParallelCovers; p > pmax {
-		p = pmax
-	}
-	if p <= 1 {
-		k.touched = scanCoverChunk(c, covered, covers, k.dec, k.touched)
+	if p <= 1 || idx.Patched() {
+		// A patched index's covers lists are not ascending (overlay
+		// postings trail, tombstones carry a high bit), which the word-
+		// range split below relies on; scan sequentially. Output is the
+		// same either way.
+		for si := 0; si < segs; si++ {
+			scanCovers(c, covered, idx.SegCovers(si, u), k.acc)
+		}
 		return
 	}
-	k.ensureShards(p)
-
-	// Chunk boundaries: start from an even split, then advance each
-	// boundary past any ids sharing a bitset word with the previous id.
-	// covers is ascending, so ids in one word are contiguous and the
-	// resulting chunks touch disjoint word ranges.
-	k.bounds = append(k.bounds[:0], 0)
-	for s := 1; s < p; s++ {
-		b := s * len(covers) / p
-		if prev := k.bounds[s-1]; b < prev {
-			b = prev
-		}
-		for b > 0 && b < len(covers) &&
-			bitset.WordIndex(int(covers[b])) == bitset.WordIndex(int(covers[b-1])) {
-			b++
-		}
-		k.bounds = append(k.bounds, b)
+	for len(k.shards) < p {
+		k.shards = append(k.shards, NewDeltaAccum(k.acc.Len()))
 	}
-	k.bounds = append(k.bounds, len(covers))
-
+	words := bitset.WordIndex(covered.Len()-1) + 1
+	scanRange := func(s int, acc *DeltaAccum) {
+		lo, hi := s*words/p, (s+1)*words/p
+		for si := 0; si < segs; si++ {
+			ids := idx.SegCovers(si, u)
+			from := sort.Search(len(ids), func(i int) bool { return bitset.WordIndex(int(ids[i])) >= lo })
+			to := from + sort.Search(len(ids)-from, func(i int) bool { return bitset.WordIndex(int(ids[from+i])) >= hi })
+			scanCovers(c, covered, ids[from:to], acc)
+		}
+	}
 	var wg sync.WaitGroup
 	for s := 1; s < p; s++ {
-		chunk := covers[k.bounds[s]:k.bounds[s+1]]
-		if len(chunk) == 0 {
-			continue
-		}
 		wg.Add(1)
-		go func(s int, chunk []uint32) {
+		go func(s int) {
 			defer wg.Done()
-			k.shardTouched[s] = scanCoverChunk(c, covered, chunk, k.shardDec[s], k.shardTouched[s])
-		}(s, chunk)
+			scanRange(s, k.shards[s])
+		}(s)
 	}
-	// Shard 0 runs on the calling goroutine.
-	k.shardTouched[0] = scanCoverChunk(c, covered, covers[:k.bounds[1]], k.shardDec[0], k.shardTouched[0])
+	scanRange(0, k.acc) // shard 0 runs on the calling goroutine
 	wg.Wait()
-
-	// Merge in shard order: appending a node to touched on its first
-	// nonzero global decrement reproduces the sequential first-encounter
-	// order exactly (see the type comment).
-	for s := 0; s < p; s++ {
-		sd := k.shardDec[s]
-		for _, v := range k.shardTouched[s] {
-			if k.dec[v] == 0 {
-				k.touched = append(k.touched, v)
-			}
-			k.dec[v] += sd[v]
-			sd[v] = 0
-		}
-		k.shardTouched[s] = k.shardTouched[s][:0]
+	for s := 1; s < p; s++ {
+		k.acc.absorb(k.shards[s])
 	}
 }
 
-// flatCovers returns the ascending list of RR-set ids containing u. A
-// single-segment index aliases its storage (zero copy); multi-segment
-// indexes flatten into a reused buffer, in segment order — which is
-// globally ascending because segments span disjoint ascending id ranges.
-func (k *SelectKernel) flatCovers(idx *rrset.Index, u uint32) []uint32 {
-	if idx.NumSegments() == 1 {
-		return idx.SegCovers(0, u)
-	}
-	k.coversBuf = k.coversBuf[:0]
-	for si := 0; si < idx.NumSegments(); si++ {
-		k.coversBuf = append(k.coversBuf, idx.SegCovers(si, u)...)
-	}
-	return k.coversBuf
-}
-
-// ensureShards sizes the per-goroutine scratch for p shards.
-func (k *SelectKernel) ensureShards(p int) {
-	for len(k.shardDec) < p {
-		k.shardDec = append(k.shardDec, make([]int32, k.n))
-		k.shardTouched = append(k.shardTouched, nil)
-	}
-}
-
-// scanCoverChunk is the sequential inner loop shared by the one-goroutine
-// path and each parallel shard: for every still-uncovered RR set id in
-// covers, mark it covered and count its members into dec/touched.
-func scanCoverChunk(c *rrset.Collection, covered *bitset.Bits, covers []uint32, dec []int32, touched []uint32) []uint32 {
+// scanCovers is the inner loop shared by the sequential path and each
+// parallel shard: for every still-uncovered RR set id in covers, mark it
+// covered and count its members into acc.
+func scanCovers(c *rrset.Collection, covered *bitset.Bits, covers []uint32, acc *DeltaAccum) {
+	dec, mark := acc.dec, acc.mark
 	for _, j := range covers {
 		if j&rrset.DeadPosting != 0 {
 			continue // tombstoned by an in-place repair
@@ -196,32 +218,12 @@ func scanCoverChunk(c *rrset.Collection, covered *bitset.Bits, covers []uint32, 
 		}
 		covered.Set(int(j))
 		for _, v := range c.Set(int(j)) {
-			if dec[v] == 0 {
-				touched = append(touched, v)
-			}
 			dec[v]++
+			mark[v>>6] |= 1 << (v & 63)
 		}
 	}
-	return touched
 }
 
-// TouchedLen returns how many nodes have accumulated decrements.
-func (k *SelectKernel) TouchedLen() int { return len(k.touched) }
-
-// Drain calls emit for every touched node in first-encounter order and
-// clears the scratch for the next Select.
-func (k *SelectKernel) Drain(emit func(node uint32, dec int32)) {
-	for _, v := range k.touched {
-		emit(v, k.dec[v])
-		k.dec[v] = 0
-	}
-	k.touched = k.touched[:0]
-}
-
-// AppendDeltas drains the accumulated decrements into out as Deltas.
-func (k *SelectKernel) AppendDeltas(out []Delta) []Delta {
-	k.Drain(func(node uint32, dec int32) {
-		out = append(out, Delta{Node: node, Dec: dec})
-	})
-	return out
-}
+// Drain appends the accumulated decrements to out in ascending node
+// order and clears the scratch for the next Select.
+func (k *SelectKernel) Drain(out []Delta) []Delta { return k.acc.Drain(out) }

@@ -51,7 +51,7 @@ func traceKernel(c *rrset.Collection, idx *rrset.Index, n int, seeds []uint32, p
 	var tr kernelTrace
 	for _, u := range seeds {
 		kern.Select(c, idx, covered, u)
-		tr.Deltas = append(tr.Deltas, kern.AppendDeltas(nil))
+		tr.Deltas = append(tr.Deltas, kern.Drain(nil))
 		tr.Covered = append(tr.Covered, covered.Count())
 	}
 	return tr
@@ -59,9 +59,9 @@ func traceKernel(c *rrset.Collection, idx *rrset.Index, n int, seeds []uint32, p
 
 // TestParallelSelectBitIdentical: the parallel map stage must produce
 // delta vectors bit-identical to the sequential scan — same nodes, same
-// decrements, same first-encounter order — at every parallelism level.
-// Run with -race this also exercises the disjoint-word-range safety
-// argument of the chunked bitset writes.
+// decrements, ascending — at every parallelism level. Run with -race
+// this also exercises the disjoint-word-range safety argument of the
+// chunked bitset writes.
 func TestParallelSelectBitIdentical(t *testing.T) {
 	c, idx := kernelSample(t, 0xC0FFEE, 64, 40000, 4)
 	seeds := make([]uint32, 64)
@@ -80,9 +80,9 @@ func TestParallelSelectBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelSelectMultiSegment exercises flatCovers' flattening path:
-// an incrementally grown index has several segments whose covers lists
-// must be concatenated (in globally ascending id order) before chunking.
+// TestParallelSelectMultiSegment: an incrementally grown index has
+// several segments, and every parallel shard must scan its RR-id range
+// of each of them in place.
 func TestParallelSelectMultiSegment(t *testing.T) {
 	c, idx := kernelSample(t, 0xBEEF, 48, 20000, 4)
 	r := xrand.New(7)
@@ -112,6 +112,109 @@ func TestParallelSelectMultiSegment(t *testing.T) {
 	for _, p := range []int{2, 4} {
 		if got := traceKernel(c, idx, 48, seeds, p); !reflect.DeepEqual(base, got) {
 			t.Fatalf("P=%d multi-segment trace diverges from sequential", p)
+		}
+	}
+}
+
+// TestKernelDrainMatchesRecount is the kernel's contract as a property,
+// over every parallelism and every index shape the system produces — a
+// fresh build, a 3-segment incrementally grown index, and a patched one
+// (tombstones in the segments plus an overlay): after each Select the
+// drained pairs are strictly ascending (hence unique), carry Dec > 0, and
+// equal a brute-force recount over the collection.
+func TestKernelDrainMatchesRecount(t *testing.T) {
+	const n = 96
+	r := xrand.New(0x5EEDED)
+	randomSet := func(buf []uint32) []uint32 {
+		buf = buf[:0]
+		for sz := 1 + r.Intn(7); len(buf) < sz; {
+			if v := uint32(r.Intn(n)); !slices.Contains(buf, v) {
+				buf = append(buf, v)
+			}
+		}
+		return buf
+	}
+	shapes := map[string]func(t *testing.T) (*rrset.Collection, *rrset.Index){
+		"single-segment": func(t *testing.T) (*rrset.Collection, *rrset.Index) {
+			return kernelSample(t, 0xA1, n, 60000, 4)
+		},
+		"3-segment": func(t *testing.T) (*rrset.Collection, *rrset.Index) {
+			c, idx := kernelSample(t, 0xA2, n, 20000, 4)
+			var buf []uint32
+			for grow := 0; grow < 2; grow++ {
+				from := c.Count()
+				for i := 0; i < 20000; i++ {
+					buf = randomSet(buf)
+					c.Append(buf, 0)
+				}
+				if err := idx.AppendFrom(c, from); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if idx.NumSegments() != 3 {
+				t.Fatalf("want 3 segments, got %d", idx.NumSegments())
+			}
+			return c, idx
+		},
+		"patched": func(t *testing.T) (*rrset.Collection, *rrset.Index) {
+			c, idx := kernelSample(t, 0xA3, n, 60000, 4)
+			patches := make([]rrset.Patch, 0, 3000)
+			for pos := 0; pos < c.Count(); pos += 20 {
+				patches = append(patches, rrset.Patch{Pos: pos, Members: randomSet(nil)})
+			}
+			if err := idx.ApplyPatches(c, patches); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ApplyPatches(patches); err != nil {
+				t.Fatal(err)
+			}
+			if !idx.Patched() || idx.NumSegments() != 2 {
+				t.Fatalf("want a tombstoned index with an overlay segment, got patched=%v segments=%d", idx.Patched(), idx.NumSegments())
+			}
+			return c, idx
+		},
+	}
+	seeds := make([]uint32, 0, n+8)
+	for u := uint32(0); u < n; u++ {
+		seeds = append(seeds, u*37%n) // every node once, scattered
+	}
+	seeds = append(seeds, 5, 5, 0, 95) // repeats select nothing new
+	for name, build := range shapes {
+		c, idx := build(t)
+		for _, p := range []int{1, 2, 4, 8} {
+			kern := NewSelectKernel(n, p)
+			covered := bitset.New(c.Count())
+			isCovered := make([]bool, c.Count())
+			want := make([]int32, n)
+			var got []Delta
+			for _, u := range seeds {
+				clear(want)
+				for j := 0; j < c.Count(); j++ {
+					if !isCovered[j] && slices.Contains(c.Set(j), u) {
+						isCovered[j] = true
+						for _, v := range c.Set(j) {
+							want[v]++
+						}
+					}
+				}
+				kern.Select(c, idx, covered, u)
+				got = kern.Drain(got[:0])
+				for i, d := range got {
+					if d.Dec <= 0 || (i > 0 && got[i-1].Node >= d.Node) {
+						t.Fatalf("%s P=%d seed %d: pair %d = %+v after %+v breaks the drain invariant", name, p, u, i, d, got[max(i-1, 0)])
+					}
+					if want[d.Node] != d.Dec {
+						t.Fatalf("%s P=%d seed %d: node %d drained %d, recount says %d", name, p, u, d.Node, d.Dec, want[d.Node])
+					}
+					want[d.Node] = 0
+				}
+				if v := slices.IndexFunc(want, func(d int32) bool { return d != 0 }); v >= 0 {
+					t.Fatalf("%s P=%d seed %d: node %d missing from the drain (recount %d)", name, p, u, v, want[v])
+				}
+			}
+			if got := covered.Count(); got != int64(c.Count()) {
+				t.Fatalf("%s P=%d: %d of %d RR sets covered after selecting every node", name, p, got, c.Count())
+			}
 		}
 	}
 }
@@ -161,7 +264,7 @@ func TestKernelGrow(t *testing.T) {
 	}
 	covered := bitset.New(c.Count())
 	kern.Select(c, idx, covered, 5)
-	got := kern.AppendDeltas(nil)
+	got := kern.Drain(nil)
 	want := traceKernel(c, idx, 32, []uint32{5}, 1).Deltas[0]
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("post-Grow select diverges: want %d deltas, got %d", len(want), len(got))
@@ -225,12 +328,13 @@ func BenchmarkSelectParallel(b *testing.B) {
 		b.Run(map[int]string{1: "P1", 2: "P2", 4: "P4"}[p], func(b *testing.B) {
 			kern := NewSelectKernel(64, p)
 			covered := bitset.New(c.Count())
+			var deltas []Delta
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				covered.Reset(c.Count())
 				for u := uint32(0); u < 8; u++ {
 					kern.Select(c, idx, covered, u)
-					kern.Drain(func(uint32, int32) {})
+					deltas = kern.Drain(deltas[:0])
 				}
 			}
 		})

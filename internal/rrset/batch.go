@@ -405,7 +405,8 @@ func (s *BatchSampler) runICWaves(active int) {
 }
 
 // prefetchWave touches the CSR offset and adjacency-block boundary
-// entries of every distinct node in the sorted wave before the scan pass.
+// entries of the wave's nodes before the scan pass (skipping adjacent
+// repeats, which a node-sorted IC wave makes of every duplicate).
 // Each iteration's loads are independent of the previous one's, so the
 // CPU overlaps their DRAM misses at full memory-level parallelism; the
 // serial scan pass that follows then finds the lines resident instead of
@@ -429,10 +430,12 @@ func (s *BatchSampler) prefetchWave() {
 	s.prefetchSink += sink
 }
 
-// runLTWaves advances every live walk one step per wave, visiting the
-// wave's walk positions in node-sorted order for adjacency locality. All
-// draws come from each lane's own generator, so the cross-lane visit
-// order cannot perturb any walk.
+// runLTWaves advances every live walk one step per wave, visiting live
+// lanes in slot order. All draws come from each lane's own generator, so
+// the cross-lane visit order cannot perturb any walk — and, unlike an IC
+// wave, no adjacency fetch is shared between lanes (each walk reads one
+// in-edge list once), so sorting the wave by node would buy nothing the
+// prefetch pass does not already give.
 func (s *BatchSampler) runLTWaves(active int) {
 	for {
 		s.keys = s.keys[:0]
@@ -450,7 +453,6 @@ func (s *BatchSampler) runLTWaves(active int) {
 		s.stats.Waves++
 		s.stats.LaneWaves += int64(items)
 		s.stats.FrontierItems += int64(items)
-		slices.Sort(s.keys)
 		s.prefetchWave()
 		for _, key := range s.keys {
 			u := uint32(key >> 32)

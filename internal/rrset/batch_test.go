@@ -80,33 +80,42 @@ func TestBatchBitIdenticalToScalar(t *testing.T) {
 // TestShardedBatchBitIdentical checks that the frontier-batch width is
 // invisible at the ShardedSampler level too, for every (B, P) pair: the
 // sharded batched sampler must reproduce the sharded scalar sampler's
-// bytes, and (at P=1) the plain scalar sampler's.
+// bytes, and (at P=1) the plain scalar sampler's. LT rides along since
+// its waves visit lanes in slot order instead of node-sorted order: the
+// bytes must not notice, and under -race neither must the P shard
+// goroutines each running their own sort-free waves.
 func TestShardedBatchBitIdentical(t *testing.T) {
 	g := testGraph(t, 400, 9)
 	requests := []int64{1, 7, 250, 100}
-	for _, p := range []int{1, 2, 4} {
-		for _, b := range []int{1, 2, 7, 64} {
-			t.Run(fmt.Sprintf("P=%d/B=%d", p, b), func(t *testing.T) {
-				scalar, err := NewShardedSampler(g, diffusion.IC, 5, false, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				batched, err := NewShardedSamplerBatch(g, diffusion.IC, 5, false, p, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, got := NewCollection(64), NewCollection(64)
-				for _, req := range requests {
-					scalar.SampleManyInto(want, req)
-					batched.SampleManyInto(got, req)
-				}
-				if !collectionsEqual(want, got) {
-					t.Fatalf("P=%d B=%d: batched sharded output diverges", p, b)
-				}
-				if st := batched.BatchStats(); b > 1 && st.Cohorts == 0 {
-					t.Fatalf("P=%d B=%d: batched kernel reported no cohorts", p, b)
-				}
-			})
+	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+		prefix := "" // IC keeps its historical subtest names
+		if model == diffusion.LT {
+			prefix = "LT/"
+		}
+		for _, p := range []int{1, 2, 4} {
+			for _, b := range []int{1, 2, 7, 64} {
+				t.Run(fmt.Sprintf("%sP=%d/B=%d", prefix, p, b), func(t *testing.T) {
+					scalar, err := NewShardedSampler(g, model, 5, false, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					batched, err := NewShardedSamplerBatch(g, model, 5, false, p, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, got := NewCollection(64), NewCollection(64)
+					for _, req := range requests {
+						scalar.SampleManyInto(want, req)
+						batched.SampleManyInto(got, req)
+					}
+					if !collectionsEqual(want, got) {
+						t.Fatalf("P=%d B=%d: batched sharded output diverges", p, b)
+					}
+					if st := batched.BatchStats(); b > 1 && st.Cohorts == 0 {
+						t.Fatalf("P=%d B=%d: batched kernel reported no cohorts", p, b)
+					}
+				})
+			}
 		}
 	}
 }

@@ -26,6 +26,10 @@ type Collection struct {
 	// incoming edges the sampler inspected — the w(R) quantity whose
 	// expectation EPT drives the paper's running-time analysis (§III-D).
 	edgesExamined int64
+
+	// regrows counts arena reallocations (instrumentation for the
+	// reserve-before-sampling guarantee; see Reserve).
+	regrows int
 }
 
 // NewCollection returns an empty collection with a capacity hint for the
@@ -56,12 +60,57 @@ func (c *Collection) Set(i int) []uint32 {
 }
 
 // Append adds one RR set with the given members, recording that the
-// sampler examined edgesProbes incoming edges to build it.
+// sampler examined edgesProbes incoming edges to build it. An arena that
+// is out of room at least doubles (see Reserve).
 func (c *Collection) Append(members []uint32, edgeProbes int64) {
+	c.ensure(1, len(members), 1)
 	c.nodes = append(c.nodes, members...)
 	c.offs = append(c.offs, int64(len(c.nodes)))
 	c.edgesExamined += edgeProbes
 }
+
+// Reserve makes room for sets more RR sets holding members more nodes in
+// total, so that appending them reallocates nothing. A caller that knows
+// what is coming (a generation request sized from the observed mean set
+// size, a merge of shard buffers, a wire payload) reserves once up front
+// and gets an arena of that size — or 5/4 of the old one if that is
+// larger, so a stream of small reservations stays amortized without ever
+// overshooting more than append did. Whatever a reservation
+// under-estimates, and every un-Reserved Append, doubles instead: with
+// no forecast, append's 1.25× means a dozen full copies of a
+// multi-million-entry arena per doubling of θ. The two policies are
+// deliberately different — a forecast buys a tight arena (unused
+// capacity is zeroed, hence resident, when the allocator recycles
+// memory), no forecast buys few copies. Reserving never changes the
+// collection's contents.
+func (c *Collection) Reserve(sets int, members int64) {
+	c.ensure(sets, int(members), 4)
+}
+
+// ensure makes room for sets and members more entries; an arena that is
+// short is reallocated to the needed size or to 1+1/div of its capacity,
+// whichever is larger.
+func (c *Collection) ensure(sets, members, div int) {
+	if need := len(c.nodes) + members; need > cap(c.nodes) {
+		c.nodes = regrow(c.nodes, max(need, cap(c.nodes)+cap(c.nodes)/div))
+		c.regrows++
+	}
+	if need := len(c.offs) + sets; need > cap(c.offs) {
+		c.offs = regrow(c.offs, max(need, cap(c.offs)+cap(c.offs)/div))
+		c.regrows++
+	}
+}
+
+// regrow reallocates s with the given capacity.
+func regrow[T any](s []T, capacity int) []T {
+	grown := make([]T, len(s), capacity)
+	copy(grown, s)
+	return grown
+}
+
+// Regrows returns how many times an arena (member nodes or offset table)
+// has been reallocated since the collection was created.
+func (c *Collection) Regrows() int { return c.regrows }
 
 // Reset truncates the collection to empty while keeping the arena
 // capacity, so a reused collection reaches steady-state zero allocation.
@@ -75,6 +124,7 @@ func (c *Collection) Reset() {
 // It is the merge step of sharded generation: two flat copies instead of
 // per-set Append calls.
 func (c *Collection) AppendCollection(o *Collection) {
+	c.Reserve(o.Count(), o.TotalSize())
 	base := int64(len(c.nodes))
 	c.nodes = append(c.nodes, o.nodes...)
 	for _, off := range o.offs[1:] {

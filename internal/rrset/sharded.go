@@ -201,6 +201,14 @@ func (ss *ShardedSampler) SampleManyInto(c *Collection, count int64) {
 		}(ss.shards[i], buf, n)
 	}
 	wg.Wait()
+	// One exact reservation for the whole merge, not one regrow per shard.
+	var sets int
+	var members int64
+	for _, buf := range ss.bufs {
+		sets += buf.Count()
+		members += buf.TotalSize()
+	}
+	c.Reserve(sets, members)
 	for _, buf := range ss.bufs {
 		c.AppendCollection(buf)
 	}

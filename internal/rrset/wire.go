@@ -10,14 +10,20 @@ import (
 // returning the number of sets appended and the unconsumed remainder of
 // b. It is the single decoder behind both the cluster master's fetch
 // paths and the durable store's segment replay, so the two can never
-// drift. Members are written straight into the arena — no per-set
-// scratch slice.
+// drift.
+//
+// The payload is walked twice. The first pass checks every set header
+// against the bytes actually present and sums the sizes, so the arena is
+// reserved once, to the exact size, and a hostile count or length can
+// never reserve more than the payload holds; the second copies members
+// straight into the reserved arena. A malformed payload appends nothing.
 func DecodeWire(b []byte, c *Collection) (int, []byte, error) {
 	if len(b) < 4 {
 		return 0, nil, fmt.Errorf("rrset: wire payload truncated (want 4 bytes for the set count, have %d)", len(b))
 	}
 	count := binary.LittleEndian.Uint32(b)
 	rest := b[4:]
+	var members int64
 	for j := uint32(0); j < count; j++ {
 		if len(rest) < 4 {
 			return 0, nil, fmt.Errorf("rrset: wire payload truncated at set %d header", j)
@@ -27,11 +33,21 @@ func DecodeWire(b []byte, c *Collection) (int, []byte, error) {
 		if int64(l)*4 > int64(len(rest)) {
 			return 0, nil, fmt.Errorf("rrset: truncated RR set %d (%d members declared, %d bytes left)", j, l, len(rest))
 		}
-		for m := 0; m < int(l); m++ {
-			c.nodes = append(c.nodes, binary.LittleEndian.Uint32(rest[m*4:]))
+		members += int64(l)
+		rest = rest[int(l)*4:]
+	}
+	c.Reserve(int(count), members)
+	rest = b[4:]
+	for j := uint32(0); j < count; j++ {
+		l := int(binary.LittleEndian.Uint32(rest))
+		rest = rest[4:]
+		at := len(c.nodes)
+		c.nodes = c.nodes[:at+l]
+		for m := range c.nodes[at:] {
+			c.nodes[at+m] = binary.LittleEndian.Uint32(rest[m*4:])
 		}
 		c.offs = append(c.offs, int64(len(c.nodes)))
-		rest = rest[l*4:]
+		rest = rest[int(l)*4:]
 	}
 	return int(count), rest, nil
 }
