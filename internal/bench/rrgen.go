@@ -14,7 +14,7 @@ import (
 
 // RRGenOptions configures the RR-set generation throughput sweep.
 type RRGenOptions struct {
-	GraphKind string  // "pref" (default) or "rmat" (heavier skew, larger cache footprint)
+	GraphKind string  // "pref" (default), "rmat" (heavier skew, larger cache footprint), or a graph file path (graph.LoadAny, stored weights)
 	Nodes     int     // synthetic graph size (default 50_000)
 	AvgDegree float64 // synthetic graph average degree (default 10)
 	Model     diffusion.Model
@@ -91,16 +91,11 @@ type RRGenReport struct {
 	Results    []RRGenResult `json:"results"`
 }
 
-// RunRRGen measures sharded RR-set generation throughput across the
-// parallelism × batch-width sweep on one synthetic weighted-cascade
-// graph. Every level uses the same worker seed (the sampled sets are
-// identical at every level by the batch-invariance guarantee);
-// collections are fresh per level. Each level runs a full untimed
-// Count-set warmup pass first, so the timed window — and the
-// alloc-per-set figure — measures the steady state of the arenas, not
-// their growth.
-func RunRRGen(opt RRGenOptions) (*RRGenReport, error) {
-	opt = opt.withDefaults()
+// rrgenGraph builds the sweep's graph: a synthetic kind under
+// weighted-cascade weights, or — any other GraphKind — a graph file with
+// the probabilities stored in it (e.g. the repository benchmark's own
+// .dsg, so a profile is of its graph).
+func rrgenGraph(opt RRGenOptions) (*graph.Graph, error) {
 	var g *graph.Graph
 	var err error
 	switch opt.GraphKind {
@@ -113,12 +108,29 @@ func RunRRGen(opt RRGenOptions) (*RRGenReport, error) {
 			Nodes: opt.Nodes, AvgDegree: opt.AvgDegree, Seed: opt.Seed,
 		}})
 	default:
-		return nil, fmt.Errorf("bench: unknown rrgen graph kind %q (want pref|rmat)", opt.GraphKind)
+		g, err = graph.LoadAny(opt.GraphKind, graph.LoadOptions{Weights: "file"})
+		if err != nil {
+			return nil, fmt.Errorf("bench: rrgen graph %q is neither a kind (pref|rmat) nor a loadable graph file: %w", opt.GraphKind, err)
+		}
+		return g, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	if g, err = graph.AssignWeights(g, graph.WeightedCascade, 0, 0); err != nil {
+	return graph.AssignWeights(g, graph.WeightedCascade, 0, 0)
+}
+
+// RunRRGen measures sharded RR-set generation throughput across the
+// parallelism × batch-width sweep on one graph (see rrgenGraph). Every
+// level uses the same worker seed (the sampled sets are identical at
+// every level by the batch-invariance guarantee); collections are fresh
+// per level. Each level runs a full untimed Count-set warmup pass first,
+// so the timed window — and the alloc-per-set figure — measures the
+// steady state of the arenas, not their growth.
+func RunRRGen(opt RRGenOptions) (*RRGenReport, error) {
+	opt = opt.withDefaults()
+	g, err := rrgenGraph(opt)
+	if err != nil {
 		return nil, err
 	}
 	rep := &RRGenReport{

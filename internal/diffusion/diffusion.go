@@ -112,6 +112,9 @@ func (s *Simulator) runIC(seeds []uint32) int {
 		}
 	}
 	activated := len(s.queue)
+	// The generator lives in a local for the cascade (see xrand.Rand.Next):
+	// one coin per edge to an inactive target, in scan order.
+	rng := *s.r
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
 		adj, prob := s.g.OutNeighbors(u)
@@ -119,13 +122,15 @@ func (s *Simulator) runIC(seeds []uint32) int {
 			if s.visited[v] == s.epoch {
 				continue
 			}
-			if s.r.Float64() < float64(prob[i]) {
+			var coin uint64
+			if coin, rng = rng.Next(); xrand.Unit(coin) < float64(prob[i]) {
 				s.visited[v] = s.epoch
 				s.queue = append(s.queue, v)
 				activated++
 			}
 		}
 	}
+	*s.r = rng
 	return activated
 }
 
@@ -153,6 +158,7 @@ func (s *Simulator) runLT(seeds []uint32) int {
 			s.thresh[v] = 0
 		}
 	}()
+	rng := *s.r
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
 		adj, prob := s.g.OutNeighbors(u)
@@ -162,7 +168,9 @@ func (s *Simulator) runLT(seeds []uint32) int {
 			}
 			if s.thresh[v] == 0 {
 				// First active in-neighbor: draw threshold in (0,1].
-				t := s.r.Float64()
+				var draw uint64
+				draw, rng = rng.Next()
+				t := xrand.Unit(draw)
 				if t == 0 {
 					t = 1e-18
 				}
@@ -177,6 +185,7 @@ func (s *Simulator) runLT(seeds []uint32) int {
 			}
 		}
 	}
+	*s.r = rng
 	return activated
 }
 

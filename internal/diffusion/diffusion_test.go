@@ -249,3 +249,44 @@ func BenchmarkSimulateLT(b *testing.B) {
 		sim.RunOnce(seeds, LT)
 	}
 }
+
+// TestSimulatorStreamGolden pins the forward cascades draw for draw:
+// per-run activation counts folded into one FNV-style digest, plus the
+// generator's next output after the runs, recorded from the loops that
+// drew through (*xrand.Rand).Float64 once per coin. Keeping the
+// generator state in locals for a cascade must change neither.
+func TestSimulatorStreamGolden(t *testing.T) {
+	base, err := graph.GenPreferential(graph.GenConfig{Nodes: 2000, AvgDegree: 8, Seed: 3, UniformAttach: 0.15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := graph.AssignWeights(base, graph.WeightedCascade, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri, err := graph.AssignWeights(base, graph.Trivalency, 0, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		model  Model
+		digest uint64
+		next   uint64
+	}{
+		{"IC/weighted-cascade", wc, IC, 0xd3a5016250f79257, 0xbd4e481442521cc6},
+		{"IC/trivalency", tri, IC, 0xf4b8e1427b40299b, 0xda9d69e2338d0500},
+		{"LT/weighted-cascade", wc, LT, 0x60258e5a2f49eb0b, 0x160de33908f62837},
+	} {
+		sim := NewSimulator(tc.g, 42)
+		digest := uint64(14695981039346656037)
+		for i := 0; i < 300; i++ {
+			seeds := []uint32{uint32(i), uint32(7 * i % 2000), 5}
+			digest = (digest ^ uint64(sim.RunOnce(seeds, tc.model))) * 1099511628211
+		}
+		if next := sim.r.Uint64(); digest != tc.digest || next != tc.next {
+			t.Errorf("%s: digest %#x next draw %#x, golden %#x / %#x", tc.name, digest, next, tc.digest, tc.next)
+		}
+	}
+}

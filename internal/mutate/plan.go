@@ -63,9 +63,7 @@ func AffectedSlots(model diffusion.Model, deltas []graph.EdgeDelta, idx *rrset.I
 				}
 				if model == diffusion.IC {
 					redraw.Seed(xrand.ScanSeed(lanes[t], d.Head))
-					for i := 0; i < d.Pos; i++ {
-						redraw.Float64()
-					}
+					redraw.Skip(d.Pos)
 					u := redraw.Float64()
 					if !(u >= float64(lo) && u < float64(hi)) {
 						continue // coin outcome unchanged: set replays identically

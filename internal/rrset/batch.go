@@ -297,6 +297,8 @@ func (s *BatchSampler) runCohort(c *Collection, active int) {
 		s.keys = shrinkScratch(s.keys, s.peakWave)
 		s.laneBySeq = shrinkScratch(s.laneBySeq, s.peakWave)
 		s.cand = shrinkScratch(s.cand, s.peakWave)
+		s.candStart = shrinkScratch(s.candStart, s.peakWave)
+		s.candEnd = shrinkScratch(s.candEnd, s.peakWave)
 		s.cohorts, s.peakWave = 0, 0
 	}
 }
@@ -308,6 +310,7 @@ func (s *BatchSampler) runCohort(c *Collection, active int) {
 // then a commit pass replaying items in lane/FIFO order so membership
 // checks and appends happen in exactly the scalar sampler's sequence.
 func (s *BatchSampler) runICWaves(active int) {
+	uniform := s.g.UniformIn()
 	for {
 		s.keys = s.keys[:0]
 		s.laneBySeq = s.laneBySeq[:0]
@@ -335,12 +338,8 @@ func (s *BatchSampler) runICWaves(active int) {
 		s.stats.FrontierItems += int64(items)
 		slices.Sort(s.keys)
 
-		if cap(s.candStart) < items {
-			s.candStart = make([]int32, items)
-			s.candEnd = make([]int32, items)
-		}
-		s.candStart = s.candStart[:items]
-		s.candEnd = s.candEnd[:items]
+		s.candStart = slices.Grow(s.candStart[:0], items)[:items]
+		s.candEnd = slices.Grow(s.candEnd[:0], items)[:items]
 		s.cand = s.cand[:0]
 		s.prefetchWave()
 		curNode := ^uint32(0)
@@ -372,12 +371,8 @@ func (s *BatchSampler) runICWaves(active int) {
 					ln.probes++ // the terminating jump
 					s.stats.SkippedEdges += int64(len(adj) - landed)
 				} else {
-					for i, w := range adj {
-						ln.probes++
-						if s.scan.Float64() < float64(prob[i]) {
-							s.cand = append(s.cand, w)
-						}
-					}
+					s.cand = s.scan.AppendCoins(s.cand, adj, prob, uniform)
+					ln.probes += int64(len(adj))
 				}
 			}
 			s.candStart[seq], s.candEnd[seq] = start, int32(len(s.cand))

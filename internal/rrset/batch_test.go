@@ -202,6 +202,47 @@ func TestScalarScratchShrinksAfterOutlier(t *testing.T) {
 	}
 }
 
+// TestBatchScratchShrinksAfterOutlier is the batched twin: after one
+// pathological wave, every per-wave arena — the per-item candidate
+// bounds included — is released within a window of cohorts, and
+// sampling carries on bit-identically.
+func TestBatchScratchShrinksAfterOutlier(t *testing.T) {
+	g := testGraph(t, 300, 3)
+	s, err := NewBatchSampler(g, diffusion.IC, 17, false, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := 1 << 20
+	s.keys = make([]uint64, 0, huge)
+	s.laneBySeq = make([]int32, 0, huge)
+	s.cand = make([]uint32, 0, huge)
+	s.candStart = make([]int32, 0, huge)
+	s.candEnd = make([]int32, 0, huge)
+	c := NewCollection(64)
+	s.SampleManyInto(c, int64(shrinkWindow*s.Width()))
+	for name, got := range map[string]int{
+		"keys": cap(s.keys), "laneBySeq": cap(s.laneBySeq), "cand": cap(s.cand),
+		"candStart": cap(s.candStart), "candEnd": cap(s.candEnd),
+	} {
+		if got >= huge {
+			t.Errorf("%s capacity %d retained after a full shrink window", name, got)
+		}
+		if got < shrinkMinCap {
+			t.Errorf("%s shrunk below the floor: %d < %d", name, got, shrinkMinCap)
+		}
+	}
+	want := NewCollection(64)
+	scalar, err := NewSampler(g, diffusion.IC, 17, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar.SampleManyInto(want, int64(2*shrinkWindow*s.Width()))
+	s.SampleManyInto(c, int64(shrinkWindow*s.Width()))
+	if !collectionsEqual(want, c) {
+		t.Fatal("batched output diverges from scalar across a scratch shrink")
+	}
+}
+
 // TestShrinkScratchPolicy covers the decision table directly.
 func TestShrinkScratchPolicy(t *testing.T) {
 	// Capacity within slack of the peak: kept.
@@ -227,6 +268,11 @@ func TestShrinkScratchPolicy(t *testing.T) {
 	// Length is always reset to zero.
 	if got := shrinkScratch(make([]uint32, 7, 1<<20), 1); len(got) != 0 {
 		t.Fatalf("shrinkScratch returned non-empty slice, len=%d", len(got))
+	}
+	// Any element type: the batched kernel's int32 per-item candidate
+	// bounds go through the same valve.
+	if got := shrinkScratch(make([]int32, 7, 1<<20), 1); len(got) != 0 || cap(got) >= 1<<20 || cap(got) < shrinkMinCap {
+		t.Fatalf("int32 scratch: len %d cap %d after shrink", len(got), cap(got))
 	}
 }
 

@@ -77,6 +77,12 @@ type Sampler struct {
 	epoch   uint32
 	queue   []uint32
 
+	// One node's overlay in-edges, split into the coin-scan kernel's
+	// adjacency/probability form (overlay lists are short: Compact folds
+	// them at 1/8 of the base slots).
+	overAdj  []uint32
+	overProb []float32
+
 	peakSize int // largest RR set in the current shrink window
 	window   int // samples since the last shrink decision
 }
@@ -230,6 +236,7 @@ func (s *Sampler) sampleIC(root uint32, laneSeed uint64) (int, int64) {
 	s.queue = s.queue[:0]
 	s.visited[root] = s.epoch
 	s.queue = append(s.queue, root)
+	uniform := s.g.UniformIn()
 	var probes int64
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
@@ -258,25 +265,33 @@ func (s *Sampler) sampleIC(root uint32, laneSeed uint64) (int, int64) {
 			probes++ // the terminating jump
 			continue
 		}
-		for i, up := range adj {
-			probes++
-			if s.scan.Float64() < float64(prob[i]) && s.visited[up] != s.epoch {
-				s.visited[up] = s.epoch
-				s.queue = append(s.queue, up)
-			}
-		}
+		// Successes land behind the queue's tail and are then admitted in
+		// scan order: the coin is drawn before the membership test.
+		tail := len(s.queue)
+		s.queue = s.scan.AppendCoins(s.queue, adj, prob, uniform)
 		// Overlay in-edges (added by mutation) continue the same scan
 		// stream: overlay entry j draws coin number len(adj)+j, the
 		// position it was assigned at ApplyUpdates. Tombstoned entries
 		// (p = 0) still consume a draw but can never succeed, exactly
 		// like tombstoned base slots.
-		for _, e := range over {
-			probes++
-			if s.scan.Float64() < float64(e.Prob) && s.visited[e.Node] != s.epoch {
-				s.visited[e.Node] = s.epoch
-				s.queue = append(s.queue, e.Node)
+		if len(over) > 0 {
+			s.overAdj, s.overProb = s.overAdj[:0], s.overProb[:0]
+			for _, e := range over {
+				s.overAdj = append(s.overAdj, e.Node)
+				s.overProb = append(s.overProb, e.Prob)
+			}
+			s.queue = s.scan.AppendCoins(s.queue, s.overAdj, s.overProb, false)
+		}
+		probes += int64(len(adj) + len(over))
+		keep := tail
+		for _, up := range s.queue[tail:] {
+			if s.visited[up] != s.epoch {
+				s.visited[up] = s.epoch
+				s.queue[keep] = up
+				keep++
 			}
 		}
+		s.queue = s.queue[:keep]
 	}
 	return len(s.queue), probes
 }

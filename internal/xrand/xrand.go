@@ -66,9 +66,110 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
+// Next returns the next 64 random bits and the advanced generator, by
+// value. A caller that draws in a loop copies the generator into a
+// local, threads it through Next and stores it back once: the four state
+// words then live in registers for the whole loop, where Uint64 through
+// a pointer reloads and stores them on every draw. The step is spelled
+// out a second time rather than shared with Uint64: routed through Next,
+// Uint64 exceeds the inlining budget and every other draw pays a call.
+func (r Rand) Next() (uint64, Rand) {
+	result := rotl(r.s0+r.s3, 23) + r.s0
+	t := r.s1 << 17
+	r.s2 ^= r.s0
+	r.s3 ^= r.s1
+	r.s1 ^= r.s2
+	r.s0 ^= r.s3
+	r.s2 ^= t
+	r.s3 = rotl(r.s3, 45)
+	return result, r
+}
+
+// Skip advances the generator by n draws.
+func (r *Rand) Skip(n int) {
+	g := *r
+	for ; n > 0; n-- {
+		_, g = g.Next()
+	}
+	*r = g
+}
+
+// Unit maps 64 random bits to a uniform value in [0, 1) with 53 bits of
+// precision: exactly (u>>11)·2⁻⁵³.
+func Unit(u uint64) float64 {
+	return float64(u>>11) * (1.0 / (1 << 53))
+}
+
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return Unit(r.Uint64())
+}
+
+// coinThreshold returns the integer T = ⌈float64(p)·2⁵³⌉, clamped to
+// [0, 2⁵³] (NaN → 0), for which a draw u succeeds as a coin of bias p iff
+// u>>11 < T. That is the same outcome as Unit(u) < float64(p), bit for
+// bit: Unit(u) is exactly (u>>11)·2⁻⁵³, float64(p)·2⁵³ is exact for every
+// float32 (a power-of-two scale of a 24-bit mantissa, no overflow, no
+// underflow), and an integer is below a real iff it is below its ceiling.
+func coinThreshold(p float32) uint64 {
+	t := float64(p) * (1 << 53)
+	if !(t > 0) { // zero, negatives, NaN: never succeeds
+		return 0
+	}
+	if t >= 1<<53 { // p ≥ 1, +Inf: always succeeds
+		return 1 << 53
+	}
+	return uint64(math.Ceil(t))
+}
+
+// AppendCoins flips one coin per entry of an adjacency block — entry i
+// with bias prob[i], from consecutive draws of r — and appends adj[i] to
+// dst for every success. It is the one place an IC edge coin is flipped.
+// Draws, outcomes and the state r is left in are exactly those of
+//
+//	for i, w := range adj {
+//		if r.Float64() < float64(prob[i]) {
+//			dst = append(dst, w)
+//		}
+//	}
+//
+// but the generator state stays in registers for the whole block.
+// uniform promises that every prob[i] equals prob[0] (graph.UniformIn):
+// the comparison is then an integer one against a threshold computed
+// once for the block, and the loop reads neither prob nor adj except on
+// a success. Without the promise the threshold cannot be hoisted, and
+// computing or caching it per entry costs more than it saves (a changed
+// probability is an unpredictable branch), so each coin is the float
+// comparison itself, still in registers. len(prob) must be at least
+// len(adj).
+func (r *Rand) AppendCoins(dst, adj []uint32, prob []float32, uniform bool) []uint32 {
+	if len(adj) == 0 {
+		return dst
+	}
+	prob = prob[:len(adj)]
+	// Successes are rare (a hub of in-degree d flips d coins of bias 1/d),
+	// so the slice header is reached through a pointer: that keeps its
+	// three words in memory and leaves the registers to the generator
+	// state, which the compiler otherwise spills inside the loop.
+	out := &dst
+	g := *r
+	var u uint64
+	if uniform {
+		t := coinThreshold(prob[0])
+		for i := range adj {
+			if u, g = g.Next(); u>>11 < t {
+				*out = append(*out, adj[i])
+			}
+		}
+	} else {
+		for i, p := range prob {
+			if u, g = g.Next(); Unit(u) < float64(p) {
+				*out = append(*out, adj[i])
+			}
+		}
+	}
+	*r = g
+	return *out
 }
 
 // Uint32n returns a uniform value in [0, n). n must be positive.

@@ -1,7 +1,9 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -278,6 +280,143 @@ func TestAliasMatchesCumulative(t *testing.T) {
 	}
 }
 
+// referenceCoins is the per-edge loop the samplers used before the
+// coin-scan kernel, spelled out so it shares nothing with the code under
+// test but Uint64.
+func referenceCoins(r *Rand, dst, adj []uint32, prob []float32) []uint32 {
+	for i, w := range adj {
+		if float64(r.Uint64()>>11)*(1.0/(1<<53)) < float64(prob[i]) {
+			dst = append(dst, w)
+		}
+	}
+	return dst
+}
+
+// adversarialProbs are float32 values on and around every edge of the
+// threshold map: the clamps, the non-numbers, the range where
+// float64(p)·2⁵³ is not an integer (p < 2⁻³⁰), and the float32
+// neighbours of k/2⁵³ for small k.
+func adversarialProbs() []float32 {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	ps := []float32{
+		0, float32(math.Copysign(0, -1)), -0.25, -1, -inf, nan, inf,
+		1, math.Nextafter32(1, 0), math.Nextafter32(1, 2), 1.5, math.MaxFloat32,
+		math.SmallestNonzeroFloat32, 2 * math.SmallestNonzeroFloat32, 0x1p-126, math.Nextafter32(0x1p-126, 0),
+		0.5, 1.0 / 3, 0.1, 0.01, 0.001, 1.0 / 4096,
+	}
+	for e := 24; e <= 60; e++ {
+		ps = append(ps, float32(math.Ldexp(1, -e)))
+	}
+	for _, k := range []float64{1, 2, 3, 5, 1023, 1 << 20, 1<<24 - 1} {
+		b := float32(math.Ldexp(k, -53)) // exact: k has at most 24 bits
+		ps = append(ps, b, math.Nextafter32(b, 0), math.Nextafter32(b, 1))
+	}
+	return ps
+}
+
+// TestCoinThresholdMatchesFloatCompare checks the identity the kernel
+// rests on at the draws random sampling never reaches: for every
+// adversarial p and every 53-bit draw k around the threshold,
+// k < coinThreshold(p) iff k·2⁻⁵³ < float64(p).
+func TestCoinThresholdMatchesFloatCompare(t *testing.T) {
+	for _, p := range adversarialProbs() {
+		th := coinThreshold(p)
+		if th > 1<<53 {
+			t.Fatalf("p=%v: threshold %d above 2^53", p, th)
+		}
+		ks := []uint64{0, 1, 2, 1<<53 - 2, 1<<53 - 1}
+		for d := uint64(0); d <= 2; d++ {
+			ks = append(ks, th+d)
+			if th >= d {
+				ks = append(ks, th-d)
+			}
+		}
+		for _, k := range ks {
+			if k >= 1<<53 {
+				continue
+			}
+			u := k<<11 | 0x7ff // low bits must not matter
+			if got, want := u>>11 < th, Unit(u) < float64(p); got != want {
+				t.Fatalf("p=%v (bits %#08x) k=%d: integer compare %v, float compare %v", p, math.Float32bits(p), k, got, want)
+			}
+		}
+	}
+}
+
+// TestAppendCoinsMatchesReference is the property test of the kernel:
+// same success positions and the same generator state afterwards as the
+// reference loop, for uniform blocks of every adversarial probability
+// (with and without the uniform promise) and mixed blocks that switch
+// probability mid-block, at block lengths around the interesting sizes.
+func TestAppendCoinsMatchesReference(t *testing.T) {
+	ps := adversarialProbs()
+	check := func(name string, seed uint64, prob []float32, uniform bool) {
+		t.Helper()
+		adj := make([]uint32, len(prob))
+		for i := range adj {
+			adj[i] = uint32(i)
+		}
+		got, want := New(seed), New(seed)
+		prefix := []uint32{7, 7}
+		gotPos := got.AppendCoins(slices.Clone(prefix), adj, prob, uniform)
+		wantPos := referenceCoins(want, slices.Clone(prefix), adj, prob)
+		if !slices.Equal(gotPos, wantPos) {
+			t.Fatalf("%s: success positions %v, reference %v", name, gotPos, wantPos)
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("%s: generator state diverged after the block (next draw %#x, reference %#x)", name, g, w)
+		}
+	}
+	for _, n := range []int{0, 1, 2, 63, 64, 4097} {
+		for pi, p := range ps {
+			prob := make([]float32, n)
+			for i := range prob {
+				prob[i] = p
+			}
+			name := fmt.Sprintf("n=%d p=%v", n, p)
+			check(name+" uniform", uint64(n*1000+pi), prob, true)
+			check(name+" unpromised", uint64(n*1000+pi), prob, false)
+		}
+		// Mixed blocks: runs of 1..5 equal entries drawn from the
+		// adversarial list, switching probability mid-block.
+		for trial := 0; trial < 20; trial++ {
+			pick := New(uint64(trial))
+			prob := make([]float32, 0, n)
+			for len(prob) < n {
+				p := ps[pick.Intn(len(ps))]
+				for run := 1 + pick.Intn(5); run > 0 && len(prob) < n; run-- {
+					prob = append(prob, p)
+				}
+			}
+			check(fmt.Sprintf("n=%d mixed trial %d", n, trial), uint64(trial)+77, prob, false)
+		}
+	}
+}
+
+// TestNextAndSkipFollowUint64 pins the by-value step and the skip to the
+// pointer generator's stream.
+func TestNextAndSkipFollowUint64(t *testing.T) {
+	ref, byValue := New(5), *New(5)
+	for i := 0; i < 100; i++ {
+		var u uint64
+		if u, byValue = byValue.Next(); u != ref.Uint64() {
+			t.Fatalf("draw %d: Next diverges from Uint64", i)
+		}
+	}
+	for _, n := range []int{0, 1, 2, 63, 1000} {
+		skipped := New(9)
+		skipped.Skip(n)
+		ref := New(9)
+		for i := 0; i < n; i++ {
+			ref.Uint64()
+		}
+		if skipped.Uint64() != ref.Uint64() {
+			t.Fatalf("Skip(%d) is not %d draws", n, n)
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64
@@ -294,4 +433,37 @@ func BenchmarkGeometric(b *testing.B) {
 		sink += r.Geometric(0.1)
 	}
 	_ = sink
+}
+
+// BenchmarkScanCoins is the yardstick of the IC coin-scan kernel: ns per
+// coin at leaf, typical and hub degrees, for weighted-cascade-like
+// uniform blocks (bias 1/d, integer threshold hoisted) and mixed
+// trivalency-like blocks (per-entry comparison), each beside the
+// reference per-edge loop the kernel replaced, on the same probabilities.
+func BenchmarkScanCoins(b *testing.B) {
+	for _, d := range []int{4, 64, 4096} {
+		adj := make([]uint32, d)
+		uniform := make([]float32, d)
+		mixed := make([]float32, d)
+		pick := New(3)
+		for i := range adj {
+			adj[i] = uint32(i)
+			uniform[i] = 1 / float32(d)
+			mixed[i] = [3]float32{0.1, 0.01, 0.001}[pick.Intn(3)]
+		}
+		run := func(name string, scan func(r *Rand, dst []uint32) []uint32) {
+			b.Run(fmt.Sprintf("%s/d=%d", name, d), func(b *testing.B) {
+				r := New(1)
+				dst := make([]uint32, 0, d)
+				for i := 0; i < b.N; i++ {
+					dst = scan(r, dst[:0])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d), "ns/coin")
+			})
+		}
+		run("uniform", func(r *Rand, dst []uint32) []uint32 { return r.AppendCoins(dst, adj, uniform, true) })
+		run("mixed", func(r *Rand, dst []uint32) []uint32 { return r.AppendCoins(dst, adj, mixed, false) })
+		run("reference-uniform", func(r *Rand, dst []uint32) []uint32 { return referenceCoins(r, dst, adj, uniform) })
+		run("reference-mixed", func(r *Rand, dst []uint32) []uint32 { return referenceCoins(r, dst, adj, mixed) })
+	}
 }

@@ -6,6 +6,9 @@
 #   ./scripts/capture_pprof.sh                 # moderate scale into ./profiles
 #   RRGEN_NODES=4000000 RRGEN_COUNT=200000 \
 #     ./scripts/capture_pprof.sh profiles-big  # the BENCH_RRGEN.json setting
+#   RRGEN_GRAPH=.bench_build/prep/rmat-n262144-d16-g7-wc.dsg RRGEN_COUNT=100000 RRGEN_BS=64 \
+#     ./scripts/capture_pprof.sh               # the repository benchmark's own graph (diimm_ic;
+#                                              # RRGEN_GRAPH = pref|rmat or a graph file path)
 #
 # Inspect with: go tool pprof -top profiles/rrgen.cpu.pb.gz
 set -euo pipefail
