@@ -394,7 +394,7 @@ func (c *Cluster) MetricsSnapshot() metrics.Snapshot {
 	counter("cluster.bytes_sent", m.BytesSent)
 	counter("cluster.bytes_recv", m.BytesReceived)
 	counter("cluster.batch.waves", m.Batch.Waves)
-	counter("cluster.batch.cohorts", m.Batch.Cohorts)
+	counter("cluster.batch.cohorts", m.Batch.Streams) // the cohort counter's name, kept
 	counter("cluster.batch.frontier_items", m.Batch.FrontierItems)
 	counter("cluster.batch.lane_waves", m.Batch.LaneWaves)
 	counter("cluster.batch.skipped_edges", m.Batch.SkippedEdges)

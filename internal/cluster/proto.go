@@ -241,7 +241,7 @@ func encodeStatsResp(tag byte, handlerNanos int64, s GenerateStats) []byte {
 	b = appendI64(b, s.Count)
 	b = appendI64(b, s.TotalSize)
 	b = appendI64(b, s.EdgesExamined)
-	b = appendI64(b, s.Batch.Cohorts)
+	b = appendI64(b, s.Batch.Streams)
 	b = appendI64(b, s.Batch.Waves)
 	b = appendI64(b, s.Batch.FrontierItems)
 	b = appendI64(b, s.Batch.LaneWaves)
@@ -363,7 +363,7 @@ func decodeStatsResp(b []byte) (int64, GenerateStats, error) {
 	if s.EdgesExamined, rest, err = consumeI64(rest); err != nil {
 		return 0, s, err
 	}
-	if s.Batch.Cohorts, rest, err = consumeI64(rest); err != nil {
+	if s.Batch.Streams, rest, err = consumeI64(rest); err != nil {
 		return 0, s, err
 	}
 	if s.Batch.Waves, rest, err = consumeI64(rest); err != nil {

@@ -28,6 +28,21 @@ func randomProbGraph(t testing.TB, nodes int, seed uint64) *graph.Graph {
 	return b.Build()
 }
 
+// goldenSplits is the call sequence the golden streams are sampled in:
+// a single set, requests one below, at and above B = 64, a long run, and
+// a short tail — every batched call boundary a stream must not notice.
+var goldenSplits = []int64{1, 63, 64, 65, 1000, 7}
+
+// sampleSplit samples total sets into c: goldenSplits first, then the rest
+// in one call.
+func sampleSplit(s interface{ SampleManyInto(*Collection, int64) }, c *Collection, total int64) {
+	for _, n := range goldenSplits {
+		s.SampleManyInto(c, n)
+		total -= n
+	}
+	s.SampleManyInto(c, total)
+}
+
 // TestICStreamGolden pins the IC sample stream from outside the code
 // under test. The scalar and batched samplers flip every edge coin
 // through the one xrand coin-scan kernel, so TestBatchBitIdenticalToScalar
@@ -35,7 +50,9 @@ func randomProbGraph(t testing.TB, nodes int, seed uint64) *graph.Graph {
 // Collection.AppendWire, plus EdgesExamined) were recorded at the commit
 // before the kernel existed, from the hand-written per-edge loops that
 // compared one Float64 draw against each probability, and must never
-// change without a sample format bump.
+// change without a sample format bump. Sets are requested in the split
+// sequence of goldenSplits, so a batched stream that loses or reorders
+// sets across call boundaries cannot match either.
 func TestICStreamGolden(t *testing.T) {
 	trivalency, err := graph.AssignWeights(testGraph(t, 400, 7), graph.Trivalency, 0, 17)
 	if err != nil {
@@ -88,7 +105,7 @@ func TestICStreamGolden(t *testing.T) {
 	}
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for _, tc := range cases {
-		for _, b := range []int{1, 64} {
+		for _, b := range []int{1, 7, 64} {
 			// P = 1: the shard stream is the seed's own. Mutation-enabled
 			// graphs coerce any width to the scalar kernel.
 			s, err := NewShardedSamplerBatch(tc.g, diffusion.IC, 42, false, 1, b)
@@ -96,7 +113,99 @@ func TestICStreamGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := NewCollection(64)
-			s.SampleManyInto(c, tc.sets)
+			sampleSplit(s, c, tc.sets)
+			crc := crc32.Checksum(c.AppendWire(nil), castagnoli)
+			if crc != tc.crc || c.EdgesExamined() != tc.probes {
+				t.Errorf("%s B=%d: crc32c %#08x probes %d over %d members, golden %#08x / %d",
+					tc.name, b, crc, c.EdgesExamined(), c.TotalSize(), tc.crc, tc.probes)
+			}
+		}
+	}
+}
+
+// ltGoldenRMAT is the LT golden streams' graph: R-MAT with
+// weighted-cascade weights, whose in-sums of 1 make every walk run until
+// it revisits a node or reaches one with no in-edges.
+func ltGoldenRMAT(t testing.TB) *graph.Graph {
+	t.Helper()
+	g, err := graph.GenRMAT(graph.RMATConfig{GenConfig: graph.GenConfig{Nodes: 2000, AvgDegree: 8, Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, err := graph.AssignWeights(g, graph.WeightedCascade, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wc
+}
+
+// ltRandomProbGraph reweights the R-MAT graph with independent
+// probabilities scaled so every in-sum is at most 0.9: the pick is the
+// cumulative scan, and walks also stop on the 1 − Σp draw.
+func ltRandomProbGraph(t testing.TB) *graph.Graph {
+	t.Helper()
+	src := ltGoldenRMAT(t)
+	r := xrand.New(0xc01)
+	b := graph.NewBuilderHint(src.NumNodes(), int(src.NumEdges()))
+	src.Edges(func(from, to uint32, p float32) {
+		if err := b.AddEdge(from, to, float32(0.9*float64(p)*(0.5+r.Float64())/(1.5*src.InProbSum(to)))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return b.Build()
+}
+
+// TestLTStreamGolden pins the LT reverse-walk stream the way
+// TestICStreamGolden pins IC: CRC32C of Collection.AppendWire plus
+// EdgesExamined, recorded at the commit before the streaming driver and
+// the staged walk step existed (cohort barrier, one lane at a time per
+// step), for the scalar sampler and B ∈ {1, 7, 64}, sampled in the
+// goldenSplits call sequence.
+func TestLTStreamGolden(t *testing.T) {
+	wc := ltGoldenRMAT(t)
+	randomProb := ltRandomProbGraph(t)
+	if randomProb.UniformIn() {
+		t.Fatal("random-probability graph has uniform in-weights: the scan path is not covered")
+	}
+	for v := 0; v < randomProb.NumNodes(); v++ {
+		if sum := randomProb.InProbSum(uint32(v)); sum >= 1 {
+			t.Fatalf("node %d in-sum %g: walks would never stop on the 1 - sum draw there", v, sum)
+		}
+	}
+	cases := []struct {
+		name     string
+		g        *graph.Graph
+		targeted bool
+		crc      uint32
+		probes   int64
+	}{
+		{"weighted-cascade", wc, false, 0x87cd7ff6, 29426},
+		{"random-prob", randomProb, false, 0xc1faeceb, 117822},
+		{"targeted", wc, true, 0xe9a4caac, 29344},
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for _, tc := range cases {
+		for _, b := range []int{0, 1, 7, 64} { // 0: the scalar Sampler
+			var s interface {
+				SampleManyInto(*Collection, int64)
+				SetRootWeights([]float64) error
+			}
+			var err error
+			if b == 0 {
+				s, err = NewSampler(tc.g, diffusion.LT, 42, false)
+			} else {
+				s, err = NewBatchSampler(tc.g, diffusion.LT, 42, false, b)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.targeted {
+				if err := s.SetRootWeights(targetedWeights(tc.g.NumNodes())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c := NewCollection(64)
+			sampleSplit(s, c, 3000)
 			crc := crc32.Checksum(c.AppendWire(nil), castagnoli)
 			if crc != tc.crc || c.EdgesExamined() != tc.probes {
 				t.Errorf("%s B=%d: crc32c %#08x probes %d over %d members, golden %#08x / %d",

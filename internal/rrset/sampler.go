@@ -327,7 +327,14 @@ func (s *Sampler) sampleLT(root uint32) (int, int64) {
 		if s.g.UniformIn() {
 			// Equal weights: the proportional draw is uniform. (Mutated
 			// graphs clear uniformIn, so this path never sees overlays.)
-			next = adj[int(x/sum*float64(len(adj)))%len(adj)]
+			// x < sum makes x/sum ≤ 1 after rounding, so i ≤ d: the
+			// subtraction wraps the one out-of-range value like "% d".
+			d := len(adj)
+			i := int(x / sum * float64(d))
+			if i >= d {
+				i -= d
+			}
+			next = adj[i]
 			probes++
 		} else {
 			// Cumulative scan over base slots then overlay entries.

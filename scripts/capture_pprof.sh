@@ -9,6 +9,8 @@
 #   RRGEN_GRAPH=.bench_build/prep/rmat-n262144-d16-g7-wc.dsg RRGEN_COUNT=100000 RRGEN_BS=64 \
 #     ./scripts/capture_pprof.sh               # the repository benchmark's own graph (diimm_ic;
 #                                              # RRGEN_GRAPH = pref|rmat or a graph file path)
+#   RRGEN_MODEL=lt RRGEN_GRAPH=.bench_build/prep/rmat-n262144-d16-g7-wc.dsg RRGEN_COUNT=400000 RRGEN_BS=64 \
+#     ./scripts/capture_pprof.sh               # the same graph under LT (diimm_lt_tcp's walk)
 #
 # Inspect with: go tool pprof -top profiles/rrgen.cpu.pb.gz
 set -euo pipefail
@@ -25,6 +27,7 @@ go run ./cmd/experiments -run rrgen -rrgen-out "" \
 	-rrgen-ps "${RRGEN_PS:-1}" \
 	-rrgen-bs "${RRGEN_BS:-1,64}" \
 	-rrgen-subset="${RRGEN_SUBSET:-false}" \
+	-rrgen-model "${RRGEN_MODEL:-ic}" \
 	-cpuprofile "$out/rrgen.cpu.pb.gz" \
 	-memprofile "$out/rrgen.allocs.pb.gz"
 
