@@ -118,6 +118,18 @@ func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
 }
 
+// fmtBytes renders a byte count with a binary-unit suffix.
+func fmtBytes(v int64) string {
+	switch {
+	case v >= 1<<20:
+		return fmt.Sprintf("%.1f MiB", float64(v)/(1<<20))
+	case v >= 1<<10:
+		return fmt.Sprintf("%.1f KiB", float64(v)/(1<<10))
+	default:
+		return fmt.Sprintf("%d B", v)
+	}
+}
+
 // fmtCount renders large counts with K/M/G suffixes like the paper.
 func fmtCount(v int64) string {
 	switch {

@@ -63,8 +63,8 @@ type EnvelopeMetric struct {
 	Class MetricClass `json:"class"`
 	Unit  string      `json:"unit,omitempty"`
 	// TolScale widens this metric's share of the diff tolerance
-	// (0 or 1 = the plain tolerance). Tail latencies carry 3: a p99 on
-	// a busy one-box sweep legitimately swings harder than a mean.
+	// (0 or 1 = the plain tolerance): a metric such as a tail latency
+	// legitimately swings harder than a mean on a busy one-box sweep.
 	TolScale float64 `json:"tol_scale,omitempty"`
 	Min      float64 `json:"min"`
 	Mean     float64 `json:"mean"`

@@ -6,19 +6,19 @@ import (
 	"path/filepath"
 	"time"
 
-	"dimm/internal/diffusion"
 	"dimm/internal/graph"
 )
 
-// SweepOptions configures the all-bench sweep runner: one declarative
-// parameter grid regenerates every BENCH_*.json in the envelope schema
-// and (optionally) diffs the fresh envelopes against blessed baselines.
+// SweepOptions configures the sweep runner: one declarative parameter
+// grid regenerates BENCH_RRGEN.json and BENCH_OOC.json in the envelope
+// schema and (optionally) diffs the fresh envelopes against blessed
+// baselines.
 type SweepOptions struct {
 	// Profile selects the parameter grid: "default" (the checked-in
 	// BENCH_*.json regeneration) or "tiny" (a seconds-scale CI smoke).
 	Profile string
-	// Only restricts the sweep to the named benches (rrgen, select,
-	// serve, store, fault, sketch, update, ooc). Empty runs all eight.
+	// Only restricts the sweep to the named benches (rrgen, ooc). Empty
+	// runs both.
 	Only []string
 	// Repeats re-runs every bench this many times; the envelope records
 	// min/mean/max of every metric over the repeats. 0 takes Config.Repeats.
@@ -44,16 +44,10 @@ type SweepOptions struct {
 	OOCGraph string
 }
 
-// sweepProfile is one named parameter grid over all eight benches.
+// sweepProfile is one named parameter grid over both benches.
 type sweepProfile struct {
 	name      string
 	rrgen     RRGenOptions
-	sel       SelectOptions
-	serve     ServeOptions
-	store     StoreOptions
-	fault     FaultOptions
-	sketch    SketchOptions
-	update    UpdateOptions
 	ooc       OOCOptions // GraphPath resolved at run time
 	oocNodes  int        // temporary-graph size when OOCGraph is unset
 	oocDegree float64
@@ -67,17 +61,6 @@ var sweepProfiles = map[string]sweepProfile{
 	"default": {
 		name:  "default",
 		rrgen: RRGenOptions{GraphKind: "rmat", Nodes: 200_000, AvgDegree: 16, Subset: true, Count: 100_000},
-		sel: SelectOptions{},
-		// 10x the default request count per level: a warm service answers
-		// in microseconds, and QPS over a ~10ms window is noise, not
-		// signal — the envelope's rate metrics need a window worth gating.
-		serve: ServeOptions{Model: diffusion.IC, Requests: 2_000},
-		store: StoreOptions{Model: diffusion.IC},
-		fault: FaultOptions{Model: diffusion.IC},
-		sketch: SketchOptions{
-			Model: diffusion.IC,
-		},
-		update: UpdateOptions{Model: diffusion.IC},
 		// ColdSets < 0 skips the page-cache-eviction phase: its disk-bound
 		// timings are honest on a quiet box but far too noisy to gate on.
 		ooc:       OOCOptions{Count: 20_000, Bs: []int{1, 64, 256}, ColdSets: -1, RSSBudget: -1},
@@ -87,56 +70,32 @@ var sweepProfiles = map[string]sweepProfile{
 	"tiny": {
 		name:      "tiny",
 		rrgen:     RRGenOptions{GraphKind: "rmat", Nodes: 20_000, AvgDegree: 8, Subset: true, Count: 5_000, Ps: []int{1}, Bs: []int{1, 64}},
-		sel:       SelectOptions{Nodes: 5_000, Sets: 20_000, AvgSize: 8, K: 20, Ps: []int{1}},
-		serve:     ServeOptions{Model: diffusion.IC, Nodes: 4_000, Requests: 40, Concurrency: []int{1, 2}},
-		store:     StoreOptions{Model: diffusion.IC, Nodes: 4_000},
-		fault:     FaultOptions{Model: diffusion.IC, Nodes: 4_000, Requests: 40},
-		sketch:    SketchOptions{Model: diffusion.IC, Nodes: 4_000, FastRequests: 200, CertRequests: 20, Rounds: 200},
-		update:    UpdateOptions{Model: diffusion.IC, Nodes: 4_000, StormBatches: 4, StormOps: 16},
 		ooc:       OOCOptions{Count: 2_000, Bs: []int{1, 64}, ColdSets: -1, RSSBudget: -1},
 		oocNodes:  1 << 15,
 		oocDegree: 6,
 	},
 }
 
-// p99TolScale is the per-metric tolerance multiplier every tail-latency
-// metric carries in its envelope: on a one-box sweep a p99 is set by a
-// handful of worst requests and honestly swings far more run-to-run
-// than a mean or a throughput, so it gets 3x the sweep tolerance.
-const p99TolScale = 3
-
-// httpRateTolScale widens end-to-end HTTP request rates the same way:
-// a serving QPS rides the box's instantaneous scheduling/steal state,
-// which on shared hardware drifts tens of percent over minutes, while
-// kernel-compute rates measured over ~10s windows stay put.
-const httpRateTolScale = 3
-
 // sweepBench is one bench of the grid: its canonical output file and a
 // runner that executes one repeat and records its metrics.
 type sweepBench struct {
 	name string
 	file string
-	run  func(c Config, p sweepProfile, o SweepOptions, eb *envelopeBuilder) (any, error)
+	run  func(c Config, p sweepProfile, eb *envelopeBuilder) (any, error)
 }
 
-// sweepBenches lists every bench the sweep covers, in run order (cheap
-// smoke-style benches first so a broken build fails fast).
+// sweepBenches lists every bench the sweep covers, in run order.
 var sweepBenches = []sweepBench{
-	{"select", "BENCH_SELECT.json", runSweepSelect},
 	{"rrgen", "BENCH_RRGEN.json", runSweepRRGen},
-	{"serve", "BENCH_SERVE.json", runSweepServe},
-	{"store", "BENCH_STORE.json", runSweepStore},
-	{"fault", "BENCH_FAULT.json", runSweepFault},
-	{"sketch", "BENCH_SKETCH.json", runSweepSketch},
-	{"update", "BENCH_UPDATE.json", runSweepUpdate},
 	{"ooc", "BENCH_OOC.json", runSweepOOC},
 }
 
-// Sweep regenerates every BENCH_*.json through the profile's grid,
-// repeating each bench Repeats times and recording min/mean/max per
-// metric. With Check set it then diffs each envelope against the
-// blessed baseline and returns an error naming every regression — the
-// caller (cmd/experiments, CI) turns that into a nonzero exit.
+// Sweep regenerates BENCH_RRGEN.json and BENCH_OOC.json through the
+// profile's grid, repeating each bench Repeats times and recording
+// min/mean/max per metric. With Check set it then diffs each envelope
+// against the blessed baseline and returns an error naming every
+// regression — the caller (cmd/experiments, CI) turns that into a
+// nonzero exit.
 func (c Config) Sweep(o SweepOptions) error {
 	if o.Profile == "" {
 		o.Profile = "default"
@@ -187,13 +146,14 @@ func (c Config) Sweep(o SweepOptions) error {
 	for _, b := range selected {
 		needOOC = needOOC || b.name == "ooc"
 	}
+	profile.ooc.GraphPath = o.OOCGraph
 	if needOOC && o.OOCGraph == "" {
 		path, cleanup, err := buildSweepOOCGraph(profile, c.Seed)
 		if err != nil {
 			return err
 		}
 		defer cleanup()
-		o.OOCGraph = path
+		profile.ooc.GraphPath = path
 	}
 
 	c.printf("== sweep: profile=%s repeats=%d out=%s", profile.name, repeats, o.OutDir)
@@ -212,7 +172,7 @@ func (c Config) Sweep(o SweepOptions) error {
 		start := time.Now()
 		for rep := 0; rep < repeats; rep++ {
 			var err error
-			if report, err = b.run(c, profile, o, eb); err != nil {
+			if report, err = b.run(c, profile, eb); err != nil {
 				return fmt.Errorf("bench: sweep %s repeat %d: %w", b.name, rep+1, err)
 			}
 		}
@@ -256,22 +216,18 @@ func sweepParams(bench string, p sweepProfile, o SweepOptions) map[string]any {
 	case "rrgen":
 		return map[string]any{"graph": p.rrgen.GraphKind, "nodes": p.rrgen.Nodes,
 			"avg_degree": p.rrgen.AvgDegree, "subset": p.rrgen.Subset, "count": p.rrgen.Count}
-	case "select":
-		return map[string]any{"nodes": p.sel.Nodes, "sets": p.sel.Sets, "k": p.sel.K}
-	case "serve":
-		return map[string]any{"nodes": p.serve.Nodes, "requests": p.serve.Requests}
-	case "store":
-		return map[string]any{"nodes": p.store.Nodes}
-	case "fault":
-		return map[string]any{"nodes": p.fault.Nodes, "requests": p.fault.Requests}
-	case "sketch":
-		return map[string]any{"nodes": p.sketch.Nodes, "fast_requests": p.sketch.FastRequests,
-			"cert_requests": p.sketch.CertRequests}
-	case "update":
-		return map[string]any{"nodes": p.update.Nodes, "storm_batches": p.update.StormBatches,
-			"storm_ops": p.update.StormOps}
 	case "ooc":
-		return map[string]any{"graph": o.OOCGraph, "count": p.ooc.Count, "cold_sets": p.ooc.ColdSets}
+		params := map[string]any{"count": p.ooc.Count, "cold_sets": p.ooc.ColdSets}
+		if o.OOCGraph != "" {
+			params["graph"] = o.OOCGraph
+		} else {
+			// A temporary path would differ every run: record the
+			// generator parameters that reproduce the graph instead.
+			params["graph"] = "rmat"
+			params["nodes"] = p.oocNodes
+			params["avg_degree"] = p.oocDegree
+		}
+		return params
 	}
 	return nil
 }
@@ -307,7 +263,7 @@ func buildSweepOOCGraph(p sweepProfile, seed uint64) (string, func(), error) {
 // be deterministic functions of the seed (they are compared bitwise,
 // cross-machine); timing classes are same-host only.
 
-func runSweepRRGen(c Config, p sweepProfile, _ SweepOptions, eb *envelopeBuilder) (any, error) {
+func runSweepRRGen(c Config, p sweepProfile, eb *envelopeBuilder) (any, error) {
 	opt := p.rrgen
 	opt.Seed = c.Seed
 	rep, err := RunRRGen(opt)
@@ -320,7 +276,7 @@ func runSweepRRGen(c Config, p sweepProfile, _ SweepOptions, eb *envelopeBuilder
 		}
 		pre := fmt.Sprintf("p%d.b%d.", r.Parallelism, r.Batch)
 		eb.observe(pre+"sets_per_sec", ClassRate, "sets/s", r.SetsPerSec)
-		eb.observe(pre+"alloc_bytes_per_set", ClassTime, "B/set", r.AllocBytesPerSet)
+		eb.observe(pre+"alloc_bytes_per_set", ClassInfo, "B/set", r.AllocBytesPerSet)
 		eb.observe(pre+"sets", ClassExact, "sets", float64(r.Sets))
 		eb.observe(pre+"total_size", ClassExact, "nodes", float64(r.TotalSize))
 		eb.observe(pre+"probes", ClassExact, "edges", float64(r.Probes))
@@ -328,136 +284,9 @@ func runSweepRRGen(c Config, p sweepProfile, _ SweepOptions, eb *envelopeBuilder
 	return rep, nil
 }
 
-func runSweepSelect(c Config, p sweepProfile, _ SweepOptions, eb *envelopeBuilder) (any, error) {
-	opt := p.sel
-	opt.Seed = c.Seed
-	rep, err := RunSelectBench(opt)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rep.Results {
-		if r.Skipped {
-			continue
-		}
-		pre := fmt.Sprintf("p%d.", r.Parallelism)
-		eb.observe(pre+"sel_critical_s", ClassTime, "s", r.SelCritical)
-		eb.observe(pre+"master_compute_s", ClassTime, "s", r.MasterCompute)
-		eb.observe(pre+"delta_bytes", ClassExact, "B", float64(r.DeltaBytes))
-		eb.observe(pre+"fixed_bytes", ClassExact, "B", float64(r.FixedBytes))
-		eb.observe(pre+"coverage", ClassExact, "elements", float64(r.Coverage))
-	}
-	return rep, nil
-}
-
-func runSweepServe(c Config, p sweepProfile, _ SweepOptions, eb *envelopeBuilder) (any, error) {
-	opt := p.serve
-	opt.Seed = c.Seed
-	rep, err := RunServeBench(opt)
-	if err != nil {
-		return nil, err
-	}
-	eb.observe("warm_s", ClassTime, "s", rep.WarmSeconds)
-	eb.observe("warm_theta", ClassExact, "sets", float64(rep.WarmTheta))
-	for _, r := range rep.Results {
-		pre := fmt.Sprintf("c%d.", r.Concurrency)
-		eb.observe(pre+"qps", ClassRate, "req/s", r.QPS)
-		eb.setTolScale(pre+"qps", httpRateTolScale)
-		// Info, not time: a warm service answers in microseconds, and a
-		// sub-millisecond p99 on one core moves 4x on a scheduler hiccup
-		// alone — it cannot gate honestly. QPS carries the perf signal.
-		eb.observe(pre+"p99_ms", ClassInfo, "ms", r.P99Ms)
-		eb.observe(pre+"errors", ClassExact, "req", float64(r.Errors))
-	}
-	return rep, nil
-}
-
-func runSweepStore(c Config, p sweepProfile, _ SweepOptions, eb *envelopeBuilder) (any, error) {
-	opt := p.store
-	opt.Seed = c.Seed
-	rep, err := RunStoreBench(opt)
-	if err != nil {
-		return nil, err
-	}
-	eb.observe("cold_warm_s", ClassTime, "s", rep.ColdWarmSeconds)
-	eb.observe("restore_s", ClassTime, "s", rep.RestoreSeconds)
-	eb.observe("restore_speedup", ClassRate, "x", rep.RestoreSpeedup)
-	eb.observe("warm_theta", ClassExact, "sets", float64(rep.WarmTheta))
-	eb.observe("restored_theta", ClassExact, "sets", float64(rep.RestoredTheta))
-	eb.observe("restored_generated", ClassExact, "sets", float64(rep.RestoredGenerated))
-	eb.observe("checkpoint_bytes", ClassExact, "B", float64(rep.CheckpointBytes))
-	eb.observeBool("seeds_identical", ClassExact, rep.SeedsIdentical)
-	return rep, nil
-}
-
-func runSweepFault(c Config, p sweepProfile, _ SweepOptions, eb *envelopeBuilder) (any, error) {
-	opt := p.fault
-	opt.Seed = c.Seed
-	rep, err := RunServeFaultBench(opt)
-	if err != nil {
-		return nil, err
-	}
-	eb.observe("recovery_s", ClassTime, "s", rep.RecoverySeconds)
-	eb.observe("clean_grow_s", ClassTime, "s", rep.CleanGrowSeconds)
-	eb.observe("healthy.p99_ms", ClassTime, "ms", rep.Healthy.P99Ms)
-	eb.setTolScale("healthy.p99_ms", p99TolScale)
-	eb.observe("post_recovery.p99_ms", ClassTime, "ms", rep.Degraded.P99Ms)
-	eb.setTolScale("post_recovery.p99_ms", p99TolScale)
-	eb.observe("refused_503", ClassExact, "req", float64(rep.Refused))
-	return rep, nil
-}
-
-func runSweepSketch(c Config, p sweepProfile, _ SweepOptions, eb *envelopeBuilder) (any, error) {
-	opt := p.sketch
-	opt.Seed = c.Seed
-	rep, err := RunSketchBench(opt)
-	if err != nil {
-		return nil, err
-	}
-	eb.observe("warm_s", ClassTime, "s", rep.WarmSeconds)
-	eb.observe("sketch_build_s", ClassTime, "s", rep.SketchBuildSeconds)
-	eb.observe("sketch_theta", ClassExact, "sets", float64(rep.SketchTheta))
-	eb.observe("agreement_overlap", ClassExact, "frac", rep.AgreementOverlap)
-	eb.observe("fast.qps", ClassRate, "req/s", rep.Fast.QPS)
-	eb.setTolScale("fast.qps", httpRateTolScale)
-	eb.observe("certified.qps", ClassRate, "req/s", rep.Certified.QPS)
-	eb.setTolScale("certified.qps", httpRateTolScale)
-	eb.observe("speedup", ClassInfo, "x", rep.Speedup)
-	return rep, nil
-}
-
-func runSweepUpdate(c Config, p sweepProfile, _ SweepOptions, eb *envelopeBuilder) (any, error) {
-	opt := p.update
-	opt.Seed = c.Seed
-	rep, err := RunUpdateBench(opt)
-	if err != nil {
-		return nil, err
-	}
-	for _, lv := range rep.Levels {
-		pre := fmt.Sprintf("churn%g.", lv.Churn)
-		eb.observe(pre+"repair_s", ClassTime, "s", lv.RepairSecs)
-		eb.observe(pre+"resample_s", ClassTime, "s", lv.ResampleSecs)
-		eb.observe(pre+"repaired_sets", ClassExact, "sets", float64(lv.RepairedSets))
-		eb.observe(pre+"speedup", ClassInfo, "x", lv.Speedup)
-	}
-	// The storm phase interleaves update batches with a concurrent query
-	// client, so on a loaded box its wall time (like its tail latency)
-	// swings with scheduling — widen its share of the tolerance.
-	eb.observe("storm_s", ClassTime, "s", rep.StormSeconds)
-	eb.setTolScale("storm_s", p99TolScale)
-	eb.observe("storm.p99_ms", ClassTime, "ms", rep.StormP99Ms)
-	eb.setTolScale("storm.p99_ms", p99TolScale)
-	eb.observe("idle.p99_ms", ClassTime, "ms", rep.IdleP99Ms)
-	eb.setTolScale("idle.p99_ms", p99TolScale)
-	// Info, not exact: the storm interleaves updates with a concurrent
-	// query client, so the repair count depends on scheduling.
-	eb.observe("storm.repaired_sets", ClassInfo, "sets", float64(rep.StormRepairedSets))
-	return rep, nil
-}
-
-func runSweepOOC(c Config, p sweepProfile, o SweepOptions, eb *envelopeBuilder) (any, error) {
+func runSweepOOC(c Config, p sweepProfile, eb *envelopeBuilder) (any, error) {
 	opt := p.ooc
 	opt.Seed = c.Seed
-	opt.GraphPath = o.OOCGraph
 	rep, err := RunOOC(opt)
 	if err != nil {
 		return nil, err

@@ -6,42 +6,48 @@ import (
 	"testing"
 )
 
-// TestSweepSelectEndToEnd drives the sweep runner through its full
-// cycle on the cheapest bench at the tiny profile: generate envelopes,
+// TestSweepRRGenEndToEnd drives the sweep runner through its full
+// cycle on the cheaper bench at the tiny profile: generate envelopes,
 // re-check against them (self-diff must pass), then prove a
 // deliberately handicapped run fails the check.
-func TestSweepSelectEndToEnd(t *testing.T) {
+func TestSweepRRGenEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	c := Config{Out: io.Discard}.WithDefaults()
 
 	gen := SweepOptions{
 		Profile: "tiny",
-		Only:    []string{"select"},
+		Only:    []string{"rrgen"},
 		Repeats: 2,
 		OutDir:  dir,
 	}
 	if err := c.Sweep(gen); err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	env, err := ReadEnvelope(filepath.Join(dir, "BENCH_SELECT.json"))
+	env, err := ReadEnvelope(filepath.Join(dir, "BENCH_RRGEN.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Bench != "select" || env.Profile != "tiny" || env.Repeats != 2 {
+	if env.Bench != "rrgen" || env.Profile != "tiny" || env.Repeats != 2 {
 		t.Fatalf("bad envelope header: %+v", env)
 	}
 	if len(env.Report) == 0 {
 		t.Fatal("envelope missing the raw legacy report")
 	}
-	cov, ok := env.Metrics["p1.coverage"]
-	if !ok || cov.Class != ClassExact {
-		t.Fatalf("p1.coverage missing or misclassified: %+v", env.Metrics)
+	for _, name := range []string{"p1.b1.sets", "p1.b1.probes"} {
+		m, ok := env.Metrics[name]
+		if !ok || m.Class != ClassExact {
+			t.Fatalf("%s missing or misclassified: %+v", name, env.Metrics)
+		}
+		if m.Min != m.Max || m.Min <= 0 {
+			t.Fatalf("exact metric %s varied across same-seed repeats: %+v", name, m)
+		}
 	}
-	if cov.Min != cov.Max {
-		t.Fatalf("exact metric varied across same-seed repeats: %+v", cov)
+	if m, ok := env.Metrics["p1.b1.sets_per_sec"]; !ok || m.Class != ClassRate {
+		t.Fatalf("p1.b1.sets_per_sec missing or misclassified: %+v", env.Metrics)
 	}
-	if _, ok := env.Metrics["p1.sel_critical_s"]; !ok {
-		t.Fatalf("p1.sel_critical_s missing: %+v", env.Metrics)
+	// Allocation volume is not a duration: the handicap must not touch it.
+	if m := env.Metrics["p1.b1.alloc_bytes_per_set"]; m.Class != ClassInfo {
+		t.Fatalf("p1.b1.alloc_bytes_per_set class %q, want info", m.Class)
 	}
 
 	// Re-run in check mode against the fresh baselines. Timing on a
@@ -72,7 +78,25 @@ func TestSweepRejectsUnknowns(t *testing.T) {
 	if err := c.Sweep(SweepOptions{Profile: "nope", OutDir: t.TempDir()}); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
-	if err := c.Sweep(SweepOptions{Profile: "tiny", Only: []string{"bogus"}, OutDir: t.TempDir()}); err == nil {
-		t.Fatal("unknown bench accepted")
+	// select was a sweep bench once; benchmark/ measures it now.
+	for _, name := range []string{"bogus", "select"} {
+		if err := c.Sweep(SweepOptions{Profile: "tiny", Only: []string{name}, OutDir: t.TempDir()}); err == nil {
+			t.Fatalf("unknown bench %q accepted", name)
+		}
+	}
+}
+
+// TestSweepOOCParamsGraph: a sweep-built OOC graph is recorded by its
+// generator parameters, never by its temporary path; a caller-supplied
+// graph is recorded by path.
+func TestSweepOOCParamsGraph(t *testing.T) {
+	p := sweepProfiles["tiny"]
+	built := sweepParams("ooc", p, SweepOptions{})
+	if built["graph"] != "rmat" || built["nodes"] != p.oocNodes || built["avg_degree"] != p.oocDegree {
+		t.Fatalf("built-graph params: %v", built)
+	}
+	given := sweepParams("ooc", p, SweepOptions{OOCGraph: "g.dsg"})
+	if given["graph"] != "g.dsg" || given["nodes"] != nil {
+		t.Fatalf("given-graph params: %v", given)
 	}
 }

@@ -36,11 +36,26 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 	warm.Close()
 
+	// Warming is a pure function of the config: a twin writing to its own
+	// store and serving the same queries reaches the same theta with the
+	// same checkpoint volume.
+	twin := testService(t, Config{Graph: g, Machines: 2, CheckpointDir: t.TempDir()})
+	if _, err := twin.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.Query(5, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	if tst := twin.Stats(); tst.Theta != wst.Theta || tst.CheckpointBytes != wst.CheckpointBytes {
+		t.Fatalf("twin warm: theta=%d checkpoint=%dB, want theta=%d checkpoint=%dB",
+			tst.Theta, tst.CheckpointBytes, wst.Theta, wst.CheckpointBytes)
+	}
+
 	// "Restart": a fresh service over the same graph and config, restoring
 	// from the checkpoint directory.
 	cold := testService(t, Config{Graph: g, Machines: 2, CheckpointDir: dir, Restore: true})
 	cst := cold.Stats()
-	if !cst.Restored || cst.Theta != wst.Theta || cst.Epoch != wst.Epoch {
+	if !cst.Restored || cst.Theta != wst.Theta || cst.RestoredTheta != wst.Theta || cst.Epoch != wst.Epoch {
 		t.Fatalf("restore: got epoch=%d theta=%d restored=%v, want epoch=%d theta=%d",
 			cst.Epoch, cst.Theta, cst.Restored, wst.Epoch, wst.Theta)
 	}

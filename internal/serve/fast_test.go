@@ -112,6 +112,23 @@ func TestFastQueryDeterministic(t *testing.T) {
 		t.Fatalf("fast answers diverged:\n  %v @%d\n  %v @%d",
 			ansA.Seeds, ansA.Epoch, ansB.Seeds, ansB.Epoch)
 	}
+	// The certified answer on the same epoch, and with it the two tiers'
+	// seed-set agreement, is just as deterministic.
+	cerA, err := a.Query(7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cerB, err := b.Query(7, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(cerA.Seeds) != fmt.Sprint(cerB.Seeds) {
+		t.Fatalf("certified answers diverged:\n  %v\n  %v", cerA.Seeds, cerB.Seeds)
+	}
+	if sa, sb := a.Stats(), b.Stats(); sa.SketchTheta != sb.SketchTheta || sa.FastAgreeMatched != sb.FastAgreeMatched {
+		t.Fatalf("sketch theta %d vs %d, agreement %d vs %d",
+			sa.SketchTheta, sb.SketchTheta, sa.FastAgreeMatched, sb.FastAgreeMatched)
+	}
 }
 
 // TestFastSpreadAvoidsSampleLock is the acceptance check that

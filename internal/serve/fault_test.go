@@ -24,12 +24,14 @@ func jsonBody(t *testing.T, v any) *bytes.Reader {
 }
 
 // fragileClusters builds single-worker C1/C2 clusters whose R1 worker
-// dies at the killAt'th call with no replacement ever available — the
-// worst case the serve layer must degrade through, not crash on.
-func fragileClusters(t *testing.T, g *graph.Graph, killAt int64) (c1, c2 *cluster.Cluster, fc *cluster.FaultConn) {
+// dies at the killAt'th call. Without respawn no replacement is ever
+// available — the worst case the serve layer must degrade through, not
+// crash on; with it a fresh worker replays the dead one's journal.
+func fragileClusters(t *testing.T, g *graph.Graph, killAt int64, respawn bool) (c1, c2 *cluster.Cluster, fc *cluster.FaultConn) {
 	t.Helper()
 	mk := func(seed uint64, faulty bool) *cluster.Cluster {
-		w, err := cluster.NewWorker(cluster.WorkerConfig{Graph: g, Model: diffusion.IC, Seed: seed})
+		cfg := cluster.WorkerConfig{Graph: g, Model: diffusion.IC, Seed: seed}
+		w, err := cluster.NewWorker(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +45,16 @@ func fragileClusters(t *testing.T, g *graph.Graph, killAt int64) (c1, c2 *cluste
 			t.Fatal(err)
 		}
 		if err := cl.EnableRecovery(cluster.Recovery{
-			Respawn: func(int) (cluster.Conn, error) { return nil, errors.New("no replacement") },
+			Respawn: func(int) (cluster.Conn, error) {
+				if !respawn {
+					return nil, errors.New("no replacement")
+				}
+				w, err := cluster.NewWorker(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return cluster.NewLocalConn(w), nil
+			},
 			Retries: 1,
 			Backoff: time.Millisecond,
 		}); err != nil {
@@ -57,10 +68,11 @@ func fragileClusters(t *testing.T, g *graph.Graph, killAt int64) (c1, c2 *cluste
 // TestServeDegradesOn WorkerLoss: losing the only R1 worker mid-growth
 // must turn the query into a typed *DegradedError (503 + Retry-After on
 // the HTTP surface) instead of a 500, and /statsz must report the worker
-// down.
+// down. The same loss with a working respawn is absorbed: the query is
+// answered and nothing is refused.
 func TestServeDegradesOnWorkerLoss(t *testing.T) {
 	g := testGraph(t)
-	c1, c2, _ := fragileClusters(t, g, 1)
+	c1, c2, _ := fragileClusters(t, g, 1, false)
 	s, err := New(Config{
 		Graph: g, Model: diffusion.IC, Seed: 42,
 		KMax: 10, EpsFloor: 0.3,
@@ -122,6 +134,28 @@ func TestServeDegradesOnWorkerLoss(t *testing.T) {
 	if len(wire.R1Workers) != 1 || wire.R1Workers[0].Up || wire.Degraded < 1 {
 		t.Fatalf("statsz payload lacks fault figures: %+v", wire)
 	}
+
+	// Kill the R1 worker mid-growth again, now with a replacement the
+	// recovery tier can respawn and replay onto.
+	c1, c2, fc := fragileClusters(t, g, 2, true)
+	r, err := New(Config{
+		Graph: g, Model: diffusion.IC, Seed: 42,
+		KMax: 10, EpsFloor: 0.3,
+		C1: c1, C2: c2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	if _, err := r.Query(5, 0.3); err != nil {
+		t.Fatalf("query through a respawned worker: %v", err)
+	}
+	if fc.Faults() == 0 {
+		t.Fatal("the kill never fired")
+	}
+	if st := r.Stats(); st.Degraded != 0 {
+		t.Fatalf("recovered worker loss refused %d queries, want 0", st.Degraded)
+	}
 }
 
 // TestServeAnswersFromSurvivingSample: a query the resident certificate
@@ -131,7 +165,7 @@ func TestServeAnswersFromSurvivingSample(t *testing.T) {
 	g := testGraph(t)
 	// Kill R1's worker after enough calls for the first query's growth
 	// rounds to complete (each round is generate + degree-delta + fetch).
-	c1, c2, fc := fragileClusters(t, g, 1<<30)
+	c1, c2, fc := fragileClusters(t, g, 1<<30, false)
 	s, err := New(Config{
 		Graph: g, Model: diffusion.IC, Seed: 42,
 		KMax: 10, EpsFloor: 0.3,

@@ -872,7 +872,8 @@ func (s *Service) tryServeFast(k int, eps, target float64, grew int) (*Answer, b
 // other tier's answer to the same (k, ε) on the same epoch is still
 // cached, compare the seed sets (order-insensitively — the tiers rank
 // differently but the set is what a client acts on). The running ratio
-// is exported on /statsz and measured offline by bench -run sketch.
+// is exported on /statsz; the repository benchmark times the sketch tier
+// as sketch.estimate_us.
 func (s *Service) noteAgreement(ans *Answer) {
 	if s.cfg.SketchK < 0 {
 		return
