@@ -3,10 +3,11 @@
 // an 8× footprint cut that keeps the map stage's working set in cache.
 //
 // The representation is deliberately exposed at word granularity
-// (WordIndex, 64 bits per word) because the parallel select kernel
-// partitions work so that no two goroutines ever write the same word —
-// the property that makes concurrent Set calls on disjoint word ranges
-// race-free without atomics.
+// (WordIndex, Words, 64 bits per word) because the parallel select
+// kernel partitions work so that no two goroutines ever write the same
+// word — the property that makes concurrent Set calls on disjoint word
+// ranges race-free without atomics — and the coverage recount tests
+// bits arithmetically, word by word.
 package bitset
 
 import "math/bits"
@@ -67,3 +68,8 @@ func (b *Bits) Count() int64 {
 // WordIndex returns the index of the storage word holding bit i. Two
 // bits may be Set concurrently exactly when their word indexes differ.
 func WordIndex(i int) int { return i / wordBits }
+
+// Words returns the storage words (bit i is bit i%64 of word i/64), for
+// kernels that test and set bits by arithmetic instead of a branch per
+// bit. The slice aliases the vector until the next Reset.
+func (b *Bits) Words() []uint64 { return b.words }

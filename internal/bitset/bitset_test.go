@@ -58,3 +58,16 @@ func TestWordIndex(t *testing.T) {
 			WordIndex(63), WordIndex(64), WordIndex(129))
 	}
 }
+
+func TestWordsAliasBits(t *testing.T) {
+	b := New(130)
+	b.Set(70)
+	w := b.Words()
+	if len(w) != 3 || w[1] != 1<<6 {
+		t.Fatalf("Words() = %x after Set(70)", w)
+	}
+	w[2] |= 1 << 1 // bit 129
+	if !b.Get(129) || b.Count() != 2 {
+		t.Fatalf("a store through Words() is not visible: Get(129)=%v Count=%d", b.Get(129), b.Count())
+	}
+}

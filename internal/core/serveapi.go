@@ -61,10 +61,10 @@ func PlanResidentSample(n, kMax int, epsFloor, delta float64) (SampleBudget, err
 // All selection state (covered labels, degree vector, scratch) is local
 // to the call, so concurrent selections over the same immutable
 // collection are safe — the read side of the serve layer's epoch scheme.
-// parallelism sets the map-stage goroutine count (coverage.SelectKernel);
-// values below 2 select sequentially, and the seeds are identical at
-// every setting.
-func SelectFromSample(c *rrset.Collection, idx *rrset.Index, n, k, parallelism int) (*coverage.Result, error) {
+// The greedy counts a popped node's marginal on the local oracle
+// (coverage.Counter), a sequential scan with no map stage to spread
+// across goroutines.
+func SelectFromSample(c *rrset.Collection, idx *rrset.Index, n, k int) (*coverage.Result, error) {
 	if c == nil || idx == nil {
 		return nil, fmt.Errorf("core: select from nil sample")
 	}
@@ -72,7 +72,6 @@ func SelectFromSample(c *rrset.Collection, idx *rrset.Index, n, k, parallelism i
 	if err != nil {
 		return nil, err
 	}
-	o.SetParallelism(parallelism)
 	return coverage.RunGreedy(o, k)
 }
 
@@ -83,7 +82,7 @@ func SelectFromSample(c *rrset.Collection, idx *rrset.Index, n, k, parallelism i
 // tier uses this with a sketch-ranked pool — O(|candidates|) live heap
 // entries instead of O(n) — and the usual certificate machinery then
 // measures what the restriction cost.
-func SelectFromSampleCandidates(c *rrset.Collection, idx *rrset.Index, n, k, parallelism int, candidates []uint32) (*coverage.Result, error) {
+func SelectFromSampleCandidates(c *rrset.Collection, idx *rrset.Index, n, k int, candidates []uint32) (*coverage.Result, error) {
 	if c == nil || idx == nil {
 		return nil, fmt.Errorf("core: select from nil sample")
 	}
@@ -91,7 +90,6 @@ func SelectFromSampleCandidates(c *rrset.Collection, idx *rrset.Index, n, k, par
 	if err != nil {
 		return nil, err
 	}
-	o.SetParallelism(parallelism)
 	allow := make([]bool, n)
 	for _, v := range candidates {
 		if int(v) >= n {
@@ -102,13 +100,24 @@ func SelectFromSampleCandidates(c *rrset.Collection, idx *rrset.Index, n, k, par
 	return coverage.RunGreedy(&candidateOracle{inner: o, allow: allow}, k)
 }
 
-// candidateOracle masks a coverage oracle down to a candidate pool:
-// outside degrees start at zero and outside deltas are dropped, so the
-// bucket scan never sees (or drives negative) a non-candidate.
+// candidateOracle masks the local oracle down to a candidate pool:
+// outside degrees start at zero, outside marginals count zero and
+// outside deltas are dropped, so the bucket scan never sees (or drives
+// negative) a non-candidate. It forwards the inner oracle's
+// coverage.Counter, so RunGreedy takes the recount path through it.
 type candidateOracle struct {
-	inner coverage.Oracle
+	inner *coverage.LocalOracle
 	allow []bool
 }
+
+func (o *candidateOracle) Marginal(u uint32) int64 {
+	if !o.allow[u] {
+		return 0
+	}
+	return o.inner.Marginal(u)
+}
+
+func (o *candidateOracle) Cover(u uint32) { o.inner.Cover(u) }
 
 func (o *candidateOracle) NumItems() int { return o.inner.NumItems() }
 

@@ -32,24 +32,16 @@ func RunGreedyUntil(o Oracle, maxSeeds int, target int64) (*Result, error) {
 	if len(deg) != n {
 		return nil, fmt.Errorf("coverage: oracle returned %d degrees for %d items", len(deg), n)
 	}
-	var dMax int64
-	for _, d := range deg {
-		if d > dMax {
-			dMax = d
-		}
-	}
-	head := make([]int32, dMax+1)
-	next := make([]int32, n)
-	for v := n - 1; v >= 0; v-- {
-		next[v] = head[deg[v]]
-		head[deg[v]] = int32(v) + 1
+	head, next, err := bucketLists(deg)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{}
 	selected := make([]bool, n)
 	if target == 0 {
 		return res, nil
 	}
-	for d := dMax; d >= 0; d-- {
+	for d := int64(len(head) - 1); d >= 0; d-- {
 		for head[d] != 0 {
 			v := head[d] - 1
 			head[d] = next[v]

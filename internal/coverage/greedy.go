@@ -46,6 +46,23 @@ type Oracle interface {
 	Select(u uint32) ([]Delta, error)
 }
 
+// Counter is the capability of an Oracle that can count an item's
+// current marginal coverage itself. RunGreedy then reads a node's
+// marginal only when its bucket scan pops the node (the lazy check of
+// Algorithm 1 line 9) and, on a pick, only marks the seed's elements
+// covered: it calls no Select and applies no deltas. A count taken at
+// pop time equals what the eager decrements would hold at that moment,
+// so the result is identical to the delta path's. The cluster's oracle
+// does not implement it: counting at the master would cost one round
+// trip per pop where deltas cost one per seed.
+type Counter interface {
+	// Marginal returns how many still-uncovered elements item u covers
+	// (never negative).
+	Marginal(u uint32) int64
+	// Cover marks every element item u covers as covered.
+	Cover(u uint32)
+}
+
 // Result is the outcome of a greedy run.
 type Result struct {
 	Seeds    []uint32 // selected items in selection order
@@ -56,11 +73,39 @@ type Result struct {
 	Marginals []int64
 }
 
+// bucketLists builds the vector D of Algorithm 1 over initial degrees
+// deg. Bucket lists are intrusive singly-linked: head[d] is the first
+// node in bucket d (+1, 0 = empty) and next[v] chains nodes within one
+// bucket, at first by ascending node id. A node lives in exactly one
+// bucket; its bucket index can only be stale upwards (degrees never
+// increase), so a downward scan with re-insertion visits every node at
+// its true degree eventually. A negative degree — an oracle bug, or a
+// worker's signed repair corrections gone wrong — is an error, not an
+// index panic.
+func bucketLists(deg []int64) (head, next []int32, err error) {
+	var dMax int64
+	for v, d := range deg {
+		if d < 0 {
+			return nil, nil, fmt.Errorf("coverage: oracle returned negative initial degree %d for item %d", d, v)
+		}
+		dMax = max(dMax, d)
+	}
+	head = make([]int32, dMax+1)
+	next = make([]int32, len(deg))
+	for v := len(deg) - 1; v >= 0; v-- {
+		next[v] = head[deg[v]]
+		head[deg[v]] = int32(v) + 1
+	}
+	return head, next, nil
+}
+
 // RunGreedy executes the master side of Algorithm 1: the vector D of
 // bucket lists over coverage values, scanned in decreasing order with
 // lazy re-insertion of stale entries (lines 5-13). Its work is linear in
 // the number of items plus the number of lazy moves, which is bounded by
-// the total coverage decrement volume.
+// the total coverage decrement volume. A popped node's true marginal
+// comes from the oracle's own count when it is a Counter, from the
+// applied Select deltas otherwise; the two agree at every pop.
 func RunGreedy(o Oracle, k int) (*Result, error) {
 	n := o.NumItems()
 	if k <= 0 {
@@ -69,45 +114,33 @@ func RunGreedy(o Oracle, k int) (*Result, error) {
 	if k > n {
 		return nil, fmt.Errorf("coverage: k = %d exceeds the %d selectable items", k, n)
 	}
-	deg64, err := o.InitialDegrees()
+	deg, err := o.InitialDegrees()
 	if err != nil {
 		return nil, err
 	}
-	if len(deg64) != n {
-		return nil, fmt.Errorf("coverage: oracle returned %d degrees for %d items", len(deg64), n)
+	if len(deg) != n {
+		return nil, fmt.Errorf("coverage: oracle returned %d degrees for %d items", len(deg), n)
 	}
-	deg := deg64
-
-	// Bucket lists are intrusive singly-linked: head[d] is the first node
-	// in bucket d (+1, 0 = empty) and next[v] chains nodes within one
-	// bucket. A node lives in exactly one bucket; its bucket index can
-	// only be stale upwards (degrees never increase), so a downward scan
-	// with re-insertion visits every node at its true degree eventually.
-	var dMax int64
-	for _, d := range deg {
-		if d > dMax {
-			dMax = d
-		}
+	head, next, err := bucketLists(deg)
+	if err != nil {
+		return nil, err
 	}
-	head := make([]int32, dMax+1)
-	next := make([]int32, n)
-	for v := n - 1; v >= 0; v-- {
-		d := deg[v]
-		next[v] = head[d]
-		head[d] = int32(v) + 1
-	}
+	cnt, recount := o.(Counter)
 
 	res := &Result{
 		Seeds:     make([]uint32, 0, k),
 		Marginals: make([]int64, 0, k),
 	}
 	selected := make([]bool, n)
-	for d := dMax; d >= 0; d-- {
+	for d := int64(len(head) - 1); d >= 0; d-- {
 		for head[d] != 0 {
 			v := head[d] - 1
 			head[d] = next[v]
 			if selected[v] {
 				continue
+			}
+			if recount {
+				deg[v] = cnt.Marginal(uint32(v))
 			}
 			if cur := deg[v]; cur < d {
 				// Outdated coverage (line 9): move to the true bucket.
@@ -122,6 +155,10 @@ func RunGreedy(o Oracle, k int) (*Result, error) {
 			res.Coverage += deg[v]
 			if len(res.Seeds) == k {
 				return res, nil
+			}
+			if recount {
+				cnt.Cover(u)
+				continue
 			}
 			deltas, err := o.Select(u)
 			if err != nil {
@@ -142,19 +179,22 @@ func RunGreedy(o Oracle, k int) (*Result, error) {
 }
 
 // LocalOracle is the single-machine oracle over one RR-set collection.
-// It also serves as the worker-side state of the distributed oracle: the
-// cluster worker runs the same SelectKernel and ships its deltas to the
-// master. Covered labels live in a bitset (1 bit per RR set, not the
-// byte of a []bool) and the map stage runs on the kernel, which splits
-// the covers list across SetParallelism goroutines.
+// It is a Counter, so RunGreedy over it counts a popped node's uncovered
+// postings instead of decrementing every member of every covered RR set
+// (countNode / CoverNode). Its Select — the delta path, for
+// MultiOracle and the other drivers — runs the same SelectKernel the
+// cluster worker does, which splits the covers list across
+// SetParallelism goroutines. Covered labels live in a bitset (1 bit per
+// RR set, not the byte of a []bool).
 type LocalOracle struct {
 	c   *rrset.Collection
 	idx *rrset.Index
 	n   int
 
 	covered *bitset.Bits
-	kern    *SelectKernel
-	deltas  []Delta // Select's reply buffer, reused every round
+	par     int
+	kern    *SelectKernel // built by the first Select: a recount never needs its n-entry decrement vector
+	deltas  []Delta       // Select's reply buffer, reused every round
 }
 
 // NewLocalOracle builds the oracle for n selectable items over c. The
@@ -169,13 +209,19 @@ func NewLocalOracle(c *rrset.Collection, idx *rrset.Index, n int) (*LocalOracle,
 		idx:     idx,
 		n:       n,
 		covered: bitset.New(c.Count()),
-		kern:    NewSelectKernel(n, 1),
+		par:     1,
 	}, nil
 }
 
 // SetParallelism sets the number of map-stage goroutines for Select.
-// Output is bit-identical at every setting (see SelectKernel).
-func (o *LocalOracle) SetParallelism(p int) { o.kern.SetParallelism(p) }
+// Output is bit-identical at every setting (see SelectKernel); the
+// recount path (Marginal, Cover) is sequential.
+func (o *LocalOracle) SetParallelism(p int) {
+	o.par = p
+	if o.kern != nil {
+		o.kern.SetParallelism(p)
+	}
+}
 
 // NumItems implements Oracle.
 func (o *LocalOracle) NumItems() int { return o.n }
@@ -196,10 +242,22 @@ func (o *LocalOracle) Select(u uint32) ([]Delta, error) {
 	if int(u) >= o.n {
 		return nil, fmt.Errorf("coverage: select of out-of-range item %d", u)
 	}
+	if o.kern == nil {
+		o.kern = NewSelectKernel(o.n, o.par)
+	}
 	o.kern.Select(o.c, o.idx, o.covered, u)
 	o.deltas = o.kern.Drain(o.deltas[:0])
 	return o.deltas, nil
 }
+
+// Marginal implements Counter: u's live postings, over every index
+// segment including a patched index's overlay, whose RR set is still
+// uncovered.
+func (o *LocalOracle) Marginal(u uint32) int64 { return countNode(o.idx, o.covered, u) }
+
+// Cover implements Counter: it marks u's RR sets covered and touches
+// nothing else.
+func (o *LocalOracle) Cover(u uint32) { CoverNode(o.idx, o.covered, u) }
 
 // CoveredCount returns how many RR sets are currently covered; after a
 // greedy run it equals the run's Coverage (used as a cross-check).

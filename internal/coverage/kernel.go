@@ -227,3 +227,42 @@ func scanCovers(c *rrset.Collection, covered *bitset.Bits, covers []uint32, acc 
 // Drain appends the accumulated decrements to out in ascending node
 // order and clears the scratch for the next Select.
 func (k *SelectKernel) Drain(out []Delta) []Delta { return k.acc.Drain(out) }
+
+// The recount kernels read a posting list against the covered bitset's
+// words with no data-dependent branch: DeadPosting is the id's top bit,
+// so live = 1 - j>>31 masks a tombstone out of the count and out of the
+// store, and the covered bit is shifted down rather than tested.
+
+// countNode returns how many RR sets of idx containing u are still
+// uncovered: the count behind LocalOracle.Marginal.
+func countNode(idx *rrset.Index, covered *bitset.Bits, u uint32) int64 {
+	words := covered.Words()
+	var m uint64
+	for si := 0; si < idx.NumSegments(); si++ {
+		for _, j := range idx.SegCovers(si, u) {
+			live := uint64(j>>31) ^ 1
+			j &^= rrset.DeadPosting
+			m += ^words[j>>6] >> (j & 63) & live
+		}
+	}
+	return int64(m)
+}
+
+// CoverNode marks every RR set of idx containing u as covered and
+// returns how many of them were uncovered before: the cover step of
+// LocalOracle's recount path, and the serving layer's prefix coverage of
+// a seed list on the certification sample.
+func CoverNode(idx *rrset.Index, covered *bitset.Bits, u uint32) int64 {
+	words := covered.Words()
+	var m uint64
+	for si := 0; si < idx.NumSegments(); si++ {
+		for _, j := range idx.SegCovers(si, u) {
+			live := uint64(j>>31) ^ 1
+			j &^= rrset.DeadPosting
+			w := words[j>>6]
+			m += ^w >> (j & 63) & live
+			words[j>>6] = w | live<<(j&63)
+		}
+	}
+	return int64(m)
+}

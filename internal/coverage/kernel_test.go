@@ -1,11 +1,15 @@
 package coverage
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"dimm/internal/bitset"
+	"dimm/internal/diffusion"
+	"dimm/internal/graph"
 	"dimm/internal/rrset"
 	"dimm/internal/xrand"
 )
@@ -116,14 +120,16 @@ func TestParallelSelectMultiSegment(t *testing.T) {
 	}
 }
 
-// TestKernelDrainMatchesRecount is the kernel's contract as a property,
-// over every parallelism and every index shape the system produces — a
-// fresh build, a 3-segment incrementally grown index, and a patched one
-// (tombstones in the segments plus an overlay): after each Select the
-// drained pairs are strictly ascending (hence unique), carry Dec > 0, and
-// equal a brute-force recount over the collection.
-func TestKernelDrainMatchesRecount(t *testing.T) {
-	const n = 96
+// indexShape is one of the index shapes the system produces, built over
+// a random sample of n nodes.
+type indexShape struct {
+	name  string
+	build func(t *testing.T) (*rrset.Collection, *rrset.Index)
+}
+
+// indexShapes returns a fresh build, a 3-segment incrementally grown
+// index, and a patched one (tombstones in the segments plus an overlay).
+func indexShapes(n int) []indexShape {
 	r := xrand.New(0x5EEDED)
 	randomSet := func(buf []uint32) []uint32 {
 		buf = buf[:0]
@@ -134,11 +140,11 @@ func TestKernelDrainMatchesRecount(t *testing.T) {
 		}
 		return buf
 	}
-	shapes := map[string]func(t *testing.T) (*rrset.Collection, *rrset.Index){
-		"single-segment": func(t *testing.T) (*rrset.Collection, *rrset.Index) {
+	return []indexShape{
+		{"single-segment", func(t *testing.T) (*rrset.Collection, *rrset.Index) {
 			return kernelSample(t, 0xA1, n, 60000, 4)
-		},
-		"3-segment": func(t *testing.T) (*rrset.Collection, *rrset.Index) {
+		}},
+		{"3-segment", func(t *testing.T) (*rrset.Collection, *rrset.Index) {
 			c, idx := kernelSample(t, 0xA2, n, 20000, 4)
 			var buf []uint32
 			for grow := 0; grow < 2; grow++ {
@@ -155,8 +161,8 @@ func TestKernelDrainMatchesRecount(t *testing.T) {
 				t.Fatalf("want 3 segments, got %d", idx.NumSegments())
 			}
 			return c, idx
-		},
-		"patched": func(t *testing.T) (*rrset.Collection, *rrset.Index) {
+		}},
+		{"patched", func(t *testing.T) (*rrset.Collection, *rrset.Index) {
 			c, idx := kernelSample(t, 0xA3, n, 60000, 4)
 			patches := make([]rrset.Patch, 0, 3000)
 			for pos := 0; pos < c.Count(); pos += 20 {
@@ -172,15 +178,24 @@ func TestKernelDrainMatchesRecount(t *testing.T) {
 				t.Fatalf("want a tombstoned index with an overlay segment, got patched=%v segments=%d", idx.Patched(), idx.NumSegments())
 			}
 			return c, idx
-		},
+		}},
 	}
+}
+
+// TestKernelDrainMatchesRecount is the kernel's contract as a property,
+// over every parallelism and every index shape (indexShapes): after each
+// Select the drained pairs are strictly ascending (hence unique), carry
+// Dec > 0, and equal a brute-force recount over the collection.
+func TestKernelDrainMatchesRecount(t *testing.T) {
+	const n = 96
 	seeds := make([]uint32, 0, n+8)
 	for u := uint32(0); u < n; u++ {
 		seeds = append(seeds, u*37%n) // every node once, scattered
 	}
 	seeds = append(seeds, 5, 5, 0, 95) // repeats select nothing new
-	for name, build := range shapes {
-		c, idx := build(t)
+	for _, shape := range indexShapes(n) {
+		name := shape.name
+		c, idx := shape.build(t)
 		for _, p := range []int{1, 2, 4, 8} {
 			kern := NewSelectKernel(n, p)
 			covered := bitset.New(c.Count())
@@ -219,32 +234,82 @@ func TestKernelDrainMatchesRecount(t *testing.T) {
 	}
 }
 
-// TestParallelGreedyEndToEnd: a full lazy-greedy run through LocalOracle
-// must return identical seeds, marginals, and covered counts at every
-// parallelism level (the ISSUE acceptance bar: byte-identical seed sets).
-func TestParallelGreedyEndToEnd(t *testing.T) {
-	c, idx := kernelSample(t, 0xD1DD, 64, 30000, 4)
-	var base *Result
-	var baseCovered int64
-	for _, p := range []int{1, 2, 4} {
-		o, err := NewLocalOracle(c, idx, 64)
-		if err != nil {
-			t.Fatal(err)
+// deltaOnly hides LocalOracle's Counter (only Oracle's methods are
+// promoted), so RunGreedy over it takes the delta path: Select on the
+// kernel, decrements applied by the master.
+type deltaOnly struct{ Oracle }
+
+// TestGreedyRecountEqualsDelta: RunGreedy over LocalOracle counts each
+// popped node's marginal; over deltaOnly it applies Select's deltas, on
+// the parallel kernel at P ∈ {1, 2, 4}. Over every index shape and k ∈
+// {1, 10, n}, both must return identical results and leave identical
+// covered counts, and the recount must never build the kernel.
+func TestGreedyRecountEqualsDelta(t *testing.T) {
+	const n = 96
+	var _ Counter = (*LocalOracle)(nil)
+	for _, shape := range indexShapes(n) {
+		c, idx := shape.build(t)
+		for _, k := range []int{1, 10, n} {
+			rec, err := NewLocalOracle(c, idx, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunGreedy(rec, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.kern != nil {
+				t.Fatalf("%s k=%d: the recount path built a select kernel", shape.name, k)
+			}
+			for _, p := range []int{1, 2, 4} {
+				o, err := NewLocalOracle(c, idx, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.SetParallelism(p)
+				if _, ok := Oracle(deltaOnly{o}).(Counter); ok {
+					t.Fatal("deltaOnly exposes Counter")
+				}
+				got, err := RunGreedy(deltaOnly{o}, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s k=%d P=%d: delta path diverges from recount:\n  recount: %+v\n  delta:   %+v", shape.name, k, p, want, got)
+				}
+				if o.CoveredCount() != rec.CoveredCount() {
+					t.Fatalf("%s k=%d P=%d: covered count %d, recount %d", shape.name, k, p, o.CoveredCount(), rec.CoveredCount())
+				}
+			}
 		}
-		o.SetParallelism(p)
-		res, err := RunGreedy(o, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p == 1 {
-			base, baseCovered = res, o.CoveredCount()
-			continue
-		}
-		if !reflect.DeepEqual(base, res) {
-			t.Fatalf("P=%d greedy result diverges from sequential:\n  P=1: %+v\n  P=%d: %+v", p, base, p, res)
-		}
-		if got := o.CoveredCount(); got != baseCovered {
-			t.Fatalf("P=%d covered count %d, sequential %d", p, got, baseCovered)
+	}
+}
+
+// negativeOracle reports a negative initial degree, which a worker's
+// signed repair corrections feeding the master's degree vector can
+// produce if they are ever wrong.
+type negativeOracle struct{}
+
+func (negativeOracle) NumItems() int                    { return 3 }
+func (negativeOracle) InitialDegrees() ([]int64, error) { return []int64{2, -1, 0}, nil }
+func (negativeOracle) Select(uint32) ([]Delta, error)   { return nil, nil }
+
+// TestGreedyRejectsNegativeInitialDegree: a negative degree is reported
+// as an error naming the item, not an index panic in the bucket build.
+func TestGreedyRejectsNegativeInitialDegree(t *testing.T) {
+	runs := map[string]func() error{
+		"RunGreedy": func() error {
+			_, err := RunGreedy(negativeOracle{}, 2)
+			return err
+		},
+		"RunGreedyUntil": func() error {
+			_, err := RunGreedyUntil(negativeOracle{}, 2, 1)
+			return err
+		},
+	}
+	for name, run := range runs {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "item 1") {
+			t.Fatalf("%s: err = %v, want an error naming item 1", name, err)
 		}
 	}
 }
@@ -337,6 +402,92 @@ func BenchmarkSelectParallel(b *testing.B) {
 					deltas = kern.Drain(deltas[:0])
 				}
 			}
+		})
+	}
+}
+
+// countingCounter counts the postings Marginal reads (every segment's
+// covers list of the popped node) on top of the local oracle.
+type countingCounter struct {
+	*LocalOracle
+	postings int64
+}
+
+func (o *countingCounter) Marginal(u uint32) int64 {
+	for si := 0; si < o.idx.NumSegments(); si++ {
+		o.postings += int64(len(o.idx.SegCovers(si, u)))
+	}
+	return o.LocalOracle.Marginal(u)
+}
+
+// countingDelta counts the member decrements the delta path applies.
+type countingDelta struct {
+	Oracle
+	members int64
+}
+
+func (o *countingDelta) Select(u uint32) ([]Delta, error) {
+	deltas, err := o.Oracle.Select(u)
+	for _, d := range deltas {
+		o.members += int64(d.Dec)
+	}
+	return deltas, err
+}
+
+// BenchmarkLocalGreedy times one seed query the way the serving layer
+// runs it (core.SelectFromSample: a fresh LocalOracle, then RunGreedy)
+// on an IC sample of an R-MAT graph with the repository benchmark's
+// θ/n ≈ 1/3, on the recount path and on the delta path (LocalOracle
+// behind deltaOnly). Beside ns/query it reports the work each path does
+// a query: postings counted by Marginal, or members decremented.
+func BenchmarkLocalGreedy(b *testing.B) {
+	const n, theta = 1 << 16, 1 << 15
+	g, err := graph.GenRMAT(graph.RMATConfig{GenConfig: graph.GenConfig{Nodes: n, AvgDegree: 16, Seed: 7}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if g, err = graph.AssignWeights(g, graph.WeightedCascade, 0, 0); err != nil {
+		b.Fatal(err)
+	}
+	s, err := rrset.NewSampler(g, diffusion.IC, 1, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := rrset.NewCollection(theta)
+	s.SampleManyInto(c, theta)
+	idx, err := rrset.BuildIndex(c, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	query := func(b *testing.B, wrap func(*LocalOracle) Oracle, k int) {
+		o, err := NewLocalOracle(c, idx, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := RunGreedy(wrap(o), k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, k := range []int{10, 50} {
+		b.Run(fmt.Sprintf("k=%d/recount", k), func(b *testing.B) {
+			var cc *countingCounter
+			query(b, func(o *LocalOracle) Oracle { cc = &countingCounter{LocalOracle: o}; return cc }, k)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query(b, func(o *LocalOracle) Oracle { return o }, k)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/query")
+			b.ReportMetric(float64(cc.postings), "postings/query")
+		})
+		b.Run(fmt.Sprintf("k=%d/delta", k), func(b *testing.B) {
+			var cd *countingDelta
+			query(b, func(o *LocalOracle) Oracle { cd = &countingDelta{Oracle: deltaOnly{o}}; return cd }, k)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query(b, func(o *LocalOracle) Oracle { return deltaOnly{o} }, k)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/query")
+			b.ReportMetric(float64(cd.members), "members/query")
 		})
 	}
 }

@@ -29,8 +29,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dimm/internal/bitset"
 	"dimm/internal/cluster"
 	"dimm/internal/core"
+	"dimm/internal/coverage"
 	"dimm/internal/diffusion"
 	"dimm/internal/graph"
 	"dimm/internal/imm"
@@ -686,12 +688,12 @@ func (s *Service) tryServe(k int, eps, target float64, grew int) (*Answer, bool,
 		s.mu.RUnlock()
 		return &Answer{Epoch: epoch}, false, nil
 	}
-	sel, err := core.SelectFromSample(s.r1, s.idx1, s.n, k, s.par)
+	sel, err := core.SelectFromSample(s.r1, s.idx1, s.n, k)
 	if err != nil {
 		s.mu.RUnlock()
 		return nil, false, err
 	}
-	cov2s := prefixCoverage(s.idx2, s.r2.Count(), sel.Seeds)
+	cov2s := prefixCoverage(s.idx2, sel.Seeds)
 	s.mu.RUnlock()
 
 	// Certify every greedy prefix, not just the queried k. Small prefixes
@@ -738,26 +740,16 @@ func (s *Service) tryServe(k int, eps, target float64, grew int) (*Answer, bool,
 }
 
 // prefixCoverage returns, for each prefix seeds[:i+1], the number of the
-// index's RR sets it covers, via the inverted index and a per-query mark
-// array sized count. Caller holds mu (read); both tiers' certification
-// paths share it.
-func prefixCoverage(idx *rrset.Index, count int, seeds []uint32) []int64 {
-	mark := make([]bool, count)
+// index's RR sets it covers, through the greedy's own cover kernel over a
+// per-query bitset of one bit per RR set. Caller holds mu (read); both
+// tiers' certification paths share it.
+func prefixCoverage(idx *rrset.Index, seeds []uint32) []int64 {
+	covered := bitset.New(idx.Count())
 	out := make([]int64, len(seeds))
-	var covered int64
+	var n int64
 	for i, u := range seeds {
-		for si := 0; si < idx.NumSegments(); si++ {
-			for _, j := range idx.SegCovers(si, u) {
-				if j&rrset.DeadPosting != 0 {
-					continue
-				}
-				if !mark[j] {
-					mark[j] = true
-					covered++
-				}
-			}
-		}
-		out[i] = covered
+		n += coverage.CoverNode(idx, covered, u)
+		out[i] = n
 	}
 	return out
 }
@@ -814,13 +806,13 @@ func (s *Service) tryServeFast(k int, eps, target float64, grew int) (*Answer, b
 		s.stats.skStale.Inc()
 		return s.tryServe(k, eps, target, grew)
 	}
-	sel, err := core.SelectFromSampleCandidates(s.r1, s.idx1, s.n, k, s.par, cands)
+	sel, err := core.SelectFromSampleCandidates(s.r1, s.idx1, s.n, k, cands)
 	if err != nil {
 		s.mu.RUnlock()
 		return nil, false, err
 	}
 	seeds := sel.Seeds
-	cov2s := prefixCoverage(s.idx2, s.r2.Count(), seeds)
+	cov2s := prefixCoverage(s.idx2, seeds)
 	s.mu.RUnlock()
 
 	// The sketch's own spread estimate for the answer, for clients that
