@@ -87,7 +87,7 @@ func main() {
 		epsFloor = flag.Float64("eps-floor", 0.1, "tightest admissible query epsilon")
 		delta    = flag.Float64("delta", 0, "service-lifetime failure probability (0 = 1/n)")
 
-		sketchK = flag.Int("sketch-k", 0, "bottom-k size of the ?mode=fast sketch tier (0 = default, negative disables the tier)")
+		sketchK = flag.Int("sketch-k", 0, "bottom-k size of the sketch tier behind /v1/spread?mode=fast (0 = default, negative disables the tier)")
 
 		dynamic = flag.Bool("dynamic", false, "accept streaming graph updates on POST /v1/update, repairing the resident RR sample in place (TCP workers must run dimmd -dynamic; incompatible with -subsim and -restore)")
 

@@ -75,79 +75,6 @@ func SelectFromSample(c *rrset.Collection, idx *rrset.Index, n, k int) (*coverag
 	return coverage.RunGreedy(o, k)
 }
 
-// SelectFromSampleCandidates runs the same exact lazy-bucket greedy but
-// restricted to a candidate pool: non-candidates keep a zero marginal
-// throughout, so the selection is exactly what full greedy would return
-// whenever every pick it makes lies inside the pool. The serving fast
-// tier uses this with a sketch-ranked pool — O(|candidates|) live heap
-// entries instead of O(n) — and the usual certificate machinery then
-// measures what the restriction cost.
-func SelectFromSampleCandidates(c *rrset.Collection, idx *rrset.Index, n, k int, candidates []uint32) (*coverage.Result, error) {
-	if c == nil || idx == nil {
-		return nil, fmt.Errorf("core: select from nil sample")
-	}
-	o, err := coverage.NewLocalOracle(c, idx, n)
-	if err != nil {
-		return nil, err
-	}
-	allow := make([]bool, n)
-	for _, v := range candidates {
-		if int(v) >= n {
-			return nil, fmt.Errorf("core: candidate %d outside the %d-node graph", v, n)
-		}
-		allow[v] = true
-	}
-	return coverage.RunGreedy(&candidateOracle{inner: o, allow: allow}, k)
-}
-
-// candidateOracle masks the local oracle down to a candidate pool:
-// outside degrees start at zero, outside marginals count zero and
-// outside deltas are dropped, so the bucket scan never sees (or drives
-// negative) a non-candidate. It forwards the inner oracle's
-// coverage.Counter, so RunGreedy takes the recount path through it.
-type candidateOracle struct {
-	inner *coverage.LocalOracle
-	allow []bool
-}
-
-func (o *candidateOracle) Marginal(u uint32) int64 {
-	if !o.allow[u] {
-		return 0
-	}
-	return o.inner.Marginal(u)
-}
-
-func (o *candidateOracle) Cover(u uint32) { o.inner.Cover(u) }
-
-func (o *candidateOracle) NumItems() int { return o.inner.NumItems() }
-
-func (o *candidateOracle) InitialDegrees() ([]int64, error) {
-	deg, err := o.inner.InitialDegrees()
-	if err != nil {
-		return nil, err
-	}
-	for v := range deg {
-		if !o.allow[v] {
-			deg[v] = 0
-		}
-	}
-	return deg, nil
-}
-
-func (o *candidateOracle) Select(u uint32) ([]coverage.Delta, error) {
-	deltas, err := o.inner.Select(u)
-	if err != nil {
-		return nil, err
-	}
-	kept := deltas[:0]
-	for _, d := range deltas {
-		if o.allow[d.Node] {
-			kept = append(kept, d)
-		}
-	}
-	return kept, nil
-}
-
 // DefaultSketchK is the bottom-k size the serving fast tier defaults
 // to: a ≈ 1/√62 ≈ 13% relative standard error per estimate at 8·64
 // bytes per covered node, small enough that sketch maintenance
@@ -168,13 +95,4 @@ func BuildSketch(sk *sketch.Set, snap rrset.Snapshot, parallelism int) int {
 		parallelism = 1
 	}
 	return sk.Absorb(snap, parallelism)
-}
-
-// CertifySelection computes the per-query OPIM-C certificate for a seed
-// set whose greedy coverage on the resident R1 is cov1 and whose
-// coverage on the independent resident R2 is cov2, both of size theta.
-// The answer is a (1 − 1/e − ε)-approximation whenever the returned
-// ratio reaches 1 − 1/e − ε.
-func CertifySelection(n int, theta, cov1, cov2 int64, tailMass float64) imm.Certificate {
-	return imm.CertifyOPIM(n, theta, cov1, cov2, tailMass)
 }

@@ -5,14 +5,11 @@ import (
 	"sync"
 )
 
-// answerCache is a small LRU of recent answers keyed by (k, ε, mode).
+// answerCache is a small LRU of recent answers keyed by (k, ε).
 // Entries are invalidated wholesale when the resident sample grows (a
 // new epoch can only improve certificates, and serving mixed-epoch
 // answers would break the answers-are-deterministic-per-epoch
-// contract). The mode is part of the key because the fast and certified
-// tiers select seeds differently: letting a sketch-ranked answer alias
-// a certified one (or vice versa) would silently swap the guarantee the
-// client asked for.
+// contract).
 type answerCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -22,9 +19,8 @@ type answerCache struct {
 }
 
 type cacheKey struct {
-	k    int
-	eps  float64
-	mode Mode
+	k   int
+	eps float64
 }
 
 type cacheEntry struct {
@@ -43,13 +39,13 @@ func newAnswerCache(capacity int) *answerCache {
 	}
 }
 
-func (c *answerCache) get(k int, eps float64, mode Mode) (*Answer, bool) {
+func (c *answerCache) get(k int, eps float64) (*Answer, bool) {
 	if c.cap == 0 {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[cacheKey{k, eps, mode}]
+	el, ok := c.byKey[cacheKey{k, eps}]
 	if !ok {
 		return nil, false
 	}
@@ -60,7 +56,7 @@ func (c *answerCache) get(k int, eps float64, mode Mode) (*Answer, bool) {
 // put stores an answer, evicting stale epochs first: a growth between
 // this answer's selection and an older cached one makes the older one
 // unreachable anyway (queries re-resolve on the new epoch).
-func (c *answerCache) put(k int, eps float64, mode Mode, ans *Answer) {
+func (c *answerCache) put(k int, eps float64, ans *Answer) {
 	if c.cap == 0 {
 		return
 	}
@@ -74,7 +70,7 @@ func (c *answerCache) put(k int, eps float64, mode Mode, ans *Answer) {
 		clear(c.byKey)
 		c.epoch = ans.Epoch
 	}
-	key := cacheKey{k, eps, mode}
+	key := cacheKey{k, eps}
 	if el, ok := c.byKey[key]; ok {
 		el.Value.(*cacheEntry).ans = ans
 		c.order.MoveToFront(el)

@@ -118,9 +118,10 @@ type seedsRequest struct {
 	Eps float64 `json:"eps"`
 }
 
+// handleSeeds answers every seed query on the certified path; ?mode=fast
+// is an accepted alias, and only an unknown mode is a 400.
 func (s *Service) handleSeeds(w http.ResponseWriter, r *http.Request) error {
-	mode, err := ParseMode(r.URL.Query().Get("mode"))
-	if err != nil {
+	if _, err := ParseMode(r.URL.Query().Get("mode")); err != nil {
 		return err
 	}
 	var req seedsRequest
@@ -129,7 +130,7 @@ func (s *Service) handleSeeds(w http.ResponseWriter, r *http.Request) error {
 	if err := dec.Decode(&req); err != nil {
 		return &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
 	}
-	ans, err := s.QueryMode(req.K, req.Eps, mode)
+	ans, err := s.Query(req.K, req.Eps)
 	if err != nil {
 		return err
 	}

@@ -21,21 +21,7 @@ func testServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 
 func postSeeds(t *testing.T, url string, k int, eps float64) (*Answer, int) {
 	t.Helper()
-	body, _ := json.Marshal(map[string]any{"k": k, "eps": eps})
-	resp, err := http.Post(url+"/v1/seeds", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, resp.StatusCode
-	}
-	var ans Answer
-	if err := json.NewDecoder(resp.Body).Decode(&ans); err != nil {
-		t.Fatal(err)
-	}
-	return &ans, resp.StatusCode
+	return postSeedsMode(t, url, k, eps, "")
 }
 
 func TestHTTPSeeds(t *testing.T) {

@@ -76,11 +76,11 @@ type Config struct {
 	Dynamic bool
 
 	// SketchK sets the bottom-k size of the resident sketch tier backing
-	// ?mode=fast queries (internal/sketch): 0 selects
-	// core.DefaultSketchK, negative disables the fast tier entirely.
+	// GET /v1/spread?mode=fast (internal/sketch): 0 selects
+	// core.DefaultSketchK, negative disables the tier entirely.
 	// The sketch rides on the same RR instances the certificates use and
-	// rebuilds incrementally after every growth epoch; it never affects
-	// certified answers.
+	// rebuilds incrementally after every growth epoch; no seed query
+	// reads it.
 	SketchK int
 
 	// KMax bounds the admissible query seed-set size (default 50).
@@ -155,10 +155,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Mode selects which query tier answers: the certified path (default,
-// full OPIM-C machinery, the (1 − 1/e − ε) guarantee) or the fast path
-// (seeds pre-ranked by the bottom-k sketch tier, then verified by the
-// same certificate machinery before being served).
+// Mode selects which tier answers a spread query: certified (default,
+// forward Monte-Carlo on the warm cluster) or fast (the bottom-k sketch
+// tier). Seed queries have one answer path, the certified greedy; fast
+// is accepted there as an alias for it.
 type Mode string
 
 const (
@@ -167,7 +167,8 @@ const (
 )
 
 // ParseMode maps the ?mode= query value onto a Mode; empty selects
-// certified, so existing clients keep their exact behavior.
+// certified. Fast selects the sketch tier for spread only; unknown
+// modes are a BadQueryError on both endpoints.
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "", string(ModeCertified):
@@ -184,9 +185,8 @@ type Answer struct {
 	Eps   float64  `json:"eps"`
 	Seeds []uint32 `json:"seeds"`
 
-	// Mode records which tier selected the seeds. Both tiers' answers
-	// carry a certificate; only certified-mode selection is the exact
-	// greedy the (1 − 1/e − ε) analysis covers (see DESIGN.md).
+	// Mode is always certified: every seed set is the exact greedy the
+	// (1 − 1/e − ε) analysis covers, whatever ?mode= the request named.
 	Mode Mode `json:"mode"`
 
 	// Epoch identifies the resident-sample generation the answer was
@@ -206,10 +206,6 @@ type Answer struct {
 	Ratio       float64 `json:"ratio"`
 	// EstSpread is the unbiased point estimate n·cov2/θ from R2.
 	EstSpread float64 `json:"est_spread"`
-	// SketchSpread is the fast tier's own σ estimate for the answer's
-	// seeds (zero on certified answers): n·union/θ over the bottom-k
-	// sketches, relative standard error ≈ 1/√(K−2).
-	SketchSpread float64 `json:"sketch_spread,omitempty"`
 
 	// GrowRounds counts the doubling rounds this query triggered (0 = the
 	// resident sample was reused as-is). Cached marks an LRU hit.
@@ -263,7 +259,7 @@ func (s *Service) degraded(err error) error {
 type Service struct {
 	cfg    Config
 	n      int
-	par    int // resolved worker parallelism, reused by query-time selection
+	par    int // resolved worker parallelism, also the shard count of sketch builds
 	batch  int // resolved frontier-batch width of the workers' samplers
 	budget core.SampleBudget
 
@@ -300,14 +296,13 @@ type Service struct {
 
 	// sketchMu guards the fast tier's bottom-k sketch set, separately
 	// from mu so ?mode=fast spread reads never touch the RR sample's
-	// lock: any number of fast readers proceed while a certified query
-	// holds mu, and only the grower (already serialized by growMu)
-	// write-locks it to absorb a growth epoch. The tier is disabled iff
+	// lock: any number of fast readers proceed while a seed query holds
+	// mu, and only the grower (already serialized by growMu) write-locks
+	// it to absorb a growth epoch. The tier is disabled iff
 	// cfg.SketchK < 0 (sk stays nil); readers test the config, not the
 	// pointer, which rebuildSketch swaps under sketchMu.
 	sketchMu   sync.RWMutex
 	sk         *sketch.Set
-	skEpoch    uint64 // sample epoch the sketch last absorbed or rebuilt to
 	skRestored bool
 
 	cache *answerCache
@@ -347,25 +342,18 @@ type serviceCounters struct {
 	degraded *metrics.Counter // requests refused 503 for lost worker capacity
 
 	// Dynamic-graph accounting: update batches applied, RR sets repaired
-	// in place across both mirrors, full re-mirrors forced by a cluster
-	// rebalance mid-update, and fast-mode queries that fell back to the
-	// certified tier because the sketch lagged the sample epoch.
+	// in place across both mirrors, and full re-mirrors forced by a
+	// cluster rebalance mid-update.
 	updates      *metrics.Counter
 	repairedSets *metrics.Counter
 	remirrors    *metrics.Counter
-	skStale      *metrics.Counter
 
 	// Fast-tier accounting: sketch build passes and their wall time
 	// (one univariate observation per pass), estimator evaluations
-	// served, fast-mode queries per endpoint, and the fast/certified
-	// agreement samples collected whenever both tiers answered the same
-	// (k, ε) on the same epoch.
-	skBuild      *metrics.Univariate
-	skEstimates  *metrics.Counter
-	fastSeeds    *metrics.Counter
-	fastSpreads  *metrics.Counter
-	agreeChecked *metrics.Counter
-	agreeMatched *metrics.Counter
+	// served, and fast-mode spread queries.
+	skBuild     *metrics.Univariate
+	skEstimates *metrics.Counter
+	fastSpreads *metrics.Counter
 
 	// batchMu guards the last-seen cumulative batch counters reported by
 	// the two clusters' workers. The grower overwrites them after every
@@ -394,13 +382,9 @@ func newServiceCounters(reg *metrics.Registry) serviceCounters {
 		updates:      reg.Counter("svc.update.calls"),
 		repairedSets: reg.Counter("svc.update.repaired_sets"),
 		remirrors:    reg.Counter("svc.update.remirrors"),
-		skStale:      reg.Counter("svc.sketch.stale"),
 		skBuild:      reg.Univariate("svc.sketch.build_ns"),
 		skEstimates:  reg.Counter("svc.sketch.estimates"),
-		fastSeeds:    reg.Counter("svc.fast.seed_queries"),
 		fastSpreads:  reg.Counter("svc.fast.spread_queries"),
-		agreeChecked: reg.Counter("svc.fast.agree_checked"),
-		agreeMatched: reg.Counter("svc.fast.agree_matched"),
 	}
 }
 
@@ -612,26 +596,11 @@ func (s *Service) EpsFloor() float64 { return s.cfg.EpsFloor }
 // certificate the worst-case-sized sample supports (the IMM guarantee
 // still applies to it with probability 1 − δ).
 func (s *Service) Query(k int, eps float64) (*Answer, error) {
-	return s.QueryMode(k, eps, ModeCertified)
-}
-
-// QueryMode answers a query on the requested tier. Certified is Query.
-// Fast pre-ranks the seeds with the bottom-k sketch tier (O(k·K) merges
-// instead of a greedy pass over the RR index), then runs the same
-// certificate machinery over those seeds and only grows the resident
-// sample when the certificate falls short of 1 − 1/e − ε. Fast answers
-// therefore still carry a sound spread lower bound; what they give up is
-// the greedy-selection premise of the (1 − 1/e − ε) analysis (see
-// DESIGN.md).
-func (s *Service) QueryMode(k int, eps float64, mode Mode) (*Answer, error) {
 	if k < 1 || k > s.cfg.KMax {
 		return nil, badQueryf("serve: k=%d outside [1, kmax=%d]", k, s.cfg.KMax)
 	}
 	if eps < s.cfg.EpsFloor || eps >= 1 {
 		return nil, badQueryf("serve: eps=%v outside [floor=%v, 1)", eps, s.cfg.EpsFloor)
-	}
-	if mode == ModeFast && s.cfg.SketchK < 0 {
-		return nil, badQueryf("serve: fast tier disabled (sketch-k < 0)")
 	}
 	if s.updateDebt.Load() {
 		// A graph update partially applied: the master graph moved past
@@ -642,7 +611,7 @@ func (s *Service) QueryMode(k int, eps float64, mode Mode) (*Answer, error) {
 		return nil, &DegradedError{RetryAfter: degradeRetryAfter,
 			Err: fmt.Errorf("serve: resident sample behind the graph after an interrupted update; retry the update")}
 	}
-	if ans, ok := s.cache.get(k, eps, mode); ok {
+	if ans, ok := s.cache.get(k, eps); ok {
 		s.stats.queries.Inc()
 		s.stats.cacheHits.Inc()
 		hit := *ans
@@ -650,18 +619,8 @@ func (s *Service) QueryMode(k int, eps float64, mode Mode) (*Answer, error) {
 		return &hit, nil
 	}
 	target := 1 - 1/math.E - eps
-	grew := 0
-	for {
-		var (
-			ans  *Answer
-			done bool
-			err  error
-		)
-		if mode == ModeFast {
-			ans, done, err = s.tryServeFast(k, eps, target, grew)
-		} else {
-			ans, done, err = s.tryServe(k, eps, target, grew)
-		}
+	for grew := 0; ; grew++ {
+		ans, done, err := s.tryServe(k, eps, target, grew)
 		if err != nil {
 			return nil, err
 		}
@@ -671,8 +630,14 @@ func (s *Service) QueryMode(k int, eps float64, mode Mode) (*Answer, error) {
 		if err := s.grow(ans.Epoch); err != nil {
 			return nil, err
 		}
-		grew++
 	}
+}
+
+// QueryMode is Query: seed queries have one answer path, and the mode
+// is ignored. It survives only because the repository benchmark calls
+// it; delete it in the next change to benchmark/.
+func (s *Service) QueryMode(k int, eps float64, _ Mode) (*Answer, error) {
+	return s.Query(k, eps)
 }
 
 // tryServe attempts one selection + certification pass over the current
@@ -707,7 +672,7 @@ func (s *Service) tryServe(k int, eps, target float64, grew int) (*Answer, bool,
 	var cov1 int64
 	for i := 0; i < k; i++ {
 		cov1 += sel.Marginals[i]
-		cert = core.CertifySelection(s.n, theta, cov1, cov2s[i], s.budget.TailMass)
+		cert = imm.CertifyOPIM(s.n, theta, cov1, cov2s[i], s.budget.TailMass)
 		if cert.Ratio < target {
 			allPass = false
 		}
@@ -730,8 +695,7 @@ func (s *Service) tryServe(k int, eps, target float64, grew int) (*Answer, bool,
 		EstSpread:    float64(s.n) * float64(cov2) / float64(theta),
 		GrowRounds:   grew,
 	}
-	s.cache.put(k, eps, ModeCertified, ans)
-	s.noteAgreement(ans)
+	s.cache.put(k, eps, ans)
 	s.stats.queries.Inc()
 	if grew == 0 {
 		s.stats.reuseHits.Inc()
@@ -741,8 +705,7 @@ func (s *Service) tryServe(k int, eps, target float64, grew int) (*Answer, bool,
 
 // prefixCoverage returns, for each prefix seeds[:i+1], the number of the
 // index's RR sets it covers, through the greedy's own cover kernel over a
-// per-query bitset of one bit per RR set. Caller holds mu (read); both
-// tiers' certification paths share it.
+// per-query bitset of one bit per RR set. Caller holds mu (read).
 func prefixCoverage(idx *rrset.Index, seeds []uint32) []int64 {
 	covered := bitset.New(idx.Count())
 	out := make([]int64, len(seeds))
@@ -752,152 +715,6 @@ func prefixCoverage(idx *rrset.Index, seeds []uint32) []int64 {
 		out[i] = n
 	}
 	return out
-}
-
-// sketchCandidatePool sizes the fast tier's sketch-ranked candidate
-// shortlist: wide enough that exact greedy's picks virtually never fall
-// outside it (the pruning error the estimator's ≈ 1/√(K−2) noise can
-// cause), narrow enough that restricted selection stays O(k) in live
-// candidates instead of O(n).
-func sketchCandidatePool(k, n int) int {
-	c := 16 * k
-	if c < 64 {
-		c = 64
-	}
-	if c > n {
-		c = n
-	}
-	return c
-}
-
-// tryServeFast is tryServe's fast-tier counterpart: the bottom-k
-// sketches rank a candidate shortlist (under sketchMu only), exact
-// greedy runs over the RR sample restricted to that shortlist, and the
-// same certificate machinery verifies the outcome — actual prefix
-// coverages on R1 feed the OPT upper bound, R2 the spread lower bound.
-// done=false means the certificate fell short and the caller should grow
-// (which also re-absorbs the new instances into the sketch, so the next
-// attempt re-ranks on fresher estimates).
-func (s *Service) tryServeFast(k int, eps, target float64, grew int) (*Answer, bool, error) {
-	s.sketchMu.RLock()
-	skTheta := s.sk.Theta()
-	skEpoch := s.skEpoch
-	var cands []uint32
-	var evals int
-	if skTheta > 0 {
-		cands, evals = s.sk.TopCandidates(sketchCandidatePool(k, s.n))
-	}
-	s.sketchMu.RUnlock()
-	s.stats.skEstimates.Add(int64(evals))
-
-	s.mu.RLock()
-	epoch := s.epoch
-	gver := s.gver
-	theta := int64(s.r1.Count())
-	if skTheta == 0 || theta == 0 || len(cands) == 0 {
-		s.mu.RUnlock()
-		return &Answer{Epoch: epoch}, false, nil // cold: growth builds the sketch
-	}
-	if skEpoch != epoch {
-		// The sketch lags the published sample (a growth or repair epoch
-		// it has not absorbed): its rankings are stale, so serve this
-		// query from the certified tier instead of pre-ranking on them.
-		s.mu.RUnlock()
-		s.stats.skStale.Inc()
-		return s.tryServe(k, eps, target, grew)
-	}
-	sel, err := core.SelectFromSampleCandidates(s.r1, s.idx1, s.n, k, cands)
-	if err != nil {
-		s.mu.RUnlock()
-		return nil, false, err
-	}
-	seeds := sel.Seeds
-	cov2s := prefixCoverage(s.idx2, seeds)
-	s.mu.RUnlock()
-
-	// The sketch's own spread estimate for the answer, for clients that
-	// want to compare the tiers (and the bench agreement sweep).
-	s.sketchMu.RLock()
-	skSpread, unionEvals := s.sk.EstimateSpreadSet(seeds)
-	s.sketchMu.RUnlock()
-	s.stats.skEstimates.Add(int64(unionEvals))
-
-	var cert imm.Certificate
-	allPass := true
-	var cov1 int64
-	for i := 0; i < k; i++ {
-		cov1 += sel.Marginals[i]
-		cert = core.CertifySelection(s.n, theta, cov1, cov2s[i], s.budget.TailMass)
-		if cert.Ratio < target {
-			allPass = false
-		}
-	}
-	if !allPass && theta < s.budget.ThetaMax {
-		return &Answer{Epoch: epoch}, false, nil
-	}
-	ans := &Answer{
-		K:            k,
-		Eps:          eps,
-		Seeds:        seeds,
-		Mode:         ModeFast,
-		Epoch:        epoch,
-		GraphVersion: gver,
-		Theta:        theta,
-		SpreadLower:  cert.SpreadLower,
-		OptUpper:     cert.OptUpper,
-		Ratio:        cert.Ratio,
-		EstSpread:    float64(s.n) * float64(cov2s[k-1]) / float64(theta),
-		SketchSpread: skSpread,
-		GrowRounds:   grew,
-	}
-	s.cache.put(k, eps, ModeFast, ans)
-	s.noteAgreement(ans)
-	s.stats.queries.Inc()
-	s.stats.fastSeeds.Inc()
-	if grew == 0 {
-		s.stats.reuseHits.Inc()
-	}
-	return ans, true, nil
-}
-
-// noteAgreement samples fast/certified seed-set agreement: whenever the
-// other tier's answer to the same (k, ε) on the same epoch is still
-// cached, compare the seed sets (order-insensitively — the tiers rank
-// differently but the set is what a client acts on). The running ratio
-// is exported on /statsz; the repository benchmark times the sketch tier
-// as sketch.estimate_us.
-func (s *Service) noteAgreement(ans *Answer) {
-	if s.cfg.SketchK < 0 {
-		return
-	}
-	other := ModeCertified
-	if ans.Mode == ModeCertified {
-		other = ModeFast
-	}
-	peer, ok := s.cache.get(ans.K, ans.Eps, other)
-	if !ok || peer.Epoch != ans.Epoch {
-		return
-	}
-	s.stats.agreeChecked.Inc()
-	if sameSeedSet(ans.Seeds, peer.Seeds) {
-		s.stats.agreeMatched.Inc()
-	}
-}
-
-func sameSeedSet(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	in := make(map[uint32]bool, len(a))
-	for _, v := range a {
-		in[v] = true
-	}
-	for _, v := range b {
-		if !in[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // grow extends the resident sample by one doubling round (θ → 2θ, or to
@@ -1011,7 +828,7 @@ func (s *Service) grow(fromEpoch uint64) error {
 // updateSketch absorbs the RR instances appended since the last absorb
 // into the fast tier's bottom-k sketches. Runs after growth with the
 // epoch write lock already released: the snapshot is immutable, so
-// certified readers proceed while the sketch rebuilds, and fast readers
+// seed queries proceed while the sketch rebuilds, and fast spread readers
 // block only on sketchMu for the absorb itself. No-op when the tier is
 // disabled or nothing was appended.
 func (s *Service) updateSketch() {
@@ -1020,13 +837,11 @@ func (s *Service) updateSketch() {
 	}
 	s.mu.RLock()
 	snap := s.r1.Snapshot()
-	epoch := s.epoch
 	s.mu.RUnlock()
 	s.sketchMu.Lock()
 	start := time.Now()
 	added := core.BuildSketch(s.sk, snap, s.par)
 	d := time.Since(start)
-	s.skEpoch = epoch
 	s.sketchMu.Unlock()
 	if added > 0 {
 		s.stats.skBuild.ObserveDuration(d)
@@ -1079,7 +894,7 @@ func (s *Service) maybeCheckpoint() {
 // SpreadSketch estimates σ(seeds) from the bottom-k sketches alone —
 // GET /v1/spread?mode=fast. It never touches the RR sample, its lock, or
 // the worker clusters: the only synchronization is sketchMu (read), so
-// fast spread reads proceed at full concurrency while certified queries
+// fast spread reads proceed at full concurrency while seed queries
 // select, grow, or checkpoint. Returns the estimate and the estimator's
 // relative standard error ≈ 1/√(K−2).
 func (s *Service) SpreadSketch(seeds []uint32) (est, relStdErr float64, err error) {
@@ -1150,18 +965,14 @@ type Stats struct {
 
 	// Fast-tier figures: the sketch's configuration and progress (zero
 	// K = tier disabled), build passes and their wall time, estimator
-	// evaluations served, per-endpoint fast-mode query counts, and the
-	// running fast/certified seed-set agreement sample.
+	// evaluations served, and fast-mode spread queries.
 	SketchK            int     `json:"sketch_k"`
 	SketchTheta        int64   `json:"sketch_theta"`
 	SketchRestored     bool    `json:"sketch_restored"`
 	SketchBuilds       int64   `json:"sketch_builds"`
 	SketchBuildSeconds float64 `json:"sketch_build_seconds"`
 	SketchEstimates    int64   `json:"sketch_estimates"`
-	FastSeedQueries    int64   `json:"fast_seed_queries"`
 	FastSpreadQueries  int64   `json:"fast_spread_queries"`
-	FastAgreeChecked   int64   `json:"fast_agree_checked"`
-	FastAgreeMatched   int64   `json:"fast_agree_matched"`
 
 	// Durable-store figures: what startup replayed and what the
 	// checkpoint hook has written since (all zero with no CheckpointDir).
@@ -1200,15 +1011,13 @@ type Stats struct {
 	// Dynamic-graph figures: the graph-update sequence number the
 	// published sample reflects, how many update batches were applied,
 	// how many resident RR sets were repaired in place, how many updates
-	// fell back to a full re-mirror of the workers' samples, how many
-	// fast queries were bounced to the certified tier because the sketch
-	// lagged the sample epoch, and whether an interrupted update is
-	// currently degrading queries (healed by retrying the same batch).
+	// fell back to a full re-mirror of the workers' samples, and whether
+	// an interrupted update is currently degrading queries (healed by
+	// retrying the same batch).
 	GraphVersion uint64 `json:"graph_version"`
 	Updates      int64  `json:"updates"`
 	RepairedSets int64  `json:"repaired_rr_sets"`
 	Remirrors    int64  `json:"remirrors"`
-	SketchStale  int64  `json:"sketch_stale"`
 	UpdateDebt   bool   `json:"update_debt"`
 
 	InFlight int64                       `json:"in_flight"`
@@ -1263,10 +1072,7 @@ func (s *Service) Stats() Stats {
 		SketchBuilds:       s.stats.skBuild.Count(),
 		SketchBuildSeconds: float64(s.stats.skBuild.Sum()) / 1e9,
 		SketchEstimates:    s.stats.skEstimates.Value(),
-		FastSeedQueries:    s.stats.fastSeeds.Value(),
 		FastSpreadQueries:  s.stats.fastSpreads.Value(),
-		FastAgreeChecked:   s.stats.agreeChecked.Value(),
-		FastAgreeMatched:   s.stats.agreeMatched.Value(),
 
 		Restored:          s.restoredTheta > 0,
 		RestoredEpochs:    s.restoredEpochs,
@@ -1286,7 +1092,6 @@ func (s *Service) Stats() Stats {
 		Updates:      s.stats.updates.Value(),
 		RepairedSets: s.stats.repairedSets.Value(),
 		Remirrors:    s.stats.remirrors.Value(),
-		SketchStale:  s.stats.skStale.Value(),
 		UpdateDebt:   s.updateDebt.Load(),
 
 		InFlight: int64(len(s.sem)),

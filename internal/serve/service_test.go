@@ -285,30 +285,30 @@ func TestSpread(t *testing.T) {
 func TestAnswerCacheLRU(t *testing.T) {
 	c := newAnswerCache(2)
 	mk := func(k int) *Answer { return &Answer{K: k} }
-	c.put(1, 0.3, ModeCertified, mk(1))
-	c.put(2, 0.3, ModeCertified, mk(2))
-	c.put(3, 0.3, ModeCertified, mk(3)) // evicts k=1
-	if _, ok := c.get(1, 0.3, ModeCertified); ok {
+	c.put(1, 0.3, mk(1))
+	c.put(2, 0.3, mk(2))
+	c.put(3, 0.3, mk(3)) // evicts k=1
+	if _, ok := c.get(1, 0.3); ok {
 		t.Fatal("k=1 survived past capacity")
 	}
-	if _, ok := c.get(2, 0.3, ModeCertified); !ok {
+	if _, ok := c.get(2, 0.3); !ok {
 		t.Fatal("k=2 evicted early")
 	}
-	c.put(4, 0.3, ModeCertified, mk(4)) // k=3 is now LRU, evicted
-	if _, ok := c.get(3, 0.3, ModeCertified); ok {
+	c.put(4, 0.3, mk(4)) // k=3 is now LRU, evicted
+	if _, ok := c.get(3, 0.3); ok {
 		t.Fatal("k=3 survived past capacity")
 	}
 	// Epoch bump invalidates everything.
-	c.put(5, 0.3, ModeCertified, &Answer{K: 5, Epoch: 1})
-	if _, ok := c.get(2, 0.3, ModeCertified); ok {
+	c.put(5, 0.3, &Answer{K: 5, Epoch: 1})
+	if _, ok := c.get(2, 0.3); ok {
 		t.Fatal("stale-epoch entry served")
 	}
 	if c.len() != 1 {
 		t.Fatalf("cache holds %d entries after epoch flush, want 1", c.len())
 	}
 	// Older-epoch answers arriving late are dropped.
-	c.put(6, 0.3, ModeCertified, &Answer{K: 6, Epoch: 0})
-	if _, ok := c.get(6, 0.3, ModeCertified); ok {
+	c.put(6, 0.3, &Answer{K: 6, Epoch: 0})
+	if _, ok := c.get(6, 0.3); ok {
 		t.Fatal("pre-growth answer cached after the epoch moved")
 	}
 }

@@ -19,15 +19,13 @@ var statszFields = []string{
 	"epoch", "theta", "theta_max", "total_rr_size", "k_max", "eps_floor",
 	"queries", "cache_hits", "reuse_hits", "grow_rounds", "generated",
 	"sketch_k", "sketch_theta", "sketch_restored", "sketch_builds",
-	"sketch_build_seconds", "sketch_estimates", "fast_seed_queries",
-	"fast_spread_queries", "fast_agree_checked", "fast_agree_matched",
+	"sketch_build_seconds", "sketch_estimates", "fast_spread_queries",
 	"restored", "restored_epochs", "restored_theta",
 	"checkpoint_epochs", "checkpoint_bytes", "checkpoint_errors", "checkpoint_seconds",
 	"batch_width", "batch_cohorts", "batch_waves", "batch_frontier_items",
 	"batch_skipped_edges", "batch_waves_per_generate", "batch_frontier_occupancy",
 	"r1_workers", "r2_workers", "degraded",
-	"graph_version", "updates", "repaired_rr_sets", "remirrors",
-	"sketch_stale", "update_debt",
+	"graph_version", "updates", "repaired_rr_sets", "remirrors", "update_debt",
 	"in_flight", "rejected", "uptime_seconds", "endpoints",
 }
 

@@ -349,7 +349,6 @@ func (s *Service) rebuildSketch() {
 	}
 	s.mu.RLock()
 	snap := s.r1.Snapshot()
-	epoch := s.epoch
 	s.mu.RUnlock()
 	fresh, err := sketch.New(s.n, sketch.Params{K: s.sk.K(), Seed: s.sk.Seed()})
 	if err != nil {
@@ -360,7 +359,6 @@ func (s *Service) rebuildSketch() {
 	d := time.Since(start)
 	s.sketchMu.Lock()
 	s.sk = fresh
-	s.skEpoch = epoch
 	s.sketchMu.Unlock()
 	s.stats.skBuild.ObserveDuration(d)
 }

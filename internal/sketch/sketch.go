@@ -15,8 +15,8 @@
 // estimator then recovers |instances containing v| as (k−1)/τ where τ is
 // the k-th smallest rank mapped to (0, 1], exact below k, with relative
 // standard error ≈ 1/√(k−2). Sketches of different nodes merge by
-// rank, so seed-set (union) influence and greedy marginal gains come
-// from the same O(k) merge — no second pass over the instances.
+// rank, so seed-set (union) influence comes from one O(k)-per-seed
+// merge — no second pass over the instances.
 //
 // A Set is built incrementally: Absorb consumes only the instances
 // appended since the previous call, mirroring rrset.Index.AppendFrom.
