@@ -77,11 +77,15 @@ func TestShapedConnBandwidthCap(t *testing.T) {
 }
 
 func TestLinkModelAddsModeledComm(t *testing.T) {
+	// The model adds its delay to the accounting without sleeping, so a
+	// WAN-sized RTT costs no test time and keeps the modeled addition well
+	// above the measured comm's jitter on a loaded machine.
+	const rtt = 20 * time.Millisecond
 	g := testGraph(t)
 	run := func(model bool) (Metrics, *coverage.Result) {
 		cl := localCluster(t, g, 4, diffusion.IC, 61)
 		if model {
-			cl.SetLinkModel(200*time.Microsecond, 1e9/8)
+			cl.SetLinkModel(rtt, 1e9/8)
 		}
 		if _, err := cl.Generate(400); err != nil {
 			t.Fatal(err)
@@ -100,7 +104,7 @@ func TestLinkModelAddsModeledComm(t *testing.T) {
 	// Each broadcast round adds at least the RTT. Intrinsic (measured)
 	// comm jitters between runs, so bound by the modeled additions alone
 	// and separately require a clear increase over the plain run.
-	minExtra := time.Duration(modelM.Rounds) * 200 * time.Microsecond
+	minExtra := time.Duration(modelM.Rounds) * rtt
 	if modelM.Comm < minExtra {
 		t.Fatalf("modeled comm %v below the %v the link model alone adds", modelM.Comm, minExtra)
 	}
