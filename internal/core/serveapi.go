@@ -76,9 +76,10 @@ func SelectFromSample(c *rrset.Collection, idx *rrset.Index, n, k int) (*coverag
 }
 
 // DefaultSketchK is the bottom-k size the serving fast tier defaults
-// to: a ≈ 1/√62 ≈ 13% relative standard error per estimate at 8·64
-// bytes per covered node, small enough that sketch maintenance
-// disappears next to RR generation.
+// to: a ≈ 1/√62 ≈ 13% relative standard error per estimate. A node
+// costs an 8-byte offset plus 8 bytes per instance containing it, up to
+// 64, so the tier is sized by the sample's members, not by n·K; sketch
+// maintenance disappears next to RR generation.
 const DefaultSketchK = 64
 
 // BuildSketch folds the RR sets the snapshot gained since the sketch's

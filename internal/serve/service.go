@@ -436,16 +436,11 @@ func New(cfg Config) (*Service, error) {
 	par := core.ResolveParallelism(cfg.Parallelism, cfg.Machines)
 	s.par = par
 	s.batch = cluster.ResolveBatch(cfg.Batch)
-	if cfg.SketchK >= 0 {
-		kk := cfg.SketchK
-		if kk == 0 {
-			kk = core.DefaultSketchK
-		}
-		// The sketch's rank stream gets its own split of the base seed,
-		// like the 0x0111/0x0222 split that keeps R1 and R2 independent.
-		if s.sk, err = sketch.New(n, sketch.Params{K: kk, Seed: cfg.Seed ^ 0x0333}); err != nil {
-			return nil, err
-		}
+	// The sketch's rank stream gets its own split of the base seed, like
+	// the 0x0111/0x0222 split that keeps R1 and R2 independent.
+	skParams := sketch.Params{K: cfg.SketchK, Seed: cfg.Seed ^ 0x0333}
+	if skParams.K == 0 {
+		skParams.K = core.DefaultSketchK
 	}
 
 	// Open the durable store (and restore from it) before the clusters
@@ -492,9 +487,9 @@ func New(cfg Config) (*Service, error) {
 				// the restored sample holds; anything else (different K,
 				// different seed, stale record) falls back to a rebuild —
 				// a sketch is always recomputable from the RR sample.
-				if s.sk != nil {
+				if cfg.SketchK >= 0 {
 					if rsk, _, skErr := st.RestoreSketch(n); skErr == nil &&
-						rsk.Verify(n, sketch.Params{K: s.sk.K(), Seed: s.sk.Seed()}) == nil &&
+						rsk.Verify(n, skParams) == nil &&
 						rsk.Theta() <= int64(res.R1.Count()) {
 						s.sk = rsk
 						s.skRestored = true
@@ -505,6 +500,12 @@ func New(cfg Config) (*Service, error) {
 			}
 		case st.Epochs() > 0:
 			return nil, fmt.Errorf("serve: checkpoint directory %s already holds %d epochs; enable restore (dimmsrv -restore) to resume from it, or point at an empty directory", cfg.CheckpointDir, st.Epochs())
+		}
+	}
+	// Only a sketch the restore did not supply starts empty.
+	if cfg.SketchK >= 0 && s.sk == nil {
+		if s.sk, err = sketch.New(n, skParams); err != nil {
+			return nil, err
 		}
 	}
 

@@ -46,18 +46,21 @@ type Params struct {
 	Seed uint64
 }
 
-// Set holds one bottom-k sketch per node of an n-node graph, in arena
-// storage (one flat rank array, stride K) for the same O(1)-GC-objects
-// reason as rrset.Collection. A Set is not safe for concurrent
-// mutation; concurrent readers are safe between Absorb calls.
+// Set holds one bottom-k sketch per node of an n-node graph in a CSR
+// arena (n+1 offsets over one flat rank array) for the same
+// O(1)-GC-objects reason as rrset.Collection. Node v's slot holds
+// exactly min(k, instances containing v) ranks: the arena is sized by
+// the sample's members, since a typical node is in far fewer than k
+// instances. A Set is not safe for concurrent mutation; concurrent
+// readers are safe between Absorb calls.
 type Set struct {
 	n     int
 	k     int
 	seed  uint64
 	theta int64 // diffusion instances absorbed so far (ids [0, theta))
 
-	size  []int32  // per node: ranks held, ≤ k
-	ranks []uint64 // node v's ranks at [v*k, v*k+size[v]), ascending
+	start []int    // n+1 offsets into ranks
+	ranks []uint64 // node v's ranks at [start[v], start[v+1]), ascending
 }
 
 // New returns an empty sketch set for an n-node graph.
@@ -68,13 +71,7 @@ func New(n int, p Params) (*Set, error) {
 	if p.K < 2 {
 		return nil, fmt.Errorf("sketch: bottom-k size %d below the estimator's minimum 2", p.K)
 	}
-	return &Set{
-		n:     n,
-		k:     p.K,
-		seed:  p.Seed,
-		size:  make([]int32, n),
-		ranks: make([]uint64, n*p.K),
-	}, nil
+	return &Set{n: n, k: p.K, seed: p.Seed, start: make([]int, n+1)}, nil
 }
 
 // N returns the node-space size the sketch covers.
@@ -109,70 +106,103 @@ func (s *Set) Absorb(snap rrset.Snapshot, parallelism int) int {
 	if count <= from {
 		return 0
 	}
-	if parallelism <= 1 || s.n < 2*parallelism {
-		s.absorbRange(snap, from, count, 0, uint32(s.n))
-	} else {
-		// Shard by node range: every shard scans all new instances but
-		// inserts only members in its range, so each (size, ranks) slot
-		// has exactly one writer and per-node insertion order stays
-		// ascending in j — deterministic and race-free at any P.
-		var wg sync.WaitGroup
-		chunk := (s.n + parallelism - 1) / parallelism
-		for p := 0; p < parallelism; p++ {
-			lo := p * chunk
-			if lo >= s.n {
-				break
-			}
-			hi := lo + chunk
-			if hi > s.n {
-				hi = s.n
-			}
-			wg.Add(1)
-			go func(lo, hi uint32) {
-				defer wg.Done()
-				s.absorbRange(snap, from, count, lo, hi)
-			}(uint32(lo), uint32(hi))
-		}
-		wg.Wait()
-	}
+	// Count each node's new memberships, re-lay the arena to the grown
+	// slot lengths, then run the sorted insert in ascending j. fill is
+	// scratch for this call only: first the counts, then the cursors.
+	fill := make([]int32, s.n)
+	s.shard(parallelism, func(lo, hi uint32) { s.countRange(snap, from, count, lo, hi, fill) })
+	s.grow(fill)
+	s.shard(parallelism, func(lo, hi uint32) { s.absorbRange(snap, from, count, lo, hi, fill) })
 	s.theta = int64(count)
 	return count - from
 }
 
-// absorbRange inserts instances [from, count) for nodes in [lo, hi).
-func (s *Set) absorbRange(snap rrset.Snapshot, from, count int, lo, hi uint32) {
+// shard runs fn over parallelism node ranges covering [0, n) and waits.
+// Every shard scans all new instances but touches only members in its
+// range, so each slot has exactly one writer and per-node insertion
+// order stays ascending in j — deterministic and race-free at any P.
+func (s *Set) shard(parallelism int, fn func(lo, hi uint32)) {
+	if parallelism <= 1 || s.n < 2*parallelism {
+		fn(0, uint32(s.n))
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (s.n + parallelism - 1) / parallelism
+	for lo := 0; lo < s.n; lo += chunk {
+		hi := min(lo+chunk, s.n)
+		wg.Add(1)
+		go func(lo, hi uint32) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(uint32(lo), uint32(hi))
+	}
+	wg.Wait()
+}
+
+// countRange counts, for nodes in [lo, hi), their memberships among
+// instances [from, count), saturating at k (a slot never holds more).
+func (s *Set) countRange(snap rrset.Snapshot, from, count int, lo, hi uint32, cnt []int32) {
+	k := int32(min(s.k, math.MaxInt32))
 	for j := from; j < count; j++ {
-		r := xrand.SketchRank(s.seed, uint64(j))
 		for _, v := range snap.Set(j) {
-			if v >= lo && v < hi {
-				s.insert(v, r)
+			if v >= lo && v < hi && cnt[v] < k {
+				cnt[v]++
 			}
 		}
 	}
 }
 
-// insert adds rank r to node v's bottom-k, keeping the slot sorted.
-func (s *Set) insert(v uint32, r uint64) {
-	base := int(v) * s.k
-	sz := int(s.size[v])
-	if sz == s.k && r >= s.ranks[base+sz-1] {
+// grow re-lays the arena for the counted new memberships: node v's slot
+// becomes min(k, held + cnt[v]) long with its held ranks copied to the
+// front, and cnt[v] becomes the slot's fill cursor (ranks held).
+func (s *Set) grow(cnt []int32) {
+	start := make([]int, s.n+1)
+	for v := 0; v < s.n; v++ {
+		held := s.start[v+1] - s.start[v]
+		start[v+1] = start[v] + min(s.k, held+int(cnt[v]))
+		cnt[v] = int32(held)
+	}
+	ranks := make([]uint64, start[s.n])
+	for v := 0; v < s.n; v++ {
+		copy(ranks[start[v]:], s.ranks[s.start[v]:s.start[v+1]])
+	}
+	s.start, s.ranks = start, ranks
+}
+
+// absorbRange inserts instances [from, count) for nodes in [lo, hi).
+func (s *Set) absorbRange(snap rrset.Snapshot, from, count int, lo, hi uint32, fill []int32) {
+	for j := from; j < count; j++ {
+		r := xrand.SketchRank(s.seed, uint64(j))
+		for _, v := range snap.Set(j) {
+			if v >= lo && v < hi {
+				s.insert(v, r, fill)
+			}
+		}
+	}
+}
+
+// insert adds rank r to node v's bottom-k, keeping the slot sorted;
+// fill[v] ranks are held so far. Only a k-long slot can be full before
+// its last insert, and a full slot drops its largest rank.
+func (s *Set) insert(v uint32, r uint64, fill []int32) {
+	slot := s.ranks[s.start[v]:s.start[v+1]]
+	sz := int(fill[v])
+	if sz == len(slot) && r >= slot[sz-1] {
 		return
 	}
-	slot := s.ranks[base : base+sz]
 	i := sort.Search(sz, func(i int) bool { return slot[i] >= r })
-	if sz < s.k {
-		copy(s.ranks[base+i+1:base+sz+1], s.ranks[base+i:base+sz])
-		s.size[v]++
+	if sz < len(slot) {
+		copy(slot[i+1:sz+1], slot[i:sz])
+		fill[v]++
 	} else {
-		copy(s.ranks[base+i+1:base+sz], s.ranks[base+i:base+sz-1])
+		copy(slot[i+1:], slot[i:sz-1])
 	}
-	s.ranks[base+i] = r
+	slot[i] = r
 }
 
 // nodeRanks returns node v's sketch, ascending. Aliases the arena.
 func (s *Set) nodeRanks(v uint32) []uint64 {
-	base := int(v) * s.k
-	return s.ranks[base : base+int(s.size[v])]
+	return s.ranks[s.start[v]:s.start[v+1]]
 }
 
 // rankTau maps a 64-bit rank to its uniform (0, 1] position, the τ of

@@ -2,6 +2,9 @@ package sketch
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,7 +16,7 @@ import (
 // count diffusion instances over n nodes, node membership biased so low
 // ids are heavily covered (exercising the estimator regime) and high ids
 // sparsely (exercising the exact regime).
-func genInstances(t *testing.T, n, count int, seed uint64) (*rrset.Collection, [][]bool) {
+func genInstances(t testing.TB, n, count int, seed uint64) (*rrset.Collection, [][]bool) {
 	t.Helper()
 	c := rrset.NewCollection(0)
 	member := make([][]bool, n) // member[v][j]
@@ -39,8 +42,13 @@ func genInstances(t *testing.T, n, count int, seed uint64) (*rrset.Collection, [
 }
 
 func trueCovers(member [][]bool, v uint32) int {
+	return trueCoversPrefix(member, v, len(member[v]))
+}
+
+// trueCoversPrefix counts the instances among [0, count) containing v.
+func trueCoversPrefix(member [][]bool, v uint32, count int) int {
 	n := 0
-	for _, in := range member[v] {
+	for _, in := range member[v][:count] {
 		if in {
 			n++
 		}
@@ -65,7 +73,7 @@ func trueUnion(member [][]bool, seeds []uint32) int {
 	return n
 }
 
-func mustNew(t *testing.T, n int, p Params) *Set {
+func mustNew(t testing.TB, n int, p Params) *Set {
 	t.Helper()
 	s, err := New(n, p)
 	if err != nil {
@@ -127,24 +135,38 @@ func TestEstimatorAccuracyAboveK(t *testing.T) {
 // the sketch bytes must be identical at P ∈ {1, 2, 4}, one-shot or
 // incrementally absorbed, because every (instance, rank) pair is a pure
 // function of position. Run under -race this also proves the node-range
-// sharding writes are disjoint.
+// sharding writes are disjoint. After every absorb, and after a decode,
+// each slot must be sized to what its node holds (checkSlots), and the
+// bytes must hash to encodeGolden.
 func TestAbsorbParallelismDeterminism(t *testing.T) {
-	c, _ := genInstances(t, 301, 1200, 21) // odd n: uneven shard ranges
+	c, member := genInstances(t, 301, 1200, 21) // odd n: uneven shard ranges
 	snap := c.Snapshot()
 	var want []byte
 	for _, p := range []int{1, 2, 4} {
 		s := mustNew(t, 301, Params{K: 32, Seed: 5})
 		s.Absorb(snap, p)
+		if full := checkSlots(t, s, member, snap.Count(), fmt.Sprintf("one-shot P=%d", p)); full == 0 || full == 301 {
+			t.Fatalf("%d of 301 slots full: the instances must exercise both the exact and the bottom-k regime", full)
+		}
 		enc := s.Encode()
 		if want == nil {
 			want = enc
+			sum := sha256.Sum256(want)
+			if got := hex.EncodeToString(sum[:]); got != encodeGolden {
+				t.Fatalf("Encode digest %s, want %s", got, encodeGolden)
+			}
 			continue
 		}
 		if !bytes.Equal(want, enc) {
 			t.Fatalf("sketch bytes differ between parallelism 1 and %d", p)
 		}
 	}
-	// Incremental absorption in three uneven chunks must land on the same
+	dec, err := Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSlots(t, dec, member, snap.Count(), "decoded")
+	// Incremental absorption in four uneven chunks must land on the same
 	// bytes as one shot: ranks are positional, not arrival-ordered.
 	for _, p := range []int{1, 4} {
 		s := mustNew(t, 301, Params{K: 32, Seed: 5})
@@ -157,12 +179,40 @@ func TestAbsorbParallelismDeterminism(t *testing.T) {
 			}
 			prev = cut
 			s.Absorb(partial.Snapshot(), p)
+			checkSlots(t, s, member, cut, fmt.Sprintf("P=%d after %d instances", p, cut))
 		}
 		if !bytes.Equal(want, s.Encode()) {
 			t.Fatalf("incremental absorb at parallelism %d diverged from one-shot bytes", p)
 		}
 	}
 }
+
+// checkSlots asserts the arena invariant after instances [0, count):
+// node v's slot holds exactly min(K, instances containing v) ranks and
+// the arena holds nothing else. Returns how many slots are full (K long).
+func checkSlots(t *testing.T, s *Set, member [][]bool, count int, label string) (full int) {
+	t.Helper()
+	total := 0
+	for v := uint32(0); v < uint32(s.N()); v++ {
+		want := min(s.K(), trueCoversPrefix(member, v, count))
+		if got := len(s.nodeRanks(v)); got != want {
+			t.Fatalf("%s: node %d holds %d ranks, want min(K=%d, covers) = %d", label, v, got, s.K(), want)
+		}
+		if want == s.K() {
+			full++
+		}
+		total += want
+	}
+	if len(s.ranks) != total {
+		t.Fatalf("%s: arena holds %d ranks, slots account for %d", label, len(s.ranks), total)
+	}
+	return full
+}
+
+// encodeGolden is the SHA-256 of Encode() over genInstances(301, 1200,
+// 21) absorbed at K = 32, seed 5, recorded with the fixed-stride n×K
+// layout the CSR arena replaced: the arena moved no byte.
+const encodeGolden = "950b3801f29b6ea3e4782e44ddfa4ff82e2f96deeadf38a4fe5896745cf8e27b"
 
 func TestEstimateSpreadScaling(t *testing.T) {
 	c, member := genInstances(t, 100, 800, 13)

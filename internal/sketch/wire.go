@@ -72,11 +72,7 @@ func (e *MismatchError) Error() string {
 
 // EncodedSize returns how many bytes Encode produces.
 func (s *Set) EncodedSize() int {
-	var ranks int64
-	for _, sz := range s.size {
-		ranks += int64(sz)
-	}
-	return wireHeaderSize + 4*s.n + 8*int(ranks) + wireFooterSize
+	return wireHeaderSize + 4*s.n + 8*len(s.ranks) + wireFooterSize
 }
 
 // Encode serializes the sketch set. The output is a deterministic
@@ -94,9 +90,10 @@ func (s *Set) Encode() []byte {
 	var u32 [4]byte
 	var u64 [8]byte
 	for v := 0; v < s.n; v++ {
-		binary.LittleEndian.PutUint32(u32[:], uint32(s.size[v]))
+		slot := s.nodeRanks(uint32(v))
+		binary.LittleEndian.PutUint32(u32[:], uint32(len(slot)))
 		buf = append(buf, u32[:]...)
-		for _, r := range s.nodeRanks(uint32(v)) {
+		for _, r := range slot {
 			binary.LittleEndian.PutUint64(u64[:], r)
 			buf = append(buf, u64[:]...)
 		}
@@ -132,12 +129,18 @@ func Decode(data []byte) (*Set, error) {
 	if n < 1 || k < 2 || theta < 0 {
 		return nil, &FormatError{Reason: fmt.Sprintf("implausible header: n=%d k=%d theta=%d", n, k, theta)}
 	}
+	payload := body[wireHeaderSize:]
+	// Every node costs at least its 4-byte size, so a larger n cannot be
+	// honest; checking before New keeps allocation bounded by the input.
+	if n > len(payload)/4 {
+		return nil, &FormatError{Reason: fmt.Sprintf("header declares %d nodes, the %d-byte payload holds at most %d", n, len(payload), len(payload)/4)}
+	}
 	s, err := New(n, Params{K: k, Seed: seed})
 	if err != nil {
 		return nil, &FormatError{Reason: err.Error()}
 	}
 	s.theta = theta
-	payload := body[wireHeaderSize:]
+	s.ranks = make([]uint64, 0, (len(payload)-4*n)/8)
 	off := 0
 	for v := 0; v < n; v++ {
 		if off+4 > len(payload) {
@@ -151,7 +154,6 @@ func Decode(data []byte) (*Set, error) {
 		if off+8*sz > len(payload) {
 			return nil, &FormatError{Reason: fmt.Sprintf("payload ends inside node %d's ranks", v)}
 		}
-		base := v * k
 		var prev uint64
 		for i := 0; i < sz; i++ {
 			r := binary.LittleEndian.Uint64(payload[off:])
@@ -159,10 +161,10 @@ func Decode(data []byte) (*Set, error) {
 			if i > 0 && r <= prev {
 				return nil, &FormatError{Reason: fmt.Sprintf("node %d's ranks are not strictly ascending", v)}
 			}
-			s.ranks[base+i] = r
+			s.ranks = append(s.ranks, r)
 			prev = r
 		}
-		s.size[v] = int32(sz)
+		s.start[v+1] = len(s.ranks)
 	}
 	if off != len(payload) {
 		return nil, &FormatError{Reason: fmt.Sprintf("%d trailing payload bytes", len(payload)-off)}

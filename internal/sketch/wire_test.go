@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"dimm/internal/checksum"
@@ -101,6 +104,25 @@ func TestWireCorruptionMatrix(t *testing.T) {
 		}
 	})
 
+	t.Run("oversized node count", func(t *testing.T) {
+		// A checksummed header declaring more nodes than the payload's
+		// 4 bytes per node can hold is refused before anything is sized
+		// by it. The first case sits one node above that bound.
+		payload := len(enc) - wireHeaderSize - wireFooterSize
+		for _, n := range []uint32{uint32(payload/4) + 1, 1 << 30, math.MaxUint32} {
+			fixed, err := reframe(withNodeCount(enc, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fe *FormatError
+			if _, err := Decode(fixed); !errors.As(err, &fe) {
+				t.Fatalf("n=%d: want *FormatError, got %v", n, err)
+			} else if !strings.HasPrefix(fe.Reason, "header declares") {
+				t.Fatalf("n=%d: rejected by a later check (%q), not by the node-count bound", n, fe.Reason)
+			}
+		}
+	})
+
 	t.Run("fingerprint mismatch", func(t *testing.T) {
 		dec, err := Decode(enc)
 		if err != nil {
@@ -124,6 +146,73 @@ func TestWireCorruptionMatrix(t *testing.T) {
 			}
 		}
 	})
+}
+
+// withNodeCount returns a copy of enc whose header declares n nodes.
+func withNodeCount(enc []byte, n uint32) []byte {
+	out := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint32(out[24:], n)
+	return out
+}
+
+// FuzzDecode: every input decodes to a typed error or to a Set whose
+// Encode reproduces it byte for byte, without panicking and without an
+// allocation sized by a header count. Each input is also tried with its
+// CRC32C footer recomputed, so mutations reach the structural checks
+// behind the checksum. Seeded from the corruption matrix above, applied
+// to a sketch small enough (≈ 0.5 KB) that the fuzzer's minimization of
+// a new input finishes within a short budget.
+func FuzzDecode(f *testing.F) {
+	c, _ := genInstances(f, 16, 60, 31)
+	small := mustNew(f, 16, Params{K: 4, Seed: 77})
+	small.Absorb(c.Snapshot(), 1)
+	enc := small.Encode()
+	f.Add(enc)
+	for _, off := range []int{5, 16, wireHeaderSize + 9, len(enc) - 2} {
+		bad := append([]byte(nil), enc...)
+		bad[off] ^= 0x10
+		f.Add(bad)
+	}
+	f.Add(enc[:wireHeaderSize+wireFooterSize-3])
+	f.Add(enc[:len(enc)/2])
+	f.Add([]byte{})
+	foreign := append([]byte(nil), enc...)
+	foreign[0] ^= 0xff
+	f.Add(foreign)
+	f.Add(withNodeCount(enc, math.MaxUint32))
+	f.Add(withNodeCount(enc, 1<<20))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecode(t, data)
+		if fixed, err := reframe(data); err == nil {
+			checkDecode(t, fixed)
+		}
+	})
+}
+
+func checkDecode(t *testing.T, data []byte) {
+	t.Helper()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	s, err := Decode(data)
+	runtime.ReadMemStats(&ms)
+	// The arena is at most 2 B of offsets per payload byte plus the ranks
+	// themselves; anything far beyond the input's size came from a header.
+	if alloc := ms.TotalAlloc - before; alloc > 8*uint64(len(data))+1<<16 {
+		t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+	}
+	if err != nil {
+		var te *TruncatedError
+		var ce *ChecksumError
+		var fe *FormatError
+		if !errors.As(err, &te) && !errors.As(err, &ce) && !errors.As(err, &fe) {
+			t.Fatalf("untyped decode error %T: %v", err, err)
+		}
+		return
+	}
+	if !bytes.Equal(s.Encode(), data) {
+		t.Fatal("decoded sketch does not re-encode to its input")
+	}
 }
 
 // reframe recomputes the CRC32C footer over a (possibly modified) body.
