@@ -1,6 +1,7 @@
 // Package checksum is the CRC32C (Castagnoli) helper shared by the
-// durable RR-sample store (internal/store segments) and the cluster wire
-// protocol (fetch-payload integrity trailers). Castagnoli is chosen over
+// sealed-file codec (internal/sealed), the segmented graph's block CRCs
+// and the cluster wire protocol (fetch-payload integrity trailers).
+// Castagnoli is chosen over
 // IEEE because amd64 and arm64 both execute it in hardware, so sealing a
 // multi-hundred-megabyte checkpoint segment costs a small fraction of
 // the write itself.

@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"dimm/internal/checksum"
+	"dimm/internal/sealed"
 )
 
 // Segmented on-disk CSR (".dsg"), the out-of-core graph substrate.
@@ -39,6 +40,9 @@ import (
 //	...     0     zero fill
 //	4092    4     CRC32C over header[0:4092]
 //
+// The header is a 4 KiB sealed blob (internal/sealed), so it runs the
+// same verify ladder as the store's files.
+//
 // Each section: payload at a 4096-aligned offset, then its trailer —
 // one CRC32C per SegBlockSize payload block plus a final CRC32C over
 // the trailer itself (so trailer corruption is distinguished from
@@ -52,11 +56,15 @@ const (
 	// SegBlockSize is the CRC (and content-hash) block width. It is part
 	// of the format: BaseHash hashes these per-block digests, so v1 pins
 	// it rather than making it a knob.
-	SegBlockSize  = 1 << 20
-	segHeaderSize = 4096
-	segAlign      = 4096
+	SegBlockSize    = 1 << 20
+	segHeaderSize   = 4096
+	segAlign        = 4096
 	segWeightTagMax = 16
 )
+
+// segHeaderKind frames the fixed header: magic and version (8 bytes), the
+// fields above and zero fill, then the 4-byte CRC32C footer.
+var segHeaderKind = sealed.Kind{Name: "graph", Magic: segMagic, Version: SegFormatVersion, Header: segHeaderSize - 8 - 4}
 
 // Section kinds, in file order.
 const (
@@ -74,65 +82,17 @@ var secNames = [segSectionCount]string{
 	"outStart", "outAdj", "outProb", "inStart", "inAdj", "inProb", "inProbSum",
 }
 
-// CSRTruncatedError reports a segmented graph file shorter than its
-// header (or the fixed header itself) declares — the truncation signal,
-// checked before any payload read.
-type CSRTruncatedError struct {
-	Path      string
-	WantBytes int64
-	GotBytes  int64
+// csrError reports damage to a segmented graph as the one corruption
+// error every checksummed artifact shares (internal/sealed).
+func csrError(path string, cause error, format string, args ...any) *sealed.Error {
+	return sealed.Corrupt("graph", path, cause, format, args...)
 }
 
-func (e *CSRTruncatedError) Error() string {
-	return fmt.Sprintf("graph: segmented graph %s truncated: want %d bytes, file holds %d",
-		e.Path, e.WantBytes, e.GotBytes)
-}
-
-// CSRChecksumError reports a CRC32C mismatch in a segmented graph: a
-// flipped bit in the header, in one payload block of a section, or in a
-// section's CRC trailer (Block = -1).
-type CSRChecksumError struct {
-	Path    string
-	Section string // section name, or "header"
-	Block   int    // payload block index, -1 for the trailer itself
-	Want    uint32
-	Got     uint32
-}
-
-func (e *CSRChecksumError) Error() string {
-	where := fmt.Sprintf("section %s block %d", e.Section, e.Block)
-	if e.Section == "header" {
-		where = "header"
-	} else if e.Block < 0 {
-		where = fmt.Sprintf("section %s CRC trailer", e.Section)
-	}
-	return fmt.Sprintf("graph: segmented graph %s corrupt: %s CRC32C %#x, want %#x",
-		e.Path, where, e.Got, e.Want)
-}
-
-// CSRVersionError reports a segmented graph written by a different
-// format version than this build reads.
-type CSRVersionError struct {
-	Path string
-	Got  uint32
-	Want uint32
-}
-
-func (e *CSRVersionError) Error() string {
-	return fmt.Sprintf("graph: segmented graph %s is format version %d, this build reads %d",
-		e.Path, e.Got, e.Want)
-}
-
-// CorruptCSRError reports structural corruption that is not a plain
-// checksum or version mismatch: bad magic, an inconsistent section
-// table, impossible counts.
-type CorruptCSRError struct {
-	Path   string
-	Reason string
-}
-
-func (e *CorruptCSRError) Error() string {
-	return fmt.Sprintf("graph: segmented graph %s corrupt: %s", e.Path, e.Reason)
+// csrChecksumError reports a CRC32C mismatch in one payload block of a
+// section, or in the section's CRC trailer (block -1).
+func csrChecksumError(path, section string, block int, want, got uint32) *sealed.Error {
+	return &sealed.Error{Artifact: "graph", Path: path, Section: section, Block: block,
+		Cause: sealed.ErrChecksum, Detail: fmt.Sprintf("computed %#x, want %#x", got, want)}
 }
 
 // MappedGraphError reports an operation that would write through (or
@@ -217,9 +177,8 @@ func encodeHeader(l segLayout, uniformIn bool, weightTag string) ([]byte, error)
 	if len(weightTag) > segWeightTagMax {
 		return nil, fmt.Errorf("graph: weight tag %q longer than %d bytes", weightTag, segWeightTagMax)
 	}
-	h := make([]byte, segHeaderSize)
-	binary.LittleEndian.PutUint32(h[0:], segMagic)
-	binary.LittleEndian.PutUint32(h[4:], SegFormatVersion)
+	h := segHeaderKind.Begin(0)
+	h = h[:cap(h)-4] // zero fill up to the footer
 	binary.LittleEndian.PutUint64(h[8:], uint64(l.n))
 	binary.LittleEndian.PutUint64(h[16:], uint64(l.m))
 	binary.LittleEndian.PutUint32(h[24:], SegBlockSize)
@@ -236,7 +195,7 @@ func encodeHeader(l segLayout, uniformIn bool, weightTag string) ([]byte, error)
 		binary.LittleEndian.PutUint64(h[off+16:], uint64(s.off))
 		off += 24
 	}
-	binary.LittleEndian.PutUint32(h[segHeaderSize-4:], checksum.Sum(h[:segHeaderSize-4]))
+	h, _ = sealed.Seal(h)
 	return h, nil
 }
 
@@ -248,36 +207,25 @@ type segHeader struct {
 }
 
 // decodeHeader validates the fixed header bytes against the layout
-// implied by their (n, m) and returns the decoded form. Checks run from
-// cheapest to most specific, mirroring internal/store's segment reader:
-// magic, then the header CRC (any flipped bit), then the format version,
-// then structural consistency.
+// implied by their (n, m) and returns the decoded form: the sealed
+// ladder (CRC32C, magic, version), then structural consistency.
 func decodeHeader(path string, h []byte) (*segHeader, error) {
-	if len(h) < segHeaderSize {
-		return nil, &CSRTruncatedError{Path: path, WantBytes: segHeaderSize, GotBytes: int64(len(h))}
-	}
-	h = h[:segHeaderSize]
-	if magic := binary.LittleEndian.Uint32(h[0:]); magic != segMagic {
-		return nil, &CorruptCSRError{Path: path, Reason: fmt.Sprintf("bad magic %#x (not a DSG1 segmented graph)", magic)}
-	}
-	want := binary.LittleEndian.Uint32(h[segHeaderSize-4:])
-	if got := checksum.Sum(h[:segHeaderSize-4]); got != want {
-		return nil, &CSRChecksumError{Path: path, Section: "header", Want: want, Got: got}
-	}
-	if v := binary.LittleEndian.Uint32(h[4:]); v != SegFormatVersion {
-		return nil, &CSRVersionError{Path: path, Got: v, Want: SegFormatVersion}
+	if _, _, err := segHeaderKind.Open(h); err != nil {
+		se := err.(*sealed.Error)
+		se.Path, se.Section = path, "header"
+		return nil, se
 	}
 	n := int64(binary.LittleEndian.Uint64(h[8:]))
 	m := int64(binary.LittleEndian.Uint64(h[16:]))
 	if n < 0 || n > 1<<32 || m < 0 {
-		return nil, &CorruptCSRError{Path: path, Reason: fmt.Sprintf("impossible counts n=%d m=%d", n, m)}
+		return nil, csrError(path, sealed.ErrFormat, "impossible counts n=%d m=%d", n, m)
 	}
 	if bs := binary.LittleEndian.Uint32(h[24:]); bs != SegBlockSize {
-		return nil, &CorruptCSRError{Path: path, Reason: fmt.Sprintf("block size %d, v1 requires %d", bs, SegBlockSize)}
+		return nil, csrError(path, sealed.ErrFormat, "block size %d, v1 requires %d", bs, SegBlockSize)
 	}
 	tagLen := int(h[29])
 	if tagLen > segWeightTagMax {
-		return nil, &CorruptCSRError{Path: path, Reason: fmt.Sprintf("weight tag length %d exceeds %d", tagLen, segWeightTagMax)}
+		return nil, csrError(path, sealed.ErrFormat, "weight tag length %d exceeds %d", tagLen, segWeightTagMax)
 	}
 	hdr := &segHeader{
 		layout:    computeLayout(n, m),
@@ -290,16 +238,16 @@ func decodeHeader(path string, h []byte) (*segHeader, error) {
 	off := 48
 	for kind, s := range hdr.layout.sections {
 		if k := binary.LittleEndian.Uint32(h[off:]); k != uint32(kind) {
-			return nil, &CorruptCSRError{Path: path, Reason: fmt.Sprintf("section %d has kind %d", kind, k)}
+			return nil, csrError(path, sealed.ErrFormat, "section %d has kind %d", kind, k)
 		}
 		if es := binary.LittleEndian.Uint32(h[off+4:]); es != uint32(s.elemSize) {
-			return nil, &CorruptCSRError{Path: path, Reason: fmt.Sprintf("section %s element size %d, want %d", secNames[kind], es, s.elemSize)}
+			return nil, csrError(path, sealed.ErrFormat, "section %s element size %d, want %d", secNames[kind], es, s.elemSize)
 		}
 		if c := binary.LittleEndian.Uint64(h[off+8:]); c != uint64(s.count) {
-			return nil, &CorruptCSRError{Path: path, Reason: fmt.Sprintf("section %s count %d, want %d", secNames[kind], c, s.count)}
+			return nil, csrError(path, sealed.ErrFormat, "section %s count %d, want %d", secNames[kind], c, s.count)
 		}
 		if o := binary.LittleEndian.Uint64(h[off+16:]); o != uint64(s.off) {
-			return nil, &CorruptCSRError{Path: path, Reason: fmt.Sprintf("section %s offset %d, want %d", secNames[kind], o, s.off)}
+			return nil, csrError(path, sealed.ErrFormat, "section %s offset %d, want %d", secNames[kind], o, s.off)
 		}
 		off += 24
 	}
@@ -312,7 +260,7 @@ func readHeader(f *os.File, path string) (*segHeader, error) {
 	if _, err := f.ReadAt(buf, 0); err != nil {
 		st, serr := f.Stat()
 		if serr == nil && st.Size() < segHeaderSize {
-			return nil, &CSRTruncatedError{Path: path, WantBytes: segHeaderSize, GotBytes: st.Size()}
+			return nil, csrError(path, sealed.ErrTruncated, "%d bytes, the header alone is %d", st.Size(), segHeaderSize)
 		}
 		return nil, fmt.Errorf("graph: reading segmented header of %s: %w", path, err)
 	}
@@ -325,7 +273,7 @@ func readHeader(f *os.File, path string) (*segHeader, error) {
 		return nil, fmt.Errorf("graph: stat %s: %w", path, err)
 	}
 	if st.Size() != hdr.layout.fileSize {
-		return nil, &CSRTruncatedError{Path: path, WantBytes: hdr.layout.fileSize, GotBytes: st.Size()}
+		return nil, csrError(path, sealed.ErrTruncated, "%d bytes, the header declares %d", st.Size(), hdr.layout.fileSize)
 	}
 	return hdr, nil
 }
@@ -340,7 +288,7 @@ func readTrailer(f *os.File, path string, kind int, s segSection) ([]uint32, err
 	body := raw[:len(raw)-4]
 	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if got := checksum.Sum(body); got != want {
-		return nil, &CSRChecksumError{Path: path, Section: secNames[kind], Block: -1, Want: want, Got: got}
+		return nil, csrChecksumError(path, secNames[kind], -1, want, got)
 	}
 	crcs := make([]uint32, s.nBlocks())
 	for i := range crcs {
@@ -423,7 +371,7 @@ func VerifySegmented(path string) (*SegInfo, error) {
 				return nil, fmt.Errorf("graph: reading %s block %d of %s: %w", secNames[kind], b, path, err)
 			}
 			if got := checksum.Sum(buf[:chunk]); got != crcs[b] {
-				return nil, &CSRChecksumError{Path: path, Section: secNames[kind], Block: b, Want: crcs[b], Got: got}
+				return nil, csrChecksumError(path, secNames[kind], b, crcs[b], got)
 			}
 			off += chunk
 			remaining -= chunk

@@ -3,11 +3,13 @@ package graph
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"dimm/internal/checksum"
+	"dimm/internal/sealed"
 )
 
 // segTestGraph builds a heavy-tailed weighted graph the segment tests
@@ -301,8 +303,18 @@ func corruptAt(t *testing.T, path string, off int64) {
 	}
 }
 
+// corruption asserts err is the shared *sealed.Error with the given cause.
+func corruption(t *testing.T, err, cause error) *sealed.Error {
+	t.Helper()
+	var se *sealed.Error
+	if !errors.As(err, &se) || !errors.Is(err, cause) {
+		t.Fatalf("got %v, want a *sealed.Error caused by %q", err, cause)
+	}
+	return se
+}
+
 // TestSegmentedCorruptionMatrix mirrors the internal/store corruption
-// tests: every distinct damage pattern maps to its own typed error.
+// tests: every distinct damage pattern maps to its own sealed.Error cause.
 func TestSegmentedCorruptionMatrix(t *testing.T) {
 	g := segTestGraph(t)
 	dir := t.TempDir()
@@ -328,21 +340,19 @@ func TestSegmentedCorruptionMatrix(t *testing.T) {
 		if err := os.Truncate(p, layout.fileSize/2); err != nil {
 			t.Fatal(err)
 		}
-		var want *CSRTruncatedError
-		if _, err := OpenSegmented(p, BackendMem); !errors.As(err, &want) {
-			t.Fatalf("truncated file: got %v, want *CSRTruncatedError", err)
-		}
-		if want.WantBytes != layout.fileSize || want.GotBytes != layout.fileSize/2 {
-			t.Fatalf("truncation error sizes %d/%d, want %d/%d", want.GotBytes, want.WantBytes, layout.fileSize/2, layout.fileSize)
+		_, err := OpenSegmented(p, BackendMem)
+		want := corruption(t, err, sealed.ErrTruncated)
+		if sizes := fmt.Sprintf("%d bytes, the header declares %d", layout.fileSize/2, layout.fileSize); want.Detail != sizes {
+			t.Fatalf("truncation error says %q, want %q", want.Detail, sizes)
 		}
 	})
 
 	t.Run("header-bitflip", func(t *testing.T) {
 		p := fresh(t, "hdrflip")
 		corruptAt(t, p, 9) // inside the node count
-		var want *CSRChecksumError
-		if _, err := OpenSegmented(p, BackendMem); !errors.As(err, &want) || want.Section != "header" {
-			t.Fatalf("header flip: got %v, want header *CSRChecksumError", err)
+		_, err := OpenSegmented(p, BackendMem)
+		if want := corruption(t, err, sealed.ErrChecksum); want.Section != "header" {
+			t.Fatalf("header flip blamed %q, want the header", want.Section)
 		}
 	})
 
@@ -363,10 +373,8 @@ func TestSegmentedCorruptionMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		var want *CorruptCSRError
-		if _, err := OpenSegmented(p, BackendMem); !errors.As(err, &want) {
-			t.Fatalf("bad magic: got %v, want *CorruptCSRError", err)
-		}
+		_, err = OpenSegmented(p, BackendMem)
+		corruption(t, err, sealed.ErrFormat)
 	})
 
 	t.Run("version-mismatch", func(t *testing.T) {
@@ -387,12 +395,10 @@ func TestSegmentedCorruptionMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		var want *CSRVersionError
-		if _, err := OpenSegmented(p, BackendMem); !errors.As(err, &want) {
-			t.Fatalf("version mismatch: got %v, want *CSRVersionError", err)
-		}
-		if want.Got != SegFormatVersion+1 || want.Want != SegFormatVersion {
-			t.Fatalf("version error %d/%d, want %d/%d", want.Got, want.Want, SegFormatVersion+1, SegFormatVersion)
+		_, err = OpenSegmented(p, BackendMem)
+		want := corruption(t, err, sealed.ErrVersion)
+		if v := fmt.Sprintf("version %d, this build reads %d", SegFormatVersion+1, SegFormatVersion); want.Detail != v {
+			t.Fatalf("version error says %q, want %q", want.Detail, v)
 		}
 	})
 
@@ -400,16 +406,12 @@ func TestSegmentedCorruptionMatrix(t *testing.T) {
 		p := fresh(t, "payload")
 		sec := layout.sections[secInAdj]
 		corruptAt(t, p, sec.off+sec.payloadBytes()/2)
-		var want *CSRChecksumError
-		if _, err := OpenSegmented(p, BackendMem); !errors.As(err, &want) {
-			t.Fatalf("payload flip, mem open: got %v, want *CSRChecksumError", err)
-		}
-		if want.Section != "inAdj" || want.Block < 0 {
+		_, err := OpenSegmented(p, BackendMem)
+		if want := corruption(t, err, sealed.ErrChecksum); want.Section != "inAdj" || want.Block < 0 {
 			t.Fatalf("payload flip blamed %s block %d, want inAdj payload block", want.Section, want.Block)
 		}
-		if _, err := VerifySegmented(p); !errors.As(err, &want) {
-			t.Fatalf("payload flip, verify: got %v, want *CSRChecksumError", err)
-		}
+		_, err = VerifySegmented(p)
+		corruption(t, err, sealed.ErrChecksum)
 		// The mmap backend deliberately skips payload verification; it
 		// must still open (integrity is VerifySegmented's job there).
 		mg, err := OpenSegmented(p, BackendMmap)
@@ -423,11 +425,8 @@ func TestSegmentedCorruptionMatrix(t *testing.T) {
 		p := fresh(t, "trailer")
 		sec := layout.sections[secOutAdj]
 		corruptAt(t, p, sec.trailerOff())
-		var want *CSRChecksumError
-		if _, err := OpenSegmented(p, BackendMmap); !errors.As(err, &want) {
-			t.Fatalf("trailer flip: got %v, want *CSRChecksumError", err)
-		}
-		if want.Section != "outAdj" || want.Block != -1 {
+		_, err := OpenSegmented(p, BackendMmap)
+		if want := corruption(t, err, sealed.ErrChecksum); want.Section != "outAdj" || want.Block != -1 {
 			t.Fatalf("trailer flip blamed %s block %d, want outAdj trailer (-1)", want.Section, want.Block)
 		}
 	})

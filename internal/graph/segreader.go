@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"dimm/internal/checksum"
+	"dimm/internal/sealed"
 )
 
 // Backend selects how a segmented graph file's payload is materialized.
@@ -143,7 +144,7 @@ func loadSegMem(f *os.File, path string, hdr *segHeader, seg *segState, g *Graph
 				return fmt.Errorf("graph: reading %s block %d of %s: %w", secNames[kind], b, path, err)
 			}
 			if got := checksum.Sum(buf[:chunk]); got != seg.crcs[kind][b] {
-				return &CSRChecksumError{Path: path, Section: secNames[kind], Block: b, Want: seg.crcs[kind][b], Got: got}
+				return csrChecksumError(path, secNames[kind], b, seg.crcs[kind][b], got)
 			}
 			decode(buf[:chunk], elem)
 			elem += chunk / int64(s.elemSize)
@@ -227,10 +228,10 @@ func loadSegMmap(f *os.File, path string, hdr *segHeader, seg *segState, g *Grap
 // any accessor can index out of range.
 func segSanity(path string, g *Graph) error {
 	if g.outStart[0] != 0 || g.outStart[g.n] != g.m {
-		return &CorruptCSRError{Path: path, Reason: fmt.Sprintf("out-CSR offsets span [%d,%d], want [0,%d]", g.outStart[0], g.outStart[g.n], g.m)}
+		return csrError(path, sealed.ErrFormat, "out-CSR offsets span [%d,%d], want [0,%d]", g.outStart[0], g.outStart[g.n], g.m)
 	}
 	if g.inStart[0] != 0 || g.inStart[g.n] != g.m {
-		return &CorruptCSRError{Path: path, Reason: fmt.Sprintf("in-CSR offsets span [%d,%d], want [0,%d]", g.inStart[0], g.inStart[g.n], g.m)}
+		return csrError(path, sealed.ErrFormat, "in-CSR offsets span [%d,%d], want [0,%d]", g.inStart[0], g.inStart[g.n], g.m)
 	}
 	return nil
 }

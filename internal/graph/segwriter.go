@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"dimm/internal/checksum"
+	"dimm/internal/sealed"
 	"dimm/internal/xrand"
 )
 
@@ -65,12 +66,12 @@ type SegmentBuildOptions struct {
 
 // SegBuildStats reports a BuildSegmented run.
 type SegBuildStats struct {
-	Nodes     int64
-	Edges     int64
-	FileBytes int64
-	CSRBytes  int64
+	Nodes      int64
+	Edges      int64
+	FileBytes  int64
+	CSRBytes   int64
 	SpillBytes int64 // temp bytes written across spool + sort runs
-	Runs      int
+	Runs       int
 }
 
 func (o SegmentBuildOptions) withDefaults() SegmentBuildOptions {
@@ -150,15 +151,12 @@ func BuildSegmented(path string, n int, src func(emit func(from, to uint32, prob
 	}
 
 	layout := computeLayout(nn, m)
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := sealed.Stage(path)
 	if err != nil {
-		return nil, fmt.Errorf("graph: staging segmented graph: %w", err)
+		return nil, err
 	}
-	tmpName := tmp.Name()
 	fail := func(err error) (*SegBuildStats, error) {
-		tmp.Close()
-		os.Remove(tmpName)
+		tmp.Abort()
 		return nil, err
 	}
 	if err := tmp.Truncate(layout.fileSize); err != nil {
@@ -172,10 +170,10 @@ func BuildSegmented(path string, n int, src func(emit func(from, to uint32, prob
 		outDeg[i+1] += outDeg[i]
 		inDeg[i+1] += inDeg[i]
 	}
-	if err := writeInt64Section(tmp, layout, secOutStart, outDeg); err != nil {
+	if err := writeInt64Section(tmp.File, layout, secOutStart, outDeg); err != nil {
 		return fail(err)
 	}
-	if err := writeInt64Section(tmp, layout, secInStart, inDeg); err != nil {
+	if err := writeInt64Section(tmp.File, layout, secInStart, inDeg); err != nil {
 		return fail(err)
 	}
 
@@ -192,8 +190,8 @@ func BuildSegmented(path string, n int, src func(emit func(from, to uint32, prob
 	}
 	toSorter := newExtSorter(tempDir, bufRecs)
 	defer toSorter.close()
-	wAdj := newSectionWriter(tmp, layout.sections[secOutAdj])
-	wProb := newSectionWriter(tmp, layout.sections[secOutProb])
+	wAdj := newSectionWriter(tmp.File, layout.sections[secOutAdj])
+	wProb := newSectionWriter(tmp.File, layout.sections[secOutProb])
 	var triv *xrand.Rand
 	if opt.HasWeights && opt.Weights == Trivalency {
 		triv = xrand.New(opt.Seed)
@@ -252,9 +250,9 @@ func BuildSegmented(path string, n int, src func(emit func(from, to uint32, prob
 	// Pass C: drain the target-sorted stream into the in-CSR sections,
 	// accumulating inProbSum in CSR slot order (bit-identical float64
 	// order to finalize) and detecting per-node uniform weights.
-	wInAdj := newSectionWriter(tmp, layout.sections[secInAdj])
-	wInProb := newSectionWriter(tmp, layout.sections[secInProb])
-	wSum := newSectionWriter(tmp, layout.sections[secInProbSum])
+	wInAdj := newSectionWriter(tmp.File, layout.sections[secInAdj])
+	wInProb := newSectionWriter(tmp.File, layout.sections[secInProb])
+	wSum := newSectionWriter(tmp.File, layout.sections[secInProbSum])
 	uniform := true
 	var cur int64 // next node whose inProbSum is unwritten
 	var sum float64
@@ -303,8 +301,7 @@ func BuildSegmented(path string, n int, src func(emit func(from, to uint32, prob
 	}
 
 	// Header last: a crashed build leaves a file without a valid magic,
-	// never a plausible graph. Then fsync + rename, the store publish
-	// discipline.
+	// never a plausible graph. Then the sealed publish path.
 	hdr, err := encodeHeader(layout, uniform, opt.WeightTag)
 	if err != nil {
 		return fail(err)
@@ -312,16 +309,8 @@ func BuildSegmented(path string, n int, src func(emit func(from, to uint32, prob
 	if _, err := tmp.WriteAt(hdr, 0); err != nil {
 		return fail(fmt.Errorf("graph: writing segmented header: %w", err))
 	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("graph: syncing segmented graph: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return nil, fmt.Errorf("graph: closing segmented graph: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return nil, fmt.Errorf("graph: publishing segmented graph %s: %w", path, err)
+	if err := tmp.Commit(); err != nil {
+		return nil, err
 	}
 	return stats, nil
 }
@@ -335,39 +324,36 @@ func WriteSegmentedFile(path string, g *Graph, weightTag string) error {
 		return fmt.Errorf("graph: cannot seal a mutated graph (version %d) into a segmented file; seal the base before updates", g.mut.version)
 	}
 	layout := computeLayout(g.n, g.m)
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := sealed.Stage(path)
 	if err != nil {
-		return fmt.Errorf("graph: staging segmented graph: %w", err)
+		return err
 	}
-	tmpName := tmp.Name()
 	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
+		tmp.Abort()
 		return err
 	}
 	if err := tmp.Truncate(layout.fileSize); err != nil {
 		return fail(fmt.Errorf("graph: sizing segmented graph: %w", err))
 	}
-	if err := writeInt64Section(tmp, layout, secOutStart, g.outStart); err != nil {
+	if err := writeInt64Section(tmp.File, layout, secOutStart, g.outStart); err != nil {
 		return fail(err)
 	}
-	if err := writeUint32Section(tmp, layout, secOutAdj, g.outAdj); err != nil {
+	if err := writeUint32Section(tmp.File, layout, secOutAdj, g.outAdj); err != nil {
 		return fail(err)
 	}
-	if err := writeFloat32Section(tmp, layout, secOutProb, g.outProb); err != nil {
+	if err := writeFloat32Section(tmp.File, layout, secOutProb, g.outProb); err != nil {
 		return fail(err)
 	}
-	if err := writeInt64Section(tmp, layout, secInStart, g.inStart); err != nil {
+	if err := writeInt64Section(tmp.File, layout, secInStart, g.inStart); err != nil {
 		return fail(err)
 	}
-	if err := writeUint32Section(tmp, layout, secInAdj, g.inAdj); err != nil {
+	if err := writeUint32Section(tmp.File, layout, secInAdj, g.inAdj); err != nil {
 		return fail(err)
 	}
-	if err := writeFloat32Section(tmp, layout, secInProb, g.inProb); err != nil {
+	if err := writeFloat32Section(tmp.File, layout, secInProb, g.inProb); err != nil {
 		return fail(err)
 	}
-	if err := writeFloat64Section(tmp, layout, secInProbSum, g.inProbSum); err != nil {
+	if err := writeFloat64Section(tmp.File, layout, secInProbSum, g.inProbSum); err != nil {
 		return fail(err)
 	}
 	hdr, err := encodeHeader(layout, g.uniformIn, weightTag)
@@ -377,18 +363,7 @@ func WriteSegmentedFile(path string, g *Graph, weightTag string) error {
 	if _, err := tmp.WriteAt(hdr, 0); err != nil {
 		return fail(fmt.Errorf("graph: writing segmented header: %w", err))
 	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("graph: syncing segmented graph: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("graph: closing segmented graph: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("graph: publishing segmented graph %s: %w", path, err)
-	}
-	return nil
+	return tmp.Commit()
 }
 
 func firstErr(errs ...error) error {
@@ -720,8 +695,8 @@ func (h mergeHeap) Less(i, j int) bool {
 	}
 	return h[i].idx < h[j].idx
 }
-func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(*runReader)) }
+func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*runReader)) }
 func (h *mergeHeap) Pop() any {
 	old := *h
 	n := len(old)

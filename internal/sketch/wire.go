@@ -4,58 +4,20 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"dimm/internal/checksum"
+	"dimm/internal/sealed"
 )
 
-// Sketch checkpoint layout (all little-endian), the same
-// header+CRC32C-footer discipline as internal/store segments:
+// wire is the sketch's sealed-file kind ("DSKC", version 1; see
+// internal/sealed). Its header, after magic and version (all
+// little-endian):
 //
 //	offset  size  field
-//	0       4     magic "DSKC" (0x434b5344)
-//	4       4     format version (1)
 //	8       8     rank-stream seed
 //	16      8     theta (instances absorbed)
 //	24      4     n (node-space size)
 //	28      4     k (bottom-k size)
 //	32      ...   payload: per node, u32 size then size ascending u64 ranks
-//	end-4   4     CRC32C over header + payload
-const (
-	wireMagic      = 0x434b5344 // "DSKC"
-	wireVersion    = 1
-	wireHeaderSize = 32
-	wireFooterSize = 4
-)
-
-// ChecksumError reports an encoded sketch whose CRC32C footer does not
-// match its bytes — a flipped bit anywhere in the blob.
-type ChecksumError struct {
-	Want, Got uint32
-}
-
-func (e *ChecksumError) Error() string {
-	return fmt.Sprintf("sketch: encoded sketch failed its CRC32C check (footer %#x, computed %#x)", e.Want, e.Got)
-}
-
-// TruncatedError reports an encoded sketch shorter than its framing
-// requires — an interrupted or clipped write.
-type TruncatedError struct {
-	WantBytes, GotBytes int64
-}
-
-func (e *TruncatedError) Error() string {
-	return fmt.Sprintf("sketch: encoded sketch is %d bytes, needs at least %d", e.GotBytes, e.WantBytes)
-}
-
-// FormatError reports an encoded sketch whose checksum verified but
-// whose structure is inconsistent (wrong magic or version, payload that
-// does not decode to the declared shape — usually a foreign file).
-type FormatError struct {
-	Reason string
-}
-
-func (e *FormatError) Error() string {
-	return fmt.Sprintf("sketch: malformed sketch encoding: %s", e.Reason)
-}
+var wire = sealed.Kind{Name: "sketch", Magic: 0x434b5344, Version: 1, Header: 24}
 
 // MismatchError reports a decoded sketch built under a different
 // configuration than the one trying to adopt it — the sketch analogue of
@@ -72,7 +34,7 @@ func (e *MismatchError) Error() string {
 
 // EncodedSize returns how many bytes Encode produces.
 func (s *Set) EncodedSize() int {
-	return wireHeaderSize + 4*s.n + 8*len(s.ranks) + wireFooterSize
+	return wire.Size(4*s.n + 8*len(s.ranks))
 }
 
 // Encode serializes the sketch set. The output is a deterministic
@@ -80,86 +42,88 @@ func (s *Set) EncodedSize() int {
 // so builds at different parallelism (which produce identical sketches)
 // produce identical bytes.
 func (s *Set) Encode() []byte {
-	buf := make([]byte, wireHeaderSize, s.EncodedSize())
-	binary.LittleEndian.PutUint32(buf[0:], wireMagic)
-	binary.LittleEndian.PutUint32(buf[4:], wireVersion)
-	binary.LittleEndian.PutUint64(buf[8:], s.seed)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(s.theta))
-	binary.LittleEndian.PutUint32(buf[24:], uint32(s.n))
-	binary.LittleEndian.PutUint32(buf[28:], uint32(s.k))
-	var u32 [4]byte
-	var u64 [8]byte
+	buf := wire.Begin(4*s.n + 8*len(s.ranks))
+	buf = binary.LittleEndian.AppendUint64(buf, s.seed)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.theta))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.n))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.k))
 	for v := 0; v < s.n; v++ {
 		slot := s.nodeRanks(uint32(v))
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(slot)))
-		buf = append(buf, u32[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(slot)))
 		for _, r := range slot {
-			binary.LittleEndian.PutUint64(u64[:], r)
-			buf = append(buf, u64[:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, r)
 		}
 	}
-	crc := checksum.Sum(buf)
-	binary.LittleEndian.PutUint32(u32[:], crc)
-	return append(buf, u32[:]...)
+	data, _ := sealed.Seal(buf)
+	return data
 }
 
-// Decode reconstructs a sketch set from Encode output, rejecting any
-// damage with a typed error: TruncatedError for clipped bytes,
-// ChecksumError for a flipped bit, FormatError for structural
-// inconsistency.
+// Decode reconstructs a sketch set from Encode output. Any damage is a
+// *sealed.Error: the sealed ladder's for clipped bytes, a flipped bit, or
+// a foreign or future-version blob, and ErrFormat for a payload that
+// does not decode to the declared shape.
 func Decode(data []byte) (*Set, error) {
-	if len(data) < wireHeaderSize+wireFooterSize {
-		return nil, &TruncatedError{WantBytes: wireHeaderSize + wireFooterSize, GotBytes: int64(len(data))}
+	hdr, payload, err := wire.Open(data)
+	if err != nil {
+		return nil, err
 	}
-	body := data[:len(data)-wireFooterSize]
-	wantCRC := binary.LittleEndian.Uint32(data[len(data)-wireFooterSize:])
-	if got := checksum.Sum(body); got != wantCRC {
-		return nil, &ChecksumError{Want: wantCRC, Got: got}
+	return decode("", hdr, payload)
+}
+
+// ReadFile reads a sketch file that a store manifest recorded as size
+// bytes with footer CRC crc, through sealed.Kind.ReadFile, and decodes
+// it.
+func ReadFile(path string, size int64, crc uint32) (*Set, error) {
+	hdr, payload, err := wire.ReadFile(path, size, crc)
+	if err != nil {
+		return nil, err
 	}
-	if magic := binary.LittleEndian.Uint32(body[0:]); magic != wireMagic {
-		return nil, &FormatError{Reason: fmt.Sprintf("bad magic %#x", magic)}
+	return decode(path, hdr, payload)
+}
+
+// decode builds the sketch an opened sealed blob holds; path names it in
+// errors.
+func decode(path string, hdr, payload []byte) (*Set, error) {
+	bad := func(format string, args ...any) (*Set, error) {
+		return nil, sealed.Corrupt(wire.Name, path, sealed.ErrFormat, format, args...)
 	}
-	if v := binary.LittleEndian.Uint32(body[4:]); v != wireVersion {
-		return nil, &FormatError{Reason: fmt.Sprintf("sketch version %d, this build reads %d", v, wireVersion)}
-	}
-	seed := binary.LittleEndian.Uint64(body[8:])
-	theta := int64(binary.LittleEndian.Uint64(body[16:]))
-	n := int(binary.LittleEndian.Uint32(body[24:]))
-	k := int(binary.LittleEndian.Uint32(body[28:]))
+	seed := binary.LittleEndian.Uint64(hdr[0:])
+	theta := int64(binary.LittleEndian.Uint64(hdr[8:]))
+	n := int(binary.LittleEndian.Uint32(hdr[16:]))
+	k := int(binary.LittleEndian.Uint32(hdr[20:]))
 	if n < 1 || k < 2 || theta < 0 {
-		return nil, &FormatError{Reason: fmt.Sprintf("implausible header: n=%d k=%d theta=%d", n, k, theta)}
+		return bad("implausible header: n=%d k=%d theta=%d", n, k, theta)
 	}
-	payload := body[wireHeaderSize:]
 	// Every node costs at least its 4-byte size, so a larger n cannot be
 	// honest; checking before New keeps allocation bounded by the input.
 	if n > len(payload)/4 {
-		return nil, &FormatError{Reason: fmt.Sprintf("header declares %d nodes, the %d-byte payload holds at most %d", n, len(payload), len(payload)/4)}
+		return bad("header declares %d nodes, the %d-byte payload holds at most %d", n, len(payload), len(payload)/4)
 	}
 	s, err := New(n, Params{K: k, Seed: seed})
 	if err != nil {
-		return nil, &FormatError{Reason: err.Error()}
+		return bad("%v", err)
 	}
 	s.theta = theta
 	s.ranks = make([]uint64, 0, (len(payload)-4*n)/8)
 	off := 0
 	for v := 0; v < n; v++ {
 		if off+4 > len(payload) {
-			return nil, &FormatError{Reason: fmt.Sprintf("payload ends inside node %d's size", v)}
+			return bad("payload ends inside node %d's size", v)
 		}
 		sz := int(binary.LittleEndian.Uint32(payload[off:]))
 		off += 4
 		if sz > k {
-			return nil, &FormatError{Reason: fmt.Sprintf("node %d holds %d ranks, k is %d", v, sz, k)}
+			return bad("node %d holds %d ranks, k is %d", v, sz, k)
 		}
 		if off+8*sz > len(payload) {
-			return nil, &FormatError{Reason: fmt.Sprintf("payload ends inside node %d's ranks", v)}
+			return bad("payload ends inside node %d's ranks", v)
 		}
 		var prev uint64
 		for i := 0; i < sz; i++ {
 			r := binary.LittleEndian.Uint64(payload[off:])
 			off += 8
 			if i > 0 && r <= prev {
-				return nil, &FormatError{Reason: fmt.Sprintf("node %d's ranks are not strictly ascending", v)}
+				return bad("node %d's ranks are not strictly ascending", v)
 			}
 			s.ranks = append(s.ranks, r)
 			prev = r
@@ -167,7 +131,7 @@ func Decode(data []byte) (*Set, error) {
 		s.start[v+1] = len(s.ranks)
 	}
 	if off != len(payload) {
-		return nil, &FormatError{Reason: fmt.Sprintf("%d trailing payload bytes", len(payload)-off)}
+		return bad("%d trailing payload bytes", len(payload)-off)
 	}
 	return s, nil
 }

@@ -4,13 +4,32 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 
 	"dimm/internal/checksum"
+	"dimm/internal/sealed"
 )
+
+// The sealed framing around a sketch: magic, version and the 24-byte
+// sketch header before the payload, the CRC32C footer after it.
+const (
+	wireHeaderSize = 32
+	wireFooterSize = 4
+)
+
+// corruption asserts err is the shared *sealed.Error with the given cause.
+func corruption(t *testing.T, err, cause error) *sealed.Error {
+	t.Helper()
+	var se *sealed.Error
+	if !errors.As(err, &se) || !errors.Is(err, cause) {
+		t.Fatalf("got %v, want a *sealed.Error caused by %q", err, cause)
+	}
+	return se
+}
 
 func buildSet(t *testing.T) *Set {
 	t.Helper()
@@ -48,9 +67,9 @@ func TestWireRoundTripByteIdentity(t *testing.T) {
 	}
 }
 
-// TestWireCorruptionMatrix is the satellite corruption matrix: a flipped
-// bit, a truncation, and a configuration mismatch must each surface as
-// its own typed error, never as a silently adopted sketch.
+// TestWireCorruptionMatrix: a flipped bit, a truncation, a foreign or
+// future-version blob and a configuration mismatch must each surface as
+// their own error, never as a silently adopted sketch.
 func TestWireCorruptionMatrix(t *testing.T) {
 	s := buildSet(t)
 	enc := s.Encode()
@@ -61,21 +80,16 @@ func TestWireCorruptionMatrix(t *testing.T) {
 			bad := append([]byte(nil), enc...)
 			bad[off] ^= 0x10
 			_, err := Decode(bad)
-			var ce *ChecksumError
-			if !errors.As(err, &ce) {
-				t.Fatalf("flip at %d: want *ChecksumError, got %v", off, err)
-			}
+			corruption(t, err, sealed.ErrChecksum)
 		}
 	})
 
 	t.Run("truncation", func(t *testing.T) {
 		// Below the fixed framing: the truncation error, with sizes.
 		short := enc[:wireHeaderSize+wireFooterSize-3]
-		var te *TruncatedError
-		if _, err := Decode(short); !errors.As(err, &te) {
-			t.Fatalf("want *TruncatedError, got %v", err)
-		} else if te.GotBytes != int64(len(short)) {
-			t.Fatalf("truncation error reports %d bytes, file had %d", te.GotBytes, len(short))
+		_, err := Decode(short)
+		if te := corruption(t, err, sealed.ErrTruncated); !strings.HasPrefix(te.Detail, fmt.Sprintf("%d bytes,", len(short))) {
+			t.Fatalf("truncation error says %q, file had %d bytes", te.Detail, len(short))
 		}
 		// Mid-payload truncation still frames a footer, so the checksum
 		// is what catches it — never a successful decode.
@@ -83,14 +97,13 @@ func TestWireCorruptionMatrix(t *testing.T) {
 			t.Fatal("half the bytes decoded without error")
 		}
 		// Empty input.
-		if _, err := Decode(nil); !errors.As(err, &te) {
-			t.Fatalf("nil input: want *TruncatedError, got %v", err)
-		}
+		_, err = Decode(nil)
+		corruption(t, err, sealed.ErrTruncated)
 	})
 
 	t.Run("foreign bytes", func(t *testing.T) {
-		// A checksummed blob with the wrong magic: FormatError, not
-		// ChecksumError — the bytes are intact, just not a sketch.
+		// A checksummed blob with the wrong magic: ErrFormat, not
+		// ErrChecksum — the bytes are intact, just not a sketch.
 		other := append([]byte(nil), enc...)
 		other[0] ^= 0xff
 		// recompute a valid footer over the damaged body
@@ -98,10 +111,20 @@ func TestWireCorruptionMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fe *FormatError
-		if _, err := Decode(fixed); !errors.As(err, &fe) {
-			t.Fatalf("want *FormatError, got %v", err)
+		_, err = Decode(fixed)
+		corruption(t, err, sealed.ErrFormat)
+	})
+
+	t.Run("version skew", func(t *testing.T) {
+		// An intact sketch from a future writer is told apart from rot.
+		future := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint32(future[4:], 2)
+		fixed, err := reframe(future)
+		if err != nil {
+			t.Fatal(err)
 		}
+		_, err = Decode(fixed)
+		corruption(t, err, sealed.ErrVersion)
 	})
 
 	t.Run("oversized node count", func(t *testing.T) {
@@ -114,11 +137,9 @@ func TestWireCorruptionMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var fe *FormatError
-			if _, err := Decode(fixed); !errors.As(err, &fe) {
-				t.Fatalf("n=%d: want *FormatError, got %v", n, err)
-			} else if !strings.HasPrefix(fe.Reason, "header declares") {
-				t.Fatalf("n=%d: rejected by a later check (%q), not by the node-count bound", n, fe.Reason)
+			_, err = Decode(fixed)
+			if fe := corruption(t, err, sealed.ErrFormat); !strings.HasPrefix(fe.Detail, "header declares") {
+				t.Fatalf("n=%d: rejected by a later check (%q), not by the node-count bound", n, fe.Detail)
 			}
 		}
 	})
@@ -202,10 +223,8 @@ func checkDecode(t *testing.T, data []byte) {
 		t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
 	}
 	if err != nil {
-		var te *TruncatedError
-		var ce *ChecksumError
-		var fe *FormatError
-		if !errors.As(err, &te) && !errors.As(err, &ce) && !errors.As(err, &fe) {
+		var se *sealed.Error
+		if !errors.As(err, &se) {
 			t.Fatalf("untyped decode error %T: %v", err, err)
 		}
 		return

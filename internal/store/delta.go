@@ -7,8 +7,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"dimm/internal/checksum"
 	"dimm/internal/mutate"
+	"dimm/internal/sealed"
 )
 
 // Graph-delta segments record the dynamic half of a store's history:
@@ -23,24 +23,21 @@ import (
 // resurrecting a sample whose certificates were computed for a graph
 // that no longer exists.
 //
-// Delta segment file layout (all little-endian):
+// deltaKind is the delta segment's sealed-file kind ("DDLT", version 1).
+// Its header, after magic and version (all little-endian):
 //
 //	offset  size  field
-//	0       4     magic "DDLT" (0x544C4444)
-//	4       4     format version (1)
 //	8       8     graph version the batch advanced the graph to (= seq)
 //	16      8     sample epoch published after the repair
 //	24      4     RR sets repaired in place across both mirrors
 //	28      4     flags (bit 0: mirrors were refetched wholesale)
 //	32      8     payload length in bytes
 //	40      ...   payload: mutate.EncodeBatch wire bytes
-//	40+len  4     CRC32C over header + payload
+var deltaKind = sealed.Kind{Name: "delta", Magic: 0x544C4444, Version: 1, Header: 32}
+
 const (
-	deltaMagic      = 0x544C4444 // "DDLT"
-	deltaVersion    = 1
-	deltaHeaderSize = 40
-	deltaPrefix     = "delta-"
-	deltaSuffix     = ".gd"
+	deltaPrefix = "delta-"
+	deltaSuffix = ".gd"
 
 	deltaFlagRemirrored = 1 << 0
 )
@@ -90,133 +87,88 @@ func (s *Store) AppendDelta(epoch uint64, b mutate.Batch, repaired int, remirror
 	}
 	name := fmt.Sprintf("%s%06d%s", deltaPrefix, s.man.NextSeg, deltaSuffix)
 	path := filepath.Join(s.dir, name)
-	rec, err := writeDelta(path, epoch, b, repaired, remirrored)
-	if err != nil {
+	data, crc := encodeDelta(epoch, b, repaired, remirrored)
+	if err := sealed.Publish(path, data); err != nil {
 		return 0, err
 	}
-	rec.File = name
 	man := s.man
 	man.NextSeg++
-	man.Deltas = append(append([]DeltaRecord(nil), s.man.Deltas...), rec)
-	if err := writeManifest(s.dir, man); err != nil {
-		os.Remove(path) // unpublished segment; do not leave an orphan
-		return 0, err
-	}
-	s.man = man
-	return rec.Bytes, nil
-}
-
-// writeDelta seals one batch into a delta segment file at path, durably
-// (write temp + fsync + rename), returning its manifest record with
-// File left blank for the caller to fill in.
-func writeDelta(path string, epoch uint64, b mutate.Batch, repaired int, remirrored bool) (DeltaRecord, error) {
-	payload := mutate.EncodeBatch(nil, b)
-	buf := make([]byte, deltaHeaderSize, deltaHeaderSize+len(payload)+segFooterSize)
-	binary.LittleEndian.PutUint32(buf[0:], deltaMagic)
-	binary.LittleEndian.PutUint32(buf[4:], deltaVersion)
-	binary.LittleEndian.PutUint64(buf[8:], b.Seq)
-	binary.LittleEndian.PutUint64(buf[16:], epoch)
-	binary.LittleEndian.PutUint32(buf[24:], uint32(repaired))
-	var flags uint32
-	if remirrored {
-		flags |= deltaFlagRemirrored
-	}
-	binary.LittleEndian.PutUint32(buf[28:], flags)
-	binary.LittleEndian.PutUint64(buf[32:], uint64(len(payload)))
-	buf = append(buf, payload...)
-	crc := checksum.Sum(buf)
-	var footer [segFooterSize]byte
-	binary.LittleEndian.PutUint32(footer[:], crc)
-	buf = append(buf, footer[:]...)
-
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return DeltaRecord{}, fmt.Errorf("store: staging delta segment: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return DeltaRecord{}, fmt.Errorf("store: writing delta segment %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return DeltaRecord{}, fmt.Errorf("store: closing delta segment %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return DeltaRecord{}, fmt.Errorf("store: publishing delta segment %s: %w", path, err)
-	}
-	return DeltaRecord{
+	man.Deltas = append(append([]DeltaRecord(nil), s.man.Deltas...), DeltaRecord{
 		Seq:        b.Seq,
 		Epoch:      epoch,
 		Ops:        len(b.Ops),
 		Repaired:   repaired,
 		Remirrored: remirrored,
-		Bytes:      int64(len(buf)),
+		File:       name,
+		Bytes:      int64(len(data)),
 		CRC:        crc,
-	}, nil
+	})
+	if err := writeManifest(s.dir, man); err != nil {
+		os.Remove(path) // unpublished segment; do not leave an orphan
+		return 0, err
+	}
+	s.man = man
+	return int64(len(data)), nil
+}
+
+// encodeDelta seals one batch into a delta segment and returns its bytes
+// and CRC.
+func encodeDelta(epoch uint64, b mutate.Batch, repaired int, remirrored bool) ([]byte, uint32) {
+	var flags uint32
+	if remirrored {
+		flags |= deltaFlagRemirrored
+	}
+	payload := mutate.EncodedSize(b)
+	buf := deltaKind.Begin(payload)
+	buf = binary.LittleEndian.AppendUint64(buf, b.Seq)
+	buf = binary.LittleEndian.AppendUint64(buf, epoch)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(repaired))
+	buf = binary.LittleEndian.AppendUint32(buf, flags)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(payload))
+	return sealed.Seal(mutate.EncodeBatch(buf, b))
 }
 
 // readDelta loads and fully verifies the delta segment rec points at,
-// returning the decoded batch. The check order mirrors readSegment:
-// size, CRC32C, magic/version, header-vs-manifest consistency, then the
-// wire decode itself.
+// returning the decoded batch: the sealed ladder, then decodeDelta.
 func readDelta(path string, rec DeltaRecord) (mutate.Batch, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return mutate.Batch{}, &ManifestStaleError{Dir: filepath.Dir(path), Reason: fmt.Sprintf("delta segment %s listed in the manifest is missing", rec.File)}
-	}
+	hdr, payload, err := deltaKind.ReadFile(path, rec.Bytes, rec.CRC)
 	if err != nil {
-		return mutate.Batch{}, fmt.Errorf("store: reading delta segment %s: %w", path, err)
+		return mutate.Batch{}, err
 	}
-	if int64(len(data)) != rec.Bytes {
-		return mutate.Batch{}, &SegmentTruncatedError{Path: path, WantBytes: rec.Bytes, GotBytes: int64(len(data))}
-	}
-	if len(data) < deltaHeaderSize+segFooterSize {
-		return mutate.Batch{}, &SegmentTruncatedError{Path: path, WantBytes: deltaHeaderSize + segFooterSize, GotBytes: int64(len(data))}
-	}
-	body := data[:len(data)-segFooterSize]
-	wantCRC := binary.LittleEndian.Uint32(data[len(data)-segFooterSize:])
-	if got := checksum.Sum(body); got != wantCRC {
-		return mutate.Batch{}, &SegmentChecksumError{Path: path, Want: wantCRC, Got: got}
-	}
-	if magic := binary.LittleEndian.Uint32(body[0:]); magic != deltaMagic {
-		return mutate.Batch{}, &CorruptSegmentError{Path: path, Reason: fmt.Sprintf("bad magic %#x", magic)}
-	}
-	if v := binary.LittleEndian.Uint32(body[4:]); v != deltaVersion {
-		return mutate.Batch{}, &CorruptSegmentError{Path: path, Reason: fmt.Sprintf("delta version %d, this build reads %d", v, deltaVersion)}
-	}
-	seq := binary.LittleEndian.Uint64(body[8:])
-	epoch := binary.LittleEndian.Uint64(body[16:])
-	repaired := int(binary.LittleEndian.Uint32(body[24:]))
-	flags := binary.LittleEndian.Uint32(body[28:])
-	payloadLen := binary.LittleEndian.Uint64(body[32:])
+	return decodeDelta(path, rec, hdr, payload)
+}
+
+// decodeDelta checks an opened delta segment's header against its
+// manifest record (ErrStale) and decodes its batch (ErrFormat).
+func decodeDelta(path string, rec DeltaRecord, hdr, payload []byte) (mutate.Batch, error) {
+	seq := binary.LittleEndian.Uint64(hdr[0:])
+	epoch := binary.LittleEndian.Uint64(hdr[8:])
+	repaired := int(binary.LittleEndian.Uint32(hdr[16:]))
+	flags := binary.LittleEndian.Uint32(hdr[20:])
 	remirrored := flags&deltaFlagRemirrored != 0
 	if seq != rec.Seq || epoch != rec.Epoch || repaired != rec.Repaired || remirrored != rec.Remirrored {
-		return mutate.Batch{}, &ManifestStaleError{Dir: filepath.Dir(path), Reason: fmt.Sprintf(
-			"delta segment %s holds seq %d epoch %d (%d repaired), manifest recorded seq %d epoch %d (%d repaired)",
-			rec.File, seq, epoch, repaired, rec.Seq, rec.Epoch, rec.Repaired)}
+		return mutate.Batch{}, sealed.Corrupt(deltaKind.Name, path, sealed.ErrStale,
+			"holds seq %d epoch %d (%d repaired), manifest recorded seq %d epoch %d (%d repaired)",
+			seq, epoch, repaired, rec.Seq, rec.Epoch, rec.Repaired)
 	}
-	if int(payloadLen) != len(body)-deltaHeaderSize {
-		return mutate.Batch{}, &CorruptSegmentError{Path: path, Reason: fmt.Sprintf(
-			"declared payload %d bytes, file holds %d", payloadLen, len(body)-deltaHeaderSize)}
+	if flags&^deltaFlagRemirrored != 0 {
+		return mutate.Batch{}, sealed.Corrupt(deltaKind.Name, path, sealed.ErrFormat, "unknown flag bits %#x", flags)
 	}
-	b, used, err := mutate.DecodeBatch(body[deltaHeaderSize:])
+	if l := binary.LittleEndian.Uint64(hdr[24:]); l != uint64(len(payload)) {
+		return mutate.Batch{}, sealed.Corrupt(deltaKind.Name, path, sealed.ErrFormat, "declared payload %d bytes, file holds %d", l, len(payload))
+	}
+	b, used, err := mutate.DecodeBatch(payload)
 	if err != nil {
-		return mutate.Batch{}, &CorruptSegmentError{Path: path, Reason: err.Error()}
+		return mutate.Batch{}, sealed.Corrupt(deltaKind.Name, path, sealed.ErrFormat, "%v", err)
 	}
-	if used != len(body)-deltaHeaderSize {
-		return mutate.Batch{}, &CorruptSegmentError{Path: path, Reason: fmt.Sprintf(
-			"payload decodes to %d bytes with %d trailing", used, len(body)-deltaHeaderSize-used)}
+	if used != len(payload) {
+		return mutate.Batch{}, sealed.Corrupt(deltaKind.Name, path, sealed.ErrFormat,
+			"payload decodes to %d bytes with %d trailing", used, len(payload)-used)
 	}
 	if b.Seq != seq || len(b.Ops) != rec.Ops {
-		return mutate.Batch{}, &CorruptSegmentError{Path: path, Reason: fmt.Sprintf(
+		return mutate.Batch{}, sealed.Corrupt(deltaKind.Name, path, sealed.ErrFormat,
 			"payload batch has seq %d with %d ops, header/manifest declared seq %d with %d",
-			b.Seq, len(b.Ops), seq, rec.Ops)}
+			b.Seq, len(b.Ops), seq, rec.Ops)
 	}
 	return b, nil
 }

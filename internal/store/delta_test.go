@@ -9,6 +9,7 @@ import (
 
 	"dimm/internal/graph"
 	"dimm/internal/mutate"
+	"dimm/internal/sealed"
 )
 
 func testBatch(seq uint64) mutate.Batch {
@@ -132,31 +133,28 @@ func TestDeltaCorruptionDetected(t *testing.T) {
 
 	// A flipped payload bit fails the CRC.
 	bad := append([]byte(nil), data...)
-	bad[deltaHeaderSize+2] ^= 0x40
+	bad[deltaKind.Size(0)+2] ^= 0x40
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var crcErr *SegmentChecksumError
-	if _, err := Verify(dir); !errors.As(err, &crcErr) {
-		t.Fatalf("flipped bit got %v, want a SegmentChecksumError", err)
+	if _, err := Verify(dir); !errors.Is(err, sealed.ErrChecksum) {
+		t.Fatalf("flipped bit got %v, want ErrChecksum", err)
 	}
 
 	// Truncation is caught by the size check.
 	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var truncErr *SegmentTruncatedError
-	if _, err := Verify(dir); !errors.As(err, &truncErr) {
-		t.Fatalf("truncated segment got %v, want a SegmentTruncatedError", err)
+	if _, err := Verify(dir); !errors.Is(err, sealed.ErrTruncated) {
+		t.Fatalf("truncated segment got %v, want ErrTruncated", err)
 	}
 
 	// A missing file is a stale manifest.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	var stale *ManifestStaleError
-	if _, err := Verify(dir); !errors.As(err, &stale) {
-		t.Fatalf("missing segment got %v, want a ManifestStaleError", err)
+	if _, err := Verify(dir); !errors.Is(err, sealed.ErrStale) {
+		t.Fatalf("missing segment got %v, want ErrStale", err)
 	}
 }
 

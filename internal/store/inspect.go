@@ -77,9 +77,10 @@ func Inspect(dir string) (*Info, error) {
 	return info, nil
 }
 
-// Verify reads every published segment end to end — size, CRC32C,
-// header consistency, full wire decode — and returns the first typed
-// error found, or nil when the store would restore cleanly.
+// Verify reads every published file end to end — the sealed ladder
+// (size, CRC32C, magic, version, manifest CRC), header consistency, full
+// decode — and returns the first *sealed.Error found, or nil when the
+// store would restore cleanly.
 func Verify(dir string) (*Info, error) {
 	info, err := Inspect(dir)
 	if err != nil {
@@ -91,7 +92,7 @@ func Verify(dir string) (*Info, error) {
 		}
 	}
 	if info.Sketch != nil {
-		if err := verifySketch(dir, info.Sketch); err != nil {
+		if _, err := readSketch(dir, info.Sketch); err != nil {
 			return info, err
 		}
 	}

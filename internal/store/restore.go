@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"dimm/internal/rrset"
+	"dimm/internal/sealed"
 )
 
 // Restored is a checkpoint materialized back into serving form: the two
@@ -24,9 +25,9 @@ type Restored struct {
 
 // Restore replays every stored segment in order and rebuilds the
 // collections and inverted indexes for an n-node graph. It returns
-// ErrNoCheckpoint when the store is empty, and the typed corruption or
-// staleness error of the first bad segment otherwise — a partially
-// corrupt store restores nothing.
+// ErrNoCheckpoint when the store is empty, and the *sealed.Error of the
+// first bad segment otherwise — a partially corrupt store restores
+// nothing.
 func (s *Store) Restore(n int) (*Restored, error) {
 	if len(s.man.Epochs) == 0 {
 		return nil, ErrNoCheckpoint
@@ -44,7 +45,7 @@ func (s *Store) Restore(n int) (*Restored, error) {
 		bytes += rec.Bytes
 	}
 	if r1.Count() != s.r1Stored || r2.Count() != s.r2Stored {
-		return nil, &ManifestStaleError{Dir: s.dir, Reason: "replayed set counts disagree with the manifest totals"}
+		return nil, manifestError(s.dir, sealed.ErrStale, "replayed set counts disagree with the manifest totals")
 	}
 	idx1, err := rrset.BuildIndex(r1, n)
 	if err != nil {

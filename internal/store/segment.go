@@ -2,147 +2,97 @@ package store
 
 import (
 	"encoding/binary"
-	"fmt"
-	"os"
-	"path/filepath"
 
-	"dimm/internal/checksum"
 	"dimm/internal/rrset"
+	"dimm/internal/sealed"
 )
 
-// Segment file layout (all little-endian):
+// segKind is the RR segment's sealed-file kind ("DSEG", version 1). Its
+// header, after magic and version (all little-endian):
 //
 //	offset  size  field
-//	0       4     magic "DSEG" (0x47455344)
-//	4       4     format version (1)
 //	8       8     growth epoch this segment completes
 //	16      4     R1 RR sets in the payload
 //	20      4     R2 RR sets in the payload
 //	24      8     payload length in bytes
 //	32      ...   payload: R1 batch then R2 batch, AppendWireRange layout
-//	32+len  4     CRC32C over header + payload
-const (
-	segMagic      = 0x47455344 // "DSEG"
-	segVersion    = 1
-	segHeaderSize = 32
-	segFooterSize = 4
-)
+var segKind = sealed.Kind{Name: "segment", Magic: 0x47455344, Version: 1, Header: 24}
 
-// writeSegment seals the RR sets r1[from1:] and r2[from2:] into one
-// segment file at path, durably (write temp + fsync + rename), and
-// returns its manifest record with File left blank for the caller to
-// fill in.
-func writeSegment(path string, epoch uint64, r1 *rrset.Collection, from1 int, r2 *rrset.Collection, from2 int) (EpochRecord, error) {
-	n1 := r1.Count() - from1
-	n2 := r2.Count() - from2
-	payload := int64(r1.WireSizeRange(from1) + r2.WireSizeRange(from2))
-	buf := make([]byte, segHeaderSize, segHeaderSize+int(payload)+segFooterSize)
-	binary.LittleEndian.PutUint32(buf[0:], segMagic)
-	binary.LittleEndian.PutUint32(buf[4:], segVersion)
-	binary.LittleEndian.PutUint64(buf[8:], epoch)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(n1))
-	binary.LittleEndian.PutUint32(buf[20:], uint32(n2))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(payload))
+// encodeSegment seals the RR sets r1[from1:] and r2[from2:] into one
+// segment and returns its bytes and CRC.
+func encodeSegment(epoch uint64, r1 *rrset.Collection, from1 int, r2 *rrset.Collection, from2 int) ([]byte, uint32) {
+	payload := r1.WireSizeRange(from1) + r2.WireSizeRange(from2)
+	buf := segKind.Begin(payload)
+	buf = binary.LittleEndian.AppendUint64(buf, epoch)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(r1.Count()-from1))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(r2.Count()-from2))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(payload))
 	buf = r1.AppendWireRange(buf, from1)
 	buf = r2.AppendWireRange(buf, from2)
-	crc := checksum.Sum(buf)
-	var footer [segFooterSize]byte
-	binary.LittleEndian.PutUint32(footer[:], crc)
-	buf = append(buf, footer[:]...)
+	return sealed.Seal(buf)
+}
 
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return EpochRecord{}, fmt.Errorf("store: staging segment: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return EpochRecord{}, fmt.Errorf("store: writing segment %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return EpochRecord{}, fmt.Errorf("store: closing segment %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return EpochRecord{}, fmt.Errorf("store: publishing segment %s: %w", path, err)
+// writeSegment publishes the RR sets r1[from1:] and r2[from2:] as one
+// segment file at path and returns its manifest record with File left
+// blank for the caller to fill in.
+func writeSegment(path string, epoch uint64, r1 *rrset.Collection, from1 int, r2 *rrset.Collection, from2 int) (EpochRecord, error) {
+	data, crc := encodeSegment(epoch, r1, from1, r2, from2)
+	if err := sealed.Publish(path, data); err != nil {
+		return EpochRecord{}, err
 	}
 	return EpochRecord{
 		Epoch:  epoch,
-		R1Sets: n1,
-		R2Sets: n2,
-		Bytes:  int64(len(buf)),
+		R1Sets: r1.Count() - from1,
+		R2Sets: r2.Count() - from2,
+		Bytes:  int64(len(data)),
 		CRC:    crc,
 	}, nil
 }
 
 // readSegment loads the segment rec points at and appends its payload to
-// r1/r2 (either may be nil to verify without materializing). Checks run
-// from cheapest to most specific: manifest-vs-file size first (the
-// truncation signal), then the CRC32C footer (any flipped bit), then
-// header consistency against the manifest (stale manifest), and finally
-// the wire decode itself.
+// r1/r2 (either may be nil to verify without materializing). The sealed
+// ladder runs first; decodeSegment then checks the header against rec and
+// decodes the payload.
 func readSegment(path string, rec EpochRecord, r1, r2 *rrset.Collection) error {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &ManifestStaleError{Dir: filepath.Dir(path), Reason: fmt.Sprintf("segment %s listed in the manifest is missing", rec.File)}
-	}
+	hdr, payload, err := segKind.ReadFile(path, rec.Bytes, rec.CRC)
 	if err != nil {
-		return fmt.Errorf("store: reading segment %s: %w", path, err)
+		return err
 	}
-	if int64(len(data)) != rec.Bytes {
-		return &SegmentTruncatedError{Path: path, WantBytes: rec.Bytes, GotBytes: int64(len(data))}
-	}
-	if len(data) < segHeaderSize+segFooterSize {
-		return &SegmentTruncatedError{Path: path, WantBytes: segHeaderSize + segFooterSize, GotBytes: int64(len(data))}
-	}
-	body := data[:len(data)-segFooterSize]
-	wantCRC := binary.LittleEndian.Uint32(data[len(data)-segFooterSize:])
-	if got := checksum.Sum(body); got != wantCRC {
-		return &SegmentChecksumError{Path: path, Want: wantCRC, Got: got}
-	}
-	if magic := binary.LittleEndian.Uint32(body[0:]); magic != segMagic {
-		return &CorruptSegmentError{Path: path, Reason: fmt.Sprintf("bad magic %#x", magic)}
-	}
-	if v := binary.LittleEndian.Uint32(body[4:]); v != segVersion {
-		return &CorruptSegmentError{Path: path, Reason: fmt.Sprintf("segment version %d, this build reads %d", v, segVersion)}
-	}
-	epoch := binary.LittleEndian.Uint64(body[8:])
-	n1 := int(binary.LittleEndian.Uint32(body[16:]))
-	n2 := int(binary.LittleEndian.Uint32(body[20:]))
-	payloadLen := binary.LittleEndian.Uint64(body[24:])
+	return decodeSegment(path, rec, hdr, payload, r1, r2)
+}
+
+// decodeSegment checks an opened segment's header against its manifest
+// record (ErrStale) and decodes its payload into r1/r2 (ErrFormat).
+func decodeSegment(path string, rec EpochRecord, hdr, payload []byte, r1, r2 *rrset.Collection) error {
+	epoch := binary.LittleEndian.Uint64(hdr[0:])
+	n1 := int(binary.LittleEndian.Uint32(hdr[8:]))
+	n2 := int(binary.LittleEndian.Uint32(hdr[12:]))
 	if epoch != rec.Epoch || n1 != rec.R1Sets || n2 != rec.R2Sets {
-		return &ManifestStaleError{Dir: filepath.Dir(path), Reason: fmt.Sprintf(
-			"segment %s holds epoch %d with %d+%d RR sets, manifest recorded epoch %d with %d+%d",
-			rec.File, epoch, n1, n2, rec.Epoch, rec.R1Sets, rec.R2Sets)}
+		return sealed.Corrupt(segKind.Name, path, sealed.ErrStale,
+			"holds epoch %d with %d+%d RR sets, manifest recorded epoch %d with %d+%d",
+			epoch, n1, n2, rec.Epoch, rec.R1Sets, rec.R2Sets)
 	}
-	if int(payloadLen) != len(body)-segHeaderSize {
-		return &CorruptSegmentError{Path: path, Reason: fmt.Sprintf(
-			"declared payload %d bytes, file holds %d", payloadLen, len(body)-segHeaderSize)}
+	if l := binary.LittleEndian.Uint64(hdr[16:]); l != uint64(len(payload)) {
+		return sealed.Corrupt(segKind.Name, path, sealed.ErrFormat, "declared payload %d bytes, file holds %d", l, len(payload))
 	}
-	payload := body[segHeaderSize:]
 	if r1 == nil {
 		r1 = rrset.NewCollection(0)
-	}
-	got1, rest, err := rrset.DecodeWire(payload, r1)
-	if err != nil {
-		return &CorruptSegmentError{Path: path, Reason: err.Error()}
 	}
 	if r2 == nil {
 		r2 = rrset.NewCollection(0)
 	}
-	got2, rest, err2 := rrset.DecodeWire(rest, r2)
-	if err2 != nil {
-		return &CorruptSegmentError{Path: path, Reason: err2.Error()}
+	got1, rest, err := rrset.DecodeWire(payload, r1)
+	if err != nil {
+		return sealed.Corrupt(segKind.Name, path, sealed.ErrFormat, "%v", err)
+	}
+	got2, rest, err := rrset.DecodeWire(rest, r2)
+	if err != nil {
+		return sealed.Corrupt(segKind.Name, path, sealed.ErrFormat, "%v", err)
 	}
 	if got1 != n1 || got2 != n2 || len(rest) != 0 {
-		return &CorruptSegmentError{Path: path, Reason: fmt.Sprintf(
+		return sealed.Corrupt(segKind.Name, path, sealed.ErrFormat,
 			"payload decodes to %d+%d RR sets with %d trailing bytes, header declared %d+%d",
-			got1, got2, len(rest), n1, n2)}
+			got1, got2, len(rest), n1, n2)
 	}
 	return nil
 }

@@ -6,19 +6,18 @@ import (
 	"os"
 	"path/filepath"
 
-	"dimm/internal/checksum"
+	"dimm/internal/sealed"
 	"dimm/internal/sketch"
 )
 
 // The sketch tier persists as its own segment kind next to the RR
 // segments: one sketch-NNNNNN.sk file holding the full encoded sketch
-// set (internal/sketch wire format, header + CRC32C footer), referenced
-// by a single manifest record. Unlike RR segments the sketch is
-// replaced, not appended — a bottom-k sketch absorbs growth in place,
-// so the newest file supersedes all earlier ones — but the publish
-// discipline is identical: temp + fsync + rename, manifest is the
-// authority, the superseded file is removed only after the new manifest
-// is durable.
+// set (a sealed file, see internal/sketch's wire format), referenced by a
+// single manifest record. Unlike RR segments the sketch is replaced, not
+// appended — a bottom-k sketch absorbs growth in place, so the newest
+// file supersedes all earlier ones — but the publish path is the same
+// sealed.Publish, the manifest is the authority, and the superseded file
+// is removed only after the new manifest is durable.
 const (
 	sketchPrefix = "sketch-"
 	sketchSuffix = ".sk"
@@ -66,7 +65,7 @@ func (s *Store) CheckpointSketch(epoch uint64, sk *sketch.Set) (int64, error) {
 	data := sk.Encode()
 	name := fmt.Sprintf("%s%06d%s", sketchPrefix, s.man.NextSeg, sketchSuffix)
 	path := filepath.Join(s.dir, name)
-	if err := writeFileDurable(path, data); err != nil {
+	if err := sealed.Publish(path, data); err != nil {
 		return 0, err
 	}
 	man := s.man
@@ -78,7 +77,7 @@ func (s *Store) CheckpointSketch(epoch uint64, sk *sketch.Set) (int64, error) {
 		Seed:  sk.Seed(),
 		Theta: sk.Theta(),
 		Bytes: int64(len(data)),
-		CRC:   checksum.Sum(data[:len(data)-4]),
+		CRC:   sealed.Footer(data),
 	}
 	old := s.man.Sketch
 	if err := writeManifest(s.dir, man); err != nil {
@@ -92,97 +91,38 @@ func (s *Store) CheckpointSketch(epoch uint64, sk *sketch.Set) (int64, error) {
 	return int64(len(data)), nil
 }
 
-// RestoreSketch materializes the stored sketch for an n-node graph,
-// running the same check ladder as RR segments: manifest-vs-file size
-// (truncation), CRC32C (any flipped bit), wire decode (structure), and
-// finally the configuration recorded in the manifest (staleness). The
-// caller still owns the decision of whether the sketch's K/Seed match
-// its own configuration — sketch.Set.Verify does that.
+// RestoreSketch materializes the stored sketch for an n-node graph. The
+// file runs the sealed-file ladder and the sketch's own decode, its
+// configuration must match the manifest (ErrStale), and its node space
+// must be n. The caller still owns the decision of whether the sketch's
+// K/Seed match its own configuration — sketch.Set.Verify does that.
 func (s *Store) RestoreSketch(n int) (*sketch.Set, *SketchRecord, error) {
 	rec := s.man.Sketch
 	if rec == nil {
 		return nil, nil, ErrNoSketch
 	}
-	path := filepath.Join(s.dir, rec.File)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil, &ManifestStaleError{Dir: s.dir, Reason: fmt.Sprintf("sketch file %s listed in the manifest is missing", rec.File)}
-	}
+	sk, err := readSketch(s.dir, rec)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: reading sketch %s: %w", path, err)
-	}
-	if int64(len(data)) != rec.Bytes {
-		return nil, nil, &SegmentTruncatedError{Path: path, WantBytes: rec.Bytes, GotBytes: int64(len(data))}
-	}
-	if len(data) < 4 {
-		return nil, nil, &SegmentTruncatedError{Path: path, WantBytes: 4, GotBytes: int64(len(data))}
-	}
-	if got := checksum.Sum(data[:len(data)-4]); got != rec.CRC {
-		return nil, nil, &SegmentChecksumError{Path: path, Want: rec.CRC, Got: got}
-	}
-	sk, err := sketch.Decode(data)
-	if err != nil {
-		return nil, nil, err // sketch's own typed corruption errors
+		return nil, nil, err
 	}
 	if sk.N() != n {
 		return nil, nil, &FingerprintMismatchError{Field: "sketch_nodes", Want: fmt.Sprint(sk.N()), Got: fmt.Sprint(n)}
 	}
-	if sk.K() != rec.K || sk.Seed() != rec.Seed || sk.Theta() != rec.Theta {
-		return nil, nil, &ManifestStaleError{Dir: s.dir, Reason: fmt.Sprintf(
-			"sketch file holds k=%d seed=%d theta=%d, manifest recorded k=%d seed=%d theta=%d",
-			sk.K(), sk.Seed(), sk.Theta(), rec.K, rec.Seed, rec.Theta)}
-	}
 	return sk, rec, nil
 }
 
-// verifySketch re-reads the published sketch end to end; nil when it
-// would restore cleanly (modulo the graph-size check, which needs a
-// configuration). Used by Verify/cmd/dimmstore.
-func verifySketch(dir string, rec *SketchRecord) error {
+// readSketch reads the published sketch end to end and checks it against
+// its manifest record.
+func readSketch(dir string, rec *SketchRecord) (*sketch.Set, error) {
 	path := filepath.Join(dir, rec.File)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &ManifestStaleError{Dir: dir, Reason: fmt.Sprintf("sketch file %s listed in the manifest is missing", rec.File)}
-	}
+	sk, err := sketch.ReadFile(path, rec.Bytes, rec.CRC)
 	if err != nil {
-		return fmt.Errorf("store: reading sketch %s: %w", path, err)
+		return nil, err
 	}
-	if int64(len(data)) != rec.Bytes {
-		return &SegmentTruncatedError{Path: path, WantBytes: rec.Bytes, GotBytes: int64(len(data))}
+	if sk.K() != rec.K || sk.Seed() != rec.Seed || sk.Theta() != rec.Theta {
+		return nil, sealed.Corrupt("sketch", path, sealed.ErrStale,
+			"holds k=%d seed=%d theta=%d, manifest recorded k=%d seed=%d theta=%d",
+			sk.K(), sk.Seed(), sk.Theta(), rec.K, rec.Seed, rec.Theta)
 	}
-	sk, err := sketch.Decode(data)
-	if err != nil {
-		return err
-	}
-	if err := sk.Verify(sk.N(), sketch.Params{K: rec.K, Seed: rec.Seed}); err != nil {
-		return err
-	}
-	return nil
-}
-
-// writeFileDurable writes data to path via temp + fsync + rename, the
-// same publish discipline as RR segments.
-func writeFileDurable(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: staging %s: %w", path, err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: writing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: publishing %s: %w", path, err)
-	}
-	return nil
+	return sk, nil
 }

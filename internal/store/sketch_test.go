@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dimm/internal/sealed"
 	"dimm/internal/sketch"
 )
 
@@ -89,8 +90,8 @@ func TestSketchCheckpointRestore(t *testing.T) {
 }
 
 // TestSketchCorruptionMatrix drives the store-level corruption ladder:
-// truncation, bit flip and staleness each surface as their own typed
-// error, matching the RR segment conventions.
+// truncation, bit flip and staleness each surface as their own
+// sealed.Error cause, as for RR segments.
 func TestSketchCorruptionMatrix(t *testing.T) {
 	setup := func(t *testing.T) (string, *Store, *SketchRecord) {
 		dir := t.TempDir()
@@ -115,12 +116,11 @@ func TestSketchCorruptionMatrix(t *testing.T) {
 		if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var te *SegmentTruncatedError
-		if _, _, err := st.RestoreSketch(100); !errors.As(err, &te) {
-			t.Fatalf("want *SegmentTruncatedError, got %v", err)
+		if _, _, err := st.RestoreSketch(100); !errors.Is(err, sealed.ErrTruncated) {
+			t.Fatalf("want ErrTruncated, got %v", err)
 		}
-		if _, err := Verify(dir); !errors.As(err, &te) {
-			t.Fatalf("Verify: want *SegmentTruncatedError, got %v", err)
+		if _, err := Verify(dir); !errors.Is(err, sealed.ErrTruncated) {
+			t.Fatalf("Verify: want ErrTruncated, got %v", err)
 		}
 	})
 
@@ -132,9 +132,8 @@ func TestSketchCorruptionMatrix(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var ce *SegmentChecksumError
-		if _, _, err := st.RestoreSketch(100); !errors.As(err, &ce) {
-			t.Fatalf("want *SegmentChecksumError, got %v", err)
+		if _, _, err := st.RestoreSketch(100); !errors.Is(err, sealed.ErrChecksum) {
+			t.Fatalf("want ErrChecksum, got %v", err)
 		}
 	})
 
@@ -143,9 +142,8 @@ func TestSketchCorruptionMatrix(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, rec.File)); err != nil {
 			t.Fatal(err)
 		}
-		var ms *ManifestStaleError
-		if _, _, err := st.RestoreSketch(100); !errors.As(err, &ms) {
-			t.Fatalf("want *ManifestStaleError, got %v", err)
+		if _, _, err := st.RestoreSketch(100); !errors.Is(err, sealed.ErrStale) {
+			t.Fatalf("want ErrStale, got %v", err)
 		}
 	})
 

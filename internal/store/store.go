@@ -15,19 +15,21 @@
 //
 // Each segment holds the RR sets both collections gained in one growth
 // epoch, in the existing little-endian wire layout
-// (rrset.Collection.AppendWireRange), between a fixed header (magic,
-// version, epoch, set counts, payload length) and a CRC32C footer. The
-// manifest is the authority: it is written via temp file + fsync +
-// rename, so a crash mid-checkpoint leaves the previous manifest intact
-// and at worst an orphan segment file (cmd/dimmstore prune removes
+// (rrset.Collection.AppendWireRange), as a sealed file (internal/sealed:
+// magic, version, epoch, set counts, payload length, payload, CRC32C
+// footer). Every file, the manifest included, is published through
+// sealed.Publish (temp file + fsync + rename), and the manifest is the
+// authority, so a crash mid-checkpoint leaves the previous manifest
+// intact and at worst an orphan segment file (cmd/dimmstore prune removes
 // those).
 //
 // Checkpointing is incremental in the same sense as rrset.Index.
 // AppendFrom: a Checkpoint call appends only the sets generated since
 // the previous one, never rewriting published segments. Restore rejects
-// any mismatch — wrong fingerprint, flipped bit, truncated file, stale
-// manifest — with a distinct typed error rather than silently serving a
-// sample the certificates were not computed for.
+// any mismatch rather than silently serving a sample the certificates
+// were not computed for: a wrong fingerprint is a
+// *FingerprintMismatchError, and a flipped bit, truncated file, foreign
+// file or stale manifest is a *sealed.Error whose Cause names which.
 package store
 
 import (
@@ -38,6 +40,7 @@ import (
 	"path/filepath"
 
 	"dimm/internal/rrset"
+	"dimm/internal/sealed"
 )
 
 const (
@@ -120,54 +123,6 @@ type FingerprintMismatchError struct {
 func (e *FingerprintMismatchError) Error() string {
 	return fmt.Sprintf("store: fingerprint mismatch on %s: checkpoint has %s, configuration has %s",
 		e.Field, e.Want, e.Got)
-}
-
-// SegmentChecksumError reports a segment whose CRC32C footer does not
-// match its bytes — a flipped bit anywhere in the file.
-type SegmentChecksumError struct {
-	Path      string
-	Want, Got uint32
-}
-
-func (e *SegmentChecksumError) Error() string {
-	return fmt.Sprintf("store: segment %s failed its CRC32C check (footer %#x, computed %#x)",
-		e.Path, e.Want, e.Got)
-}
-
-// SegmentTruncatedError reports a segment file whose size differs from
-// what the manifest recorded — an interrupted or clipped write.
-type SegmentTruncatedError struct {
-	Path                string
-	WantBytes, GotBytes int64
-}
-
-func (e *SegmentTruncatedError) Error() string {
-	return fmt.Sprintf("store: segment %s is %d bytes, manifest recorded %d",
-		e.Path, e.GotBytes, e.WantBytes)
-}
-
-// ManifestStaleError reports a manifest that disagrees with the
-// directory or the segment contents (missing segment file, set counts
-// that do not add up, non-monotone epochs, unparseable JSON).
-type ManifestStaleError struct {
-	Dir    string
-	Reason string
-}
-
-func (e *ManifestStaleError) Error() string {
-	return fmt.Sprintf("store: stale manifest in %s: %s", e.Dir, e.Reason)
-}
-
-// CorruptSegmentError reports a segment whose header is internally
-// inconsistent even though its checksum verified (wrong magic or
-// version — usually a foreign file renamed into the store).
-type CorruptSegmentError struct {
-	Path   string
-	Reason string
-}
-
-func (e *CorruptSegmentError) Error() string {
-	return fmt.Sprintf("store: corrupt segment %s: %s", e.Path, e.Reason)
 }
 
 // EpochRecord is one manifest row: a published segment and what it
@@ -274,9 +229,9 @@ func (s *Store) Fingerprint() Fingerprint { return s.man.Fingerprint }
 func (s *Store) Checkpoint(epoch uint64, r1, r2 *rrset.Collection) (int64, error) {
 	from1, from2 := s.r1Stored, s.r2Stored
 	if from1 > r1.Count() || from2 > r2.Count() {
-		return 0, &ManifestStaleError{Dir: s.dir, Reason: fmt.Sprintf(
+		return 0, manifestError(s.dir, sealed.ErrStale,
 			"store holds %d+%d RR sets but the live collections hold only %d+%d",
-			from1, from2, r1.Count(), r2.Count())}
+			from1, from2, r1.Count(), r2.Count())
 	}
 	if from1 == r1.Count() && from2 == r2.Count() {
 		return 0, nil
@@ -323,78 +278,48 @@ func readManifest(dir string) (*manifest, error) {
 	}
 	var man manifest
 	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, &ManifestStaleError{Dir: dir, Reason: "unparseable JSON: " + err.Error()}
+		return nil, manifestError(dir, sealed.ErrFormat, "unparseable JSON: %v", err)
 	}
 	if man.Version != manifestVersion {
-		return nil, &ManifestStaleError{Dir: dir, Reason: fmt.Sprintf("manifest version %d, this build reads %d", man.Version, manifestVersion)}
+		return nil, manifestError(dir, sealed.ErrVersion, "version %d, this build reads %d", man.Version, manifestVersion)
 	}
 	for i, e := range man.Epochs {
 		if e.R1Sets < 0 || e.R2Sets < 0 || e.Bytes <= 0 || e.File == "" {
-			return nil, &ManifestStaleError{Dir: dir, Reason: fmt.Sprintf("epoch record %d is malformed", i)}
+			return nil, manifestError(dir, sealed.ErrFormat, "epoch record %d is malformed", i)
 		}
 		if i > 0 && e.Epoch <= man.Epochs[i-1].Epoch {
-			return nil, &ManifestStaleError{Dir: dir, Reason: fmt.Sprintf(
-				"epochs not strictly increasing at record %d (%d after %d)", i, e.Epoch, man.Epochs[i-1].Epoch)}
+			return nil, manifestError(dir, sealed.ErrFormat,
+				"epochs not strictly increasing at record %d (%d after %d)", i, e.Epoch, man.Epochs[i-1].Epoch)
 		}
 	}
 	if sk := man.Sketch; sk != nil && (sk.File == "" || sk.Bytes <= 0 || sk.K < 2 || sk.Theta < 0) {
-		return nil, &ManifestStaleError{Dir: dir, Reason: "sketch record is malformed"}
+		return nil, manifestError(dir, sealed.ErrFormat, "sketch record is malformed")
 	}
 	for i, d := range man.Deltas {
 		if d.File == "" || d.Bytes <= 0 || d.Ops <= 0 || d.Repaired < 0 {
-			return nil, &ManifestStaleError{Dir: dir, Reason: fmt.Sprintf("delta record %d is malformed", i)}
+			return nil, manifestError(dir, sealed.ErrFormat, "delta record %d is malformed", i)
 		}
 		if i > 0 && d.Seq <= man.Deltas[i-1].Seq {
-			return nil, &ManifestStaleError{Dir: dir, Reason: fmt.Sprintf(
-				"delta seqs not strictly increasing at record %d (%d after %d)", i, d.Seq, man.Deltas[i-1].Seq)}
+			return nil, manifestError(dir, sealed.ErrFormat,
+				"delta seqs not strictly increasing at record %d (%d after %d)", i, d.Seq, man.Deltas[i-1].Seq)
 		}
 	}
 	return &man, nil
 }
 
-// writeManifest atomically replaces dir's manifest: write to a temp
-// file, fsync it, rename over the old one, fsync the directory. A crash
-// at any point leaves either the old or the new manifest, never a
-// partial one.
+// manifestError reports a manifest that does not parse or disagrees with
+// the store it describes.
+func manifestError(dir string, cause error, format string, args ...any) *sealed.Error {
+	return sealed.Corrupt("manifest", filepath.Join(dir, manifestName), cause, format, args...)
+}
+
+// writeManifest atomically replaces dir's manifest through
+// sealed.Publish: a crash at any point leaves either the old or the new
+// manifest, never a partial one.
 func writeManifest(dir string, man manifest) error {
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: encoding manifest: %w", err)
 	}
-	data = append(data, '\n')
-	tmp, err := os.CreateTemp(dir, manifestName+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: staging manifest: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: writing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, manifestName)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: publishing manifest: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a rename within it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("store: syncing %s: %w", dir, err)
-	}
-	return nil
+	return sealed.Publish(filepath.Join(dir, manifestName), append(data, '\n'))
 }

@@ -3,11 +3,13 @@ package store
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"dimm/internal/rrset"
+	"dimm/internal/sealed"
 )
 
 func testFingerprint() Fingerprint {
@@ -206,13 +208,11 @@ func TestBitFlipFailsRestore(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Restore(dir, fp, 100)
-	var ce *SegmentChecksumError
-	if !errors.As(err, &ce) {
-		t.Fatalf("bit flip: got %v, want SegmentChecksumError", err)
+	if _, err := Restore(dir, fp, 100); !errors.Is(err, sealed.ErrChecksum) {
+		t.Fatalf("bit flip: got %v, want ErrChecksum", err)
 	}
-	if _, err := Verify(dir); !errors.As(err, &ce) {
-		t.Fatalf("Verify after bit flip: got %v, want SegmentChecksumError", err)
+	if _, err := Verify(dir); !errors.Is(err, sealed.ErrChecksum) {
+		t.Fatalf("Verify after bit flip: got %v, want ErrChecksum", err)
 	}
 }
 
@@ -228,13 +228,12 @@ func TestTruncationFailsRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = Restore(dir, fp, 100)
-	var te *SegmentTruncatedError
-	if !errors.As(err, &te) {
-		t.Fatalf("truncation: got %v, want SegmentTruncatedError", err)
+	var te *sealed.Error
+	if !errors.As(err, &te) || !errors.Is(err, sealed.ErrTruncated) {
+		t.Fatalf("truncation: got %v, want ErrTruncated", err)
 	}
-	if te.GotBytes != st.Size()-5 || te.WantBytes != st.Size() {
-		t.Fatalf("truncation error reports %d/%d bytes, want %d/%d",
-			te.GotBytes, te.WantBytes, st.Size()-5, st.Size())
+	if sizes := fmt.Sprintf("%d bytes, manifest recorded %d", st.Size()-5, st.Size()); te.Detail != sizes || te.Path != seg {
+		t.Fatalf("truncation error reports %s: %q, want %s: %q", te.Path, te.Detail, seg, sizes)
 	}
 }
 
@@ -245,10 +244,8 @@ func TestStaleManifestFailsRestore(t *testing.T) {
 	if err := os.Remove(segFiles(t, dir)[0]); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Restore(dir, fp, 100)
-	var me *ManifestStaleError
-	if !errors.As(err, &me) {
-		t.Fatalf("missing segment: got %v, want ManifestStaleError", err)
+	if _, err := Restore(dir, fp, 100); !errors.Is(err, sealed.ErrStale) {
+		t.Fatalf("missing segment: got %v, want ErrStale", err)
 	}
 
 	// Manifest recording the wrong set count → stale manifest.
@@ -266,8 +263,8 @@ func TestStaleManifestFailsRestore(t *testing.T) {
 	if err := writeManifest(dir2, man); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(dir2, fp, 100); !errors.As(err, &me) {
-		t.Fatalf("wrong epoch set count: got %v, want ManifestStaleError", err)
+	if _, err := Restore(dir2, fp, 100); !errors.Is(err, sealed.ErrStale) {
+		t.Fatalf("wrong epoch set count: got %v, want ErrStale", err)
 	}
 }
 
@@ -348,9 +345,7 @@ func TestCheckpointRejectsShrunkCollections(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	small1, small2 := testCollections(3)
-	_, err = s.Checkpoint(5, small1, small2)
-	var me *ManifestStaleError
-	if !errors.As(err, &me) {
-		t.Fatalf("shrunk collections: got %v, want ManifestStaleError", err)
+	if _, err := s.Checkpoint(5, small1, small2); !errors.Is(err, sealed.ErrStale) {
+		t.Fatalf("shrunk collections: got %v, want ErrStale", err)
 	}
 }
