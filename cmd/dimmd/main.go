@@ -12,20 +12,19 @@
 //
 // The -seed-index must be distinct per worker: worker i samples the RNG
 // stream derived from (-seed, i), which is what makes a distributed run
-// reproduce the equivalent single-process run bit for bit. The sampled
-// streams also depend on -parallelism (the per-worker shard count, auto
-// = GOMAXPROCS by default), so reproducible multi-host runs should pin
-// the same -parallelism on every worker; -parallelism 1 reproduces the
-// sequential sampler exactly.
+// reproduce the equivalent single-process run bit for bit. -parallelism
+// (the per-worker shard count, GOMAXPROCS by default) and -batch only
+// change speed: each worker may use its own.
 //
 // Restart contract: every accepted connection gets a brand-new empty
 // worker, so a bounced dimmd rejoins with no state of its own. Masters
 // running the fault-tolerance layer (dimm/dimmsrv -retries) rely on
 // exactly that: on reconnect they replay the worker's journaled request
 // history, which — because the worker's streams are a pure function of
-// (-seed, -seed-index, -parallelism) — rebuilds its RR collection bit
-// for bit. Restart dimmd with the same flags it was started with, or
-// the replayed state (and the run's reproducibility) is silently wrong.
+// (-seed, -seed-index) — rebuilds its RR collection bit for bit. Restart
+// dimmd with the flags it was started with, except -parallelism and
+// -batch, which may change; otherwise the replayed state (and the run's
+// reproducibility) is silently wrong.
 package main
 
 import (
@@ -56,7 +55,7 @@ func main() {
 		listen      = flag.String("listen", ":7001", "address to serve the worker protocol on")
 		modelName   = flag.String("model", "ic", "diffusion model: ic|lt")
 		subset      = flag.Bool("subsim", false, "use SUBSIM subset sampling")
-		parallelism = flag.Int("parallelism", 0, "RR-generation goroutines for this worker (0 = auto: GOMAXPROCS, 1 = sequential); must match across workers for reproducible runs")
+		parallelism = flag.Int("parallelism", 0, "RR-generation goroutines for this worker (0 = auto: GOMAXPROCS, 1 = sequential; never changes sampled sets, safe to vary per worker)")
 		batch       = flag.Int("batch", 0, "frontier-batch width of each sampling shard (0 = auto, 1 = scalar kernel; never changes sampled sets, safe to vary per worker)")
 		seed        = flag.Uint64("seed", 1, "base random seed (same on every worker)")
 		seedIndex   = flag.Int("seed-index", 0, "this worker's machine index (distinct per worker)")

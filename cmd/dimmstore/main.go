@@ -105,7 +105,7 @@ func printInfo(info *store.Info) {
 		fmt.Print(" / subset sampling")
 	}
 	fmt.Println()
-	fmt.Printf("  sampling     seed=%d machines=%d parallelism=%d\n", fp.Seed, fp.Machines, fp.Parallelism)
+	fmt.Printf("  sampling     seed=%d machines=%d\n", fp.Seed, fp.Machines)
 	fmt.Printf("  envelope     kmax=%d eps-floor=%g\n", fp.KMax, fp.EpsFloor)
 	fmt.Printf("  RR sets      %d (R1) + %d (R2) in %d segments, %d bytes\n",
 		info.R1Sets, info.R2Sets, len(info.Epochs), info.Bytes)

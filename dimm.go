@@ -47,14 +47,15 @@ type Graph = graph.Graph
 
 // Options configures MaximizeInfluence. Zero values take the paper's
 // defaults: K=50, Eps=0.1, Delta=1/n, Machines=1, Parallelism=1
-// (sequential per-worker sampling, bit-identical across runs). Set
-// Parallelism to AutoParallelism to fan each worker's RR-set generation
-// across GOMAXPROCS/Machines goroutines.
+// (sequential per-worker sampling). Set Parallelism to AutoParallelism to
+// fan each worker's RR-set generation across GOMAXPROCS/Machines
+// goroutines; the sampled sets are the same at every Parallelism.
 type Options = core.Options
 
 // AutoParallelism, as Options.Parallelism, sizes each worker's sampling
 // shard count to GOMAXPROCS/Machines (min 1). Seed sets stay a
-// deterministic function of (Seed, Machines, resolved Parallelism).
+// deterministic function of (Seed, Machines): the shard count, and so
+// the host's core count, never changes them.
 const AutoParallelism = core.AutoParallelism
 
 // Result reports a MaximizeInfluence run: the seed set, its estimated

@@ -81,19 +81,16 @@ func TestIntegrationMultiProcess(t *testing.T) {
 		t.Fatalf("gengraph: %v\n%s", err, out)
 	}
 
-	// The shard count is part of the sample's identity (each shard draws
-	// its own stream), and the binaries default it differently — dimmd to
-	// GOMAXPROCS, dimm -machines 2 to GOMAXPROCS/2 — so every process is
-	// pinned to the same explicit value. ROADMAP item 1 (P out of the
-	// sample identity) removes the pin.
-	const parallelism = "2"
-
-	// 2. Start two dimmd worker processes.
+	// 2. Start two dimmd worker processes on hosts of 1 and 3 cores: each
+	// defaults its shard count to its GOMAXPROCS, unlike the in-process
+	// run below. Shards split one stream, so the count never changes the
+	// sample.
 	ports := freePorts(t, 2)
 	for i, port := range ports {
 		cmd := exec.Command(filepath.Join(bin, "dimmd"),
 			"-graph", graphPath, "-listen", fmt.Sprintf("127.0.0.1:%d", port),
-			"-model", "ic", "-seed", "9", "-seed-index", fmt.Sprint(i), "-parallelism", parallelism)
+			"-model", "ic", "-seed", "9", "-seed-index", fmt.Sprint(i))
+		cmd.Env = append(os.Environ(), fmt.Sprintf("GOMAXPROCS=%d", 1+2*i))
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting dimmd %d: %v", i, err)
 		}
@@ -122,7 +119,7 @@ func TestIntegrationMultiProcess(t *testing.T) {
 	addrs := fmt.Sprintf("127.0.0.1:%d,127.0.0.1:%d", ports[0], ports[1])
 	out, err = exec.Command(filepath.Join(bin, "dimm"),
 		"-graph", graphPath, "-workers", addrs,
-		"-k", "5", "-eps", "0.4", "-delta", "0.05", "-seed", "9", "-parallelism", parallelism,
+		"-k", "5", "-eps", "0.4", "-delta", "0.05", "-seed", "9",
 		"-verify", "2000").CombinedOutput()
 	if err != nil {
 		t.Fatalf("dimm master: %v\n%s", err, out)
@@ -139,7 +136,7 @@ func TestIntegrationMultiProcess(t *testing.T) {
 	// seed line (same base seed, same machine count, same streams).
 	out2, err := exec.Command(filepath.Join(bin, "dimm"),
 		"-graph", graphPath, "-machines", "2",
-		"-k", "5", "-eps", "0.4", "-delta", "0.05", "-seed", "9", "-parallelism", parallelism).CombinedOutput()
+		"-k", "5", "-eps", "0.4", "-delta", "0.05", "-seed", "9").CombinedOutput()
 	if err != nil {
 		t.Fatalf("dimm local: %v\n%s", err, out2)
 	}

@@ -10,6 +10,7 @@ import (
 	"dimm/internal/coverage"
 	"dimm/internal/metrics"
 	"dimm/internal/rrset"
+	"dimm/internal/sealed"
 )
 
 // Metrics is the per-phase accounting of a cluster session, designed to
@@ -827,11 +828,10 @@ func decodeFetchResp(worker int, rest []byte, into *rrset.Collection) (int, erro
 	}
 	count, trailing, err := rrset.DecodeWire(payload, into)
 	if err != nil {
-		return 0, err
+		return 0, frameError(worker, sealed.ErrFormat, "%v", err)
 	}
 	if len(trailing) != 0 {
-		return 0, &FrameIntegrityError{Worker: worker, Reason: fmt.Sprintf(
-			"%d trailing bytes after the declared RR sets", len(trailing))}
+		return 0, frameError(worker, sealed.ErrFormat, "%d trailing bytes after the declared RR sets", len(trailing))
 	}
 	return count, nil
 }
@@ -881,10 +881,9 @@ func (c *Cluster) GatherAll() (*rrset.Collection, error) {
 
 // FetchNew pulls, from each worker, only the RR sets generated since the
 // previous fetch and appends them to `into` in worker-index order —
-// which, together with each worker's deterministic shard-ordered stream,
-// makes the gathered collection's contents and order a deterministic
-// function of (seed, machines, parallelism) and the sequence of Generate
-// calls. since[i] is the count already fetched from worker i (nil means
+// which, together with each worker's deterministic stream, makes the
+// gathered collection's contents and order a deterministic function of
+// (seed, machines) and the sequence of Generate calls. since[i] is the count already fetched from worker i (nil means
 // zero everywhere); the returned slice carries the updated counts for
 // the next call. This is the sync primitive of the resident query
 // service: after a growth round its traffic is Θ(new RR size), not

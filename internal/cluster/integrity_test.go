@@ -7,7 +7,21 @@ import (
 	"dimm/internal/coverage"
 	"dimm/internal/diffusion"
 	"dimm/internal/rrset"
+	"dimm/internal/sealed"
 )
+
+// flipCause is the sealed.Error cause each flipConn mode must raise.
+var flipCause = map[string]error{"flip": sealed.ErrChecksum, "clip": sealed.ErrTruncated, "len": sealed.ErrTruncated}
+
+// wantFrameError fails unless err is a frame *sealed.Error from peer with
+// the given cause.
+func wantFrameError(t *testing.T, what string, err, cause error, peer string) {
+	t.Helper()
+	var se *sealed.Error
+	if !errors.As(err, &se) || !errors.Is(err, cause) || se.Artifact != "frame" || se.Path != peer {
+		t.Fatalf("%s: got %v, want a frame error from %s with cause %q", what, err, peer, cause)
+	}
+}
 
 // flipConn wraps a Conn and, once armed, applies a targeted mutation to
 // responses of the targeted request kinds — a single flipped payload bit,
@@ -75,7 +89,7 @@ func flipCluster(t *testing.T, mode string, kinds ...byte) (*Cluster, *flipConn)
 }
 
 // TestFetchIntegrityTrailer: every silent mutation of a fetch frame must
-// surface as a typed *FrameIntegrityError naming the bad worker, on both
+// surface as a frame *sealed.Error naming the bad worker, on both
 // the GatherAll and FetchNew paths. Frames through a healthy conn must
 // keep verifying.
 func TestFetchIntegrityTrailer(t *testing.T) {
@@ -95,20 +109,14 @@ func TestFetchIntegrityTrailer(t *testing.T) {
 			}
 
 			bad.armed = true
-			var fe *FrameIntegrityError
-			if _, err := cl.GatherAll(); !errors.As(err, &fe) {
-				t.Fatalf("GatherAll with %s corruption: got %v, want FrameIntegrityError", mode, err)
-			}
-			if fe.Worker != 1 {
-				t.Fatalf("error blames worker %d, corrupted worker 1", fe.Worker)
-			}
+			_, err = cl.GatherAll()
+			wantFrameError(t, "GatherAll", err, flipCause[mode], "worker 1")
 			// Generate more so the incremental fetch has fresh sets to carry.
 			if _, err := cl.Generate(40); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cl.FetchNew(since, rrset.NewCollection(16)); !errors.As(err, &fe) {
-				t.Fatalf("FetchNew with %s corruption: got %v, want FrameIntegrityError", mode, err)
-			}
+			_, err = cl.FetchNew(since, rrset.NewCollection(16))
+			wantFrameError(t, "FetchNew", err, flipCause[mode], "worker 1")
 
 			// And the cluster recovers once the link heals.
 			bad.armed = false
@@ -122,7 +130,7 @@ func TestFetchIntegrityTrailer(t *testing.T) {
 // TestDeltaIntegrityTrailer: the adaptive delta frames (msgSelect and
 // msgDegreeDelta replies) carry the same declared-length + CRC trailer as
 // fetch frames, so any silent mutation must fail selection or degree sync
-// with a typed *FrameIntegrityError naming the bad worker, and the
+// with a frame *sealed.Error naming the bad worker, and the
 // cluster must recover once the link heals.
 func TestDeltaIntegrityTrailer(t *testing.T) {
 	for _, mode := range []string{"flip", "clip", "len"} {
@@ -137,17 +145,11 @@ func TestDeltaIntegrityTrailer(t *testing.T) {
 			}
 
 			bad.armed = true
-			var fe *FrameIntegrityError
-			if _, err := coverage.RunGreedy(cl.Oracle(), 2); !errors.As(err, &fe) {
-				t.Fatalf("selection with %s corruption: got %v, want FrameIntegrityError", mode, err)
-			}
-			if fe.Worker != 1 {
-				t.Fatalf("error blames worker %d, corrupted worker 1", fe.Worker)
-			}
+			_, err := coverage.RunGreedy(cl.Oracle(), 2)
+			wantFrameError(t, "selection", err, flipCause[mode], "worker 1")
 			// The degree-sync path decodes the same frame form.
-			if _, err := cl.Generate(20); !errors.As(err, &fe) {
-				t.Fatalf("degree sync with %s corruption: got %v, want FrameIntegrityError", mode, err)
-			}
+			_, err = cl.Generate(20)
+			wantFrameError(t, "degree sync", err, flipCause[mode], "worker 1")
 
 			bad.armed = false
 			if _, err := coverage.RunGreedy(cl.Oracle(), 2); err != nil {

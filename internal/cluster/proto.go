@@ -382,8 +382,8 @@ func decodeStatsResp(b []byte) (int64, GenerateStats, error) {
 }
 
 // decodeDeltasResp verifies a delta reply's integrity trailer and decodes
-// either payload form into buf. worker names the sender in the typed
-// *FrameIntegrityError a corrupted trailer raises (-1 if unknown).
+// either payload form into buf. worker names the sender in the
+// *sealed.Error a corrupted trailer raises (-1: the master).
 func decodeDeltasResp(b []byte, buf []DeltaPair, worker int) (int64, []DeltaPair, error) {
 	nanos, rest, err := decodeRespHeader(b)
 	if err != nil {

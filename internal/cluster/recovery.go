@@ -61,9 +61,9 @@ type Recovery struct {
 type workerLog struct {
 	// ops holds the acknowledged state-mutating request frames in issue
 	// order: msgGenerate, msgGenerateAux and msgIngest. Replaying them
-	// against a fresh worker reproduces the collection bit for bit —
-	// the exact sequence of generation counts matters because the
-	// sharded sampler splits each request across shard streams per call.
+	// against a fresh worker reproduces the collection bit for bit: each
+	// op appends the next sets of the worker's own stream, of a salted
+	// rebalance stream, or ingested lists, so their order matters.
 	ops []([]byte)
 	// sampled counts RR sets from generate/generateAux ops; ingested
 	// counts list entries from ingest ops. Their sum is the worker's

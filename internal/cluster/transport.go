@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dimm/internal/checksum"
+	"dimm/internal/sealed"
 )
 
 // Conn is a reliable, ordered request/response pipe to one worker. Call
@@ -380,20 +381,21 @@ func StartLoopbackWorker(cfg WorkerConfig) (net.Listener, Conn, error) {
 // begins: 1 tag byte + 8 handler nanos + 4 declared length + 4 CRC32C.
 const framePayloadOffset = 1 + 8 + 4 + 4
 
-// FrameIntegrityError reports a response whose integrity trailer does
-// not match its payload: the declared length disagrees with the bytes
-// on the wire (truncation, concatenation) or the CRC32C does not
-// (corruption in transit). The trailer guards the frame types the
-// master cannot cross-check semantically — RR fetch payloads, where a
-// flipped bit would silently skew the sample, and delta replies, where
-// it would silently skew the greedy's degree vector.
-type FrameIntegrityError struct {
-	Worker int    // worker index within the cluster, -1 if unknown
-	Reason string // human-readable mismatch description
-}
-
-func (e *FrameIntegrityError) Error() string {
-	return fmt.Sprintf("cluster: worker %d frame failed integrity check: %s", e.Worker, e.Reason)
+// frameError reports a checksummed frame whose integrity trailer does not
+// match its payload (the declared length disagrees with the bytes on the
+// wire, or the CRC32C does not: ErrTruncated, ErrChecksum) or whose
+// verified payload does not decode (ErrFormat). The trailer guards the
+// frame types the master cannot cross-check semantically — RR fetch
+// payloads, where a flipped bit would silently skew the sample, and
+// delta replies, where it would silently skew the greedy's degree
+// vector. worker is the sending worker's index, -1 for a request from
+// the master.
+func frameError(worker int, cause error, format string, args ...any) *sealed.Error {
+	peer := "master"
+	if worker >= 0 {
+		peer = fmt.Sprintf("worker %d", worker)
+	}
+	return sealed.Corrupt("frame", peer, cause, format, args...)
 }
 
 // verifyFramePayload validates a response's declared-length and CRC32C
@@ -402,19 +404,18 @@ func (e *FrameIntegrityError) Error() string {
 // decodeRespHeader stripped the tag and handler nanos.
 func verifyFramePayload(worker int, rest []byte) ([]byte, error) {
 	if len(rest) < 8 {
-		return nil, &FrameIntegrityError{Worker: worker, Reason: fmt.Sprintf(
-			"frame too short for the integrity trailer (%d bytes, want >= 8)", len(rest))}
+		return nil, frameError(worker, sealed.ErrTruncated,
+			"frame too short for the integrity trailer (%d bytes, want >= 8)", len(rest))
 	}
 	declared := binary.LittleEndian.Uint32(rest)
 	wantCRC := binary.LittleEndian.Uint32(rest[4:])
 	payload := rest[8:]
 	if int(declared) != len(payload) {
-		return nil, &FrameIntegrityError{Worker: worker, Reason: fmt.Sprintf(
-			"declared payload length %d, received %d bytes", declared, len(payload))}
+		return nil, frameError(worker, sealed.ErrTruncated,
+			"declared payload length %d, received %d bytes", declared, len(payload))
 	}
 	if got := checksum.Sum(payload); got != wantCRC {
-		return nil, &FrameIntegrityError{Worker: worker, Reason: fmt.Sprintf(
-			"CRC32C mismatch (frame %#x, computed %#x)", wantCRC, got)}
+		return nil, frameError(worker, sealed.ErrChecksum, "frame %#x, computed %#x", wantCRC, got)
 	}
 	return payload, nil
 }

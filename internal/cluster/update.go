@@ -9,6 +9,7 @@ import (
 	"dimm/internal/checksum"
 	"dimm/internal/mutate"
 	"dimm/internal/rrset"
+	"dimm/internal/sealed"
 )
 
 // This file is the cluster side of the dynamic-graph subsystem
@@ -59,10 +60,10 @@ func decodeUpdateReq(rest []byte) (mutate.Batch, error) {
 	}
 	b, n, err := mutate.DecodeBatch(payload)
 	if err != nil {
-		return mutate.Batch{}, err
+		return mutate.Batch{}, frameError(-1, sealed.ErrFormat, "%v", err)
 	}
 	if n != len(payload) {
-		return mutate.Batch{}, fmt.Errorf("update request carries %d trailing bytes", len(payload)-n)
+		return mutate.Batch{}, frameError(-1, sealed.ErrFormat, "update request carries %d trailing bytes", len(payload)-n)
 	}
 	return b, nil
 }
@@ -246,19 +247,17 @@ func decodeRepairResp(worker int, rest []byte) ([]rrset.Patch, []DeltaPair, erro
 	}
 	count, rest2, err := consumeU32(payload)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, frameError(worker, sealed.ErrFormat, "repair patch count truncated")
 	}
 	patches := make([]rrset.Patch, 0, min(int(count), len(rest2)/8+1))
 	for i := uint32(0); i < count; i++ {
-		var pos, l uint32
-		if pos, rest2, err = consumeU32(rest2); err != nil {
-			return nil, nil, err
+		if len(rest2) < 8 {
+			return nil, nil, frameError(worker, sealed.ErrFormat, "repair patch %d header truncated", i)
 		}
-		if l, rest2, err = consumeU32(rest2); err != nil {
-			return nil, nil, err
-		}
+		pos, l := binary.LittleEndian.Uint32(rest2), binary.LittleEndian.Uint32(rest2[4:])
+		rest2 = rest2[8:]
 		if int(l)*4 > len(rest2) {
-			return nil, nil, &FrameIntegrityError{Worker: worker, Reason: fmt.Sprintf("repair patch %d truncated", i)}
+			return nil, nil, frameError(worker, sealed.ErrFormat, "repair patch %d truncated", i)
 		}
 		members := make([]uint32, l)
 		for j := uint32(0); j < l; j++ {
@@ -270,10 +269,10 @@ func decodeRepairResp(worker int, rest []byte) ([]rrset.Patch, []DeltaPair, erro
 	var pairs, rest3 = []DeltaPair(nil), rest2
 	dcount, rest3, err := consumeU32(rest3)
 	if err != nil {
-		return nil, nil, &FrameIntegrityError{Worker: worker, Reason: "repair deltas header truncated"}
+		return nil, nil, frameError(worker, sealed.ErrFormat, "repair deltas header truncated")
 	}
 	if int(dcount)*8 > len(rest3) {
-		return nil, nil, &FrameIntegrityError{Worker: worker, Reason: "repair deltas truncated"}
+		return nil, nil, frameError(worker, sealed.ErrFormat, "repair deltas truncated")
 	}
 	for i := uint32(0); i < dcount; i++ {
 		node := binary.LittleEndian.Uint32(rest3[i*8:])
@@ -282,8 +281,7 @@ func decodeRepairResp(worker int, rest []byte) ([]rrset.Patch, []DeltaPair, erro
 	}
 	rest3 = rest3[dcount*8:]
 	if len(rest3) != 0 {
-		return nil, nil, &FrameIntegrityError{Worker: worker, Reason: fmt.Sprintf(
-			"%d trailing bytes after the declared repair deltas", len(rest3))}
+		return nil, nil, frameError(worker, sealed.ErrFormat, "%d trailing bytes after the declared repair deltas", len(rest3))
 	}
 	return patches, pairs, nil
 }
@@ -332,8 +330,8 @@ func (c *Cluster) Update(b mutate.Batch) ([][]rrset.Patch, error) {
 		// the recovery path rebuilds from zero and overwrites this.)
 		for _, p := range pairs {
 			if int(p.Node) >= len(c.baseDeg) {
-				return nil, &FrameIntegrityError{Worker: i, Reason: fmt.Sprintf(
-					"repair delta node %d outside item space %d", p.Node, len(c.baseDeg))}
+				return nil, frameError(i, sealed.ErrFormat,
+					"repair delta node %d outside item space %d", p.Node, len(c.baseDeg))
 			}
 			c.baseDeg[p.Node] += int64(p.Dec)
 		}

@@ -13,6 +13,7 @@ import (
 	"dimm/internal/graph"
 	"dimm/internal/mutate"
 	"dimm/internal/rrset"
+	"dimm/internal/sealed"
 	"dimm/internal/xrand"
 )
 
@@ -157,10 +158,8 @@ func TestUpdateRequestWireRoundTrip(t *testing.T) {
 	// A flipped payload bit must be caught by the CRC, not the decoder.
 	bad := append([]byte(nil), req...)
 	bad[len(bad)-1] ^= 0x40
-	var ie *FrameIntegrityError
-	if _, err := decodeUpdateReq(bad[1:]); !errors.As(err, &ie) {
-		t.Fatalf("corrupted request decoded with %v, want *FrameIntegrityError", err)
-	}
+	_, err = decodeUpdateReq(bad[1:])
+	wantFrameError(t, "corrupted request", err, sealed.ErrChecksum, "master")
 	// Trailing junk past the declared batch is rejected even with a valid
 	// trailer over it.
 	long := mutate.EncodeBatch(nil, b)
@@ -169,9 +168,8 @@ func TestUpdateRequestWireRoundTrip(t *testing.T) {
 	framed = appendU32(framed, uint32(len(long)))
 	framed = appendU32(framed, checksum.Sum(long))
 	framed = append(framed, long...)
-	if _, err := decodeUpdateReq(framed[1:]); err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Fatalf("oversized batch payload decoded with %v, want trailing-bytes error", err)
-	}
+	_, err = decodeUpdateReq(framed[1:])
+	wantFrameError(t, "oversized batch payload", err, sealed.ErrFormat, "master")
 }
 
 // TestRepairRespWireRoundTrip covers the response codec, including the
@@ -231,10 +229,8 @@ func TestRepairRespWireRoundTrip(t *testing.T) {
 	reframed = appendU32(reframed, uint32(patchLen))
 	reframed = appendU32(reframed, checksum.Sum(short[framePayloadOffset:]))
 	reframed = append(reframed, short[framePayloadOffset:]...)
-	var ie *FrameIntegrityError
-	if _, _, err := decodeRepairResp(0, reframed[1:]); !errors.As(err, &ie) {
-		t.Fatalf("truncated repair frame decoded with %v, want *FrameIntegrityError", err)
-	}
+	_, _, err := decodeRepairResp(0, reframed[9:]) // past the tag and handler nanos
+	wantFrameError(t, "truncated repair frame", err, sealed.ErrFormat, "worker 0")
 }
 
 // TestClusterUpdateRepairMatchesFresh is the cluster-level repair

@@ -26,20 +26,19 @@ type WorkerConfig struct {
 	// Parallelism is the number of intra-worker goroutines, used on both
 	// sides of the algorithm: RR-generation shards and the map-stage
 	// Select kernel. 0 or 1 runs sequentially on the handler goroutine;
-	// P > 1 runs P goroutines — deterministic shard streams merged in
-	// shard order for generation (rrset.ShardedSampler), disjoint RR-id
-	// ranges with an order-free merge for selection
-	// (coverage.SelectKernel) — modeling a machine with P cores.
-	// Generated samples depend on (Seed, Parallelism) — so all workers of
-	// a reproducible run must agree on P — while Select output is
-	// bit-identical at every P.
+	// P > 1 runs P goroutines — contiguous set-ordinal ranges of the one
+	// stream Seed, merged in ordinal order, for generation
+	// (rrset.ShardedSampler), disjoint RR-id ranges with an order-free
+	// merge for selection (coverage.SelectKernel) — modeling a machine
+	// with P cores. Both outputs are bit-identical at every P, so workers
+	// of one run may each use their own.
 	Parallelism int
 	// Batch is the frontier-batch width B of each generation shard
 	// (rrset.BatchSampler): how many RR traversals advance per adjacency
 	// pass. 0 selects rrset.DefaultBatch — safe, because the batched
 	// kernel's output is bit-identical to the scalar sampler's at every
-	// width, so B is a pure performance knob and, unlike Parallelism, is
-	// NOT part of the stream identity. 1 forces the scalar kernel.
+	// width, so B, like Parallelism, is a pure performance knob and NOT
+	// part of the stream identity. 1 forces the scalar kernel.
 	Batch int
 }
 
@@ -356,8 +355,8 @@ func (w *Worker) ingest(payload []byte) error {
 // regenerates a quarantined worker's lost quota this way: any machine can
 // host the replacement stream because RR sets are i.i.d. regardless of
 // which machine samples them (Corollary 1) — the seed, not the host,
-// identifies the stream. The auxiliary sampler shares the worker's graph,
-// model and parallelism so the stream is reproducible on any peer.
+// identifies the stream. The auxiliary sampler shares the worker's graph
+// and model, so the stream is reproducible on any peer.
 func (w *Worker) generateAux(streamSeed uint64, count int64) error {
 	if w.sampler == nil {
 		return fmt.Errorf("worker has no graph; cannot generate RR sets")

@@ -35,13 +35,13 @@ type Options struct {
 	Seed     uint64 // base seed; machine i samples from a derived stream
 	// Parallelism is the number of intra-worker RR-generation goroutines
 	// per machine (rrset.ShardedSampler shards). 0 (the default) means 1:
-	// sequential sampling, bit-identical to historic output for a fixed
-	// seed. AutoParallelism derives it from GOMAXPROCS/ℓ. Seed sets are a
-	// deterministic function of (Seed, Machines, Parallelism).
+	// sequential sampling. AutoParallelism derives it from GOMAXPROCS/ℓ.
+	// Seed sets are a deterministic function of (Seed, Machines): shards
+	// split one stream by set ordinal, so P is a pure speed knob.
 	Parallelism int
 	// Batch is the frontier-batch width of each worker's RR sampling
 	// shards (rrset.BatchSampler). 0 selects rrset.DefaultBatch; 1 forces
-	// the scalar kernel. Unlike Parallelism, Batch never changes sampled
+	// the scalar kernel. Like Parallelism, Batch never changes sampled
 	// bytes — it is a pure locality/throughput knob.
 	Batch int
 }

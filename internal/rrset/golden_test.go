@@ -33,6 +33,11 @@ func randomProbGraph(t testing.TB, nodes int, seed uint64) *graph.Graph {
 // a short tail — every batched call boundary a stream must not notice.
 var goldenSplits = []int64{1, 63, 64, 65, 1000, 7}
 
+// goldenShards are the shard counts every golden stream is checked at:
+// shards split a request into contiguous ordinal ranges of the one
+// stream, so P never changes a byte.
+var goldenShards = []int{1, 2, 4}
+
 // sampleSplit samples total sets into c: goldenSplits first, then the rest
 // in one call.
 func sampleSplit(s interface{ SampleManyInto(*Collection, int64) }, c *Collection, total int64) {
@@ -105,19 +110,20 @@ func TestICStreamGolden(t *testing.T) {
 	}
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for _, tc := range cases {
-		for _, b := range []int{1, 7, 64} {
-			// P = 1: the shard stream is the seed's own. Mutation-enabled
-			// graphs coerce any width to the scalar kernel.
-			s, err := NewShardedSamplerBatch(tc.g, diffusion.IC, 42, false, 1, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := NewCollection(64)
-			sampleSplit(s, c, tc.sets)
-			crc := crc32.Checksum(c.AppendWire(nil), castagnoli)
-			if crc != tc.crc || c.EdgesExamined() != tc.probes {
-				t.Errorf("%s B=%d: crc32c %#08x probes %d over %d members, golden %#08x / %d",
-					tc.name, b, crc, c.EdgesExamined(), c.TotalSize(), tc.crc, tc.probes)
+		for _, p := range goldenShards {
+			for _, b := range []int{1, 7, 64} {
+				// Mutation-enabled graphs coerce any width to the scalar kernel.
+				s, err := NewShardedSamplerBatch(tc.g, diffusion.IC, 42, false, p, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := NewCollection(64)
+				sampleSplit(s, c, tc.sets)
+				crc := crc32.Checksum(c.AppendWire(nil), castagnoli)
+				if crc != tc.crc || c.EdgesExamined() != tc.probes {
+					t.Errorf("%s P=%d B=%d: crc32c %#08x probes %d over %d members, golden %#08x / %d",
+						tc.name, p, b, crc, c.EdgesExamined(), c.TotalSize(), tc.crc, tc.probes)
+				}
 			}
 		}
 	}
@@ -160,7 +166,8 @@ func ltRandomProbGraph(t testing.TB) *graph.Graph {
 // EdgesExamined, recorded at the commit before the streaming driver and
 // the staged walk step existed (cohort barrier, one lane at a time per
 // step), for the scalar sampler and B ∈ {1, 7, 64}, sampled in the
-// goldenSplits call sequence.
+// goldenSplits call sequence. The sharded sampler must match the same
+// digests at every goldenShards P.
 func TestLTStreamGolden(t *testing.T) {
 	wc := ltGoldenRMAT(t)
 	randomProb := ltRandomProbGraph(t)
@@ -185,31 +192,36 @@ func TestLTStreamGolden(t *testing.T) {
 	}
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for _, tc := range cases {
-		for _, b := range []int{0, 1, 7, 64} { // 0: the scalar Sampler
-			var s interface {
-				SampleManyInto(*Collection, int64)
-				SetRootWeights([]float64) error
-			}
-			var err error
-			if b == 0 {
-				s, err = NewSampler(tc.g, diffusion.LT, 42, false)
-			} else {
-				s, err = NewBatchSampler(tc.g, diffusion.LT, 42, false, b)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.targeted {
-				if err := s.SetRootWeights(targetedWeights(tc.g.NumNodes())); err != nil {
+		for _, p := range append([]int{0}, goldenShards...) { // 0: unsharded
+			for _, b := range []int{0, 1, 7, 64} { // 0: the scalar Sampler
+				var s interface {
+					SampleManyInto(*Collection, int64)
+					SetRootWeights([]float64) error
+				}
+				var err error
+				switch {
+				case p > 0:
+					s, err = NewShardedSamplerBatch(tc.g, diffusion.LT, 42, false, p, b)
+				case b == 0:
+					s, err = NewSampler(tc.g, diffusion.LT, 42, false)
+				default:
+					s, err = NewBatchSampler(tc.g, diffusion.LT, 42, false, b)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			c := NewCollection(64)
-			sampleSplit(s, c, 3000)
-			crc := crc32.Checksum(c.AppendWire(nil), castagnoli)
-			if crc != tc.crc || c.EdgesExamined() != tc.probes {
-				t.Errorf("%s B=%d: crc32c %#08x probes %d over %d members, golden %#08x / %d",
-					tc.name, b, crc, c.EdgesExamined(), c.TotalSize(), tc.crc, tc.probes)
+				if tc.targeted {
+					if err := s.SetRootWeights(targetedWeights(tc.g.NumNodes())); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c := NewCollection(64)
+				sampleSplit(s, c, 3000)
+				crc := crc32.Checksum(c.AppendWire(nil), castagnoli)
+				if crc != tc.crc || c.EdgesExamined() != tc.probes {
+					t.Errorf("%s P=%d B=%d: crc32c %#08x probes %d over %d members, golden %#08x / %d",
+						tc.name, p, b, crc, c.EdgesExamined(), c.TotalSize(), tc.crc, tc.probes)
+				}
 			}
 		}
 	}

@@ -17,45 +17,45 @@ type shardSampler interface {
 	SampleManyInto(c *Collection, count int64)
 	setRoots(a *xrand.Alias)
 	batchStats() BatchStats
-	// laneState exposes (stream seed, lifetime set counter) so the lane
-	// seeds of upcoming sets can be computed without sampling them — the
-	// per-set provenance a dynamic-graph worker journals for repair.
-	laneState() (base, setCtr uint64)
+	// seek positions the sampler at set t of its stream.
+	seek(t uint64)
 }
 
-func (s *Sampler) setRoots(a *xrand.Alias)          { s.roots = a }
-func (s *Sampler) batchStats() BatchStats           { return BatchStats{} }
-func (s *Sampler) laneState() (uint64, uint64)      { return s.base, s.setCtr }
-func (s *BatchSampler) setRoots(a *xrand.Alias)     { s.roots = a }
-func (s *BatchSampler) batchStats() BatchStats      { return s.Stats() }
-func (s *BatchSampler) laneState() (uint64, uint64) { return s.base, s.setCtr }
+func (s *Sampler) setRoots(a *xrand.Alias)      { s.roots = a }
+func (s *Sampler) batchStats() BatchStats       { return BatchStats{} }
+func (s *Sampler) seek(t uint64)                { s.setCtr = t }
+func (s *BatchSampler) setRoots(a *xrand.Alias) { s.roots = a }
+func (s *BatchSampler) batchStats() BatchStats  { return s.Stats() }
+func (s *BatchSampler) seek(t uint64)           { s.setCtr = t }
 
 // ShardedSampler fans RR-set generation across P shard samplers, each a
-// private sampler with its own RNG stream and scratch state, generating
-// into a private arena Collection. It parallelizes the per-machine share
+// private sampler with its own scratch state, generating into a private
+// arena Collection. It parallelizes the per-machine share
 // of distributed RIS (Corollary 1 concentrates that share at total/ℓ;
 // intra-worker shards split it again by P) the way gIM and the Intel
 // optimized-parallel-IM implementations do, adapted to Go: the arenas
 // stay flat and per-shard, so the GC-pressure invariant of DESIGN.md key
 // choice #1 survives parallelism.
 //
-// Determinism: shard s samples the stream xrand.MachineSeed(seed, s), a
-// request for N sets is split as N/P (+1 for the first N%P shards), and
-// shard outputs are merged in ascending shard order — so a fixed
-// (seed, P) yields a byte-identical collection regardless of goroutine
-// scheduling. P = 1 runs the seed's stream directly on the caller's
-// goroutine and is bit-identical to a plain Sampler. The frontier-batch
-// width (batching *within* each shard) never changes output bytes, so it
-// is not part of the determinism fingerprint.
+// Determinism: every shard samples the one stream seed. A request for N
+// sets is split as N/P (+1 for the first N%P shards), shard s takes the
+// next contiguous range of set ordinals, and shard outputs are merged in
+// shard order, which is ordinal order. The collection is therefore the
+// stream's sets next..next+N-1 for every P and every goroutine schedule,
+// byte-identical to a plain Sampler on seed; P = 1 runs on the caller's
+// goroutine. Neither P nor the frontier-batch width (batching *within*
+// each shard) is part of the stream identity: both are speed knobs.
 type ShardedSampler struct {
 	g      *graph.Graph
+	seed   uint64
+	next   uint64 // ordinal of the next set to generate
 	shards []shardSampler
 	bufs   []*Collection // per-shard merge buffers, reused across rounds
 	batch  int
 }
 
-// NewShardedSampler returns a sampler running parallelism scalar shard
-// streams. Values below 1 are treated as 1 (sequential).
+// NewShardedSampler returns a sampler running parallelism scalar shards.
+// Values below 1 are treated as 1 (sequential).
 func NewShardedSampler(g *graph.Graph, model diffusion.Model, seed uint64, subset bool, parallelism int) (*ShardedSampler, error) {
 	return NewShardedSamplerBatch(g, model, seed, subset, parallelism, 1)
 }
@@ -79,21 +79,18 @@ func NewShardedSamplerBatch(g *graph.Graph, model diffusion.Model, seed uint64, 
 	}
 	ss := &ShardedSampler{
 		g:      g,
+		seed:   seed,
 		shards: make([]shardSampler, parallelism),
 		bufs:   make([]*Collection, parallelism),
 		batch:  batch,
 	}
 	for i := range ss.shards {
-		shardSeed := seed
-		if parallelism > 1 {
-			shardSeed = xrand.MachineSeed(seed, i)
-		}
 		var s shardSampler
 		var err error
 		if batch > 1 {
-			s, err = NewBatchSampler(g, model, shardSeed, subset, batch)
+			s, err = NewBatchSampler(g, model, seed, subset, batch)
 		} else {
-			s, err = NewSampler(g, model, shardSeed, subset)
+			s, err = NewSampler(g, model, seed, subset)
 		}
 		if err != nil {
 			return nil, err
@@ -104,7 +101,7 @@ func NewShardedSamplerBatch(g *graph.Graph, model diffusion.Model, seed uint64, 
 	return ss, nil
 }
 
-// Parallelism returns P, the number of shard streams.
+// Parallelism returns P, the number of shards.
 func (ss *ShardedSampler) Parallelism() int { return len(ss.shards) }
 
 // Batch returns the frontier-batch width each shard runs at (1 = scalar).
@@ -144,47 +141,35 @@ func (ss *ShardedSampler) SetRootWeights(weights []float64) error {
 }
 
 // AppendLaneSeeds appends the lane seeds of the next count sets this
-// sampler would generate, in merge order, without sampling anything or
-// advancing any stream. Because a request for count sets is always split
-// per/extra across shards in shard order, set j of the upcoming round
-// maps deterministically to (shard, local offset); the lane seed is then
-// xrand.LaneSeed(shard stream seed, shard set counter + offset). Callers
-// that journal per-set provenance (dynamic-graph repair) call this
-// immediately before SampleManyInto with the same count.
+// sampler would generate, in merge order, without sampling anything:
+// set j of the upcoming round is ordinal next+j of the stream, so its
+// lane seed is xrand.LaneSeed(seed, next+j). Callers that journal
+// per-set provenance (dynamic-graph repair) call this immediately before
+// SampleManyInto with the same count.
 func (ss *ShardedSampler) AppendLaneSeeds(dst []uint64, count int64) []uint64 {
-	if count <= 0 {
-		return dst
-	}
-	p := int64(len(ss.shards))
-	per, extra := count/p, count%p
-	for i, s := range ss.shards {
-		n := per
-		if int64(i) < extra {
-			n++
-		}
-		base, ctr := s.laneState()
-		for j := int64(0); j < n; j++ {
-			dst = append(dst, xrand.LaneSeed(base, ctr+uint64(j)))
-		}
+	for j := int64(0); j < count; j++ {
+		dst = append(dst, xrand.LaneSeed(ss.seed, ss.next+uint64(j)))
 	}
 	return dst
 }
 
-// SampleManyInto generates count RR sets into c: each shard samples its
-// deterministic share concurrently into a private arena, then the arenas
-// are merged into c in shard order.
+// SampleManyInto generates the stream's next count RR sets into c: each
+// shard samples its contiguous ordinal range concurrently into a private
+// arena, then the arenas are merged into c in shard order.
 func (ss *ShardedSampler) SampleManyInto(c *Collection, count int64) {
 	if count <= 0 {
 		return
 	}
 	p := int64(len(ss.shards))
 	if p == 1 {
+		ss.shards[0].seek(ss.next)
 		ss.shards[0].SampleManyInto(c, count)
+		ss.next += uint64(count)
 		return
 	}
 	per, extra := count/p, count%p
 	var wg sync.WaitGroup
-	for i := range ss.shards {
+	for i, s := range ss.shards {
 		n := per
 		if int64(i) < extra {
 			n++
@@ -194,11 +179,13 @@ func (ss *ShardedSampler) SampleManyInto(c *Collection, count int64) {
 		if n == 0 {
 			continue
 		}
+		s.seek(ss.next)
+		ss.next += uint64(n)
 		wg.Add(1)
 		go func(s shardSampler, buf *Collection, n int64) {
 			defer wg.Done()
 			s.SampleManyInto(buf, n)
-		}(ss.shards[i], buf, n)
+		}(s, buf, n)
 	}
 	wg.Wait()
 	// One exact reservation for the whole merge, not one regrow per shard.

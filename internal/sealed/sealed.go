@@ -24,7 +24,8 @@
 //
 // The segmented graph is not a sealed file: it checksums each section per
 // MiB block so a mapped graph opens without reading its payload. It still
-// publishes through Stage and Commit and reports damage as an *Error.
+// publishes through Stage and Commit and reports damage as an *Error, as
+// do the cluster's checksummed network frames.
 package sealed
 
 import (
@@ -64,10 +65,11 @@ var (
 	ErrStale = errors.New("disagrees with its manifest")
 )
 
-// Error is the one corruption error for every checksummed artifact.
+// Error is the one corruption error for every checksummed artifact,
+// on disk or on the wire.
 type Error struct {
-	Artifact string // "segment", "delta", "sketch", "manifest" or "graph"
-	Path     string // the file; empty for an in-memory blob
+	Artifact string // "segment", "delta", "sketch", "manifest", "graph" or "frame"
+	Path     string // the file, or the peer of a network frame; empty for an in-memory blob
 	// Section and Block locate the damage inside a sectioned file (the
 	// segmented graph): the section name or "header", and the payload
 	// block within the section, -1 for its CRC trailer. Section is empty

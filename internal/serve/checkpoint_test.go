@@ -2,6 +2,9 @@ package serve
 
 import (
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -147,7 +150,6 @@ func TestRestoreFingerprintMismatch(t *testing.T) {
 	}{
 		{"seed", Config{Graph: g, Machines: 2, Seed: 43}},
 		{"machines", Config{Graph: g, Machines: 4}},
-		{"parallelism", Config{Graph: g, Machines: 2, Parallelism: 3}},
 		{"graph_hash", Config{Graph: testGraphSeeded(t, 18), Machines: 2}},
 	}
 	for _, tc := range bad {
@@ -168,6 +170,52 @@ func TestRestoreFingerprintMismatch(t *testing.T) {
 		if fe.Field != tc.name {
 			t.Fatalf("mutated %s but error names %s", tc.name, fe.Field)
 		}
+	}
+}
+
+// TestRestoreAcrossParallelism: the shard count is a speed knob, not
+// part of the sample, so a checkpoint written at P = 2 restores at P = 1
+// and P = 3 and serves byte-identical /v1/seeds answers.
+func TestRestoreAcrossParallelism(t *testing.T) {
+	g := testGraph(t)
+	dir := t.TempDir()
+	queries := []string{`{"k": 1, "eps": 0.3}`, `{"k": 5, "eps": 0.3}`, `{"k": 10, "eps": 0.45}`}
+	answers := func(s *Service) []string {
+		t.Helper()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		var out []string
+		for _, q := range queries {
+			resp, err := http.Post(ts.URL+"/v1/seeds", "application/json", strings.NewReader(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST /v1/seeds %s -> %d %s %v", q, resp.StatusCode, body, err)
+			}
+			out = append(out, string(body))
+		}
+		return out
+	}
+
+	warm := testService(t, Config{Graph: g, Machines: 2, Parallelism: 2, CheckpointDir: dir})
+	if _, err := warm.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	want := answers(warm)
+	warm.Close()
+
+	for _, p := range []int{1, 3} {
+		s := testService(t, Config{Graph: g, Machines: 2, Parallelism: p, CheckpointDir: dir, Restore: true})
+		if !s.Stats().Restored {
+			t.Fatalf("P=%d: checkpoint written at P=2 did not restore", p)
+		}
+		if got := answers(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("P=%d: restored answers differ:\n got %q\nwant %q", p, got, want)
+		}
+		s.Close()
 	}
 }
 

@@ -18,7 +18,7 @@
 // per-query), while at most one grower extends it; the slow part of
 // growth (cluster RPCs) happens outside the write lock, which is held
 // only for the append + reindex. Every answer is a deterministic
-// function of (seed, machines, parallelism, epoch).
+// function of (seed, machines, epoch).
 package serve
 
 import (
@@ -54,7 +54,8 @@ type Config struct {
 	// Machines is ℓ, the number of workers per collection (default 1).
 	// Ignored when C1/C2 are supplied.
 	Machines int
-	// Parallelism is the per-worker shard count (see core.Options).
+	// Parallelism is the per-worker shard count (see core.Options). Like
+	// Batch, it is not part of the checkpoint fingerprint.
 	Parallelism int
 	// Batch is the frontier-batch width of each worker's sampling shards
 	// (see core.Options.Batch): 0 selects rrset.DefaultBatch, 1 the
@@ -455,7 +456,6 @@ func New(cfg Config) (*Service, error) {
 			Subset:      cfg.Subset,
 			Seed:        cfg.Seed,
 			Machines:    cfg.Machines,
-			Parallelism: par,
 			KMax:        cfg.KMax,
 			EpsFloor:    cfg.EpsFloor,
 		})

@@ -46,7 +46,7 @@ func TestSealedFilesGolden(t *testing.T) {
 		"seg-000000.rr":    "44413837a51ab82cec34eaf5d8c9bb9c7a1fa5789ad35bd75c477f3cabbdf5c9",
 		"sketch-000001.sk": "97a0c74eab26d514283526582c2a2a74e60e6cc39db41be7e38eb0320105f889",
 		"delta-000002.gd":  "f0a82c24e5cc5f0aa2d51cdd3a3f18c2285dd266bb0d9a4ea587dcac9a06799c",
-		"manifest.json":    "e34098d4bf08ac8842922c567876c7a2374d0432e25d22f830d40d3d496f72cb",
+		"manifest.json":    "e2ea00d2ff5ca2eb483c1c3c5662109ef3158c38a7d3b82c65351241223b7dbc",
 	}
 	dir, _ := sealedStore(t)
 	ents, err := os.ReadDir(dir)
@@ -68,6 +68,50 @@ func TestSealedFilesGolden(t *testing.T) {
 	if _, err := Verify(dir); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLegacyParallelismManifest: manifests written while the per-worker
+// shard count was part of the fingerprint carry a "parallelism" key.
+// Putting it back into sealedStore's manifest must reproduce the digest
+// recorded then, and a manifest carrying it must still open and restore.
+func TestLegacyParallelismManifest(t *testing.T) {
+	const legacy = "e34098d4bf08ac8842922c567876c7a2374d0432e25d22f830d40d3d496f72cb"
+	addKey := func(dir string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, manifestName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		machines := []byte("    \"machines\": 4,\n")
+		if !bytes.Contains(data, machines) {
+			t.Fatalf("manifest has no machines line:\n%s", data)
+		}
+		data = bytes.Replace(data, machines, append(machines, "    \"parallelism\": 2,\n"...), 1)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	dir, _ := sealedStore(t)
+	if sum := sha256.Sum256(addKey(dir)); hex.EncodeToString(sum[:]) != legacy {
+		t.Fatalf("legacy manifest SHA-256 %x, want %s", sum, legacy)
+	}
+	if _, err := Open(dir, testFingerprint()); err != nil {
+		t.Fatalf("Open legacy manifest: %v", err)
+	}
+
+	dir = t.TempDir()
+	fp := seedStore(t, dir)
+	addKey(dir)
+	res, err := Restore(dir, fp, 100)
+	if err != nil {
+		t.Fatalf("Restore legacy manifest: %v", err)
+	}
+	r1, r2 := testCollections(15)
+	r1.Append([]uint32{9, 8, 7}, 0)
+	sameSets(t, r1, res.R1, "R1")
+	sameSets(t, r2, res.R2, "R2")
 }
 
 // TestSealedCorruptionMatrix is the one corruption table for every sealed

@@ -2,8 +2,8 @@
 // checkpoint format for the resident query service's R1/R2 collections,
 // so a restart or deploy pays seconds of sequential I/O instead of
 // minutes of distributed resampling. The paper's sample is a pure
-// function of (graph, weight model, sampler seeds, machine count,
-// parallelism, growth epoch), so persisting and restoring it introduces
+// function of (graph, weight model, sampler seeds, machine count, growth
+// epoch), so persisting and restoring it introduces
 // no new randomness and leaves the (1 − 1/e − ε) guarantee untouched —
 // see DESIGN.md, "Why restore preserves the guarantee".
 //
@@ -67,11 +67,16 @@ type Fingerprint struct {
 	WeightModel string `json:"weight_model,omitempty"`
 	// Subset records whether SUBSIM subset sampling was used.
 	Subset bool `json:"subset"`
-	// Seed, Machines and Parallelism determine the workers' RR streams:
-	// the sample is a deterministic function of them.
-	Seed        uint64 `json:"seed"`
-	Machines    int    `json:"machines"`
-	Parallelism int    `json:"parallelism"`
+	// Seed and Machines determine the workers' RR streams: the sample is
+	// a deterministic function of them. The per-worker shard count is
+	// not: shards split one stream by ordinal, so a checkpoint restores
+	// at any parallelism.
+	Seed     uint64 `json:"seed"`
+	Machines int    `json:"machines"`
+	// Parallelism is ignored: it is neither written to the manifest nor
+	// compared, and a "parallelism" key in an older manifest is skipped.
+	// It stays only because benchmark/serve.go still sets it.
+	Parallelism int `json:"-"`
 	// KMax and EpsFloor are the admissibility envelope the resident
 	// sample was budgeted for (core.PlanResidentSample); a store warmed
 	// for one envelope must not back a service promising another.
@@ -98,8 +103,6 @@ func (f Fingerprint) diff(got Fingerprint) *FingerprintMismatchError {
 		return mk("seed", f.Seed, got.Seed)
 	case f.Machines != got.Machines:
 		return mk("machines", f.Machines, got.Machines)
-	case f.Parallelism != got.Parallelism:
-		return mk("parallelism", f.Parallelism, got.Parallelism)
 	case f.KMax != got.KMax:
 		return mk("k_max", f.KMax, got.KMax)
 	case f.EpsFloor != got.EpsFloor:
