@@ -87,17 +87,20 @@ func SaveGraphBinary(path string, g *Graph) error {
 }
 
 // GraphBackend selects how LoadGraphFile materializes a segmented graph:
-// heap slices or a demand-paged read-only mapping.
+// a verified private copy or a demand-paged read-only mapping.
 type GraphBackend = graph.Backend
 
 // Graph materialization backends.
 const (
-	// MemBackend loads the graph into heap memory (every format).
+	// MemBackend loads the whole graph into memory (every format; a
+	// segmented file lands in a private mapping off the Go heap).
 	MemBackend = graph.BackendMem
 	// MmapBackend maps a segmented (.dsg) file and serves the CSR
 	// straight from the page cache, so graphs larger than RAM sample at
-	// full speed without ever being heap-resident. Mapped graphs are
-	// frozen (no mutation) and must be released with Graph.Close.
+	// full speed without ever being fully resident. Mapped graphs are
+	// frozen (no mutation). Graph.Close releases a segmented graph's
+	// mapping at once; otherwise the GC does once the graph is
+	// unreachable.
 	MmapBackend = graph.BackendMmap
 )
 

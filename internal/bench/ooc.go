@@ -19,8 +19,9 @@ import (
 
 // OOCOptions configures the out-of-core sampling benchmark: RR-set
 // generation straight off a segmented (.dsg) graph file, contrasting the
-// mmap backend (CSR served from the page cache, never heap-resident)
-// against the mem backend (CSR decoded into heap slices).
+// mmap backend (CSR served from the page cache, resident only where
+// sampling touched it) against the mem backend (a verified private copy
+// of the whole file, always resident).
 type OOCOptions struct {
 	GraphPath string // segmented graph file (required)
 	Model     diffusion.Model
@@ -70,10 +71,11 @@ func (o OOCOptions) withDefaults() OOCOptions {
 		o.ColdSets = 2_000
 	}
 	if len(o.Backends) == 0 {
-		// Mmap first: its residency figure is only honest while the heap
-		// is small. The mem backend's full-CSR heap (freed by Go but not
-		// promptly returned to the OS) would otherwise sit under the
-		// mmap run's RSS.
+		// Mmap first: its residency figure is only honest while nothing
+		// else is resident. The mem backend's copy is unmapped when its
+		// run closes the graph, but the run's sample arenas (freed by Go,
+		// not promptly returned to the OS) would sit under the mmap
+		// run's RSS.
 		o.Backends = []graph.Backend{graph.BackendMmap, graph.BackendMem}
 	}
 	return o

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -212,7 +213,10 @@ type Cluster struct {
 	conns    []Conn
 	numItems int
 
-	baseDeg []int64 // Δ(v) over all RR sets generated so far
+	// baseDeg is Δ(v) over all RR sets generated so far. Like merge, it
+	// is allocated on first use (degreeVec): a restored daemon answers
+	// from its resident sample and never syncs degrees or selects here.
+	baseDeg []int64
 
 	// Reduce-stage scratch of distOracle.Select, reused every round:
 	// merge sums the workers' decoded replies (pairBuf) and drains into
@@ -295,13 +299,36 @@ func New(conns []Conn, numItems int) (*Cluster, error) {
 	return &Cluster{
 		conns:      conns,
 		numItems:   numItems,
-		baseDeg:    make([]int64, numItems),
-		merge:      coverage.NewDeltaAccum(numItems),
 		sequential: runtime.GOMAXPROCS(0) == 1,
 		batchLast:  make([]rrset.BatchStats, len(conns)),
 		reg:        reg,
 		met:        newClusterMetrics(reg),
 	}, nil
+}
+
+// degreeVec returns the baseline Δ vector, allocating it on first use.
+func (c *Cluster) degreeVec() []int64 {
+	if c.baseDeg == nil {
+		c.baseDeg = make([]int64, c.numItems)
+	}
+	return c.baseDeg
+}
+
+// NodeStateAllocated reports whether the master or any in-process worker
+// has built its n-sized selection state: the baseline Δ vector, the
+// reduce accumulator, a worker's degree-sync accumulator or its select
+// kernel. Each is built on first use, so a restored daemon that answers
+// from its resident sample reports false. Call it between operations.
+func (c *Cluster) NodeStateAllocated() bool {
+	if c.baseDeg != nil || c.merge != nil {
+		return true
+	}
+	for _, conn := range c.conns {
+		if lc, ok := conn.(*localConn); ok && (lc.w.deg != nil || lc.w.kern != nil) {
+			return true
+		}
+	}
+	return false
 }
 
 // SetSequentialBroadcast overrides the broadcast strategy: true calls
@@ -616,6 +643,7 @@ func (c *Cluster) syncDegrees() error {
 	}
 	handlers := make([]time.Duration, len(resps))
 	var buf []DeltaPair
+	deg := c.degreeVec()
 	start := time.Now()
 	for i, resp := range resps {
 		if resp == nil {
@@ -632,7 +660,7 @@ func (c *Cluster) syncDegrees() error {
 			if int(p.Node) >= c.numItems {
 				return fmt.Errorf("cluster: worker %d reported node %d outside item space", i, p.Node)
 			}
-			c.baseDeg[p.Node] += int64(p.Dec)
+			deg[p.Node] += int64(p.Dec)
 		}
 		if c.rec != nil {
 			c.logs[i].synced = c.logs[i].count()
@@ -710,11 +738,12 @@ func (c *Cluster) syncDegreesOne(worker int) error {
 		return err
 	}
 	c.countDeltaFrame(resps[worker], pairs)
+	deg := c.degreeVec()
 	for _, p := range pairs {
 		if int(p.Node) >= c.numItems {
 			return fmt.Errorf("cluster: worker %d reported node %d outside item space", worker, p.Node)
 		}
-		c.baseDeg[p.Node] += int64(p.Dec)
+		deg[p.Node] += int64(p.Dec)
 	}
 	if c.rec != nil {
 		c.logs[worker].synced = c.logs[worker].count()
@@ -811,9 +840,7 @@ func (c *Cluster) Reset() error {
 	// rebalancing (everything was being dropped); nothing to repair.
 	_ = downs
 	c.account("sel", wall, handlers)
-	for i := range c.baseDeg {
-		c.baseDeg[i] = 0
-	}
+	clear(c.baseDeg)
 	return nil
 }
 
@@ -1132,9 +1159,7 @@ func (o *distOracle) InitialDegrees() ([]int64, error) {
 			c.selecting = true
 			c.selSeeds = c.selSeeds[:0]
 		}
-		deg := make([]int64, len(c.baseDeg))
-		copy(deg, c.baseDeg)
-		return deg, nil
+		return slices.Clone(c.degreeVec()), nil
 	}
 }
 
@@ -1161,6 +1186,9 @@ func (o *distOracle) Select(u uint32) ([]coverage.Delta, error) {
 	}
 	handlers := make([]time.Duration, len(resps))
 	start := time.Now()
+	if c.merge == nil {
+		c.merge = coverage.NewDeltaAccum(c.numItems)
+	}
 	fail := func(worker int, err error) ([]coverage.Delta, error) {
 		c.merge.Drain(c.deltas[:0]) // discard the partial reduce
 		return nil, fmt.Errorf("cluster: worker %d: %w", worker, err)

@@ -456,9 +456,7 @@ func (c *Cluster) rebalanceLost(downs []int, extraLost map[int]int64) error {
 // a quarantine, paid once per repair. Returns workers newly quarantined
 // during the rebuild (the caller loops).
 func (c *Cluster) rebuildBaseline() ([]int, error) {
-	for i := range c.baseDeg {
-		c.baseDeg[i] = 0
-	}
+	clear(c.baseDeg)
 	resps, _, downs, err := c.broadcast(c.same(encodeSetReportedReq(0)))
 	if err != nil {
 		return nil, err
@@ -483,6 +481,7 @@ func (c *Cluster) rebuildBaseline() ([]int, error) {
 	}
 	handlers := make([]time.Duration, len(resps))
 	var buf []DeltaPair
+	deg := c.degreeVec()
 	for i, resp := range resps {
 		if resp == nil {
 			continue
@@ -498,7 +497,7 @@ func (c *Cluster) rebuildBaseline() ([]int, error) {
 			if int(p.Node) >= c.numItems {
 				return nil, fmt.Errorf("cluster: worker %d reported node %d outside item space", i, p.Node)
 			}
-			c.baseDeg[p.Node] += int64(p.Dec)
+			deg[p.Node] += int64(p.Dec)
 		}
 		if c.rec != nil {
 			c.logs[i].synced = c.logs[i].count()

@@ -33,6 +33,7 @@ type Conn interface {
 // TCP path, so serialized traffic volume is measured faithfully even when
 // "machines" are goroutines on one server (the paper's multi-core setup).
 type localConn struct {
+	w      *Worker
 	reqCh  chan []byte
 	respCh chan []byte
 	done   chan struct{}
@@ -52,6 +53,7 @@ type localConn struct {
 // master's handle to it.
 func NewLocalConn(w *Worker) Conn {
 	c := &localConn{
+		w:      w,
 		reqCh:  make(chan []byte),
 		respCh: make(chan []byte),
 		done:   make(chan struct{}),

@@ -154,6 +154,7 @@ func (w *Worker) handleUpdate(rest []byte, start time.Time) ([]byte, error) {
 // degreeDelta. Must run before the patches are applied to the
 // collection: it reads pre-patch membership.
 func (w *Worker) repairDeltas(patches []rrset.Patch) ([]DeltaPair, error) {
+	deg := w.accum()
 	for _, p := range patches {
 		if p.Pos >= w.reported {
 			continue
@@ -163,17 +164,17 @@ func (w *Worker) repairDeltas(patches []rrset.Patch) ([]DeltaPair, error) {
 		// here before they index the scratch.
 		for _, v := range p.Members {
 			if int(v) >= w.numItems() {
-				w.deg.Drain(w.pairBuf[:0]) // discard the partial corrections
+				deg.Drain(w.pairBuf[:0]) // discard the partial corrections
 				return nil, fmt.Errorf("RR member %d outside item space %d", v, w.numItems())
 			}
-			w.deg.Add(v, 1)
+			deg.Add(v, 1)
 		}
 		for _, v := range w.coll.Set(p.Pos) {
-			w.deg.Add(v, -1)
+			deg.Add(v, -1)
 		}
 	}
 	// Signed corrections can cancel; Drain drops the zero-net nodes.
-	w.pairBuf = w.deg.Drain(w.pairBuf[:0])
+	w.pairBuf = deg.Drain(w.pairBuf[:0])
 	return w.pairBuf, nil
 }
 
@@ -329,11 +330,11 @@ func (c *Cluster) Update(b mutate.Batch) ([][]rrset.Patch, error) {
 		// rebuildBaseline would broadcast. (If a quarantine follows below,
 		// the recovery path rebuilds from zero and overwrites this.)
 		for _, p := range pairs {
-			if int(p.Node) >= len(c.baseDeg) {
+			if int(p.Node) >= c.numItems {
 				return nil, frameError(i, sealed.ErrFormat,
-					"repair delta node %d outside item space %d", p.Node, len(c.baseDeg))
+					"repair delta node %d outside item space %d", p.Node, c.numItems)
 			}
-			c.baseDeg[p.Node] += int64(p.Dec)
+			c.degreeVec()[p.Node] += int64(p.Dec)
 		}
 		c.met.repairedSets.Add(int64(len(patches[i])))
 		c.record(i, req, 0, 0)

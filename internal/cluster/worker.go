@@ -66,11 +66,14 @@ type Worker struct {
 
 	idx     *rrset.Index // lazily built, then extended incrementally
 	covered *bitset.Bits // per-RR-set covered labels (1 bit each)
-	kern    *coverage.SelectKernel
+	items   int          // the selectable-item space
 	// deg is the degree-sync scratch (msgDegreeDelta and the signed
 	// repair corrections of msgUpdate); the per-seed map stage runs on
-	// kern instead. Its length is the selectable-item space.
-	deg *coverage.DeltaAccum
+	// kern instead. Both are n-sized and built on first use (accum,
+	// kernel): a restored daemon's workers hold no sets and never reach
+	// either.
+	deg  *coverage.DeltaAccum
+	kern *coverage.SelectKernel
 
 	// covMark is an epoch-stamped mark array over RR-set ids used by
 	// coverageOf: marking is covMark[j] = covEpoch, so repeated coverage
@@ -124,7 +127,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg:  cfg,
 		coll: rrset.NewCollection(1 << 16),
 	}
-	numItems := 0
 	if cfg.Graph != nil {
 		s, err := rrset.NewShardedSamplerBatch(cfg.Graph, cfg.Model, cfg.Seed, cfg.Subset, cfg.Parallelism, ResolveBatch(cfg.Batch))
 		if err != nil {
@@ -136,15 +138,29 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 			}
 		}
 		w.sampler = s
-		numItems = cfg.Graph.NumNodes()
+		w.items = cfg.Graph.NumNodes()
 	}
-	w.deg = coverage.NewDeltaAccum(numItems)
-	w.kern = coverage.NewSelectKernel(numItems, cfg.Parallelism)
 	return w, nil
 }
 
 // numItems is the size of the selectable-item space.
-func (w *Worker) numItems() int { return w.deg.Len() }
+func (w *Worker) numItems() int { return w.items }
+
+// accum returns the degree-sync scratch, building it on first use.
+func (w *Worker) accum() *coverage.DeltaAccum {
+	if w.deg == nil {
+		w.deg = coverage.NewDeltaAccum(w.items)
+	}
+	return w.deg
+}
+
+// kernel returns the map-stage kernel, building it on first use.
+func (w *Worker) kernel() *coverage.SelectKernel {
+	if w.kern == nil {
+		w.kern = coverage.NewSelectKernel(w.items, w.cfg.Parallelism)
+	}
+	return w.kern
+}
 
 // Handle processes one request frame and returns the response frame.
 // It never panics on malformed input; errors come back as msgError frames.
@@ -344,8 +360,15 @@ func (w *Worker) ingest(payload []byte) error {
 	for _, members := range lists {
 		w.coll.Append(members, 0)
 	}
-	w.deg.Grow(int(itemCount))
-	w.kern.Grow(int(itemCount))
+	if int(itemCount) > w.items {
+		w.items = int(itemCount)
+		if w.deg != nil {
+			w.deg.Grow(w.items)
+		}
+		if w.kern != nil {
+			w.kern.Grow(w.items)
+		}
+	}
 	w.idx = nil
 	return nil
 }
@@ -416,17 +439,18 @@ func (w *Worker) ensureIndex() error {
 // degreeDelta returns coverage counts over RR sets added since the last
 // call (Algorithm 1 line 3 with the §III-C incremental-sync optimization).
 func (w *Worker) degreeDelta() ([]DeltaPair, error) {
+	deg := w.accum()
 	for i := w.reported; i < w.coll.Count(); i++ {
 		for _, v := range w.coll.Set(i) {
 			if int(v) >= w.numItems() {
-				w.deg.Drain(w.pairBuf[:0]) // discard the partial count
+				deg.Drain(w.pairBuf[:0]) // discard the partial count
 				return nil, fmt.Errorf("RR member %d outside item space %d", v, w.numItems())
 			}
-			w.deg.Add(v, 1)
+			deg.Add(v, 1)
 		}
 	}
 	w.reported = w.coll.Count()
-	w.pairBuf = w.deg.Drain(w.pairBuf[:0])
+	w.pairBuf = deg.Drain(w.pairBuf[:0])
 	return w.pairBuf, nil
 }
 
@@ -455,8 +479,9 @@ func (w *Worker) selectSeed(u uint32) ([]DeltaPair, error) {
 	if int(u) >= w.numItems() {
 		return nil, fmt.Errorf("seed %d outside item space %d", u, w.numItems())
 	}
-	w.kern.Select(w.coll, w.idx, w.covered, u)
-	w.pairBuf = w.kern.Drain(w.pairBuf[:0])
+	kern := w.kernel()
+	kern.Select(w.coll, w.idx, w.covered, u)
+	w.pairBuf = kern.Drain(w.pairBuf[:0])
 	return w.pairBuf, nil
 }
 

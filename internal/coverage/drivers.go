@@ -32,7 +32,8 @@ func RunGreedyUntil(o Oracle, maxSeeds int, target int64) (*Result, error) {
 	if len(deg) != n {
 		return nil, fmt.Errorf("coverage: oracle returned %d degrees for %d items", len(deg), n)
 	}
-	head, next, err := bucketLists(deg)
+	next := make([]int32, n)
+	head, err := bucketLists(deg, next)
 	if err != nil {
 		return nil, err
 	}

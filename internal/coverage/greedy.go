@@ -14,6 +14,7 @@ package coverage
 
 import (
 	"fmt"
+	"sync"
 
 	"dimm/internal/bitset"
 	"dimm/internal/rrset"
@@ -81,22 +82,44 @@ type Result struct {
 // increase), so a downward scan with re-insertion visits every node at
 // its true degree eventually. A negative degree — an oracle bug, or a
 // worker's signed repair corrections gone wrong — is an error, not an
-// index panic.
-func bucketLists(deg []int64) (head, next []int32, err error) {
+// index panic. next must have len(deg) entries; every one is overwritten.
+func bucketLists(deg []int64, next []int32) (head []int32, err error) {
 	var dMax int64
 	for v, d := range deg {
 		if d < 0 {
-			return nil, nil, fmt.Errorf("coverage: oracle returned negative initial degree %d for item %d", d, v)
+			return nil, fmt.Errorf("coverage: oracle returned negative initial degree %d for item %d", d, v)
 		}
 		dMax = max(dMax, d)
 	}
 	head = make([]int32, dMax+1)
-	next = make([]int32, len(deg))
 	for v := len(deg) - 1; v >= 0; v-- {
 		next[v] = head[deg[v]]
 		head[deg[v]] = int32(v) + 1
 	}
-	return head, next, nil
+	return head, nil
+}
+
+// greedyScratch is RunGreedy's n-sized working state: the degree vector
+// (filled in place when the oracle is a LocalOracle), the bucket chains
+// and the selected flags. A resident service runs one greedy per seed
+// query over the same n, so the scratch is pooled instead of becoming
+// ≈ 13 bytes per node of garbage every query.
+type greedyScratch struct {
+	deg      []int64
+	next     []int32
+	selected []bool
+}
+
+var scratchPool sync.Pool
+
+// getScratch returns cleared scratch for n items, dropping any pooled
+// entry sized for another n.
+func getScratch(n int) *greedyScratch {
+	if s, ok := scratchPool.Get().(*greedyScratch); ok && len(s.next) == n {
+		clear(s.selected)
+		return s
+	}
+	return &greedyScratch{deg: make([]int64, n), next: make([]int32, n), selected: make([]bool, n)}
 }
 
 // RunGreedy executes the master side of Algorithm 1: the vector D of
@@ -114,14 +137,23 @@ func RunGreedy(o Oracle, k int) (*Result, error) {
 	if k > n {
 		return nil, fmt.Errorf("coverage: k = %d exceeds the %d selectable items", k, n)
 	}
-	deg, err := o.InitialDegrees()
-	if err != nil {
-		return nil, err
+	sc := getScratch(n)
+	defer scratchPool.Put(sc)
+	var deg []int64
+	if lo, ok := o.(*LocalOracle); ok {
+		deg = sc.deg
+		lo.fillDegrees(deg)
+	} else {
+		var err error
+		if deg, err = o.InitialDegrees(); err != nil {
+			return nil, err
+		}
+		if len(deg) != n {
+			return nil, fmt.Errorf("coverage: oracle returned %d degrees for %d items", len(deg), n)
+		}
 	}
-	if len(deg) != n {
-		return nil, fmt.Errorf("coverage: oracle returned %d degrees for %d items", len(deg), n)
-	}
-	head, next, err := bucketLists(deg)
+	next, selected := sc.next, sc.selected
+	head, err := bucketLists(deg, next)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +163,6 @@ func RunGreedy(o Oracle, k int) (*Result, error) {
 		Seeds:     make([]uint32, 0, k),
 		Marginals: make([]int64, 0, k),
 	}
-	selected := make([]bool, n)
 	for d := int64(len(head) - 1); d >= 0; d-- {
 		for head[d] != 0 {
 			v := head[d] - 1
@@ -229,12 +260,17 @@ func (o *LocalOracle) NumItems() int { return o.n }
 // InitialDegrees implements Oracle: it relabels every RR set uncovered
 // and returns the per-node coverage counts.
 func (o *LocalOracle) InitialDegrees() ([]int64, error) {
-	o.covered.Reset(o.c.Count())
 	deg := make([]int64, o.n)
-	for v := 0; v < o.n; v++ {
+	o.fillDegrees(deg)
+	return deg, nil
+}
+
+// fillDegrees is InitialDegrees into a caller-owned vector of n entries.
+func (o *LocalOracle) fillDegrees(deg []int64) {
+	o.covered.Reset(o.c.Count())
+	for v := range deg {
 		deg[v] = int64(o.idx.Degree(uint32(v)))
 	}
-	return deg, nil
 }
 
 // Select implements Oracle: the map stage of Algorithm 1 for seed u.

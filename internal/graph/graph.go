@@ -20,6 +20,10 @@ import (
 // Graph is an immutable weighted directed graph. Construct one with a
 // Builder, a loader, or a generator; once built it is safe for concurrent
 // readers (all algorithms here share one Graph across machines/goroutines).
+// A graph opened from a segmented file keeps its CSR in a mapping off the
+// Go heap that is released when the graph becomes unreachable (or is
+// Closed): slices its accessors return are valid only while their *Graph
+// is reachable.
 //
 // Each directed edge <u,v> carries a propagation probability p(u,v) in
 // (0,1], the probability that u activates v under the IC model, and the
@@ -63,8 +67,8 @@ type Graph struct {
 	// one pointer test. See mutate.go.
 	mut *mutState
 
-	// seg records segmented-file provenance (source path, mmap mapping,
-	// trailer CRCs); nil for graphs built in memory or loaded from
+	// seg records segmented-file provenance (source path, the region the
+	// CSR aliases, trailer CRCs); nil for graphs built in memory or loaded from
 	// non-segmented formats. See segreader.go.
 	seg *segState
 }
@@ -86,14 +90,16 @@ func (g *Graph) InDegree(v uint32) int {
 }
 
 // OutNeighbors returns the heads and probabilities of u's outgoing edges.
-// The returned slices alias the graph's storage and must not be modified.
+// The returned slices alias the graph's storage, must not be modified,
+// and are valid while g is reachable.
 func (g *Graph) OutNeighbors(u uint32) ([]uint32, []float32) {
 	lo, hi := g.outStart[u], g.outStart[u+1]
 	return g.outAdj[lo:hi], g.outProb[lo:hi]
 }
 
 // InNeighbors returns the tails and probabilities of v's incoming edges.
-// The returned slices alias the graph's storage and must not be modified.
+// The returned slices alias the graph's storage, must not be modified,
+// and are valid while g is reachable.
 func (g *Graph) InNeighbors(v uint32) ([]uint32, []float32) {
 	lo, hi := g.inStart[v], g.inStart[v+1]
 	return g.inAdj[lo:hi], g.inProb[lo:hi]

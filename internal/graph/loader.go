@@ -322,8 +322,8 @@ func LoadAny(path string, o LoadOptions) (*Graph, error) {
 		if o.Weights == "file" || o.Weights == "" || wm.String() == g.WeightTag() {
 			return g, nil
 		}
+		defer g.Close()
 		if g.Mapped() {
-			g.Close()
 			return nil, &MappedGraphError{Path: path, Op: fmt.Sprintf("reassigning %q weights over stored %q weights", o.Weights, g.WeightTag())}
 		}
 		return AssignWeights(g, wm, o.UniformP, o.Seed)

@@ -13,7 +13,15 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
-func munmapFile(data []byte) error {
+// anonMap maps size bytes of private, zeroed, writable memory outside
+// the Go heap: the GC neither scans it nor counts it toward its pacing
+// target.
+func anonMap(size int64) ([]byte, error) {
+	return syscall.Mmap(-1, 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+}
+
+// munmap releases a region from mmapFile or anonMap.
+func munmap(data []byte) error {
 	return syscall.Munmap(data)
 }
 
@@ -28,7 +36,8 @@ func madviseRandom(data []byte) {
 
 // madviseDontneed drops the mapping's resident pages. For a read-only
 // MAP_SHARED file mapping this only discards PTEs (the data stays in
-// the file and usually the page cache), so it is always safe.
+// the file and usually the page cache), so it is always safe. On a
+// private anonymous region it would zero the data: never call it there.
 func madviseDontneed(data []byte) error {
 	if len(data) == 0 {
 		return nil

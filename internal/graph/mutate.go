@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Dynamic-graph support: a frozen CSR graph can be switched into mutable
@@ -125,7 +126,8 @@ type mutState struct {
 // reweights write probabilities through the CSR slots in place, which on
 // a MAP_SHARED read-only mapping would fault (or, worse, mutate a file
 // other processes have mapped). Until a mutation overlay over segments
-// lands, dynamic workloads must load with the mem backend.
+// lands, dynamic workloads must load with the mem backend, whose private
+// region is writable.
 func (g *Graph) EnableMutation() error {
 	if g.Mapped() {
 		return &MappedGraphError{Path: g.seg.path, Op: "EnableMutation"}
@@ -480,6 +482,8 @@ func (g *Graph) setSlotProb(x uint32, s slotRef, p float32, out bool) {
 // overlay entries are appended at the end of each node's list, exactly
 // where their coin indices already are. The graph's content (and hence
 // ContentHash) is unchanged — compaction is a pure storage operation.
+// The rebuilt arrays live on the heap: on a graph opened with BackendMem
+// every array moves off the private region, which is released here.
 func (g *Graph) Compact() {
 	m := g.mut
 	if m == nil || m.overlay == 0 {
@@ -487,6 +491,10 @@ func (g *Graph) Compact() {
 	}
 	g.inStart, g.inAdj, g.inProb = compactCSR(g.n, g.inStart, g.inAdj, g.inProb, m.inIdx, m.inLists)
 	g.outStart, g.outAdj, g.outProb = compactCSR(g.n, g.outStart, g.outAdj, g.outProb, m.outIdx, m.outLists)
+	if g.seg != nil && g.seg.region != nil {
+		g.inProbSum = slices.Clone(g.inProbSum)
+		g.seg.release()
+	}
 	for i := range m.inIdx {
 		m.inIdx[i] = -1
 		m.outIdx[i] = -1

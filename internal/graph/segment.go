@@ -17,8 +17,9 @@ import (
 // page-aligned section of fixed-width little-endian elements followed by
 // a CRC32C-per-block trailer. Because a section's payload is exactly the
 // little-endian image of the corresponding slice, the file can either be
-// read into heap slices (BackendMem) or mmap'ed and aliased in place
-// (BackendMmap); both produce a *Graph whose accessors return identical
+// copied, verified, into a private anonymous mapping (BackendMem) or
+// mmap'ed read-only (BackendMmap), and the slices aliased in place; both
+// produce a *Graph whose accessors return identical
 // bytes, so every sampler, kernel and cluster worker runs on it
 // unchanged. The OS pages adjacency blocks in on demand, which is what
 // lets a 100M+ edge graph serve RR generation without the CSR being

@@ -1,9 +1,11 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"unsafe"
 
 	"dimm/internal/checksum"
@@ -14,9 +16,11 @@ import (
 type Backend int
 
 const (
-	// BackendMem reads the whole file into heap slices, verifying every
-	// payload block CRC on the way in — the safe default, byte-equivalent
-	// to building the graph in memory.
+	// BackendMem reads the whole file, verifying every payload block CRC
+	// on the way in — the safe default, byte-equivalent to building the
+	// graph in memory. The copy lives in one private anonymous mapping
+	// off the Go heap, aliased exactly as BackendMmap aliases the file,
+	// so the GC neither scans the CSR nor reserves headroom for it.
 	BackendMem Backend = iota
 	// BackendMmap maps the file read-only and aliases the CSR slices
 	// directly onto the mapping: opening is O(header + trailers), the OS
@@ -53,22 +57,44 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // segState is the segmented-file provenance of a Graph opened from a
-// .dsg file: the source path, the mapping (mmap backend only), and the
+// .dsg file: the source path, the region its CSR slices alias, and the
 // per-block CRCs read from the file's trailers — which BaseHash reuses
-// so fingerprinting a 100M-edge graph never re-reads the CSR.
+// so fingerprinting a 100M-edge graph never re-reads the CSR. A
+// finalizer on it releases the region once no Graph holds it.
 type segState struct {
 	path      string
-	mapped    []byte // non-nil iff the payload aliases an mmap region
+	region    []byte // the mapping the CSR aliases; nil once released
+	shared    bool   // region is the read-only file mapping (BackendMmap)
 	weightTag string
 	fileBytes int64
 	csrBytes  int64
 	crcs      [segSectionCount][]uint32
 }
 
+// privateRegions counts the live BackendMem regions. The GC's pacer never
+// sees them, so a dropped graph's region would otherwise wait for a cycle
+// the heap happens to trigger while a reopened copy is filled beside it.
+var privateRegions atomic.Int64
+
+// release unmaps the region and cancels the finalizer, so Close, Compact
+// and the GC never free it twice. Idempotent.
+func (s *segState) release() error {
+	data := s.region
+	if data == nil {
+		return nil
+	}
+	s.region = nil
+	if !s.shared {
+		privateRegions.Add(-1)
+	}
+	runtime.SetFinalizer(s, nil)
+	return munmap(data)
+}
+
 // OpenSegmented opens a segmented graph file with the given backend.
 // Both backends return a *Graph with bit-identical accessor results;
-// they differ only in residency (heap copy vs demand-paged mapping) and
-// in how much integrity checking happens up front.
+// they differ only in residency (verified private copy vs demand-paged
+// file mapping) and in how much integrity checking happens up front.
 func OpenSegmented(path string, backend Backend) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -101,126 +127,84 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 	}
 	switch backend {
 	case BackendMem:
-		err = loadSegMem(f, path, hdr, seg, g)
-		f.Close()
+		if privateRegions.Load() > 0 {
+			runtime.GC() // lets finalizers release the regions of dropped graphs first
+		}
+		seg.region, err = loadSegMem(f, path, hdr, seg)
+		if seg.region != nil {
+			privateRegions.Add(1)
+		}
 	case BackendMmap:
-		err = loadSegMmap(f, path, hdr, seg, g)
-		// The mapping outlives the descriptor; close it either way.
-		f.Close()
+		seg.region, err = loadSegMmap(f, path, hdr)
+		seg.shared = true
 	default:
-		f.Close()
 		err = fmt.Errorf("graph: unknown backend %v", backend)
 	}
+	// The region outlives the descriptor; close it either way.
+	f.Close()
+	if err == nil {
+		sec := hdr.layout.sections
+		g.outStart = mapInt64(seg.region, sec[secOutStart])
+		g.outAdj = mapUint32(seg.region, sec[secOutAdj])
+		g.outProb = mapFloat32(seg.region, sec[secOutProb])
+		g.inStart = mapInt64(seg.region, sec[secInStart])
+		g.inAdj = mapUint32(seg.region, sec[secInAdj])
+		g.inProb = mapFloat32(seg.region, sec[secInProb])
+		g.inProbSum = mapFloat64(seg.region, sec[secInProbSum])
+		err = segSanity(path, g)
+	}
 	if err != nil {
+		seg.release()
 		return nil, err
 	}
+	runtime.SetFinalizer(seg, (*segState).release)
 	return g, nil
 }
 
-// loadSegMem reads every section into heap slices, verifying each
-// payload block against the trailer CRCs as it streams.
-func loadSegMem(f *os.File, path string, hdr *segHeader, seg *segState, g *Graph) error {
-	n, m := hdr.layout.n, hdr.layout.m
-	g.outStart = make([]int64, n+1)
-	g.outAdj = make([]uint32, m)
-	g.outProb = make([]float32, m)
-	g.inStart = make([]int64, n+1)
-	g.inAdj = make([]uint32, m)
-	g.inProb = make([]float32, m)
-	g.inProbSum = make([]float64, n)
-
-	buf := make([]byte, SegBlockSize)
-	read := func(kind int, decode func(block []byte, elem int64)) error {
-		s := hdr.layout.sections[kind]
-		remaining := s.payloadBytes()
-		off := s.off
-		var elem int64
-		for b := 0; remaining > 0; b++ {
-			chunk := int64(SegBlockSize)
-			if chunk > remaining {
-				chunk = remaining
-			}
-			if _, err := f.ReadAt(buf[:chunk], off); err != nil {
-				return fmt.Errorf("graph: reading %s block %d of %s: %w", secNames[kind], b, path, err)
-			}
-			if got := checksum.Sum(buf[:chunk]); got != seg.crcs[kind][b] {
-				return csrChecksumError(path, secNames[kind], b, seg.crcs[kind][b], got)
-			}
-			decode(buf[:chunk], elem)
-			elem += chunk / int64(s.elemSize)
-			off += chunk
-			remaining -= chunk
-		}
-		return nil
+// loadSegMem copies the file into a private anonymous region, reading
+// each section straight to its file offset and verifying every payload
+// block against the trailer CRCs in place. The region is returned even
+// on error, for the caller to release.
+func loadSegMem(f *os.File, path string, hdr *segHeader, seg *segState) ([]byte, error) {
+	data, err := anonMap(hdr.layout.fileSize)
+	if err != nil {
+		return nil, fmt.Errorf("graph: mapping %d bytes for %s: %w", hdr.layout.fileSize, path, err)
 	}
-	dst64 := func(out []int64) func([]byte, int64) {
-		return func(block []byte, elem int64) {
-			for i := 0; i < len(block); i += 8 {
-				out[elem] = int64(binary.LittleEndian.Uint64(block[i:]))
-				elem++
+	for kind, s := range hdr.layout.sections {
+		payload := data[s.off : s.off+s.payloadBytes()]
+		if _, err := f.ReadAt(payload, s.off); err != nil {
+			return data, fmt.Errorf("graph: reading %s of %s: %w", secNames[kind], path, err)
+		}
+		for b, want := range seg.crcs[kind] {
+			block := payload[b*SegBlockSize : min((b+1)*SegBlockSize, len(payload))]
+			if got := checksum.Sum(block); got != want {
+				return data, csrChecksumError(path, secNames[kind], b, want, got)
+			}
+		}
+		if !hostLittleEndian() {
+			for i := 0; i < len(payload); i += s.elemSize {
+				slices.Reverse(payload[i : i+s.elemSize])
 			}
 		}
 	}
-	dst32 := func(out []uint32) func([]byte, int64) {
-		return func(block []byte, elem int64) {
-			for i := 0; i < len(block); i += 4 {
-				out[elem] = binary.LittleEndian.Uint32(block[i:])
-				elem++
-			}
-		}
-	}
-	if err := read(secOutStart, dst64(g.outStart)); err != nil {
-		return err
-	}
-	if err := read(secOutAdj, dst32(g.outAdj)); err != nil {
-		return err
-	}
-	if err := read(secOutProb, dst32(asUint32Slice(g.outProb))); err != nil {
-		return err
-	}
-	if err := read(secInStart, dst64(g.inStart)); err != nil {
-		return err
-	}
-	if err := read(secInAdj, dst32(g.inAdj)); err != nil {
-		return err
-	}
-	if err := read(secInProb, dst32(asUint32Slice(g.inProb))); err != nil {
-		return err
-	}
-	if err := read(secInProbSum, dst64(asInt64Slice(g.inProbSum))); err != nil {
-		return err
-	}
-	return segSanity(path, g)
+	return data, nil
 }
 
-// loadSegMmap maps the file and aliases the seven slices in place.
-// Section payloads are exact little-endian slice images at page-aligned
-// offsets, so on a little-endian host the typed views are free.
-func loadSegMmap(f *os.File, path string, hdr *segHeader, seg *segState, g *Graph) error {
+// loadSegMmap maps the file read-only. Section payloads are exact
+// little-endian slice images at page-aligned offsets, so on a
+// little-endian host the typed views are free.
+func loadSegMmap(f *os.File, path string, hdr *segHeader) ([]byte, error) {
 	if !hostLittleEndian() {
-		return fmt.Errorf("graph: mmap backend requires a little-endian host (use -graph-backend mem)")
+		return nil, fmt.Errorf("graph: mmap backend requires a little-endian host (use -graph-backend mem)")
 	}
 	data, err := mmapFile(f, hdr.layout.fileSize)
 	if err != nil {
-		return fmt.Errorf("graph: mapping %s: %w", path, err)
+		return nil, fmt.Errorf("graph: mapping %s: %w", path, err)
 	}
-	seg.mapped = data
 	// Sampling reads adjacency blocks in subset/frontier order, not
 	// sequentially; tell readahead not to fault in whole runs.
 	madviseRandom(data)
-	sec := hdr.layout.sections
-	g.outStart = mapInt64(data, sec[secOutStart])
-	g.outAdj = mapUint32(data, sec[secOutAdj])
-	g.outProb = mapFloat32(data, sec[secOutProb])
-	g.inStart = mapInt64(data, sec[secInStart])
-	g.inAdj = mapUint32(data, sec[secInAdj])
-	g.inProb = mapFloat32(data, sec[secInProb])
-	g.inProbSum = mapFloat64(data, sec[secInProbSum])
-	if err := segSanity(path, g); err != nil {
-		g.Close()
-		return err
-	}
-	return nil
+	return data, nil
 }
 
 // segSanity cross-checks the CSR offset arrays against (n, m) — cheap
@@ -269,23 +253,11 @@ func mapFloat64(data []byte, s segSection) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&data[s.off])), s.count)
 }
 
-func asUint32Slice(f []float32) []uint32 {
-	if len(f) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&f[0])), len(f))
-}
-
-func asInt64Slice(f []float64) []int64 {
-	if len(f) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&f[0])), len(f))
-}
-
 // Mapped reports whether the graph's CSR aliases an mmap'ed file
-// (BackendMmap). Mapped graphs are frozen: EnableMutation fails.
-func (g *Graph) Mapped() bool { return g.seg != nil && g.seg.mapped != nil }
+// (BackendMmap). Mapped graphs are frozen: EnableMutation fails. A mem
+// graph's private region is not Mapped: it is writable, and dropping
+// its pages would zero it.
+func (g *Graph) Mapped() bool { return g.seg != nil && g.seg.shared && g.seg.region != nil }
 
 // SegPath returns the segmented file this graph was opened from, or ""
 // for graphs built or loaded from other formats.
@@ -316,19 +288,20 @@ func (g *Graph) CSRBytes() int64 {
 	return computeLayout(g.n, g.m).CSRBytes()
 }
 
-// Close releases the mmap mapping, if any. The graph must not be used
-// afterwards (its slices alias the unmapped region). Heap-backed graphs
-// ignore Close. Idempotent.
+// Close releases the region a segmented graph's CSR aliases — the file
+// mapping (BackendMmap) or the verified private copy (BackendMem) — at
+// once instead of when the GC finds the graph unreachable. The graph
+// must not be used afterwards. Graphs that own heap slices (built in
+// memory, loaded from other formats, or compacted) ignore Close.
+// Idempotent.
 func (g *Graph) Close() error {
-	if g.seg == nil || g.seg.mapped == nil {
+	if g.seg == nil || g.seg.region == nil {
 		return nil
 	}
-	data := g.seg.mapped
-	g.seg.mapped = nil
 	g.outStart, g.outAdj, g.outProb = nil, nil, nil
 	g.inStart, g.inAdj, g.inProb = nil, nil, nil
 	g.inProbSum = nil
-	return munmapFile(data)
+	return g.seg.release()
 }
 
 // EvictFileCache drops a mapped graph's resident pages and then the
@@ -337,13 +310,12 @@ func (g *Graph) Close() error {
 // still mapped). Afterwards the next accesses refault from disk: the
 // genuinely cold out-of-core regime, where residency regrowth is
 // bounded by storage bandwidth instead of warm-cache fault-around. The
-// fadvise half is best-effort (no-op off Linux). No-op for heap-backed
-// graphs.
+// fadvise half is best-effort (no-op off Linux). No-op unless Mapped.
 func (g *Graph) EvictFileCache() error {
-	if g.seg == nil || g.seg.mapped == nil {
+	if !g.Mapped() {
 		return nil
 	}
-	if err := madviseDontneed(g.seg.mapped); err != nil {
+	if err := madviseDontneed(g.seg.region); err != nil {
 		return err
 	}
 	f, err := os.Open(g.seg.path)
@@ -358,10 +330,10 @@ func (g *Graph) EvictFileCache() error {
 // graph (MADV_DONTNEED on the read-only shared mapping: PTEs and RSS
 // accounting go away; the data stays safe in the file and page cache,
 // and re-access refaults it on demand). The out-of-core bench uses it
-// to bound peak RSS while sampling. No-op for heap-backed graphs.
+// to bound peak RSS while sampling. No-op unless Mapped.
 func (g *Graph) DropResidency() error {
-	if g.seg == nil || g.seg.mapped == nil {
+	if !g.Mapped() {
 		return nil
 	}
-	return madviseDontneed(g.seg.mapped)
+	return madviseDontneed(g.seg.region)
 }

@@ -323,47 +323,42 @@ func WriteSegmentedFile(path string, g *Graph, weightTag string) error {
 	if g.mut != nil && g.mut.version > 0 {
 		return fmt.Errorf("graph: cannot seal a mutated graph (version %d) into a segmented file; seal the base before updates", g.mut.version)
 	}
-	layout := computeLayout(g.n, g.m)
 	tmp, err := sealed.Stage(path)
 	if err != nil {
 		return err
 	}
-	fail := func(err error) error {
+	if err := encodeSegmented(tmp.File, g, weightTag); err != nil {
 		tmp.Abort()
 		return err
 	}
-	if err := tmp.Truncate(layout.fileSize); err != nil {
-		return fail(fmt.Errorf("graph: sizing segmented graph: %w", err))
+	return tmp.Commit()
+}
+
+// encodeSegmented writes g's segmented image into f, unsynced.
+func encodeSegmented(f *os.File, g *Graph, weightTag string) error {
+	layout := computeLayout(g.n, g.m)
+	if err := f.Truncate(layout.fileSize); err != nil {
+		return fmt.Errorf("graph: sizing segmented graph: %w", err)
 	}
-	if err := writeInt64Section(tmp.File, layout, secOutStart, g.outStart); err != nil {
-		return fail(err)
-	}
-	if err := writeUint32Section(tmp.File, layout, secOutAdj, g.outAdj); err != nil {
-		return fail(err)
-	}
-	if err := writeFloat32Section(tmp.File, layout, secOutProb, g.outProb); err != nil {
-		return fail(err)
-	}
-	if err := writeInt64Section(tmp.File, layout, secInStart, g.inStart); err != nil {
-		return fail(err)
-	}
-	if err := writeUint32Section(tmp.File, layout, secInAdj, g.inAdj); err != nil {
-		return fail(err)
-	}
-	if err := writeFloat32Section(tmp.File, layout, secInProb, g.inProb); err != nil {
-		return fail(err)
-	}
-	if err := writeFloat64Section(tmp.File, layout, secInProbSum, g.inProbSum); err != nil {
-		return fail(err)
+	if err := firstErr(
+		writeInt64Section(f, layout, secOutStart, g.outStart),
+		writeUint32Section(f, layout, secOutAdj, g.outAdj),
+		writeFloat32Section(f, layout, secOutProb, g.outProb),
+		writeInt64Section(f, layout, secInStart, g.inStart),
+		writeUint32Section(f, layout, secInAdj, g.inAdj),
+		writeFloat32Section(f, layout, secInProb, g.inProb),
+		writeFloat64Section(f, layout, secInProbSum, g.inProbSum),
+	); err != nil {
+		return err
 	}
 	hdr, err := encodeHeader(layout, g.uniformIn, weightTag)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	if _, err := tmp.WriteAt(hdr, 0); err != nil {
-		return fail(fmt.Errorf("graph: writing segmented header: %w", err))
+	if _, err := f.WriteAt(hdr, 0); err != nil {
+		return fmt.Errorf("graph: writing segmented header: %w", err)
 	}
-	return tmp.Commit()
+	return nil
 }
 
 func firstErr(errs ...error) error {

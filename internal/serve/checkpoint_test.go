@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"dimm/internal/cluster"
 	"dimm/internal/graph"
 	"dimm/internal/store"
 )
@@ -250,4 +252,49 @@ func testGraphSeeded(t testing.TB, seed uint64) *graph.Graph {
 		t.Fatal(err)
 	}
 	return wc
+}
+
+// TestRestoredServiceAllocatesNoNodeState: a restored daemon answers
+// seed and spread queries from its resident sample, so neither cluster's
+// master nor any of its workers builds the n-sized selection state
+// (baseline degrees, reduce accumulator, degree-sync accumulators,
+// select kernels) that only generation and distributed selection use.
+func TestRestoredServiceAllocatesNoNodeState(t *testing.T) {
+	g := testGraph(t)
+	dir := t.TempDir()
+	warm := testService(t, Config{Graph: g, Machines: 2, CheckpointDir: dir})
+	if _, err := warm.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	if !warm.c1.NodeStateAllocated() {
+		t.Fatal("a service that generated its sample reports no node state")
+	}
+	warm.Close()
+
+	s, ts := testServer(t, Config{Graph: g, Machines: 2, CheckpointDir: dir, Restore: true})
+	if !s.Stats().Restored {
+		t.Fatal("checkpoint did not restore")
+	}
+	ans, code := postSeeds(t, ts.URL, 5, 0.3)
+	if code != http.StatusOK {
+		t.Fatalf("POST /v1/seeds -> %d", code)
+	}
+	for _, mode := range []string{"rounds=200", "mode=fast"} {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/spread?seeds=%d,%d&%s", ts.URL, ans.Seeds[0], ans.Seeds[1], mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/spread %s -> %d", mode, resp.StatusCode)
+		}
+	}
+	if st := s.Stats(); st.Generated != 0 {
+		t.Fatalf("restored service generated %d RR sets", st.Generated)
+	}
+	for name, cl := range map[string]*cluster.Cluster{"R1": s.c1, "R2": s.c2} {
+		if cl.NodeStateAllocated() {
+			t.Fatalf("restored service's %s cluster allocated per-node selection state", name)
+		}
+	}
 }
