@@ -26,20 +26,25 @@ func (c *corruptConn) Call(req []byte) ([]byte, error) {
 	if c.calls <= c.healthy {
 		return resp, nil
 	}
-	switch c.mode {
+	return mangleFrame(c.mode, resp), nil
+}
+
+// mangleFrame applies one of corruptConn's gross mutations to a response.
+func mangleFrame(mode string, resp []byte) []byte {
+	switch mode {
 	case "truncate":
 		if len(resp) > 3 {
-			return resp[:3], nil
+			return resp[:3]
 		}
-		return resp, nil
+		return resp
 	case "garbage":
 		out := make([]byte, len(resp))
 		for i := range out {
 			out[i] = byte(i*131 + 7)
 		}
-		return out, nil
+		return out
 	default:
-		return nil, nil
+		return nil
 	}
 }
 

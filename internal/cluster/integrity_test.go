@@ -42,9 +42,15 @@ func (c *flipConn) Call(req []byte) ([]byte, error) {
 	if len(req) == 0 || !c.kinds[req[0]] {
 		return resp, nil // only the targeted frames carry the trailer under test
 	}
+	return flipFrame(c.mode, resp), nil
+}
+
+// flipFrame returns a copy of a checksummed response frame (longer than
+// framePayloadOffset) with one of flipConn's mutations applied.
+func flipFrame(mode string, resp []byte) []byte {
 	out := make([]byte, len(resp))
 	copy(out, resp)
-	switch c.mode {
+	switch mode {
 	case "flip":
 		out[len(out)-1] ^= 0x10 // one bit inside the payload
 	case "clip":
@@ -52,7 +58,7 @@ func (c *flipConn) Call(req []byte) ([]byte, error) {
 	case "len":
 		out[9]++ // declared length no longer matches the payload
 	}
-	return out, nil
+	return out
 }
 
 func (c *flipConn) Bytes() (int64, int64) { return c.inner.Bytes() }

@@ -18,6 +18,7 @@ import (
 	"dimm/internal/checksum"
 	"dimm/internal/coverage"
 	"dimm/internal/rrset"
+	"dimm/internal/sealed"
 )
 
 // Request and response type tags.
@@ -383,7 +384,8 @@ func decodeStatsResp(b []byte) (int64, GenerateStats, error) {
 
 // decodeDeltasResp verifies a delta reply's integrity trailer and decodes
 // either payload form into buf. worker names the sender in the
-// *sealed.Error a corrupted trailer raises (-1: the master).
+// *sealed.Error a corrupted trailer or a malformed payload raises (-1:
+// the master).
 func decodeDeltasResp(b []byte, buf []DeltaPair, worker int) (int64, []DeltaPair, error) {
 	nanos, rest, err := decodeRespHeader(b)
 	if err != nil {
@@ -394,7 +396,7 @@ func decodeDeltasResp(b []byte, buf []DeltaPair, worker int) (int64, []DeltaPair
 		return 0, nil, err
 	}
 	if len(payload) < 1 {
-		return 0, nil, fmt.Errorf("cluster: delta payload missing its form byte")
+		return 0, nil, frameError(worker, sealed.ErrFormat, "delta payload missing its form byte")
 	}
 	form, body := payload[0], payload[1:]
 	buf = buf[:0]
@@ -402,45 +404,45 @@ func decodeDeltasResp(b []byte, buf []DeltaPair, worker int) (int64, []DeltaPair
 	case deltaFormSparse:
 		count, n := binary.Uvarint(body)
 		if n <= 0 {
-			return 0, nil, fmt.Errorf("cluster: bad sparse delta count")
+			return 0, nil, frameError(worker, sealed.ErrFormat, "bad sparse delta count")
 		}
 		body = body[n:]
 		if count > uint64(len(body)) { // every pair takes >= 2 bytes
-			return 0, nil, fmt.Errorf("cluster: sparse delta count %d exceeds the %d payload bytes", count, len(body))
+			return 0, nil, frameError(worker, sealed.ErrFormat, "sparse delta count %d exceeds the %d payload bytes", count, len(body))
 		}
 		prev := int64(0)
 		for i := uint64(0); i < count; i++ {
 			gap, n := binary.Uvarint(body)
 			if n <= 0 {
-				return 0, nil, fmt.Errorf("cluster: truncated sparse delta node gap")
+				return 0, nil, frameError(worker, sealed.ErrFormat, "truncated sparse delta node gap")
 			}
 			body = body[n:]
 			node := prev + unzigzag(gap)
 			if node < 0 || node > math.MaxUint32 {
-				return 0, nil, fmt.Errorf("cluster: sparse delta node %d out of range", node)
+				return 0, nil, frameError(worker, sealed.ErrFormat, "sparse delta node %d out of range", node)
 			}
 			prev = node
 			dec, n := binary.Uvarint(body)
 			if n <= 0 {
-				return 0, nil, fmt.Errorf("cluster: truncated sparse delta decrement")
+				return 0, nil, frameError(worker, sealed.ErrFormat, "truncated sparse delta decrement")
 			}
 			body = body[n:]
 			if dec > math.MaxUint32 {
-				return 0, nil, fmt.Errorf("cluster: sparse delta decrement %d out of range", dec)
+				return 0, nil, frameError(worker, sealed.ErrFormat, "sparse delta decrement %d out of range", dec)
 			}
 			buf = append(buf, DeltaPair{Node: uint32(node), Dec: int32(uint32(dec))})
 		}
 		if len(body) != 0 {
-			return 0, nil, fmt.Errorf("cluster: %d trailing bytes after the sparse deltas", len(body))
+			return 0, nil, frameError(worker, sealed.ErrFormat, "%d trailing bytes after the sparse deltas", len(body))
 		}
 	case deltaFormDense:
 		if len(body) < 4 {
-			return 0, nil, fmt.Errorf("cluster: truncated dense delta header")
+			return 0, nil, frameError(worker, sealed.ErrFormat, "truncated dense delta header")
 		}
 		n := binary.LittleEndian.Uint32(body)
 		body = body[4:]
 		if int64(n)*4 != int64(len(body)) {
-			return 0, nil, fmt.Errorf("cluster: dense delta payload %d bytes for %d items", len(body), n)
+			return 0, nil, frameError(worker, sealed.ErrFormat, "dense delta payload %d bytes for %d items", len(body), n)
 		}
 		for i := uint32(0); i < n; i++ {
 			if dec := int32(binary.LittleEndian.Uint32(body[i*4:])); dec != 0 {
@@ -448,7 +450,7 @@ func decodeDeltasResp(b []byte, buf []DeltaPair, worker int) (int64, []DeltaPair
 			}
 		}
 	default:
-		return 0, nil, fmt.Errorf("cluster: unknown delta payload form %#x", form)
+		return 0, nil, frameError(worker, sealed.ErrFormat, "unknown delta payload form %#x", form)
 	}
 	return nanos, buf, nil
 }

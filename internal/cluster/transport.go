@@ -50,7 +50,7 @@ type localConn struct {
 }
 
 // NewLocalConn spawns worker w in its own goroutine and returns the
-// master's handle to it.
+// master's handle to it. Closing the handle releases w's sample.
 func NewLocalConn(w *Worker) Conn {
 	c := &localConn{
 		w:      w,
@@ -62,6 +62,7 @@ func NewLocalConn(w *Worker) Conn {
 		for req := range c.reqCh {
 			c.respCh <- w.Handle(req)
 		}
+		w.release()
 		close(c.done)
 	}()
 	return c
@@ -310,6 +311,7 @@ func (s *WorkerServer) Serve() error {
 
 func (s *WorkerServer) serveConn(nc net.Conn, w *Worker) {
 	defer nc.Close()
+	defer w.release()
 	for {
 		req, err := readFrame(nc, maxFrameSize)
 		if err != nil {

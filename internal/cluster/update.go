@@ -135,10 +135,10 @@ func (w *Worker) handleUpdate(rest []byte, start time.Time) ([]byte, error) {
 				return nil, err
 			}
 			if err := w.idx.ApplyPatches(w.coll, patches); err != nil {
-				w.idx = nil // fall back to a from-scratch rebuild
+				w.dropIndex() // fall back to a from-scratch rebuild
 			}
 			if err := w.coll.ApplyPatches(patches); err != nil {
-				w.idx = nil
+				w.dropIndex()
 				return nil, err
 			}
 		}

@@ -233,8 +233,8 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 		return encodeStatsResp(0, time.Since(start).Nanoseconds(), w.stats()), nil
 
 	case msgReset:
+		w.release()
 		w.coll = rrset.NewCollection(1 << 16)
-		w.idx = nil
 		w.covered = nil
 		w.reported = 0
 		w.lanes = w.lanes[:0]
@@ -369,7 +369,7 @@ func (w *Worker) ingest(payload []byte) error {
 			w.kern.Grow(w.items)
 		}
 	}
-	w.idx = nil
+	w.dropIndex()
 	return nil
 }
 
@@ -418,11 +418,29 @@ func (w *Worker) reserve(count int64) {
 	w.coll.Reserve(int(count), int64(members+members/32))
 }
 
+// dropIndex frees the inverted index; the next ensureIndex rebuilds it.
+func (w *Worker) dropIndex() {
+	if w.idx != nil {
+		w.idx.Release()
+		w.idx = nil
+	}
+}
+
+// release frees the worker's RR sets and inverted index now, rather than
+// whenever a GC cycle finds them: both live off the Go heap once they are
+// large (see internal/rrset). The worker is empty afterwards. The
+// transports call it when a connection ends, and msgReset before it
+// starts a new sample.
+func (w *Worker) release() {
+	w.dropIndex()
+	w.coll.Release()
+}
+
 // ensureIndex brings the inverted index up to date with the collection.
 // The first call builds it; later calls extend it incrementally over only
 // the RR sets generated since (Index.AppendFrom, O(new size)), instead of
 // the historic O(total size) rebuild per DIIMM doubling round. Ingest and
-// reset drop the index (w.idx = nil) because they can change the item
+// reset drop the index (dropIndex) because they can change the item
 // space; generation never does.
 func (w *Worker) ensureIndex() error {
 	if w.idx == nil {

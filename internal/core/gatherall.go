@@ -34,6 +34,7 @@ func GatherAllSelect(n int, cl *cluster.Cluster, k int) (*GatherAllResult, error
 	if err != nil {
 		return nil, err
 	}
+	defer union.Release()
 	gatherTime := time.Since(gatherStart)
 	after := cl.Metrics()
 
@@ -42,6 +43,7 @@ func GatherAllSelect(n int, cl *cluster.Cluster, k int) (*GatherAllResult, error
 	if err != nil {
 		return nil, err
 	}
+	defer idx.Release()
 	o, err := coverage.NewLocalOracle(union, idx, n)
 	if err != nil {
 		return nil, err

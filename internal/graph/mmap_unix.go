@@ -13,15 +13,8 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
-// anonMap maps size bytes of private, zeroed, writable memory outside
-// the Go heap: the GC neither scans it nor counts it toward its pacing
-// target.
-func anonMap(size int64) ([]byte, error) {
-	return syscall.Mmap(-1, 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
-}
-
-// munmap releases a region from mmapFile or anonMap.
-func munmap(data []byte) error {
+// unmapFile releases a region from mmapFile.
+func unmapFile(data []byte) error {
 	return syscall.Munmap(data)
 }
 

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"dimm/internal/checksum"
+	"dimm/internal/offheap"
 	"dimm/internal/sealed"
 )
 
@@ -84,11 +85,12 @@ func (s *segState) release() error {
 		return nil
 	}
 	s.region = nil
-	if !s.shared {
-		privateRegions.Add(-1)
-	}
 	runtime.SetFinalizer(s, nil)
-	return munmap(data)
+	if s.shared {
+		return unmapFile(data)
+	}
+	privateRegions.Add(-1)
+	return offheap.Unmap(data)
 }
 
 // OpenSegmented opens a segmented graph file with the given backend.
@@ -166,7 +168,7 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 // block against the trailer CRCs in place. The region is returned even
 // on error, for the caller to release.
 func loadSegMem(f *os.File, path string, hdr *segHeader, seg *segState) ([]byte, error) {
-	data, err := anonMap(hdr.layout.fileSize)
+	data, err := offheap.Map(int(hdr.layout.fileSize))
 	if err != nil {
 		return nil, fmt.Errorf("graph: mapping %d bytes for %s: %w", hdr.layout.fileSize, path, err)
 	}

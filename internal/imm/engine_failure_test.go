@@ -2,6 +2,7 @@ package imm
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -105,5 +106,68 @@ func TestRunStopsEarlyWithFullCoverage(t *testing.T) {
 	}
 	if res.FracCovered != 1 {
 		t.Fatalf("covered fraction %v, want 1", res.FracCovered)
+	}
+}
+
+// fracEngine covers a fixed fraction of whatever it holds and counts its
+// SelectK calls.
+type fracEngine struct {
+	frac     float64
+	count    int64
+	selCalls int
+}
+
+func (e *fracEngine) Generate(target int64) error {
+	e.count = max(e.count, target)
+	return nil
+}
+
+func (e *fracEngine) Count() int64 { return e.count }
+
+func (e *fracEngine) SelectK(k int) (*coverage.Result, error) {
+	e.selCalls++
+	return &coverage.Result{Seeds: []uint32{uint32(e.selCalls)}, Coverage: int64(math.Ceil(e.frac * float64(e.count)))}, nil
+}
+
+// TestRunSkipsFinalSelectionOnUnchangedSample: when phase 2 adds no RR
+// sets, the final selection is phase 1's last one (the same greedy over
+// the same sample), so SelectK runs once per phase-1 round and no more.
+// The DIIMM LT setting (k = 200, ε = 0.1, covered fraction ≈ 0.54) is
+// such a case; when phase 2 does grow the sample, the final SelectK runs.
+func TestRunSkipsFinalSelectionOnUnchangedSample(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		n, k       int
+		eps, frac  float64
+		skipsFinal bool
+	}{
+		{"phase 2 adds nothing", 1 << 18, 200, 0.1, 0.54, true},
+		{"phase 2 grows the sample", 1024, 3, 0.3, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := ComputeParams(tc.n, tc.k, tc.eps, 1/float64(tc.n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &fracEngine{frac: tc.frac}
+			res, err := Run(e, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grew := res.Theta > p.ThetaAt(res.Rounds)
+			if grew == tc.skipsFinal {
+				t.Fatalf("final θ %d against phase-1 θ %d: the case does not test what it claims", res.Theta, p.ThetaAt(res.Rounds))
+			}
+			want := res.Rounds + 1
+			if tc.skipsFinal {
+				want = res.Rounds
+			}
+			if e.selCalls != want {
+				t.Fatalf("%d SelectK calls over %d rounds, want %d", e.selCalls, res.Rounds, want)
+			}
+			if res.Seeds[0] != uint32(e.selCalls) {
+				t.Fatalf("result carries selection %d, want the last one (%d)", res.Seeds[0], e.selCalls)
+			}
+		})
 	}
 }

@@ -43,6 +43,11 @@ func Run(e Engine, p Params) (*Result, error) {
 	start := time.Now()
 	res := &Result{LowerBound: 1}
 	n := float64(p.N)
+	// last is phase 1's final selection and lastCount the sample size it
+	// saw: when phase 2 adds nothing, the final selection would be the
+	// same greedy over the same sample.
+	var last *coverage.Result
+	var lastCount int64
 
 	for t := 1; t <= p.MaxRounds(); t++ {
 		res.Rounds = t
@@ -56,7 +61,8 @@ func Run(e Engine, p Params) (*Result, error) {
 			return nil, fmt.Errorf("imm: selection round %d: %w", t, err)
 		}
 		res.SelectTime += time.Since(selStart)
-		frac := float64(sel.Coverage) / float64(e.Count())
+		last, lastCount = sel, e.Count()
+		frac := float64(sel.Coverage) / float64(lastCount)
 		if n*frac >= (1+p.EpsPrime)*x {
 			res.LowerBound = n * frac / (1 + p.EpsPrime)
 			break
@@ -66,12 +72,15 @@ func Run(e Engine, p Params) (*Result, error) {
 	if err := e.Generate(p.FinalTheta(res.LowerBound)); err != nil {
 		return nil, fmt.Errorf("imm: final sampling: %w", err)
 	}
-	selStart := time.Now()
-	sel, err := e.SelectK(p.K)
-	if err != nil {
-		return nil, fmt.Errorf("imm: final selection: %w", err)
+	sel := last
+	if sel == nil || e.Count() != lastCount {
+		selStart := time.Now()
+		var err error
+		if sel, err = e.SelectK(p.K); err != nil {
+			return nil, fmt.Errorf("imm: final selection: %w", err)
+		}
+		res.SelectTime += time.Since(selStart)
 	}
-	res.SelectTime += time.Since(selStart)
 	res.Seeds = sel.Seeds
 	res.Coverage = sel.Coverage
 	res.Theta = e.Count()

@@ -57,6 +57,7 @@ func (e *LocalEngine) SelectK(k int) (*coverage.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer idx.Release()
 	o, err := coverage.NewLocalOracle(e.coll, idx, e.g.NumNodes())
 	if err != nil {
 		return nil, err

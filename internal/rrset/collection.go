@@ -8,12 +8,37 @@
 // scalability hazard of a Go implementation (see DESIGN.md). A Collection
 // therefore packs all member nodes into one flat arena with an offset
 // table, so the garbage collector sees O(1) objects regardless of θ.
+//
+// The two θ-sized arrays, a Collection's member arena and an Index
+// segment's postings, go further: from offheap.MinBytes up they live in
+// anonymous mappings (internal/offheap), which the GC neither scans nor
+// paces against, so their resident cost is their size rather than that
+// size plus heap headroom. That memory is released explicitly, under
+// three ownership rules:
+//
+//   - A Collection that has never handed out a Snapshot owns its arena:
+//     growth resizes it in place, ApplyPatches frees the old arena once
+//     the new one is built, and Release frees it at once.
+//   - A Snapshot pins the arena. The collection never moves or frees a
+//     pinned arena again, and allocates any later arena on the Go heap;
+//     the snapshots hold the arena's handle, whose finalizer unmaps it
+//     after the last view is gone.
+//   - An Index owns its segments' postings and frees them when it
+//     compacts and on Release.
+//
+// After a Release the collection or index is empty, never dangling. A
+// finalizer frees an owned arena its owner dropped without Release, but
+// only when the GC next runs — which off-heap garbage never prompts —
+// so every owner that replaces a large sample releases the old one.
 package rrset
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync/atomic"
+
+	"dimm/internal/offheap"
 )
 
 // Collection is an append-only set of RR sets in arena storage.
@@ -21,6 +46,12 @@ import (
 type Collection struct {
 	nodes []uint32 // concatenated member nodes of all RR sets
 	offs  []int64  // offs[i]..offs[i+1] delimits RR set i; len = Count()+1
+
+	// region backs nodes once the arena is off the heap (nil otherwise).
+	// pinned is set for good by the first Snapshot: from then on region
+	// belongs to the snapshots' handles and the collection only drops it.
+	region *offheap.Region
+	pinned atomic.Bool
 
 	// edgesExamined accumulates, over all generated RR sets, the number of
 	// incoming edges the sampler inspected — the w(R) quantity whose
@@ -35,11 +66,22 @@ type Collection struct {
 // NewCollection returns an empty collection with a capacity hint for the
 // expected total member count.
 func NewCollection(sizeHint int) *Collection {
-	c := &Collection{
-		nodes: make([]uint32, 0, sizeHint),
-		offs:  make([]int64, 1, 1024),
-	}
+	c := &Collection{offs: make([]int64, 1, 1024)}
+	c.nodes, c.region = newUint32s(sizeHint, true)
 	return c
+}
+
+// newUint32s returns an empty []uint32 with room for capacity elements.
+// With offHeap set, an array of at least offheap.MinBytes lives in a
+// fresh mapping, whose handle comes back beside it; anything smaller,
+// and any mapping the system refuses, is an ordinary heap slice.
+func newUint32s(capacity int, offHeap bool) ([]uint32, *offheap.Region) {
+	if offHeap && 4*capacity >= offheap.MinBytes {
+		if r, err := offheap.NewRegion(4 * capacity); err == nil {
+			return offheap.Uint32s(r.Bytes())[:0:capacity], r
+		}
+	}
+	return make([]uint32, 0, capacity), nil
 }
 
 // Count returns the number of RR sets stored.
@@ -92,13 +134,47 @@ func (c *Collection) Reserve(sets int, members int64) {
 // whichever is larger.
 func (c *Collection) ensure(sets, members, div int) {
 	if need := len(c.nodes) + members; need > cap(c.nodes) {
-		c.nodes = regrow(c.nodes, max(need, cap(c.nodes)+cap(c.nodes)/div))
+		c.growNodes(max(need, cap(c.nodes)+cap(c.nodes)/div))
 		c.regrows++
 	}
 	if need := len(c.offs) + sets; need > cap(c.offs) {
 		c.offs = regrow(c.offs, max(need, cap(c.offs)+cap(c.offs)/div))
 		c.regrows++
 	}
+}
+
+// growNodes gives the member arena room for capacity members. An owned
+// off-heap arena is resized in place (on Linux without copying a byte);
+// otherwise the members move to a new arena, off the heap while the
+// collection is unpinned and the size warrants it.
+func (c *Collection) growNodes(capacity int) {
+	if c.region != nil && !c.pinned.Load() {
+		if err := c.region.Resize(4 * capacity); err == nil {
+			c.nodes = offheap.Uint32s(c.region.Bytes())[:len(c.nodes):capacity]
+			return
+		}
+	}
+	grown, region := newUint32s(capacity, !c.pinned.Load())
+	c.setNodes(append(grown, c.nodes...), region)
+}
+
+// setNodes installs a new member arena, freeing the old one's mapping if
+// the collection still owns it and dropping it if snapshots pin it.
+func (c *Collection) setNodes(nodes []uint32, region *offheap.Region) {
+	if !c.pinned.Load() {
+		c.region.Free()
+	}
+	c.nodes, c.region = nodes, region
+}
+
+// Release empties the collection and frees its member arena now, unless
+// a Snapshot pins it (the snapshots then keep it until they are gone).
+// Sets read before the call must not be used after it; the collection
+// itself stays usable and starts over from empty.
+func (c *Collection) Release() {
+	c.setNodes(nil, nil)
+	c.offs = []int64{0}
+	c.edgesExamined = 0
 }
 
 // regrow reallocates s with the given capacity.
@@ -147,7 +223,8 @@ type Patch struct {
 // replaced by its new members; all other sets keep their bytes and
 // positions. The rebuild allocates fresh arenas, so Snapshots taken
 // before the call remain valid views of the pre-repair sample (readers
-// drain against the old epoch while the repair installs). Positions out
+// drain against the old epoch while the repair installs); an arena no
+// snapshot pins is freed as soon as its replacement is built. Positions out
 // of range or duplicated are an error; edgesExamined is preserved (it is
 // a lifetime generation counter, not a property of the resident bytes).
 func (c *Collection) ApplyPatches(patches []Patch) error {
@@ -175,7 +252,7 @@ func (c *Collection) ApplyPatches(patches []Patch) error {
 		}
 		total += int64(len(p.Members)) - (c.offs[p.Pos+1] - c.offs[p.Pos])
 	}
-	nodes := make([]uint32, 0, total)
+	nodes, region := newUint32s(int(total), !c.pinned.Load())
 	offs := make([]int64, 1, count+1)
 	copyRun := func(from, to int) { // unpatched sets [from, to)
 		if to <= from {
@@ -198,7 +275,7 @@ func (c *Collection) ApplyPatches(patches []Patch) error {
 		prev = p.Pos + 1
 	}
 	copyRun(prev, count)
-	c.nodes = nodes
+	c.setNodes(nodes, region)
 	c.offs = offs
 	return nil
 }
@@ -268,16 +345,23 @@ func (c *Collection) AppendWireRange(b []byte, from int) []byte {
 // readers while a grower extends the live collection. Reset breaks this
 // guarantee (it reuses the arena in place): snapshots must not outlive a
 // Reset of their collection.
+//
+// An off-heap arena stays mapped while a Snapshot holding it is
+// reachable, not while a slice returned by Set is: keep the Snapshot
+// itself alive (runtime.KeepAlive) until such slices are last used.
 type Snapshot struct {
-	nodes []uint32
-	offs  []int64
+	nodes  []uint32
+	offs   []int64
+	region *offheap.Region // pins an off-heap arena; nil for a heap one
 }
 
-// Snapshot captures the current contents as an immutable view. The
-// caller must synchronize the call itself against concurrent Appends
-// (e.g. take it under the read side of the lock that guards growth).
+// Snapshot captures the current contents as an immutable view and pins
+// the arena (see the package comment). The caller must synchronize the
+// call itself against concurrent Appends (e.g. take it under the read
+// side of the lock that guards growth).
 func (c *Collection) Snapshot() Snapshot {
-	return Snapshot{nodes: c.nodes, offs: c.offs}
+	c.pinned.Store(true)
+	return Snapshot{nodes: c.nodes, offs: c.offs, region: c.region}
 }
 
 // Count returns the number of RR sets in the snapshot.
@@ -366,9 +450,10 @@ const DeadPosting = 1 << 31
 
 // indexSeg is one CSR segment covering RR sets [from, from+countable).
 type indexSeg struct {
-	from  int // first RR-set id this segment covers
-	start []int64
-	ids   []uint32
+	from   int // first RR-set id this segment covers
+	start  []int64
+	ids    []uint32
+	region *offheap.Region // backs ids when they are off the heap
 }
 
 // maxIndexSegments bounds segment-chain length. DIIMM's doubling schedule
@@ -414,10 +499,12 @@ func (idx *Index) appendSeg(c *Collection, from int) error {
 		return fmt.Errorf("rrset: %d RR sets exceed the uint32 id space", c.Count())
 	}
 	lo, hi := c.offs[from], c.offs[c.Count()]
+	ids, region := newUint32s(int(hi-lo), true)
 	seg := indexSeg{
-		from:  from,
-		start: make([]int64, idx.n+1),
-		ids:   make([]uint32, hi-lo),
+		from:   from,
+		start:  make([]int64, idx.n+1),
+		ids:    ids[:hi-lo],
+		region: region,
 	}
 	for _, v := range c.nodes[lo:hi] {
 		seg.start[v+1]++

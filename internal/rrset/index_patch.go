@@ -103,13 +103,26 @@ func (idx *Index) postings() int {
 
 // reset drops all index state for a from-scratch rebuild.
 func (idx *Index) reset() {
+	idx.Release()
+	idx.fullBuilds++
+}
+
+// Release empties the index and frees its postings now. Lists read
+// before the call must not be used after it; the index covers zero RR
+// sets afterwards (AppendFrom at 0 rebuilds it).
+func (idx *Index) Release() {
+	// Clear every slot, not just the length: the backing array would
+	// otherwise keep the dropped segments' start arrays reachable.
+	for i := range idx.segs {
+		idx.segs[i].region.Free()
+		idx.segs[i] = indexSeg{}
+	}
 	idx.segs = idx.segs[:0]
 	idx.count = 0
 	idx.overlay = nil
 	idx.overlayLen = 0
 	idx.dead = 0
 	idx.degAdj = nil
-	idx.fullBuilds++
 }
 
 // killPosting removes the live posting (v, t): spliced out of the

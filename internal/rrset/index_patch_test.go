@@ -34,6 +34,7 @@ func checkAgainstFresh(t *testing.T, idx *Index, c *Collection, n int, when stri
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fresh.Release()
 	for v := uint32(0); int(v) < n; v++ {
 		want := fresh.Covers(v)
 		got := livePostings(idx, v)

@@ -778,6 +778,8 @@ func (s *Service) grow(fromEpoch uint64) error {
 	}()
 	s.clusterMu.Unlock()
 	if err != nil {
+		new1.Release()
+		new2.Release()
 		return s.degraded(err)
 	}
 	s.stats.generated.Add(int64(new1.Count() + new2.Count()))
@@ -818,6 +820,10 @@ func (s *Service) grow(fromEpoch uint64) error {
 		return nil
 	}()
 	s.mu.Unlock()
+	// The mirrors hold copies now: free the increments before the sketch
+	// absorb and the checkpoint run.
+	new1.Release()
+	new2.Release()
 	if err != nil {
 		return err
 	}
@@ -1048,19 +1054,21 @@ func (s *Service) MetricsSnapshot() metrics.Snapshot {
 }
 
 // Stats snapshots the counters. The sample figures are read under the
-// epoch lock via immutable snapshots, so a concurrent grower is never
-// blocked for longer than the two header copies.
+// epoch lock, so a concurrent grower is never blocked for longer than a
+// few field loads. They are read directly rather than through
+// rrset.Snapshot, which would pin the collections' arenas.
 func (s *Service) Stats() Stats {
 	s.mu.RLock()
 	epoch := s.epoch
 	gver := s.gver
-	snap1, snap2 := s.r1.Snapshot(), s.r2.Snapshot()
+	theta := int64(s.r1.Count())
+	totalRRSize := s.r1.TotalSize() + s.r2.TotalSize()
 	s.mu.RUnlock()
 	st := Stats{
 		Epoch:       epoch,
-		Theta:       int64(snap1.Count()),
+		Theta:       theta,
 		ThetaMax:    s.budget.ThetaMax,
-		TotalRRSize: snap1.TotalSize() + snap2.TotalSize(),
+		TotalRRSize: totalRRSize,
 		KMax:        s.cfg.KMax,
 		EpsFloor:    s.cfg.EpsFloor,
 		Queries:     s.stats.queries.Value(),

@@ -292,6 +292,15 @@ func (s *Service) remirror() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// No reader holds the replaced mirrors past the write lock, and the
+	// grower and checkpointer are excluded by growMu: free them now.
+	s.r1.Release()
+	s.r2.Release()
+	for _, idx := range []*rrset.Index{s.idx1, s.idx2} {
+		if idx != nil {
+			idx.Release()
+		}
+	}
 	s.r1, s.r2 = fresh1, fresh2
 	s.idx1, s.idx2 = nil, nil
 	if fresh1.Count() > 0 {

@@ -28,6 +28,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -113,6 +114,7 @@ func (s *Set) Absorb(snap rrset.Snapshot, parallelism int) int {
 	s.shard(parallelism, func(lo, hi uint32) { s.countRange(snap, from, count, lo, hi, fill) })
 	s.grow(fill)
 	s.shard(parallelism, func(lo, hi uint32) { s.absorbRange(snap, from, count, lo, hi, fill) })
+	runtime.KeepAlive(snap) // its handle keeps an off-heap arena mapped
 	s.theta = int64(count)
 	return count - from
 }
