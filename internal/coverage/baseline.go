@@ -18,9 +18,7 @@ func NaiveGreedy(c *rrset.Collection, idx *rrset.Index, n, k int) (*Result, erro
 	}
 	covered := make([]bool, c.Count())
 	deg := make([]int64, n)
-	for v := 0; v < n; v++ {
-		deg[v] = int64(idx.Degree(uint32(v)))
-	}
+	idx.FillDegrees(deg)
 	selected := make([]bool, n)
 	res := &Result{}
 	for iter := 0; iter < k; iter++ {

@@ -268,9 +268,7 @@ func (o *LocalOracle) InitialDegrees() ([]int64, error) {
 // fillDegrees is InitialDegrees into a caller-owned vector of n entries.
 func (o *LocalOracle) fillDegrees(deg []int64) {
 	o.covered.Reset(o.c.Count())
-	for v := range deg {
-		deg[v] = int64(o.idx.Degree(uint32(v)))
-	}
+	o.idx.FillDegrees(deg)
 }
 
 // Select implements Oracle: the map stage of Algorithm 1 for seed u.

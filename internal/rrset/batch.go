@@ -487,15 +487,15 @@ func (s *BatchSampler) runICWaves() {
 			if len(adj) > 0 {
 				s.scan.Seed(xrand.ScanSeed(ln.laneSeed, u))
 				if s.subset {
-					p := float64(prob[0])
 					landed := 0
-					if p > 0 {
-						i := s.scan.Geometric(p)
+					if p := float64(prob[0]); p > 0 {
+						logQ := xrand.LogComplement(p)
+						i := s.scan.GeometricLog(logQ)
 						for i < len(adj) {
 							ln.probes++
 							landed++
 							s.cand = append(s.cand, adj[i])
-							i += 1 + s.scan.Geometric(p)
+							i += 1 + s.scan.GeometricLog(logQ)
 						}
 					}
 					ln.probes++ // the terminating jump

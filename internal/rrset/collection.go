@@ -9,6 +9,14 @@
 // therefore packs all member nodes into one flat arena with an offset
 // table, so the garbage collector sees O(1) objects regardless of θ.
 //
+// The Index grows by one segment per increment of the collection (a
+// DIIMM doubling round, a serving daemon's growth step). A segment is a
+// CSR over only the nodes it holds postings for: a bitmap of held nodes,
+// a rank directory of one uint32 per 64 nodes, and a uint32 offset per
+// held node. It costs 3n/16 B plus 4 B per held node plus its postings,
+// so a small increment stays small on a large graph, and a lookup stays
+// O(1): one bit test and one popcount.
+//
 // The two θ-sized arrays, a Collection's member arena and an Index
 // segment's postings, go further: from offheap.MinBytes up they live in
 // anonymous mappings (internal/offheap), which the GC neither scans nor
@@ -35,7 +43,9 @@ package rrset
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"dimm/internal/offheap"
@@ -448,10 +458,16 @@ type Index struct {
 // ids never carry it (BuildIndex rejects collections with 2^31 sets).
 const DeadPosting = 1 << 31
 
-// indexSeg is one CSR segment covering RR sets [from, from+countable).
+// indexSeg is one segment covering RR sets [from, from+countable): a CSR
+// over only the nodes it holds postings for. Node v is held iff bit v of
+// has is set; its rank r, the number of held nodes below it, is rank[v/64]
+// plus a popcount of the word of has below v, and its ids are
+// ids[offs[r]:offs[r+1]].
 type indexSeg struct {
-	from   int // first RR-set id this segment covers
-	start  []int64
+	from   int      // first RR-set id this segment covers
+	has    []uint64 // bitmap of held nodes, one bit per node
+	rank   []uint32 // rank[w]: held nodes in words [0, w) of has
+	offs   []uint32 // offs[r]..offs[r+1] delimits held node r's ids
 	ids    []uint32
 	region *offheap.Region // backs ids when they are off the heap
 }
@@ -474,8 +490,10 @@ func BuildIndex(c *Collection, n int) (*Index, error) {
 
 // AppendFrom extends the index with the RR sets [from, c.Count()) of c,
 // where from must equal the number of sets already indexed. The work is
-// O(n + size of the new sets) — it never touches previously indexed
-// segments (unless the segment cap forces a compaction).
+// O(n/64 + size of the new sets) when a pooled cursor array is at hand,
+// plus O(n) to zero a new one when none is. It never touches
+// previously indexed segments (unless the segment cap forces a
+// compaction).
 func (idx *Index) AppendFrom(c *Collection, from int) error {
 	if from != idx.count {
 		return fmt.Errorf("rrset: AppendFrom at %d but %d RR sets indexed", from, idx.count)
@@ -493,45 +511,76 @@ func (idx *Index) AppendFrom(c *Collection, from int) error {
 	return idx.appendSeg(c, from)
 }
 
-// appendSeg builds one CSR segment over sets [from, c.Count()).
+// cursorPool holds the n-entry write cursors of segment builds. A pooled
+// array is all zeros: a build counts into it, fills through it, and then
+// clears only the entries of the nodes it held.
+var cursorPool sync.Pool
+
+// appendSeg builds one segment over sets [from, c.Count()). It counts
+// and fills through a dense cursor array, as a dense CSR build does: a
+// rank lookup per posting would cost a popcount in the fill loop.
 func (idx *Index) appendSeg(c *Collection, from int) error {
 	if c.Count() > 1<<31 {
 		return fmt.Errorf("rrset: %d RR sets exceed the uint32 id space", c.Count())
 	}
 	lo, hi := c.offs[from], c.offs[c.Count()]
-	ids, region := newUint32s(int(hi-lo), true)
-	seg := indexSeg{
-		from:   from,
-		start:  make([]int64, idx.n+1),
-		ids:    ids[:hi-lo],
-		region: region,
+	if hi-lo >= 1<<32 {
+		return fmt.Errorf("rrset: %d postings exceed a segment's uint32 offsets", hi-lo)
 	}
+	cur, _ := cursorPool.Get().([]uint32)
+	if cap(cur) < idx.n {
+		cur = make([]uint32, idx.n)
+	}
+	cur = cur[:idx.n]
+	words := (idx.n + 63) / 64
+	seg := indexSeg{from: from, has: make([]uint64, words), rank: make([]uint32, words)}
 	for _, v := range c.nodes[lo:hi] {
-		seg.start[v+1]++
+		cur[v]++
+		seg.has[v>>6] |= 1 << (v & 63)
 	}
-	for v := 0; v < idx.n; v++ {
-		seg.start[v+1] += seg.start[v]
+	var held uint32
+	for w, word := range seg.has {
+		seg.rank[w] = held
+		held += uint32(bits.OnesCount64(word))
 	}
-	// Fill using start[v] as the write cursor, then shift the offsets back
-	// by one slot to restore the CSR invariant (avoids a second O(n) pos
-	// array).
-	for i := from; i < c.Count(); i++ {
-		for _, v := range c.Set(i) {
-			seg.ids[seg.start[v]] = uint32(i)
-			seg.start[v]++
+	// Lay out the held nodes' lists in rank order; each count becomes its
+	// node's write cursor.
+	seg.offs = make([]uint32, held+1)
+	var r, at uint32
+	for w, word := range seg.has {
+		for ; word != 0; word &= word - 1 {
+			v := w<<6 | bits.TrailingZeros64(word)
+			seg.offs[r] = at
+			at, cur[v] = at+cur[v], at
+			r++
 		}
 	}
-	for v := idx.n; v > 0; v-- {
-		seg.start[v] = seg.start[v-1]
+	seg.offs[held] = at
+	ids, region := newUint32s(int(hi-lo), true)
+	seg.ids, seg.region = ids[:hi-lo], region
+	for i := from; i < c.Count(); i++ {
+		for _, v := range c.Set(i) {
+			seg.ids[cur[v]] = uint32(i)
+			cur[v]++
+		}
 	}
-	seg.start[0] = 0
+	for w, word := range seg.has {
+		for ; word != 0; word &= word - 1 {
+			cur[w<<6|bits.TrailingZeros64(word)] = 0
+		}
+	}
+	cursorPool.Put(cur)
 	idx.segs = append(idx.segs, seg)
 	idx.count = c.Count()
 	return nil
 }
 
+// covers returns the segment's ids for v, empty when v holds none. It is
+// branch-free: an unheld v's rank indexes an offset pair of equal ends.
 func (s *indexSeg) covers(v uint32) []uint32 {
-	return s.ids[s.start[v]:s.start[v+1]]
+	w, sh := s.has[v>>6], v&63
+	r := s.rank[v>>6] + uint32(bits.OnesCount64(w&(1<<sh-1)))
+	return s.ids[s.offs[r]:s.offs[r+uint32(w>>sh&1)]]
 }
 
 // Covers returns the ids of RR sets containing node v, in ascending
@@ -578,14 +627,46 @@ func (idx *Index) SegCovers(si int, v uint32) []uint32 {
 // Δ_i(v) of Algorithm 1 line 3). Exact on patched indexes: the per-node
 // adjustment counts tombstones out and overlay postings in.
 func (idx *Index) Degree(v uint32) int {
-	var d int64
+	var d int
 	for i := range idx.segs {
-		d += idx.segs[i].start[v+1] - idx.segs[i].start[v]
+		d += len(idx.segs[i].covers(v))
 	}
 	if idx.degAdj != nil {
-		d += int64(idx.degAdj[v])
+		d += int(idx.degAdj[v])
 	}
-	return int(d)
+	return d
+}
+
+// FillDegrees sets deg[v] = Degree(v) for every v < len(deg), in one walk
+// over each segment's held nodes rather than a rank lookup per node and
+// segment. Nodes past the index's item space get 0.
+func (idx *Index) FillDegrees(deg []int64) {
+	clear(deg)
+	for i := range idx.segs {
+		s := &idx.segs[i]
+		r := 0
+		for w, word := range s.has {
+			for ; word != 0; word &= word - 1 {
+				if v := w<<6 | bits.TrailingZeros64(word); v < len(deg) {
+					deg[v] += int64(s.offs[r+1] - s.offs[r])
+				}
+				r++
+			}
+		}
+	}
+	for v, a := range idx.degAdj[:min(len(deg), len(idx.degAdj))] {
+		deg[v] += int64(a)
+	}
+}
+
+// Bytes returns the index's resident size: every segment's postings and
+// tables, plus a patched index's overlay postings and degree adjustments.
+func (idx *Index) Bytes() int64 {
+	b := 4 * (idx.overlayLen + len(idx.degAdj))
+	for _, s := range idx.segs {
+		b += 8*len(s.has) + 4*(len(s.rank)+len(s.offs)+len(s.ids))
+	}
+	return int64(b)
 }
 
 // Count returns the number of RR sets the index covers.

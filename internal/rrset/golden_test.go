@@ -226,3 +226,60 @@ func TestLTStreamGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestICSubsetStreamGolden pins the SUBSIM stream (geometric jumps over
+// a node's in-slots) the way TestICStreamGolden pins the coin scan:
+// CRC32C of Collection.AppendWire plus EdgesExamined on two
+// weighted-cascade graphs, for the scalar sampler and B = 64, unsharded
+// and at every goldenShards P, sampled in the goldenSplits call
+// sequence. Weighted cascade gives every in-degree-1 node p = 1, so the
+// draw-free p ≥ 1 jump is covered beside the logarithmic one. Recorded
+// before the jump loops computed log(1 − p) once per scan instead of
+// once per jump.
+func TestICSubsetStreamGolden(t *testing.T) {
+	cases := []struct {
+		name   string
+		g      *graph.Graph
+		crc    uint32
+		probes int64
+	}{
+		{"preferential", testGraph(t, 400, 7), 0x404f282b, 4951},
+		{"rmat", ltGoldenRMAT(t), 0x73271a51, 34267},
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for _, tc := range cases {
+		certain := 0
+		for v := 0; v < tc.g.NumNodes(); v++ {
+			if _, prob := tc.g.InNeighbors(uint32(v)); len(prob) > 0 && prob[0] >= 1 {
+				certain++
+			}
+		}
+		if certain == 0 {
+			t.Fatalf("%s: no node has p = 1 in-edges: the draw-free jump is not covered", tc.name)
+		}
+		for _, p := range append([]int{0}, goldenShards...) { // 0: unsharded
+			for _, b := range []int{0, 64} { // 0: the scalar Sampler
+				var s interface{ SampleManyInto(*Collection, int64) }
+				var err error
+				switch {
+				case p > 0:
+					s, err = NewShardedSamplerBatch(tc.g, diffusion.IC, 42, true, p, b)
+				case b == 0:
+					s, err = NewSampler(tc.g, diffusion.IC, 42, true)
+				default:
+					s, err = NewBatchSampler(tc.g, diffusion.IC, 42, true, b)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := NewCollection(64)
+				sampleSplit(s, c, 3000)
+				crc := crc32.Checksum(c.AppendWire(nil), castagnoli)
+				if crc != tc.crc || c.EdgesExamined() != tc.probes {
+					t.Errorf("%s P=%d B=%d: crc32c %#08x probes %d over %d members, golden %#08x / %d",
+						tc.name, p, b, crc, c.EdgesExamined(), c.TotalSize(), tc.crc, tc.probes)
+				}
+			}
+		}
+	}
+}

@@ -1,0 +1,355 @@
+package rrset
+
+import (
+	"slices"
+	"sync"
+	"testing"
+
+	"dimm/internal/diffusion"
+	"dimm/internal/graph"
+	"dimm/internal/xrand"
+)
+
+// layoutSets appends count RR sets of distinct members to c, drawn from
+// pool only, so the nodes outside pool hold no postings.
+func layoutSets(r *xrand.Rand, c *Collection, pool []uint32, count int) {
+	for i := 0; i < count; i++ {
+		size := int(r.Uint32n(uint32(min(len(pool), 9))))
+		set := make([]uint32, 0, size)
+		for len(set) < size {
+			if v := pool[r.Intn(len(pool))]; !slices.Contains(set, v) {
+				set = append(set, v)
+			}
+		}
+		c.Append(set, 0)
+	}
+}
+
+// denseSeg is the reference layout the sparse segment replaced: an
+// (n + 1)-entry start array over the segment's postings.
+type denseSeg struct {
+	start []int64
+	ids   []uint32
+}
+
+// denseReference builds, for each segment boundary in froms, the dense
+// CSR of the memberships the segment was built from (orig), with every
+// posting whose node left the set's current membership tombstoned, and
+// the overlay of postings current membership gained, sorted per node.
+func denseReference(orig [][]uint32, c *Collection, n int, froms []int) ([]denseSeg, [][]uint32) {
+	segs := make([]denseSeg, len(froms))
+	for k, lo := range froms {
+		hi := len(orig)
+		if k+1 < len(froms) {
+			hi = froms[k+1]
+		}
+		s := denseSeg{start: make([]int64, n+1)}
+		for t := lo; t < hi; t++ {
+			for _, v := range orig[t] {
+				s.start[v+1]++
+			}
+		}
+		for v := 0; v < n; v++ {
+			s.start[v+1] += s.start[v]
+		}
+		s.ids = make([]uint32, s.start[n])
+		cur := slices.Clone(s.start[:n])
+		for t := lo; t < hi; t++ {
+			for _, v := range orig[t] {
+				id := uint32(t)
+				if !slices.Contains(c.Set(t), v) {
+					id |= DeadPosting
+				}
+				s.ids[cur[v]] = id
+				cur[v]++
+			}
+		}
+		segs[k] = s
+	}
+	overlay := make([][]uint32, n)
+	for t := range orig {
+		for _, v := range c.Set(t) {
+			if !slices.Contains(orig[t], v) {
+				overlay[v] = append(overlay[v], uint32(t))
+			}
+		}
+	}
+	return segs, overlay
+}
+
+// checkLayout compares every read of idx against the dense reference:
+// SegCovers per segment (tombstone bits included), the overlay segment as
+// a set, Covers as their concatenation, Degree against the live
+// memberships, and FillDegrees into vectors shorter than, equal to and
+// longer than the item space.
+func checkLayout(t *testing.T, idx *Index, orig [][]uint32, c *Collection, n int, when string) {
+	t.Helper()
+	froms := make([]int, len(idx.segs))
+	for i := range idx.segs {
+		froms[i] = idx.segs[i].from
+	}
+	ref, overlay := denseReference(orig, c, n, froms)
+	live := make([]int64, n)
+	for i := 0; i < c.Count(); i++ {
+		for _, v := range c.Set(i) {
+			live[v]++
+		}
+	}
+	for v := uint32(0); int(v) < n; v++ {
+		var want []uint32
+		for si, s := range ref {
+			seg := s.ids[s.start[v]:s.start[v+1]]
+			if got := idx.SegCovers(si, v); !slices.Equal(got, seg) {
+				t.Fatalf("%s: segment %d node %d covers %v, dense %v", when, si, v, got, seg)
+			}
+			want = append(want, seg...)
+		}
+		var tail []uint32
+		if idx.NumSegments() > len(ref) {
+			tail = slices.Clone(idx.SegCovers(len(ref), v))
+			slices.Sort(tail)
+		}
+		if !slices.Equal(tail, overlay[v]) {
+			t.Fatalf("%s: node %d overlay %v, want %v", when, v, tail, overlay[v])
+		}
+		got := idx.Covers(v)
+		if !slices.Equal(got[:len(want)], want) || len(got) != len(want)+len(tail) {
+			t.Fatalf("%s: node %d Covers %v, segments %v + overlay %v", when, v, got, want, tail)
+		}
+		if d := idx.Degree(v); int64(d) != live[v] {
+			t.Fatalf("%s: node %d degree %d, want %d", when, v, d, live[v])
+		}
+	}
+	for _, size := range []int{max(n-5, 0), n, n + 70} {
+		deg := make([]int64, size)
+		for v := range deg {
+			deg[v] = -1 // FillDegrees overwrites, never accumulates
+		}
+		idx.FillDegrees(deg)
+		for v, d := range deg {
+			want := int64(0) // past the item space
+			if v < n {
+				want = live[v]
+			}
+			if d != want {
+				t.Fatalf("%s: FillDegrees(len %d) node %d = %d, want %d", when, size, v, d, want)
+			}
+		}
+	}
+}
+
+// TestIndexLayoutMatchesDense checks the rank-indexed segment layout
+// against the dense start-array layout it replaced, on item spaces that
+// are not multiples of 64, with nodes that hold no postings, over 1 to
+// 12 segments, after patches and after a forced compaction.
+func TestIndexLayoutMatchesDense(t *testing.T) {
+	compactions := 0
+	// n ≥ 7: randomPatches draws up to five distinct members.
+	for trial, n := range []int{7, 63, 65, 130, 200, 1000 + 7} {
+		r := xrand.New(uint64(trial) + 11)
+		var pool []uint32 // about two thirds of the nodes ever hold postings
+		for v := uint32(0); int(v) < n; v++ {
+			if r.Uint32n(3) != 0 || v == 0 {
+				pool = append(pool, v)
+			}
+		}
+		c := NewCollection(0)
+		layoutSets(r, c, pool, 1+r.Intn(40))
+		idx, err := BuildIndex(c, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var orig [][]uint32
+		snap := func(from int) {
+			for i := from; i < c.Count(); i++ {
+				orig = append(orig, slices.Clone(c.Set(i)))
+			}
+		}
+		snap(0)
+		checkLayout(t, idx, orig, c, n, "fresh")
+		for seg := 1 + r.Intn(12); idx.NumSegments() < seg; {
+			from := c.Count()
+			layoutSets(r, c, pool, r.Intn(30)) // an empty increment adds no segment
+			if err := idx.AppendFrom(c, from); err != nil {
+				t.Fatal(err)
+			}
+			snap(from)
+		}
+		checkLayout(t, idx, orig, c, n, "grown")
+		for round := 0; round < 6; round++ {
+			pre := make([][]uint32, c.Count())
+			for i := range pre {
+				pre[i] = slices.Clone(c.Set(i))
+			}
+			builds := idx.FullBuilds()
+			patches := randomPatches(r, c, n, 1+c.Count()/4)
+			if err := idx.ApplyPatches(c, patches); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ApplyPatches(patches); err != nil {
+				t.Fatal(err)
+			}
+			if idx.FullBuilds() > builds {
+				orig = pre // compaction rebuilt from the pre-patch sample
+				compactions++
+			}
+			checkLayout(t, idx, orig, c, n, "patched")
+		}
+		idx.Release()
+		c.Release()
+	}
+	if compactions == 0 {
+		t.Fatal("patch debt never forced a compaction")
+	}
+}
+
+// TestIndexSegmentBytesProportional: a segment's tables cost 3n/16 B plus
+// 4 B per held node, so an 81-set increment on a 2^20-node graph stays
+// far below the 8 MiB a dense (n + 1) × 8 B start array cost.
+func TestIndexSegmentBytesProportional(t *testing.T) {
+	const n = 1 << 20
+	r := xrand.New(81)
+	c := NewCollection(0)
+	pool := make([]uint32, n)
+	for v := range pool {
+		pool[v] = uint32(v)
+	}
+	layoutSets(r, c, pool, 81)
+	idx, err := BuildIndex(c, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Release()
+	if got := idx.Bytes(); got >= 256<<10 {
+		t.Fatalf("81-set index on n = 2^20 holds %d B, want < 256 KiB (dense: %d B)", got, 8*(n+1)+4*c.TotalSize())
+	}
+	before := idx.Bytes()
+	from := c.Count()
+	layoutSets(r, c, pool, 81)
+	if err := idx.AppendFrom(c, from); err != nil {
+		t.Fatal(err)
+	}
+	if grew := idx.Bytes() - before; grew >= 256<<10 {
+		t.Fatalf("an 81-set increment added %d B", grew)
+	}
+}
+
+// TestIndexConcurrentBuilds builds indexes on several goroutines at once,
+// over different item spaces, through the shared cursor pool (in-process
+// workers do this); each must equal its sequential build. Run under
+// -race it also checks the pool hands a cursor to one build at a time.
+func TestIndexConcurrentBuilds(t *testing.T) {
+	sizes := []int{300, 4097, 64, 1000}
+	colls := make([]*Collection, len(sizes))
+	want := make([]*Index, len(sizes))
+	for i, n := range sizes {
+		r := xrand.New(uint64(i) + 3)
+		pool := make([]uint32, n)
+		for v := range pool {
+			pool[v] = uint32(v)
+		}
+		colls[i] = NewCollection(0)
+		layoutSets(r, colls[i], pool, 500)
+		var err error
+		if want[i], err = BuildIndex(colls[i], n); err != nil {
+			t.Fatal(err)
+		}
+		defer want[i].Release()
+	}
+	for round := 0; round < 4; round++ {
+		got := make([]*Index, len(sizes))
+		var wg sync.WaitGroup
+		for i, n := range sizes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				half := colls[i].Count() / 2
+				idx, err := BuildIndex(prefix(colls[i], half), n)
+				if err == nil {
+					err = idx.AppendFrom(colls[i], half)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = idx
+			}()
+		}
+		wg.Wait()
+		for i, n := range sizes {
+			if got[i] == nil {
+				t.FailNow()
+			}
+			for v := uint32(0); int(v) < n; v++ {
+				if !slices.Equal(got[i].Covers(v), want[i].Covers(v)) {
+					t.Fatalf("round %d index %d node %d: concurrent build diverges", round, i, v)
+				}
+			}
+			got[i].Release()
+		}
+	}
+}
+
+// BenchmarkIndexBuild times the index of a serve_update-shaped mirror:
+// IC RR sets on a 2^17-node R-MAT graph with weighted-cascade weights,
+// θ = 41 472. "full" builds one segment over the whole sample; "doubling"
+// grows from 81 sets by doubling, ten segments as a cold daemon's mirror
+// holds; "fill-degrees" is the greedy's degree vector over that
+// ten-segment index. The builds report the index's resident bytes.
+func BenchmarkIndexBuild(b *testing.B) {
+	const n, theta = 1 << 17, 41472
+	g, err := graph.GenRMAT(graph.RMATConfig{GenConfig: graph.GenConfig{Nodes: n, AvgDegree: 16, Seed: 7}})
+	if err == nil {
+		g, err = graph.AssignWeights(g, graph.WeightedCascade, 0, 0)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewSampler(g, diffusion.IC, 1, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewCollection(theta)
+	s.SampleManyInto(c, theta)
+	doubling := func() *Index {
+		idx, err := BuildIndex(prefix(c, 81), n)
+		for have := 81; err == nil && have < theta; have = min(2*have, theta) {
+			err = idx.AppendFrom(prefix(c, min(2*have, theta)), have)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		return idx
+	}
+	b.Run("full", func(b *testing.B) {
+		var bytes int64
+		for i := 0; i < b.N; i++ {
+			idx, err := BuildIndex(c, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bytes = idx.Bytes()
+			idx.Release()
+		}
+		b.ReportMetric(float64(bytes), "B/index")
+	})
+	b.Run("doubling", func(b *testing.B) {
+		var bytes int64
+		for i := 0; i < b.N; i++ {
+			idx := doubling()
+			bytes = idx.Bytes()
+			idx.Release()
+		}
+		b.ReportMetric(float64(bytes), "B/index")
+	})
+	b.Run("fill-degrees", func(b *testing.B) {
+		idx := doubling()
+		defer idx.Release()
+		deg := make([]int64, n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			idx.FillDegrees(deg)
+		}
+		b.ReportMetric(float64(idx.NumSegments()), "segments")
+	})
+}

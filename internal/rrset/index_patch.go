@@ -112,7 +112,8 @@ func (idx *Index) reset() {
 // sets afterwards (AppendFrom at 0 rebuilds it).
 func (idx *Index) Release() {
 	// Clear every slot, not just the length: the backing array would
-	// otherwise keep the dropped segments' start arrays reachable.
+	// otherwise keep the dropped segments' has, rank, offs and ids
+	// reachable.
 	for i := range idx.segs {
 		idx.segs[i].region.Free()
 		idx.segs[i] = indexSeg{}

@@ -194,7 +194,7 @@ func TestIndexCompactionFreesSegments(t *testing.T) {
 		t.Fatal("patch debt never forced a compaction")
 	}
 	for i, seg := range idx.segs[len(idx.segs):cap(idx.segs)] {
-		if seg.ids != nil || seg.start != nil || seg.region != nil {
+		if seg.ids != nil || seg.has != nil || seg.rank != nil || seg.offs != nil || seg.region != nil {
 			t.Fatalf("slot %d past the live segments still holds a dropped segment", len(idx.segs)+i)
 		}
 	}

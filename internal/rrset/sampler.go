@@ -249,9 +249,9 @@ func (s *Sampler) sampleIC(root uint32, laneSeed uint64) (int, int64) {
 		if s.subset {
 			// All incoming probabilities of u are equal; jump straight to
 			// the successful flips. Expected probes = 1 + d·p instead of d.
-			p := float64(prob[0])
-			if p > 0 {
-				i := s.scan.Geometric(p)
+			if p := float64(prob[0]); p > 0 {
+				logQ := xrand.LogComplement(p)
+				i := s.scan.GeometricLog(logQ)
 				for i < len(adj) {
 					probes++
 					up := adj[i]
@@ -259,7 +259,7 @@ func (s *Sampler) sampleIC(root uint32, laneSeed uint64) (int, int64) {
 						s.visited[up] = s.epoch
 						s.queue = append(s.queue, up)
 					}
-					i += 1 + s.scan.Geometric(p)
+					i += 1 + s.scan.GeometricLog(logQ)
 				}
 			}
 			probes++ // the terminating jump

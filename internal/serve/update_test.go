@@ -385,6 +385,21 @@ func TestSketchStaleFallback(t *testing.T) {
 	}
 }
 
+// updateBody renders ops as the JSON body of POST /v1/update.
+func updateBody(seq uint64, ops []graph.EdgeUpdate) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, `{"seq": %d, "ops": [`, seq)
+	for i, op := range ops {
+		if i > 0 {
+			b.WriteString(",")
+		}
+		kind := map[graph.EdgeOp]string{graph.OpAdd: "add", graph.OpRemove: "remove", graph.OpReweight: "reweight"}[op.Op]
+		fmt.Fprintf(&b, `{"op":%q,"from":%d,"to":%d,"prob":%g}`, kind, op.From, op.To, op.Prob)
+	}
+	b.WriteString(`]}`)
+	return b.String()
+}
+
 // TestDynamicHTTP drives the whole path over the wire: POST /v1/update
 // applies, replays acknowledge, malformed ops 400, /statsz reports the
 // dynamic figures, and /v1/seeds answers carry the graph version.
@@ -412,20 +427,8 @@ func TestDynamicHTTP(t *testing.T) {
 		t.Fatalf("warm query: %d %s", resp.StatusCode, body)
 	}
 
-	// Build a JSON batch from the deterministic ops.
-	ops := dynOps(t, g)
-	var b strings.Builder
-	b.WriteString(`{"seq": 1, "ops": [`)
-	for i, op := range ops {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		kind := map[graph.EdgeOp]string{graph.OpAdd: "add", graph.OpRemove: "remove", graph.OpReweight: "reweight"}[op.Op]
-		fmt.Fprintf(&b, `{"op":%q,"from":%d,"to":%d,"prob":%g}`, kind, op.From, op.To, op.Prob)
-	}
-	b.WriteString(`]}`)
-
-	resp, body := post("/v1/update", b.String())
+	batch := updateBody(1, dynOps(t, g))
+	resp, body := post("/v1/update", batch)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update: %d %s", resp.StatusCode, body)
 	}
@@ -434,7 +437,7 @@ func TestDynamicHTTP(t *testing.T) {
 	}
 
 	// Replay acknowledges without applying.
-	if resp, body := post("/v1/update", b.String()); resp.StatusCode != http.StatusOK ||
+	if resp, body := post("/v1/update", batch); resp.StatusCode != http.StatusOK ||
 		!strings.Contains(body, `"applied":false`) {
 		t.Fatalf("replay: %d %s", resp.StatusCode, body)
 	}

@@ -200,14 +200,25 @@ func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns the number of failures before the first success of a
-// Bernoulli(p) sequence, i.e. a sample of the Geometric(p) distribution on
-// {0, 1, 2, ...}. It is the core of subset sampling (SUBSIM): to visit the
-// success positions of d independent coins of bias p, jump ahead by
-// Geometric(p)+1 positions at a time instead of flipping d coins.
-// p must satisfy 0 < p <= 1.
-func (r *Rand) Geometric(p float64) int {
+// LogComplement returns log(1 − p), the per-bias constant of
+// GeometricLog, or −Inf for p >= 1 (every flip succeeds). A scan that
+// jumps repeatedly at one bias computes it once.
+func LogComplement(p float64) float64 {
 	if p >= 1 {
+		return math.Inf(-1)
+	}
+	return math.Log(1 - p)
+}
+
+// GeometricLog returns the number of failures before the first success
+// of a Bernoulli(p) sequence, i.e. a sample of the Geometric(p)
+// distribution on {0, 1, 2, ...}, given logQ = LogComplement(p). It is
+// the core of subset sampling (SUBSIM): to visit the success positions
+// of d independent coins of bias p, jump ahead by GeometricLog+1
+// positions at a time instead of flipping d coins. p must satisfy
+// 0 < p <= 1; p >= 1 returns 0 without a draw.
+func (r *Rand) GeometricLog(logQ float64) int {
+	if math.IsInf(logQ, -1) {
 		return 0
 	}
 	u := r.Float64()
@@ -215,7 +226,7 @@ func (r *Rand) Geometric(p float64) int {
 	for u == 0 {
 		u = r.Float64()
 	}
-	g := math.Floor(math.Log(u) / math.Log(1-p))
+	g := math.Floor(math.Log(u) / logQ)
 	if g > math.MaxInt32 {
 		return math.MaxInt32
 	}

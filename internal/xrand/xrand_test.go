@@ -124,12 +124,12 @@ func TestGeometricMean(t *testing.T) {
 	for _, p := range []float64{0.1, 0.5, 0.9} {
 		sum := 0.0
 		for i := 0; i < draws; i++ {
-			sum += float64(r.Geometric(p))
+			sum += float64(r.GeometricLog(LogComplement(p)))
 		}
 		mean := sum / draws
 		want := (1 - p) / p
 		if math.Abs(mean-want) > 0.05*math.Max(want, 1) {
-			t.Fatalf("Geometric(%v) mean = %v, want %v", p, mean, want)
+			t.Fatalf("GeometricLog(LogComplement(%v)) mean = %v, want %v", p, mean, want)
 		}
 	}
 }
@@ -137,8 +137,8 @@ func TestGeometricMean(t *testing.T) {
 func TestGeometricPOne(t *testing.T) {
 	r := New(19)
 	for i := 0; i < 100; i++ {
-		if g := r.Geometric(1); g != 0 {
-			t.Fatalf("Geometric(1) = %d, want 0", g)
+		if g := r.GeometricLog(LogComplement(1)); g != 0 {
+			t.Fatalf("GeometricLog(LogComplement(1)) = %d, want 0", g)
 		}
 	}
 }
@@ -428,9 +428,10 @@ func BenchmarkUint64(b *testing.B) {
 
 func BenchmarkGeometric(b *testing.B) {
 	r := New(1)
+	logQ := LogComplement(0.1)
 	var sink int
 	for i := 0; i < b.N; i++ {
-		sink += r.Geometric(0.1)
+		sink += r.GeometricLog(logQ)
 	}
 	_ = sink
 }
