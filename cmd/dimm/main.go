@@ -50,8 +50,8 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "random seed")
 		callTimeout = flag.Duration("call-timeout", 0, "per-call deadline for TCP worker requests (0 = none); a wedged worker fails the run instead of hanging it")
 
-		retries      = flag.Int("retries", cluster.DefaultRetries, "redial+replay attempts per TCP worker failure before quarantining it")
-		retryBackoff = flag.Duration("retry-backoff", cluster.DefaultRetryBackoff, "base backoff between worker retry attempts (exponential, jittered)")
+		retries      = flag.Int("retries", cluster.DefaultRetries, "exact number of redial+replay attempts per TCP worker failure before quarantining it (-workers runs only)")
+		retryBackoff = flag.Duration("retry-backoff", cluster.DefaultRetryBackoff, "backoff before the first redial of a failed TCP worker (doubles per attempt, jittered; -workers runs only)")
 
 		verify      = flag.Int("verify", 0, "verify the result with this many Monte-Carlo simulations")
 		showMetrics = flag.Bool("metrics", true, "print the time/traffic breakdown")
@@ -101,35 +101,17 @@ func main() {
 	var res *core.Result
 	if *workers != "" {
 		addrs := strings.Split(*workers, ",")
-		pol := cluster.RetryPolicy{Retries: *retries, Backoff: *retryBackoff}
-		dialOne := func(addr string) (cluster.Conn, error) {
-			addr = strings.TrimSpace(addr)
-			return cluster.NewRetryConn(addr, func() (cluster.Conn, error) {
-				return cluster.DialWorkerTimeout(addr, *callTimeout)
-			}, pol)
-		}
-		conns := make([]cluster.Conn, len(addrs))
-		for i, addr := range addrs {
-			conns[i], err = dialOne(addr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer conns[i].Close()
-		}
-		cl, err := cluster.New(conns, g.NumNodes())
+		// A worker that drops its connection mid-run is redialed and
+		// re-seeded from the replay journal (dimmd restarts hand each
+		// connection a fresh worker); only if -retries redials fail is
+		// it quarantined and its shard regenerated on the survivors.
+		cl, err := cluster.DialCluster(addrs, g.NumNodes(), *callTimeout, cluster.Recovery{
+			Retries: *retries, Backoff: *retryBackoff, Salt: *seed,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		// A worker that drops its connection mid-run is redialed and
-		// re-seeded from the replay journal (dimmd restarts hand each
-		// connection a fresh worker); only if that keeps failing is it
-		// quarantined and its shard regenerated on the survivors.
-		_ = cl.EnableRecovery(cluster.Recovery{
-			Respawn: func(i int) (cluster.Conn, error) { return dialOne(addrs[i]) },
-			Retries: pol.Retries,
-			Backoff: pol.Backoff,
-			Salt:    *seed,
-		})
+		defer cl.Close()
 		opt.Machines = len(addrs)
 		res, err = core.RunDIIMMOnCluster(g.NumNodes(), cl, opt)
 		if err != nil {

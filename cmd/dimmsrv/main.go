@@ -69,11 +69,11 @@ func main() {
 		graphPath   = flag.String("graph", "", "edge-list (.txt), binary (.bin) or segmented (.dsg) graph file")
 		backendName = flag.String("graph-backend", "mem", "graph materialization: mem (heap) | mmap (demand-paged, .dsg files only; incompatible with -dynamic)")
 		undirected  = flag.Bool("undirected", false, "treat the edge list as undirected")
-		weights    = flag.String("weights", "wc", "edge weight model: wc|uniform|trivalency|file")
-		uniformP   = flag.Float64("uniform-p", 0.1, "probability for -weights uniform")
-		synthNodes = flag.Int("synth-nodes", 0, "generate a synthetic network with this many nodes instead of loading one")
-		synthDeg   = flag.Float64("synth-degree", 10, "average degree for the synthetic network")
-		modelName  = flag.String("model", "ic", "diffusion model: ic|lt")
+		weights     = flag.String("weights", "wc", "edge weight model: wc|uniform|trivalency|file")
+		uniformP    = flag.Float64("uniform-p", 0.1, "probability for -weights uniform")
+		synthNodes  = flag.Int("synth-nodes", 0, "generate a synthetic network with this many nodes instead of loading one")
+		synthDeg    = flag.Float64("synth-degree", 10, "average degree for the synthetic network")
+		modelName   = flag.String("model", "ic", "diffusion model: ic|lt")
 
 		listen      = flag.String("listen", ":8080", "HTTP listen address")
 		machines    = flag.Int("machines", 1, "in-process machines per RR collection")
@@ -96,8 +96,8 @@ func main() {
 		warm        = flag.Bool("warm", false, "grow the resident sample for the hardest admissible query before accepting traffic")
 		callTimeout = flag.Duration("call-timeout", 0, "per-call deadline for TCP worker requests (0 = none)")
 
-		retries      = flag.Int("retries", cluster.DefaultRetries, "respawn/redial attempts per worker failure before quarantining it")
-		retryBackoff = flag.Duration("retry-backoff", cluster.DefaultRetryBackoff, "base backoff between worker retry attempts (exponential, jittered)")
+		retries      = flag.Int("retries", cluster.DefaultRetries, "exact number of respawn attempts (redial+replay for TCP workers) per worker failure before quarantining it")
+		retryBackoff = flag.Duration("retry-backoff", cluster.DefaultRetryBackoff, "backoff before the first respawn of a failed worker (doubles per attempt, jittered)")
 
 		grace = flag.Duration("shutdown-grace", 10*time.Second, "on SIGINT/SIGTERM, deadline for in-flight HTTP requests to finish")
 
@@ -141,8 +141,8 @@ func main() {
 		WeightTag:     *weights,
 	}
 	if *workers != "" {
-		pol := cluster.RetryPolicy{Retries: *retries, Backoff: *retryBackoff}
-		c1, c2, err := dialWorkerHalves(*workers, g.NumNodes(), *callTimeout, *seed, pol)
+		rec := cluster.Recovery{Retries: *retries, Backoff: *retryBackoff}
+		c1, c2, err := dialWorkerHalves(*workers, g.NumNodes(), *callTimeout, *seed, rec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -216,52 +216,23 @@ func parOpt(p int) int {
 }
 
 // dialWorkerHalves splits the address list into the R1 and R2 clusters.
-// Each connection is wrapped in a RetryConn, and each cluster gets a
-// recovery layer whose Respawn redials the worker's address: a dimmd
+// Each cluster's failover redials a failed worker's address: a dimmd
 // restart (Serve hands every accepted connection a fresh worker) is
 // re-seeded by the cluster's replay journal, so a bounced worker rejoins
 // with bit-identical state instead of forcing a cold start.
-func dialWorkerHalves(list string, n int, callTimeout time.Duration, seed uint64, pol cluster.RetryPolicy) (*cluster.Cluster, *cluster.Cluster, error) {
+func dialWorkerHalves(list string, n int, callTimeout time.Duration, seed uint64, rec cluster.Recovery) (*cluster.Cluster, *cluster.Cluster, error) {
 	addrs := strings.Split(list, ",")
 	if len(addrs) < 2 || len(addrs)%2 != 0 {
 		return nil, nil, fmt.Errorf("need an even number of worker addresses (R1 half + R2 half), got %d", len(addrs))
 	}
-	dial := func(addrs []string, salt uint64) (*cluster.Cluster, error) {
-		dialOne := func(addr string) (cluster.Conn, error) {
-			addr = strings.TrimSpace(addr)
-			return cluster.NewRetryConn(addr, func() (cluster.Conn, error) {
-				return cluster.DialWorkerTimeout(addr, callTimeout)
-			}, pol)
-		}
-		conns := make([]cluster.Conn, len(addrs))
-		for i, addr := range addrs {
-			c, err := dialOne(addr)
-			if err != nil {
-				for _, d := range conns[:i] {
-					d.Close()
-				}
-				return nil, err
-			}
-			conns[i] = c
-		}
-		cl, err := cluster.New(conns, n)
-		if err != nil {
-			return nil, err
-		}
-		_ = cl.EnableRecovery(cluster.Recovery{
-			Respawn: func(i int) (cluster.Conn, error) { return dialOne(addrs[i]) },
-			Retries: pol.Retries,
-			Backoff: pol.Backoff,
-			Salt:    seed ^ salt,
-		})
-		return cl, nil
-	}
 	half := len(addrs) / 2
-	c1, err := dial(addrs[:half], 0x0111)
+	rec.Salt = seed ^ 0x0111
+	c1, err := cluster.DialCluster(addrs[:half], n, callTimeout, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	c2, err := dial(addrs[half:], 0x0222)
+	rec.Salt = seed ^ 0x0222
+	c2, err := cluster.DialCluster(addrs[half:], n, callTimeout, rec)
 	if err != nil {
 		c1.Close()
 		return nil, nil, err

@@ -34,19 +34,19 @@ func main() {
 		graphPath   = flag.String("graph", "", "edge-list (.txt), binary (.bin) or segmented (.dsg) graph file")
 		backendName = flag.String("graph-backend", "mem", "graph materialization: mem (heap) | mmap (demand-paged, .dsg files only)")
 		undirected  = flag.Bool("undirected", false, "treat the edge list as undirected")
-		synthNodes = flag.Int("synth-nodes", 0, "generate a synthetic network instead of loading one")
-		synthDeg   = flag.Float64("synth-degree", 10, "average degree for the synthetic network")
-		mode       = flag.String("mode", "targeted", "application: targeted|budgeted|seedmin")
-		modelName  = flag.String("model", "ic", "diffusion model: ic|lt")
-		machines   = flag.Int("machines", 4, "number of machines")
-		eps        = flag.Float64("eps", 0.2, "sampling epsilon")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		k          = flag.Int("k", 20, "targeted: number of seeds")
-		targets    = flag.String("targets", "", "targeted: file of node ids (one per line) with weight 1; empty = first half of nodes")
-		budget     = flag.Float64("budget", 50, "budgeted: total seeding budget")
-		costModel  = flag.String("cost-model", "degree", "budgeted: unit|degree")
-		goalFrac   = flag.Float64("goal-frac", 0.05, "seedmin: fraction of the network to reach")
-		maxSeeds   = flag.Int("max-seeds", 500, "seedmin: seed cap")
+		synthNodes  = flag.Int("synth-nodes", 0, "generate a synthetic network instead of loading one")
+		synthDeg    = flag.Float64("synth-degree", 10, "average degree for the synthetic network")
+		mode        = flag.String("mode", "targeted", "application: targeted|budgeted|seedmin")
+		modelName   = flag.String("model", "ic", "diffusion model: ic|lt")
+		machines    = flag.Int("machines", 4, "number of machines")
+		eps         = flag.Float64("eps", 0.2, "sampling epsilon")
+		seed        = flag.Uint64("seed", 1, "random seed")
+		k           = flag.Int("k", 20, "targeted: number of seeds")
+		targets     = flag.String("targets", "", "targeted: file of node ids (one per line) with weight 1; empty = first half of nodes")
+		budget      = flag.Float64("budget", 50, "budgeted: total seeding budget")
+		costModel   = flag.String("cost-model", "degree", "budgeted: unit|degree")
+		goalFrac    = flag.Float64("goal-frac", 0.05, "seedmin: fraction of the network to reach")
+		maxSeeds    = flag.Int("max-seeds", 500, "seedmin: seed cap")
 	)
 	flag.Parse()
 

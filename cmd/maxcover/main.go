@@ -26,12 +26,12 @@ func main() {
 		graphPath   = flag.String("graph", "", "edge-list (.txt), binary (.bin) or segmented (.dsg) graph file")
 		backendName = flag.String("graph-backend", "mem", "graph materialization: mem (heap) | mmap (demand-paged, .dsg files only)")
 		undirected  = flag.Bool("undirected", false, "treat the edge list as undirected")
-		synthNodes = flag.Int("synth-nodes", 0, "generate a synthetic graph instead of loading one")
-		synthDeg   = flag.Float64("synth-degree", 10, "average degree for the synthetic graph")
-		k          = flag.Int("k", 50, "number of sets (users) to pick")
-		machines   = flag.Int("machines", 4, "number of machines for NEWGREEDI")
-		compare    = flag.Bool("compare", false, "also run GREEDI and the sequential greedy")
-		seed       = flag.Uint64("seed", 1, "seed for -synth-nodes")
+		synthNodes  = flag.Int("synth-nodes", 0, "generate a synthetic graph instead of loading one")
+		synthDeg    = flag.Float64("synth-degree", 10, "average degree for the synthetic graph")
+		k           = flag.Int("k", 50, "number of sets (users) to pick")
+		machines    = flag.Int("machines", 4, "number of machines for NEWGREEDI")
+		compare     = flag.Bool("compare", false, "also run GREEDI and the sequential greedy")
+		seed        = flag.Uint64("seed", 1, "seed for -synth-nodes")
 	)
 	flag.Parse()
 

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,150 +55,73 @@ func TestLocalConnCallCloseRace(t *testing.T) {
 	}
 }
 
-// slowThenFastWorker serves the worker protocol but delays the reply to
-// the first request of the first connection past the master's call
-// deadline (then answers it anyway — the stale frame that used to
-// desync the stream). Every later connection is served promptly.
-func slowThenFastWorker(t *testing.T, g *graph.Graph, firstDelay time.Duration) net.Listener {
-	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestTimedOutConnFailsFastTyped is the regression test for the tcpConn
+// stream-desync bug, which timeouts are only one way into: after any
+// failed exchange, stale bytes may sit in the socket (a timed-out call's
+// late reply, the payload behind a rejected header, or the rest of a
+// half-read frame), so the next Call must fail fast with the typed
+// *ConnBrokenError instead of pairing them with a new request.
+func TestTimedOutConnFailsFastTyped(t *testing.T) {
+	var oversized [4]byte
+	binary.LittleEndian.PutUint32(oversized[:], maxFrameSize+1)
+	cases := []struct {
+		name    string
+		reply   func(nc net.Conn) // answers the first request
+		wantErr func(error) bool
+	}{
+		{"timeout", func(nc net.Conn) {
+			time.Sleep(300 * time.Millisecond)
+			_ = writeFrame(nc, encodeAckResp(0)) // the stale frame
+		}, func(err error) bool { var te *CallTimeoutError; return errors.As(err, &te) }},
+		{"oversized reply header", func(nc net.Conn) {
+			nc.Write(oversized[:])
+			nc.Write(make([]byte, 64))
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "exceeds limit") }},
+		{"peer closes mid-frame", func(nc net.Conn) {
+			nc.Write([]byte{100, 0, 0, 0})
+			nc.Write(make([]byte, 10))
+			nc.Close()
+		}, func(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) }},
 	}
-	t.Cleanup(func() { lis.Close() })
-	go func() {
-		firstConn := true
-		for {
-			nc, err := lis.Accept()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			slow := firstConn
-			firstConn = false
-			go func(nc net.Conn, slow bool) {
-				defer nc.Close()
-				w, err := NewWorker(WorkerConfig{Graph: g, Model: diffusion.IC, Seed: 1})
+			defer lis.Close()
+			replied := make(chan struct{})
+			go func() {
+				nc, err := lis.Accept()
 				if err != nil {
 					return
 				}
-				first := true
-				for {
-					req, err := readFrame(nc, maxFrameSize)
-					if err != nil {
-						return
-					}
-					resp := w.Handle(req)
-					if slow && first {
-						time.Sleep(firstDelay)
-						first = false
-					}
-					if err := writeFrame(nc, resp); err != nil {
-						return
-					}
+				defer nc.Close()
+				if _, err := readFrame(nc, maxFrameSize); err == nil {
+					tc.reply(nc)
 				}
-			}(nc, slow)
-		}
-	}()
-	return lis
-}
+				close(replied)
+				io.Copy(io.Discard, nc)
+			}()
+			conn, err := DialWorkerTimeout(lis.Addr().String(), 100*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
 
-// TestTimedOutConnFailsFastTyped is the ISSUE 5 regression test for the
-// tcpConn stream-desync bug: after a *CallTimeoutError the worker's late
-// reply is still in flight, so the next Call must fail fast with the
-// typed *ConnBrokenError — the historic behaviour read the stale frame
-// and returned it as the answer to the wrong request.
-func TestTimedOutConnFailsFastTyped(t *testing.T) {
-	g := testGraph(t)
-	lis := slowThenFastWorker(t, g, 400*time.Millisecond)
-	conn, err := DialWorkerTimeout(lis.Addr().String(), 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	_, err = conn.Call(encodeGenerateReq(3))
-	var te *CallTimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("slow first call returned %v, want *CallTimeoutError", err)
-	}
-	// Give the stale reply time to land in the socket buffer; the poisoned
-	// conn must not read it.
-	time.Sleep(500 * time.Millisecond)
-	_, err = conn.Call(encodeSimpleReq(msgStats))
-	var be *ConnBrokenError
-	if !errors.As(err, &be) {
-		t.Fatalf("call on poisoned conn returned %v, want *ConnBrokenError", err)
-	}
-	if be.Addr != lis.Addr().String() {
-		t.Fatalf("broken-conn error names %q, want %q", be.Addr, lis.Addr().String())
-	}
-}
-
-// TestRetryConnRedialsPastTimeout: wrapped in a RetryConn with a resync
-// hook, the same slow-then-responsive worker is recovered transparently —
-// the timed-out call is re-issued on a fresh dial and answers correctly.
-func TestRetryConnRedialsPastTimeout(t *testing.T) {
-	g := testGraph(t)
-	lis := slowThenFastWorker(t, g, 400*time.Millisecond)
-	addr := lis.Addr().String()
-	rc, err := NewRetryConn(addr, func() (Conn, error) {
-		return DialWorkerTimeout(addr, 50*time.Millisecond)
-	}, RetryPolicy{Retries: 2, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	// The hook stands in for the cluster's journal replay; the fresh
-	// worker needs no state here.
-	rc.OnReconnect = func(Conn) error { return nil }
-
-	resp, err := rc.Call(encodeGenerateReq(7))
-	if err != nil {
-		t.Fatalf("retried call failed: %v", err)
-	}
-	if _, stats, err := decodeStatsResp(resp); err != nil || stats.Count != 7 {
-		t.Fatalf("retried call answered %+v, %v; want count 7", stats, err)
-	}
-	retries, redials := rc.Stats()
-	if retries == 0 || redials == 0 {
-		t.Fatalf("retry counters empty after recovery: retries=%d redials=%d", retries, redials)
-	}
-	if rc.Down() {
-		t.Fatal("conn marked down after successful recovery")
-	}
-}
-
-// TestRetryConnDownAfterBudget: when every redial fails, the conn must
-// surface the typed *WorkerDownError and fail fast afterwards.
-func TestRetryConnDownAfterBudget(t *testing.T) {
-	dead := errors.New("dial refused")
-	dials := 0
-	rc := &RetryConn{
-		addr: "w0",
-		dial: func() (Conn, error) { dials++; return nil, dead },
-		pol:  RetryPolicy{Retries: 2, Backoff: time.Millisecond}.normalized(),
-	}
-	w, err := NewWorker(WorkerConfig{Graph: testGraph(t), Model: diffusion.IC, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc.inner = NewLocalConn(w)
-	rc.OnReconnect = func(Conn) error { return nil }
-	rc.inner.Close() // first call fails, all redials fail too
-
-	_, err = rc.Call(encodeSimpleReq(msgStats))
-	var down *WorkerDownError
-	if !errors.As(err, &down) {
-		t.Fatalf("exhausted budget returned %v, want *WorkerDownError", err)
-	}
-	if down.Attempts != 3 || dials != 2 {
-		t.Fatalf("attempts=%d dials=%d, want 3 and 2", down.Attempts, dials)
-	}
-	if !rc.Down() {
-		t.Fatal("conn not marked down after exhausting the budget")
-	}
-	if _, err := rc.Call(encodeSimpleReq(msgStats)); !errors.As(err, &down) {
-		t.Fatalf("down conn did not fail fast: %v", err)
+			if _, err := conn.Call(encodeGenerateReq(3)); !tc.wantErr(err) {
+				t.Fatalf("first call returned %v", err)
+			}
+			<-replied // the stale bytes are in the socket now
+			_, err = conn.Call(encodeSimpleReq(msgStats))
+			var be *ConnBrokenError
+			if !errors.As(err, &be) {
+				t.Fatalf("call on poisoned conn returned %v, want *ConnBrokenError", err)
+			}
+			if be.Addr != lis.Addr().String() {
+				t.Fatalf("broken-conn error names %q, want %q", be.Addr, lis.Addr().String())
+			}
+		})
 	}
 }
 

@@ -17,12 +17,13 @@ import (
 	"dimm/internal/sealed"
 )
 
-// The two fuzz targets below cover the bytes a cluster peer reads from
-// the network: FuzzWorkerHandle the worker's request decoding (through
-// Worker.Handle, the whole dispatch), FuzzDecodeReplies the master's
-// checksummed and stats reply decoders. The invariant for both: a typed
-// error or a valid value, never a panic, and no allocation sized by a
-// count the bytes merely declare.
+// The three fuzz targets below cover the bytes a cluster peer reads from
+// the network: FuzzReadFrame the TCP framing both peers read first,
+// FuzzWorkerHandle the worker's request decoding (through Worker.Handle,
+// the whole dispatch), FuzzDecodeReplies the master's checksummed and
+// stats reply decoders. The invariant for all three: an error or a valid
+// value, never a panic, and no allocation sized by a count the bytes
+// merely declare.
 
 // recordConn passes calls through and keeps every request and response.
 type recordConn struct {
@@ -204,6 +205,59 @@ func allocated(fn func()) uint64 {
 	fn()
 	runtime.ReadMemStats(&ms)
 	return ms.TotalAlloc - before
+}
+
+// checkReadFrame reads one frame from data with the production limit:
+// the frame the header declares, or an error, having allocated at most
+// 2 × the bytes read + frameChunk. The 4 KiB on top covers the header's
+// own buffer and what the fuzz engine allocates meanwhile; a lying
+// header would cost megabytes more.
+func checkReadFrame(t *testing.T, data []byte) {
+	t.Helper()
+	r := bytes.NewReader(data)
+	var frame []byte
+	var err error
+	got := allocated(func() { frame, err = readFrame(r, maxFrameSize) })
+	read := len(data) - r.Len()
+	if budget := uint64(2*read + frameChunk + 1<<12); got > budget {
+		t.Fatalf("reading %d bytes allocated %d, budget %d", read, got, budget)
+	}
+	if err != nil {
+		return
+	}
+	if size := int(binary.LittleEndian.Uint32(data)); size != len(frame) || !bytes.Equal(frame, data[4:4+size]) {
+		t.Fatalf("read a %d-byte frame, header declares %d", len(frame), size)
+	}
+}
+
+// wireFrames encodes frames as they travel over TCP.
+func wireFrames(frames ...[]byte) []byte {
+	var buf bytes.Buffer
+	for _, f := range frames {
+		_ = writeFrame(&buf, f)
+	}
+	return buf.Bytes()
+}
+
+func FuzzReadFrame(f *testing.F) {
+	f.Add([]byte{0xff, 0xff, 0xff, 0x3f})                 // a 1 GiB header, then EOF
+	f.Add(wireFrames(encodeGenerateReq(3))[:7])           // a truncated payload
+	f.Add([]byte{0, 0, 0, 0})                             // a zero-length frame
+	f.Add(wireFrames(encodeGenerateReq(3), []byte{1, 2})) // a valid frame, then another
+	f.Fuzz(checkReadFrame)
+}
+
+// TestReadFrameLargeFrame reads a frame past frameChunk, which readFrame
+// assembles from pieces, whole and cut short.
+func TestReadFrameLargeFrame(t *testing.T) {
+	payload := make([]byte, 2*frameChunk+123)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	data := wireFrames(payload)
+	checkReadFrame(t, data)
+	checkReadFrame(t, data[:len(data)-1])
+	checkReadFrame(t, data[:4+frameChunk])
 }
 
 func FuzzWorkerHandle(f *testing.F) {

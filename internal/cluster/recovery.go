@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"dimm/internal/rrset"
@@ -43,16 +44,43 @@ type Recovery struct {
 	// ones. The returned conn must reach an empty worker (Serve builds
 	// one per accepted connection; NewLocalConn callers construct one).
 	Respawn func(worker int) (Conn, error)
-	// Retries/Backoff/MaxBackoff bound the respawn attempts per failure,
-	// with the same capped-exponential-plus-jitter schedule as
-	// RetryPolicy (zero values take the package defaults).
-	Retries    int
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// Retries is the exact number of respawn attempts per failure before
+	// the worker is quarantined (<= 0: DefaultRetries). Backoff is the
+	// sleep before the first attempt (<= 0: DefaultRetryBackoff); it
+	// doubles per attempt up to 64 × Backoff, with full jitter, so
+	// masters reconnecting to one restarting worker spread out.
+	Retries int
+	Backoff time.Duration
 	// Salt seeds the auxiliary rebalance streams. Any value works (the
 	// streams are salted per failure epoch on top of it); reuse the
 	// run's base seed for reproducible experiments.
 	Salt uint64
+}
+
+// Defaults for Recovery's zero values.
+const (
+	DefaultRetries      = 3
+	DefaultRetryBackoff = 50 * time.Millisecond
+)
+
+// normalized fills in the default retry schedule.
+func (r Recovery) normalized() Recovery {
+	if r.Retries <= 0 {
+		r.Retries = DefaultRetries
+	}
+	if r.Backoff <= 0 {
+		r.Backoff = DefaultRetryBackoff
+	}
+	return r
+}
+
+// backoff returns the sleep before respawn attempt (counted from 1):
+// Backoff doubled per earlier attempt, capped at 64 × Backoff, drawn
+// uniformly from [d/2, d). The draw uses math/rand's global source;
+// backoff timing never reaches a sampled stream.
+func (r *Recovery) backoff(attempt int) time.Duration {
+	d := r.Backoff << min(attempt-1, 6)
+	return d/2 + time.Duration(rand.Int63n(int64(d/2+1)))
 }
 
 // workerLog is the master-side replay journal for one worker: everything
@@ -101,23 +129,21 @@ func (e *RebalancedError) Error() string {
 }
 
 // IsWorkerLoss reports whether err means worker capacity was lost in a
-// way retries cannot fix right now: the whole cluster is down, a worker
-// exhausted its retry budget with no recovery installed, or a selection
-// must be restarted after a rebalance. The serve layer maps these to
-// 503 + Retry-After.
+// way retries cannot fix right now: the whole cluster is down, or a
+// selection must be restarted after a rebalance. The serve layer maps
+// these to 503 + Retry-After.
 func IsWorkerLoss(err error) bool {
-	var down *WorkerDownError
 	var reb *RebalancedError
-	return errors.Is(err, ErrNoLiveWorkers) || errors.As(err, &down) || errors.As(err, &reb)
+	return errors.Is(err, ErrNoLiveWorkers) || errors.As(err, &reb)
 }
 
 // WorkerHealth is one worker's liveness and fault counters, exposed by
-// serve's /statsz.
+// serve's /statsz. Retries counts respawn attempts, Failovers the ones
+// that succeeded.
 type WorkerHealth struct {
 	Worker    int    `json:"worker"`
 	Up        bool   `json:"up"`
 	Retries   int64  `json:"retries"`
-	Redials   int64  `json:"redials"`
 	Failovers int64  `json:"failovers"`
 	LastError string `json:"last_error,omitempty"`
 }
@@ -130,6 +156,7 @@ func (c *Cluster) EnableRecovery(rec Recovery) error {
 	if rec.Respawn == nil {
 		return fmt.Errorf("cluster: Recovery.Respawn is required")
 	}
+	rec = rec.normalized()
 	c.rec = &rec
 	c.dead = make([]bool, len(c.conns))
 	c.logs = make([]workerLog, len(c.conns))
@@ -155,11 +182,6 @@ func (c *Cluster) Health() []WorkerHealth {
 			h.Failovers = c.failovers[i]
 			h.Retries = c.ctlRetries[i]
 			h.LastError = c.lastErrs[i]
-		}
-		if rc, ok := c.conns[i].(*RetryConn); ok {
-			r, d := rc.Stats()
-			h.Retries += r
-			h.Redials = d
 		}
 		out[i] = h
 	}
@@ -192,20 +214,15 @@ func (c *Cluster) record(i int, req []byte, sampled, ingested int64) {
 	lg.ingested += ingested
 }
 
-// policy returns the recovery retry schedule as a RetryPolicy.
-func (r *Recovery) policy() RetryPolicy {
-	return RetryPolicy{Retries: r.Retries, Backoff: r.Backoff, MaxBackoff: r.MaxBackoff}.normalized()
-}
-
 // failover tries to replace worker i's connection with a respawned,
 // resynced one and re-issue the failed request. On success the new conn
 // is adopted and the response returned; on failure the caller
-// quarantines the worker.
+// quarantines the worker. This is the cluster's only retry loop: each
+// failure costs at most Retries respawns.
 func (c *Cluster) failover(i int, req []byte, cause error) ([]byte, error) {
-	pol := c.rec.policy()
 	last := cause
-	for attempt := 1; attempt <= pol.Retries; attempt++ {
-		pol.sleep(attempt)
+	for attempt := 1; attempt <= c.rec.Retries; attempt++ {
+		time.Sleep(c.rec.backoff(attempt))
 		c.healthMu.Lock()
 		c.ctlRetries[i]++
 		c.healthMu.Unlock()

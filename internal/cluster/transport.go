@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,6 +126,11 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// readFrame reads one frame of at most maxSize payload bytes. A header
+// is a claim, not a fact: frames up to frameChunk are read into one
+// exact allocation, larger ones into frameChunk pieces joined once the
+// last byte arrives, so a lying header costs at most what its sender
+// actually sent (≤ 2 × bytes read + frameChunk).
 func readFrame(r io.Reader, maxSize uint32) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -132,12 +140,27 @@ func readFrame(r io.Reader, maxSize uint32) ([]byte, error) {
 	if size > maxSize {
 		return nil, fmt.Errorf("cluster: frame of %d bytes exceeds limit %d", size, maxSize)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	if size <= frameChunk {
+		payload := make([]byte, size)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return nil, err
+		}
+		return payload, nil
 	}
-	return payload, nil
+	var chunks [][]byte
+	for left := size; left > 0; left -= min(left, frameChunk) {
+		chunk := make([]byte, min(left, frameChunk))
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, chunk)
+	}
+	return bytes.Join(chunks, nil), nil
 }
+
+// frameChunk is the largest frame readFrame allocates on the header's
+// word alone.
+const frameChunk = 1 << 20
 
 // maxFrameSize bounds a single message; delta vectors are at most ~8n
 // bytes, so 1 GiB leaves ample headroom while stopping corrupt headers
@@ -162,16 +185,17 @@ func (e *CallTimeoutError) Error() string {
 func (e *CallTimeoutError) Timeout() bool { return true }
 
 // ConnBrokenError reports a Call on a TCP connection whose frame stream
-// was poisoned by an earlier timed-out call: the worker's late reply is
-// (or will be) sitting unread in the socket, so any further read would
-// hand the master a stale frame as if it answered the new request. The
-// only safe recovery is a redial — which RetryConn automates.
+// was poisoned by an earlier failed call: a timed-out call's late reply,
+// the unread payload behind a rejected header, or half a request frame
+// may sit in the socket, so any further exchange could pair a stale
+// frame with a new request. The only safe recovery is a fresh dial,
+// which the cluster's failover makes.
 type ConnBrokenError struct {
 	Addr string
 }
 
 func (e *ConnBrokenError) Error() string {
-	return fmt.Sprintf("cluster: connection to worker %s is broken after a timed-out call; redial to recover", e.Addr)
+	return fmt.Sprintf("cluster: connection to worker %s is broken after a failed call; redial to recover", e.Addr)
 }
 
 // tcpConn is the master's handle to a worker over a socket.
@@ -179,7 +203,7 @@ type tcpConn struct {
 	nc      net.Conn
 	addr    string
 	timeout time.Duration // 0 = block forever
-	broken  bool          // a timed-out call poisoned the frame stream
+	broken  bool          // a failed call poisoned the frame stream
 	sent    int64
 	recv    int64
 }
@@ -194,7 +218,7 @@ func DialWorker(addr string) (Conn, error) {
 // per-call deadline covering each request/response round trip (0 means
 // block forever, like DialWorker). A call that overruns the deadline
 // returns a *CallTimeoutError instead of hanging the master on a wedged
-// worker, and marks the connection broken.
+// worker. Any failed call marks the connection broken.
 func DialWorkerTimeout(addr string, callTimeout time.Duration) (Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -204,6 +228,40 @@ func DialWorkerTimeout(addr string, callTimeout time.Duration) (Conn, error) {
 		_ = t.SetNoDelay(true)
 	}
 	return &tcpConn{nc: nc, addr: addr, timeout: callTimeout}, nil
+}
+
+// DialCluster dials one TCP worker per address, each call bounded by
+// callTimeout (0: none), and installs rec with a Respawn that redials
+// the failed worker's address (rec's own Respawn is replaced). A worker
+// whose connection fails (a timeout, a dimmd restart) is redialed and
+// rebuilt from the replay journal; it is quarantined only after
+// rec.Retries attempts fail. The caller owns the cluster and closes it.
+func DialCluster(addrs []string, numItems int, callTimeout time.Duration, rec Recovery) (*Cluster, error) {
+	addrs = slices.Clone(addrs)
+	conns := make([]Conn, len(addrs))
+	for i := range addrs {
+		addrs[i] = strings.TrimSpace(addrs[i])
+		conn, err := DialWorkerTimeout(addrs[i], callTimeout)
+		if err != nil {
+			closeAll(conns[:i])
+			return nil, err
+		}
+		conns[i] = conn
+	}
+	cl, err := New(conns, numItems)
+	if err != nil {
+		closeAll(conns)
+		return nil, err
+	}
+	rec.Respawn = func(i int) (Conn, error) { return DialWorkerTimeout(addrs[i], callTimeout) }
+	_ = cl.EnableRecovery(rec)
+	return cl, nil
+}
+
+func closeAll(conns []Conn) {
+	for _, c := range conns {
+		_ = c.Close()
+	}
 }
 
 func (c *tcpConn) Call(req []byte) ([]byte, error) {
@@ -230,12 +288,12 @@ func (c *tcpConn) Call(req []byte) ([]byte, error) {
 	return resp, nil
 }
 
-// callError wraps a transport error, converting deadline overruns into
-// the typed *CallTimeoutError.
+// callError marks the connection broken and wraps a transport error,
+// converting deadline overruns into the typed *CallTimeoutError.
 func (c *tcpConn) callError(op string, err error) error {
+	c.broken = true
 	var nerr net.Error
 	if errors.As(err, &nerr) && nerr.Timeout() {
-		c.broken = true
 		return &CallTimeoutError{Addr: c.addr, After: c.timeout}
 	}
 	return fmt.Errorf("cluster: %s: %w", op, err)

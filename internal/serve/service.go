@@ -1008,9 +1008,9 @@ type Stats struct {
 	WavesPerGenerate  float64 `json:"batch_waves_per_generate"`
 	FrontierOccupancy float64 `json:"batch_frontier_occupancy"`
 
-	// Fault-tolerance figures: per-worker liveness and retry/redial/
-	// failover counters for the two clusters, and how many requests were
-	// refused 503 because worker capacity was lost.
+	// Fault-tolerance figures: per-worker liveness and respawn-attempt
+	// and failover counters for the two clusters, and how many requests
+	// were refused 503 because worker capacity was lost.
 	R1Workers []cluster.WorkerHealth `json:"r1_workers"`
 	R2Workers []cluster.WorkerHealth `json:"r2_workers"`
 	Degraded  int64                  `json:"degraded"`
