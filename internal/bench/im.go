@@ -22,6 +22,7 @@ type IMRow struct {
 	Compute   time.Duration // critical-path selection + master compute
 	Comm      time.Duration // transport + codec time
 	Bytes     int64         // total payload bytes both directions
+	Rounds    int64         // broadcast rounds the run accounted
 	Theta     int64         // RR sets generated
 	TotalSize int64         // Σ |R|
 	// MaxShare is the busiest machine's share of TotalSize: 1/ℓ when the
@@ -121,6 +122,7 @@ func (c Config) runOnce(spec workload.Spec, g *graph.Graph, machines int, model 
 		Compute:   m.SelCritical + m.MasterCompute,
 		Comm:      m.Comm,
 		Bytes:     m.BytesSent + m.BytesReceived,
+		Rounds:    m.Rounds,
 		Theta:     res.Theta,
 		TotalSize: res.Stats.TotalSize,
 		MaxShare:  float64(maxSize) / float64(res.Stats.TotalSize),

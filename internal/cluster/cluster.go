@@ -49,7 +49,7 @@ type Metrics struct {
 	// GenBytes*/SelBytes* split the broadcast traffic by phase (the same
 	// gen/sel attribution as the time aggregates above), so the sampling
 	// traffic of §III-B and the selection traffic of §III-D — the O(kn)
-	// bound the adaptive delta encoding attacks — can be read separately.
+	// bound the delta codec attacks — can be read separately.
 	GenBytesSent     int64
 	GenBytesReceived int64
 	SelBytesSent     int64
@@ -57,8 +57,8 @@ type Metrics struct {
 	// DeltaFrames/DeltaPairs/DeltaBytes count the msgDegreeDelta and
 	// msgSelect replies decoded, the ⟨v, Δ⟩ pairs they carried, and their
 	// frame bytes. 13 + 8·pairs bytes per frame is what the retired
-	// fixed-width encoding would have cost — the baseline the adaptive
-	// encoding's DeltaBytes is judged against.
+	// fixed-width encoding would have cost — the baseline the delta
+	// codec's DeltaBytes is judged against.
 	DeltaFrames int64
 	DeltaPairs  int64
 	DeltaBytes  int64
@@ -193,7 +193,7 @@ func (c *Cluster) account(phase string, wall time.Duration, handlers []time.Dura
 }
 
 // countDeltaFrame records one decoded delta reply's frame size and pair
-// count, the data behind the fixed-width-vs-adaptive wire comparison.
+// count, the data behind the fixed-width-vs-codec wire comparison.
 func (c *Cluster) countDeltaFrame(frame []byte, pairs []DeltaPair) {
 	c.met.delta.Observe(int64(len(frame)), int64(len(pairs)))
 }
@@ -799,12 +799,17 @@ func (c *Cluster) WorkerStats() ([]GenerateStats, error) {
 }
 
 // Reset drops all RR sets cluster-wide and zeroes the baseline degrees.
-// With recovery enabled it first tries to reinstate quarantined workers:
-// a fresh respawn needs no resync here, because the reset wipes exactly
-// the state a replacement would lack. This is the "re-seeded from
+// Workers keep their stream positions, so the next sample is drawn from
+// fresh ordinals. With recovery enabled it first tries to reinstate
+// quarantined workers: a fresh respawn needs no resync here, because the
+// reset wipes the state a replacement would lack — all but the stream
+// position, which a seek restores. This is the "re-seeded from
 // Reset+Generate" rejoin path for replaced or restarted workers.
 func (c *Cluster) Reset() error {
 	if c.rec != nil {
+		for i, lg := range c.logs {
+			c.logs[i] = workerLog{origin: lg.origin + lg.own}
+		}
 		for i := range c.conns {
 			if !c.dead[i] {
 				continue
@@ -813,10 +818,11 @@ func (c *Cluster) Reset() error {
 			if err != nil {
 				continue // stays quarantined; the operator can retry later
 			}
+			if err := seekConn(conn, c.logs[i].origin); err != nil {
+				_ = conn.Close()
+				continue
+			}
 			c.adoptConn(i, conn)
-		}
-		for i := range c.logs {
-			c.logs[i] = workerLog{}
 		}
 		c.selecting = false
 		c.selSeeds = c.selSeeds[:0]

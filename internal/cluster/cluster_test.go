@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -43,13 +44,22 @@ func localCluster(t testing.TB, g *graph.Graph, machines int, model diffusion.Mo
 func TestProtoRoundTrip(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		r := xrand.New(seed)
-		n := r.Intn(200)
-		pairs := make([]DeltaPair, n)
-		for i := range pairs {
-			pairs[i] = DeltaPair{Node: uint32(r.Uint64()), Dec: int32(r.Intn(1 << 20))}
+		// The codec's domain, which Drain emits: ascending distinct
+		// nodes with positive values.
+		nodes := make([]uint32, r.Intn(200))
+		for i := range nodes {
+			nodes[i] = uint32(r.Uint64())
+		}
+		slices.Sort(nodes)
+		pairs := make([]DeltaPair, 0, len(nodes))
+		for _, v := range slices.Compact(nodes) {
+			pairs = append(pairs, DeltaPair{Node: v, Dec: int32(1 + r.Intn(1<<20))})
 		}
 		nanos := int64(r.Uint64() >> 1)
-		frame := encodeDeltasResp(nanos, pairs, 0)
+		frame, err := encodeDeltasResp(nanos, pairs)
+		if err != nil {
+			return false
+		}
 		gotNanos, got, err := decodeDeltasResp(frame, nil, -1)
 		if err != nil || gotNanos != nanos || len(got) != len(pairs) {
 			return false
@@ -82,7 +92,7 @@ func TestProtoErrors(t *testing.T) {
 		t.Fatalf("worker error not surfaced: %v", err)
 	}
 	// Corrupt pair count.
-	frame := encodeDeltasResp(0, []DeltaPair{{Node: 1, Dec: 2}}, 0)
+	frame, _ := encodeDeltasResp(0, []DeltaPair{{Node: 1, Dec: 2}})
 	frame = frame[:len(frame)-3]
 	if _, _, err := decodeDeltasResp(frame, nil, -1); err == nil {
 		t.Fatal("truncated delta frame accepted")

@@ -227,52 +227,58 @@ func TestDialClusterRetriesExactly(t *testing.T) {
 }
 
 // TestDialClusterResetAcrossDroppedConn: Reset on a conn the worker
-// dropped succeeds through failover, and the cluster samples and selects
-// consistently afterwards. (The run after the reset is not the
-// fault-free run's bytes: a reset keeps a worker's stream position,
-// while a replacement starts its stream from the beginning.)
+// dropped succeeds through failover, and the run after it equals a
+// fault-free twin's: a reset keeps every worker's stream position, and
+// the replacement is positioned where its predecessor's stream stood.
 func TestDialClusterResetAcrossDroppedConn(t *testing.T) {
 	g := testGraph(t)
 	const machines, victim, seed = 2, 0, 53
-	addrs := make([]string, machines)
-	for i := range addrs {
-		plan := healthy
-		if i == victim {
-			plan = func(conn int) connPlan {
-				if conn == 0 {
-					return connPlan{dropAfter: 2} // a generate round, then gone
-				}
-				return connPlan{}
-			}
+	run := func(plan func(i int) func(conn int) connPlan) ([]uint32, int64, *Cluster) {
+		addrs := make([]string, machines)
+		for i := range addrs {
+			addrs[i], _ = scriptedWorker(t, workerCfg(g, seed, i), plan(i))
 		}
-		addrs[i], _ = scriptedWorker(t, workerCfg(g, seed, i), plan)
+		cl := dialTest(t, addrs, g.NumNodes(), 0, 3)
+		if _, err := cl.Generate(100); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Reset(); err != nil {
+			t.Fatalf("reset: %v", err)
+		}
+		stats, err := cl.Generate(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Count != 300 {
+			t.Fatalf("sample holds %d RR sets after the reset, want 300", stats.Count)
+		}
+		res, err := coverage.RunGreedy(cl.Oracle(), 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recount, err := cl.CoverageOf(res.Seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recount != res.Coverage {
+			t.Fatalf("recount %d != greedy coverage %d", recount, res.Coverage)
+		}
+		return res.Seeds, res.Coverage, cl
 	}
-	cl := dialTest(t, addrs, g.NumNodes(), 0, 3)
-	if _, err := cl.Generate(100); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Reset(); err != nil {
-		t.Fatalf("reset across a dropped conn: %v", err)
-	}
+	wantSeeds, wantCov, _ := run(func(int) func(int) connPlan { return healthy })
+	seeds, cov, cl := run(func(i int) func(int) connPlan {
+		if i != victim {
+			return healthy
+		}
+		return func(conn int) connPlan {
+			if conn == 0 {
+				return connPlan{dropAfter: 2} // a generate round, then gone
+			}
+			return connPlan{}
+		}
+	})
 	if h := cl.Health()[victim]; !h.Up || h.Failovers != 1 {
 		t.Fatalf("victim health %+v, want up after one failover", h)
 	}
-	stats, err := cl.Generate(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Count != 300 {
-		t.Fatalf("sample holds %d RR sets after the reset, want 300", stats.Count)
-	}
-	res, err := coverage.RunGreedy(cl.Oracle(), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recount, err := cl.CoverageOf(res.Seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recount != res.Coverage {
-		t.Fatalf("recount %d != greedy coverage %d", recount, res.Coverage)
-	}
+	sameRun(t, seeds, cov, wantSeeds, wantCov)
 }

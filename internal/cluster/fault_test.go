@@ -479,3 +479,118 @@ func TestAllWorkersLost(t *testing.T) {
 		t.Fatalf("post-revival sample %d, want 50", stats.Count)
 	}
 }
+
+// resetPath runs a generate round, a Reset, a second round and a greedy
+// selection, with mid between the reset and the second round.
+func resetPath(t *testing.T, cl *Cluster, mid func()) ([]uint32, int64) {
+	t.Helper()
+	if _, err := cl.Generate(200); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	mid()
+	stats, err := cl.Generate(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Count != 200 {
+		t.Fatalf("%d RR sets after the reset, want 200", stats.Count)
+	}
+	res, err := coverage.RunGreedy(cl.Oracle(), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Seeds, res.Coverage
+}
+
+// TestFailoverAfterResetKeepsStreamPosition: a Reset keeps every
+// worker's stream position, so a replacement that replays the journal
+// after one must draw the victim's sets from where the victim's stream
+// stood (ordinals 100–199 here), not from ordinal 0. Wherever the kill
+// lands — the reset itself, the second round, its degree sync, the
+// relabel or mid-greedy — the run equals the fault-free one.
+func TestFailoverAfterResetKeepsStreamPosition(t *testing.T) {
+	g := testGraph(t)
+	const machines, victim, seed = 2, 1, 61
+	wantSeeds, wantCov := resetPath(t, localCluster(t, g, machines, diffusion.IC, seed), func() {})
+	for _, killAt := range []int64{3, 4, 5, 6, 8} {
+		t.Run(fmt.Sprintf("killAt=%d", killAt), func(t *testing.T) {
+			cl, fc := faultyCluster(t, g, machines, victim, seed)
+			fc.KillAtCall(killAt)
+			seeds, cov := resetPath(t, cl, func() {})
+			if fc.Faults() == 0 {
+				t.Fatalf("fault at call %d never fired", killAt)
+			}
+			sameRun(t, seeds, cov, wantSeeds, wantCov)
+		})
+	}
+}
+
+// TestResetReinstatesAtStreamPosition: a worker quarantined during one
+// Reset and respawned by the next rejoins at its predecessor's stream
+// position, so the run equals a fault-free one that reset twice.
+func TestResetReinstatesAtStreamPosition(t *testing.T) {
+	g := testGraph(t)
+	const machines, victim, seed = 2, 0, 67
+	twoResets := func(cl *Cluster) func() {
+		return func() {
+			if err := cl.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := localCluster(t, g, machines, diffusion.IC, seed)
+	wantSeeds, wantCov := resetPath(t, base, twoResets(base))
+
+	cfgs := make([]WorkerConfig, machines)
+	conns := make([]Conn, machines)
+	var fc *FaultConn
+	for i := range cfgs {
+		cfgs[i] = WorkerConfig{Graph: g, Model: diffusion.IC, Seed: DeriveSeed(seed, i)}
+		w, err := NewWorker(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = NewLocalConn(w)
+		if i == victim {
+			fc = NewFaultConn(conns[i]).KillAtCall(3) // the first Reset
+			conns[i] = fc
+		}
+	}
+	cl, err := New(conns, g.NumNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	var hostUp bool
+	if err := cl.EnableRecovery(Recovery{
+		Respawn: func(i int) (Conn, error) {
+			if !hostUp {
+				return nil, errors.New("worker host down")
+			}
+			w, err := NewWorker(cfgs[i])
+			if err != nil {
+				return nil, err
+			}
+			return NewLocalConn(w), nil
+		},
+		Retries: 1,
+		Backoff: time.Millisecond,
+		Salt:    seed,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	seeds, cov := resetPath(t, cl, func() {
+		if cl.Health()[victim].Up {
+			t.Fatal("victim still up after its failed reset")
+		}
+		hostUp = true
+		twoResets(cl)()
+		if !cl.Health()[victim].Up {
+			t.Fatal("the second Reset did not reinstate the victim")
+		}
+	})
+	sameRun(t, seeds, cov, wantSeeds, wantCov)
+}

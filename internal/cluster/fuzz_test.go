@@ -92,6 +92,8 @@ func healthyTraffic(t testing.TB) (reqs, resps [][]byte) {
 		encodeFetchSinceReq(0),
 		encodeSelectReq(7),
 		{msgUpdate, 0},
+		encodeSeekReq(37),
+		encodeGenerateReq(3),
 	}
 	for _, req := range extra {
 		if _, err := rc.Call(req); err != nil {
@@ -317,7 +319,15 @@ func reframeReply(resp []byte) ([]byte, bool) {
 func FuzzDecodeReplies(f *testing.F) {
 	_, resps := healthyTraffic(f)
 	patches := []rrset.Patch{{Pos: 3, Members: []uint32{1, 4}}, {Pos: 9}}
-	resps = append(resps, encodeRepairResp(7, patches, []DeltaPair{{Node: 2, Dec: -1}}))
+	repair, err := encodeRepairResp(7, patches, []DeltaPair{{Node: 2, Dec: -1}, {Node: 300, Dec: 4}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	full, err := encodeDeltasResp(3, sortedPairs(300, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	resps = append(resps, repair, full)
 	for _, resp := range resps {
 		f.Add(resp)
 		if len(resp) > framePayloadOffset {
@@ -340,9 +350,10 @@ func FuzzDecodeReplies(f *testing.F) {
 // checkReplies runs every reply decoder over one frame.
 func checkReplies(t *testing.T, data []byte) {
 	t.Helper()
-	// The largest legitimate expansion is a dense delta vector: 8 B of
-	// pair per 4 B of payload.
-	budget := uint64(1<<16 + 16*len(data))
+	// The largest legitimate expansion is the densest pair list: 2 bits
+	// of payload decode to an 8 B pair, 32 B of pairs per payload byte,
+	// and the delta check below decodes it twice.
+	budget := uint64(1<<16 + 80*len(data))
 	if got := allocated(func() { decodeAllReplies(t, data) }); got > budget {
 		t.Fatalf("decoding a %d-byte reply allocated %d", len(data), got)
 	}
@@ -373,8 +384,11 @@ func decodeAllReplies(t *testing.T, data []byte) {
 	}
 
 	if nanos, pairs, err := decodeDeltasResp(data, nil, 1); typed("deltas", err) {
-		_, again, err := decodeDeltasResp(encodeDeltasResp(nanos, pairs, 0), nil, 1)
-		if err != nil || !slices.Equal(again, pairs) {
+		enc, err := encodeDeltasResp(nanos, pairs)
+		if err != nil || !bytes.Equal(enc[9:], data[9:]) {
+			t.Fatalf("decoded deltas do not re-encode to their input: %v", err)
+		}
+		if _, again, err := decodeDeltasResp(enc, nil, 1); err != nil || !slices.Equal(again, pairs) {
 			t.Fatalf("decoded deltas do not round-trip: %v", err)
 		}
 	}
@@ -390,8 +404,8 @@ func decodeAllReplies(t *testing.T, data []byte) {
 	}
 
 	if patches, pairs, err := decodeRepairResp(1, rest); typed("repair", err) {
-		enc := encodeRepairResp(0, patches, pairs)
-		if !bytes.Equal(enc[framePayloadOffset:], rest[8:]) {
+		enc, err := encodeRepairResp(0, patches, pairs)
+		if err != nil || !bytes.Equal(enc[framePayloadOffset:], rest[8:]) {
 			t.Fatal("decoded repair payload does not re-encode to its input")
 		}
 	}

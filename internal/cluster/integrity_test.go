@@ -133,7 +133,7 @@ func TestFetchIntegrityTrailer(t *testing.T) {
 	}
 }
 
-// TestDeltaIntegrityTrailer: the adaptive delta frames (msgSelect and
+// TestDeltaIntegrityTrailer: the delta reply frames (msgSelect and
 // msgDegreeDelta replies) carry the same declared-length + CRC trailer as
 // fetch frames, so any silent mutation must fail selection or degree sync
 // with a frame *sealed.Error naming the bad worker, and the

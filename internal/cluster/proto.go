@@ -7,13 +7,16 @@
 // Both transports move fully encoded frames, so the measured traffic in
 // bytes is the real serialized volume either way — the quantity the
 // paper's communication-cost analysis (§III-D) bounds by O(kn) per worker
-// per NEWGREEDI call.
+// per NEWGREEDI call. That O(kn) is carried by (node, value) pair lists —
+// map-stage replies, degree syncs and repair corrections — and every one
+// of them travels in the one bit-packed delta codec of codec.go:
+// Rice-coded node gaps and Elias-γ values, under a byte a pair on a
+// typical selection.
 package cluster
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"dimm/internal/checksum"
 	"dimm/internal/coverage"
@@ -37,6 +40,7 @@ const (
 	msgSetReported = byte(12) // set the degree-delta cursor (failover resync)
 	msgGenerateAux = byte(13) // generate RR sets from an explicit stream seed (rebalance)
 	msgUpdate      = byte(14) // apply a graph-update batch and repair the RR shard in place
+	msgSeek        = byte(15) // position the worker's own sampler stream at a set ordinal
 	msgError       = byte(0x7f)
 )
 
@@ -201,6 +205,14 @@ func encodeSetReportedReq(count int64) []byte {
 	return appendI64([]byte{msgSetReported}, count)
 }
 
+// encodeSeekReq positions a worker's own sampler stream: its next
+// msgGenerate draws from set ordinal on. msgReset keeps a worker's stream
+// position, so a replacement worker that replaces one across a reset is
+// sent the position its predecessor had reached (see workerLog.origin).
+func encodeSeekReq(ordinal int64) []byte {
+	return appendI64([]byte{msgSeek}, ordinal)
+}
+
 // encodeGenerateAuxReq asks a worker to generate count RR sets from an
 // explicitly seeded auxiliary sampler stream instead of its own. This is
 // the rebalance primitive: when a worker is quarantined, its lost quota
@@ -250,76 +262,21 @@ func encodeStatsResp(tag byte, handlerNanos int64, s GenerateStats) []byte {
 	return b
 }
 
-// Delta replies (msgDegreeDelta, msgSelect) travel behind the same
-// declared-length + CRC32C trailer as fetch frames, in whichever of two
-// payload forms is smaller for the reply at hand:
-//
-//   - sparse (form byte 1): uvarint pair count, then per pair the node id
-//     as a zig-zag varint gap from the previous pair's node id and the
-//     decrement as a uvarint. Node-sorted pairs make every gap small and
-//     positive (1-2 bytes against the fixed encoding's 8), but any pair
-//     order round-trips exactly.
-//   - dense (form byte 2): u32 item count n, then n little-endian int32
-//     decrements indexed by node id. Early seeds touch a large fraction
-//     of all n nodes, where per-pair ids cost more than the flat vector;
-//     4n bytes is the break-even the encoder switches at.
-//
-// The encoder only considers the dense form when numItems > 0 and the
-// pairs hold strictly ascending node ids with positive decrements — what
-// coverage.DeltaAccum.Drain emits on the worker's select and degree-sync
-// paths; numItems = 0 forces the sparse form for arbitrary pair lists.
-const (
-	deltaFormSparse = byte(1)
-	deltaFormDense  = byte(2)
-)
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// appendDeltaPayload appends the smaller of the sparse and dense forms
-// of pairs to b. The sparse form is written in place; when the dense one
-// is smaller (and can represent the pairs) it overwrites those bytes, so
-// a reply is never staged in a second buffer.
-func appendDeltaPayload(b []byte, pairs []DeltaPair, numItems int) []byte {
-	at := len(b)
-	b = append(b, deltaFormSparse)
-	b = binary.AppendUvarint(b, uint64(len(pairs)))
-	prev := int64(0)
-	for _, p := range pairs {
-		b = binary.AppendUvarint(b, zigzag(int64(p.Node)-prev))
-		prev = int64(p.Node)
-		b = binary.AppendUvarint(b, uint64(uint32(p.Dec)))
+// encodeDeltasResp frames a delta reply (msgDegreeDelta, msgSelect) in
+// one buffer: tag, handler nanos, the integrity trailer (declared length
+// + CRC32C, patched once the payload is in place) and the pair list in
+// the one delta codec (see codec.go). It fails only when pairs fall
+// outside the codec's domain, which the ascending drains never emit.
+func encodeDeltasResp(handlerNanos int64, pairs []DeltaPair) ([]byte, error) {
+	b, err := appendPairs(make([]byte, framePayloadOffset), pairs, false)
+	if err != nil {
+		return nil, err
 	}
-	denseSize := 1 + 4 + 4*numItems
-	if numItems <= 0 || len(b)-at <= denseSize {
-		return b
-	}
-	for i, p := range pairs {
-		if int(p.Node) >= numItems || p.Dec <= 0 || (i > 0 && pairs[i-1].Node >= p.Node) {
-			return b // drain invariant violated; stay lossless
-		}
-	}
-	b = b[:at+denseSize] // shorter than the sparse bytes it replaces
-	clear(b[at:])
-	b[at] = deltaFormDense
-	binary.LittleEndian.PutUint32(b[at+1:], uint32(numItems))
-	for _, p := range pairs {
-		binary.LittleEndian.PutUint32(b[at+5+4*int(p.Node):], uint32(p.Dec))
-	}
-	return b
-}
-
-// encodeDeltasResp frames a delta reply in one buffer: tag, handler
-// nanos, the integrity trailer (declared length + CRC32C, patched once
-// the payload is in place) and the adaptive payload.
-func encodeDeltasResp(handlerNanos int64, pairs []DeltaPair, numItems int) []byte {
-	b := make([]byte, framePayloadOffset, framePayloadOffset+1+binary.MaxVarintLen32+4*len(pairs))
-	b = appendDeltaPayload(b, pairs, numItems)
 	payload := b[framePayloadOffset:]
 	binary.LittleEndian.PutUint64(b[1:9], uint64(handlerNanos))
 	binary.LittleEndian.PutUint32(b[9:13], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[13:17], checksum.Sum(payload))
-	return b
+	return b, nil
 }
 
 func encodeErrorResp(err error) []byte {
@@ -383,9 +340,8 @@ func decodeStatsResp(b []byte) (int64, GenerateStats, error) {
 }
 
 // decodeDeltasResp verifies a delta reply's integrity trailer and decodes
-// either payload form into buf. worker names the sender in the
-// *sealed.Error a corrupted trailer or a malformed payload raises (-1:
-// the master).
+// its pair list into buf. worker names the sender in the *sealed.Error a
+// corrupted trailer or a malformed payload raises (-1: the master).
 func decodeDeltasResp(b []byte, buf []DeltaPair, worker int) (int64, []DeltaPair, error) {
 	nanos, rest, err := decodeRespHeader(b)
 	if err != nil {
@@ -395,64 +351,11 @@ func decodeDeltasResp(b []byte, buf []DeltaPair, worker int) (int64, []DeltaPair
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(payload) < 1 {
-		return 0, nil, frameError(worker, sealed.ErrFormat, "delta payload missing its form byte")
+	pairs, err := decodePairs(payload, buf, false)
+	if err != nil {
+		return 0, nil, frameError(worker, sealed.ErrFormat, "delta reply: %v", err)
 	}
-	form, body := payload[0], payload[1:]
-	buf = buf[:0]
-	switch form {
-	case deltaFormSparse:
-		count, n := binary.Uvarint(body)
-		if n <= 0 {
-			return 0, nil, frameError(worker, sealed.ErrFormat, "bad sparse delta count")
-		}
-		body = body[n:]
-		if count > uint64(len(body)) { // every pair takes >= 2 bytes
-			return 0, nil, frameError(worker, sealed.ErrFormat, "sparse delta count %d exceeds the %d payload bytes", count, len(body))
-		}
-		prev := int64(0)
-		for i := uint64(0); i < count; i++ {
-			gap, n := binary.Uvarint(body)
-			if n <= 0 {
-				return 0, nil, frameError(worker, sealed.ErrFormat, "truncated sparse delta node gap")
-			}
-			body = body[n:]
-			node := prev + unzigzag(gap)
-			if node < 0 || node > math.MaxUint32 {
-				return 0, nil, frameError(worker, sealed.ErrFormat, "sparse delta node %d out of range", node)
-			}
-			prev = node
-			dec, n := binary.Uvarint(body)
-			if n <= 0 {
-				return 0, nil, frameError(worker, sealed.ErrFormat, "truncated sparse delta decrement")
-			}
-			body = body[n:]
-			if dec > math.MaxUint32 {
-				return 0, nil, frameError(worker, sealed.ErrFormat, "sparse delta decrement %d out of range", dec)
-			}
-			buf = append(buf, DeltaPair{Node: uint32(node), Dec: int32(uint32(dec))})
-		}
-		if len(body) != 0 {
-			return 0, nil, frameError(worker, sealed.ErrFormat, "%d trailing bytes after the sparse deltas", len(body))
-		}
-	case deltaFormDense:
-		if len(body) < 4 {
-			return 0, nil, frameError(worker, sealed.ErrFormat, "truncated dense delta header")
-		}
-		n := binary.LittleEndian.Uint32(body)
-		body = body[4:]
-		if int64(n)*4 != int64(len(body)) {
-			return 0, nil, frameError(worker, sealed.ErrFormat, "dense delta payload %d bytes for %d items", len(body), n)
-		}
-		for i := uint32(0); i < n; i++ {
-			if dec := int32(binary.LittleEndian.Uint32(body[i*4:])); dec != 0 {
-				buf = append(buf, DeltaPair{Node: i, Dec: dec})
-			}
-		}
-	default:
-		return 0, nil, frameError(worker, sealed.ErrFormat, "unknown delta payload form %#x", form)
-	}
-	return nanos, buf, nil
+	return nanos, pairs, nil
 }
 
 func decodeAckResp(b []byte) (int64, error) {

@@ -107,6 +107,15 @@ type workerLog struct {
 	// copy of. A quarantined worker only loses [fetched, count) — the
 	// suffix rebalance regenerates on survivors.
 	fetched int64
+	// origin is the worker's own-stream ordinal when the journal began:
+	// msgReset keeps a worker's stream position, so after a Reset its
+	// next msgGenerate draws from where the last one stopped, not from
+	// ordinal 0. own counts the sets msgGenerate ops drew from that
+	// stream since (rebalance streams and ingest do not advance it).
+	// Reset carries origin + own over; a replacement sent msgReset is
+	// positioned there with msgSeek before the replay.
+	origin int64
+	own    int64
 }
 
 func (lg *workerLog) count() int64 { return lg.sampled + lg.ingested }
@@ -212,6 +221,23 @@ func (c *Cluster) record(i int, req []byte, sampled, ingested int64) {
 	lg.ops = append(lg.ops, op)
 	lg.sampled += sampled
 	lg.ingested += ingested
+	if op[0] == msgGenerate {
+		lg.own += sampled
+	}
+}
+
+// seekConn positions a fresh worker's own stream at origin (no call when
+// it is 0, where every worker starts).
+func seekConn(conn Conn, origin int64) error {
+	if origin == 0 {
+		return nil
+	}
+	resp, err := conn.Call(encodeSeekReq(origin))
+	if err != nil {
+		return err
+	}
+	_, err = decodeAckResp(resp) // surfaces msgError replies
+	return err
 }
 
 // failover tries to replace worker i's connection with a respawned,
@@ -253,12 +279,12 @@ func (c *Cluster) failover(i int, req []byte, cause error) ([]byte, error) {
 }
 
 // resyncConn rebuilds worker i's state on a fresh connection by
-// replaying the journal: reset, every acknowledged state-mutating frame
-// in order (reproducing the deterministic streams exactly), the
-// degree-delta cursor, and — when a selection is in progress — the
-// relabel plus every seed already selected. After this the replacement
-// is bit-identical to the lost worker at the instant before the failed
-// call.
+// replaying the journal: reset, the stream origin, every acknowledged
+// state-mutating frame in order (reproducing the deterministic streams
+// exactly), the degree-delta cursor, and — when a selection is in
+// progress — the relabel plus every seed already selected. After this
+// the replacement is bit-identical to the lost worker at the instant
+// before the failed call.
 func (c *Cluster) resyncConn(i int, conn Conn) error {
 	ack := func(req []byte) error {
 		resp, err := conn.Call(req)
@@ -272,6 +298,9 @@ func (c *Cluster) resyncConn(i int, conn Conn) error {
 		return err
 	}
 	lg := &c.logs[i]
+	if err := seekConn(conn, lg.origin); err != nil {
+		return err
+	}
 	for _, op := range lg.ops {
 		if err := ack(op); err != nil {
 			return err

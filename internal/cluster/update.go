@@ -143,7 +143,7 @@ func (w *Worker) handleUpdate(rest []byte, start time.Time) ([]byte, error) {
 			}
 		}
 	}
-	return encodeRepairResp(time.Since(start), patches, corr), nil
+	return encodeRepairResp(time.Since(start), patches, corr)
 }
 
 // repairDeltas computes the net baseline-degree corrections a repair
@@ -207,14 +207,14 @@ func (w *Worker) repairSampler() (*rrset.Sampler, error) {
 
 // encodeRepairResp frames the worker's repair patches behind the
 // integrity trailer: patch count u32, then per patch the slot u32, the
-// member count u32, and the members; then the baseline-correction
-// deltas as pair count u32 + (node u32, decrement u32) pairs.
-func encodeRepairResp(elapsed time.Duration, patches []rrset.Patch, deltas []DeltaPair) []byte {
+// member count u32, and the members; then the baseline corrections as a
+// signed pair list in the delta codec (codec.go), the form every delta on
+// the wire shares.
+func encodeRepairResp(elapsed time.Duration, patches []rrset.Patch, deltas []DeltaPair) ([]byte, error) {
 	size := 4
 	for _, p := range patches {
 		size += 8 + 4*len(p.Members)
 	}
-	size += 4 + 8*len(deltas)
 	b := make([]byte, 0, framePayloadOffset+size)
 	b = append(b, 0)
 	b = appendI64(b, elapsed.Nanoseconds())
@@ -228,15 +228,14 @@ func encodeRepairResp(elapsed time.Duration, patches []rrset.Patch, deltas []Del
 			b = appendU32(b, m)
 		}
 	}
-	b = appendU32(b, uint32(len(deltas)))
-	for _, d := range deltas {
-		b = appendU32(b, d.Node)
-		b = appendU32(b, uint32(d.Dec))
+	b, err := appendPairs(b, deltas, true)
+	if err != nil {
+		return nil, err
 	}
 	payload := b[framePayloadOffset:]
 	binary.LittleEndian.PutUint32(b[9:13], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[13:17], checksum.Sum(payload))
-	return b
+	return b, nil
 }
 
 // decodeRepairResp verifies and parses a repair response's patches and
@@ -267,22 +266,9 @@ func decodeRepairResp(worker int, rest []byte) ([]rrset.Patch, []DeltaPair, erro
 		rest2 = rest2[l*4:]
 		patches = append(patches, rrset.Patch{Pos: int(pos), Members: members})
 	}
-	var pairs, rest3 = []DeltaPair(nil), rest2
-	dcount, rest3, err := consumeU32(rest3)
+	pairs, err := decodePairs(rest2, nil, true)
 	if err != nil {
-		return nil, nil, frameError(worker, sealed.ErrFormat, "repair deltas header truncated")
-	}
-	if int(dcount)*8 > len(rest3) {
-		return nil, nil, frameError(worker, sealed.ErrFormat, "repair deltas truncated")
-	}
-	for i := uint32(0); i < dcount; i++ {
-		node := binary.LittleEndian.Uint32(rest3[i*8:])
-		dec := int32(binary.LittleEndian.Uint32(rest3[i*8+4:]))
-		pairs = append(pairs, DeltaPair{Node: node, Dec: dec})
-	}
-	rest3 = rest3[dcount*8:]
-	if len(rest3) != 0 {
-		return nil, nil, frameError(worker, sealed.ErrFormat, "%d trailing bytes after the declared repair deltas", len(rest3))
+		return nil, nil, frameError(worker, sealed.ErrFormat, "repair deltas: %v", err)
 	}
 	return patches, pairs, nil
 }

@@ -186,7 +186,10 @@ func TestRepairRespWireRoundTrip(t *testing.T) {
 		},
 	} {
 		patches := tc.patches
-		frame := encodeRepairResp(time.Millisecond, patches, tc.deltas)
+		frame, err := encodeRepairResp(time.Millisecond, patches, tc.deltas)
+		if err != nil {
+			t.Fatal(err)
+		}
 		nanos, rest, err := decodeRespHeader(frame)
 		if err != nil {
 			t.Fatal(err)
@@ -221,7 +224,7 @@ func TestRepairRespWireRoundTrip(t *testing.T) {
 		}
 	}
 	// Truncating the member array of the last patch must fail typed.
-	frame := encodeRepairResp(0, []rrset.Patch{{Pos: 0, Members: []uint32{1, 2, 3}}}, nil)
+	frame, _ := encodeRepairResp(0, []rrset.Patch{{Pos: 0, Members: []uint32{1, 2, 3}}}, nil)
 	short := frame[:len(frame)-4]
 	patchLen := len(short) - framePayloadOffset
 	// Re-stamp a consistent trailer so only the structural check can fire.

@@ -210,7 +210,7 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeDeltasResp(time.Since(start).Nanoseconds(), pairs, w.numItems()), nil
+		return encodeDeltasResp(time.Since(start).Nanoseconds(), pairs)
 
 	case msgBeginSelect:
 		if err := w.beginSelection(); err != nil {
@@ -227,7 +227,7 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeDeltasResp(time.Since(start).Nanoseconds(), pairs, w.numItems()), nil
+		return encodeDeltasResp(time.Since(start).Nanoseconds(), pairs)
 
 	case msgStats:
 		return encodeStatsResp(0, time.Since(start).Nanoseconds(), w.stats()), nil
@@ -275,6 +275,20 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 			return nil, fmt.Errorf("degree-delta cursor %d outside [0, %d]", count, w.coll.Count())
 		}
 		w.reported = int(count)
+		return encodeAckResp(time.Since(start).Nanoseconds()), nil
+
+	case msgSeek:
+		ordinal, _, err := consumeI64(req[1:])
+		if err != nil {
+			return nil, err
+		}
+		if w.sampler == nil {
+			return nil, fmt.Errorf("worker has no graph; cannot seek its stream")
+		}
+		if ordinal < 0 {
+			return nil, fmt.Errorf("negative stream ordinal %d", ordinal)
+		}
+		w.sampler.Seek(uint64(ordinal))
 		return encodeAckResp(time.Since(start).Nanoseconds()), nil
 
 	case msgGenerateAux:

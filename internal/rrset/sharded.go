@@ -153,6 +153,11 @@ func (ss *ShardedSampler) AppendLaneSeeds(dst []uint64, count int64) []uint64 {
 	return dst
 }
 
+// Seek positions the stream at set ordinal t: the next set generated is
+// the stream's t-th, exactly as if t sets had been generated before. O(1):
+// every set is a pure function of (seed, ordinal).
+func (ss *ShardedSampler) Seek(t uint64) { ss.next = t }
+
 // SampleManyInto generates the stream's next count RR sets into c: each
 // shard samples its contiguous ordinal range concurrently into a private
 // arena, then the arenas are merged into c in shard order.
