@@ -351,11 +351,7 @@ func BenchmarkAblationDeltaVsFullSync(b *testing.B) {
 func BenchmarkAblationGatherAllVsNewGreeDi(b *testing.B) {
 	g := mustBenchGraph(b)
 	setup := func() *cluster.Cluster {
-		cfgs := make([]cluster.WorkerConfig, 4)
-		for i := range cfgs {
-			cfgs[i] = cluster.WorkerConfig{Graph: g, Model: IC, Seed: cluster.DeriveSeed(5, i)}
-		}
-		cl, err := cluster.NewLocal(cfgs, g.NumNodes())
+		cl, err := cluster.NewLocal(cluster.WorkerConfig{Graph: g, Model: IC, Seed: 5}, 4, g.NumNodes(), cluster.Recovery{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -393,11 +389,7 @@ func BenchmarkAblationGatherAllVsNewGreeDi(b *testing.B) {
 // Monte-Carlo influence-estimation service.
 func BenchmarkDistributedEstimate(b *testing.B) {
 	g := mustBenchGraph(b)
-	cfgs := make([]cluster.WorkerConfig, 4)
-	for i := range cfgs {
-		cfgs[i] = cluster.WorkerConfig{Graph: g, Model: IC, Seed: cluster.DeriveSeed(7, i)}
-	}
-	cl, err := cluster.NewLocal(cfgs, g.NumNodes())
+	cl, err := cluster.NewLocal(cluster.WorkerConfig{Graph: g, Model: IC, Seed: 7}, 4, g.NumNodes(), cluster.Recovery{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -58,6 +58,7 @@ import (
 	"dimm/internal/core"
 	"dimm/internal/diffusion"
 	"dimm/internal/graph"
+	"dimm/internal/imm"
 	"dimm/internal/serve"
 )
 
@@ -142,11 +143,11 @@ func main() {
 	}
 	if *workers != "" {
 		rec := cluster.Recovery{Retries: *retries, Backoff: *retryBackoff}
-		c1, c2, err := dialWorkerHalves(*workers, g.NumNodes(), *callTimeout, *seed, rec)
+		pair, err := dialWorkerHalves(*workers, g.NumNodes(), *callTimeout, *seed, rec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg.C1, cfg.C2 = c1, c2
+		cfg.C1, cfg.C2 = pair[0], pair[1]
 	}
 	svc, err := serve.New(cfg)
 	if err != nil {
@@ -215,29 +216,30 @@ func parOpt(p int) int {
 	return p
 }
 
-// dialWorkerHalves splits the address list into the R1 and R2 clusters.
+// dialWorkerHalves splits the address list into the R1 and R2 clusters,
+// whose rebalance streams are salted with the seed's imm.PairSeeds split.
 // Each cluster's failover redials a failed worker's address: a dimmd
 // restart (Serve hands every accepted connection a fresh worker) is
 // re-seeded by the cluster's replay journal, so a bounced worker rejoins
 // with bit-identical state instead of forcing a cold start.
-func dialWorkerHalves(list string, n int, callTimeout time.Duration, seed uint64, rec cluster.Recovery) (*cluster.Cluster, *cluster.Cluster, error) {
+func dialWorkerHalves(list string, n int, callTimeout time.Duration, seed uint64, rec cluster.Recovery) ([2]*cluster.Cluster, error) {
 	addrs := strings.Split(list, ",")
 	if len(addrs) < 2 || len(addrs)%2 != 0 {
-		return nil, nil, fmt.Errorf("need an even number of worker addresses (R1 half + R2 half), got %d", len(addrs))
+		return [2]*cluster.Cluster{}, fmt.Errorf("need an even number of worker addresses (R1 half + R2 half), got %d", len(addrs))
 	}
 	half := len(addrs) / 2
-	rec.Salt = seed ^ 0x0111
-	c1, err := cluster.DialCluster(addrs[:half], n, callTimeout, rec)
-	if err != nil {
-		return nil, nil, err
+	var pair [2]*cluster.Cluster
+	for j, salt := range imm.PairSeeds(seed) {
+		rec.Salt = salt
+		var err error
+		if pair[j], err = cluster.DialCluster(addrs[j*half:(j+1)*half], n, callTimeout, rec); err != nil {
+			if j > 0 {
+				pair[0].Close()
+			}
+			return pair, err
+		}
 	}
-	rec.Salt = seed ^ 0x0222
-	c2, err := cluster.DialCluster(addrs[half:], n, callTimeout, rec)
-	if err != nil {
-		c1.Close()
-		return nil, nil, err
-	}
-	return c1, c2, nil
+	return pair, nil
 }
 
 func loadOrGenerate(path, backendName string, undirected bool, weights string, uniformP float32, synthNodes int, synthDeg float64, seed uint64) (*graph.Graph, error) {

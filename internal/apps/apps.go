@@ -52,19 +52,16 @@ func (c Common) withDefaults(n int) Common {
 	return c
 }
 
-// newCluster spins up the in-process workers shared by every application.
+// newCluster spins up the in-process workers shared by every application;
+// like every in-process cluster, it respawns and replays a failed worker.
 func (c Common) newCluster(g *graph.Graph, rootWeights []float64) (*cluster.Cluster, error) {
-	cfgs := make([]cluster.WorkerConfig, c.Machines)
-	for i := range cfgs {
-		cfgs[i] = cluster.WorkerConfig{
-			Graph:       g,
-			Model:       c.Model,
-			Seed:        cluster.DeriveSeed(c.Seed, i),
-			RootWeights: rootWeights,
-			Parallelism: c.Parallelism,
-		}
-	}
-	return cluster.NewLocal(cfgs, g.NumNodes())
+	return cluster.NewLocal(cluster.WorkerConfig{
+		Graph:       g,
+		Model:       c.Model,
+		Seed:        c.Seed,
+		RootWeights: rootWeights,
+		Parallelism: c.Parallelism,
+	}, c.Machines, g.NumNodes(), cluster.Recovery{Salt: c.Seed})
 }
 
 // sampleTheta generates a DIIMM-grade number of RR sets for a size-k

@@ -198,6 +198,32 @@ func (c *Cluster) countDeltaFrame(frame []byte, pairs []DeltaPair) {
 	c.met.delta.Observe(int64(len(frame)), int64(len(pairs)))
 }
 
+// Add accumulates another cluster's accounting into m, field by field.
+func (m *Metrics) Add(o Metrics) {
+	m.GenCritical += o.GenCritical
+	m.GenTotal += o.GenTotal
+	m.SelCritical += o.SelCritical
+	m.SelTotal += o.SelTotal
+	m.MasterCompute += o.MasterCompute
+	m.Comm += o.Comm
+	m.BytesSent += o.BytesSent
+	m.BytesReceived += o.BytesReceived
+	m.GenBytesSent += o.GenBytesSent
+	m.GenBytesReceived += o.GenBytesReceived
+	m.SelBytesSent += o.SelBytesSent
+	m.SelBytesReceived += o.SelBytesReceived
+	m.DeltaFrames += o.DeltaFrames
+	m.DeltaPairs += o.DeltaPairs
+	m.DeltaBytes += o.DeltaBytes
+	m.SketchBuilds += o.SketchBuilds
+	m.SketchBuildTime += o.SketchBuildTime
+	m.Rounds += o.Rounds
+	m.UpdateCalls += o.UpdateCalls
+	m.RepairedSets += o.RepairedSets
+	m.GenCalls += o.GenCalls
+	m.Batch.Add(o.Batch)
+}
+
 // CriticalPath estimates the wall clock of a genuinely parallel
 // deployment: slowest-worker time per phase, plus master compute, plus
 // communication.
@@ -346,21 +372,48 @@ func (c *Cluster) SetLinkModel(rtt time.Duration, bytesPerSecond float64) {
 	c.linkBw = bytesPerSecond
 }
 
-// NewLocal builds an in-process cluster of ℓ workers from per-worker
-// configurations (one goroutine per worker).
-func NewLocal(cfgs []WorkerConfig, numItems int) (*Cluster, error) {
-	conns := make([]Conn, len(cfgs))
-	for i, cfg := range cfgs {
-		w, err := NewWorker(cfg)
+// NewLocal builds an in-process cluster of machines workers (one
+// goroutine each) from one base configuration: worker i is base with
+// Seed DeriveSeed(base.Seed, i). Every in-process cluster fails over the
+// same way: rec's schedule is installed with a Respawn that rebuilds
+// worker i from its own configuration, so a replacement replays
+// bit-identically and a worker fault never ends the run.
+func NewLocal(base WorkerConfig, machines, numItems int, rec Recovery) (*Cluster, error) {
+	cfgs := make([]WorkerConfig, machines)
+	for i := range cfgs {
+		cfgs[i] = base
+		cfgs[i].Seed = DeriveSeed(base.Seed, i)
+	}
+	rec.Respawn = func(i int) (Conn, error) {
+		w, err := NewWorker(cfgs[i])
 		if err != nil {
-			for _, c := range conns[:i] {
-				c.Close()
-			}
 			return nil, err
 		}
-		conns[i] = NewLocalConn(w)
+		return NewLocalConn(w), nil
 	}
-	return New(conns, numItems)
+	return newRecovering(machines, numItems, rec)
+}
+
+// newRecovering connects workers 0..n-1 through rec.Respawn, closing what
+// it opened on a failure, and installs rec on the new cluster: the
+// constructor shared by NewLocal and DialCluster.
+func newRecovering(n, numItems int, rec Recovery) (*Cluster, error) {
+	conns := make([]Conn, n)
+	for i := range conns {
+		conn, err := rec.Respawn(i)
+		if err != nil {
+			closeAll(conns[:i])
+			return nil, err
+		}
+		conns[i] = conn
+	}
+	c, err := New(conns, numItems)
+	if err != nil {
+		closeAll(conns)
+		return nil, err
+	}
+	_ = c.EnableRecovery(rec)
+	return c, nil
 }
 
 // NumWorkers returns ℓ.
@@ -874,56 +927,26 @@ func decodeFetchResp(worker int, rest []byte, into *rrset.Collection) (int, erro
 // that §II-B argues against. It is provided as a measurable baseline:
 // its traffic is Θ(Σ|R|) bytes (see Metrics), versus NEWGREEDI's O(ℓ·k·n)
 // for a complete selection, and its memory footprint is the entire sample
-// set on one machine.
+// set on one machine. It is a fetch from position zero that leaves the
+// FetchNewSpans cursors alone.
 func (c *Cluster) GatherAll() (*rrset.Collection, error) {
 	for {
-		resps, wall, downs, err := c.broadcast(c.same(encodeSimpleReq(msgFetchAll)))
+		union := rrset.NewCollection(1 << 16)
+		_, downs, err := c.fetchSince(make([]int, len(c.conns)), union)
+		if err == nil && len(downs) == 0 {
+			return union, nil
+		}
+		union.Release()
 		if err != nil {
 			return nil, err
 		}
-		if len(downs) > 0 {
-			// The union must cover the whole sample; regenerate the
-			// quarantined workers' shards on survivors, then refetch
-			// from scratch (a gather is Θ(total) anyway).
-			if err := c.repair(downs, nil); err != nil {
-				return nil, err
-			}
-			continue
+		// The union must cover the whole sample; regenerate the
+		// quarantined workers' shards on survivors, then refetch from
+		// scratch (a gather is Θ(total) anyway).
+		if err := c.repair(downs, nil); err != nil {
+			return nil, err
 		}
-		handlers := make([]time.Duration, len(resps))
-		union := rrset.NewCollection(1 << 16)
-		start := time.Now()
-		for i, resp := range resps {
-			if resp == nil {
-				continue
-			}
-			nanos, rest, err := decodeRespHeader(resp)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: worker %d: %w", i, err)
-			}
-			handlers[i] = time.Duration(nanos)
-			if _, err := decodeFetchResp(i, rest, union); err != nil {
-				return nil, err
-			}
-		}
-		c.met.masterCompute.AddDuration(time.Since(start))
-		c.account("sel", wall, handlers)
-		return union, nil
 	}
-}
-
-// FetchNew pulls, from each worker, only the RR sets generated since the
-// previous fetch and appends them to `into` in worker-index order —
-// which, together with each worker's deterministic stream, makes the
-// gathered collection's contents and order a deterministic function of
-// (seed, machines) and the sequence of Generate calls. since[i] is the count already fetched from worker i (nil means
-// zero everywhere); the returned slice carries the updated counts for
-// the next call. This is the sync primitive of the resident query
-// service: after a growth round its traffic is Θ(new RR size), not
-// Θ(total RR size) like GatherAll.
-func (c *Cluster) FetchNew(since []int, into *rrset.Collection) ([]int, error) {
-	next, _, err := c.FetchNewSpans(since, into)
-	return next, err
 }
 
 // FetchSpan records where one contiguous run of a worker's RR sets
@@ -940,9 +963,17 @@ type FetchSpan struct {
 	Count       int
 }
 
-// FetchNewSpans is FetchNew plus the worker→destination position spans
-// of everything appended. MasterStart values are relative to `into`'s
-// size at call time.
+// FetchNewSpans pulls, from each worker, only the RR sets generated
+// since the previous fetch and appends them to `into` in worker-index
+// order — which, together with each worker's deterministic stream, makes
+// the gathered collection's contents and order a deterministic function
+// of (seed, machines) and the sequence of Generate calls. since[i] is the
+// count already fetched from worker i (nil means zero everywhere); the
+// returned slice carries the updated counts for the next call, and the
+// spans the worker→destination positions of everything appended
+// (MasterStart relative to `into`'s size at call time). This is the sync
+// primitive of the resident query service: after a growth round its
+// traffic is Θ(new RR size), not Θ(total RR size) like GatherAll.
 func (c *Cluster) FetchNewSpans(since []int, into *rrset.Collection) ([]int, []FetchSpan, error) {
 	if since == nil {
 		since = make([]int, len(c.conns))
@@ -957,40 +988,21 @@ func (c *Cluster) FetchNewSpans(since []int, into *rrset.Collection) ([]int, []F
 	copy(next, since)
 	var spans []FetchSpan
 	for {
-		reqs := make([][]byte, len(c.conns))
-		for i := range reqs {
-			reqs[i] = encodeFetchSinceReq(int64(next[i]))
-		}
-		resps, wall, downs, err := c.broadcast(reqs)
+		dst := into.Count()
+		added, downs, err := c.fetchSince(next, into)
 		if err != nil {
 			return nil, nil, err
 		}
-		handlers := make([]time.Duration, len(resps))
-		start := time.Now()
-		for i, resp := range resps {
-			if resp == nil {
-				continue
+		for i, n := range added {
+			if n > 0 {
+				spans = append(spans, FetchSpan{Worker: i, WorkerStart: next[i], MasterStart: dst, Count: n})
 			}
-			nanos, rest, err := decodeRespHeader(resp)
-			if err != nil {
-				return nil, nil, fmt.Errorf("cluster: worker %d: %w", i, err)
-			}
-			handlers[i] = time.Duration(nanos)
-			dst := into.Count()
-			added, err := decodeFetchResp(i, rest, into)
-			if err != nil {
-				return nil, nil, err
-			}
-			if added > 0 {
-				spans = append(spans, FetchSpan{Worker: i, WorkerStart: next[i], MasterStart: dst, Count: added})
-			}
-			next[i] += added
-			if c.rec != nil {
+			dst += n
+			next[i] += n
+			if c.rec != nil && !c.dead[i] {
 				c.logs[i].fetched = int64(next[i])
 			}
 		}
-		c.met.masterCompute.AddDuration(time.Since(start))
-		c.account("sel", wall, handlers)
 		if len(downs) == 0 {
 			return next, spans, nil
 		}
@@ -1003,6 +1015,40 @@ func (c *Cluster) FetchNewSpans(since []int, into *rrset.Collection) ([]int, []F
 			return nil, nil, err
 		}
 	}
+}
+
+// fetchSince is one msgFetchSince round: every live worker i sends its RR
+// sets from position from[i] on, appended to into in worker order.
+// added[i] counts what worker i contributed; downs lists the workers
+// quarantined during the round (their entries stay zero).
+func (c *Cluster) fetchSince(from []int, into *rrset.Collection) (added, downs []int, err error) {
+	reqs := make([][]byte, len(c.conns))
+	for i := range reqs {
+		reqs[i] = encodeFetchSinceReq(int64(from[i]))
+	}
+	resps, wall, downs, err := c.broadcast(reqs)
+	if err != nil {
+		return nil, nil, err
+	}
+	added = make([]int, len(resps))
+	handlers := make([]time.Duration, len(resps))
+	start := time.Now()
+	for i, resp := range resps {
+		if resp == nil {
+			continue
+		}
+		nanos, rest, err := decodeRespHeader(resp)
+		if err != nil {
+			return nil, nil, fmt.Errorf("cluster: worker %d: %w", i, err)
+		}
+		handlers[i] = time.Duration(nanos)
+		if added[i], err = decodeFetchResp(i, rest, into); err != nil {
+			return nil, nil, err
+		}
+	}
+	c.met.masterCompute.AddDuration(time.Since(start))
+	c.account("sel", wall, handlers)
+	return added, downs, nil
 }
 
 // EstimateSpread estimates σ(seeds) by forward Monte-Carlo simulation
@@ -1232,12 +1278,9 @@ func (o *distOracle) Select(u uint32) ([]coverage.Delta, error) {
 	return c.deltas, nil
 }
 
-// AddMasterCompute lets the selection driver account bucket-scan time.
-func (c *Cluster) AddMasterCompute(d time.Duration) { c.met.masterCompute.AddDuration(d) }
-
 // AddSketchBuild lets the serving layer account one incremental sketch
-// build pass over this cluster's RR output (the fast tier's analogue of
-// AddMasterCompute).
+// build pass over this cluster's RR output (master-side work, kept apart
+// from MasterCompute).
 func (c *Cluster) AddSketchBuild(d time.Duration) {
 	c.met.sketchBuild.ObserveDuration(d)
 }

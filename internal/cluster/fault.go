@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // FaultConn wraps a Conn with scriptable fault injection for chaos
@@ -12,9 +11,9 @@ import (
 // a chosen call (simulating a worker process death mid-run), fail a
 // prefix of calls transiently (a network blip), drop a single reply
 // after the worker executed the request (a connection cut between
-// request and response), and add per-call latency. Like ShapedConn it
-// composes with any transport; unlike ShapedConn its purpose is to make
-// calls fail, so it lives next to the recovery layer it exercises.
+// request and response). Like ShapedConn it composes with any
+// transport; unlike ShapedConn its purpose is to make calls fail, so it
+// lives next to the recovery layer it exercises.
 //
 // All faults are transport-level errors — exactly what the wrapped
 // transports produce on a real failure — so the cluster's failover path
@@ -26,16 +25,15 @@ type FaultConn struct {
 	calls  int64
 	killed bool
 
-	killAt    int64         // the killAt'th call fails and the conn stays dead (0 = never)
-	failFirst int64         // calls 1..failFirst fail transiently, the conn survives
-	dropAt    int64         // the dropAt'th call executes but its reply is dropped (0 = never)
-	delay     time.Duration // added before every call reaches the worker
+	killAt    int64 // the killAt'th call fails and the conn stays dead (0 = never)
+	failFirst int64 // calls 1..failFirst fail transiently, the conn survives
+	dropAt    int64 // the dropAt'th call executes but its reply is dropped (0 = never)
 
 	faults atomic.Int64
 }
 
 // NewFaultConn wraps inner with no faults scripted; schedule them with
-// KillAtCall, FailFirst, DropReplyAt and SetDelay before use.
+// KillAtCall, FailFirst and DropReplyAt before use.
 func NewFaultConn(inner Conn) *FaultConn {
 	return &FaultConn{inner: inner}
 }
@@ -69,14 +67,6 @@ func (f *FaultConn) DropReplyAt(n int64) *FaultConn {
 	return f
 }
 
-// SetDelay adds d of latency before each call reaches the worker.
-func (f *FaultConn) SetDelay(d time.Duration) *FaultConn {
-	f.mu.Lock()
-	f.delay = d
-	f.mu.Unlock()
-	return f
-}
-
 // Faults returns how many injected faults have fired.
 func (f *FaultConn) Faults() int64 { return f.faults.Load() }
 
@@ -103,11 +93,8 @@ func (f *FaultConn) Call(req []byte) ([]byte, error) {
 		f.faults.Add(1)
 		return nil, fmt.Errorf("fault: connection killed at call %d", call)
 	}
-	delay, failFirst, dropAt := f.delay, f.failFirst, f.dropAt
+	failFirst, dropAt := f.failFirst, f.dropAt
 	f.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	if call <= failFirst {
 		f.faults.Add(1)
 		return nil, fmt.Errorf("fault: transient failure on call %d", call)

@@ -125,45 +125,19 @@ func TestTimedOutConnFailsFastTyped(t *testing.T) {
 	}
 }
 
-// faultyCluster builds a machines-worker in-process cluster whose
-// victim's conn is wrapped in the returned FaultConn, with recovery
-// respawning fresh workers from the same configs (replay failover).
+// faultyCluster builds a machines-worker cluster with NewLocal — whose
+// recovery respawns fresh workers from the same configs (replay
+// failover) — and wraps the victim's conn in the returned FaultConn.
 func faultyCluster(t *testing.T, g *graph.Graph, machines, victim int, seed uint64) (*Cluster, *FaultConn) {
 	t.Helper()
-	cfgs := make([]WorkerConfig, machines)
-	conns := make([]Conn, machines)
-	var fc *FaultConn
-	for i := range cfgs {
-		cfgs[i] = WorkerConfig{Graph: g, Model: diffusion.IC, Seed: DeriveSeed(seed, i)}
-		w, err := NewWorker(cfgs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = NewLocalConn(w)
-		if i == victim {
-			fc = NewFaultConn(conns[i])
-			conns[i] = fc
-		}
-	}
-	cl, err := New(conns, g.NumNodes())
+	cl, err := NewLocal(WorkerConfig{Graph: g, Model: diffusion.IC, Seed: seed}, machines, g.NumNodes(),
+		Recovery{Retries: 2, Backoff: time.Millisecond, Salt: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	if err := cl.EnableRecovery(Recovery{
-		Respawn: func(i int) (Conn, error) {
-			w, err := NewWorker(cfgs[i])
-			if err != nil {
-				return nil, err
-			}
-			return NewLocalConn(w), nil
-		},
-		Retries: 2,
-		Backoff: time.Millisecond,
-		Salt:    seed,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	fc := NewFaultConn(cl.conns[victim])
+	cl.conns[victim] = fc
 	return cl, fc
 }
 
@@ -181,7 +155,7 @@ func driveServePath(t *testing.T, cl *Cluster) ([]uint32, int64, *rrset.Collecti
 		if _, err := cl.Generate(add); err != nil {
 			t.Fatal(err)
 		}
-		if since, err = cl.FetchNew(since, union); err != nil {
+		if since, _, err = cl.FetchNewSpans(since, union); err != nil {
 			t.Fatal(err)
 		}
 	}

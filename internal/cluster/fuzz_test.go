@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -72,7 +73,7 @@ func healthyTraffic(t testing.TB) (reqs, resps [][]byte) {
 	steps := []func() error{
 		func() error { _, err := cl.Generate(40); return err },
 		func() error { _, err := coverage.RunGreedy(cl.Oracle(), 2); return err },
-		func() error { _, err := cl.FetchNew(nil, rrset.NewCollection(16)); return err },
+		func() error { _, _, err := cl.FetchNewSpans(nil, rrset.NewCollection(16)); return err },
 		func() error { _, err := cl.GatherAll(); return err },
 		func() error { _, err := cl.Generate(20); return err },
 		func() error { _, err := cl.CoverageOf([]uint32{1, 2}); return err },
@@ -181,7 +182,7 @@ func checkReply(t *testing.T, req, resp []byte) {
 		_, _, err = decodeStatsResp(resp)
 	case msgDegreeDelta, msgSelect:
 		_, _, err = decodeDeltasResp(resp, nil, 0)
-	case msgFetchAll, msgFetchSince:
+	case msgFetchSince:
 		var rest []byte
 		if _, rest, err = decodeRespHeader(resp); err == nil {
 			_, err = decodeFetchResp(0, rest, rrset.NewCollection(0))
@@ -212,14 +213,19 @@ func allocated(fn func()) uint64 {
 // checkReadFrame reads one frame from data with the production limit:
 // the frame the header declares, or an error, having allocated at most
 // 2 × the bytes read + frameChunk. The 4 KiB on top covers the header's
-// own buffer and what the fuzz engine allocates meanwhile; a lying
-// header would cost megabytes more.
+// own buffer; a lying header would cost megabytes more. The fuzz engine
+// allocates concurrently, so the read runs three times and the least
+// allocation counts: readFrame's own is the same every time.
 func checkReadFrame(t *testing.T, data []byte) {
 	t.Helper()
-	r := bytes.NewReader(data)
+	var r *bytes.Reader
 	var frame []byte
 	var err error
-	got := allocated(func() { frame, err = readFrame(r, maxFrameSize) })
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		r = bytes.NewReader(data)
+		got = min(got, allocated(func() { frame, err = readFrame(r, maxFrameSize) }))
+	}
 	read := len(data) - r.Len()
 	if budget := uint64(2*read + frameChunk + 1<<12); got > budget {
 		t.Fatalf("reading %d bytes allocated %d, budget %d", read, got, budget)

@@ -96,19 +96,19 @@ func flipCluster(t *testing.T, mode string, kinds ...byte) (*Cluster, *flipConn)
 
 // TestFetchIntegrityTrailer: every silent mutation of a fetch frame must
 // surface as a frame *sealed.Error naming the bad worker, on both
-// the GatherAll and FetchNew paths. Frames through a healthy conn must
+// the GatherAll and FetchNewSpans paths. Frames through a healthy conn must
 // keep verifying.
 func TestFetchIntegrityTrailer(t *testing.T) {
 	for _, mode := range []string{"flip", "clip", "len"} {
 		t.Run(mode, func(t *testing.T) {
-			cl, bad := flipCluster(t, mode, msgFetchAll, msgFetchSince)
+			cl, bad := flipCluster(t, mode, msgFetchSince)
 			if _, err := cl.Generate(40); err != nil {
 				t.Fatal(err)
 			}
 			// Healthy fetches verify.
-			since, err := cl.FetchNew(nil, rrset.NewCollection(16))
+			since, _, err := cl.FetchNewSpans(nil, rrset.NewCollection(16))
 			if err != nil {
-				t.Fatalf("healthy FetchNew: %v", err)
+				t.Fatalf("healthy FetchNewSpans: %v", err)
 			}
 			if _, err := cl.GatherAll(); err != nil {
 				t.Fatalf("healthy GatherAll: %v", err)
@@ -121,13 +121,13 @@ func TestFetchIntegrityTrailer(t *testing.T) {
 			if _, err := cl.Generate(40); err != nil {
 				t.Fatal(err)
 			}
-			_, err = cl.FetchNew(since, rrset.NewCollection(16))
-			wantFrameError(t, "FetchNew", err, flipCause[mode], "worker 1")
+			_, _, err = cl.FetchNewSpans(since, rrset.NewCollection(16))
+			wantFrameError(t, "FetchNewSpans", err, flipCause[mode], "worker 1")
 
 			// And the cluster recovers once the link heals.
 			bad.armed = false
-			if _, err := cl.FetchNew(since, rrset.NewCollection(16)); err != nil {
-				t.Fatalf("healed FetchNew: %v", err)
+			if _, _, err := cl.FetchNewSpans(since, rrset.NewCollection(16)); err != nil {
+				t.Fatalf("healed FetchNewSpans: %v", err)
 			}
 		})
 	}

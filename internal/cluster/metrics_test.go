@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -203,4 +204,45 @@ func TestQuarantineBatchStatsPreserved(t *testing.T) {
 	if got.Waves >= 2*want.Waves {
 		t.Errorf("quarantine double-counted batch counters: waves %d vs fault-free %d", got.Waves, want.Waves)
 	}
+}
+
+// TestMetricsAddEveryField: Add sums every field of Metrics, the nested
+// batch counters included, so a merged view (core.RunDOPIMC's R1 + R2
+// clusters) drops nothing. A field added to Metrics without its line in
+// Add fails here.
+func TestMetricsAddEveryField(t *testing.T) {
+	var a, b Metrics
+	next := int64(0)
+	var fill func(v reflect.Value, step int64)
+	fill = func(v reflect.Value, step int64) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Struct:
+				fill(f, step)
+			case reflect.Int64:
+				next += step
+				f.SetInt(next)
+			default:
+				t.Fatalf("field %s of kind %s: extend this test", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	fill(reflect.ValueOf(&a).Elem(), 1)
+	fill(reflect.ValueOf(&b).Elem(), 1000)
+	sum := a
+	sum.Add(b)
+	var check func(path string, got, x, y reflect.Value)
+	check = func(path string, got, x, y reflect.Value) {
+		for i := 0; i < got.NumField(); i++ {
+			name := path + "." + got.Type().Field(i).Name
+			if got.Field(i).Kind() == reflect.Struct {
+				check(name, got.Field(i), x.Field(i), y.Field(i))
+				continue
+			}
+			if g, want := got.Field(i).Int(), x.Field(i).Int()+y.Field(i).Int(); g != want {
+				t.Errorf("%s = %d, want %d + %d", name, g, x.Field(i).Int(), y.Field(i).Int())
+			}
+		}
+	}
+	check("Metrics", reflect.ValueOf(sum), reflect.ValueOf(a), reflect.ValueOf(b))
 }

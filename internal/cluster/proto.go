@@ -24,7 +24,8 @@ import (
 	"dimm/internal/sealed"
 )
 
-// Request and response type tags.
+// Request and response type tags. Tag 8, the retired whole-collection
+// fetch, stays unassigned: GatherAll is msgFetchSince from 0.
 const (
 	msgGenerate    = byte(1)  // generate RR sets: req count int64 → resp count, totalSize, edges int64
 	msgDegreeDelta = byte(2)  // coverage of RR sets since last sync → resp delta pairs
@@ -33,7 +34,6 @@ const (
 	msgStats       = byte(5)  // collection statistics
 	msgReset       = byte(6)  // drop all RR sets (new algorithm run)
 	msgIngest      = byte(7)  // load explicit element lists (max-coverage workloads)
-	msgFetchAll    = byte(8)  // ship the worker's entire RR collection to the master
 	msgEstimate    = byte(9)  // forward Monte-Carlo influence estimation of a seed set
 	msgCoverage    = byte(10) // count RR sets covered by a fixed seed set
 	msgFetchSince  = byte(11) // ship only the RR sets generated since a given id
@@ -189,8 +189,8 @@ func decodeCoverageReq(payload []byte) ([]uint32, error) {
 }
 
 // encodeFetchSinceReq asks a worker for the wire encoding of the RR sets
-// it generated since id `from` (the incremental gather of a resident
-// query service; msgFetchAll remains the from-zero special case).
+// it generated since id `from`: the incremental gather of a resident
+// query service, and from 0 the gather-all baseline.
 func encodeFetchSinceReq(from int64) []byte {
 	return appendI64([]byte{msgFetchSince}, from)
 }

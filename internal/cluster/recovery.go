@@ -103,7 +103,7 @@ type workerLog struct {
 	// cursor, mirrored master-side so a replacement can be repositioned
 	// with msgSetReported).
 	synced int64
-	// fetched is the FetchNew cursor: RR sets the master already holds a
+	// fetched is the FetchNewSpans cursor: RR sets the master already holds a
 	// copy of. A quarantined worker only loses [fetched, count) — the
 	// suffix rebalance regenerates on survivors.
 	fetched int64
@@ -174,9 +174,6 @@ func (c *Cluster) EnableRecovery(rec Recovery) error {
 	c.lastErrs = make([]string, len(c.conns))
 	return nil
 }
-
-// RecoveryEnabled reports whether EnableRecovery has been called.
-func (c *Cluster) RecoveryEnabled() bool { return c.rec != nil }
 
 // Health snapshots per-worker liveness and fault counters. Safe to call
 // concurrently with cluster operations (serve's /statsz does).

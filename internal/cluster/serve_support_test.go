@@ -10,7 +10,7 @@ import (
 	"dimm/internal/rrset"
 )
 
-// TestFetchNewIncremental: FetchNew must return exactly the RR sets
+// TestFetchNewIncremental: FetchNewSpans must return exactly the RR sets
 // generated since the previous fetch, in worker order, and the union of
 // incremental fetches must equal a one-shot GatherAll.
 func TestFetchNewIncremental(t *testing.T) {
@@ -26,7 +26,7 @@ func TestFetchNewIncremental(t *testing.T) {
 		}
 		before := union.Count()
 		var err error
-		since, err = cl.FetchNew(since, union)
+		since, _, err = cl.FetchNewSpans(since, union)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestFetchNewIncremental(t *testing.T) {
 
 	// An empty growth round must fetch nothing.
 	before := union.Count()
-	since2, err := cl.FetchNew(since, union)
+	since2, _, err := cl.FetchNewSpans(since, union)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestFetchNewIncremental(t *testing.T) {
 		t.Fatalf("incremental union (%d sets / %d nodes) != gather-all (%d sets / %d nodes)",
 			union.Count(), union.TotalSize(), all.Count(), all.TotalSize())
 	}
-	// GatherAll concatenates whole per-worker collections while FetchNew
+	// GatherAll concatenates whole per-worker collections while FetchNewSpans
 	// interleaves per round, so compare as multisets of encoded sets.
 	seen := map[string]int{}
 	for i := 0; i < union.Count(); i++ {
@@ -110,7 +110,7 @@ func TestFetchNewRejectsBadCursor(t *testing.T) {
 	if _, err := cl.Generate(10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.FetchNew([]int{99}, rrset.NewCollection(16)); err == nil {
+	if _, _, err := cl.FetchNewSpans([]int{99}, rrset.NewCollection(16)); err == nil {
 		t.Fatal("expected an error for a fetch cursor past the collection")
 	}
 }

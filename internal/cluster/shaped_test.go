@@ -10,40 +10,31 @@ import (
 
 func TestShapedConnAddsCommTime(t *testing.T) {
 	g := testGraph(t)
-	build := func(latency time.Duration) *Cluster {
-		conns := make([]Conn, 2)
-		for i := range conns {
-			w, err := NewWorker(WorkerConfig{Graph: g, Model: diffusion.IC, Seed: DeriveSeed(3, i)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			conns[i] = Shape(NewLocalConn(w), latency, 0)
-		}
-		cl, err := New(conns, g.NumNodes())
+	conns := make([]Conn, 2)
+	for i := range conns {
+		w, err := NewWorker(WorkerConfig{Graph: g, Model: diffusion.IC, Seed: DeriveSeed(3, i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { cl.Close() })
-		return cl
+		conns[i] = Shape(NewLocalConn(w), 2*time.Millisecond, 0)
 	}
-	fast := build(0)
-	slow := build(2 * time.Millisecond)
-	for _, cl := range []*Cluster{fast, slow} {
-		if _, err := cl.Generate(200); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := coverage.RunGreedy(cl.Oracle(), 5); err != nil {
-			t.Fatal(err)
-		}
+	cl, err := New(conns, g.NumNodes())
+	if err != nil {
+		t.Fatal(err)
 	}
-	mf, ms := fast.Metrics(), slow.Metrics()
-	// Identical seeds ⇒ identical results; only communication differs.
-	if ms.Comm <= mf.Comm {
-		t.Fatalf("2ms link shows no extra comm time: %v vs %v", ms.Comm, mf.Comm)
+	defer cl.Close()
+	if _, err := cl.Generate(200); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coverage.RunGreedy(cl.Oracle(), 5); err != nil {
+		t.Fatal(err)
 	}
 	// Each round trip should contribute roughly the configured latency.
-	if ms.Comm < time.Duration(ms.Rounds)*time.Millisecond {
-		t.Fatalf("comm %v too small for %d shaped rounds", ms.Comm, ms.Rounds)
+	// The modeled floor alone is checked: an unshaped twin's measured
+	// comm is host jitter, not a baseline.
+	m := cl.Metrics()
+	if m.Comm < time.Duration(m.Rounds)*time.Millisecond {
+		t.Fatalf("comm %v too small for %d shaped rounds", m.Comm, m.Rounds)
 	}
 }
 
@@ -96,20 +87,16 @@ func TestLinkModelAddsModeledComm(t *testing.T) {
 		}
 		return cl.Metrics(), res
 	}
-	plainM, plainR := run(false)
+	_, plainR := run(false)
 	modelM, modelR := run(true)
 	if modelR.Coverage != plainR.Coverage {
 		t.Fatal("link model changed the result")
 	}
 	// Each broadcast round adds at least the RTT. Intrinsic (measured)
-	// comm jitters between runs, so bound by the modeled additions alone
-	// and separately require a clear increase over the plain run.
+	// comm jitters between runs, so bound by the modeled additions alone.
 	minExtra := time.Duration(modelM.Rounds) * rtt
 	if modelM.Comm < minExtra {
 		t.Fatalf("modeled comm %v below the %v the link model alone adds", modelM.Comm, minExtra)
-	}
-	if modelM.Comm <= plainM.Comm {
-		t.Fatalf("link model added no comm time: %v vs plain %v", modelM.Comm, plainM.Comm)
 	}
 	// Generation and selection accounting must be untouched.
 	if modelM.GenTotal == 0 || modelM.SelTotal == 0 {

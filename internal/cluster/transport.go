@@ -238,24 +238,11 @@ func DialWorkerTimeout(addr string, callTimeout time.Duration) (Conn, error) {
 // rec.Retries attempts fail. The caller owns the cluster and closes it.
 func DialCluster(addrs []string, numItems int, callTimeout time.Duration, rec Recovery) (*Cluster, error) {
 	addrs = slices.Clone(addrs)
-	conns := make([]Conn, len(addrs))
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
-		conn, err := DialWorkerTimeout(addrs[i], callTimeout)
-		if err != nil {
-			closeAll(conns[:i])
-			return nil, err
-		}
-		conns[i] = conn
-	}
-	cl, err := New(conns, numItems)
-	if err != nil {
-		closeAll(conns)
-		return nil, err
 	}
 	rec.Respawn = func(i int) (Conn, error) { return DialWorkerTimeout(addrs[i], callTimeout) }
-	_ = cl.EnableRecovery(rec)
-	return cl, nil
+	return newRecovering(len(addrs), numItems, rec)
 }
 
 func closeAll(conns []Conn) {

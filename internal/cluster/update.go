@@ -73,7 +73,7 @@ func decodeUpdateReq(rest []byte) (mutate.Batch, error) {
 // plan exactly which resident RR sets the mutation can have changed,
 // regenerate those slots from their original lane seeds on the new graph,
 // and ship the patches back so the master can mirror the repair.
-func (w *Worker) handleUpdate(rest []byte, start time.Time) ([]byte, error) {
+func (w *Worker) handleUpdate(rest []byte) ([]byte, error) {
 	if w.cfg.Graph == nil {
 		return nil, fmt.Errorf("worker has no graph; cannot apply updates")
 	}
@@ -143,7 +143,7 @@ func (w *Worker) handleUpdate(rest []byte, start time.Time) ([]byte, error) {
 			}
 		}
 	}
-	return encodeRepairResp(time.Since(start), patches, corr)
+	return encodeRepairResp(0, patches, corr)
 }
 
 // repairDeltas computes the net baseline-degree corrections a repair
@@ -276,7 +276,7 @@ func decodeRepairResp(worker int, rest []byte) ([]rrset.Patch, []DeltaPair, erro
 // Update broadcasts an edge-update batch to every live worker and
 // returns each worker's repair patches (indexed by worker; nil for
 // workers that repaired nothing). The patches carry worker-local RR
-// positions — a master mirroring the shards via FetchNew maps them
+// positions — a master mirroring the shards via FetchNewSpans maps them
 // through its per-worker fetch spans.
 //
 // On worker loss the failover ladder runs first (a respawned replacement

@@ -98,12 +98,16 @@ func hasLiveEdge(g *graph.Graph, u, v uint32, probs []float32) bool {
 func dynCluster(t testing.TB, machines int, seed uint64) (*Cluster, []*graph.Graph) {
 	t.Helper()
 	graphs := make([]*graph.Graph, machines)
-	cfgs := make([]WorkerConfig, machines)
-	for i := range cfgs {
+	conns := make([]Conn, machines)
+	for i := range conns {
 		graphs[i] = dynGraph(t)
-		cfgs[i] = WorkerConfig{Graph: graphs[i], Model: diffusion.IC, Seed: DeriveSeed(seed, i)}
+		w, err := NewWorker(WorkerConfig{Graph: graphs[i], Model: diffusion.IC, Seed: DeriveSeed(seed, i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = NewLocalConn(w)
 	}
-	cl, err := NewLocal(cfgs, graphs[0].NumNodes())
+	cl, err := New(conns, graphs[0].NumNodes())
 	if err != nil {
 		t.Fatal(err)
 	}

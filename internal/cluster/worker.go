@@ -164,19 +164,25 @@ func (w *Worker) kernel() *coverage.SelectKernel {
 
 // Handle processes one request frame and returns the response frame.
 // It never panics on malformed input; errors come back as msgError frames.
+// Every reply carries the handler time up to the moment it is fully
+// encoded, so a worker's encode counts as its compute, not as
+// communication.
 func (w *Worker) Handle(req []byte) []byte {
+	start := time.Now()
 	resp, err := w.dispatch(req)
 	if err != nil {
 		return encodeErrorResp(err)
 	}
+	binary.LittleEndian.PutUint64(resp[1:9], uint64(time.Since(start).Nanoseconds()))
 	return resp
 }
 
+// dispatch executes one request. Every reply it builds leaves its handler
+// nanos zero for Handle to fill in.
 func (w *Worker) dispatch(req []byte) ([]byte, error) {
 	if len(req) == 0 {
 		return nil, fmt.Errorf("empty request")
 	}
-	start := time.Now()
 	switch req[0] {
 	case msgGenerate:
 		count, _, err := consumeI64(req[1:])
@@ -203,20 +209,20 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 		w.sampler.SampleManyInto(w.coll, count)
 		// The index is NOT invalidated here: ensureIndex extends it
 		// incrementally over just the new RR sets (Index.AppendFrom).
-		return encodeStatsResp(0, time.Since(start).Nanoseconds(), w.stats()), nil
+		return encodeStatsResp(0, 0, w.stats()), nil
 
 	case msgDegreeDelta:
 		pairs, err := w.degreeDelta()
 		if err != nil {
 			return nil, err
 		}
-		return encodeDeltasResp(time.Since(start).Nanoseconds(), pairs)
+		return encodeDeltasResp(0, pairs)
 
 	case msgBeginSelect:
 		if err := w.beginSelection(); err != nil {
 			return nil, err
 		}
-		return encodeAckResp(time.Since(start).Nanoseconds()), nil
+		return encodeAckResp(0), nil
 
 	case msgSelect:
 		node, _, err := consumeU32(req[1:])
@@ -227,10 +233,10 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeDeltasResp(time.Since(start).Nanoseconds(), pairs)
+		return encodeDeltasResp(0, pairs)
 
 	case msgStats:
-		return encodeStatsResp(0, time.Since(start).Nanoseconds(), w.stats()), nil
+		return encodeStatsResp(0, 0, w.stats()), nil
 
 	case msgReset:
 		w.release()
@@ -238,16 +244,13 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 		w.covered = nil
 		w.reported = 0
 		w.lanes = w.lanes[:0]
-		return encodeAckResp(time.Since(start).Nanoseconds()), nil
+		return encodeAckResp(0), nil
 
 	case msgIngest:
 		if err := w.ingest(req[1:]); err != nil {
 			return nil, err
 		}
-		return encodeAckResp(time.Since(start).Nanoseconds()), nil
-
-	case msgFetchAll:
-		return w.fetchRange(start, 0), nil
+		return encodeAckResp(0), nil
 
 	case msgFetchSince:
 		from, _, err := consumeI64(req[1:])
@@ -257,14 +260,14 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 		if from < 0 || from > int64(w.coll.Count()) {
 			return nil, fmt.Errorf("fetch-since id %d outside [0, %d]", from, w.coll.Count())
 		}
-		return w.fetchRange(start, int(from)), nil
+		return w.fetchRange(int(from)), nil
 
 	case msgEstimate:
 		seeds, rounds, err := decodeEstimateReq(req[1:])
 		if err != nil {
 			return nil, err
 		}
-		return w.estimate(seeds, rounds, start)
+		return w.estimate(seeds, rounds)
 
 	case msgSetReported:
 		count, _, err := consumeI64(req[1:])
@@ -275,7 +278,7 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 			return nil, fmt.Errorf("degree-delta cursor %d outside [0, %d]", count, w.coll.Count())
 		}
 		w.reported = int(count)
-		return encodeAckResp(time.Since(start).Nanoseconds()), nil
+		return encodeAckResp(0), nil
 
 	case msgSeek:
 		ordinal, _, err := consumeI64(req[1:])
@@ -289,7 +292,7 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 			return nil, fmt.Errorf("negative stream ordinal %d", ordinal)
 		}
 		w.sampler.Seek(uint64(ordinal))
-		return encodeAckResp(time.Since(start).Nanoseconds()), nil
+		return encodeAckResp(0), nil
 
 	case msgGenerateAux:
 		streamSeed, count, err := decodeGenerateAuxReq(req[1:])
@@ -299,10 +302,10 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 		if err := w.generateAux(streamSeed, count); err != nil {
 			return nil, err
 		}
-		return encodeStatsResp(0, time.Since(start).Nanoseconds(), w.stats()), nil
+		return encodeStatsResp(0, 0, w.stats()), nil
 
 	case msgUpdate:
-		return w.handleUpdate(req[1:], start)
+		return w.handleUpdate(req[1:])
 
 	case msgCoverage:
 		seeds, err := decodeCoverageReq(req[1:])
@@ -315,7 +318,7 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 		}
 		b := make([]byte, 0, 1+8+8)
 		b = append(b, 0)
-		b = appendI64(b, time.Since(start).Nanoseconds())
+		b = appendI64(b, 0)
 		b = appendI64(b, covered)
 		return b, nil
 
@@ -529,17 +532,16 @@ func (w *Worker) selectSeed(u uint32) ([]DeltaPair, error) {
 // master cross-checks), so the payload travels behind an integrity
 // trailer — declared length u32 + CRC32C u32 — that the master verifies
 // before decoding (verifyFramePayload).
-func (w *Worker) fetchRange(start time.Time, from int) []byte {
+func (w *Worker) fetchRange(from int) []byte {
 	b := make([]byte, 0, framePayloadOffset+w.coll.WireSizeRange(from))
 	b = append(b, 0)
-	b = appendI64(b, 0) // handler nanos patched below
+	b = appendI64(b, 0) // handler nanos, filled in by Handle
 	b = appendU32(b, 0) // declared payload length, patched below
 	b = appendU32(b, 0) // CRC32C of the payload, patched below
 	b = w.coll.AppendWireRange(b, from)
 	payload := b[framePayloadOffset:]
 	binary.LittleEndian.PutUint32(b[9:13], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[13:17], checksum.Sum(payload))
-	binary.LittleEndian.PutUint64(b[1:9], uint64(time.Since(start).Nanoseconds()))
 	return b
 }
 
@@ -547,7 +549,7 @@ func (w *Worker) fetchRange(start time.Time, from int) []byte {
 // worker's share of rounds — the distributed influence-estimation service
 // of Lucier et al. / Nguyen et al. discussed in §II-B. The reply carries
 // the sum of cascade sizes so the master can aggregate an exact mean.
-func (w *Worker) estimate(seeds []uint32, rounds int64, start time.Time) ([]byte, error) {
+func (w *Worker) estimate(seeds []uint32, rounds int64) ([]byte, error) {
 	if w.cfg.Graph == nil {
 		return nil, fmt.Errorf("worker has no graph; cannot simulate")
 	}
@@ -574,7 +576,7 @@ func (w *Worker) estimate(seeds []uint32, rounds int64, start time.Time) ([]byte
 	}
 	b := make([]byte, 0, 1+8+24)
 	b = append(b, 0)
-	b = appendI64(b, time.Since(start).Nanoseconds())
+	b = appendI64(b, 0)
 	b = appendI64(b, rounds)
 	b = appendI64(b, sum)
 	b = appendI64(b, sumSq)

@@ -66,11 +66,7 @@ func TestWorkerIncrementalIndex(t *testing.T) {
 func TestParallelClusterDeterministic(t *testing.T) {
 	g := testGraph(t)
 	run := func(p int) ([]uint32, int64) {
-		cfgs := make([]WorkerConfig, 2)
-		for i := range cfgs {
-			cfgs[i] = WorkerConfig{Graph: g, Model: diffusion.IC, Seed: DeriveSeed(41, i), Parallelism: p}
-		}
-		cl, err := NewLocal(cfgs, g.NumNodes())
+		cl, err := NewLocal(WorkerConfig{Graph: g, Model: diffusion.IC, Seed: 41, Parallelism: p}, 2, g.NumNodes(), Recovery{})
 		if err != nil {
 			t.Fatal(err)
 		}

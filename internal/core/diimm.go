@@ -83,6 +83,19 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
+// workerConfig is the base configuration of a run's in-process workers;
+// cluster.NewLocal derives each machine's stream from its Seed.
+func (o Options) workerConfig(g *graph.Graph) cluster.WorkerConfig {
+	return cluster.WorkerConfig{
+		Graph:       g,
+		Model:       o.Model,
+		Subset:      o.Subset,
+		Seed:        o.Seed,
+		Parallelism: ResolveParallelism(o.Parallelism, o.Machines),
+		Batch:       o.Batch,
+	}
+}
+
 // Result reports a DIIMM run: the algorithmic outcome plus the cluster's
 // phase accounting (the Fig. 5/6 breakdown) and the RR-set statistics
 // (Table IV).
@@ -142,38 +155,15 @@ func (e *clusterEngine) SelectK(k int) (*coverage.Result, error) {
 
 // RunDIIMM runs DIIMM over an in-process cluster of opt.Machines workers
 // (the multi-core-server deployment of Figs. 6/7/9). Every worker holds a
-// reference to g and samples an independent stream.
+// reference to g and samples an independent stream; a failed worker is
+// respawned from its config and replayed, so a fault never kills the run.
 func RunDIIMM(g *graph.Graph, opt Options) (*Result, error) {
 	opt = opt.withDefaults(g.NumNodes())
-	par := ResolveParallelism(opt.Parallelism, opt.Machines)
-	cfgs := make([]cluster.WorkerConfig, opt.Machines)
-	for i := range cfgs {
-		cfgs[i] = cluster.WorkerConfig{
-			Graph:       g,
-			Model:       opt.Model,
-			Subset:      opt.Subset,
-			Seed:        cluster.DeriveSeed(opt.Seed, i),
-			Parallelism: par,
-			Batch:       opt.Batch,
-		}
-	}
-	cl, err := cluster.NewLocal(cfgs, g.NumNodes())
+	cl, err := cluster.NewLocal(opt.workerConfig(g), opt.Machines, g.NumNodes(), cluster.Recovery{Salt: opt.Seed})
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
-	// In-process workers can always be respawned from their configs, so
-	// a fault (e.g. an injected one in tests) never kills the run.
-	_ = cl.EnableRecovery(cluster.Recovery{
-		Respawn: func(i int) (cluster.Conn, error) {
-			w, err := cluster.NewWorker(cfgs[i])
-			if err != nil {
-				return nil, err
-			}
-			return cluster.NewLocalConn(w), nil
-		},
-		Salt: opt.Seed,
-	})
 	return RunDIIMMOnCluster(g.NumNodes(), cl, opt)
 }
 

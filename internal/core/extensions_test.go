@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"dimm/internal/cluster"
@@ -34,6 +35,33 @@ func TestDistributedOPIMC(t *testing.T) {
 		t.Fatalf("OPIM-C spread %v far from DIIMM's %v", res.EstSpread, diimm.EstSpread)
 	}
 	t.Logf("OPIM-C: theta=%d×2 ratio=%.3f vs DIIMM theta=%d", res.Theta, res.Ratio, diimm.Theta)
+}
+
+// TestDistributedOPIMCMergesEveryMetric: RunDOPIMC's accounting is the
+// field-by-field sum of its two clusters', traffic split, delta codec and
+// batch counters included.
+func TestDistributedOPIMCMergesEveryMetric(t *testing.T) {
+	g := testGraph(t, 300)
+	opt := Options{K: 4, Eps: 0.4, Delta: 0.05, Machines: 2, Model: diffusion.IC, Seed: 5}.withDefaults(g.NumNodes())
+	pair, err := NewClusterPair(opt.workerConfig(g), opt.Machines, cluster.Recovery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pair[0].Close()
+	defer pair[1].Close()
+	res, err := runDOPIMC(g.NumNodes(), pair, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pair[0].Metrics()
+	want.Add(pair[1].Metrics())
+	if !reflect.DeepEqual(res.Metrics, want) {
+		t.Fatalf("merged metrics\n%+v\nwant R1 + R2\n%+v", res.Metrics, want)
+	}
+	m := res.Metrics
+	if m.GenBytesSent == 0 || m.SelBytesReceived == 0 || m.DeltaFrames == 0 || m.DeltaBytes == 0 || m.Batch.Waves == 0 {
+		t.Fatalf("merged metrics lost a counter: %+v", m)
+	}
 }
 
 func TestDistributedOPIMCDeterministic(t *testing.T) {
@@ -84,11 +112,7 @@ func TestThetaMeetsSampleSizeRequirement(t *testing.T) {
 
 func TestGatherAllSelectBaseline(t *testing.T) {
 	g := testGraph(t, 300)
-	cfgs := make([]cluster.WorkerConfig, 4)
-	for i := range cfgs {
-		cfgs[i] = cluster.WorkerConfig{Graph: g, Model: diffusion.IC, Seed: cluster.DeriveSeed(3, i)}
-	}
-	cl, err := cluster.NewLocal(cfgs, g.NumNodes())
+	cl, err := cluster.NewLocal(cluster.WorkerConfig{Graph: g, Model: diffusion.IC, Seed: 3}, 4, g.NumNodes(), cluster.Recovery{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,17 +2,20 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"dimm/internal/cluster"
 	"dimm/internal/diffusion"
 	"dimm/internal/graph"
+	"dimm/internal/imm"
 )
 
-// faultDIIMMCluster builds a cluster for RunDIIMMOnCluster with the
-// victim's conn wrapped in a FaultConn, and recovery respawning fresh
-// workers from the same configs (the replay-failover tier).
+// faultDIIMMCluster builds the cluster cluster.NewLocal would for opt
+// (one of a DIIMM run, or with a pair seed one of an OPIM-C pair) with
+// the victim's conn wrapped in a FaultConn, and recovery respawning
+// fresh workers from the same configs (the replay-failover tier).
 func faultDIIMMCluster(t *testing.T, g *graph.Graph, opt Options, victim int, respawnWorks bool) (*cluster.Cluster, *cluster.FaultConn) {
 	t.Helper()
 	cfgs := make([]cluster.WorkerConfig, opt.Machines)
@@ -135,6 +138,55 @@ func TestDIIMMSurvivesQuarantine(t *testing.T) {
 			}
 			if h := cl.Health(); h[2].Up {
 				t.Fatal("victim still up despite failing respawns")
+			}
+		})
+	}
+}
+
+// TestDOPIMCFailoverByteIdentical: distributed OPIM-C fails over like
+// DIIMM. A worker of either sample killed mid-run and replaced by
+// respawn + journal replay leaves the seeds, θ and certificate of the
+// fault-free run unchanged.
+func TestDOPIMCFailoverByteIdentical(t *testing.T) {
+	g := testGraph(t, 400)
+	opt := Options{K: 5, Eps: 0.3, Delta: 0.05, Machines: 3, Model: diffusion.IC, Seed: 2}
+	want, err := RunDOPIMC(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Calls 1/2 on every conn are the first generate + degree sync; later
+	// indexes land in later rounds, the selection or the R2 coverage
+	// queries.
+	for _, tc := range []struct {
+		sample int
+		killAt int64
+	}{{0, 1}, {0, 6}, {1, 2}, {1, 5}} {
+		t.Run(fmt.Sprintf("R%d/killAt=%d", tc.sample+1, tc.killAt), func(t *testing.T) {
+			// The pair NewClusterPair builds, with every worker 1 behind a
+			// FaultConn; only the one of tc.sample's cluster is scripted.
+			var pair [2]*cluster.Cluster
+			var fcs [2]*cluster.FaultConn
+			for j, seed := range imm.PairSeeds(opt.Seed) {
+				o := opt.withDefaults(g.NumNodes())
+				o.Seed = seed
+				pair[j], fcs[j] = faultDIIMMCluster(t, g, o, 1, true)
+			}
+			fc := fcs[tc.sample].KillAtCall(tc.killAt)
+			got, err := runDOPIMC(g.NumNodes(), pair, opt.withDefaults(g.NumNodes()))
+			if err != nil {
+				t.Fatalf("OPIM-C with failover: %v", err)
+			}
+			if fc.Faults() == 0 {
+				t.Fatalf("fault at call %d never fired (%d calls made)", tc.killAt, fc.Calls())
+			}
+			if got.Theta != want.Theta || got.SpreadLower != want.SpreadLower ||
+				got.OptUpper != want.OptUpper || got.Ratio != want.Ratio {
+				t.Fatalf("θ=%d certificate (%v, %v, %v) != fault-free θ=%d (%v, %v, %v)",
+					got.Theta, got.SpreadLower, got.OptUpper, got.Ratio,
+					want.Theta, want.SpreadLower, want.OptUpper, want.Ratio)
+			}
+			if !slices.Equal(got.Seeds, want.Seeds) {
+				t.Fatalf("seeds %v != fault-free %v", got.Seeds, want.Seeds)
 			}
 		})
 	}

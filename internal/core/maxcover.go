@@ -23,8 +23,7 @@ type MaxCoverResult struct {
 // (the data is *generated* in place in the influence-maximization use;
 // here it must be dealt once because the instance pre-exists).
 func NewGreeDiMaxCoverage(sys *coverage.SetSystem, k, machines int) (*MaxCoverResult, error) {
-	cfgs := make([]cluster.WorkerConfig, machines)
-	cl, err := cluster.NewLocal(cfgs, sys.NumSets())
+	cl, err := cluster.NewLocal(cluster.WorkerConfig{}, machines, sys.NumSets(), cluster.Recovery{})
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"dimm/internal/cluster"
-	"dimm/internal/coverage"
 	"dimm/internal/graph"
 	"dimm/internal/imm"
 )
@@ -16,97 +15,79 @@ type OPIMResult struct {
 	Wall    time.Duration
 }
 
+// NewClusterPair builds OPIM-C's two in-process clusters of machines
+// workers each: [0] samples R1, which the greedy selects on, and [1]
+// samples R2, which certifies it. Cluster j is base over the stream
+// imm.PairSeeds(base.Seed)[j], which also salts its rebalance streams;
+// rec supplies the failover schedule (cluster.NewLocal respawns from the
+// workers' own configs). base.Graph sets the item space.
+func NewClusterPair(base cluster.WorkerConfig, machines int, rec cluster.Recovery) ([2]*cluster.Cluster, error) {
+	var pair [2]*cluster.Cluster
+	for j, seed := range imm.PairSeeds(base.Seed) {
+		cfg := base
+		cfg.Seed = seed
+		rec.Salt = seed
+		var err error
+		if pair[j], err = cluster.NewLocal(cfg, machines, base.Graph.NumNodes(), rec); err != nil {
+			if j > 0 {
+				pair[0].Close()
+			}
+			return [2]*cluster.Cluster{}, err
+		}
+	}
+	return pair, nil
+}
+
 // dualClusterEngine backs each OPIM-C collection with its own cluster of
-// ℓ workers: R1's cluster drives the greedy (via NEWGREEDI), R2's cluster
-// answers coverage queries for the lower bound. This is the distributed
-// OPIM-C the paper's §III-C/Remark claims follows from its techniques.
+// ℓ workers: R1's cluster is DIIMM's engine, driving the greedy (via
+// NEWGREEDI, restarted after a rebalance), and R2's cluster answers
+// coverage queries for the lower bound. This is the distributed OPIM-C
+// the paper's §III-C/Remark claims follows from its techniques.
 type dualClusterEngine struct {
-	c1, c2 *cluster.Cluster
-	count  int64
+	clusterEngine
+	cert *cluster.Cluster
 }
 
 func (e *dualClusterEngine) Generate(target int64) error {
-	add := target - e.count
-	if add <= 0 {
-		return nil
+	if add := target - e.count; add > 0 {
+		if _, err := e.cert.Generate(add); err != nil {
+			return err
+		}
 	}
-	s1, err := e.c1.Generate(add)
-	if err != nil {
-		return err
-	}
-	if _, err := e.c2.Generate(add); err != nil {
-		return err
-	}
-	e.count = s1.Count
-	return nil
-}
-
-func (e *dualClusterEngine) Count() int64 { return e.count }
-
-func (e *dualClusterEngine) SelectK(k int) (*coverage.Result, error) {
-	return coverage.RunGreedy(e.c1.Oracle(), k)
+	return e.clusterEngine.Generate(target)
 }
 
 func (e *dualClusterEngine) CoverageOn2(seeds []uint32) (int64, error) {
-	return e.c2.CoverageOf(seeds)
+	return e.cert.CoverageOf(seeds)
 }
 
 // RunDOPIMC runs distributed OPIM-C over 2×opt.Machines in-process
 // workers (one cluster per collection). Options fields have the same
-// meaning as for RunDIIMM.
+// meaning as for RunDIIMM; like RunDIIMM's, a failed worker is respawned
+// and replayed, so a fault does not change the answer.
 func RunDOPIMC(g *graph.Graph, opt Options) (*OPIMResult, error) {
 	opt = opt.withDefaults(g.NumNodes())
-	par := ResolveParallelism(opt.Parallelism, opt.Machines)
-	mkCluster := func(tag uint64) (*cluster.Cluster, error) {
-		cfgs := make([]cluster.WorkerConfig, opt.Machines)
-		for i := range cfgs {
-			cfgs[i] = cluster.WorkerConfig{
-				Graph:       g,
-				Model:       opt.Model,
-				Subset:      opt.Subset,
-				Seed:        cluster.DeriveSeed(opt.Seed^tag, i),
-				Parallelism: par,
-				Batch:       opt.Batch,
-			}
-		}
-		return cluster.NewLocal(cfgs, g.NumNodes())
-	}
-	c1, err := mkCluster(0x0111)
+	pair, err := NewClusterPair(opt.workerConfig(g), opt.Machines, cluster.Recovery{})
 	if err != nil {
 		return nil, err
 	}
-	defer c1.Close()
-	c2, err := mkCluster(0x0222)
-	if err != nil {
-		return nil, err
-	}
-	defer c2.Close()
+	defer pair[0].Close()
+	defer pair[1].Close()
+	return runDOPIMC(g.NumNodes(), pair, opt)
+}
 
+// runDOPIMC runs OPIM-C over an existing, fresh cluster pair.
+func runDOPIMC(n int, pair [2]*cluster.Cluster, opt Options) (*OPIMResult, error) {
 	start := time.Now()
-	engine := &dualClusterEngine{c1: c1, c2: c2}
-	res, err := imm.RunOPIMC(engine, g.NumNodes(), opt.K, opt.Eps, opt.Delta)
+	res, err := imm.RunOPIMC(&dualClusterEngine{clusterEngine{cl: pair[0]}, pair[1]}, n, opt.K, opt.Eps, opt.Delta)
 	if err != nil {
 		return nil, err
 	}
-	m1 := c1.Metrics()
-	m2 := c2.Metrics()
-	merged := cluster.Metrics{
-		GenCritical:   m1.GenCritical + m2.GenCritical,
-		GenTotal:      m1.GenTotal + m2.GenTotal,
-		SelCritical:   m1.SelCritical + m2.SelCritical,
-		SelTotal:      m1.SelTotal + m2.SelTotal,
-		MasterCompute: m1.MasterCompute + m2.MasterCompute,
-		Comm:          m1.Comm + m2.Comm,
-		BytesSent:     m1.BytesSent + m2.BytesSent,
-		BytesReceived: m1.BytesReceived + m2.BytesReceived,
-		Rounds:        m1.Rounds + m2.Rounds,
-		GenCalls:      m1.GenCalls + m2.GenCalls,
-	}
-	merged.Batch.Add(m1.Batch)
-	merged.Batch.Add(m2.Batch)
+	m := pair[0].Metrics()
+	m.Add(pair[1].Metrics())
 	return &OPIMResult{
 		OPIMResult: *res,
-		Metrics:    merged,
+		Metrics:    m,
 		Wall:       time.Since(start),
 	}, nil
 }

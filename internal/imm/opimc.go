@@ -128,6 +128,16 @@ func CertifyOPIM(n int, theta, cov1, cov2 int64, a float64) Certificate {
 	return c
 }
 
+// PairSeeds splits one base seed into the stream seeds of OPIM-C's two
+// samples: R1, which the greedy selects on, and R2, which certifies the
+// selection. The lower bound on σ(S) is unbiased only if R2 is
+// independent of R1, so every holder of the pair — the local and
+// distributed drivers, the resident service and its dialed workers'
+// rebalance salts — takes its two seeds from here.
+func PairSeeds(seed uint64) [2]uint64 {
+	return [2]uint64{seed ^ 0x0111, seed ^ 0x0222}
+}
+
 // RunOPIMC executes the OPIM-C stopping rule over the engine for a
 // (1 − 1/e − ε)-approximation with probability at least 1 − δ.
 func RunOPIMC(e DualEngine, n, k int, eps, delta float64) (*OPIMResult, error) {
@@ -175,21 +185,19 @@ func RunOPIMC(e DualEngine, n, k int, eps, delta float64) (*OPIMResult, error) {
 type LocalDualEngine struct {
 	r1 *LocalEngine
 	r2 *LocalEngine
-	n  int
 }
 
 // NewLocalDualEngine builds the sequential OPIM-C engine; the two
-// collections sample from independent streams derived from seed.
+// collections sample the independent streams PairSeeds(seed).
 func NewLocalDualEngine(g *graph.Graph, model diffusion.Model, subset bool, seed uint64) (*LocalDualEngine, error) {
-	r1, err := NewLocalEngine(g, model, subset, seed^0x0111)
-	if err != nil {
-		return nil, err
+	var pair [2]*LocalEngine
+	for j, s := range PairSeeds(seed) {
+		var err error
+		if pair[j], err = NewLocalEngine(g, model, subset, s); err != nil {
+			return nil, err
+		}
 	}
-	r2, err := NewLocalEngine(g, model, subset, seed^0x0222)
-	if err != nil {
-		return nil, err
-	}
-	return &LocalDualEngine{r1: r1, r2: r2, n: g.NumNodes()}, nil
+	return &LocalDualEngine{r1: pair[0], r2: pair[1]}, nil
 }
 
 // Generate implements DualEngine.

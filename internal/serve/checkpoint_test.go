@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"dimm/internal/cluster"
 	"dimm/internal/graph"
 	"dimm/internal/store"
 )
@@ -266,7 +265,7 @@ func TestRestoredServiceAllocatesNoNodeState(t *testing.T) {
 	if _, err := warm.Warm(); err != nil {
 		t.Fatal(err)
 	}
-	if !warm.c1.NodeStateAllocated() {
+	if !warm.mirrors[selSample].cl.NodeStateAllocated() {
 		t.Fatal("a service that generated its sample reports no node state")
 	}
 	warm.Close()
@@ -292,9 +291,9 @@ func TestRestoredServiceAllocatesNoNodeState(t *testing.T) {
 	if st := s.Stats(); st.Generated != 0 {
 		t.Fatalf("restored service generated %d RR sets", st.Generated)
 	}
-	for name, cl := range map[string]*cluster.Cluster{"R1": s.c1, "R2": s.c2} {
-		if cl.NodeStateAllocated() {
-			t.Fatalf("restored service's %s cluster allocated per-node selection state", name)
+	for j, m := range s.mirrors {
+		if m.cl.NodeStateAllocated() {
+			t.Fatalf("restored service's R%d cluster allocated per-node selection state", j+1)
 		}
 	}
 }

@@ -10,8 +10,8 @@
 // certificate already reaches 1 − 1/e − ε — zero new RR generation, the
 // amortize-the-sketch economics of sketch-based influence oracles — and
 // only otherwise triggers an incremental doubling round: the clusters
-// generate, the master pulls just the new sets (cluster.FetchNew), and
-// the inverted indexes extend in place (rrset.Index.AppendFrom).
+// generate, the master pulls just the new sets (cluster.FetchNewSpans),
+// and the inverted indexes extend in place (rrset.Index.AppendFrom).
 //
 // Concurrency follows an RWMutex epoch scheme: any number of readers
 // select seeds over the resident sample concurrently (selection state is
@@ -48,8 +48,9 @@ type Config struct {
 	Model diffusion.Model
 	// Subset enables SUBSIM subset sampling on the workers.
 	Subset bool
-	// Seed is the base RNG seed; the R1/R2 clusters sample independent
-	// streams derived from it exactly like core.RunDOPIMC.
+	// Seed is the base RNG seed; the R1/R2 clusters sample the
+	// independent streams imm.PairSeeds derives from it, through the
+	// same constructor as core.RunDOPIMC (core.NewClusterPair).
 	Seed uint64
 	// Machines is ℓ, the number of workers per collection (default 1).
 	// Ignored when C1/C2 are supplied.
@@ -265,25 +266,26 @@ type Service struct {
 	budget core.SampleBudget
 
 	// clusterMu serializes all RPCs on the warm clusters (the cluster
-	// types are single-caller); only the grower and Spread take it.
+	// types are single-caller); only the grower, the updater and Spread
+	// take it.
 	clusterMu sync.Mutex
-	c1, c2    *cluster.Cluster
 
 	// mu is the epoch lock: read-held during selection/certification,
 	// write-held only while growth appends and reindexes.
-	mu         sync.RWMutex
-	epoch      uint64
-	gver       uint64 // graph version the published sample is repaired to
-	r1, r2     *rrset.Collection
-	idx1, idx2 *rrset.Index
-	fetched1   []int // per-worker fetch cursors into the R1 cluster
-	fetched2   []int
+	mu    sync.RWMutex
+	epoch uint64
+	gver  uint64 // graph version the published sample is repaired to
 
-	// spans1/spans2 map worker-local RR positions to master positions in
-	// r1/r2 — the translation table for splicing worker repair patches
-	// into the mirrors. Written by the grower and the updater (both under
-	// growMu), read by the updater under growMu.
-	spans1, spans2 []cluster.FetchSpan
+	// mirrors holds OPIM-C's two independent samples, R1
+	// (mirrors[selSample]) and R2 (mirrors[certSample]); see mirror for
+	// which lock guards which field.
+	mirrors [2]mirror
+
+	// batchMu guards each mirror's batch counters and genCalls. The
+	// grower overwrites them after every Generate broadcast; Stats() only
+	// reads, so a snapshot never waits on an in-flight grow round's RPCs.
+	batchMu  sync.Mutex
+	genCalls int64 // Generate broadcasts issued by the grower
 
 	// updateDebt marks a partially applied update: the master graph
 	// advanced but the clusters (or the mirror splice) did not complete.
@@ -355,17 +357,104 @@ type serviceCounters struct {
 	skBuild     *metrics.Univariate
 	skEstimates *metrics.Counter
 	fastSpreads *metrics.Counter
+}
 
-	// batchMu guards the last-seen cumulative batch counters reported by
-	// the two clusters' workers. The grower overwrites them after every
-	// Generate broadcast; Stats() only reads, so a snapshot never waits
-	// on an in-flight grow round's RPCs. (BatchStats is a last-reported
-	// cumulative struct, not a monotone accumulation, so it stays
-	// mutex-guarded rather than registry-backed.)
-	batchMu  sync.Mutex
-	batch1   rrset.BatchStats // R1 cluster, cumulative since startup
-	batch2   rrset.BatchStats // R2 cluster, cumulative since startup
-	genCalls int64            // Generate broadcasts issued by the grower
+// The two samples' positions in Service.mirrors.
+const (
+	selSample  = 0 // R1: the greedy selects on it
+	certSample = 1 // R2: certifies the selection
+)
+
+// mirror is the master's side of one of the two samples: the cluster
+// that draws it, the resident collection and its inverted index, the
+// per-worker fetch cursors, the fetch spans that map worker-local RR
+// positions to mirror positions (the translation table for splicing
+// worker repair patches), and the workers' last reported cumulative
+// batch counters. cl is called under clusterMu; coll and idx are
+// published under mu; fetched and spans belong to the grower and the
+// updater (growMu); batch is guarded by batchMu.
+type mirror struct {
+	cl      *cluster.Cluster
+	coll    *rrset.Collection
+	idx     *rrset.Index
+	fetched []int
+	spans   []cluster.FetchSpan
+	batch   rrset.BatchStats
+}
+
+// fetch pulls the sets the mirror's workers hold past the cursors since
+// (nil: all of them) into an unpublished, unindexed mirror of just those
+// sets, its spans relative to its own collection. Caller holds clusterMu.
+func (m *mirror) fetch(since []int) (mirror, error) {
+	inc := mirror{coll: rrset.NewCollection(1 << 12)}
+	var err error
+	if inc.fetched, inc.spans, err = m.cl.FetchNewSpans(since, inc.coll); err != nil {
+		inc.coll.Release()
+		return mirror{}, err
+	}
+	return inc, nil
+}
+
+// releaseFetched frees the collections of fetched increments (those
+// never fetched are skipped).
+func releaseFetched(incs [2]mirror) {
+	for _, inc := range incs {
+		if inc.coll != nil {
+			inc.coll.Release()
+		}
+	}
+}
+
+// extend appends a fetched increment to the resident collection,
+// rebasing its spans onto mirror positions (only a dynamic service reads
+// them, but recording is cheap and keeps one code path) and adopting its
+// cursors, and extends the index over the new sets, building it on first
+// use. The mirror copies the sets; the caller still releases inc's
+// collection. Caller holds mu (write).
+func (m *mirror) extend(inc mirror, n int) error {
+	from := m.coll.Count()
+	for _, sp := range inc.spans {
+		sp.MasterStart += from
+		m.spans = append(m.spans, sp)
+	}
+	m.fetched = inc.fetched
+	m.coll.AppendCollection(inc.coll)
+	if m.idx == nil {
+		var err error
+		m.idx, err = rrset.BuildIndex(m.coll, n)
+		return err
+	}
+	return m.idx.AppendFrom(m.coll, from)
+}
+
+// patch applies repair patches already mapped onto mirror positions. The
+// index patch diffs against pre-patch membership, so it runs before the
+// collection mutates; a nil index (never queried yet) stays nil and is
+// built on demand. Caller holds mu (write).
+func (m *mirror) patch(pat []rrset.Patch) error {
+	if m.idx != nil {
+		if err := m.idx.ApplyPatches(m.coll, pat); err != nil {
+			return err
+		}
+	}
+	return m.coll.ApplyPatches(pat)
+}
+
+// replace frees the resident collection and index and adopts fresh, a
+// complete refetch (from nil cursors, so its spans are already
+// absolute), indexing it. Caller holds mu (write).
+func (m *mirror) replace(fresh mirror, n int) error {
+	m.coll.Release()
+	if m.idx != nil {
+		m.idx.Release()
+	}
+	m.coll, m.idx, m.fetched, m.spans = fresh.coll, nil, fresh.fetched, fresh.spans
+	if m.coll.Count() == 0 {
+		return nil
+	}
+	var err error
+	m.idx, err = rrset.BuildIndex(m.coll, n)
+	return err
 }
 
 func newServiceCounters(reg *metrics.Registry) serviceCounters {
@@ -423,8 +512,6 @@ func New(cfg Config) (*Service, error) {
 		cfg:    cfg,
 		n:      n,
 		budget: budget,
-		r1:     rrset.NewCollection(1 << 16),
-		r2:     rrset.NewCollection(1 << 16),
 		cache:  newAnswerCache(cfg.CacheSize),
 		sem:    make(chan struct{}, cfg.MaxInFlight),
 		reg:    reg,
@@ -438,7 +525,7 @@ func New(cfg Config) (*Service, error) {
 	s.par = par
 	s.batch = cluster.ResolveBatch(cfg.Batch)
 	// The sketch's rank stream gets its own split of the base seed, like
-	// the 0x0111/0x0222 split that keeps R1 and R2 independent.
+	// the imm.PairSeeds split that keeps R1 and R2 independent.
 	skParams := sketch.Params{K: cfg.SketchK, Seed: cfg.Seed ^ 0x0333}
 	if skParams.K == 0 {
 		skParams.K = core.DefaultSketchK
@@ -470,8 +557,8 @@ func New(cfg Config) (*Service, error) {
 			}
 			res, err := st.Restore(n)
 			if err == nil {
-				s.r1, s.r2 = res.R1, res.R2
-				s.idx1, s.idx2 = res.Idx1, res.Idx2
+				s.mirrors[selSample].coll, s.mirrors[selSample].idx = res.R1, res.Idx1
+				s.mirrors[certSample].coll, s.mirrors[certSample].idx = res.R2, res.Idx2
 				s.epoch = res.Epoch
 				s.restoredEpochs = res.Epochs
 				s.restoredTheta = int64(res.R1.Count())
@@ -502,58 +589,37 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("serve: checkpoint directory %s already holds %d epochs; enable restore (dimmsrv -restore) to resume from it, or point at an empty directory", cfg.CheckpointDir, st.Epochs())
 		}
 	}
-	// Only a sketch the restore did not supply starts empty.
+	// Only what the restore did not supply starts empty.
+	for j := range s.mirrors {
+		if s.mirrors[j].coll == nil {
+			s.mirrors[j].coll = rrset.NewCollection(1 << 16)
+		}
+	}
 	if cfg.SketchK >= 0 && s.sk == nil {
 		if s.sk, err = sketch.New(n, skParams); err != nil {
 			return nil, err
 		}
 	}
 
-	if cfg.C1 != nil {
-		s.c1, s.c2 = cfg.C1, cfg.C2
-	} else {
-		mk := func(tag uint64) (*cluster.Cluster, error) {
-			cfgs := make([]cluster.WorkerConfig, cfg.Machines)
-			for i := range cfgs {
-				cfgs[i] = cluster.WorkerConfig{
-					Graph:       cfg.Graph,
-					Model:       cfg.Model,
-					Subset:      cfg.Subset,
-					Seed:        cluster.DeriveSeed(cfg.Seed^tag^salt, i),
-					Parallelism: par,
-					Batch:       cfg.Batch,
-				}
-			}
-			cl, err := cluster.NewLocal(cfgs, n)
-			if err != nil {
-				return nil, err
-			}
-			// In-process workers respawn from their configs, so a failed
-			// worker is replaced with a bit-identical replay instead of
-			// taking the resident sample's growth down with it.
-			_ = cl.EnableRecovery(cluster.Recovery{
-				Respawn: func(i int) (cluster.Conn, error) {
-					w, err := cluster.NewWorker(cfgs[i])
-					if err != nil {
-						return nil, err
-					}
-					return cluster.NewLocalConn(w), nil
-				},
-				Retries: cfg.Retries,
-				Backoff: cfg.RetryBackoff,
-				Salt:    cfg.Seed ^ tag,
-			})
-			return cl, nil
-		}
-		// The same stream split as core.RunDOPIMC: R1 and R2 must be
-		// independent for the certificate's lower bound to be unbiased.
-		if s.c1, err = mk(0x0111); err != nil {
+	pair := [2]*cluster.Cluster{cfg.C1, cfg.C2}
+	if cfg.C1 == nil {
+		// In-process workers respawn from their configs, so a failed
+		// worker is replaced with a bit-identical replay instead of
+		// taking the resident sample's growth down with it.
+		pair, err = core.NewClusterPair(cluster.WorkerConfig{
+			Graph:       cfg.Graph,
+			Model:       cfg.Model,
+			Subset:      cfg.Subset,
+			Seed:        cfg.Seed ^ salt,
+			Parallelism: par,
+			Batch:       cfg.Batch,
+		}, cfg.Machines, cluster.Recovery{Retries: cfg.Retries, Backoff: cfg.RetryBackoff})
+		if err != nil {
 			return nil, err
 		}
-		if s.c2, err = mk(0x0222); err != nil {
-			s.c1.Close()
-			return nil, err
-		}
+	}
+	for j := range s.mirrors {
+		s.mirrors[j].cl = pair[j]
 	}
 	// Catch the sketch up to whatever the restore produced (a no-op on a
 	// cold start, an incremental absorb when the stored sketch lags the
@@ -572,9 +638,13 @@ func (s *Service) Close() error {
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
 	// Close both clusters unconditionally and join the errors: an early
-	// return on err1 would leak C2's worker goroutines/connections and
-	// silently drop err2.
-	return errors.Join(s.c1.Close(), s.c2.Close())
+	// return on the first would leak the second's worker goroutines and
+	// connections.
+	var errs []error
+	for _, m := range s.mirrors {
+		errs = append(errs, m.cl.Close())
+	}
+	return errors.Join(errs...)
 }
 
 // Warm grows the resident sample until the hardest admissible query
@@ -649,17 +719,18 @@ func (s *Service) tryServe(k int, eps, target float64, grew int) (*Answer, bool,
 	s.mu.RLock()
 	epoch := s.epoch
 	gver := s.gver
-	theta := int64(s.r1.Count())
+	m := &s.mirrors[selSample]
+	theta := int64(m.coll.Count())
 	if theta == 0 {
 		s.mu.RUnlock()
 		return &Answer{Epoch: epoch}, false, nil
 	}
-	sel, err := core.SelectFromSample(s.r1, s.idx1, s.n, k)
+	sel, err := core.SelectFromSample(m.coll, m.idx, s.n, k)
 	if err != nil {
 		s.mu.RUnlock()
 		return nil, false, err
 	}
-	cov2s := prefixCoverage(s.idx2, sel.Seeds)
+	cov2s := prefixCoverage(s.mirrors[certSample].idx, sel.Seeds)
 	s.mu.RUnlock()
 
 	// Certify every greedy prefix, not just the queried k. Small prefixes
@@ -718,6 +789,14 @@ func prefixCoverage(idx *rrset.Index, seeds []uint32) []int64 {
 	return out
 }
 
+// published reads the published sample's size θ (per collection) and
+// its epoch.
+func (s *Service) published() (theta int64, epoch uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return int64(s.mirrors[selSample].coll.Count()), s.epoch
+}
+
 // grow extends the resident sample by one doubling round (θ → 2θ, or to
 // θ₀ from empty), unless another grower already moved past fromEpoch.
 // Cluster generation and the incremental fetch run outside the epoch
@@ -726,10 +805,7 @@ func (s *Service) grow(fromEpoch uint64) error {
 	s.growMu.Lock()
 	defer s.growMu.Unlock()
 
-	s.mu.RLock()
-	cur := int64(s.r1.Count())
-	epoch := s.epoch
-	s.mu.RUnlock()
+	cur, epoch := s.published()
 	if epoch != fromEpoch {
 		return nil // a concurrent query grew the sample; re-evaluate
 	}
@@ -748,72 +824,43 @@ func (s *Service) grow(fromEpoch uint64) error {
 		return fmt.Errorf("serve: resident sample already at its %d cap", s.budget.ThetaMax)
 	}
 
-	new1 := rrset.NewCollection(1 << 12)
-	new2 := rrset.NewCollection(1 << 12)
-	var newSpans1, newSpans2 []cluster.FetchSpan
+	// Each sample's new sets. A failure anywhere publishes nothing and
+	// moves no mirror's fetch cursors.
+	var incs [2]mirror
 	s.clusterMu.Lock()
 	err := func() error {
-		st1, err := s.c1.Generate(add)
-		if err != nil {
-			return fmt.Errorf("serve: growing R1: %w", err)
-		}
-		st2, err := s.c2.Generate(add)
-		if err != nil {
-			return fmt.Errorf("serve: growing R2: %w", err)
-		}
-		// The workers report batch counters cumulative since their start,
-		// so overwrite (not add) the per-cluster last-seen values.
-		s.stats.batchMu.Lock()
-		s.stats.batch1 = st1.Batch
-		s.stats.batch2 = st2.Batch
-		s.stats.genCalls += 2
-		s.stats.batchMu.Unlock()
-		if s.fetched1, newSpans1, err = s.c1.FetchNewSpans(s.fetched1, new1); err != nil {
-			return fmt.Errorf("serve: fetching R1 increment: %w", err)
-		}
-		if s.fetched2, newSpans2, err = s.c2.FetchNewSpans(s.fetched2, new2); err != nil {
-			return fmt.Errorf("serve: fetching R2 increment: %w", err)
+		for j := range s.mirrors {
+			m := &s.mirrors[j]
+			st, err := m.cl.Generate(add)
+			if err != nil {
+				return fmt.Errorf("serve: growing R%d: %w", j+1, err)
+			}
+			// The workers report batch counters cumulative since their
+			// start, so overwrite (not add) the last-seen values.
+			s.batchMu.Lock()
+			m.batch = st.Batch
+			s.genCalls++
+			s.batchMu.Unlock()
+			if incs[j], err = m.fetch(m.fetched); err != nil {
+				return fmt.Errorf("serve: fetching R%d increment: %w", j+1, err)
+			}
 		}
 		return nil
 	}()
 	s.clusterMu.Unlock()
 	if err != nil {
-		new1.Release()
-		new2.Release()
+		releaseFetched(incs)
 		return s.degraded(err)
 	}
-	s.stats.generated.Add(int64(new1.Count() + new2.Count()))
+	s.stats.generated.Add(int64(incs[selSample].coll.Count() + incs[certSample].coll.Count()))
 	s.stats.growRounds.Inc()
 
 	s.mu.Lock()
 	err = func() error {
-		from1, from2 := s.r1.Count(), s.r2.Count()
-		// The fetch spans are relative to new1/new2; rebase them onto the
-		// resident mirrors before appending (only a dynamic service reads
-		// them, but recording is cheap and keeps one code path).
-		for _, sp := range newSpans1 {
-			sp.MasterStart += from1
-			s.spans1 = append(s.spans1, sp)
-		}
-		for _, sp := range newSpans2 {
-			sp.MasterStart += from2
-			s.spans2 = append(s.spans2, sp)
-		}
-		s.r1.AppendCollection(new1)
-		s.r2.AppendCollection(new2)
-		if s.idx1 == nil {
-			if s.idx1, err = rrset.BuildIndex(s.r1, s.n); err != nil {
+		for j := range s.mirrors {
+			if err := s.mirrors[j].extend(incs[j], s.n); err != nil {
 				return err
 			}
-		} else if err = s.idx1.AppendFrom(s.r1, from1); err != nil {
-			return err
-		}
-		if s.idx2 == nil {
-			if s.idx2, err = rrset.BuildIndex(s.r2, s.n); err != nil {
-				return err
-			}
-		} else if err = s.idx2.AppendFrom(s.r2, from2); err != nil {
-			return err
 		}
 		s.epoch++
 		s.cache.advance(s.epoch)
@@ -822,8 +869,7 @@ func (s *Service) grow(fromEpoch uint64) error {
 	s.mu.Unlock()
 	// The mirrors hold copies now: free the increments before the sketch
 	// absorb and the checkpoint run.
-	new1.Release()
-	new2.Release()
+	releaseFetched(incs)
 	if err != nil {
 		return err
 	}
@@ -843,7 +889,7 @@ func (s *Service) updateSketch() {
 		return
 	}
 	s.mu.RLock()
-	snap := s.r1.Snapshot()
+	snap := s.mirrors[selSample].coll.Snapshot()
 	s.mu.RUnlock()
 	s.sketchMu.Lock()
 	start := time.Now()
@@ -853,7 +899,7 @@ func (s *Service) updateSketch() {
 	if added > 0 {
 		s.stats.skBuild.ObserveDuration(d)
 		s.clusterMu.Lock()
-		s.c1.AddSketchBuild(d)
+		s.mirrors[selSample].cl.AddSketchBuild(d)
 		s.clusterMu.Unlock()
 	}
 }
@@ -870,7 +916,7 @@ func (s *Service) maybeCheckpoint() {
 		return
 	}
 	start := time.Now()
-	n, err := s.st.Checkpoint(s.epoch, s.r1, s.r2)
+	n, err := s.st.Checkpoint(s.epoch, s.mirrors[selSample].coll, s.mirrors[certSample].coll)
 	s.stats.ckptNanos.AddDuration(time.Since(start))
 	if err != nil {
 		s.stats.ckptErrors.Inc()
@@ -950,7 +996,7 @@ func (s *Service) Spread(seeds []uint32, rounds int64) (mean, stderr float64, er
 	}
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
-	mean, stderr, err = s.c1.EstimateSpread(seeds, rounds)
+	mean, stderr, err = s.mirrors[selSample].cl.EstimateSpread(seeds, rounds)
 	return mean, stderr, s.degraded(err)
 }
 
@@ -1033,23 +1079,15 @@ type Stats struct {
 	Endpoint map[string]EndpointSnapshot `json:"endpoints"`
 }
 
-// ReuseRate returns the fraction of queries served without any RR
-// generation (LRU hits plus resident-sample hits).
-func (st Stats) ReuseRate() float64 {
-	if st.Queries == 0 {
-		return 0
-	}
-	return float64(st.CacheHits+st.ReuseHits) / float64(st.Queries)
-}
-
 // MetricsSnapshot exports the raw metric registries behind /statsz: the
 // service's own registry merged with the two clusters' registries under
 // "r1." / "r2." prefixes. Cluster snapshots read only local atomics —
 // no worker RPCs — so this is safe to call concurrently with queries.
 func (s *Service) MetricsSnapshot() metrics.Snapshot {
 	snap := s.reg.Snapshot()
-	snap.Merge("r1.", s.c1.MetricsSnapshot())
-	snap.Merge("r2.", s.c2.MetricsSnapshot())
+	for j, m := range s.mirrors {
+		snap.Merge(fmt.Sprintf("r%d.", j+1), m.cl.MetricsSnapshot())
+	}
 	return snap
 }
 
@@ -1061,8 +1099,11 @@ func (s *Service) Stats() Stats {
 	s.mu.RLock()
 	epoch := s.epoch
 	gver := s.gver
-	theta := int64(s.r1.Count())
-	totalRRSize := s.r1.TotalSize() + s.r2.TotalSize()
+	theta := int64(s.mirrors[selSample].coll.Count())
+	var totalRRSize int64
+	for _, m := range s.mirrors {
+		totalRRSize += m.coll.TotalSize()
+	}
 	s.mu.RUnlock()
 	st := Stats{
 		Epoch:       epoch,
@@ -1093,8 +1134,8 @@ func (s *Service) Stats() Stats {
 
 		// Cluster health has its own lock, so snapshotting it never waits
 		// on an in-flight grow round's RPCs.
-		R1Workers: s.c1.Health(),
-		R2Workers: s.c2.Health(),
+		R1Workers: s.mirrors[selSample].cl.Health(),
+		R2Workers: s.mirrors[certSample].cl.Health(),
 		Degraded:  s.stats.degraded.Value(),
 
 		GraphVersion: gver,
@@ -1114,11 +1155,13 @@ func (s *Service) Stats() Stats {
 		st.SketchTheta = s.sk.Theta()
 		s.sketchMu.RUnlock()
 	}
-	s.stats.batchMu.Lock()
-	batch := s.stats.batch1
-	batch.Add(s.stats.batch2)
-	genCalls := s.stats.genCalls
-	s.stats.batchMu.Unlock()
+	var batch rrset.BatchStats
+	s.batchMu.Lock()
+	for _, m := range s.mirrors {
+		batch.Add(m.batch)
+	}
+	genCalls := s.genCalls
+	s.batchMu.Unlock()
 	st.BatchWidth = s.batch
 	st.BatchStreams = batch.Streams
 	st.BatchWaves = batch.Waves

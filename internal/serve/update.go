@@ -87,10 +87,7 @@ func (s *Service) Update(seq uint64, ops []graph.EdgeUpdate) (*UpdateResult, err
 		// Already applied (and not the interrupted batch a retry must
 		// heal): acknowledge the replay without touching anything.
 		res := &UpdateResult{Applied: false, Seq: seq, GraphVersion: v, Ops: len(ops)}
-		s.mu.RLock()
-		res.Theta = int64(s.r1.Count())
-		res.Epoch = s.epoch
-		s.mu.RUnlock()
+		res.Theta, res.Epoch = s.published()
 		return res, nil
 	case seq == v && debt:
 		// Retrying the interrupted batch: the master graph already
@@ -107,7 +104,7 @@ func (s *Service) Update(seq uint64, ops []graph.EdgeUpdate) (*UpdateResult, err
 	// sees an already-applied seq and no-ops with the memoized deltas —
 	// the concurrent-apply race never happens. TCP workers hold their own
 	// copies and apply for real.
-	var p1, p2 [][]rrset.Patch
+	var patches [2][][]rrset.Patch // per sample, per worker
 	s.clusterMu.Lock()
 	err := func() error {
 		if seq == v+1 {
@@ -115,12 +112,11 @@ func (s *Service) Update(seq uint64, ops []graph.EdgeUpdate) (*UpdateResult, err
 				return &BadQueryError{msg: fmt.Sprintf("serve: %v", err)}
 			}
 		}
-		var err error
-		if p1, err = s.c1.Update(batch); err != nil {
-			return fmt.Errorf("serve: updating R1: %w", err)
-		}
-		if p2, err = s.c2.Update(batch); err != nil {
-			return fmt.Errorf("serve: updating R2: %w", err)
+		for j := range s.mirrors {
+			var err error
+			if patches[j], err = s.mirrors[j].cl.Update(batch); err != nil {
+				return fmt.Errorf("serve: updating R%d: %w", j+1, err)
+			}
 		}
 		return nil
 	}()
@@ -149,16 +145,15 @@ func (s *Service) Update(seq uint64, ops []graph.EdgeUpdate) (*UpdateResult, err
 	}
 
 	repaired := 0
-	for _, wp := range p1 {
-		repaired += len(wp)
-	}
-	for _, wp := range p2 {
-		repaired += len(wp)
+	for _, wps := range patches {
+		for _, wp := range wps {
+			repaired += len(wp)
+		}
 	}
 
 	remirrored := rebalanced || debt
 	if !remirrored {
-		if err := s.splicePatches(p1, p2); err != nil {
+		if err := s.splicePatches(patches); err != nil {
 			// Splicing is best-effort: any mismatch between the spans and
 			// the patches (should not happen) degrades to a re-mirror
 			// rather than serving a half-patched sample.
@@ -185,10 +180,7 @@ func (s *Service) Update(seq uint64, ops []graph.EdgeUpdate) (*UpdateResult, err
 		Repaired:     repaired,
 		Remirrored:   remirrored,
 	}
-	s.mu.RLock()
-	res.Theta = int64(s.r1.Count())
-	res.Epoch = s.epoch
-	s.mu.RUnlock()
+	res.Theta, res.Epoch = s.published()
 	return res, nil
 }
 
@@ -199,35 +191,20 @@ func (s *Service) Update(seq uint64, ops []graph.EdgeUpdate) (*UpdateResult, err
 // Index) rather than rebuilt — the O(changed) maintenance the repair
 // path's latency budget lives on; any patch error degrades to a
 // re-mirror via the caller.
-func (s *Service) splicePatches(p1, p2 [][]rrset.Patch) error {
-	pat1, err := mapWorkerPatches(s.spans1, p1)
-	if err != nil {
-		return fmt.Errorf("serve: splicing R1 patches: %w", err)
-	}
-	pat2, err := mapWorkerPatches(s.spans2, p2)
-	if err != nil {
-		return fmt.Errorf("serve: splicing R2 patches: %w", err)
+func (s *Service) splicePatches(patches [2][][]rrset.Patch) error {
+	var mapped [2][]rrset.Patch
+	for j := range s.mirrors {
+		var err error
+		if mapped[j], err = mapWorkerPatches(s.mirrors[j].spans, patches[j]); err != nil {
+			return fmt.Errorf("serve: splicing R%d patches: %w", j+1, err)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Index patches diff against pre-patch membership, so they run
-	// before the collections mutate; a nil index (never queried yet)
-	// stays nil and is built on demand.
-	if s.idx1 != nil {
-		if err := s.idx1.ApplyPatches(s.r1, pat1); err != nil {
+	for j := range s.mirrors {
+		if err := s.mirrors[j].patch(mapped[j]); err != nil {
 			return err
 		}
-	}
-	if s.idx2 != nil {
-		if err := s.idx2.ApplyPatches(s.r2, pat2); err != nil {
-			return err
-		}
-	}
-	if err := s.r1.ApplyPatches(pat1); err != nil {
-		return err
-	}
-	if err := s.r2.ApplyPatches(pat2); err != nil {
-		return err
 	}
 	s.gver = s.cfg.Graph.Version()
 	s.epoch++
@@ -272,49 +249,30 @@ func mapWorkerPatches(spans []cluster.FetchSpan, patches [][]rrset.Patch) ([]rrs
 // under growMu; the swap itself holds the epoch write lock only for the
 // pointer replacement and reindex.
 func (s *Service) remirror() error {
-	fresh1 := rrset.NewCollection(1 << 16)
-	fresh2 := rrset.NewCollection(1 << 16)
-	var next1, next2 []int
-	var spans1, spans2 []cluster.FetchSpan
+	var fresh [2]mirror
 	s.clusterMu.Lock()
 	err := func() (err error) {
-		if next1, spans1, err = s.c1.FetchNewSpans(nil, fresh1); err != nil {
-			return fmt.Errorf("serve: re-mirroring R1: %w", err)
-		}
-		if next2, spans2, err = s.c2.FetchNewSpans(nil, fresh2); err != nil {
-			return fmt.Errorf("serve: re-mirroring R2: %w", err)
+		for j := range s.mirrors {
+			if fresh[j], err = s.mirrors[j].fetch(nil); err != nil {
+				return fmt.Errorf("serve: re-mirroring R%d: %w", j+1, err)
+			}
 		}
 		return nil
 	}()
 	s.clusterMu.Unlock()
 	if err != nil {
+		releaseFetched(fresh)
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// No reader holds the replaced mirrors past the write lock, and the
-	// grower and checkpointer are excluded by growMu: free them now.
-	s.r1.Release()
-	s.r2.Release()
-	for _, idx := range []*rrset.Index{s.idx1, s.idx2} {
-		if idx != nil {
-			idx.Release()
-		}
-	}
-	s.r1, s.r2 = fresh1, fresh2
-	s.idx1, s.idx2 = nil, nil
-	if fresh1.Count() > 0 {
-		if s.idx1, err = rrset.BuildIndex(fresh1, s.n); err != nil {
-			return err
-		}
-		if s.idx2, err = rrset.BuildIndex(fresh2, s.n); err != nil {
+	// grower and checkpointer are excluded by growMu: replace frees them.
+	for j := range s.mirrors {
+		if err := s.mirrors[j].replace(fresh[j], s.n); err != nil {
 			return err
 		}
 	}
-	s.fetched1, s.fetched2 = next1, next2
-	// Fresh mirrors start at position 0, so the new spans' MasterStart
-	// values are already absolute.
-	s.spans1, s.spans2 = spans1, spans2
 	s.gver = s.cfg.Graph.Version()
 	s.epoch++
 	s.cache.advance(s.epoch)
@@ -333,9 +291,7 @@ func (s *Service) maybeCheckpointDelta(b mutate.Batch, repaired int, remirrored 
 	if s.st == nil {
 		return
 	}
-	s.mu.RLock()
-	epoch := s.epoch
-	s.mu.RUnlock()
+	_, epoch := s.published()
 	start := time.Now()
 	bytes, err := s.st.AppendDelta(epoch, b, repaired, remirrored)
 	s.stats.ckptNanos.AddDuration(time.Since(start))
@@ -357,7 +313,7 @@ func (s *Service) rebuildSketch() {
 		return
 	}
 	s.mu.RLock()
-	snap := s.r1.Snapshot()
+	snap := s.mirrors[selSample].coll.Snapshot()
 	s.mu.RUnlock()
 	fresh, err := sketch.New(s.n, sketch.Params{K: s.sk.K(), Seed: s.sk.Seed()})
 	if err != nil {

@@ -158,24 +158,20 @@ func TestDynamicUpdateRepairsSample(t *testing.T) {
 	// Single worker per cluster means incremental fetch order equals full
 	// fetch order, so the spliced mirrors must match a wholesale refetch
 	// byte for byte.
-	fresh1 := rrset.NewCollection(0)
-	fresh2 := rrset.NewCollection(0)
-	s.clusterMu.Lock()
-	if _, _, err := s.c1.FetchNewSpans(nil, fresh1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.c2.FetchNewSpans(nil, fresh2); err != nil {
-		t.Fatal(err)
-	}
-	s.clusterMu.Unlock()
-	s.mu.RLock()
-	m1, m2 := wireBytes(s.r1), wireBytes(s.r2)
-	s.mu.RUnlock()
-	if !bytes.Equal(m1, wireBytes(fresh1)) {
-		t.Fatal("spliced R1 mirror differs from the workers' repaired sample")
-	}
-	if !bytes.Equal(m2, wireBytes(fresh2)) {
-		t.Fatal("spliced R2 mirror differs from the workers' repaired sample")
+	for j := range s.mirrors {
+		fresh := rrset.NewCollection(0)
+		s.clusterMu.Lock()
+		_, _, err := s.mirrors[j].cl.FetchNewSpans(nil, fresh)
+		s.clusterMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.RLock()
+		mirrored := wireBytes(s.mirrors[j].coll)
+		s.mu.RUnlock()
+		if !bytes.Equal(mirrored, wireBytes(fresh)) {
+			t.Fatalf("spliced R%d mirror differs from the workers' repaired sample", j+1)
+		}
 	}
 
 	st := s.Stats()
