@@ -73,6 +73,7 @@ func main() {
 			fmt.Printf("%s: %d nodes, %d edges -> %s (%d sort runs, %s spilled)\n",
 				*convert, st.Nodes, st.Edges, *out, st.Runs, fmtBytes(st.SpillBytes))
 			report(st.Edges, start, info.CSRBytes)
+			printCSR(*out, info)
 			break
 		}
 		g, err := graph.LoadEdgeListFile(*convert, *undirected)
@@ -109,6 +110,7 @@ func main() {
 			fmt.Printf("generated %d nodes, %d edges disk-direct -> %s (%s file, %d sort runs, %s spilled)\n",
 				st.Nodes, st.Edges, *out, fmtBytes(st.FileBytes), st.Runs, fmtBytes(st.SpillBytes))
 			report(st.Edges, start, info.CSRBytes)
+			printCSR(*out, info)
 			break
 		}
 		var g *graph.Graph
@@ -222,6 +224,18 @@ func report(edges int64, start time.Time, csrBytes int64) {
 	}
 }
 
+// printCSR prints a segmented file's CSR payload beside the bytes a graph
+// opened from it holds, which is less for a uniform-in file: it opens
+// with one in-probability per node instead of two per edge.
+func printCSR(path string, info *graph.SegInfo) {
+	g, err := graph.OpenSegmented(path, graph.BackendMmap)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer g.Close()
+	fmt.Printf("  CSR %s in the file, %s opened\n", fmtBytes(info.CSRBytes), fmtBytes(g.CSRBytes()))
+}
+
 func printStats(path string, undirected bool) {
 	if strings.HasSuffix(path, ".dsg") {
 		info, err := graph.StatSegmented(path)
@@ -239,6 +253,7 @@ func printStats(path string, undirected bool) {
 		fmt.Printf("  avg degree    %.2f\n", g.AvgDegree())
 		fmt.Printf("  weights       %s (uniform-in %v)\n", info.WeightTag, info.UniformIn)
 		fmt.Printf("  file          %s (%s CSR payload, %d CRC blocks)\n", fmtBytes(info.FileBytes), fmtBytes(info.CSRBytes), info.Blocks)
+		fmt.Printf("  opened CSR    %s\n", fmtBytes(g.CSRBytes()))
 		// The hash comes from the header trailers: no payload read.
 		fmt.Printf("  content hash  %s\n", g.ContentHash())
 		return

@@ -64,6 +64,7 @@ type Simulator struct {
 	epoch   uint32
 	queue   []uint32
 	thresh  []float64 // LT: remaining threshold mass per node this run
+	dirty   []uint32  // LT: the nodes whose threshold this run drew
 }
 
 // NewSimulator returns a simulator over g seeded with seed.
@@ -115,15 +116,20 @@ func (s *Simulator) runIC(seeds []uint32) int {
 	// The generator lives in a local for the cascade (see xrand.Rand.Next):
 	// one coin per edge to an inactive target, in scan order.
 	rng := *s.r
+	uniform := s.g.UniformIn()
+	var prob []float32
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
-		adj, prob := s.g.OutNeighbors(u)
+		adj := s.g.OutAdj(u)
+		if !uniform {
+			_, prob = s.g.OutNeighbors(u)
+		}
 		for i, v := range adj {
 			if s.visited[v] == s.epoch {
 				continue
 			}
 			var coin uint64
-			if coin, rng = rng.Next(); xrand.Unit(coin) < float64(prob[i]) {
+			if coin, rng = rng.Next(); xrand.Unit(coin) < float64(s.edgeProb(uniform, prob, i, v)) {
 				s.visited[v] = s.epoch
 				s.queue = append(s.queue, v)
 				activated++
@@ -152,16 +158,25 @@ func (s *Simulator) runLT(seeds []uint32) int {
 	activated := len(s.queue)
 	// dirty lists the nodes whose threshold was drawn this run, so the
 	// thresh array can be reset to its zero ("undrawn") state afterwards.
-	var dirty []uint32
+	// It holds at most one entry per node, so it is sized once.
+	if s.dirty == nil {
+		s.dirty = make([]uint32, 0, len(s.thresh))
+	}
+	dirty := s.dirty[:0]
 	defer func() {
 		for _, v := range dirty {
 			s.thresh[v] = 0
 		}
 	}()
 	rng := *s.r
+	uniform := s.g.UniformIn()
+	var prob []float32
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
-		adj, prob := s.g.OutNeighbors(u)
+		adj := s.g.OutAdj(u)
+		if !uniform {
+			_, prob = s.g.OutNeighbors(u)
+		}
 		for i, v := range adj {
 			if s.visited[v] == s.epoch {
 				continue
@@ -177,7 +192,7 @@ func (s *Simulator) runLT(seeds []uint32) int {
 				s.thresh[v] = t
 				dirty = append(dirty, v)
 			}
-			s.thresh[v] -= float64(prob[i])
+			s.thresh[v] -= float64(s.edgeProb(uniform, prob, i, v))
 			if s.thresh[v] <= 1e-12 {
 				s.visited[v] = s.epoch
 				s.queue = append(s.queue, v)
@@ -187,6 +202,16 @@ func (s *Simulator) runLT(seeds []uint32) int {
 	}
 	*s.r = rng
 	return activated
+}
+
+// edgeProb is p(u, v) for out-edge i of u, whose head is v: the head's
+// in-probability on a uniform-in graph, else prob[i] from u's
+// out-neighbour probabilities.
+func (s *Simulator) edgeProb(uniform bool, prob []float32, i int, v uint32) float32 {
+	if uniform {
+		return s.g.InP(v)
+	}
+	return prob[i]
 }
 
 // Estimate runs rounds cascades and returns the sample mean and standard

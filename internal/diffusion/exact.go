@@ -116,6 +116,10 @@ func exactLT(g *graph.Graph, seeds []uint32) (float64, error) {
 		}
 		choices *= c
 	}
+	adjs, probs := make([][]uint32, n), make([][]float32, n)
+	for v := range adjs {
+		adjs[v], probs[v] = g.InNeighbors(uint32(v))
+	}
 	idx := make([]int, n) // current selection per node; InDegree(v) means "none"
 	total := 0.0
 	live := make([]edgeRec, 0, n)
@@ -123,7 +127,7 @@ func exactLT(g *graph.Graph, seeds []uint32) (float64, error) {
 		p := 1.0
 		live = live[:0]
 		for v := 0; v < n && p > 0; v++ {
-			adj, prob := g.InNeighbors(uint32(v))
+			adj, prob := adjs[v], probs[v]
 			if idx[v] < len(adj) {
 				p *= float64(prob[idx[v]])
 				live = append(live, edgeRec{adj[idx[v]], uint32(v), 0})

@@ -5,16 +5,21 @@
 // twice — once over outgoing edges (for forward diffusion simulation) and
 // once over incoming edges (for reverse influence sampling, which walks
 // edges backwards). All adjacency data lives in a handful of flat slices
-// with uint32 node identifiers, so a graph with m edges costs roughly
-// 2·m·(4+4) bytes regardless of node count; this keeps Go's garbage
-// collector out of the hot path, which is the main scalability risk of a
-// Go implementation at this data volume.
+// with uint32 node identifiers. When every node's in-edges share one
+// probability (the paper's weighted-cascade setting), the graph keeps that
+// probability once per node instead of once per edge, so it costs 8 bytes
+// per edge plus 28 per node; otherwise each edge also carries its
+// probability on both sides, 16 bytes per edge plus 24 per node. Flat
+// slices keep Go's garbage collector out of the hot path, which is the
+// main scalability risk of a Go implementation at this data volume.
 package graph
 
 import (
 	"fmt"
 	"math"
 	"sync"
+
+	"dimm/internal/offheap"
 )
 
 // Graph is an immutable weighted directed graph. Construct one with a
@@ -28,21 +33,37 @@ import (
 // Each directed edge <u,v> carries a propagation probability p(u,v) in
 // (0,1], the probability that u activates v under the IC model, and the
 // weight of u in v's threshold sum under the LT model.
+//
+// A frozen graph whose UniformIn holds is compact: it stores p(·,v) once,
+// as InP(v), and no per-edge probability arrays. Every constructor
+// establishes that; only EnableMutation materializes per-edge arrays,
+// because removals and reweights act on single edges.
 type Graph struct {
 	n int64 // number of nodes
 	m int64 // number of directed edges
 
 	// Out-CSR: edges leaving each node. outAdj[outStart[u]:outStart[u+1]]
-	// are the heads of u's outgoing edges; outProb holds p(u, head).
+	// are the heads of u's outgoing edges; outProb holds p(u, head), or
+	// is nil on a compact graph.
 	outStart []int64
 	outAdj   []uint32
 	outProb  []float32
 
 	// In-CSR: edges entering each node. inAdj[inStart[v]:inStart[v+1]]
-	// are the tails of v's incoming edges; inProb holds p(tail, v).
+	// are the tails of v's incoming edges; inProb holds p(tail, v), or
+	// is nil on a compact graph.
 	inStart []int64
 	inAdj   []uint32
 	inProb  []float32
+
+	// inP[v] is the probability every in-edge of v carries while
+	// uniformIn holds (0 for a node without in-edges); nil otherwise.
+	// With inProb nil it is the only record of the edge probabilities.
+	inP []float32
+
+	// edgeProbs is the off-heap mapping EnableMutation filled outProb and
+	// inProb into on a compact graph; nil otherwise.
+	edgeProbs *offheap.Region
 
 	// inProbSum[v] is the sum of v's incoming edge probabilities. The LT
 	// model requires it to be <= 1; the reverse random walk stops at v
@@ -89,20 +110,94 @@ func (g *Graph) InDegree(v uint32) int {
 	return int(g.inStart[v+1] - g.inStart[v])
 }
 
-// OutNeighbors returns the heads and probabilities of u's outgoing edges.
-// The returned slices alias the graph's storage, must not be modified,
-// and are valid while g is reachable.
-func (g *Graph) OutNeighbors(u uint32) ([]uint32, []float32) {
-	lo, hi := g.outStart[u], g.outStart[u+1]
-	return g.outAdj[lo:hi], g.outProb[lo:hi]
+// OutAdj returns the heads of u's outgoing edges. The slice aliases the
+// graph's storage, must not be modified, and is valid while g is
+// reachable.
+func (g *Graph) OutAdj(u uint32) []uint32 {
+	return g.outAdj[g.outStart[u]:g.outStart[u+1]]
 }
 
-// InNeighbors returns the tails and probabilities of v's incoming edges.
-// The returned slices alias the graph's storage, must not be modified,
-// and are valid while g is reachable.
+// InAdj returns the tails of v's incoming edges. The slice aliases the
+// graph's storage, must not be modified, and is valid while g is
+// reachable.
+func (g *Graph) InAdj(v uint32) []uint32 {
+	return g.inAdj[g.inStart[v]:g.inStart[v+1]]
+}
+
+// InP returns the probability every in-edge of v carries (0 when v has
+// none). It is defined only while UniformIn holds; kernels read it
+// instead of a per-edge array, so p(u, v) for an out-edge of u is
+// InP(v).
+func (g *Graph) InP(v uint32) float32 { return g.inP[v] }
+
+// OutNeighbors returns the heads and probabilities of u's outgoing edges.
+// The heads alias the graph's storage, as OutAdj's do. The probabilities
+// alias it too when the graph keeps per-edge arrays; on a compact graph
+// they are a fresh slice filled from InP, one allocation per call, so
+// hot paths use OutAdj and InP instead. Neither may be modified.
+func (g *Graph) OutNeighbors(u uint32) ([]uint32, []float32) {
+	lo, hi := g.outStart[u], g.outStart[u+1]
+	adj := g.outAdj[lo:hi]
+	if g.outProb != nil {
+		return adj, g.outProb[lo:hi]
+	}
+	prob := make([]float32, len(adj))
+	for i, v := range adj {
+		prob[i] = g.inP[v]
+	}
+	return adj, prob
+}
+
+// InNeighbors returns the tails and probabilities of v's incoming edges,
+// with OutNeighbors' aliasing: the probabilities are a fresh slice
+// filled with InP(v) on a compact graph, and alias the graph's storage
+// otherwise.
 func (g *Graph) InNeighbors(v uint32) ([]uint32, []float32) {
 	lo, hi := g.inStart[v], g.inStart[v+1]
-	return g.inAdj[lo:hi], g.inProb[lo:hi]
+	adj := g.inAdj[lo:hi]
+	if g.inProb != nil {
+		return adj, g.inProb[lo:hi]
+	}
+	prob := make([]float32, len(adj))
+	for i := range prob {
+		prob[i] = g.inP[v]
+	}
+	return adj, prob
+}
+
+// outProbAt returns the probability of out-slot i, whose head is
+// outAdj[i].
+func (g *Graph) outProbAt(i int64) float32 {
+	if g.outProb != nil {
+		return g.outProb[i]
+	}
+	return g.inP[g.outAdj[i]]
+}
+
+// edgeProbArrays returns the per-edge out- and in-probability arrays:
+// the graph's own, or copies expanded from inP on a compact graph.
+func (g *Graph) edgeProbArrays() (out, in []float32) {
+	if g.inProb != nil {
+		return g.outProb, g.inProb
+	}
+	out = make([]float32, g.m)
+	in = make([]float32, g.m)
+	g.fillEdgeProbs(out, in)
+	return out, in
+}
+
+// fillEdgeProbs writes the per-edge probabilities of a compact graph
+// into out and in (each m long).
+func (g *Graph) fillEdgeProbs(out, in []float32) {
+	for i, v := range g.outAdj {
+		out[i] = g.inP[v]
+	}
+	for v := int64(0); v < g.n; v++ {
+		p := g.inP[v]
+		for i := g.inStart[v]; i < g.inStart[v+1]; i++ {
+			in[i] = p
+		}
+	}
 }
 
 // InProbSum returns the sum of incoming edge probabilities of v.
@@ -219,25 +314,32 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-// finalize computes derived fields (inProbSum, uniformIn).
+// finalize computes derived fields (inProbSum, uniformIn) and, when the
+// in-probabilities are uniform, makes the graph compact: inP takes one
+// value per node and the per-edge arrays are dropped. Uniformity is
+// bitwise, so the expansion of inP reproduces every stored bit.
 func (g *Graph) finalize() {
 	uniform := true
+	inP := make([]float32, g.n)
 	for v := int64(0); v < g.n; v++ {
 		lo, hi := g.inStart[v], g.inStart[v+1]
 		sum := 0.0
-		var first float32
 		for i := lo; i < hi; i++ {
 			p := g.inProb[i]
 			sum += float64(p)
 			if i == lo {
-				first = p
-			} else if p != first {
+				inP[v] = p
+			} else if math.Float32bits(p) != math.Float32bits(inP[v]) {
 				uniform = false
 			}
 		}
 		g.inProbSum[v] = sum
 	}
 	g.uniformIn = uniform
+	if uniform {
+		g.inP = inP
+		g.outProb, g.inProb = nil, nil
+	}
 }
 
 // Edges calls fn for every directed edge. It exists for loaders/writers and
@@ -246,9 +348,19 @@ func (g *Graph) Edges(fn func(from, to uint32, prob float32)) {
 	for u := int64(0); u < g.n; u++ {
 		lo, hi := g.outStart[u], g.outStart[u+1]
 		for i := lo; i < hi; i++ {
-			fn(uint32(u), g.outAdj[i], g.outProb[i])
+			fn(uint32(u), g.outAdj[i], g.outProbAt(i))
 		}
 	}
+}
+
+// CSRBytes returns the bytes the graph's CSR arrays hold: offsets,
+// adjacency and in-probability sums, plus inP on a uniform-in graph and
+// the two per-edge probability arrays on any other (a mutable graph
+// holds both until its first update). A segmented file's payload, the
+// out-of-core RSS base, is SegInfo.CSRBytes.
+func (g *Graph) CSRBytes() int64 {
+	return int64(8*(len(g.outStart)+len(g.inStart)+len(g.inProbSum)) +
+		4*(len(g.outAdj)+len(g.inAdj)+len(g.outProb)+len(g.inProb)+len(g.inP)))
 }
 
 // MaxInDegree returns the maximum in-degree; generators use it in stats.

@@ -74,8 +74,8 @@ func (g *Graph) BaseHash() string {
 				c.add4(v)
 			}
 			crcs = append(crcs, c.finish()...)
-			for _, p := range g.outProb {
-				c.add4(math.Float32bits(p))
+			for i := range g.outAdj {
+				c.add4(math.Float32bits(g.outProbAt(int64(i))))
 			}
 			crcs = append(crcs, c.finish()...)
 		}

@@ -182,7 +182,8 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if err := binary.Write(bw, binary.LittleEndian, g.outAdj); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outProb); err != nil {
+	outProb, _ := g.edgeProbArrays()
+	if err := binary.Write(bw, binary.LittleEndian, outProb); err != nil {
 		return err
 	}
 	return bw.Flush()

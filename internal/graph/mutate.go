@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
+
+	"dimm/internal/offheap"
 )
 
 // Dynamic-graph support: a frozen CSR graph can be switched into mutable
@@ -128,12 +131,28 @@ type mutState struct {
 // other processes have mapped). Until a mutation overlay over segments
 // lands, dynamic workloads must load with the mem backend, whose private
 // region is writable.
+//
+// On a compact graph it first materializes the per-edge out- and
+// in-probability arrays from InP, in one mapping off the Go heap that
+// the graph owns: tombstones and reweights act on single edges. InP
+// stays valid until the first update clears UniformIn.
 func (g *Graph) EnableMutation() error {
 	if g.Mapped() {
 		return &MappedGraphError{Path: g.seg.path, Op: "EnableMutation"}
 	}
 	if g.mut != nil {
 		return nil
+	}
+	if g.inProb == nil && g.m > 0 {
+		r, err := offheap.NewRegion(int(2 * 4 * g.m))
+		if err != nil {
+			return fmt.Errorf("graph: mapping per-edge probabilities: %w", err)
+		}
+		b := r.Bytes()
+		out := unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), g.m)
+		in := unsafe.Slice((*float32)(unsafe.Pointer(&b[4*g.m])), g.m)
+		g.fillEdgeProbs(out, in)
+		g.outProb, g.inProb, g.edgeProbs = out, in, r
 	}
 	m := &mutState{
 		inIdx:  make([]int32, g.n),
@@ -483,7 +502,9 @@ func (g *Graph) setSlotProb(x uint32, s slotRef, p float32, out bool) {
 // where their coin indices already are. The graph's content (and hence
 // ContentHash) is unchanged — compaction is a pure storage operation.
 // The rebuilt arrays live on the heap: on a graph opened with BackendMem
-// every array moves off the private region, which is released here.
+// every array moves off the private region, which is released here, as
+// is the mapping EnableMutation materialized. inP is dropped: updates
+// cleared UniformIn, so nothing reads it.
 func (g *Graph) Compact() {
 	m := g.mut
 	if m == nil || m.overlay == 0 {
@@ -491,6 +512,9 @@ func (g *Graph) Compact() {
 	}
 	g.inStart, g.inAdj, g.inProb = compactCSR(g.n, g.inStart, g.inAdj, g.inProb, m.inIdx, m.inLists)
 	g.outStart, g.outAdj, g.outProb = compactCSR(g.n, g.outStart, g.outAdj, g.outProb, m.outIdx, m.outLists)
+	g.inP = nil
+	g.edgeProbs.Free()
+	g.edgeProbs = nil
 	if g.seg != nil && g.seg.region != nil {
 		g.inProbSum = slices.Clone(g.inProbSum)
 		g.seg.release()

@@ -11,19 +11,21 @@ import (
 
 // Segmented on-disk CSR (".dsg"), the out-of-core graph substrate.
 //
-// One sectioned file holds the same seven flat arrays an in-memory Graph
-// carries — out-CSR (offsets, targets, weights), in-CSR (offsets, tails,
-// weights) and the per-node incoming probability sums — each as a
-// page-aligned section of fixed-width little-endian elements followed by
-// a CRC32C-per-block trailer. Because a section's payload is exactly the
-// little-endian image of the corresponding slice, the file can either be
-// copied, verified, into a private anonymous mapping (BackendMem) or
-// mmap'ed read-only (BackendMmap), and the slices aliased in place; both
-// produce a *Graph whose accessors return identical
-// bytes, so every sampler, kernel and cluster worker runs on it
-// unchanged. The OS pages adjacency blocks in on demand, which is what
-// lets a 100M+ edge graph serve RR generation without the CSR being
-// resident in RAM.
+// One sectioned file holds seven flat arrays — out-CSR (offsets,
+// targets, weights), in-CSR (offsets, tails, weights) and the per-node
+// incoming probability sums — each as a page-aligned section of
+// fixed-width little-endian elements followed by a CRC32C-per-block
+// trailer. Because a section's payload is exactly the little-endian
+// image of the corresponding slice, the file can either be copied,
+// verified, into a private anonymous mapping (BackendMem) or mmap'ed
+// read-only (BackendMmap), and the slices aliased in place; both produce
+// a *Graph whose accessors return identical bytes, so every sampler,
+// kernel and cluster worker runs on it unchanged. A file whose header
+// flags uniform in-probabilities opens compact: the graph keeps one
+// probability per node (Graph.InP) instead of the two weight sections.
+// The OS pages adjacency blocks in on demand, which is what lets a
+// 100M+ edge graph serve RR generation without the CSR being resident
+// in RAM.
 //
 // File layout (all little-endian):
 //
@@ -33,7 +35,7 @@ import (
 //	8       8     n (nodes)
 //	16      8     m (directed edges)
 //	24      4     CRC/hash block size (always 1 MiB in v1)
-//	28      1     uniformIn flag
+//	28      1     uniformIn flag (0 or 1)
 //	29      1     weight tag length
 //	30      16    weight tag ("wc", "file", ... zero padded)
 //	46      2     zero pad
@@ -224,6 +226,9 @@ func decodeHeader(path string, h []byte) (*segHeader, error) {
 	if bs := binary.LittleEndian.Uint32(h[24:]); bs != SegBlockSize {
 		return nil, csrError(path, sealed.ErrFormat, "block size %d, v1 requires %d", bs, SegBlockSize)
 	}
+	if h[28] > 1 {
+		return nil, csrError(path, sealed.ErrFormat, "uniform-in flag %d, want 0 or 1", h[28])
+	}
 	tagLen := int(h[29])
 	if tagLen > segWeightTagMax {
 		return nil, csrError(path, sealed.ErrFormat, "weight tag length %d exceeds %d", tagLen, segWeightTagMax)
@@ -306,8 +311,11 @@ type SegInfo struct {
 	UniformIn bool
 	WeightTag string
 	FileBytes int64
-	CSRBytes  int64 // payload bytes proper (the RSS comparison base)
-	Blocks    int64 // CRC blocks across all sections
+	// CSRBytes is the payload of all seven sections, the file's CSR
+	// proper and the out-of-core RSS comparison base. A graph opened
+	// from a uniform-in file holds less (Graph.CSRBytes).
+	CSRBytes int64
+	Blocks   int64 // CRC blocks across all sections
 }
 
 // StatSegmented reads and validates a segmented graph's header without
@@ -340,7 +348,9 @@ func StatSegmented(path string) (*SegInfo, error) {
 // VerifySegmented reads every payload block of every section and checks
 // it against the CRC trailers — the full integrity pass (a sequential
 // read of the whole file; OpenSegmented with the mmap backend
-// deliberately skips it so opening stays O(header+trailers)).
+// deliberately skips it so opening stays O(header+trailers+nodes)). A
+// uniform-in file's in-probabilities are also held to its flag, as the
+// mem backend holds them.
 func VerifySegmented(path string) (*SegInfo, error) {
 	info, err := StatSegmented(path)
 	if err != nil {
@@ -356,26 +366,28 @@ func VerifySegmented(path string) (*SegInfo, error) {
 		return nil, err
 	}
 	buf := make([]byte, SegBlockSize)
+	var start []int64 // the in-CSR offsets, kept for the flag check
 	for kind, s := range hdr.layout.sections {
 		crcs, err := readTrailer(f, path, kind, s)
 		if err != nil {
 			return nil, err
 		}
-		remaining := s.payloadBytes()
-		off := s.off
-		for b := 0; remaining > 0; b++ {
-			chunk := int64(SegBlockSize)
-			if chunk > remaining {
-				chunk = remaining
+		var each func([]byte) error
+		switch {
+		case !hdr.uniformIn:
+		case kind == secInStart:
+			start = make([]int64, 0, s.count)
+			each = func(b []byte) error {
+				for ; len(b) >= 8; b = b[8:] {
+					start = append(start, int64(binary.LittleEndian.Uint64(b)))
+				}
+				return nil
 			}
-			if _, err := f.ReadAt(buf[:chunk], off); err != nil {
-				return nil, fmt.Errorf("graph: reading %s block %d of %s: %w", secNames[kind], b, path, err)
-			}
-			if got := checksum.Sum(buf[:chunk]); got != crcs[b] {
-				return nil, csrChecksumError(path, secNames[kind], b, crcs[b], got)
-			}
-			off += chunk
-			remaining -= chunk
+		case kind == secInProb:
+			each = (&inPCheck{path: path, start: start}).block
+		}
+		if err := verifySection(f, path, kind, s, crcs, buf, each); err != nil {
+			return nil, err
 		}
 	}
 	return info, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -58,6 +59,8 @@ func FuzzOpenSegmented(f *testing.F) {
 	f.Add(edit(0, out.trailerOff(), 0xff))                                                 // trailer flip
 	f.Add(edit(fuzzRefitTrailers, layout.sections[secOutStart].off+8, 0x40))               // offsets past m, CRCs intact
 	f.Add(edit(fuzzRefitTrailers|fuzzRefitHeader, layout.sections[secInProb].off+3, 0x7f)) // NaN weight
+	f.Add(edit(fuzzRefitHeader, 28, 1))                                                    // uniform flag over node 1's unequal in-edges
+	f.Add(edit(fuzzRefitHeader, 28, 2))                                                    // flag byte neither 0 nor 1
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
@@ -68,15 +71,7 @@ func FuzzOpenSegmented(f *testing.F) {
 			file[int(binary.LittleEndian.Uint16(e))%len(file)] ^= e[2]
 		}
 		if script[0]&fuzzRefitTrailers != 0 {
-			for _, s := range layout.sections {
-				payload := file[s.off:s.trailerOff()]
-				trailer := file[s.trailerOff() : s.trailerOff()+s.trailerBytes()]
-				for i := int64(0); i < s.nBlocks(); i++ {
-					block := payload[i*SegBlockSize : min((i+1)*SegBlockSize, int64(len(payload)))]
-					binary.LittleEndian.PutUint32(trailer[i*4:], checksum.Sum(block))
-				}
-				binary.LittleEndian.PutUint32(trailer[len(trailer)-4:], checksum.Sum(trailer[:len(trailer)-4]))
-			}
+			refitTrailers(file, layout)
 		}
 		if script[0]&fuzzRefitHeader != 0 {
 			binary.LittleEndian.PutUint32(file[segHeaderSize-4:], checksum.Sum(file[:segHeaderSize-4]))
@@ -119,11 +114,34 @@ func FuzzOpenSegmented(f *testing.F) {
 			t.Fatalf("re-encode changed n=%d m=%d uniform=%v tag=%q to n=%d m=%d uniform=%v tag=%q",
 				got.n, got.m, got.uniformIn, got.WeightTag(), back.n, back.m, back.uniformIn, back.WeightTag())
 		}
-		for kind, s := range computeLayout(got.n, got.m).sections {
-			span := func(g *Graph) []byte { return g.seg.region[s.off:s.trailerOff()] }
-			if !bytes.Equal(span(got), span(back)) {
+		gotImg, backImg := sectionImages(got), sectionImages(back)
+		for kind := range gotImg {
+			if !bytes.Equal(gotImg[kind], backImg[kind]) {
 				t.Fatalf("section %s differs after a re-encode", secNames[kind])
 			}
 		}
 	})
+}
+
+// sectionImages returns the little-endian payload each of g's seven
+// sections would be written as, the per-edge probabilities expanded.
+func sectionImages(g *Graph) [segSectionCount][]byte {
+	var img [segSectionCount][]byte
+	outProb, inProb := g.edgeProbArrays()
+	for _, v := range g.outStart {
+		img[secOutStart] = binary.LittleEndian.AppendUint64(img[secOutStart], uint64(v))
+	}
+	for _, v := range g.inStart {
+		img[secInStart] = binary.LittleEndian.AppendUint64(img[secInStart], uint64(v))
+	}
+	for _, v := range g.inProbSum {
+		img[secInProbSum] = binary.LittleEndian.AppendUint64(img[secInProbSum], math.Float64bits(v))
+	}
+	for i := range g.outAdj {
+		img[secOutAdj] = binary.LittleEndian.AppendUint32(img[secOutAdj], g.outAdj[i])
+		img[secOutProb] = binary.LittleEndian.AppendUint32(img[secOutProb], math.Float32bits(outProb[i]))
+		img[secInAdj] = binary.LittleEndian.AppendUint32(img[secInAdj], g.inAdj[i])
+		img[secInProb] = binary.LittleEndian.AppendUint32(img[secInProb], math.Float32bits(inProb[i]))
+	}
+	return img
 }

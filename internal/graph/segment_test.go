@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dimm/internal/checksum"
@@ -28,7 +29,9 @@ func segTestGraph(t testing.TB) *Graph {
 }
 
 // requireGraphsEqual asserts byte-level equality of every CSR array and
-// the derived fields — the bit-identity contract between substrates.
+// the derived fields — the bit-identity contract between substrates. The
+// edge probabilities are compared as expanded per edge, and the compact
+// form (inP, no per-edge arrays) must agree as well.
 func requireGraphsEqual(t *testing.T, want, got *Graph) {
 	t.Helper()
 	if want.n != got.n || want.m != got.m {
@@ -44,15 +47,23 @@ func requireGraphsEqual(t *testing.T, want, got *Graph) {
 			t.Fatalf("inStart[%d]: want %d, got %d", i, want.inStart[i], got.inStart[i])
 		}
 	}
+	wantOut, wantIn := want.edgeProbArrays()
+	gotOut, gotIn := got.edgeProbArrays()
 	for i := range want.outAdj {
-		if want.outAdj[i] != got.outAdj[i] || want.outProb[i] != got.outProb[i] {
-			t.Fatalf("out slot %d: want (%d,%v), got (%d,%v)", i, want.outAdj[i], want.outProb[i], got.outAdj[i], got.outProb[i])
+		if want.outAdj[i] != got.outAdj[i] || wantOut[i] != gotOut[i] {
+			t.Fatalf("out slot %d: want (%d,%v), got (%d,%v)", i, want.outAdj[i], wantOut[i], got.outAdj[i], gotOut[i])
 		}
 	}
 	for i := range want.inAdj {
-		if want.inAdj[i] != got.inAdj[i] || want.inProb[i] != got.inProb[i] {
-			t.Fatalf("in slot %d: want (%d,%v), got (%d,%v)", i, want.inAdj[i], want.inProb[i], got.inAdj[i], got.inProb[i])
+		if want.inAdj[i] != got.inAdj[i] || wantIn[i] != gotIn[i] {
+			t.Fatalf("in slot %d: want (%d,%v), got (%d,%v)", i, want.inAdj[i], wantIn[i], got.inAdj[i], gotIn[i])
 		}
+	}
+	if (want.inProb == nil) != (got.inProb == nil) || (want.outProb == nil) != (got.outProb == nil) {
+		t.Fatalf("per-edge probability arrays: want kept=%v/%v, got %v/%v", want.outProb != nil, want.inProb != nil, got.outProb != nil, got.inProb != nil)
+	}
+	if !slices.Equal(want.inP, got.inP) {
+		t.Fatalf("inP differs: want %d values, got %d", len(want.inP), len(got.inP))
 	}
 	for i := range want.inProbSum {
 		if want.inProbSum[i] != got.inProbSum[i] {

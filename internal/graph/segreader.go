@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -66,9 +68,9 @@ type segState struct {
 	path      string
 	region    []byte // the mapping the CSR aliases; nil once released
 	shared    bool   // region is the read-only file mapping (BackendMmap)
+	inP       []byte // BackendMmap on a uniform-in file: the mapping inP aliases
 	weightTag string
 	fileBytes int64
-	csrBytes  int64
 	crcs      [segSectionCount][]uint32
 }
 
@@ -87,16 +89,62 @@ func (s *segState) release() error {
 	s.region = nil
 	runtime.SetFinalizer(s, nil)
 	if s.shared {
-		return unmapFile(data)
+		err := unmapFile(data)
+		if uerr := offheap.Unmap(s.inP); err == nil {
+			err = uerr
+		}
+		s.inP = nil
+		return err
 	}
 	privateRegions.Add(-1)
 	return offheap.Unmap(data)
+}
+
+// isProbSection reports the two per-edge probability sections, which a
+// graph opened from a uniform-in file does not keep.
+func isProbSection(kind int) bool { return kind == secOutProb || kind == secInProb }
+
+// segPlacement says where each section's payload sits in the region a
+// graph aliases (-1 for a section it does not keep), and where inP sits
+// when the region holds it (-1 otherwise).
+type segPlacement struct {
+	off    [segSectionCount]int64
+	inPOff int64
+}
+
+// section returns the section kind as placed in the region.
+func (p *segPlacement) section(l segLayout, kind int) segSection {
+	s := l.sections[kind]
+	s.off = p.off[kind]
+	return s
+}
+
+// memPlacement lays out the region a mem open fills: the sections it
+// keeps, page-aligned in file order, then inP for a uniform-in file,
+// whose two probability sections are verified but not kept.
+func memPlacement(hdr *segHeader) (p segPlacement, size int64) {
+	p.inPOff = -1
+	for kind, s := range hdr.layout.sections {
+		p.off[kind] = -1
+		if hdr.uniformIn && isProbSection(kind) {
+			continue
+		}
+		p.off[kind] = size
+		size = alignUp(size + s.payloadBytes())
+	}
+	if hdr.uniformIn {
+		p.inPOff = size
+		size += 4 * hdr.layout.n
+	}
+	return p, size
 }
 
 // OpenSegmented opens a segmented graph file with the given backend.
 // Both backends return a *Graph with bit-identical accessor results;
 // they differ only in residency (verified private copy vs demand-paged
 // file mapping) and in how much integrity checking happens up front.
+// A file whose header flags uniform in-probabilities opens compact
+// (see Graph): neither backend keeps its two probability sections.
 func OpenSegmented(path string, backend Backend) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -111,7 +159,6 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 		path:      path,
 		weightTag: hdr.weightTag,
 		fileBytes: hdr.layout.fileSize,
-		csrBytes:  hdr.layout.CSRBytes(),
 	}
 	for kind, s := range hdr.layout.sections {
 		crcs, err := readTrailer(f, path, kind, s)
@@ -127,33 +174,48 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 		uniformIn: hdr.uniformIn,
 		seg:       seg,
 	}
+	var place segPlacement
 	switch backend {
 	case BackendMem:
 		if privateRegions.Load() > 0 {
 			runtime.GC() // lets finalizers release the regions of dropped graphs first
 		}
-		seg.region, err = loadSegMem(f, path, hdr, seg)
+		seg.region, place, err = loadSegMem(f, path, hdr, seg)
 		if seg.region != nil {
 			privateRegions.Add(1)
 		}
 	case BackendMmap:
 		seg.region, err = loadSegMmap(f, path, hdr)
 		seg.shared = true
+		for kind, s := range hdr.layout.sections {
+			place.off[kind] = s.off
+		}
+		place.inPOff = -1
 	default:
 		err = fmt.Errorf("graph: unknown backend %v", backend)
 	}
 	// The region outlives the descriptor; close it either way.
 	f.Close()
 	if err == nil {
-		sec := hdr.layout.sections
-		g.outStart = mapInt64(seg.region, sec[secOutStart])
-		g.outAdj = mapUint32(seg.region, sec[secOutAdj])
-		g.outProb = mapFloat32(seg.region, sec[secOutProb])
-		g.inStart = mapInt64(seg.region, sec[secInStart])
-		g.inAdj = mapUint32(seg.region, sec[secInAdj])
-		g.inProb = mapFloat32(seg.region, sec[secInProb])
-		g.inProbSum = mapFloat64(seg.region, sec[secInProbSum])
+		l := hdr.layout
+		g.outStart = mapInt64(seg.region, place.section(l, secOutStart))
+		g.outAdj = mapUint32(seg.region, place.section(l, secOutAdj))
+		g.inStart = mapInt64(seg.region, place.section(l, secInStart))
+		g.inAdj = mapUint32(seg.region, place.section(l, secInAdj))
+		g.inProbSum = mapFloat64(seg.region, place.section(l, secInProbSum))
+		if !hdr.uniformIn {
+			g.outProb = mapFloat32(seg.region, place.section(l, secOutProb))
+			g.inProb = mapFloat32(seg.region, place.section(l, secInProb))
+		}
 		err = segSanity(path, g)
+	}
+	if err == nil && hdr.uniformIn {
+		if place.inPOff >= 0 {
+			g.inP = mapFloat32(seg.region, segSection{elemSize: 4, count: g.n, off: place.inPOff})
+		} else {
+			seg.inP, err = mmapInP(g, seg.region, hdr.layout.sections[secInProb])
+			g.inP = mapFloat32(seg.inP, segSection{elemSize: 4, count: g.n})
+		}
 	}
 	if err != nil {
 		seg.release()
@@ -163,24 +225,49 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 	return g, nil
 }
 
-// loadSegMem copies the file into a private anonymous region, reading
-// each section straight to its file offset and verifying every payload
-// block against the trailer CRCs in place. The region is returned even
-// on error, for the caller to release.
-func loadSegMem(f *os.File, path string, hdr *segHeader, seg *segState) ([]byte, error) {
-	data, err := offheap.Map(int(hdr.layout.fileSize))
+// loadSegMem copies the file's kept sections into a private anonymous
+// region, verifying every payload block against the trailer CRCs in
+// place. The probability sections of a uniform-in file are read and
+// verified block by block through one scratch buffer instead, and the
+// in-probabilities are held to the header's flag in the same pass (each
+// node's first slot fills inP). The region is returned even on error,
+// for the caller to release.
+func loadSegMem(f *os.File, path string, hdr *segHeader, seg *segState) ([]byte, segPlacement, error) {
+	place, size := memPlacement(hdr)
+	data, err := offheap.Map(int(size))
 	if err != nil {
-		return nil, fmt.Errorf("graph: mapping %d bytes for %s: %w", hdr.layout.fileSize, path, err)
+		return nil, place, fmt.Errorf("graph: mapping %d bytes for %s: %w", size, path, err)
 	}
+	var scratch []byte
+	defer func() { offheap.Unmap(scratch) }()
 	for kind, s := range hdr.layout.sections {
-		payload := data[s.off : s.off+s.payloadBytes()]
+		if place.off[kind] < 0 {
+			if scratch == nil {
+				if scratch, err = offheap.Map(SegBlockSize); err != nil {
+					return data, place, fmt.Errorf("graph: mapping a block buffer for %s: %w", path, err)
+				}
+			}
+			var each func([]byte) error
+			if kind == secInProb {
+				each = (&inPCheck{
+					path:  path,
+					start: mapInt64(data, place.section(hdr.layout, secInStart)),
+					inP:   mapFloat32(data, segSection{elemSize: 4, count: hdr.layout.n, off: place.inPOff}),
+				}).block
+			}
+			if err := verifySection(f, path, kind, s, seg.crcs[kind], scratch, each); err != nil {
+				return data, place, err
+			}
+			continue
+		}
+		payload := data[place.off[kind] : place.off[kind]+s.payloadBytes()]
 		if _, err := f.ReadAt(payload, s.off); err != nil {
-			return data, fmt.Errorf("graph: reading %s of %s: %w", secNames[kind], path, err)
+			return data, place, fmt.Errorf("graph: reading %s of %s: %w", secNames[kind], path, err)
 		}
 		for b, want := range seg.crcs[kind] {
 			block := payload[b*SegBlockSize : min((b+1)*SegBlockSize, len(payload))]
 			if got := checksum.Sum(block); got != want {
-				return data, csrChecksumError(path, secNames[kind], b, want, got)
+				return data, place, csrChecksumError(path, secNames[kind], b, want, got)
 			}
 		}
 		if !hostLittleEndian() {
@@ -189,7 +276,101 @@ func loadSegMem(f *os.File, path string, hdr *segHeader, seg *segState) ([]byte,
 			}
 		}
 	}
-	return data, nil
+	return data, place, nil
+}
+
+// verifySection reads one section's payload block by block into buf
+// (SegBlockSize bytes), checks each block against its trailer CRC, and
+// hands every verified block to each when it is not nil.
+func verifySection(f *os.File, path string, kind int, s segSection, crcs []uint32, buf []byte, each func([]byte) error) error {
+	remaining, off := s.payloadBytes(), s.off
+	for b := 0; remaining > 0; b++ {
+		chunk := min(int64(SegBlockSize), remaining)
+		block := buf[:chunk]
+		if _, err := f.ReadAt(block, off); err != nil {
+			return fmt.Errorf("graph: reading %s block %d of %s: %w", secNames[kind], b, path, err)
+		}
+		if got := checksum.Sum(block); got != crcs[b] {
+			return csrChecksumError(path, secNames[kind], b, crcs[b], got)
+		}
+		if each != nil {
+			if err := each(block); err != nil {
+				return err
+			}
+		}
+		off += chunk
+		remaining -= chunk
+	}
+	return nil
+}
+
+// inPCheck walks the in-probability section of a uniform-in file in slot
+// order and holds it to the header's flag: a node's first slot gives its
+// probability (stored in inP when that is not nil), and every later slot
+// must carry the same bits, or the file is refused with ErrFormat. start
+// is the in-CSR offset array, read before the section.
+type inPCheck struct {
+	path  string
+	start []int64
+	inP   []float32
+	v     int64  // node owning the next slot
+	slot  int64  // next slot
+	first uint32 // bits of node v's first slot
+}
+
+// block consumes the little-endian float32 slots of one payload block.
+func (c *inPCheck) block(b []byte) error {
+	n := int64(len(c.start)) - 1
+	for len(b) > 0 {
+		for c.v < n && c.start[c.v+1] <= c.slot {
+			c.v++
+		}
+		if c.v >= n {
+			return csrError(c.path, sealed.ErrFormat, "in-probability slot %d lies past the in-CSR offsets", c.slot)
+		}
+		k := min(c.start[c.v+1]-c.slot, int64(len(b)/4))
+		i := int64(0)
+		if c.slot == c.start[c.v] {
+			c.first = binary.LittleEndian.Uint32(b)
+			if c.inP != nil {
+				c.inP[c.v] = math.Float32frombits(c.first)
+			}
+			i = 1
+		}
+		for ; i < k; i++ {
+			if bits := binary.LittleEndian.Uint32(b[4*i:]); bits != c.first {
+				return csrError(c.path, sealed.ErrFormat, "header flags uniform in-probabilities, but in-edge %d of node %d carries %v, not %v",
+					c.slot+i-c.start[c.v], c.v, math.Float32frombits(bits), math.Float32frombits(c.first))
+			}
+		}
+		c.slot += k
+		b = b[4*k:]
+	}
+	return nil
+}
+
+// mmapInP derives the per-node in-probabilities of a mapped uniform-in
+// file without touching its probability sections: the float64 sum of d
+// equal float32 values is exact while d < 2²⁹, so inProbSum[v]/d is the
+// value itself. Only a node of larger in-degree reads its first slot.
+// The result lives in its own off-heap mapping.
+func mmapInP(g *Graph, region []byte, inProb segSection) ([]byte, error) {
+	b, err := offheap.Map(int(4 * g.n))
+	if err != nil {
+		return nil, fmt.Errorf("graph: mapping in-probabilities of %s: %w", g.seg.path, err)
+	}
+	inP := mapFloat32(b, segSection{elemSize: 4, count: g.n})
+	for v := range inP {
+		lo, hi := g.inStart[v], g.inStart[v+1]
+		switch d := hi - lo; {
+		case d <= 0:
+		case d < 1<<29:
+			inP[v] = float32(g.inProbSum[v] / float64(d))
+		case lo < g.m:
+			inP[v] = mapFloat32(region, inProb)[lo]
+		}
+	}
+	return b, nil
 }
 
 // loadSegMmap maps the file read-only. Section payloads are exact
@@ -280,29 +461,25 @@ func (g *Graph) WeightTag() string {
 	return g.seg.weightTag
 }
 
-// CSRBytes returns the byte size of the seven CSR arrays — the base an
-// out-of-core bench compares peak RSS against. It is identical for the
-// heap and mapped forms of the same graph.
-func (g *Graph) CSRBytes() int64 {
-	if g.seg != nil {
-		return g.seg.csrBytes
-	}
-	return computeLayout(g.n, g.m).CSRBytes()
-}
-
 // Close releases the region a segmented graph's CSR aliases — the file
 // mapping (BackendMmap) or the verified private copy (BackendMem) — at
 // once instead of when the GC finds the graph unreachable. The graph
-// must not be used afterwards. Graphs that own heap slices (built in
-// memory, loaded from other formats, or compacted) ignore Close.
-// Idempotent.
+// must not be used afterwards. It also releases the per-edge
+// probability mapping EnableMutation materialized on a compact graph.
+// Graphs that own heap slices (built in memory, loaded from other
+// formats, or compacted) otherwise ignore Close. Idempotent.
 func (g *Graph) Close() error {
+	if g.edgeProbs != nil {
+		g.outProb, g.inProb = nil, nil
+		g.edgeProbs.Free()
+		g.edgeProbs = nil
+	}
 	if g.seg == nil || g.seg.region == nil {
 		return nil
 	}
 	g.outStart, g.outAdj, g.outProb = nil, nil, nil
 	g.inStart, g.inAdj, g.inProb = nil, nil, nil
-	g.inProbSum = nil
+	g.inProbSum, g.inP = nil, nil
 	return g.seg.release()
 }
 

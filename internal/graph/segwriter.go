@@ -276,7 +276,7 @@ func BuildSegmented(path string, n int, src func(emit func(from, to uint32, prob
 		sum += float64(r.prob)
 		if !seen {
 			first, seen = r.prob, true
-		} else if r.prob != first {
+		} else if math.Float32bits(r.prob) != math.Float32bits(first) {
 			uniform = false
 		}
 		return firstErr(wInAdj.err, wInProb.err)
@@ -340,13 +340,14 @@ func encodeSegmented(f *os.File, g *Graph, weightTag string) error {
 	if err := f.Truncate(layout.fileSize); err != nil {
 		return fmt.Errorf("graph: sizing segmented graph: %w", err)
 	}
+	outProb, inProb := g.edgeProbArrays()
 	if err := firstErr(
 		writeInt64Section(f, layout, secOutStart, g.outStart),
 		writeUint32Section(f, layout, secOutAdj, g.outAdj),
-		writeFloat32Section(f, layout, secOutProb, g.outProb),
+		writeFloat32Section(f, layout, secOutProb, outProb),
 		writeInt64Section(f, layout, secInStart, g.inStart),
 		writeUint32Section(f, layout, secInAdj, g.inAdj),
-		writeFloat32Section(f, layout, secInProb, g.inProb),
+		writeFloat32Section(f, layout, secInProb, inProb),
 		writeFloat64Section(f, layout, secInProbSum, g.inProbSum),
 	); err != nil {
 		return err

@@ -74,15 +74,13 @@ func WeaklyConnectedComponents(g *Graph) (count, largest int) {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			size++
-			adj, _ := g.OutNeighbors(u)
-			for _, v := range adj {
+			for _, v := range g.OutAdj(u) {
 				if !seen[v] {
 					seen[v] = true
 					stack = append(stack, v)
 				}
 			}
-			radj, _ := g.InNeighbors(u)
-			for _, v := range radj {
+			for _, v := range g.InAdj(u) {
 				if !seen[v] {
 					seen[v] = true
 					stack = append(stack, v)

@@ -158,7 +158,6 @@ type ringSlot struct {
 type ltStep struct {
 	lane int32
 	adj  []uint32
-	prob []float32
 	sum  float64
 	x    float64 // the step's draw, kept for the non-uniform scan
 	pick int     // slot of the next node, or stepStop / stepScan
@@ -434,7 +433,7 @@ func (s *BatchSampler) trimSlot(sl *ringSlot) {
 // runICWaves expands the lanes' BFS frontiers level-synchronously, idle
 // lanes taking the next set as each wave is gathered. Each wave is two
 // passes: a scan pass over the wave's (node, lane) items in node-sorted
-// order — so one InNeighbors fetch serves every lane whose frontier holds
+// order — so one adjacency fetch serves every lane whose frontier holds
 // that node — recording successful coin flips per item, then a commit
 // pass replaying items in lane/FIFO order so membership checks and
 // appends happen in exactly the scalar sampler's sequence.
@@ -471,15 +470,20 @@ func (s *BatchSampler) runICWaves() {
 		s.candStart = slices.Grow(s.candStart[:0], items)[:items]
 		s.candEnd = slices.Grow(s.candEnd[:0], items)[:items]
 		s.cand = s.cand[:0]
-		s.prefetchWave()
+		s.prefetchWave(uniform)
 		curNode := ^uint32(0)
 		var adj []uint32
 		var prob []float32
+		var pIn float32 // the in-probability of curNode when uniform
 		for _, key := range s.keys {
 			u := uint32(key >> 32)
 			seq := int32(key)
 			if u != curNode {
-				adj, prob = s.g.InNeighbors(u)
+				if uniform {
+					adj, pIn = s.g.InAdj(u), s.g.InP(u)
+				} else {
+					adj, prob = s.g.InNeighbors(u)
+				}
 				curNode = u
 			}
 			ln := &s.lanes[s.laneBySeq[seq]]
@@ -488,7 +492,7 @@ func (s *BatchSampler) runICWaves() {
 				s.scan.Seed(xrand.ScanSeed(ln.laneSeed, u))
 				if s.subset {
 					landed := 0
-					if p := float64(prob[0]); p > 0 {
+					if p := float64(pIn); p > 0 {
 						logQ := xrand.LogComplement(p)
 						i := s.scan.GeometricLog(logQ)
 						for i < len(adj) {
@@ -500,8 +504,11 @@ func (s *BatchSampler) runICWaves() {
 					}
 					ln.probes++ // the terminating jump
 					s.stats.SkippedEdges += int64(len(adj) - landed)
+				} else if uniform {
+					s.cand = s.scan.AppendUniformCoins(s.cand, adj, pIn)
+					ln.probes += int64(len(adj))
 				} else {
-					s.cand = s.scan.AppendCoins(s.cand, adj, prob, uniform)
+					s.cand = s.scan.AppendCoins(s.cand, adj, prob)
 					ln.probes += int64(len(adj))
 				}
 			}
@@ -533,14 +540,15 @@ func (s *BatchSampler) runICWaves() {
 }
 
 // prefetchWave touches the CSR offset and adjacency-block boundary
-// entries of an IC wave's nodes before the scan pass (skipping adjacent
+// entries and the in-probability of an IC wave's nodes before the scan
+// pass (skipping adjacent
 // repeats, which the node sort makes of every duplicate). Each
 // iteration's loads are independent of the previous one's, so the CPU
 // overlaps their DRAM misses at full memory-level parallelism; the serial
 // scan pass that follows then finds the lines resident instead of
 // stalling one miss at a time — a lone BFS has almost no independent
 // loads to overlap.
-func (s *BatchSampler) prefetchWave() {
+func (s *BatchSampler) prefetchWave(uniform bool) {
 	var sink uint64
 	cur := ^uint32(0)
 	for _, key := range s.keys {
@@ -549,9 +557,16 @@ func (s *BatchSampler) prefetchWave() {
 			continue
 		}
 		cur = u
-		adj, prob := s.g.InNeighbors(u)
-		if len(adj) > 0 {
-			sink += uint64(adj[0]) + uint64(adj[len(adj)-1]) + uint64(uint32(prob[0]))
+		adj := s.g.InAdj(u)
+		if len(adj) == 0 {
+			continue
+		}
+		sink += uint64(adj[0]) + uint64(adj[len(adj)-1])
+		if uniform {
+			sink += uint64(s.g.InP(u))
+		} else {
+			_, prob := s.g.InNeighbors(u)
+			sink += uint64(uint32(prob[0]))
 		}
 	}
 	s.prefetchSink += sink
@@ -588,7 +603,7 @@ func (s *BatchSampler) runLTWaves() {
 			}
 			st := &s.steps[n]
 			st.lane = int32(li)
-			st.adj, st.prob = s.g.InNeighbors(ln.cur)
+			st.adj = s.g.InAdj(ln.cur)
 			st.sum = s.g.InProbSum(ln.cur)
 			n++
 		}
@@ -640,7 +655,8 @@ func (s *BatchSampler) runLTWaves() {
 				s.finish(ln)
 				continue
 			case stepScan:
-				st.next = ln.scanPick(st.adj, st.prob, st.x)
+				_, prob := s.g.InNeighbors(ln.cur)
+				st.next = ln.scanPick(st.adj, prob, st.x)
 			}
 			if !ln.insert(st.next) {
 				s.finish(ln)

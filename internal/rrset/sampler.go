@@ -240,7 +240,7 @@ func (s *Sampler) sampleIC(root uint32, laneSeed uint64) (int, int64) {
 	var probes int64
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
-		adj, prob := s.g.InNeighbors(u)
+		adj := s.g.InAdj(u)
 		over := s.g.InOverlay(u)
 		if len(adj) == 0 && len(over) == 0 {
 			continue
@@ -249,7 +249,7 @@ func (s *Sampler) sampleIC(root uint32, laneSeed uint64) (int, int64) {
 		if s.subset {
 			// All incoming probabilities of u are equal; jump straight to
 			// the successful flips. Expected probes = 1 + d·p instead of d.
-			if p := float64(prob[0]); p > 0 {
+			if p := float64(s.g.InP(u)); p > 0 {
 				logQ := xrand.LogComplement(p)
 				i := s.scan.GeometricLog(logQ)
 				for i < len(adj) {
@@ -268,7 +268,12 @@ func (s *Sampler) sampleIC(root uint32, laneSeed uint64) (int, int64) {
 		// Successes land behind the queue's tail and are then admitted in
 		// scan order: the coin is drawn before the membership test.
 		tail := len(s.queue)
-		s.queue = s.scan.AppendCoins(s.queue, adj, prob, uniform)
+		if uniform {
+			s.queue = s.scan.AppendUniformCoins(s.queue, adj, s.g.InP(u))
+		} else {
+			_, prob := s.g.InNeighbors(u)
+			s.queue = s.scan.AppendCoins(s.queue, adj, prob)
+		}
 		// Overlay in-edges (added by mutation) continue the same scan
 		// stream: overlay entry j draws coin number len(adj)+j, the
 		// position it was assigned at ApplyUpdates. Tombstoned entries
@@ -280,7 +285,7 @@ func (s *Sampler) sampleIC(root uint32, laneSeed uint64) (int, int64) {
 				s.overAdj = append(s.overAdj, e.Node)
 				s.overProb = append(s.overProb, e.Prob)
 			}
-			s.queue = s.scan.AppendCoins(s.queue, s.overAdj, s.overProb, false)
+			s.queue = s.scan.AppendCoins(s.queue, s.overAdj, s.overProb)
 		}
 		probes += int64(len(adj) + len(over))
 		keep := tail
@@ -310,7 +315,7 @@ func (s *Sampler) sampleLT(root uint32) (int, int64) {
 	var probes int64
 	u := root
 	for {
-		adj, prob := s.g.InNeighbors(u)
+		adj := s.g.InAdj(u)
 		over := s.g.InOverlay(u)
 		if len(adj) == 0 && len(over) == 0 {
 			break
@@ -340,6 +345,7 @@ func (s *Sampler) sampleLT(root uint32) (int, int64) {
 			// Cumulative scan over base slots then overlay entries.
 			// Tombstones (p = 0) never advance acc, so they cannot be
 			// picked; the round-off fallback keeps the last live slot.
+			_, prob := s.g.InNeighbors(u)
 			acc := 0.0
 			picked, haveLive := false, false
 			var lastLive uint32

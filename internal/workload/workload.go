@@ -112,8 +112,7 @@ func NeighborSetSystem(g *graph.Graph) (*coverage.SetSystem, error) {
 	n := g.NumNodes()
 	sets := make([][]uint32, n)
 	for u := 0; u < n; u++ {
-		adj, _ := g.OutNeighbors(uint32(u))
-		sets[u] = adj
+		sets[u] = g.OutAdj(uint32(u))
 	}
 	return coverage.NewSetSystem(n, sets)
 }

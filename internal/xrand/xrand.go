@@ -133,16 +133,12 @@ func coinThreshold(p float32) uint64 {
 //		}
 //	}
 //
-// but the generator state stays in registers for the whole block.
-// uniform promises that every prob[i] equals prob[0] (graph.UniformIn):
-// the comparison is then an integer one against a threshold computed
-// once for the block, and the loop reads neither prob nor adj except on
-// a success. Without the promise the threshold cannot be hoisted, and
-// computing or caching it per entry costs more than it saves (a changed
-// probability is an unpredictable branch), so each coin is the float
-// comparison itself, still in registers. len(prob) must be at least
-// len(adj).
-func (r *Rand) AppendCoins(dst, adj []uint32, prob []float32, uniform bool) []uint32 {
+// but the generator state stays in registers for the whole block. The
+// biases of a block change from entry to entry, so each coin is the
+// float comparison itself: computing or caching an integer threshold per
+// entry costs more than it saves (a changed probability is an
+// unpredictable branch). len(prob) must be at least len(adj).
+func (r *Rand) AppendCoins(dst, adj []uint32, prob []float32) []uint32 {
 	if len(adj) == 0 {
 		return dst
 	}
@@ -154,18 +150,31 @@ func (r *Rand) AppendCoins(dst, adj []uint32, prob []float32, uniform bool) []ui
 	out := &dst
 	g := *r
 	var u uint64
-	if uniform {
-		t := coinThreshold(prob[0])
-		for i := range adj {
-			if u, g = g.Next(); u>>11 < t {
-				*out = append(*out, adj[i])
-			}
+	for i, p := range prob {
+		if u, g = g.Next(); Unit(u) < float64(p) {
+			*out = append(*out, adj[i])
 		}
-	} else {
-		for i, p := range prob {
-			if u, g = g.Next(); Unit(u) < float64(p) {
-				*out = append(*out, adj[i])
-			}
+	}
+	*r = g
+	return *out
+}
+
+// AppendUniformCoins is AppendCoins for a block whose every entry has
+// bias p (a node's in-edges when graph.UniformIn holds): draws, outcomes
+// and the final state are those of AppendCoins with prob[i] = p, but the
+// comparison is an integer one against a threshold computed once for the
+// block, and the loop reads adj only on a success.
+func (r *Rand) AppendUniformCoins(dst, adj []uint32, p float32) []uint32 {
+	if len(adj) == 0 {
+		return dst
+	}
+	out := &dst // as in AppendCoins
+	g := *r
+	var u uint64
+	t := coinThreshold(p)
+	for i := range adj {
+		if u, g = g.Next(); u>>11 < t {
+			*out = append(*out, adj[i])
 		}
 	}
 	*r = g

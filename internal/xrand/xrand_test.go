@@ -347,7 +347,7 @@ func TestCoinThresholdMatchesFloatCompare(t *testing.T) {
 // TestAppendCoinsMatchesReference is the property test of the kernel:
 // same success positions and the same generator state afterwards as the
 // reference loop, for uniform blocks of every adversarial probability
-// (with and without the uniform promise) and mixed blocks that switch
+// (through AppendUniformCoins and AppendCoins) and mixed blocks that switch
 // probability mid-block, at block lengths around the interesting sizes.
 func TestAppendCoinsMatchesReference(t *testing.T) {
 	ps := adversarialProbs()
@@ -359,7 +359,16 @@ func TestAppendCoinsMatchesReference(t *testing.T) {
 		}
 		got, want := New(seed), New(seed)
 		prefix := []uint32{7, 7}
-		gotPos := got.AppendCoins(slices.Clone(prefix), adj, prob, uniform)
+		var gotPos []uint32
+		if uniform {
+			var p float32
+			if len(prob) > 0 {
+				p = prob[0]
+			}
+			gotPos = got.AppendUniformCoins(slices.Clone(prefix), adj, p)
+		} else {
+			gotPos = got.AppendCoins(slices.Clone(prefix), adj, prob)
+		}
 		wantPos := referenceCoins(want, slices.Clone(prefix), adj, prob)
 		if !slices.Equal(gotPos, wantPos) {
 			t.Fatalf("%s: success positions %v, reference %v", name, gotPos, wantPos)
@@ -462,8 +471,8 @@ func BenchmarkScanCoins(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d), "ns/coin")
 			})
 		}
-		run("uniform", func(r *Rand, dst []uint32) []uint32 { return r.AppendCoins(dst, adj, uniform, true) })
-		run("mixed", func(r *Rand, dst []uint32) []uint32 { return r.AppendCoins(dst, adj, mixed, false) })
+		run("uniform", func(r *Rand, dst []uint32) []uint32 { return r.AppendUniformCoins(dst, adj, uniform[0]) })
+		run("mixed", func(r *Rand, dst []uint32) []uint32 { return r.AppendCoins(dst, adj, mixed) })
 		run("reference-uniform", func(r *Rand, dst []uint32) []uint32 { return referenceCoins(r, dst, adj, uniform) })
 		run("reference-mixed", func(r *Rand, dst []uint32) []uint32 { return referenceCoins(r, dst, adj, mixed) })
 	}
