@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-all bench-check bench-bless-tiny rrgen pprof-rrgen serve bench-ooc
+.PHONY: build test race bench serve
 
 build:
 	$(GO) build ./...
@@ -23,55 +23,7 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Regenerates every checked-in BENCH_*.json through the single sweep
-# runner (default parameter grid, 3 repeats; envelopes record min/mean/
-# max per metric). This is the one writer of the BENCH files — the
-# individual bench targets below only print. See DESIGN.md "Unified
-# metrics registry and the perf-regression sweep".
-SWEEP_REPEATS ?= 3
-bench-all:
-	$(GO) run ./cmd/experiments -run sweep -sweep-profile default -sweep-repeats $(SWEEP_REPEATS)
-
-# Perf-regression gate: rerun the checked-in BENCH_*.json grid into a
-# scratch directory and diff against the committed envelopes with a 25%
-# timing tolerance; exits nonzero on regression. Same-host only — on
-# different hardware use `-sweep-tolerance -1` (exact metrics only),
-# which is what CI does against baselines/tiny.
-bench-check:
-	$(GO) run ./cmd/experiments -run sweep -sweep-profile default -sweep-repeats $(SWEEP_REPEATS) \
-		-sweep-out $$(mktemp -d) -sweep-check -sweep-baseline . -sweep-tolerance 0.25
-
-# Regenerates the tiny-grid CI baselines (bless after a deliberate
-# behavior change; exact-class metrics must be machine-independent).
-bench-bless-tiny:
-	$(GO) run ./cmd/experiments -run sweep -sweep-profile tiny -sweep-repeats 2 -sweep-out baselines/tiny
-
-# Prints the RR-generation throughput sweep (parallelism × batch-width
-# levels; cache-stressing R-MAT graph by default — see -rrgen-* flags to
-# rescale). Print-only: BENCH_RRGEN.json is regenerated by bench-all.
-rrgen:
-	$(GO) run ./cmd/experiments -run rrgen
-
-# Captures CPU + allocation profiles of the RR-generation sweep into
-# ./profiles (see scripts/capture_pprof.sh for scale knobs). To profile
-# the repository benchmark's own graph (after one `bash benchmark/run.sh`):
-#   RRGEN_GRAPH=.bench_build/prep/rmat-n262144-d16-g7-wc.dsg RRGEN_COUNT=100000 RRGEN_BS=64 make pprof-rrgen
-# and, for the LT walk diimm_lt_tcp runs, the same with RRGEN_MODEL=lt
-# RRGEN_COUNT=400000 (RRGEN_MODEL = ic|lt, default ic).
-pprof-rrgen:
-	./scripts/capture_pprof.sh
-
 # Starts the resident query service on a synthetic graph — handy for
 # poking the HTTP API with curl (see README "Serving").
 serve:
 	$(GO) run ./cmd/dimmsrv -synth-nodes 20000 -machines 2 -kmax 20 -eps-floor 0.3 -warm -listen :8080
-
-# Prints the out-of-core RR generation run at full scale: mmap vs mem
-# backend throughput, peak RSS relative to CSR size, cross-backend
-# collection digests. Builds the 100M+ edge graph first if absent —
-# needs ~6 GB of disk and runs for a while. Print-only: BENCH_OOC.json
-# is regenerated by bench-all (on a profile-sized temporary graph).
-OOC_GRAPH ?= bench-ooc.dsg
-bench-ooc:
-	@test -f $(OOC_GRAPH) || $(GO) run ./cmd/gengraph -kind rmat -nodes 16777216 -degree 8 -out $(OOC_GRAPH)
-	$(GO) run ./cmd/experiments -run ooc -ooc-graph $(OOC_GRAPH)

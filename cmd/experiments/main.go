@@ -22,13 +22,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"dimm/internal/bench"
 	"dimm/internal/core"
-	"dimm/internal/diffusion"
 	"dimm/internal/workload"
 )
 
@@ -37,7 +37,7 @@ func main() {
 	log.SetPrefix("experiments: ")
 
 	var (
-		run      = flag.String("run", "all", "comma list of: tableIII,tableIV,fig5,fig6,fig7,fig8,fig9,fig10,rrgen,ooc,sweep,all (the perf benches and sweep only run when named)")
+		run      = flag.String("run", "all", "comma list of: "+strings.Join(runNames, ",")+",all")
 		scale    = flag.Float64("scale", 0.25, "dataset scale (0.25 quick, 1.0 standard, 4.0 large)")
 		k        = flag.Int("k", 50, "seed set size")
 		eps      = flag.Float64("eps", 0.3, "epsilon (paper uses 0.01; quadratic in runtime)")
@@ -47,43 +47,25 @@ func main() {
 		datasets = flag.String("datasets", "", "comma list of datasets (default: all four)")
 		outPath  = flag.String("out", "", "also write the report to this file")
 		report   = flag.String("report", "", "run everything and write an EXPERIMENTS.md-style markdown report to this file")
-		repeats  = flag.Int("repeats", 1, "runs per cell; figure tables report the fastest run, the sweep envelope records min/mean/max")
+		repeats  = flag.Int("repeats", 1, "runs per cell; figure tables report the fastest run")
 		linkRTT  = flag.Duration("link-rtt", 200*time.Microsecond, "simulated RTT for the TCP-cluster figures (paper: 1Gbps switch); 0 = raw loopback")
 		linkGbps = flag.Float64("link-gbps", 1.0, "simulated link bandwidth in Gbit/s for the TCP-cluster figures; 0 = unlimited")
 		par      = flag.Int("parallelism", 1, "RR-generation goroutines per worker (1 = sequential, keeps per-worker timings exact on oversubscribed boxes; 0 = auto GOMAXPROCS/machines)")
 		batch    = flag.Int("batch", 0, "frontier-batch width of each sampling shard for the figure runs (0 = auto, 1 = scalar kernel)")
-		rrgenOut = flag.String("rrgen-out", "", "JSON output path for -run rrgen (empty = print only; BENCH_RRGEN.json is regenerated by -run sweep)")
-
-		rrgenGraph  = flag.String("rrgen-graph", "rmat", "graph for -run rrgen: kind pref|rmat (rmat stresses cache locality), or a graph file path (-rrgen-nodes/-rrgen-degree then unused)")
-		rrgenNodes  = flag.Int("rrgen-nodes", 16_000_000, "graph size for -run rrgen; the default CSR footprint far exceeds typical LLCs")
-		rrgenDegree = flag.Float64("rrgen-degree", 16, "average degree for -run rrgen")
-		rrgenCount  = flag.Int64("rrgen-count", 300_000, "RR sets per sweep level for -run rrgen")
-		rrgenPs     = flag.String("rrgen-ps", "1,2,4,8", "parallelism sweep for -run rrgen")
-		rrgenBs     = flag.String("rrgen-bs", "1,8,64,256", "frontier-batch width sweep for -run rrgen")
-		rrgenSubset = flag.Bool("rrgen-subset", true, "use SUBSIM subset sampling for -run rrgen (the memory-latency-bound regime where batching pays)")
-		rrgenModel  = flag.String("rrgen-model", "ic", "diffusion model for -run rrgen: ic|lt (-rrgen-subset applies to ic only)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected runs to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write an allocation profile at exit to this file")
-
-		oocOut    = flag.String("ooc-out", "", "JSON output path for -run ooc (empty = print only; BENCH_OOC.json is regenerated by -run sweep)")
-		oocGraph  = flag.String("ooc-graph", "", "segmented (.dsg) graph file for -run ooc (required; build one with gengraph)")
-		oocCount  = flag.Int64("ooc-count", 0, "RR sets per batch level for -run ooc (0 = bench default)")
-		oocBs     = flag.String("ooc-bs", "1,64,256", "frontier-batch width sweep for -run ooc")
-		oocBudget = flag.Int64("ooc-budget-mb", 0, "mmap residency budget in MiB for -run ooc (0 = CSR/16, negative = no shedding)")
-		oocCold   = flag.Int64("ooc-cold", 0, "cold-start (page-cache-evicted) RR sets for -run ooc (0 = bench default, negative = skip)")
-
-		sweepProfile   = flag.String("sweep-profile", "default", "parameter grid for -run sweep: default (BENCH_*.json regeneration) or tiny (CI smoke)")
-		sweepOnly      = flag.String("sweep-only", "", "comma list restricting -run sweep to these benches (rrgen,ooc)")
-		sweepRepeats   = flag.Int("sweep-repeats", 0, "repeats per bench for -run sweep; envelopes record min/mean/max (0 = -repeats)")
-		sweepOut       = flag.String("sweep-out", ".", "directory the sweep's BENCH_*.json envelopes are written to")
-		sweepCheck     = flag.Bool("sweep-check", false, "diff fresh envelopes against -sweep-baseline and exit nonzero on regression")
-		sweepBaseline  = flag.String("sweep-baseline", "", "blessed-envelope directory for -sweep-check (default: -sweep-out)")
-		sweepTolerance = flag.Float64("sweep-tolerance", 0.25, "timing-noise allowance for -sweep-check (0.25 = 25%); negative = exact-only mode (cross-machine CI)")
-		sweepHandicap  = flag.Float64("sweep-handicap", 0, "inflate recorded timings by (1+h) — validation hook proving the regression diff catches a slowed run")
-		sweepOOCGraph  = flag.String("sweep-ooc-graph", "", "reuse this segmented (.dsg) graph for the sweep's ooc bench (empty = build a profile-sized temporary)")
 	)
 	flag.Parse()
+
+	want := map[string]bool{}
+	for _, r := range strings.Split(*run, ",") {
+		r = strings.TrimSpace(r)
+		if r != "all" && !slices.Contains(runNames, r) {
+			log.Fatalf("unknown -run name %q; valid names: %s,all", r, strings.Join(runNames, ","))
+		}
+		want[r] = true
+	}
 
 	var out io.Writer = os.Stdout
 	if *outPath != "" {
@@ -132,8 +114,8 @@ func main() {
 		K:             *k,
 		Eps:           *eps,
 		Seed:          *seed,
-		ClusterSizes:  parseInts(*clusters),
-		CoreCounts:    parseInts(*cores),
+		ClusterSizes:  parseInts("cluster-sizes", *clusters),
+		CoreCounts:    parseInts("core-counts", *cores),
 		Repeats:       *repeats,
 		LinkRTT:       *linkRTT,
 		LinkBandwidth: *linkGbps * 1e9 / 8,
@@ -159,10 +141,6 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	for _, r := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(r)] = true
-	}
 	all := want["all"]
 	step := func(name string, fn func() error) {
 		if !all && !want[name] {
@@ -183,64 +161,19 @@ func main() {
 	step("fig8", func() error { _, err := cfg.Fig8(); return err })
 	step("fig9", func() error { _, err := cfg.Fig9(); return err })
 	step("fig10", func() error { _, err := cfg.Fig10(); return err })
-	// rrgen, ooc and sweep are perf benches, so they only run when named.
-	if want["rrgen"] {
-		model, err := diffusion.ParseModel(*rrgenModel)
-		if err != nil {
-			log.Fatalf("rrgen: %v", err)
-		}
-		opt := bench.RRGenOptions{
-			GraphKind: *rrgenGraph,
-			Nodes:     *rrgenNodes,
-			AvgDegree: *rrgenDegree,
-			Model:     model,
-			Subset:    *rrgenSubset,
-			Count:     *rrgenCount,
-			Ps:        parseInts(*rrgenPs),
-			Bs:        parseInts(*rrgenBs),
-		}
-		if _, err := cfg.RRGen(opt, *rrgenOut); err != nil {
-			log.Fatalf("rrgen: %v", err)
-		}
-	}
-	if want["ooc"] {
-		opt := bench.OOCOptions{
-			GraphPath: *oocGraph,
-			Count:     *oocCount,
-			Bs:        parseInts(*oocBs),
-			RSSBudget: *oocBudget << 20,
-			ColdSets:  *oocCold,
-		}
-		if _, err := cfg.OOC(opt, *oocOut); err != nil {
-			log.Fatalf("ooc: %v", err)
-		}
-	}
-	if want["sweep"] {
-		opt := bench.SweepOptions{
-			Profile:     *sweepProfile,
-			Repeats:     *sweepRepeats,
-			OutDir:      *sweepOut,
-			Check:       *sweepCheck,
-			BaselineDir: *sweepBaseline,
-			Tolerance:   *sweepTolerance,
-			Handicap:    *sweepHandicap,
-			OOCGraph:    *sweepOOCGraph,
-		}
-		if *sweepOnly != "" {
-			opt.Only = strings.Split(*sweepOnly, ",")
-		}
-		if err := cfg.Sweep(opt); err != nil {
-			log.Fatalf("sweep: %v", err)
-		}
-	}
 }
 
-func parseInts(s string) []int {
+// runNames are the -run names besides "all", in the order they run.
+var runNames = []string{"tableIII", "tableIV", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"}
+
+// parseInts parses the comma list of positive machine counts given to
+// the flag name.
+func parseInts(name, s string) []int {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v < 1 {
-			log.Fatalf("bad machine count %q", part)
+			log.Fatalf("-%s: bad machine count %q", name, part)
 		}
 		out = append(out, v)
 	}

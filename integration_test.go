@@ -204,4 +204,9 @@ func TestIntegrationCLITools(t *testing.T) {
 	if err != nil || !strings.Contains(string(out), "facebook-sim") {
 		t.Fatalf("experiments: %v\n%s", err, out)
 	}
+	// An unknown -run name fails instead of running nothing.
+	out, err = exec.Command(filepath.Join(bin, "experiments"), "-run", "sweep").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "valid names: tableIII") {
+		t.Fatalf("experiments -run sweep: err %v, want a failure listing the valid names\n%s", err, out)
+	}
 }

@@ -34,9 +34,7 @@ type Config struct {
 	// Repeats re-runs every cell. The figure tables report the fastest
 	// run — the minimum is the stabler point estimate against scheduler
 	// and GC noise on a shared box — which is NOT the paper's
-	// average-of-10 protocol; the sweep envelopes (BENCH_*.json) record
-	// min/mean/max so the regression differ can compare means with the
-	// min as tiebreak. Defaults to 1.
+	// average-of-10 protocol. Defaults to 1.
 	Repeats int
 	// Parallelism is the intra-worker RR-generation shard count passed to
 	// every run (core.Options.Parallelism). The default 0 resolves to 1 —
@@ -116,18 +114,6 @@ func (c Config) printf(format string, args ...any) {
 // fmtDur renders a duration in seconds with sensible precision.
 func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
-}
-
-// fmtBytes renders a byte count with a binary-unit suffix.
-func fmtBytes(v int64) string {
-	switch {
-	case v >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(v)/(1<<20))
-	case v >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(v)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", v)
-	}
 }
 
 // fmtCount renders large counts with K/M/G suffixes like the paper.

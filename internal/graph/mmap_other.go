@@ -18,5 +18,3 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 func unmapFile(data []byte) error { return nil }
 
 func madviseRandom(data []byte) {}
-
-func madviseDontneed(data []byte) error { return nil }

@@ -26,14 +26,3 @@ func madviseRandom(data []byte) {
 	}
 	_ = syscall.Madvise(data, syscall.MADV_RANDOM)
 }
-
-// madviseDontneed drops the mapping's resident pages. For a read-only
-// MAP_SHARED file mapping this only discards PTEs (the data stays in
-// the file and usually the page cache), so it is always safe. On a
-// private anonymous region it would zero the data: never call it there.
-func madviseDontneed(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	return syscall.Madvise(data, syscall.MADV_DONTNEED)
-}

@@ -129,32 +129,6 @@ func TestMemOpenChecksumReleasesRegion(t *testing.T) {
 	}
 }
 
-// TestMemGraphResidencyCallsAreNoOps: dropping the pages of a private
-// anonymous region would zero it, so DropResidency and EvictFileCache
-// must leave a mem graph alone.
-func TestMemGraphResidencyCallsAreNoOps(t *testing.T) {
-	g := segTestGraph(t)
-	path := filepath.Join(t.TempDir(), "g.dsg")
-	if err := WriteSegmentedFile(path, g, "wc"); err != nil {
-		t.Fatal(err)
-	}
-	mem, err := OpenSegmented(path, BackendMem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mem.Close()
-	if err := mem.DropResidency(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.EvictFileCache(); err != nil {
-		t.Fatal(err)
-	}
-	if mem.Mapped() {
-		t.Fatal("mem graph reports Mapped() = true")
-	}
-	requireGraphsEqual(t, g, mem)
-}
-
 // TestMemGraphCompactMatchesBuilt: updates written into the private
 // region, then a Compact that moves every array to the heap and releases
 // the region, leave the graph equal to the same history on a heap-built

@@ -527,40 +527,6 @@ func TestLegacyBinaryHashStable(t *testing.T) {
 	}
 }
 
-func TestDropResidency(t *testing.T) {
-	g := segTestGraph(t)
-	path := filepath.Join(t.TempDir(), "g.dsg")
-	if err := WriteSegmentedFile(path, g, "wc"); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := OpenSegmented(path, BackendMmap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	// Touch everything, drop residency, touch again: the data must
-	// refault identically (MADV_DONTNEED on a file mapping discards
-	// pages, never content).
-	sum1 := int64(0)
-	for _, v := range mapped.outAdj {
-		sum1 += int64(v)
-	}
-	if err := mapped.DropResidency(); err != nil {
-		t.Fatal(err)
-	}
-	sum2 := int64(0)
-	for _, v := range mapped.outAdj {
-		sum2 += int64(v)
-	}
-	if sum1 != sum2 {
-		t.Fatalf("adjacency changed across DropResidency: %d vs %d", sum1, sum2)
-	}
-	// Heap graphs: no-op.
-	if err := g.DropResidency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStatSegmented(t *testing.T) {
 	g := segTestGraph(t)
 	path := filepath.Join(t.TempDir(), "g.dsg")

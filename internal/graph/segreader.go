@@ -70,7 +70,6 @@ type segState struct {
 	shared    bool   // region is the read-only file mapping (BackendMmap)
 	inP       []byte // BackendMmap on a uniform-in file: the mapping inP aliases
 	weightTag string
-	fileBytes int64
 	crcs      [segSectionCount][]uint32
 }
 
@@ -158,7 +157,6 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 	seg := &segState{
 		path:      path,
 		weightTag: hdr.weightTag,
-		fileBytes: hdr.layout.fileSize,
 	}
 	for kind, s := range hdr.layout.sections {
 		crcs, err := readTrailer(f, path, kind, s)
@@ -481,38 +479,4 @@ func (g *Graph) Close() error {
 	g.inStart, g.inAdj, g.inProb = nil, nil, nil
 	g.inProbSum, g.inP = nil, nil
 	return g.seg.release()
-}
-
-// EvictFileCache drops a mapped graph's resident pages and then the
-// file's page-cache pages (MADV_DONTNEED followed by
-// POSIX_FADV_DONTNEED — the order matters: fadvise skips pages that are
-// still mapped). Afterwards the next accesses refault from disk: the
-// genuinely cold out-of-core regime, where residency regrowth is
-// bounded by storage bandwidth instead of warm-cache fault-around. The
-// fadvise half is best-effort (no-op off Linux). No-op unless Mapped.
-func (g *Graph) EvictFileCache() error {
-	if !g.Mapped() {
-		return nil
-	}
-	if err := madviseDontneed(g.seg.region); err != nil {
-		return err
-	}
-	f, err := os.Open(g.seg.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return fadviseDontneed(f, g.seg.fileBytes)
-}
-
-// DropResidency asks the OS to discard the resident pages of a mapped
-// graph (MADV_DONTNEED on the read-only shared mapping: PTEs and RSS
-// accounting go away; the data stays safe in the file and page cache,
-// and re-access refaults it on demand). The out-of-core bench uses it
-// to bound peak RSS while sampling. No-op unless Mapped.
-func (g *Graph) DropResidency() error {
-	if !g.Mapped() {
-		return nil
-	}
-	return madviseDontneed(g.seg.region)
 }

@@ -1,9 +1,8 @@
 // Package rss reads this process's resident-set-size counters from
-// /proc/self/status. The out-of-core work is judged on peak RSS relative
-// to the CSR size, so the numbers come from the kernel's accounting of
-// the live process — not Go runtime heap stats, which never see mmap'ed
-// pages. On platforms without procfs both functions return 0 and callers
-// report the metric as unavailable.
+// /proc/self/status: the kernel's accounting of the live process, not Go
+// runtime heap stats, which never see mmap'ed or off-heap pages. On
+// platforms without procfs both functions return 0 and callers report
+// the metric as unavailable.
 package rss
 
 import (
@@ -13,17 +12,8 @@ import (
 )
 
 // Peak returns VmHWM, the process's high-water resident set size in
-// bytes — the peak since process start or the last ResetPeak.
+// bytes — the peak since process start.
 func Peak() int64 { return readStatus("VmHWM:") }
-
-// ResetPeak resets VmHWM to the current VmRSS by writing "5" to
-// /proc/self/clear_refs (Linux ≥ 4.0). It lets one process measure
-// per-phase peaks: reset, run the phase, read Peak. Returns false when
-// the kernel does not support the reset; callers should then treat Peak
-// as a whole-process high-water mark.
-func ResetPeak() bool {
-	return os.WriteFile("/proc/self/clear_refs", []byte("5"), 0o200) == nil
-}
 
 // Current returns VmRSS, the resident set size right now, in bytes.
 func Current() int64 { return readStatus("VmRSS:") }
