@@ -75,11 +75,10 @@ type Worker struct {
 	deg  *coverage.DeltaAccum
 	kern *coverage.SelectKernel
 
-	// covMark is an epoch-stamped mark array over RR-set ids used by
-	// coverageOf: marking is covMark[j] = covEpoch, so repeated coverage
-	// queries allocate nothing once the array fits the collection.
-	covMark  []uint32
-	covEpoch uint32
+	// covScratch is coverageOf's covered bitset, reset per request, so
+	// repeated coverage queries allocate nothing once it fits the
+	// collection.
+	covScratch bitset.Bits
 
 	// reported is how many RR sets have had their coverage shipped to the
 	// master via msgDegreeDelta — the traffic optimization of §III-C that
@@ -584,39 +583,20 @@ func (w *Worker) estimate(seeds []uint32, rounds int64) ([]byte, error) {
 }
 
 // coverageOf counts this worker's RR sets covered by the seed set,
-// without disturbing any in-progress selection state. Deduplication uses
-// the reusable epoch-stamped covMark array over RR-set ids: zero
-// steady-state allocation, versus the map the historic implementation
-// built per request.
+// without disturbing any in-progress selection state: it covers into
+// the reusable covScratch bitset (1 bit per RR set), so steady-state
+// requests allocate nothing.
 func (w *Worker) coverageOf(seeds []uint32) (int64, error) {
 	if err := w.ensureIndex(); err != nil {
 		return 0, err
 	}
-	if len(w.covMark) < w.coll.Count() {
-		w.covMark = make([]uint32, w.coll.Count())
-		w.covEpoch = 0
-	}
-	w.covEpoch++
-	if w.covEpoch == 0 { // epoch wrapped: stale stamps could collide
-		clear(w.covMark)
-		w.covEpoch = 1
-	}
+	w.covScratch.Reset(w.coll.Count())
 	var covered int64
 	for _, s := range seeds {
 		if int(s) >= w.numItems() {
 			return 0, fmt.Errorf("seed %d outside item space %d", s, w.numItems())
 		}
-		for si := 0; si < w.idx.NumSegments(); si++ {
-			for _, j := range w.idx.SegCovers(si, s) {
-				if j&rrset.DeadPosting != 0 {
-					continue
-				}
-				if w.covMark[j] != w.covEpoch {
-					w.covMark[j] = w.covEpoch
-					covered++
-				}
-			}
-		}
+		covered += w.idx.Cover(&w.covScratch, s)
 	}
 	return covered, nil
 }

@@ -19,9 +19,9 @@ func mustAck(t *testing.T, w *Worker, req []byte) {
 
 // TestWorkerIncrementalIndex asserts the DIIMM doubling loop never
 // rebuilds the inverted index: after generate → select → generate →
-// select the worker has done exactly one full build, extended by one
-// segment per round, and the segmented index answers Covers identically
-// to a from-scratch build over the same collection.
+// select the worker has done exactly one full build, extended in place
+// each round, and the grown index answers AppendCovers identically to a
+// from-scratch build over the same collection.
 func TestWorkerIncrementalIndex(t *testing.T) {
 	g := testGraph(t)
 	w, err := NewWorker(WorkerConfig{Graph: g, Model: diffusion.IC, Seed: DeriveSeed(3, 0)})
@@ -30,32 +30,25 @@ func TestWorkerIncrementalIndex(t *testing.T) {
 	}
 	mustAck(t, w, encodeGenerateReq(100))
 	mustAck(t, w, encodeSimpleReq(msgBeginSelect))
-	if w.idx.FullBuilds() != 1 || w.idx.NumSegments() != 1 {
-		t.Fatalf("after first round: %d full builds, %d segments", w.idx.FullBuilds(), w.idx.NumSegments())
+	if w.idx.FullBuilds() != 1 || w.idx.Count() != 100 {
+		t.Fatalf("after first round: %d full builds over %d sets", w.idx.FullBuilds(), w.idx.Count())
 	}
 	mustAck(t, w, encodeGenerateReq(200))
 	mustAck(t, w, encodeSimpleReq(msgBeginSelect))
 	if w.idx.FullBuilds() != 1 {
 		t.Fatalf("doubling round triggered a full rebuild (%d builds)", w.idx.FullBuilds())
 	}
-	if w.idx.NumSegments() != 2 || w.idx.Count() != 300 {
-		t.Fatalf("after second round: %d segments over %d sets, want 2 over 300",
-			w.idx.NumSegments(), w.idx.Count())
+	if w.idx.Count() != 300 {
+		t.Fatalf("after second round: index over %d sets, want 300", w.idx.Count())
 	}
 	ref, err := rrset.BuildIndex(w.coll, w.numItems())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < w.numItems(); v++ {
-		want := ref.Covers(uint32(v))
-		got := w.idx.Covers(uint32(v))
-		if len(want) != len(got) {
-			t.Fatalf("node %d: %d covering sets, want %d", v, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("node %d: incremental index diverges from full build at %d", v, i)
-			}
+		want := ref.AppendCovers(nil, uint32(v))
+		if got := w.idx.AppendCovers(nil, uint32(v)); !slices.Equal(got, want) {
+			t.Fatalf("node %d: incremental index %v diverges from full build %v", v, got, want)
 		}
 	}
 }
@@ -89,9 +82,9 @@ func TestParallelClusterDeterministic(t *testing.T) {
 	}
 }
 
-// TestCoverageOfEpochMarks hits the reusable mark array across repeated
-// and interleaved coverage queries, checking against an independent
-// recount each time. It also crosses an epoch wrap.
+// TestCoverageOfEpochMarks hits the reusable covered bitset across
+// repeated and interleaved coverage queries, checking against an
+// independent recount each time, before and after the collection grows.
 func TestCoverageOfEpochMarks(t *testing.T) {
 	g := testGraph(t)
 	w, err := NewWorker(WorkerConfig{Graph: g, Model: diffusion.IC, Seed: DeriveSeed(8, 0), Parallelism: 2})
@@ -113,16 +106,9 @@ func TestCoverageOfEpochMarks(t *testing.T) {
 		}
 	}
 	check()
-	// Growing the collection mid-stream must extend both index and marks.
+	// Growing the collection mid-stream must extend both index and bitset.
 	mustAck(t, w, encodeGenerateReq(150))
 	check()
-	// Force the epoch counter over the uint32 wrap: stale stamps from the
-	// pre-wrap queries must not count as covered.
-	w.covEpoch = ^uint32(0) - 1
-	check()
-	if w.covEpoch >= ^uint32(0)-1 {
-		t.Fatalf("epoch did not advance across the wrap: %d", w.covEpoch)
-	}
 }
 
 // TestGenerateReservesArena pins the reserve-before-sampling rule over a

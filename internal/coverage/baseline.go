@@ -34,10 +34,7 @@ func NaiveGreedy(c *rrset.Collection, idx *rrset.Index, n, k int) (*Result, erro
 		res.Seeds = append(res.Seeds, u)
 		res.Marginals = append(res.Marginals, bestDeg)
 		res.Coverage += bestDeg
-		for _, j := range idx.Covers(u) {
-			if j&rrset.DeadPosting != 0 {
-				continue
-			}
+		for _, j := range idx.AppendCovers(nil, u) {
 			if covered[j] {
 				continue
 			}
@@ -73,10 +70,7 @@ func BruteForceOptimum(c *rrset.Collection, idx *rrset.Index, n, k int) (int64, 
 	masks := make([][]uint64, n)
 	for v := 0; v < n; v++ {
 		m := make([]uint64, words)
-		for _, j := range idx.Covers(uint32(v)) {
-			if j&rrset.DeadPosting != 0 {
-				continue
-			}
+		for _, j := range idx.AppendCovers(nil, uint32(v)) {
 			m[j/64] |= 1 << (j % 64)
 		}
 		masks[v] = m

@@ -134,7 +134,7 @@ func isTrueGreedy(c *rrset.Collection, idx *rrset.Index, n int, res *Result) boo
 		}
 		total += max
 		selected[u] = true
-		for _, j := range idx.Covers(u) {
+		for _, j := range idx.AppendCovers(nil, u) {
 			if covered[j] {
 				continue
 			}

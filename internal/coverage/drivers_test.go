@@ -139,7 +139,7 @@ func TestRunGreedyBudgetedUnitCostsIsExactGreedy(t *testing.T) {
 			}
 			total += max
 			selected[u] = true
-			for _, j := range idx.Covers(u) {
+			for _, j := range idx.AppendCovers(nil, u) {
 				if covered[j] {
 					continue
 				}

@@ -212,7 +212,7 @@ func RunGreedy(o Oracle, k int) (*Result, error) {
 // LocalOracle is the single-machine oracle over one RR-set collection.
 // It is a Counter, so RunGreedy over it counts a popped node's uncovered
 // postings instead of decrementing every member of every covered RR set
-// (countNode / CoverNode). Its Select — the delta path, for
+// (Index.CountUncovered / Index.Cover). Its Select — the delta path, for
 // MultiOracle and the other drivers — runs the same SelectKernel the
 // cluster worker does, which splits the covers list across
 // SetParallelism goroutines. Covered labels live in a bitset (1 bit per
@@ -287,11 +287,11 @@ func (o *LocalOracle) Select(u uint32) ([]Delta, error) {
 // Marginal implements Counter: u's live postings, over every index
 // segment including a patched index's overlay, whose RR set is still
 // uncovered.
-func (o *LocalOracle) Marginal(u uint32) int64 { return countNode(o.idx, o.covered, u) }
+func (o *LocalOracle) Marginal(u uint32) int64 { return o.idx.CountUncovered(o.covered, u) }
 
 // Cover implements Counter: it marks u's RR sets covered and touches
 // nothing else.
-func (o *LocalOracle) Cover(u uint32) { CoverNode(o.idx, o.covered, u) }
+func (o *LocalOracle) Cover(u uint32) { o.idx.Cover(o.covered, u) }
 
 // CoveredCount returns how many RR sets are currently covered; after a
 // greedy run it equals the run's Coverage (used as a cross-check).

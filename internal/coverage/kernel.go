@@ -2,7 +2,6 @@ package coverage
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 
 	"dimm/internal/bitset"
@@ -99,10 +98,9 @@ const minParallelCovers = 256
 // accumulate, per node, how much its marginal coverage decreases.
 //
 // With parallelism P > 1 the RR-id space is split into P contiguous
-// ranges of covered-bitset words and each goroutine scans the part of
-// every index segment's covers list that falls in its range (the lists
-// are ascending, so that part is a sub-slice found by binary search).
-// This is safe and exact:
+// ranges of covered-bitset words and each goroutine covers the seed's
+// RR sets in its range (Index.CoverRange), patched index or not. This is
+// safe and exact:
 //
 //   - Ranges are whole bitset words, so no two goroutines ever write the
 //     same covered word, and an RR set is counted by exactly one of them.
@@ -116,6 +114,7 @@ type SelectKernel struct {
 	par    int
 	acc    *DeltaAccum
 	shards []*DeltaAccum // per-goroutine accumulators, sized lazily
+	ids    [][]uint32    // per-goroutine newly covered ids, reused
 }
 
 // NewSelectKernel builds a kernel over an n-item space. parallelism <= 1
@@ -155,39 +154,25 @@ func (k *SelectKernel) Grow(n int) {
 // marking newly covered RR sets in covered. Results accumulate in the
 // kernel until Drain.
 func (k *SelectKernel) Select(c *rrset.Collection, idx *rrset.Index, covered *bitset.Bits, u uint32) {
-	segs := idx.NumSegments()
 	p := k.par
 	if p > 1 {
-		total := 0
-		for si := 0; si < segs; si++ {
-			total += len(idx.SegCovers(si, u))
-		}
-		if pmax := total / minParallelCovers; p > pmax {
-			p = pmax
-		}
+		p = max(1, min(p, idx.Degree(u)/minParallelCovers))
 	}
-	if p <= 1 || idx.Patched() {
-		// A patched index's covers lists are not ascending (overlay
-		// postings trail, tombstones carry a high bit), which the word-
-		// range split below relies on; scan sequentially. Output is the
-		// same either way.
-		for si := 0; si < segs; si++ {
-			scanCovers(c, covered, idx.SegCovers(si, u), k.acc)
-		}
+	for len(k.ids) < p {
+		k.ids = append(k.ids, nil)
+	}
+	words := bitset.WordIndex(covered.Len()-1) + 1
+	if p == 1 {
+		k.ids[0] = idx.CoverRange(k.ids[0][:0], covered, u, 0, words)
+		countMembers(c, k.ids[0], k.acc)
 		return
 	}
 	for len(k.shards) < p {
 		k.shards = append(k.shards, NewDeltaAccum(k.acc.Len()))
 	}
-	words := bitset.WordIndex(covered.Len()-1) + 1
 	scanRange := func(s int, acc *DeltaAccum) {
-		lo, hi := s*words/p, (s+1)*words/p
-		for si := 0; si < segs; si++ {
-			ids := idx.SegCovers(si, u)
-			from := sort.Search(len(ids), func(i int) bool { return bitset.WordIndex(int(ids[i])) >= lo })
-			to := from + sort.Search(len(ids)-from, func(i int) bool { return bitset.WordIndex(int(ids[from+i])) >= hi })
-			scanCovers(c, covered, ids[from:to], acc)
-		}
+		k.ids[s] = idx.CoverRange(k.ids[s][:0], covered, u, s*words/p, (s+1)*words/p)
+		countMembers(c, k.ids[s], acc)
 	}
 	var wg sync.WaitGroup
 	for s := 1; s < p; s++ {
@@ -204,19 +189,12 @@ func (k *SelectKernel) Select(c *rrset.Collection, idx *rrset.Index, covered *bi
 	}
 }
 
-// scanCovers is the inner loop shared by the sequential path and each
-// parallel shard: for every still-uncovered RR set id in covers, mark it
-// covered and count its members into acc.
-func scanCovers(c *rrset.Collection, covered *bitset.Bits, covers []uint32, acc *DeltaAccum) {
+// countMembers is the inner loop shared by the sequential path and each
+// parallel shard: count every member of the newly covered RR sets ids
+// into acc.
+func countMembers(c *rrset.Collection, ids []uint32, acc *DeltaAccum) {
 	dec, mark := acc.dec, acc.mark
-	for _, j := range covers {
-		if j&rrset.DeadPosting != 0 {
-			continue // tombstoned by an in-place repair
-		}
-		if covered.Get(int(j)) {
-			continue
-		}
-		covered.Set(int(j))
+	for _, j := range ids {
 		for _, v := range c.Set(int(j)) {
 			dec[v]++
 			mark[v>>6] |= 1 << (v & 63)
@@ -227,42 +205,3 @@ func scanCovers(c *rrset.Collection, covered *bitset.Bits, covers []uint32, acc 
 // Drain appends the accumulated decrements to out in ascending node
 // order and clears the scratch for the next Select.
 func (k *SelectKernel) Drain(out []Delta) []Delta { return k.acc.Drain(out) }
-
-// The recount kernels read a posting list against the covered bitset's
-// words with no data-dependent branch: DeadPosting is the id's top bit,
-// so live = 1 - j>>31 masks a tombstone out of the count and out of the
-// store, and the covered bit is shifted down rather than tested.
-
-// countNode returns how many RR sets of idx containing u are still
-// uncovered: the count behind LocalOracle.Marginal.
-func countNode(idx *rrset.Index, covered *bitset.Bits, u uint32) int64 {
-	words := covered.Words()
-	var m uint64
-	for si := 0; si < idx.NumSegments(); si++ {
-		for _, j := range idx.SegCovers(si, u) {
-			live := uint64(j>>31) ^ 1
-			j &^= rrset.DeadPosting
-			m += ^words[j>>6] >> (j & 63) & live
-		}
-	}
-	return int64(m)
-}
-
-// CoverNode marks every RR set of idx containing u as covered and
-// returns how many of them were uncovered before: the cover step of
-// LocalOracle's recount path, and the serving layer's prefix coverage of
-// a seed list on the certification sample.
-func CoverNode(idx *rrset.Index, covered *bitset.Bits, u uint32) int64 {
-	words := covered.Words()
-	var m uint64
-	for si := 0; si < idx.NumSegments(); si++ {
-		for _, j := range idx.SegCovers(si, u) {
-			live := uint64(j>>31) ^ 1
-			j &^= rrset.DeadPosting
-			w := words[j>>6]
-			m += ^w >> (j & 63) & live
-			words[j>>6] = w | live<<(j&63)
-		}
-	}
-	return int64(m)
-}

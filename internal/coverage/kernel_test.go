@@ -108,8 +108,8 @@ func TestParallelSelectMultiSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if idx.NumSegments() < 2 {
-		t.Fatalf("test wants a multi-segment index, got %d segment(s)", idx.NumSegments())
+	if idx.FullBuilds() != 1 {
+		t.Fatalf("growth rebuilt the index (%d full builds); test wants a multi-segment index", idx.FullBuilds())
 	}
 	seeds := []uint32{3, 1, 4, 1, 5, 9, 2, 6, 0, 7}
 	base := traceKernel(c, idx, 48, seeds, 1)
@@ -157,8 +157,8 @@ func indexShapes(n int) []indexShape {
 					t.Fatal(err)
 				}
 			}
-			if idx.NumSegments() != 3 {
-				t.Fatalf("want 3 segments, got %d", idx.NumSegments())
+			if idx.FullBuilds() != 1 {
+				t.Fatalf("growth rebuilt the index (%d full builds); want 3 segments", idx.FullBuilds())
 			}
 			return c, idx
 		}},
@@ -174,8 +174,8 @@ func indexShapes(n int) []indexShape {
 			if err := c.ApplyPatches(patches); err != nil {
 				t.Fatal(err)
 			}
-			if !idx.Patched() || idx.NumSegments() != 2 {
-				t.Fatalf("want a tombstoned index with an overlay segment, got patched=%v segments=%d", idx.Patched(), idx.NumSegments())
+			if idx.FullBuilds() != 1 {
+				t.Fatalf("patches compacted the index (%d full builds); want tombstones and an overlay", idx.FullBuilds())
 			}
 			return c, idx
 		}},
@@ -406,17 +406,15 @@ func BenchmarkSelectParallel(b *testing.B) {
 	}
 }
 
-// countingCounter counts the postings Marginal reads (every segment's
-// covers list of the popped node) on top of the local oracle.
+// countingCounter counts the postings Marginal reads (the popped node's
+// degree on the benchmark's unpatched index) on top of the local oracle.
 type countingCounter struct {
 	*LocalOracle
 	postings int64
 }
 
 func (o *countingCounter) Marginal(u uint32) int64 {
-	for si := 0; si < o.idx.NumSegments(); si++ {
-		o.postings += int64(len(o.idx.SegCovers(si, u)))
-	}
+	o.postings += int64(o.idx.Degree(u))
 	return o.LocalOracle.Marginal(u)
 }
 

@@ -43,6 +43,7 @@ func AffectedSlots(model diffusion.Model, deltas []graph.EdgeDelta, idx *rrset.I
 	// visit dominated the plan.
 	marked := make([]bool, idx.Count())
 	var affected []int
+	var ids []uint32
 	var redraw xrand.Rand
 	for _, d := range deltas {
 		lo, hi := d.POld, d.PNew
@@ -52,26 +53,22 @@ func AffectedSlots(model diffusion.Model, deltas []graph.EdgeDelta, idx *rrset.I
 		if lo == hi {
 			continue // no-op delta: liveness cannot change for any draw
 		}
-		for si := 0; si < idx.NumSegments(); si++ {
-			for _, id := range idx.SegCovers(si, d.Head) {
-				if id&rrset.DeadPosting != 0 {
-					continue
-				}
-				t := int(id)
-				if marked[t] {
-					continue
-				}
-				if model == diffusion.IC {
-					redraw.Seed(xrand.ScanSeed(lanes[t], d.Head))
-					redraw.Skip(d.Pos)
-					u := redraw.Float64()
-					if !(u >= float64(lo) && u < float64(hi)) {
-						continue // coin outcome unchanged: set replays identically
-					}
-				}
-				marked[t] = true
-				affected = append(affected, t)
+		ids = idx.AppendCovers(ids[:0], d.Head)
+		for _, id := range ids {
+			t := int(id)
+			if marked[t] {
+				continue
 			}
+			if model == diffusion.IC {
+				redraw.Seed(xrand.ScanSeed(lanes[t], d.Head))
+				redraw.Skip(d.Pos)
+				u := redraw.Float64()
+				if !(u >= float64(lo) && u < float64(hi)) {
+					continue // coin outcome unchanged: set replays identically
+				}
+			}
+			marked[t] = true
+			affected = append(affected, t)
 		}
 	}
 	sort.Ints(affected)
@@ -89,16 +86,13 @@ func AffectedSlotsConservative(ops []graph.EdgeUpdate, idx *rrset.Index) ([]int,
 	}
 	marked := make([]bool, idx.Count())
 	var affected []int
+	var ids []uint32
 	for _, op := range ops {
-		for si := 0; si < idx.NumSegments(); si++ {
-			for _, id := range idx.SegCovers(si, op.To) {
-				if id&rrset.DeadPosting != 0 {
-					continue
-				}
-				if t := int(id); !marked[t] {
-					marked[t] = true
-					affected = append(affected, t)
-				}
+		ids = idx.AppendCovers(ids[:0], op.To)
+		for _, id := range ids {
+			if t := int(id); !marked[t] {
+				marked[t] = true
+				affected = append(affected, t)
 			}
 		}
 	}

@@ -48,6 +48,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dimm/internal/bitset"
 	"dimm/internal/offheap"
 )
 
@@ -436,10 +437,10 @@ type Index struct {
 
 	// Patch state (see ApplyPatches): repaired RR sets change membership
 	// in place, which the CSR segments cannot express by resizing. A
-	// posting removed by a patch is tombstoned by setting DeadPosting on
+	// posting removed by a patch is tombstoned by setting deadPosting on
 	// its id (preserving the masked ascending order, so binary search
 	// still works); a posting added by a patch lands in the per-node
-	// overlay, exposed to consumers as one extra virtual segment. dead
+	// overlay, read as one extra list after the segments'. dead
 	// and overlayLen track the accumulated debt that triggers a
 	// compacting rebuild; degAdj corrects Degree for both.
 	overlay    map[uint32][]uint32
@@ -452,11 +453,11 @@ type Index struct {
 	fullBuilds int
 }
 
-// DeadPosting marks a tombstoned id inside an index segment's posting
-// list: a repaired RR set no longer containing the node. Consumers
-// iterating SegCovers or Covers must skip ids with this bit set. Live
-// ids never carry it (BuildIndex rejects collections with 2^31 sets).
-const DeadPosting = 1 << 31
+// deadPosting marks a tombstoned id inside an index segment's posting
+// list: a repaired RR set no longer containing the node. Every reader
+// skips ids with this bit set. Live ids never carry it (BuildIndex
+// rejects collections with 2^31 sets).
+const deadPosting = 1 << 31
 
 // indexSeg is one segment covering RR sets [from, from+countable): a CSR
 // over only the nodes it holds postings for. Node v is held iff bit v of
@@ -475,7 +476,7 @@ type indexSeg struct {
 // maxIndexSegments bounds segment-chain length. DIIMM's doubling schedule
 // produces O(log θ) segments, far below this; a pathological caller issuing
 // thousands of tiny increments triggers a compacting full rebuild instead
-// of degrading every Covers call.
+// of degrading every posting read.
 const maxIndexSegments = 64
 
 // BuildIndex constructs the inverted index of the first c.Count() RR sets
@@ -583,44 +584,112 @@ func (s *indexSeg) covers(v uint32) []uint32 {
 	return s.ids[s.offs[r]:s.offs[r+uint32(w>>sh&1)]]
 }
 
-// Covers returns the ids of RR sets containing node v, in ascending
-// order (plus overlay postings, unordered, at the tail of a patched
-// index — and possibly DeadPosting-tombstoned entries, which the caller
-// must skip). With a single unpatched segment (any freshly built index)
-// the result aliases internal storage and must not be modified;
-// otherwise it concatenates the per-segment lists into a fresh slice.
-// Hot paths should prefer NumSegments/SegCovers, which never allocate.
-func (idx *Index) Covers(v uint32) []uint32 {
-	if len(idx.segs) == 1 && idx.overlay == nil {
-		return idx.segs[0].covers(v)
-	}
-	var out []uint32
-	for i := range idx.segs {
-		out = append(out, idx.segs[i].covers(v)...)
-	}
-	return append(out, idx.overlay[v]...)
-}
+// The readers below are the only code that walks posting lists. A
+// node's lists are one per segment, ascending and disjoint in id range,
+// then a patched index's overlay list, unordered; a posting removed by a
+// patch stays in its segment list with deadPosting set.
 
-// NumSegments returns how many segments the index holds: 1 after a full
-// build, +1 per incremental AppendFrom, +1 virtual overlay segment while
-// the index carries patches (see ApplyPatches).
-func (idx *Index) NumSegments() int {
+// numLists returns how many posting lists a node has: one per segment,
+// plus the overlay while the index carries patches.
+func (idx *Index) numLists() int {
 	if idx.overlay != nil {
 		return len(idx.segs) + 1
 	}
 	return len(idx.segs)
 }
 
-// SegCovers returns segment si's ids of RR sets containing v. The slice
-// aliases internal storage; do not modify. Iterating si in ascending
-// order yields the same id sequence as Covers, with zero allocation.
-// On a patched index, entries carrying DeadPosting must be skipped and
-// the final (overlay) segment's ids are not in ascending range order.
-func (idx *Index) SegCovers(si int, v uint32) []uint32 {
-	if si < len(idx.segs) {
-		return idx.segs[si].covers(v)
+// list returns v's posting list i (i < numLists()). The slice aliases
+// internal storage.
+func (idx *Index) list(i int, v uint32) []uint32 {
+	if i < len(idx.segs) {
+		return idx.segs[i].covers(v)
 	}
 	return idx.overlay[v]
+}
+
+// AppendCovers appends the ids of the RR sets containing v to dst and
+// returns it: ascending, except that a patched index's patch-added ids
+// trail in no order. Tombstoned postings are skipped.
+func (idx *Index) AppendCovers(dst []uint32, v uint32) []uint32 {
+	for i := range idx.segs {
+		for _, j := range idx.segs[i].covers(v) {
+			if j&deadPosting == 0 {
+				dst = append(dst, j)
+			}
+		}
+	}
+	return append(dst, idx.overlay[v]...)
+}
+
+// The recount kernels read a posting list against the covered bitset's
+// words with no data-dependent branch: deadPosting is the id's top bit,
+// so live = 1 - j>>31 masks a tombstone out of the count and out of the
+// store, and the covered bit is shifted down rather than tested.
+
+// CountUncovered returns how many RR sets containing v are not yet
+// marked in covered: the count behind the recount greedy's Marginal.
+// covered must span the index's Count() sets.
+func (idx *Index) CountUncovered(covered *bitset.Bits, v uint32) int64 {
+	words := covered.Words()
+	var m uint64
+	for i := 0; i < idx.numLists(); i++ {
+		for _, j := range idx.list(i, v) {
+			live := uint64(j>>31) ^ 1
+			j &^= deadPosting
+			m += ^words[j>>6] >> (j & 63) & live
+		}
+	}
+	return int64(m)
+}
+
+// Cover marks every RR set containing v as covered and returns how many
+// of them were uncovered before: the cover step of the recount greedy,
+// and the serving layer's prefix coverage of a seed list.
+func (idx *Index) Cover(covered *bitset.Bits, v uint32) int64 {
+	words := covered.Words()
+	var m uint64
+	for i := 0; i < idx.numLists(); i++ {
+		for _, j := range idx.list(i, v) {
+			live := uint64(j>>31) ^ 1
+			j &^= deadPosting
+			w := words[j>>6]
+			m += ^w >> (j & 63) & live
+			words[j>>6] = w | live<<(j&63)
+		}
+	}
+	return int64(m)
+}
+
+// CoverRange marks covered the RR sets containing v whose ids fall in
+// covered's words [loWord, hiWord) and were uncovered, and appends their
+// ids to dst: the select kernel's map stage. Calls over disjoint word
+// ranges write disjoint words of covered, so they may run concurrently;
+// together they mark and return exactly what one call over every word
+// does.
+func (idx *Index) CoverRange(dst []uint32, covered *bitset.Bits, v uint32, loWord, hiWord int) []uint32 {
+	words := covered.Words()
+	for i := range idx.segs {
+		ids := idx.segs[i].covers(v)
+		// Tombstones keep the masked ids ascending, so the range is a
+		// sub-slice found by binary search.
+		from := sort.Search(len(ids), func(k int) bool { return int(ids[k]&^deadPosting)>>6 >= loWord })
+		to := from + sort.Search(len(ids)-from, func(k int) bool { return int(ids[from+k]&^deadPosting)>>6 >= hiWord })
+		for _, j := range ids[from:to] {
+			if j&deadPosting != 0 || words[j>>6]>>(j&63)&1 != 0 {
+				continue
+			}
+			words[j>>6] |= 1 << (j & 63)
+			dst = append(dst, j)
+		}
+	}
+	for _, j := range idx.overlay[v] {
+		if w := int(j >> 6); w < loWord || w >= hiWord || words[w]>>(j&63)&1 != 0 {
+			continue
+		}
+		words[j>>6] |= 1 << (j & 63)
+		dst = append(dst, j)
+	}
+	return dst
 }
 
 // Degree returns how many indexed RR sets contain v (the initial coverage

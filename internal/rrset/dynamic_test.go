@@ -158,6 +158,25 @@ func TestResampleLaneReproducesSets(t *testing.T) {
 	}
 }
 
+// AppendLaneSeeds grows its destination once per call, not up append's
+// ladder one seed at a time: a DIIMM round peeks θ/2 seeds in one call.
+func TestAppendLaneSeedsAllocatesOnce(t *testing.T) {
+	g := dynGraph(t, 300, diffusion.IC)
+	ss, err := NewShardedSampler(g, diffusion.IC, 21, false, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := make([]uint64, 0, 16)
+	if a := testing.AllocsPerRun(20, func() {
+		lanes = ss.AppendLaneSeeds(lanes[:16:16], 5000)
+	}); a > 1 && !raceDetector {
+		t.Fatalf("AppendLaneSeeds of 5000 seeds onto a full slice made %.0f allocations, want at most 1", a)
+	}
+	if len(lanes) != 16+5000 {
+		t.Fatalf("%d lane seeds, want %d", len(lanes), 16+5000)
+	}
+}
+
 // AppendLaneSeeds must map every upcoming merge position to the lane
 // seed its shard will actually use, across rounds of different sizes,
 // and must not advance any stream.
@@ -263,7 +282,7 @@ func TestIndexAppendFromEpochsWithRepairs(t *testing.T) {
 			t.Fatalf("%s: index covers %d sets, rebuild covers %d", stage, idx.Count(), fresh.Count())
 		}
 		for v := 0; v < g.NumNodes(); v++ {
-			a, b := idx.Covers(uint32(v)), fresh.Covers(uint32(v))
+			a, b := idx.AppendCovers(nil, uint32(v)), fresh.AppendCovers(nil, uint32(v))
 			if len(a) != len(b) {
 				t.Fatalf("%s: node %d postings %v vs rebuild %v", stage, v, a, b)
 			}
@@ -317,7 +336,7 @@ func TestIndexAppendFromEpochsWithRepairs(t *testing.T) {
 			check(idx, "repair 2")
 		}
 	}
-	if idx.NumSegments() < 2 {
-		t.Fatalf("incremental path not exercised: %d segments", idx.NumSegments())
+	if len(idx.segs) < 2 {
+		t.Fatalf("incremental path not exercised: %d segments", len(idx.segs))
 	}
 }

@@ -48,15 +48,15 @@ func TestIndexAppendFromMatchesFullBuild(t *testing.T) {
 		if incr.Count() != full.Count() {
 			t.Fatalf("chunks %v: count %d, want %d", chunks, incr.Count(), full.Count())
 		}
-		if incr.NumSegments() != len(chunks) {
-			t.Fatalf("chunks %v: %d segments, want %d", chunks, incr.NumSegments(), len(chunks))
+		if len(incr.segs) != len(chunks) {
+			t.Fatalf("chunks %v: %d segments, want %d", chunks, len(incr.segs), len(chunks))
 		}
 		if incr.FullBuilds() != 1 {
 			t.Fatalf("chunks %v: %d full builds, want 1", chunks, incr.FullBuilds())
 		}
 		for v := 0; v < n; v++ {
-			want := full.Covers(uint32(v))
-			got := incr.Covers(uint32(v))
+			want := full.AppendCovers(nil, uint32(v))
+			got := incr.AppendCovers(nil, uint32(v))
 			if len(want) != len(got) {
 				t.Fatalf("chunks %v: node %d: %d covers, want %d", chunks, v, len(got), len(want))
 			}
@@ -68,10 +68,10 @@ func TestIndexAppendFromMatchesFullBuild(t *testing.T) {
 			if incr.Degree(uint32(v)) != full.Degree(uint32(v)) {
 				t.Fatalf("chunks %v: node %d: degree %d, want %d", chunks, v, incr.Degree(uint32(v)), full.Degree(uint32(v)))
 			}
-			// The zero-alloc segment iteration must yield the same sequence.
+			// The per-list iteration must yield the same sequence.
 			var seg []uint32
-			for si := 0; si < incr.NumSegments(); si++ {
-				seg = append(seg, incr.SegCovers(si, uint32(v))...)
+			for si := 0; si < incr.numLists(); si++ {
+				seg = append(seg, incr.list(si, uint32(v))...)
 			}
 			if len(seg) != len(want) {
 				t.Fatalf("chunks %v: node %d: segment iteration yields %d ids, want %d", chunks, v, len(seg), len(want))
@@ -99,8 +99,8 @@ func TestIndexAppendFromValidation(t *testing.T) {
 	if err := idx.AppendFrom(c, 2); err != nil {
 		t.Fatalf("no-op append: %v", err)
 	}
-	if idx.NumSegments() != 1 || idx.Count() != 2 {
-		t.Fatalf("no-op append changed the index: %d segs, %d sets", idx.NumSegments(), idx.Count())
+	if len(idx.segs) != 1 || idx.Count() != 2 {
+		t.Fatalf("no-op append changed the index: %d segs, %d sets", len(idx.segs), idx.Count())
 	}
 }
 
@@ -120,8 +120,8 @@ func TestIndexSegmentCapCompacts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if idx.NumSegments() > maxIndexSegments {
-		t.Fatalf("%d segments exceed the cap %d", idx.NumSegments(), maxIndexSegments)
+	if len(idx.segs) > maxIndexSegments {
+		t.Fatalf("%d segments exceed the cap %d", len(idx.segs), maxIndexSegments)
 	}
 	if idx.FullBuilds() != 2 {
 		t.Fatalf("%d full builds, want 2 (initial + one compaction)", idx.FullBuilds())

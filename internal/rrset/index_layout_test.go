@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dimm/internal/bitset"
 	"dimm/internal/diffusion"
 	"dimm/internal/graph"
 	"dimm/internal/xrand"
@@ -58,7 +59,7 @@ func denseReference(orig [][]uint32, c *Collection, n int, froms []int) ([]dense
 			for _, v := range orig[t] {
 				id := uint32(t)
 				if !slices.Contains(c.Set(t), v) {
-					id |= DeadPosting
+					id |= deadPosting
 				}
 				s.ids[cur[v]] = id
 				cur[v]++
@@ -78,10 +79,11 @@ func denseReference(orig [][]uint32, c *Collection, n int, froms []int) ([]dense
 }
 
 // checkLayout compares every read of idx against the dense reference:
-// SegCovers per segment (tombstone bits included), the overlay segment as
-// a set, Covers as their concatenation, Degree against the live
-// memberships, and FillDegrees into vectors shorter than, equal to and
-// longer than the item space.
+// each segment's list (tombstone bits included), the overlay list as a
+// set, Degree against the live memberships, and FillDegrees into vectors
+// shorter than, equal to and longer than the item space. It then checks
+// the posting readers against a brute-force recount over c
+// (checkReaders).
 func checkLayout(t *testing.T, idx *Index, orig [][]uint32, c *Collection, n int, when string) {
 	t.Helper()
 	froms := make([]int, len(idx.segs))
@@ -96,25 +98,18 @@ func checkLayout(t *testing.T, idx *Index, orig [][]uint32, c *Collection, n int
 		}
 	}
 	for v := uint32(0); int(v) < n; v++ {
-		var want []uint32
 		for si, s := range ref {
 			seg := s.ids[s.start[v]:s.start[v+1]]
-			if got := idx.SegCovers(si, v); !slices.Equal(got, seg) {
+			if got := idx.list(si, v); !slices.Equal(got, seg) {
 				t.Fatalf("%s: segment %d node %d covers %v, dense %v", when, si, v, got, seg)
 			}
-			want = append(want, seg...)
 		}
 		var tail []uint32
-		if idx.NumSegments() > len(ref) {
-			tail = slices.Clone(idx.SegCovers(len(ref), v))
-			slices.Sort(tail)
+		if idx.numLists() > len(ref) {
+			tail = sorted(idx.list(len(ref), v))
 		}
 		if !slices.Equal(tail, overlay[v]) {
 			t.Fatalf("%s: node %d overlay %v, want %v", when, v, tail, overlay[v])
-		}
-		got := idx.Covers(v)
-		if !slices.Equal(got[:len(want)], want) || len(got) != len(want)+len(tail) {
-			t.Fatalf("%s: node %d Covers %v, segments %v + overlay %v", when, v, got, want, tail)
 		}
 		if d := idx.Degree(v); int64(d) != live[v] {
 			t.Fatalf("%s: node %d degree %d, want %d", when, v, d, live[v])
@@ -134,6 +129,92 @@ func checkLayout(t *testing.T, idx *Index, orig [][]uint32, c *Collection, n int
 			if d != want {
 				t.Fatalf("%s: FillDegrees(len %d) node %d = %d, want %d", when, size, v, d, want)
 			}
+		}
+	}
+	checkReaders(t, idx, c, n, when)
+}
+
+// sorted returns an ascending copy of ids.
+func sorted(ids []uint32) []uint32 {
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
+	return ids
+}
+
+// checkReaders checks AppendCovers, CountUncovered, Cover and CoverRange
+// on every node against a recount over c's memberships, from a random
+// half-covered bitset. CoverRange runs over a few random splits of the
+// word space, whose calls together must mark and return exactly what
+// one call over every word does.
+func checkReaders(t *testing.T, idx *Index, c *Collection, n int, when string) {
+	t.Helper()
+	r := xrand.New(uint64(n)<<32 | uint64(c.Count()))
+	holders := make([][]uint32, n) // ascending ids of the sets holding v
+	for i := 0; i < c.Count(); i++ {
+		for _, v := range c.Set(i) {
+			holders[v] = append(holders[v], uint32(i))
+		}
+	}
+	start := bitset.New(c.Count())
+	for i := 0; i < c.Count(); i++ {
+		if r.Uint32n(2) == 0 {
+			start.Set(i)
+		}
+	}
+	clone := func() *bitset.Bits {
+		b := bitset.New(c.Count())
+		copy(b.Words(), start.Words())
+		return b
+	}
+	words := len(start.Words())
+	for v := uint32(0); int(v) < n; v++ {
+		got := idx.AppendCovers(nil, v)
+		if !slices.IsSorted(got[:len(got)-len(idx.overlay[v])]) || !slices.Equal(sorted(got), holders[v]) {
+			t.Fatalf("%s: node %d AppendCovers %v, recount %v", when, v, got, holders[v])
+		}
+		var uncovered []uint32
+		want := clone()
+		for _, j := range holders[v] {
+			if !start.Get(int(j)) {
+				uncovered = append(uncovered, j)
+				want.Set(int(j))
+			}
+		}
+		if m := idx.CountUncovered(start, v); m != int64(len(uncovered)) {
+			t.Fatalf("%s: node %d CountUncovered %d, recount %d", when, v, m, len(uncovered))
+		}
+		covered := clone()
+		if m := idx.Cover(covered, v); m != int64(len(uncovered)) || !slices.Equal(covered.Words(), want.Words()) {
+			t.Fatalf("%s: node %d Cover returned %d and marked %x, recount %d and %x", when, v, m, covered.Words(), len(uncovered), want.Words())
+		}
+		full := clone()
+		all := idx.CoverRange(nil, full, v, 0, words)
+		if !slices.Equal(sorted(all), uncovered) || !slices.Equal(full.Words(), want.Words()) {
+			t.Fatalf("%s: node %d CoverRange over every word %v, recount %v", when, v, all, uncovered)
+		}
+		cuts := []int{0, words}
+		for range 3 {
+			cuts = append(cuts, r.Intn(words+1))
+		}
+		slices.Sort(cuts)
+		split := clone()
+		var parts []uint32
+		for i := len(cuts) - 1; i > 0; i-- { // top down: no range's ids are covered yet
+			lo, hi := cuts[i-1], cuts[i]
+			before := slices.Clone(split.Words())
+			part := idx.CoverRange(nil, split, v, lo, hi)
+			for _, j := range part {
+				if w := int(j >> 6); w < lo || w >= hi {
+					t.Fatalf("%s: node %d CoverRange over words [%d, %d) returned id %d", when, v, lo, hi, j)
+				}
+			}
+			if !slices.Equal(split.Words()[:lo], before[:lo]) || !slices.Equal(split.Words()[hi:], before[hi:]) {
+				t.Fatalf("%s: node %d CoverRange over words [%d, %d) wrote outside them", when, v, lo, hi)
+			}
+			parts = append(parts, part...)
+		}
+		if !slices.Equal(sorted(parts), sorted(all)) || !slices.Equal(split.Words(), full.Words()) {
+			t.Fatalf("%s: node %d CoverRange split at %v gives %v, one call %v", when, v, cuts, parts, all)
 		}
 	}
 }
@@ -167,7 +248,7 @@ func TestIndexLayoutMatchesDense(t *testing.T) {
 		}
 		snap(0)
 		checkLayout(t, idx, orig, c, n, "fresh")
-		for seg := 1 + r.Intn(12); idx.NumSegments() < seg; {
+		for seg := 1 + r.Intn(12); len(idx.segs) < seg; {
 			from := c.Count()
 			layoutSets(r, c, pool, r.Intn(30)) // an empty increment adds no segment
 			if err := idx.AppendFrom(c, from); err != nil {
@@ -281,7 +362,7 @@ func TestIndexConcurrentBuilds(t *testing.T) {
 				t.FailNow()
 			}
 			for v := uint32(0); int(v) < n; v++ {
-				if !slices.Equal(got[i].Covers(v), want[i].Covers(v)) {
+				if !slices.Equal(got[i].AppendCovers(nil, v), want[i].AppendCovers(nil, v)) {
 					t.Fatalf("round %d index %d node %d: concurrent build diverges", round, i, v)
 				}
 			}
@@ -290,12 +371,20 @@ func TestIndexConcurrentBuilds(t *testing.T) {
 	}
 }
 
+// coverScanSink keeps the cover-scan counts live, so the compiler cannot
+// drop the reads.
+var coverScanSink int64
+
 // BenchmarkIndexBuild times the index of a serve_update-shaped mirror:
 // IC RR sets on a 2^17-node R-MAT graph with weighted-cascade weights,
 // θ = 41 472. "full" builds one segment over the whole sample; "doubling"
 // grows from 81 sets by doubling, ten segments as a cold daemon's mirror
 // holds; "fill-degrees" is the greedy's degree vector over that
-// ten-segment index. The builds report the index's resident bytes.
+// ten-segment index; "cover-scan" runs CountUncovered then Cover on every
+// node of it, as the recount greedy and prefix certification read it,
+// unpatched and with every 16th set repaired (tombstones plus overlay).
+// The builds report the index's resident bytes, the scans ns per live
+// posting read.
 func BenchmarkIndexBuild(b *testing.B) {
 	const n, theta = 1 << 17, 41472
 	g, err := graph.GenRMAT(graph.RMATConfig{GenConfig: graph.GenConfig{Nodes: n, AvgDegree: 16, Seed: 7}})
@@ -350,6 +439,43 @@ func BenchmarkIndexBuild(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			idx.FillDegrees(deg)
 		}
-		b.ReportMetric(float64(idx.NumSegments()), "segments")
+		b.ReportMetric(float64(len(idx.segs)), "segments")
 	})
+	var patches []Patch
+	for pos := 0; pos < theta; pos += 16 {
+		patches = append(patches, Patch{Pos: pos, Members: slices.Clone(c.Set((pos + 1) % theta))})
+	}
+	for _, patched := range []bool{false, true} {
+		name := "cover-scan/unpatched"
+		if patched {
+			name = "cover-scan/patched"
+		}
+		b.Run(name, func(b *testing.B) {
+			idx := doubling()
+			defer idx.Release()
+			if patched {
+				// Only the index is read, so c keeps its memberships and
+				// stays the pre-patch sample every later build diffs.
+				if err := idx.ApplyPatches(c, patches); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var postings int64
+			for v := uint32(0); v < n; v++ {
+				postings += 2 * int64(idx.Degree(v))
+			}
+			covered := bitset.New(theta)
+			var m int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				covered.Reset(theta)
+				for v := uint32(0); v < n; v++ {
+					m += idx.CountUncovered(covered, v)
+					m += idx.Cover(covered, v)
+				}
+			}
+			coverScanSink = m
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*postings), "ns/posting")
+		})
+	}
 }

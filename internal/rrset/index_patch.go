@@ -15,21 +15,14 @@ import (
 // independent of theta.
 //
 // Representation: removals tombstone the posting in its CSR segment by
-// setting DeadPosting on the id (masked order stays ascending, so the
+// setting deadPosting on the id (masked order stays ascending, so the
 // posting is found by binary search); additions go to a per-node overlay
-// exposed as one virtual trailing segment. Re-additions resurrect the
-// tombstone in place when one exists. Consumers skip dead entries; the
-// coverage kernel drops to its sequential path while an index is
-// patched, because the overlay breaks the globally-ascending id order
-// its parallel chunking relies on. Accumulated debt (tombstones +
-// overlay) beyond a quarter of the postings triggers a compacting full
-// rebuild, keeping scan overhead bounded amortized.
-
-// Patched reports whether the index carries in-place patches (tombstoned
-// or overlay postings). A patched index is exact but its posting lists
-// are no longer globally ascending; order-dependent consumers (the
-// parallel coverage kernel) must fall back to sequential scans.
-func (idx *Index) Patched() bool { return idx.overlay != nil || idx.dead > 0 }
+// list read after the segments' lists. Re-additions resurrect the
+// tombstone in place when one exists. The readers in collection.go skip
+// dead entries and filter overlay ids by range, so no caller sees the
+// difference. Accumulated debt (tombstones + overlay) beyond a quarter
+// of the postings triggers a compacting full rebuild, keeping scan
+// overhead bounded amortized.
 
 // ApplyPatches edits the index in place to reflect the membership
 // patches about to be applied to c. It MUST be called before
@@ -142,10 +135,10 @@ func (idx *Index) killPosting(v, t uint32) error {
 		}
 	}
 	list, pos, ok := idx.findSegPosting(v, t)
-	if !ok || list[pos]&DeadPosting != 0 {
+	if !ok || list[pos]&deadPosting != 0 {
 		return fmt.Errorf("rrset: removing posting (%d, %d) the index does not hold", v, t)
 	}
-	list[pos] |= DeadPosting
+	list[pos] |= deadPosting
 	idx.dead++
 	idx.degAdj[v]--
 	return nil
@@ -155,10 +148,10 @@ func (idx *Index) killPosting(v, t uint32) error {
 // place when the segment holds one, appending to the overlay otherwise.
 func (idx *Index) addPosting(v, t uint32) error {
 	if list, pos, ok := idx.findSegPosting(v, t); ok {
-		if list[pos]&DeadPosting == 0 {
+		if list[pos]&deadPosting == 0 {
 			return fmt.Errorf("rrset: adding posting (%d, %d) the index already holds", v, t)
 		}
-		list[pos] &^= DeadPosting
+		list[pos] &^= deadPosting
 		idx.dead--
 		idx.degAdj[v]++
 		return nil
@@ -178,8 +171,8 @@ func (idx *Index) findSegPosting(v, t uint32) ([]uint32, int, bool) {
 		return nil, 0, false
 	}
 	list := idx.segs[si].covers(v)
-	pos := sort.Search(len(list), func(i int) bool { return list[i]&^DeadPosting >= t })
-	if pos == len(list) || list[pos]&^DeadPosting != t {
+	pos := sort.Search(len(list), func(i int) bool { return list[i]&^deadPosting >= t })
+	if pos == len(list) || list[pos]&^deadPosting != t {
 		return nil, 0, false
 	}
 	return list, pos, true

@@ -1,28 +1,20 @@
 package rrset
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"dimm/internal/diffusion"
 	"dimm/internal/xrand"
 )
 
-// livePostings collects the non-tombstoned RR ids covering v through the
-// segment iteration (the view every consumer sees), sorted: a patched
-// index's overlay postings trail the segment postings out of global
-// order, and coverage consumers are order-invariant by design.
+// livePostings collects the RR ids covering v through AppendCovers (the
+// view every cold reader sees), sorted: a patched index's overlay
+// postings trail the segment postings out of global order, and coverage
+// consumers are order-invariant by design.
 func livePostings(idx *Index, v uint32) []uint32 {
-	var out []uint32
-	for si := 0; si < idx.NumSegments(); si++ {
-		for _, id := range idx.SegCovers(si, v) {
-			if id&DeadPosting != 0 {
-				continue
-			}
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := idx.AppendCovers(nil, v)
+	slices.Sort(out)
 	return out
 }
 
@@ -36,7 +28,7 @@ func checkAgainstFresh(t *testing.T, idx *Index, c *Collection, n int, when stri
 	}
 	defer fresh.Release()
 	for v := uint32(0); int(v) < n; v++ {
-		want := fresh.Covers(v)
+		want := fresh.AppendCovers(nil, v)
 		got := livePostings(idx, v)
 		if len(got) != len(want) {
 			t.Fatalf("%s: node %d has %d live postings, want %d", when, v, len(got), len(want))
@@ -107,7 +99,7 @@ func TestIndexApplyPatchesMatchesFullBuild(t *testing.T) {
 		}
 		checkAgainstFresh(t, idx, c, n, "after patch round")
 	}
-	if !idx.Patched() {
+	if idx.overlay == nil && idx.dead == 0 {
 		t.Fatal("index reports unpatched after live patch rounds")
 	}
 

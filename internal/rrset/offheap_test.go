@@ -175,8 +175,8 @@ func TestIndexCompactionFreesSegments(t *testing.T) {
 	}
 	collMapped := int64(cap(c.region.Bytes()))
 	twoSegs := offheap.Mapped() - base - collMapped
-	if idx.NumSegments() != 2 || twoSegs < 4*c.TotalSize() {
-		t.Fatalf("%d segments, %d bytes of postings mapped for %d members", idx.NumSegments(), twoSegs, c.TotalSize())
+	if len(idx.segs) != 2 || twoSegs < 4*c.TotalSize() {
+		t.Fatalf("%d segments, %d bytes of postings mapped for %d members", len(idx.segs), twoSegs, c.TotalSize())
 	}
 
 	// Churn a quarter of the sets: the next ApplyPatches compacts first.
@@ -209,7 +209,7 @@ func TestIndexCompactionFreesSegments(t *testing.T) {
 	if got := offheap.Mapped(); got > base {
 		t.Fatalf("%d bytes still mapped after Release", got-base)
 	}
-	if idx.Count() != 0 || idx.Degree(0) != 0 || len(idx.Covers(0)) != 0 || idx.NumSegments() != 0 {
+	if idx.Count() != 0 || idx.Degree(0) != 0 || len(idx.AppendCovers(nil, 0)) != 0 || len(idx.segs) != 0 {
 		t.Fatal("released index still answers queries")
 	}
 }

@@ -105,11 +105,11 @@ func TestIndex(t *testing.T) {
 	if idx.Count() != 3 {
 		t.Fatalf("index count = %d", idx.Count())
 	}
-	if !equalSets(idx.Covers(0), []uint32{0, 2}) {
-		t.Fatalf("Covers(0) = %v", idx.Covers(0))
+	if !equalSets(idx.AppendCovers(nil, 0), []uint32{0, 2}) {
+		t.Fatalf("Covers(0) = %v", idx.AppendCovers(nil, 0))
 	}
-	if !equalSets(idx.Covers(1), []uint32{1, 2}) {
-		t.Fatalf("Covers(1) = %v", idx.Covers(1))
+	if !equalSets(idx.AppendCovers(nil, 1), []uint32{1, 2}) {
+		t.Fatalf("Covers(1) = %v", idx.AppendCovers(nil, 1))
 	}
 	if idx.Degree(2) != 2 || idx.Degree(0) != 2 || idx.Degree(1) != 2 {
 		t.Fatal("degrees wrong")
@@ -144,7 +144,7 @@ func TestIndexPropertyRandom(t *testing.T) {
 		}
 		total := 0
 		for v := uint32(0); v < uint32(n); v++ {
-			for _, id := range idx.Covers(v) {
+			for _, id := range idx.AppendCovers(nil, v) {
 				if !member[[2]uint32{id, v}] {
 					return false
 				}

@@ -2,6 +2,7 @@ package rrset
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dimm/internal/diffusion"
@@ -145,8 +146,9 @@ func (ss *ShardedSampler) SetRootWeights(weights []float64) error {
 // set j of the upcoming round is ordinal next+j of the stream, so its
 // lane seed is xrand.LaneSeed(seed, next+j). Callers that journal
 // per-set provenance (dynamic-graph repair) call this immediately before
-// SampleManyInto with the same count.
+// SampleManyInto with the same count. It grows dst at most once.
 func (ss *ShardedSampler) AppendLaneSeeds(dst []uint64, count int64) []uint64 {
+	dst = slices.Grow(dst, int(count))
 	for j := int64(0); j < count; j++ {
 		dst = append(dst, xrand.LaneSeed(ss.seed, ss.next+uint64(j)))
 	}

@@ -32,7 +32,6 @@ import (
 	"dimm/internal/bitset"
 	"dimm/internal/cluster"
 	"dimm/internal/core"
-	"dimm/internal/coverage"
 	"dimm/internal/diffusion"
 	"dimm/internal/graph"
 	"dimm/internal/imm"
@@ -783,7 +782,7 @@ func prefixCoverage(idx *rrset.Index, seeds []uint32) []int64 {
 	out := make([]int64, len(seeds))
 	var n int64
 	for i, u := range seeds {
-		n += coverage.CoverNode(idx, covered, u)
+		n += idx.Cover(covered, u)
 		out[i] = n
 	}
 	return out
