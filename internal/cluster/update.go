@@ -10,6 +10,7 @@ import (
 	"dimm/internal/mutate"
 	"dimm/internal/rrset"
 	"dimm/internal/sealed"
+	"dimm/internal/xrand"
 )
 
 // This file is the cluster side of the dynamic-graph subsystem
@@ -97,9 +98,10 @@ func (w *Worker) handleUpdate(rest []byte) ([]byte, error) {
 		if err := w.ensureIndex(); err != nil {
 			return nil, err
 		}
+		lanes := w.laneSeeds()
 		var plan []int
 		if deltas != nil {
-			plan, err = mutate.AffectedSlots(w.cfg.Model, deltas, w.idx, w.lanes)
+			plan, err = mutate.AffectedSlots(w.cfg.Model, deltas, w.idx, lanes)
 		} else {
 			// Version-gated no-op apply with no memoized deltas (a replay
 			// of an old batch): fall back to the conservative plan. The
@@ -116,7 +118,7 @@ func (w *Worker) handleUpdate(rest []byte) ([]byte, error) {
 			}
 			patches = make([]rrset.Patch, 0, len(plan))
 			for _, slot := range plan {
-				members, _ := rep.ResampleLane(w.lanes[slot])
+				members, _ := rep.ResampleLane(lanes[slot])
 				// A re-run that reproduces the resident bytes exactly (the
 				// flipped coin turned out not to change reachability, or a
 				// conservative plan over-approximated) is a no-op: shipping
@@ -178,10 +180,48 @@ func (w *Worker) repairDeltas(patches []rrset.Patch) ([]DeltaPair, error) {
 	return w.pairBuf, nil
 }
 
+// laneSpan journals the lane seeds of count consecutive RR sets drawn
+// from one stream: the j-th came from xrand.LaneSeed(seed, first+j).
+type laneSpan struct {
+	seed, first uint64
+	count       int64
+}
+
+// journal records that the next count sets come from s, read before
+// s samples them. A span continuing the last one's stream extends it.
+func (w *Worker) journal(s *rrset.ShardedSampler, count int64) {
+	seed, next := s.Stream()
+	if k := len(w.spans) - 1; k >= 0 && w.spans[k].seed == seed && w.spans[k].first+uint64(w.spans[k].count) == next {
+		w.spans[k].count += count
+		return
+	}
+	w.spans = append(w.spans, laneSpan{seed: seed, first: next, count: count})
+}
+
 // lanesComplete reports whether every resident RR set has a journaled
 // lane seed (generation maintains them; ingest does not).
 func (w *Worker) lanesComplete() bool {
-	return len(w.lanes) == w.coll.Count()
+	var journaled int64
+	for _, sp := range w.spans {
+		journaled += sp.count
+	}
+	return journaled == int64(w.coll.Count())
+}
+
+// laneSeeds returns the journal expanded to one lane seed per RR set,
+// expanding only the sets journaled since the last call.
+func (w *Worker) laneSeeds() []uint64 {
+	var at int64 // index of the span's first set
+	for _, sp := range w.spans {
+		if have := int64(len(w.lanes)); have < at+sp.count {
+			w.lanes = slices.Grow(w.lanes, int(at+sp.count-have))
+			for j := have - at; j < sp.count; j++ {
+				w.lanes = append(w.lanes, xrand.LaneSeed(sp.seed, sp.first+uint64(j)))
+			}
+		}
+		at += sp.count
+	}
+	return w.lanes
 }
 
 // repairSampler lazily builds the worker's scalar repair sampler: a

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -657,4 +658,79 @@ func TestUpdateOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareCollections(t, got, want)
+}
+
+// TestLaneSpansExpandToLaneSeeds: the worker journals one lane span per
+// generation request (or extends the last), and the spans expand to
+// exactly the seeds AppendLaneSeeds peeks before each request: across
+// the worker's own stream, a rebalance stream (generateAux), a failover
+// replay after msgSeek, and a reset. Repair reads the expansion, built
+// on first use and then extended.
+func TestLaneSpansExpandToLaneSeeds(t *testing.T) {
+	g := testGraph(t)
+	const seed = 7
+	w, err := NewWorker(WorkerConfig{Graph: g, Model: diffusion.IC, Seed: seed, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.release()
+	own, err := rrset.NewShardedSampler(g, diffusion.IC, seed, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []uint64
+	// peek appends what s journals for its next count sets and advances it.
+	peek := func(s *rrset.ShardedSampler, count int64) {
+		want = s.AppendLaneSeeds(want, count)
+		_, next := s.Stream()
+		s.Seek(next + uint64(count))
+	}
+	do := func(req []byte) {
+		t.Helper()
+		if _, err := w.dispatch(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, spans int) {
+		t.Helper()
+		if !w.lanesComplete() {
+			t.Fatalf("%s: lanes incomplete", when)
+		}
+		if len(w.spans) != spans {
+			t.Fatalf("%s: %d spans, want %d", when, len(w.spans), spans)
+		}
+		if got := w.laneSeeds(); !slices.Equal(got, want) {
+			t.Fatalf("%s: spans expand to %d seeds, differing from AppendLaneSeeds' %d", when, len(got), len(want))
+		}
+	}
+
+	do(encodeGenerateReq(100))
+	peek(own, 100)
+	check("first generate", 1)
+	do(encodeGenerateReq(57)) // continues the stream: the span grows
+	peek(own, 57)
+	check("second generate", 1)
+	do(encodeGenerateAuxReq(99, 30))
+	aux, err := rrset.NewShardedSampler(g, diffusion.IC, 99, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peek(aux, 30)
+	do(encodeGenerateReq(20))
+	peek(own, 20)
+	check("rebalance", 3)
+	do(encodeSeekReq(40)) // failover replay: regenerate ordinals 40.. of the own stream
+	own.Seek(40)
+	do(encodeGenerateReq(25))
+	peek(own, 25)
+	check("replay after seek", 4)
+
+	do(encodeSimpleReq(msgReset))
+	want = want[:0]
+	if len(w.spans) != 0 || len(w.laneSeeds()) != 0 {
+		t.Fatalf("reset left %d spans and %d lane seeds", len(w.spans), len(w.laneSeeds()))
+	}
+	do(encodeGenerateReq(33))
+	peek(own, 33)
+	check("generate after reset", 1)
 }

@@ -91,11 +91,15 @@ type Worker struct {
 	// plus this remainder.
 	auxBatch rrset.BatchStats
 
-	// lanes[t] is the lane seed RR set t was generated from — the repair
-	// provenance of the dynamic-graph subsystem (internal/mutate). Every
-	// generation path appends here (peeked via AppendLaneSeeds before
-	// sampling, so the seeds match the merge order of the sets); ingest
-	// does not, which handleUpdate detects via lanesComplete.
+	// spans journals the lane seed each RR set was generated from, the
+	// repair provenance of the dynamic-graph subsystem (internal/mutate),
+	// as one span per run of sets from one stream. Every generation path
+	// appends one (read from the sampler's Stream before sampling, so the
+	// seeds match the merge order of the sets); ingest does not, which
+	// handleUpdate detects via lanesComplete. lanes is the spans expanded
+	// to one seed per set, which only repair reads: laneSeeds builds it on
+	// the first repair and extends it on later ones.
+	spans []laneSpan
 	lanes []uint64
 	// repairer is the lazily built scalar sampler used only for
 	// ResampleLane during incremental repair.
@@ -202,8 +206,8 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 			return nil, fmt.Errorf("generation count %d exceeds the per-request cap %d", count, int64(maxGenerateBatch))
 		}
 		// Journal the new sets' lane seeds before sampling advances the
-		// shard counters (repair provenance; see the lanes field).
-		w.lanes = w.sampler.AppendLaneSeeds(w.lanes, count)
+		// shard counters (repair provenance; see the spans field).
+		w.journal(w.sampler, count)
 		w.reserve(count)
 		w.sampler.SampleManyInto(w.coll, count)
 		// The index is NOT invalidated here: ensureIndex extends it
@@ -242,7 +246,7 @@ func (w *Worker) dispatch(req []byte) ([]byte, error) {
 		w.coll = rrset.NewCollection(1 << 16)
 		w.covered = nil
 		w.reported = 0
-		w.lanes = w.lanes[:0]
+		w.spans, w.lanes = w.spans[:0], w.lanes[:0]
 		return encodeAckResp(0), nil
 
 	case msgIngest:
@@ -415,7 +419,7 @@ func (w *Worker) generateAux(streamSeed uint64, count int64) error {
 			return err
 		}
 	}
-	w.lanes = aux.AppendLaneSeeds(w.lanes, count)
+	w.journal(aux, count)
 	w.reserve(count)
 	aux.SampleManyInto(w.coll, count)
 	w.auxBatch.Add(aux.BatchStats())

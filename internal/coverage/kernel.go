@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"dimm/internal/bitset"
@@ -50,8 +51,14 @@ func (a *DeltaAccum) Add(v uint32, d int32) {
 
 // Drain appends the accumulated pairs to out in ascending node order and
 // clears the accumulator. Nodes whose signed contributions cancelled to
-// zero are dropped.
+// zero are dropped. It grows out at most once, to hold every marked
+// node.
 func (a *DeltaAccum) Drain(out []Delta) []Delta {
+	marked := 0
+	for _, w := range a.mark {
+		marked += bits.OnesCount64(w)
+	}
+	out = slices.Grow(out, marked)
 	for wi, w := range a.mark {
 		if w == 0 {
 			continue

@@ -489,3 +489,34 @@ func BenchmarkLocalGreedy(b *testing.B) {
 		})
 	}
 }
+
+// TestDeltaAccumDrainAllocatesOnce: Drain sizes its target from the
+// marked nodes and grows it once, not up append's ladder one pair at a
+// time, so a degree sync of a large increment into an empty slice is
+// one allocation.
+func TestDeltaAccumDrainAllocatesOnce(t *testing.T) {
+	const n = 1 << 14
+	a := NewDeltaAccum(n)
+	var out []Delta
+	allocs := testing.AllocsPerRun(20, func() {
+		for v := uint32(0); v < n; v += 3 {
+			a.Add(v, int32(v%5)) // every fifth cancels to zero and is dropped
+		}
+		out = a.Drain(nil)
+	})
+	if allocs > 1 && !raceDetector {
+		t.Fatalf("draining %d pairs into an empty slice made %.0f allocations, want at most 1", len(out), allocs)
+	}
+	want := 0
+	for v := uint32(0); v < n; v += 3 {
+		if v%5 != 0 {
+			if want >= len(out) || out[want] != (Delta{Node: v, Dec: int32(v % 5)}) {
+				t.Fatalf("pair %d of the drain is wrong: %v", want, out[min(want, len(out)-1)])
+			}
+			want++
+		}
+	}
+	if len(out) != want {
+		t.Fatalf("drained %d pairs, want %d", len(out), want)
+	}
+}

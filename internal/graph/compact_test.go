@@ -64,6 +64,17 @@ func TestCompactGraphInvariant(t *testing.T) {
 			if !wantCompact {
 				want = computeLayout(h.n, h.m).CSRBytes()
 			}
+			if how == BackendMem.String() {
+				// The out-side is held from its first read on.
+				outSide := 8*(h.n+1) + 4*h.m
+				if !wantCompact {
+					outSide += 4 * h.m
+				}
+				if got := h.CSRBytes(); got != want-outSide {
+					t.Errorf("%s via %s before an out-side read: CSRBytes %d, want %d", name, how, got, want-outSide)
+				}
+				h.OutDegree(0)
+			}
 			if got := h.CSRBytes(); got != want {
 				t.Errorf("%s via %s: CSRBytes %d, want %d", name, how, got, want)
 			}
@@ -291,6 +302,7 @@ func TestEnableMutationMaterializesEdgeProbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
+	g.OutDegree(0) // EnableMutation would load the out-side too: count only the per-edge arrays
 	before, mapped := g.CSRBytes(), offheap.Mapped()
 	if err := g.EnableMutation(); err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"dimm/internal/offheap"
 )
@@ -48,6 +49,10 @@ type Graph struct {
 	outStart []int64
 	outAdj   []uint32
 	outProb  []float32
+
+	// outPending is set while the out-CSR of a graph opened with
+	// BackendMem is still on disk; see loadOut.
+	outPending atomic.Bool
 
 	// In-CSR: edges entering each node. inAdj[inStart[v]:inStart[v+1]]
 	// are the tails of v's incoming edges; inProb holds p(tail, v), or
@@ -102,6 +107,7 @@ func (g *Graph) NumEdges() int64 { return g.m }
 
 // OutDegree returns the number of edges leaving u.
 func (g *Graph) OutDegree(u uint32) int {
+	g.loadOut()
 	return int(g.outStart[u+1] - g.outStart[u])
 }
 
@@ -114,6 +120,7 @@ func (g *Graph) InDegree(v uint32) int {
 // graph's storage, must not be modified, and is valid while g is
 // reachable.
 func (g *Graph) OutAdj(u uint32) []uint32 {
+	g.loadOut()
 	return g.outAdj[g.outStart[u]:g.outStart[u+1]]
 }
 
@@ -136,6 +143,7 @@ func (g *Graph) InP(v uint32) float32 { return g.inP[v] }
 // they are a fresh slice filled from InP, one allocation per call, so
 // hot paths use OutAdj and InP instead. Neither may be modified.
 func (g *Graph) OutNeighbors(u uint32) ([]uint32, []float32) {
+	g.loadOut()
 	lo, hi := g.outStart[u], g.outStart[u+1]
 	adj := g.outAdj[lo:hi]
 	if g.outProb != nil {
@@ -166,7 +174,7 @@ func (g *Graph) InNeighbors(v uint32) ([]uint32, []float32) {
 }
 
 // outProbAt returns the probability of out-slot i, whose head is
-// outAdj[i].
+// outAdj[i]. The caller has loaded the out-side.
 func (g *Graph) outProbAt(i int64) float32 {
 	if g.outProb != nil {
 		return g.outProb[i]
@@ -177,6 +185,7 @@ func (g *Graph) outProbAt(i int64) float32 {
 // edgeProbArrays returns the per-edge out- and in-probability arrays:
 // the graph's own, or copies expanded from inP on a compact graph.
 func (g *Graph) edgeProbArrays() (out, in []float32) {
+	g.loadOut()
 	if g.inProb != nil {
 		return g.outProb, g.inProb
 	}
@@ -189,6 +198,7 @@ func (g *Graph) edgeProbArrays() (out, in []float32) {
 // fillEdgeProbs writes the per-edge probabilities of a compact graph
 // into out and in (each m long).
 func (g *Graph) fillEdgeProbs(out, in []float32) {
+	g.loadOut()
 	for i, v := range g.outAdj {
 		out[i] = g.inP[v]
 	}
@@ -345,6 +355,7 @@ func (g *Graph) finalize() {
 // Edges calls fn for every directed edge. It exists for loaders/writers and
 // tests; algorithms use the CSR accessors directly.
 func (g *Graph) Edges(fn func(from, to uint32, prob float32)) {
+	g.loadOut()
 	for u := int64(0); u < g.n; u++ {
 		lo, hi := g.outStart[u], g.outStart[u+1]
 		for i := lo; i < hi; i++ {
@@ -353,11 +364,13 @@ func (g *Graph) Edges(fn func(from, to uint32, prob float32)) {
 	}
 }
 
-// CSRBytes returns the bytes the graph's CSR arrays hold: offsets,
+// CSRBytes returns the bytes the graph's CSR arrays hold now: offsets,
 // adjacency and in-probability sums, plus inP on a uniform-in graph and
 // the two per-edge probability arrays on any other (a mutable graph
-// holds both until its first update). A segmented file's payload, the
-// out-of-core RSS base, is SegInfo.CSRBytes.
+// holds both until its first update). A graph opened with BackendMem
+// holds no out-side offsets, adjacency or probabilities until their
+// first read, and CSRBytes does not read them. A segmented file's
+// payload, the out-of-core RSS base, is SegInfo.CSRBytes.
 func (g *Graph) CSRBytes() int64 {
 	return int64(8*(len(g.outStart)+len(g.inStart)+len(g.inProbSum)) +
 		4*(len(g.outAdj)+len(g.inAdj)+len(g.outProb)+len(g.inProb)+len(g.inP)))
@@ -379,6 +392,7 @@ func (g *Graph) MaxInDegree() int {
 // synthetic generators produce heavy-tailed distributions.
 func (g *Graph) DegreeHistogramLogBins() []int64 {
 	bins := make([]int64, 34)
+	g.loadOut()
 	for u := int64(0); u < g.n; u++ {
 		d := g.outStart[u+1] - g.outStart[u]
 		if d == 0 {

@@ -169,6 +169,7 @@ const binaryMagic = 0x44494d31 // "DIM1"
 // WriteBinary writes g in the repository's compact binary format, which
 // loads an order of magnitude faster than text for large graphs.
 func WriteBinary(w io.Writer, g *Graph) error {
+	g.loadOut()
 	bw := bufio.NewWriterSize(w, 1<<20)
 	hdr := []uint64{binaryMagic, uint64(g.n), uint64(g.m)}
 	for _, h := range hdr {

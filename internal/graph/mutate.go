@@ -135,7 +135,8 @@ type mutState struct {
 // On a compact graph it first materializes the per-edge out- and
 // in-probability arrays from InP, in one mapping off the Go heap that
 // the graph owns: tombstones and reweights act on single edges. InP
-// stays valid until the first update clears UniformIn.
+// stays valid until the first update clears UniformIn. Updates write
+// both sides, so a mem graph's out-side is loaded here.
 func (g *Graph) EnableMutation() error {
 	if g.Mapped() {
 		return &MappedGraphError{Path: g.seg.path, Op: "EnableMutation"}
@@ -143,6 +144,7 @@ func (g *Graph) EnableMutation() error {
 	if g.mut != nil {
 		return nil
 	}
+	g.loadOut()
 	if g.inProb == nil && g.m > 0 {
 		r, err := offheap.NewRegion(int(2 * 4 * g.m))
 		if err != nil {
@@ -279,6 +281,7 @@ func (g *Graph) findInSlot(u, v uint32, claimed map[[2]uint64]bool) (slotRef, in
 // the same physical edge: both CSRs preserve builder insertion order per
 // bucket, so the k-th live <u,v> slot on each side is the same edge).
 func (g *Graph) findOutSlot(u, v uint32, claimed map[[2]uint64]bool) (slotRef, int, bool) {
+	g.loadOut()
 	lo, hi := g.outStart[u], g.outStart[u+1]
 	for i := lo; i < hi; i++ {
 		if g.outAdj[i] == v && g.outProb[i] > 0 {
@@ -510,6 +513,7 @@ func (g *Graph) Compact() {
 	if m == nil || m.overlay == 0 {
 		return
 	}
+	g.loadOut()
 	g.inStart, g.inAdj, g.inProb = compactCSR(g.n, g.inStart, g.inAdj, g.inProb, m.inIdx, m.inLists)
 	g.outStart, g.outAdj, g.outProb = compactCSR(g.n, g.outStart, g.outAdj, g.outProb, m.outIdx, m.outLists)
 	g.inP = nil

@@ -44,9 +44,10 @@ func settledRSS(t *testing.T) int64 {
 	return r
 }
 
-// TestMemGraphLivesOffHeap: a mem open costs VmRSS ≈ CSRBytes but almost
-// no Go heap, matches the built graph, and Close hands the RSS back at
-// once — twice without harm, and without a second free by the GC.
+// TestMemGraphLivesOffHeap: a mem open costs VmRSS ≈ CSRBytes, the
+// in-side until the first out-side read, but almost no Go heap, matches
+// the built graph, and Close hands the RSS back at once — twice without
+// harm, and without a second free by the GC.
 func TestMemGraphLivesOffHeap(t *testing.T) {
 	path, want := regionTestFile(t)
 	csr := want.CSRBytes()
@@ -62,8 +63,16 @@ func TestMemGraphLivesOffHeap(t *testing.T) {
 	if d := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); d >= 1<<20 {
 		t.Fatalf("opening a %d-byte CSR grew HeapAlloc by %d bytes, want < 1 MiB", csr, d)
 	}
-	if d := r1 - r0; d < csr*9/10 || d > csr*3/2 {
-		t.Fatalf("opening a %d-byte CSR grew VmRSS by %d bytes, want ≈ CSRBytes", csr, d)
+	held := g.CSRBytes()
+	if held >= csr {
+		t.Fatalf("a mem open holds %d of the CSR's %d bytes before any out-side read", held, csr)
+	}
+	if d := r1 - r0; d < held*9/10 || d > held*3/2 {
+		t.Fatalf("opening a CSR that holds %d bytes grew VmRSS by %d bytes, want ≈ CSRBytes", held, d)
+	}
+	g.OutDegree(0)
+	if d := rss.Current() - r0; g.CSRBytes() != csr || d < csr*9/10 || d > csr*3/2 {
+		t.Fatalf("after the out-side's first read CSRBytes is %d and VmRSS grew by %d bytes, want %d", g.CSRBytes(), d, csr)
 	}
 	requireGraphsEqual(t, want, g)
 	if g.Mapped() {

@@ -57,6 +57,7 @@ func FuzzOpenSegmented(f *testing.F) {
 	f.Add(edit(fuzzRefitHeader, 4, 1^2))                                                   // version 2
 	f.Add(edit(0, in.off+in.payloadBytes()/2, 0xff))                                       // payload flip
 	f.Add(edit(0, out.trailerOff(), 0xff))                                                 // trailer flip
+	f.Add(edit(0, out.off+out.payloadBytes()/2, 0xff))                                     // out-side payload flip: verified, though not kept
 	f.Add(edit(fuzzRefitTrailers, layout.sections[secOutStart].off+8, 0x40))               // offsets past m, CRCs intact
 	f.Add(edit(fuzzRefitTrailers|fuzzRefitHeader, layout.sections[secInProb].off+3, 0x7f)) // NaN weight
 	f.Add(edit(fuzzRefitHeader, 28, 1))                                                    // uniform flag over node 1's unequal in-edges

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"dimm/internal/checksum"
@@ -37,6 +38,8 @@ func requireGraphsEqual(t *testing.T, want, got *Graph) {
 	if want.n != got.n || want.m != got.m {
 		t.Fatalf("counts differ: want n=%d m=%d, got n=%d m=%d", want.n, want.m, got.n, got.m)
 	}
+	want.loadOut() // the fields are read directly below
+	got.loadOut()
 	for i := range want.outStart {
 		if want.outStart[i] != got.outStart[i] {
 			t.Fatalf("outStart[%d]: want %d, got %d", i, want.outStart[i], got.outStart[i])
@@ -430,6 +433,37 @@ func TestSegmentedCorruptionMatrix(t *testing.T) {
 			t.Fatalf("payload flip, mmap open: %v", err)
 		}
 		mg.Close()
+	})
+
+	// A mem open keeps neither out-side section, but verifies both.
+	t.Run("out-payload-bitflip", func(t *testing.T) {
+		p := fresh(t, "outpayload")
+		sec := layout.sections[secOutAdj]
+		corruptAt(t, p, sec.off+sec.payloadBytes()/2)
+		_, err := OpenSegmented(p, BackendMem)
+		if want := corruption(t, err, sealed.ErrChecksum); want.Section != "outAdj" || want.Block < 0 {
+			t.Fatalf("out-side payload flip blamed %s block %d, want outAdj payload block", want.Section, want.Block)
+		}
+	})
+
+	t.Run("out-offsets-past-m", func(t *testing.T) {
+		p := fresh(t, "outoffsets")
+		sec := layout.sections[secOutStart]
+		corruptAt(t, p, sec.off+sec.payloadBytes()-2) // outStart[n], the out-side's m
+		file, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refitTrailers(file, layout) // only the offsets are at fault
+		if err := os.WriteFile(p, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range []Backend{BackendMem, BackendMmap} {
+			_, err := OpenSegmented(p, backend)
+			if want := corruption(t, err, sealed.ErrFormat); !strings.HasPrefix(want.Detail, "out-CSR offsets") {
+				t.Fatalf("%s open of out-side offsets past m says %q", backend, want.Detail)
+			}
+		}
 	})
 
 	t.Run("trailer-bitflip", func(t *testing.T) {

@@ -2,11 +2,13 @@ package graph
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -71,6 +73,15 @@ type segState struct {
 	inP       []byte // BackendMmap on a uniform-in file: the mapping inP aliases
 	weightTag string
 	crcs      [segSectionCount][]uint32
+
+	// The out-CSR of a BackendMem graph is loaded on first use (see
+	// Graph.loadOut): until then file stays open and layout says where
+	// its sections lie. out is the mapping the loaded sections alias.
+	outOnce   sync.Once
+	file      *os.File
+	layout    segLayout
+	uniformIn bool
+	out       []byte
 }
 
 // privateRegions counts the live BackendMem regions. The GC's pacer never
@@ -81,27 +92,34 @@ var privateRegions atomic.Int64
 // release unmaps the region and cancels the finalizer, so Close, Compact
 // and the GC never free it twice. Idempotent.
 func (s *segState) release() error {
-	data := s.region
-	if data == nil {
-		return nil
+	var errs []error
+	if s.file != nil {
+		errs = append(errs, s.file.Close())
+		s.file = nil
 	}
-	s.region = nil
-	runtime.SetFinalizer(s, nil)
-	if s.shared {
-		err := unmapFile(data)
-		if uerr := offheap.Unmap(s.inP); err == nil {
-			err = uerr
+	errs = append(errs, offheap.Unmap(s.out))
+	s.out = nil
+	if data := s.region; data != nil {
+		s.region = nil
+		runtime.SetFinalizer(s, nil)
+		if s.shared {
+			errs = append(errs, unmapFile(data), offheap.Unmap(s.inP))
+			s.inP = nil
+		} else {
+			privateRegions.Add(-1)
+			errs = append(errs, offheap.Unmap(data))
 		}
-		s.inP = nil
-		return err
 	}
-	privateRegions.Add(-1)
-	return offheap.Unmap(data)
+	return errors.Join(errs...)
 }
 
 // isProbSection reports the two per-edge probability sections, which a
 // graph opened from a uniform-in file does not keep.
 func isProbSection(kind int) bool { return kind == secOutProb || kind == secInProb }
+
+// isOutSection reports the out-CSR's sections, which a mem open verifies
+// but loads only on first use.
+func isOutSection(kind int) bool { return kind <= secOutProb }
 
 // segPlacement says where each section's payload sits in the region a
 // graph aliases (-1 for a section it does not keep), and where inP sits
@@ -118,19 +136,28 @@ func (p *segPlacement) section(l segLayout, kind int) segSection {
 	return s
 }
 
-// memPlacement lays out the region a mem open fills: the sections it
-// keeps, page-aligned in file order, then inP for a uniform-in file,
-// whose two probability sections are verified but not kept.
-func memPlacement(hdr *segHeader) (p segPlacement, size int64) {
+// sidePlacement lays out a region holding the sections of one side of the CSR
+// (the out-side when out is set, the in-side otherwise), page-aligned in
+// file order. A uniform-in file's two probability sections are on
+// neither: they are verified but not kept.
+func sidePlacement(l segLayout, uniformIn, out bool) (p segPlacement, size int64) {
 	p.inPOff = -1
-	for kind, s := range hdr.layout.sections {
+	for kind, s := range l.sections {
 		p.off[kind] = -1
-		if hdr.uniformIn && isProbSection(kind) {
+		if isOutSection(kind) != out || uniformIn && isProbSection(kind) {
 			continue
 		}
 		p.off[kind] = size
 		size = alignUp(size + s.payloadBytes())
 	}
+	return p, size
+}
+
+// memPlacement lays out the region a mem open fills: the in-side
+// sections, then inP for a uniform-in file. The out-side is placed by
+// Graph.loadOut.
+func memPlacement(hdr *segHeader) (p segPlacement, size int64) {
+	p, size = sidePlacement(hdr.layout, hdr.uniformIn, false)
 	if hdr.uniformIn {
 		p.inPOff = size
 		size += 4 * hdr.layout.n
@@ -157,6 +184,8 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 	seg := &segState{
 		path:      path,
 		weightTag: hdr.weightTag,
+		layout:    hdr.layout,
+		uniformIn: hdr.uniformIn,
 	}
 	for kind, s := range hdr.layout.sections {
 		crcs, err := readTrailer(f, path, kind, s)
@@ -182,6 +211,8 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 		if seg.region != nil {
 			privateRegions.Add(1)
 		}
+		seg.file, f = f, nil // kept open for the out-side's first use
+		g.outPending.Store(true)
 	case BackendMmap:
 		seg.region, err = loadSegMmap(f, path, hdr)
 		seg.shared = true
@@ -192,17 +223,20 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 	default:
 		err = fmt.Errorf("graph: unknown backend %v", backend)
 	}
-	// The region outlives the descriptor; close it either way.
-	f.Close()
+	// A mapping outlives the descriptor: close it unless the mem backend
+	// kept it.
+	if f != nil {
+		f.Close()
+	}
 	if err == nil {
 		l := hdr.layout
-		g.outStart = mapInt64(seg.region, place.section(l, secOutStart))
-		g.outAdj = mapUint32(seg.region, place.section(l, secOutAdj))
+		if backend == BackendMmap {
+			g.aliasOut(seg.region, place)
+		}
 		g.inStart = mapInt64(seg.region, place.section(l, secInStart))
 		g.inAdj = mapUint32(seg.region, place.section(l, secInAdj))
 		g.inProbSum = mapFloat64(seg.region, place.section(l, secInProbSum))
 		if !hdr.uniformIn {
-			g.outProb = mapFloat32(seg.region, place.section(l, secOutProb))
 			g.inProb = mapFloat32(seg.region, place.section(l, secInProb))
 		}
 		err = segSanity(path, g)
@@ -223,13 +257,14 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 	return g, nil
 }
 
-// loadSegMem copies the file's kept sections into a private anonymous
-// region, verifying every payload block against the trailer CRCs in
-// place. The probability sections of a uniform-in file are read and
-// verified block by block through one scratch buffer instead, and the
-// in-probabilities are held to the header's flag in the same pass (each
-// node's first slot fills inP). The region is returned even on error,
-// for the caller to release.
+// loadSegMem copies the file's in-side sections into a private
+// anonymous region, verifying every payload block against the trailer
+// CRCs in place. Every other section is read and verified block by
+// block through one scratch buffer instead: the out-side, whose offsets
+// are held to (0, m) in the same pass, and the probability sections of
+// a uniform-in file, whose in-probabilities are held to the header's
+// flag in the same pass (each node's first slot fills inP). The region
+// is returned even on error, for the caller to release.
 func loadSegMem(f *os.File, path string, hdr *segHeader, seg *segState) ([]byte, segPlacement, error) {
 	place, size := memPlacement(hdr)
 	data, err := offheap.Map(int(size))
@@ -239,42 +274,152 @@ func loadSegMem(f *os.File, path string, hdr *segHeader, seg *segState) ([]byte,
 	var scratch []byte
 	defer func() { offheap.Unmap(scratch) }()
 	for kind, s := range hdr.layout.sections {
-		if place.off[kind] < 0 {
-			if scratch == nil {
-				if scratch, err = offheap.Map(SegBlockSize); err != nil {
-					return data, place, fmt.Errorf("graph: mapping a block buffer for %s: %w", path, err)
-				}
-			}
-			var each func([]byte) error
-			if kind == secInProb {
-				each = (&inPCheck{
-					path:  path,
-					start: mapInt64(data, place.section(hdr.layout, secInStart)),
-					inP:   mapFloat32(data, segSection{elemSize: 4, count: hdr.layout.n, off: place.inPOff}),
-				}).block
-			}
-			if err := verifySection(f, path, kind, s, seg.crcs[kind], scratch, each); err != nil {
+		if place.off[kind] >= 0 {
+			if err := readSection(f, path, kind, s, seg.crcs[kind], data[place.off[kind]:]); err != nil {
 				return data, place, err
 			}
 			continue
 		}
-		payload := data[place.off[kind] : place.off[kind]+s.payloadBytes()]
-		if _, err := f.ReadAt(payload, s.off); err != nil {
-			return data, place, fmt.Errorf("graph: reading %s of %s: %w", secNames[kind], path, err)
-		}
-		for b, want := range seg.crcs[kind] {
-			block := payload[b*SegBlockSize : min((b+1)*SegBlockSize, len(payload))]
-			if got := checksum.Sum(block); got != want {
-				return data, place, csrChecksumError(path, secNames[kind], b, want, got)
+		if scratch == nil {
+			if scratch, err = offheap.Map(SegBlockSize); err != nil {
+				return data, place, fmt.Errorf("graph: mapping a block buffer for %s: %w", path, err)
 			}
 		}
-		if !hostLittleEndian() {
-			for i := 0; i < len(payload); i += s.elemSize {
-				slices.Reverse(payload[i : i+s.elemSize])
+		var each func([]byte) error
+		var span offsetSpan
+		switch kind {
+		case secOutStart:
+			each = span.block
+		case secInProb:
+			each = (&inPCheck{
+				path:  path,
+				start: mapInt64(data, place.section(hdr.layout, secInStart)),
+				inP:   mapFloat32(data, segSection{elemSize: 4, count: hdr.layout.n, off: place.inPOff}),
+			}).block
+		}
+		if err := verifySection(f, path, kind, s, seg.crcs[kind], scratch, each); err != nil {
+			return data, place, err
+		}
+		if kind == secOutStart {
+			if err := span.check(path, "out", hdr.layout.m); err != nil {
+				return data, place, err
 			}
 		}
 	}
 	return data, place, nil
+}
+
+// readSection reads one section's payload into the front of dst, checks
+// every block against the trailer CRCs, and converts the elements to
+// host order.
+func readSection(f *os.File, path string, kind int, s segSection, crcs []uint32, dst []byte) error {
+	payload := dst[:s.payloadBytes()]
+	if _, err := f.ReadAt(payload, s.off); err != nil {
+		return fmt.Errorf("graph: reading %s of %s: %w", secNames[kind], path, err)
+	}
+	for b, want := range crcs {
+		block := payload[b*SegBlockSize : min((b+1)*SegBlockSize, len(payload))]
+		if got := checksum.Sum(block); got != want {
+			return csrChecksumError(path, secNames[kind], b, want, got)
+		}
+	}
+	if !hostLittleEndian() {
+		for i := 0; i < len(payload); i += s.elemSize {
+			slices.Reverse(payload[i : i+s.elemSize])
+		}
+	}
+	return nil
+}
+
+// aliasOut points the out-CSR slices at their sections in data.
+func (g *Graph) aliasOut(data []byte, p segPlacement) {
+	l := g.seg.layout
+	g.outStart = mapInt64(data, p.section(l, secOutStart))
+	g.outAdj = mapUint32(data, p.section(l, secOutAdj))
+	if !g.seg.uniformIn {
+		g.outProb = mapFloat32(data, p.section(l, secOutProb))
+	}
+}
+
+// loadOut makes the out-CSR readable; every out-side read in this
+// package calls it first. Only forward simulation, the writers and
+// mutation read the out-side, so a mem open leaves it on disk, verified,
+// and the first such read copies it into a mapping of its own: a
+// process that only samples RR sets never holds it. The copy is checked
+// against the trailer CRCs read at open, so a file rewritten in place
+// since then panics here with its *sealed.Error rather than serving
+// other bytes. After Close or Compact there is nothing left to load.
+func (g *Graph) loadOut() {
+	if g.outPending.Load() {
+		g.loadOutOnce()
+	}
+}
+
+// loadOutOnce is loadOut's slow path, apart so that the check inlines.
+func (g *Graph) loadOutOnce() {
+	s := g.seg
+	s.outOnce.Do(func() {
+		if s.file != nil { // not released
+			if err := g.readOut(); err != nil {
+				panic(err)
+			}
+			s.file.Close()
+			s.file = nil
+		}
+		g.outPending.Store(false)
+	})
+}
+
+// readOut copies the out-side sections from the file into their own
+// mapping and aliases them.
+func (g *Graph) readOut() error {
+	s := g.seg
+	p, size := sidePlacement(s.layout, s.uniformIn, true)
+	data, err := offheap.Map(int(size))
+	if err != nil {
+		return fmt.Errorf("graph: mapping %d bytes for the out-CSR of %s: %w", size, s.path, err)
+	}
+	for kind, sec := range s.layout.sections {
+		if p.off[kind] < 0 {
+			continue
+		}
+		if err := readSection(s.file, s.path, kind, sec, s.crcs[kind], data[p.off[kind]:]); err != nil {
+			offheap.Unmap(data)
+			return err
+		}
+	}
+	start := mapInt64(data, p.section(s.layout, secOutStart))
+	if err := (offsetSpan{first: start[0], last: start[len(start)-1]}).check(s.path, "out", s.layout.m); err != nil {
+		offheap.Unmap(data)
+		return err
+	}
+	s.out = data
+	g.aliasOut(data, p)
+	return nil
+}
+
+// offsetSpan records the first and last entries of a CSR offset array
+// streamed block by block.
+type offsetSpan struct {
+	first, last int64
+	seen        bool
+}
+
+// block consumes the little-endian int64 offsets of one payload block.
+func (o *offsetSpan) block(b []byte) error {
+	if !o.seen {
+		o.first, o.seen = int64(binary.LittleEndian.Uint64(b)), true
+	}
+	o.last = int64(binary.LittleEndian.Uint64(b[len(b)-8:]))
+	return nil
+}
+
+// check holds the side's offsets to span [0, m].
+func (o offsetSpan) check(path, side string, m int64) error {
+	if o.first != 0 || o.last != m {
+		return csrError(path, sealed.ErrFormat, "%s-CSR offsets span [%d,%d], want [0,%d]", side, o.first, o.last, m)
+	}
+	return nil
 }
 
 // verifySection reads one section's payload block by block into buf
@@ -390,15 +535,15 @@ func loadSegMmap(f *os.File, path string, hdr *segHeader) ([]byte, error) {
 
 // segSanity cross-checks the CSR offset arrays against (n, m) — cheap
 // structural validation that catches a coherent-but-wrong file before
-// any accessor can index out of range.
+// any accessor can index out of range. A mem open checks the out-side's
+// offsets as it streams them (loadSegMem).
 func segSanity(path string, g *Graph) error {
-	if g.outStart[0] != 0 || g.outStart[g.n] != g.m {
-		return csrError(path, sealed.ErrFormat, "out-CSR offsets span [%d,%d], want [0,%d]", g.outStart[0], g.outStart[g.n], g.m)
+	if g.outStart != nil {
+		if err := (offsetSpan{first: g.outStart[0], last: g.outStart[g.n]}).check(path, "out", g.m); err != nil {
+			return err
+		}
 	}
-	if g.inStart[0] != 0 || g.inStart[g.n] != g.m {
-		return csrError(path, sealed.ErrFormat, "in-CSR offsets span [%d,%d], want [0,%d]", g.inStart[0], g.inStart[g.n], g.m)
-	}
-	return nil
+	return offsetSpan{first: g.inStart[0], last: g.inStart[g.n]}.check(path, "in", g.m)
 }
 
 func hostLittleEndian() bool {

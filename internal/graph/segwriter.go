@@ -340,7 +340,7 @@ func encodeSegmented(f *os.File, g *Graph, weightTag string) error {
 	if err := f.Truncate(layout.fileSize); err != nil {
 		return fmt.Errorf("graph: sizing segmented graph: %w", err)
 	}
-	outProb, inProb := g.edgeProbArrays()
+	outProb, inProb := g.edgeProbArrays() // loads the out-side first
 	if err := firstErr(
 		writeInt64Section(f, layout, secOutStart, g.outStart),
 		writeUint32Section(f, layout, secOutAdj, g.outAdj),

@@ -164,3 +164,12 @@ func Uint32s(b []byte) []uint32 {
 	}
 	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
 }
+
+// Uint16s views b as a []uint16 of len(b)/2 elements, aligned for the
+// same reason as Uint32s.
+func Uint16s(b []byte) []uint16 {
+	if len(b) < 2 {
+		return nil
+	}
+	return unsafe.Slice((*uint16)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/2)
+}

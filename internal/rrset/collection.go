@@ -10,12 +10,14 @@
 // table, so the garbage collector sees O(1) objects regardless of θ.
 //
 // The Index grows by one segment per increment of the collection (a
-// DIIMM doubling round, a serving daemon's growth step). A segment is a
-// CSR over only the nodes it holds postings for: a bitmap of held nodes,
-// a rank directory of one uint32 per 64 nodes, and a uint32 offset per
-// held node. It costs 3n/16 B plus 4 B per held node plus its postings,
-// so a small increment stays small on a large graph, and a lookup stays
-// O(1): one bit test and one popcount.
+// DIIMM doubling round, a serving daemon's growth step) and 2¹⁶-id window
+// it touches. A segment is a CSR over only the nodes it holds postings
+// for: a bitmap of held nodes, a rank directory of one uint32 per 64
+// nodes, a uint32 offset per held node, and a uint16 posting per
+// (node, set) pair, the set's id less its window's base. It costs 3n/16 B
+// plus 4 B per held node plus 2 B per posting, so a small increment
+// stays small on a large graph, and a lookup stays O(1): one bit test
+// and one popcount.
 //
 // The two θ-sized arrays, a Collection's member arena and an Index
 // segment's postings, go further: from offheap.MinBytes up they live in
@@ -43,12 +45,9 @@ package rrset
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 
-	"dimm/internal/bitset"
 	"dimm/internal/offheap"
 )
 
@@ -419,329 +418,3 @@ func (c *Collection) SizeHistogram() []int64 {
 	}
 	return bins
 }
-
-// Index is an inverted node→RR-set index over a Collection prefix: for
-// each node v, the ids of the RR sets that contain v. In the paper's
-// notation the list for node v is I_i(v) on machine s_i.
-//
-// The index is segmented: each growth increment of the collection becomes
-// one CSR segment over flat arrays (same GC rationale as Collection), so
-// extending the index after a DIIMM doubling round costs O(new RR size)
-// instead of an O(total size) rebuild. Segments cover disjoint ascending
-// RR-id ranges, so per-node id lists stay globally sorted when segments
-// are visited in order.
-type Index struct {
-	n     int // item-space size (graph nodes)
-	count int // number of RR sets indexed
-	segs  []indexSeg
-
-	// Patch state (see ApplyPatches): repaired RR sets change membership
-	// in place, which the CSR segments cannot express by resizing. A
-	// posting removed by a patch is tombstoned by setting deadPosting on
-	// its id (preserving the masked ascending order, so binary search
-	// still works); a posting added by a patch lands in the per-node
-	// overlay, read as one extra list after the segments'. dead
-	// and overlayLen track the accumulated debt that triggers a
-	// compacting rebuild; degAdj corrects Degree for both.
-	overlay    map[uint32][]uint32
-	overlayLen int
-	dead       int
-	degAdj     []int32
-
-	// fullBuilds counts from-scratch constructions (instrumentation for
-	// the incremental-maintenance guarantee; see Worker.ensureIndex).
-	fullBuilds int
-}
-
-// deadPosting marks a tombstoned id inside an index segment's posting
-// list: a repaired RR set no longer containing the node. Every reader
-// skips ids with this bit set. Live ids never carry it (BuildIndex
-// rejects collections with 2^31 sets).
-const deadPosting = 1 << 31
-
-// indexSeg is one segment covering RR sets [from, from+countable): a CSR
-// over only the nodes it holds postings for. Node v is held iff bit v of
-// has is set; its rank r, the number of held nodes below it, is rank[v/64]
-// plus a popcount of the word of has below v, and its ids are
-// ids[offs[r]:offs[r+1]].
-type indexSeg struct {
-	from   int      // first RR-set id this segment covers
-	has    []uint64 // bitmap of held nodes, one bit per node
-	rank   []uint32 // rank[w]: held nodes in words [0, w) of has
-	offs   []uint32 // offs[r]..offs[r+1] delimits held node r's ids
-	ids    []uint32
-	region *offheap.Region // backs ids when they are off the heap
-}
-
-// maxIndexSegments bounds segment-chain length. DIIMM's doubling schedule
-// produces O(log θ) segments, far below this; a pathological caller issuing
-// thousands of tiny increments triggers a compacting full rebuild instead
-// of degrading every posting read.
-const maxIndexSegments = 64
-
-// BuildIndex constructs the inverted index of the first c.Count() RR sets
-// for a graph of n nodes. RR-set ids must fit in uint32.
-func BuildIndex(c *Collection, n int) (*Index, error) {
-	idx := &Index{n: n, fullBuilds: 1}
-	if err := idx.appendSeg(c, 0); err != nil {
-		return nil, err
-	}
-	return idx, nil
-}
-
-// AppendFrom extends the index with the RR sets [from, c.Count()) of c,
-// where from must equal the number of sets already indexed. The work is
-// O(n/64 + size of the new sets) when a pooled cursor array is at hand,
-// plus O(n) to zero a new one when none is. It never touches
-// previously indexed segments (unless the segment cap forces a
-// compaction).
-func (idx *Index) AppendFrom(c *Collection, from int) error {
-	if from != idx.count {
-		return fmt.Errorf("rrset: AppendFrom at %d but %d RR sets indexed", from, idx.count)
-	}
-	if from > c.Count() {
-		return fmt.Errorf("rrset: index covers %d RR sets but the collection holds %d", from, c.Count())
-	}
-	if from == c.Count() {
-		return nil
-	}
-	if len(idx.segs) >= maxIndexSegments {
-		idx.reset()
-		from = 0
-	}
-	return idx.appendSeg(c, from)
-}
-
-// cursorPool holds the n-entry write cursors of segment builds. A pooled
-// array is all zeros: a build counts into it, fills through it, and then
-// clears only the entries of the nodes it held.
-var cursorPool sync.Pool
-
-// appendSeg builds one segment over sets [from, c.Count()). It counts
-// and fills through a dense cursor array, as a dense CSR build does: a
-// rank lookup per posting would cost a popcount in the fill loop.
-func (idx *Index) appendSeg(c *Collection, from int) error {
-	if c.Count() > 1<<31 {
-		return fmt.Errorf("rrset: %d RR sets exceed the uint32 id space", c.Count())
-	}
-	lo, hi := c.offs[from], c.offs[c.Count()]
-	if hi-lo >= 1<<32 {
-		return fmt.Errorf("rrset: %d postings exceed a segment's uint32 offsets", hi-lo)
-	}
-	cur, _ := cursorPool.Get().([]uint32)
-	if cap(cur) < idx.n {
-		cur = make([]uint32, idx.n)
-	}
-	cur = cur[:idx.n]
-	words := (idx.n + 63) / 64
-	seg := indexSeg{from: from, has: make([]uint64, words), rank: make([]uint32, words)}
-	for _, v := range c.nodes[lo:hi] {
-		cur[v]++
-		seg.has[v>>6] |= 1 << (v & 63)
-	}
-	var held uint32
-	for w, word := range seg.has {
-		seg.rank[w] = held
-		held += uint32(bits.OnesCount64(word))
-	}
-	// Lay out the held nodes' lists in rank order; each count becomes its
-	// node's write cursor.
-	seg.offs = make([]uint32, held+1)
-	var r, at uint32
-	for w, word := range seg.has {
-		for ; word != 0; word &= word - 1 {
-			v := w<<6 | bits.TrailingZeros64(word)
-			seg.offs[r] = at
-			at, cur[v] = at+cur[v], at
-			r++
-		}
-	}
-	seg.offs[held] = at
-	ids, region := newUint32s(int(hi-lo), true)
-	seg.ids, seg.region = ids[:hi-lo], region
-	for i := from; i < c.Count(); i++ {
-		for _, v := range c.Set(i) {
-			seg.ids[cur[v]] = uint32(i)
-			cur[v]++
-		}
-	}
-	for w, word := range seg.has {
-		for ; word != 0; word &= word - 1 {
-			cur[w<<6|bits.TrailingZeros64(word)] = 0
-		}
-	}
-	cursorPool.Put(cur)
-	idx.segs = append(idx.segs, seg)
-	idx.count = c.Count()
-	return nil
-}
-
-// covers returns the segment's ids for v, empty when v holds none. It is
-// branch-free: an unheld v's rank indexes an offset pair of equal ends.
-func (s *indexSeg) covers(v uint32) []uint32 {
-	w, sh := s.has[v>>6], v&63
-	r := s.rank[v>>6] + uint32(bits.OnesCount64(w&(1<<sh-1)))
-	return s.ids[s.offs[r]:s.offs[r+uint32(w>>sh&1)]]
-}
-
-// The readers below are the only code that walks posting lists. A
-// node's lists are one per segment, ascending and disjoint in id range,
-// then a patched index's overlay list, unordered; a posting removed by a
-// patch stays in its segment list with deadPosting set.
-
-// numLists returns how many posting lists a node has: one per segment,
-// plus the overlay while the index carries patches.
-func (idx *Index) numLists() int {
-	if idx.overlay != nil {
-		return len(idx.segs) + 1
-	}
-	return len(idx.segs)
-}
-
-// list returns v's posting list i (i < numLists()). The slice aliases
-// internal storage.
-func (idx *Index) list(i int, v uint32) []uint32 {
-	if i < len(idx.segs) {
-		return idx.segs[i].covers(v)
-	}
-	return idx.overlay[v]
-}
-
-// AppendCovers appends the ids of the RR sets containing v to dst and
-// returns it: ascending, except that a patched index's patch-added ids
-// trail in no order. Tombstoned postings are skipped.
-func (idx *Index) AppendCovers(dst []uint32, v uint32) []uint32 {
-	for i := range idx.segs {
-		for _, j := range idx.segs[i].covers(v) {
-			if j&deadPosting == 0 {
-				dst = append(dst, j)
-			}
-		}
-	}
-	return append(dst, idx.overlay[v]...)
-}
-
-// The recount kernels read a posting list against the covered bitset's
-// words with no data-dependent branch: deadPosting is the id's top bit,
-// so live = 1 - j>>31 masks a tombstone out of the count and out of the
-// store, and the covered bit is shifted down rather than tested.
-
-// CountUncovered returns how many RR sets containing v are not yet
-// marked in covered: the count behind the recount greedy's Marginal.
-// covered must span the index's Count() sets.
-func (idx *Index) CountUncovered(covered *bitset.Bits, v uint32) int64 {
-	words := covered.Words()
-	var m uint64
-	for i := 0; i < idx.numLists(); i++ {
-		for _, j := range idx.list(i, v) {
-			live := uint64(j>>31) ^ 1
-			j &^= deadPosting
-			m += ^words[j>>6] >> (j & 63) & live
-		}
-	}
-	return int64(m)
-}
-
-// Cover marks every RR set containing v as covered and returns how many
-// of them were uncovered before: the cover step of the recount greedy,
-// and the serving layer's prefix coverage of a seed list.
-func (idx *Index) Cover(covered *bitset.Bits, v uint32) int64 {
-	words := covered.Words()
-	var m uint64
-	for i := 0; i < idx.numLists(); i++ {
-		for _, j := range idx.list(i, v) {
-			live := uint64(j>>31) ^ 1
-			j &^= deadPosting
-			w := words[j>>6]
-			m += ^w >> (j & 63) & live
-			words[j>>6] = w | live<<(j&63)
-		}
-	}
-	return int64(m)
-}
-
-// CoverRange marks covered the RR sets containing v whose ids fall in
-// covered's words [loWord, hiWord) and were uncovered, and appends their
-// ids to dst: the select kernel's map stage. Calls over disjoint word
-// ranges write disjoint words of covered, so they may run concurrently;
-// together they mark and return exactly what one call over every word
-// does.
-func (idx *Index) CoverRange(dst []uint32, covered *bitset.Bits, v uint32, loWord, hiWord int) []uint32 {
-	words := covered.Words()
-	for i := range idx.segs {
-		ids := idx.segs[i].covers(v)
-		// Tombstones keep the masked ids ascending, so the range is a
-		// sub-slice found by binary search.
-		from := sort.Search(len(ids), func(k int) bool { return int(ids[k]&^deadPosting)>>6 >= loWord })
-		to := from + sort.Search(len(ids)-from, func(k int) bool { return int(ids[from+k]&^deadPosting)>>6 >= hiWord })
-		for _, j := range ids[from:to] {
-			if j&deadPosting != 0 || words[j>>6]>>(j&63)&1 != 0 {
-				continue
-			}
-			words[j>>6] |= 1 << (j & 63)
-			dst = append(dst, j)
-		}
-	}
-	for _, j := range idx.overlay[v] {
-		if w := int(j >> 6); w < loWord || w >= hiWord || words[w]>>(j&63)&1 != 0 {
-			continue
-		}
-		words[j>>6] |= 1 << (j & 63)
-		dst = append(dst, j)
-	}
-	return dst
-}
-
-// Degree returns how many indexed RR sets contain v (the initial coverage
-// Δ_i(v) of Algorithm 1 line 3). Exact on patched indexes: the per-node
-// adjustment counts tombstones out and overlay postings in.
-func (idx *Index) Degree(v uint32) int {
-	var d int
-	for i := range idx.segs {
-		d += len(idx.segs[i].covers(v))
-	}
-	if idx.degAdj != nil {
-		d += int(idx.degAdj[v])
-	}
-	return d
-}
-
-// FillDegrees sets deg[v] = Degree(v) for every v < len(deg), in one walk
-// over each segment's held nodes rather than a rank lookup per node and
-// segment. Nodes past the index's item space get 0.
-func (idx *Index) FillDegrees(deg []int64) {
-	clear(deg)
-	for i := range idx.segs {
-		s := &idx.segs[i]
-		r := 0
-		for w, word := range s.has {
-			for ; word != 0; word &= word - 1 {
-				if v := w<<6 | bits.TrailingZeros64(word); v < len(deg) {
-					deg[v] += int64(s.offs[r+1] - s.offs[r])
-				}
-				r++
-			}
-		}
-	}
-	for v, a := range idx.degAdj[:min(len(deg), len(idx.degAdj))] {
-		deg[v] += int64(a)
-	}
-}
-
-// Bytes returns the index's resident size: every segment's postings and
-// tables, plus a patched index's overlay postings and degree adjustments.
-func (idx *Index) Bytes() int64 {
-	b := 4 * (idx.overlayLen + len(idx.degAdj))
-	for _, s := range idx.segs {
-		b += 8*len(s.has) + 4*(len(s.rank)+len(s.offs)+len(s.ids))
-	}
-	return int64(b)
-}
-
-// Count returns the number of RR sets the index covers.
-func (idx *Index) Count() int { return idx.count }
-
-// FullBuilds returns how many times the index was constructed from
-// scratch (1 for BuildIndex; incremental AppendFrom calls do not add to
-// it unless the segment cap forces a compaction).
-func (idx *Index) FullBuilds() int { return idx.fullBuilds }

@@ -70,8 +70,8 @@ func TestIndexAppendFromMatchesFullBuild(t *testing.T) {
 			}
 			// The per-list iteration must yield the same sequence.
 			var seg []uint32
-			for si := 0; si < incr.numLists(); si++ {
-				seg = append(seg, incr.list(si, uint32(v))...)
+			for si := range incr.segs {
+				seg = append(seg, segList(incr, si, uint32(v))...)
 			}
 			if len(seg) != len(want) {
 				t.Fatalf("chunks %v: node %d: segment iteration yields %d ids, want %d", chunks, v, len(seg), len(want))
@@ -105,7 +105,7 @@ func TestIndexAppendFromValidation(t *testing.T) {
 }
 
 // TestIndexSegmentCapCompacts drives the pathological many-tiny-increments
-// pattern past maxIndexSegments and checks the index compacts into a
+// pattern past maxIndexIncrements and checks the index compacts into a
 // single segment (counted as one more full build) without losing data.
 func TestIndexSegmentCapCompacts(t *testing.T) {
 	c := NewCollection(8)
@@ -114,14 +114,14 @@ func TestIndexSegmentCapCompacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= maxIndexSegments+5; i++ {
+	for i := 1; i <= maxIndexIncrements+5; i++ {
 		c.Append([]uint32{uint32(i % 3)}, 0)
 		if err := idx.AppendFrom(c, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(idx.segs) > maxIndexSegments {
-		t.Fatalf("%d segments exceed the cap %d", len(idx.segs), maxIndexSegments)
+	if len(idx.segs) > maxIndexIncrements || idx.increments > maxIndexIncrements {
+		t.Fatalf("%d segments from %d increments exceed the cap %d", len(idx.segs), idx.increments, maxIndexIncrements)
 	}
 	if idx.FullBuilds() != 2 {
 		t.Fatalf("%d full builds, want 2 (initial + one compaction)", idx.FullBuilds())

@@ -26,6 +26,27 @@ func layoutSets(r *xrand.Rand, c *Collection, pool []uint32, count int) {
 	}
 }
 
+// testDead marks a tombstoned posting in the reference lists: the
+// segment layout keeps tombstones in a bitset beside the postings, the
+// reference in the id's top bit.
+const testDead = 1 << 31
+
+// segList returns v's posting list in segment si as full ids, each
+// tombstoned one marked with testDead.
+func segList(idx *Index, si int, v uint32) []uint32 {
+	s := &idx.segs[si]
+	lo, hi := s.span(v)
+	var out []uint32
+	for p := lo; p < hi; p++ {
+		id := s.base() + uint32(s.ids[p])
+		if s.isDead(p) {
+			id |= testDead
+		}
+		out = append(out, id)
+	}
+	return out
+}
+
 // denseSeg is the reference layout the sparse segment replaced: an
 // (n + 1)-entry start array over the segment's postings.
 type denseSeg struct {
@@ -59,7 +80,7 @@ func denseReference(orig [][]uint32, c *Collection, n int, froms []int) ([]dense
 			for _, v := range orig[t] {
 				id := uint32(t)
 				if !slices.Contains(c.Set(t), v) {
-					id |= deadPosting
+					id |= testDead
 				}
 				s.ids[cur[v]] = id
 				cur[v]++
@@ -100,15 +121,11 @@ func checkLayout(t *testing.T, idx *Index, orig [][]uint32, c *Collection, n int
 	for v := uint32(0); int(v) < n; v++ {
 		for si, s := range ref {
 			seg := s.ids[s.start[v]:s.start[v+1]]
-			if got := idx.list(si, v); !slices.Equal(got, seg) {
+			if got := segList(idx, si, v); !slices.Equal(got, seg) {
 				t.Fatalf("%s: segment %d node %d covers %v, dense %v", when, si, v, got, seg)
 			}
 		}
-		var tail []uint32
-		if idx.numLists() > len(ref) {
-			tail = sorted(idx.list(len(ref), v))
-		}
-		if !slices.Equal(tail, overlay[v]) {
+		if tail := sorted(idx.overlay[v]); !slices.Equal(tail, overlay[v]) {
 			t.Fatalf("%s: node %d overlay %v, want %v", when, v, tail, overlay[v])
 		}
 		if d := idx.Degree(v); int64(d) != live[v] {
@@ -222,7 +239,10 @@ func checkReaders(t *testing.T, idx *Index, c *Collection, n int, when string) {
 // TestIndexLayoutMatchesDense checks the rank-indexed segment layout
 // against the dense start-array layout it replaced, on item spaces that
 // are not multiples of 64, with nodes that hold no postings, over 1 to
-// 12 segments, after patches and after a forced compaction.
+// 12 segments, after patches and after a forced compaction. A last trial
+// spans three id windows: its increments straddle window boundaries, ids
+// 65 535 and 65 536 hold postings and are patched every round, and the
+// first two windows are filled to their full 16-bit range.
 func TestIndexLayoutMatchesDense(t *testing.T) {
 	compactions := 0
 	// n ≥ 7: randomPatches draws up to five distinct members.
@@ -240,13 +260,7 @@ func TestIndexLayoutMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var orig [][]uint32
-		snap := func(from int) {
-			for i := from; i < c.Count(); i++ {
-				orig = append(orig, slices.Clone(c.Set(i)))
-			}
-		}
-		snap(0)
+		orig := snapSets(nil, c)
 		checkLayout(t, idx, orig, c, n, "fresh")
 		for seg := 1 + r.Intn(12); len(idx.segs) < seg; {
 			from := c.Count()
@@ -254,34 +268,96 @@ func TestIndexLayoutMatchesDense(t *testing.T) {
 			if err := idx.AppendFrom(c, from); err != nil {
 				t.Fatal(err)
 			}
-			snap(from)
+			orig = snapSets(orig, c)
 		}
 		checkLayout(t, idx, orig, c, n, "grown")
-		for round := 0; round < 6; round++ {
-			pre := make([][]uint32, c.Count())
-			for i := range pre {
-				pre[i] = slices.Clone(c.Set(i))
-			}
-			builds := idx.FullBuilds()
-			patches := randomPatches(r, c, n, 1+c.Count()/4)
-			if err := idx.ApplyPatches(c, patches); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.ApplyPatches(patches); err != nil {
-				t.Fatal(err)
-			}
-			if idx.FullBuilds() > builds {
-				orig = pre // compaction rebuilt from the pre-patch sample
-				compactions++
-			}
-			checkLayout(t, idx, orig, c, n, "patched")
-		}
+		compactions += patchRounds(t, r, idx, c, orig, n, nil)
 		idx.Release()
 		c.Release()
 	}
 	if compactions == 0 {
 		t.Fatal("patch debt never forced a compaction")
 	}
+
+	const n, window = 67, 1 << windowBits
+	r := xrand.New(window)
+	pool := make([]uint32, n)
+	for v := range pool {
+		pool[v] = uint32(v)
+	}
+	c := NewCollection(0)
+	layoutSets(r, c, pool, window-9)
+	idx, err := BuildIndex(c, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Release()
+	defer c.Release()
+	layoutSets(r, c, pool, 8)
+	c.Append([]uint32{0, n - 1}, 0) // id 65 535, the first window's last
+	c.Append([]uint32{1, n - 1}, 0) // id 65 536, the second window's first
+	layoutSets(r, c, pool, 2)
+	if err := idx.AppendFrom(c, window-9); err != nil { // straddles the first boundary
+		t.Fatal(err)
+	}
+	layoutSets(r, c, pool, window+5)
+	if err := idx.AppendFrom(c, window+3); err != nil { // fills the second window, opens the third
+		t.Fatal(err)
+	}
+	var froms []int
+	for i := range idx.segs {
+		froms = append(froms, idx.segs[i].from)
+	}
+	if want := []int{0, window - 9, window, window + 3, 2 * window}; !slices.Equal(froms, want) {
+		t.Fatalf("segments start at %v, want %v", froms, want)
+	}
+	orig := snapSets(nil, c)
+	checkLayout(t, idx, orig, c, n, "windows")
+	if patchRounds(t, r, idx, c, orig, n, []int{window - 1, window}) == 0 {
+		t.Fatal("patch debt never forced a compaction across windows")
+	}
+	if len(idx.segs) != 3 {
+		t.Fatalf("a compacted index over three windows has %d segments", len(idx.segs))
+	}
+}
+
+// snapSets appends copies of c's sets past the len(orig) already held.
+func snapSets(orig [][]uint32, c *Collection) [][]uint32 {
+	for i := len(orig); i < c.Count(); i++ {
+		orig = append(orig, slices.Clone(c.Set(i)))
+	}
+	return orig
+}
+
+// patchRounds runs six rounds of random patches over a quarter of the
+// sets, plus a patch of every slot in always, through idx and c, checks
+// the layout after each, and returns how many compactions they forced.
+// orig is the membership idx was built from.
+func patchRounds(t *testing.T, r *xrand.Rand, idx *Index, c *Collection, orig [][]uint32, n int, always []int) int {
+	t.Helper()
+	compactions := 0
+	for round := 0; round < 6; round++ {
+		pre := snapSets(nil, c)
+		builds := idx.FullBuilds()
+		patches := slices.DeleteFunc(randomPatches(r, c, n, 1+c.Count()/4), func(p Patch) bool {
+			return slices.Contains(always, p.Pos)
+		})
+		for k, pos := range always {
+			patches = append(patches, Patch{Pos: pos, Members: []uint32{uint32(round+k) % uint32(n), uint32(n - 1 - round)}})
+		}
+		if err := idx.ApplyPatches(c, patches); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ApplyPatches(patches); err != nil {
+			t.Fatal(err)
+		}
+		if idx.FullBuilds() > builds {
+			orig = pre // compaction rebuilt from the pre-patch sample
+			compactions++
+		}
+		checkLayout(t, idx, orig, c, n, "patched")
+	}
+	return compactions
 }
 
 // TestIndexSegmentBytesProportional: a segment's tables cost 3n/16 B plus
@@ -477,5 +553,38 @@ func BenchmarkIndexBuild(b *testing.B) {
 			coverScanSink = m
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*postings), "ns/posting")
 		})
+	}
+}
+
+// TestIndexBytesPerPostingLT: on a worker's real shape, LT RR sets on
+// the benchmark's 2^18-node weighted-cascade R-MAT graph, an index of
+// 300 000 sets costs at most 2.5 B per posting (2 B of posting, the rest
+// tables), against the 4 B a uint32 id alone took.
+func TestIndexBytesPerPostingLT(t *testing.T) {
+	if raceDetector {
+		t.Skip("sampling 300 000 LT sets takes minutes under -race")
+	}
+	const n, sets = 1 << 18, 300_000
+	g, err := graph.GenRMAT(graph.RMATConfig{GenConfig: graph.GenConfig{Nodes: n, AvgDegree: 16, Seed: 7}})
+	if err == nil {
+		g, err = graph.AssignWeights(g, graph.WeightedCascade, 0, 0)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSampler(g, diffusion.LT, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCollection(0)
+	defer c.Release()
+	s.SampleManyInto(c, sets)
+	idx, err := BuildIndex(c, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Release()
+	if per := float64(idx.Bytes()) / float64(c.TotalSize()); per > 2.5 {
+		t.Fatalf("%d B for %d postings: %.3f B per posting, want ≤ 2.5", idx.Bytes(), c.TotalSize(), per)
 	}
 }

@@ -15,14 +15,14 @@ import (
 // independent of theta.
 //
 // Representation: removals tombstone the posting in its CSR segment by
-// setting deadPosting on the id (masked order stays ascending, so the
-// posting is found by binary search); additions go to a per-node overlay
-// list read after the segments' lists. Re-additions resurrect the
-// tombstone in place when one exists. The readers in collection.go skip
-// dead entries and filter overlay ids by range, so no caller sees the
-// difference. Accumulated debt (tombstones + overlay) beyond a quarter
-// of the postings triggers a compacting full rebuild, keeping scan
-// overhead bounded amortized.
+// setting its bit in the segment's dead bitset, made on the segment's
+// first removal (the posting stays where it is, so it is found again by
+// binary search); additions go to a per-node overlay list read after the
+// segments' lists. Re-additions resurrect the tombstone in place when
+// one exists. The readers in index.go skip dead entries and filter
+// overlay ids by range, so no caller sees the difference. Accumulated
+// debt (tombstones + overlay) beyond a quarter of the postings triggers
+// a compacting full rebuild, keeping scan overhead bounded amortized.
 
 // ApplyPatches edits the index in place to reflect the membership
 // patches about to be applied to c. It MUST be called before
@@ -41,7 +41,7 @@ func (idx *Index) ApplyPatches(c *Collection, patches []Patch) error {
 	// from c is valid, and the patches below then apply to fresh state.
 	if idx.dead+idx.overlayLen > idx.postings()/4 {
 		idx.reset()
-		if err := idx.appendSeg(c, 0); err != nil {
+		if err := idx.appendSets(c, 0); err != nil {
 			return err
 		}
 	}
@@ -105,7 +105,7 @@ func (idx *Index) reset() {
 // sets afterwards (AppendFrom at 0 rebuilds it).
 func (idx *Index) Release() {
 	// Clear every slot, not just the length: the backing array would
-	// otherwise keep the dropped segments' has, rank, offs and ids
+	// otherwise keep the dropped segments' tables, ids and dead bitsets
 	// reachable.
 	for i := range idx.segs {
 		idx.segs[i].region.Free()
@@ -113,6 +113,7 @@ func (idx *Index) Release() {
 	}
 	idx.segs = idx.segs[:0]
 	idx.count = 0
+	idx.increments = 0
 	idx.overlay = nil
 	idx.overlayLen = 0
 	idx.dead = 0
@@ -134,11 +135,14 @@ func (idx *Index) killPosting(v, t uint32) error {
 			}
 		}
 	}
-	list, pos, ok := idx.findSegPosting(v, t)
-	if !ok || list[pos]&deadPosting != 0 {
+	s, p, ok := idx.findSegPosting(v, t)
+	if !ok || s.isDead(p) {
 		return fmt.Errorf("rrset: removing posting (%d, %d) the index does not hold", v, t)
 	}
-	list[pos] |= deadPosting
+	if s.dead == nil {
+		s.dead = make([]uint64, (len(s.ids)+63)/64)
+	}
+	s.dead[p>>6] |= 1 << (p & 63)
 	idx.dead++
 	idx.degAdj[v]--
 	return nil
@@ -147,11 +151,11 @@ func (idx *Index) killPosting(v, t uint32) error {
 // addPosting inserts the posting (v, t): resurrecting its tombstone in
 // place when the segment holds one, appending to the overlay otherwise.
 func (idx *Index) addPosting(v, t uint32) error {
-	if list, pos, ok := idx.findSegPosting(v, t); ok {
-		if list[pos]&deadPosting == 0 {
+	if s, p, ok := idx.findSegPosting(v, t); ok {
+		if !s.isDead(p) {
 			return fmt.Errorf("rrset: adding posting (%d, %d) the index already holds", v, t)
 		}
-		list[pos] &^= deadPosting
+		s.dead[p>>6] &^= 1 << (p & 63)
 		idx.dead--
 		idx.degAdj[v]++
 		return nil
@@ -163,17 +167,23 @@ func (idx *Index) addPosting(v, t uint32) error {
 }
 
 // findSegPosting locates id t in v's posting list of the segment owning
-// t's id range, by binary search over the tombstone-masked (ascending)
-// ids. Returns the list, the position, and whether the posting exists.
-func (idx *Index) findSegPosting(v, t uint32) ([]uint32, int, bool) {
+// t's id range, by binary search over the list's ascending offsets, dead
+// or alive. Returns the segment, the posting's position in its ids, and
+// whether the posting exists.
+func (idx *Index) findSegPosting(v, t uint32) (*indexSeg, uint32, bool) {
 	si := sort.Search(len(idx.segs), func(i int) bool { return idx.segs[i].from > int(t) }) - 1
 	if si < 0 {
 		return nil, 0, false
 	}
-	list := idx.segs[si].covers(v)
-	pos := sort.Search(len(list), func(i int) bool { return list[i]&^deadPosting >= t })
-	if pos == len(list) || list[pos]&^deadPosting != t {
+	s := &idx.segs[si]
+	if t-s.base() >= 1<<windowBits {
 		return nil, 0, false
 	}
-	return list, pos, true
+	lo, hi := s.span(v)
+	list, o := s.ids[lo:hi], uint16(t-s.base())
+	pos := sort.Search(len(list), func(i int) bool { return list[i] >= o })
+	if pos == len(list) || list[pos] != o {
+		return nil, 0, false
+	}
+	return s, lo + uint32(pos), true
 }

@@ -158,12 +158,13 @@ func TestApplyPatchesFreesOwnedArena(t *testing.T) {
 
 // TestIndexCompactionFreesSegments: a compacting rebuild frees the
 // dropped segments' postings at once and clears their slots, so the
-// backing array keeps none of them reachable.
+// backing array keeps none of them reachable. Each segment holds enough
+// 2-byte postings to live off the heap, and all of them fit one window.
 func TestIndexCompactionFreesSegments(t *testing.T) {
 	const n = 1 << 12
 	base := offheap.Mapped()
 	c := NewCollection(0)
-	bigSets(c, 4, n, 32, offheap.MinBytes/4+1)
+	bigSets(c, 4, n, 32, offheap.MinBytes/2+1)
 	idx, err := BuildIndex(c, n)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +176,7 @@ func TestIndexCompactionFreesSegments(t *testing.T) {
 	}
 	collMapped := int64(cap(c.region.Bytes()))
 	twoSegs := offheap.Mapped() - base - collMapped
-	if len(idx.segs) != 2 || twoSegs < 4*c.TotalSize() {
+	if len(idx.segs) != 2 || twoSegs < 2*c.TotalSize() {
 		t.Fatalf("%d segments, %d bytes of postings mapped for %d members", len(idx.segs), twoSegs, c.TotalSize())
 	}
 
@@ -194,7 +195,7 @@ func TestIndexCompactionFreesSegments(t *testing.T) {
 		t.Fatal("patch debt never forced a compaction")
 	}
 	for i, seg := range idx.segs[len(idx.segs):cap(idx.segs)] {
-		if seg.ids != nil || seg.has != nil || seg.rank != nil || seg.offs != nil || seg.region != nil {
+		if seg.ids != nil || seg.has != nil || seg.rank != nil || seg.offs != nil || seg.region != nil || seg.dead != nil {
 			t.Fatalf("slot %d past the live segments still holds a dropped segment", len(idx.segs)+i)
 		}
 	}

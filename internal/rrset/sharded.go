@@ -144,9 +144,10 @@ func (ss *ShardedSampler) SetRootWeights(weights []float64) error {
 // AppendLaneSeeds appends the lane seeds of the next count sets this
 // sampler would generate, in merge order, without sampling anything:
 // set j of the upcoming round is ordinal next+j of the stream, so its
-// lane seed is xrand.LaneSeed(seed, next+j). Callers that journal
-// per-set provenance (dynamic-graph repair) call this immediately before
-// SampleManyInto with the same count. It grows dst at most once.
+// lane seed is xrand.LaneSeed(seed, next+j). A caller that wants the
+// seeds themselves calls this immediately before SampleManyInto with the
+// same count; one that journals provenance compactly records Stream
+// instead. It grows dst at most once.
 func (ss *ShardedSampler) AppendLaneSeeds(dst []uint64, count int64) []uint64 {
 	dst = slices.Grow(dst, int(count))
 	for j := int64(0); j < count; j++ {
@@ -154,6 +155,12 @@ func (ss *ShardedSampler) AppendLaneSeeds(dst []uint64, count int64) []uint64 {
 	}
 	return dst
 }
+
+// Stream returns the stream seed and the ordinal of the next set this
+// sampler generates: the next count sets' lane seeds are
+// xrand.LaneSeed(seed, next+j) for j < count, which is what
+// AppendLaneSeeds appends.
+func (ss *ShardedSampler) Stream() (seed, next uint64) { return ss.seed, ss.next }
 
 // Seek positions the stream at set ordinal t: the next set generated is
 // the stream's t-th, exactly as if t sets had been generated before. O(1):
