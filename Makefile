@@ -18,7 +18,7 @@ test:
 # store, and the graph substrate (mmap-backed CSRs are shared read-only
 # across sampling shards) run under the race detector.
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/coverage/... ./internal/graph/... ./internal/metrics/... ./internal/mutate/... ./internal/rrset/... ./internal/serve/... ./internal/sketch/... ./internal/store/...
+	$(GO) test -race ./internal/cluster/... ./internal/coverage/... ./internal/graph/... ./internal/metrics/... ./internal/mutate/... ./internal/offheap/... ./internal/rrset/... ./internal/serve/... ./internal/sketch/... ./internal/store/...
 
 bench:
 	$(GO) test -bench=. -benchmem

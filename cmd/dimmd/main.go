@@ -81,6 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer g.Close() // Serve returns once no worker runs
 
 	if *dynamic {
 		// Must happen before any worker (and its samplers) is built: the

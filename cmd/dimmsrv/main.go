@@ -199,6 +199,9 @@ func main() {
 		if err := svc.Close(); err != nil {
 			log.Printf("service close: %v", err)
 		}
+		if err := g.Close(); err != nil {
+			log.Printf("graph close: %v", err)
+		}
 	}()
 
 	if err := httpSrv.Serve(lis); err != nil && err != http.ErrServerClosed {

@@ -58,6 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer g.Close()
 	n := g.NumNodes()
 	fmt.Printf("graph: %d nodes, %d edges\n", n, g.NumEdges())
 	cfg := dimm.AppConfig{Machines: *machines, Model: model, Eps: *eps, Seed: *seed}

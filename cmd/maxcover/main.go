@@ -53,6 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer g.Close()
 	sys, err := workload.NeighborSetSystem(g)
 	if err != nil {
 		log.Fatal(err)

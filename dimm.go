@@ -99,8 +99,8 @@ const (
 	// straight from the page cache, so graphs larger than RAM sample at
 	// full speed without ever being fully resident. Mapped graphs are
 	// frozen (no mutation). Graph.Close releases a segmented graph's
-	// mapping at once; otherwise the GC does once the graph is
-	// unreachable.
+	// mapping; a graph dropped without Close is freed by a finalizer and
+	// counted as a leak (see internal/offheap).
 	MmapBackend = graph.BackendMmap
 )
 

@@ -414,6 +414,7 @@ func (w *Worker) generateAux(streamSeed uint64, count int64) error {
 	if err != nil {
 		return err
 	}
+	defer aux.Release()
 	if w.cfg.RootWeights != nil {
 		if err := aux.SetRootWeights(w.cfg.RootWeights); err != nil {
 			return err
@@ -446,14 +447,16 @@ func (w *Worker) dropIndex() {
 	}
 }
 
-// release frees the worker's RR sets and inverted index now, rather than
-// whenever a GC cycle finds them: both live off the Go heap once they are
-// large (see internal/rrset). The worker is empty afterwards. The
-// transports call it when a connection ends, and msgReset before it
-// starts a new sample.
+// release frees the worker's RR sets, inverted index and sampler merge
+// buffers now: all live off the Go heap once they are large (see
+// internal/rrset). The worker is empty afterwards. The transports call
+// it when a connection ends, and msgReset before it starts a new sample.
 func (w *Worker) release() {
 	w.dropIndex()
 	w.coll.Release()
+	if w.sampler != nil {
+		w.sampler.Release()
+	}
 }
 
 // ensureIndex brings the inverted index up to date with the collection.

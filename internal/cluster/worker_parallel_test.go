@@ -28,6 +28,7 @@ func TestWorkerIncrementalIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(w.release)
 	mustAck(t, w, encodeGenerateReq(100))
 	mustAck(t, w, encodeSimpleReq(msgBeginSelect))
 	if w.idx.FullBuilds() != 1 || w.idx.Count() != 100 {
@@ -91,6 +92,7 @@ func TestCoverageOfEpochMarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(w.release)
 	mustAck(t, w, encodeGenerateReq(400))
 	seedSets := [][]uint32{{0}, {1, 2, 3}, {0}, {5, 5, 5}, {}, {7, 11, 13, 17}}
 	check := func() {
@@ -125,6 +127,7 @@ func TestGenerateReservesArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(w.release)
 		count := int64(200000) // past the 64 K-member, 1 K-set hints
 		mustAck(t, w, encodeGenerateReq(count))
 		// One offset-table reservation; the member arena grows 2^16 → ≥

@@ -22,6 +22,7 @@ func kernelSample(t testing.TB, seed uint64, n, m, avgSize int) (*rrset.Collecti
 	t.Helper()
 	r := xrand.New(seed)
 	c := rrset.NewCollection(m)
+	t.Cleanup(c.Release)
 	members := make([]uint32, 0, 2*avgSize)
 	for i := 0; i < m; i++ {
 		sz := 1 + r.Intn(2*avgSize-1)
@@ -38,6 +39,7 @@ func kernelSample(t testing.TB, seed uint64, n, m, avgSize int) (*rrset.Collecti
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(idx.Release)
 	return c, idx
 }
 

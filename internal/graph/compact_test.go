@@ -297,17 +297,18 @@ func TestUniformFlagIsChecked(t *testing.T) {
 // updates then act on single edges, and Close hands the mapping back.
 func TestEnableMutationMaterializesEdgeProbs(t *testing.T) {
 	path, built := regionTestFile(t)
+	base := offheap.Mapped()
 	g, err := OpenSegmented(path, BackendMem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
+	t.Cleanup(func() { g.Close() })
 	g.OutDegree(0) // EnableMutation would load the out-side too: count only the per-edge arrays
-	before, mapped := g.CSRBytes(), offheap.Mapped()
+	before := g.CSRBytes()
 	if err := g.EnableMutation(); err != nil {
 		t.Fatal(err)
 	}
-	if got := offheap.Mapped() - mapped; got < 8*g.m {
+	if got := int64(cap(g.edgeProbs.Bytes())); got < 8*g.m {
 		t.Fatalf("EnableMutation mapped %d bytes, want ≥ %d for the per-edge arrays", got, 8*g.m)
 	}
 	if got := g.CSRBytes() - before; got != 8*g.m {
@@ -328,7 +329,7 @@ func TestEnableMutationMaterializesEdgeProbs(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if d := offheap.Mapped() - mapped; d > 0 {
+	if d := offheap.Mapped() - base; d != 0 {
 		t.Fatalf("Close left %d bytes mapped", d)
 	}
 }

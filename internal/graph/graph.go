@@ -26,10 +26,10 @@ import (
 // Graph is an immutable weighted directed graph. Construct one with a
 // Builder, a loader, or a generator; once built it is safe for concurrent
 // readers (all algorithms here share one Graph across machines/goroutines).
-// A graph opened from a segmented file keeps its CSR in a mapping off the
-// Go heap that is released when the graph becomes unreachable (or is
-// Closed): slices its accessors return are valid only while their *Graph
-// is reachable.
+// A graph opened from a segmented file, or made mutable, keeps its CSR
+// in mappings off the Go heap that Close releases: slices its accessors
+// return are valid until Close, and only while g is reachable (a dropped
+// graph is freed by its finalizer).
 //
 // Each directed edge <u,v> carries a propagation probability p(u,v) in
 // (0,1], the probability that u activates v under the IC model, and the
@@ -117,16 +117,16 @@ func (g *Graph) InDegree(v uint32) int {
 }
 
 // OutAdj returns the heads of u's outgoing edges. The slice aliases the
-// graph's storage, must not be modified, and is valid while g is
-// reachable.
+// graph's storage, must not be modified, and is valid until Close and
+// while g is reachable.
 func (g *Graph) OutAdj(u uint32) []uint32 {
 	g.loadOut()
 	return g.outAdj[g.outStart[u]:g.outStart[u+1]]
 }
 
 // InAdj returns the tails of v's incoming edges. The slice aliases the
-// graph's storage, must not be modified, and is valid while g is
-// reachable.
+// graph's storage, must not be modified, and is valid until Close and
+// while g is reachable.
 func (g *Graph) InAdj(v uint32) []uint32 {
 	return g.inAdj[g.inStart[v]:g.inStart[v+1]]
 }

@@ -14,7 +14,9 @@ func line(t *testing.T, p float32) *Graph {
 			t.Fatal(err)
 		}
 	}
-	return b.Build()
+	g := b.Build()
+	t.Cleanup(func() { g.Close() }) // frees what EnableMutation maps
+	return g
 }
 
 // Satellite regression test: ContentHash must not serve the memoized

@@ -19,16 +19,20 @@ import (
 func outSideBytes(g *Graph) int64 { return 8*(g.n+1) + 4*g.m }
 
 // openMemPending opens path with the mem backend and checks that the
-// out-side is not held yet: CSRBytes and the mapped bytes cover the
-// in-side alone. It returns the graph and the bytes the open mapped.
+// out-side is not held yet: CSRBytes and the graph's mapping cover the
+// in-side alone. It returns the graph, closed when the test ends, and
+// the bytes its mapping holds.
 func openMemPending(t *testing.T, path string, full int64) (*Graph, int64) {
 	t.Helper()
-	base := offheap.Mapped()
 	g, err := OpenSegmented(path, BackendMem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opened := offheap.Mapped() - base
+	t.Cleanup(func() { g.Close() })
+	opened := int64(cap(g.seg.region))
+	if g.seg.out != nil {
+		t.Fatal("a mem open mapped the out-side")
+	}
 	held := g.CSRBytes()
 	if held != full-outSideBytes(g) {
 		t.Fatalf("a mem open holds %d CSR bytes, want %d without the out-side", held, full-outSideBytes(g))
@@ -53,7 +57,7 @@ func TestMemOutSideLoadedOnFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mm.Close()
+	t.Cleanup(func() { mm.Close() })
 	full := built.CSRBytes()
 	readers := map[string]func(g *Graph) error{
 		"OutAdj":       func(g *Graph) error { g.OutAdj(1); return nil },
@@ -72,15 +76,12 @@ func TestMemOutSideLoadedOnFirstUse(t *testing.T) {
 		"EnableMutation": func(g *Graph) error { return g.EnableMutation() },
 	}
 	for name, read := range readers {
+		base := offheap.Mapped()
 		g, opened := openMemPending(t, path, full)
-		before := offheap.Mapped()
 		if err := read(g); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		loaded := offheap.Mapped() - before
-		if name == "EnableMutation" {
-			loaded -= 8 * g.m // and the per-edge probability arrays
-		}
+		loaded := int64(cap(g.seg.out))
 		if slack := int64(2 * os.Getpagesize()); loaded < outSideBytes(g) || loaded > outSideBytes(g)+slack {
 			t.Fatalf("%s mapped %d bytes for a %d-byte out-side (the open mapped %d)", name, loaded, outSideBytes(g), opened)
 		}
@@ -91,6 +92,9 @@ func TestMemOutSideLoadedOnFirstUse(t *testing.T) {
 		requireSameAccessors(t, name+" then mmap", mm, g)
 		if err := g.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if got := offheap.Mapped(); got != base {
+			t.Fatalf("%s: %d bytes still mapped after Close", name, got-base)
 		}
 	}
 	// Close before any out-side read releases the held descriptor too.
@@ -110,8 +114,7 @@ func TestMemOutSideLoadedOnFirstUse(t *testing.T) {
 func TestMemOutSideConcurrentFirstRead(t *testing.T) {
 	path, built := regionTestFile(t)
 	g, _ := openMemPending(t, path, built.CSRBytes())
-	defer g.Close()
-	before := offheap.Mapped()
+	base := offheap.Mapped()
 	const readers = 8
 	errs := make([]error, readers)
 	var wg sync.WaitGroup
@@ -133,7 +136,7 @@ func TestMemOutSideConcurrentFirstRead(t *testing.T) {
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	if loaded := offheap.Mapped() - before; loaded < outSideBytes(g) || loaded > outSideBytes(g)+int64(2*os.Getpagesize()) {
+	if loaded := offheap.Mapped() - base; loaded != int64(cap(g.seg.out)) || loaded < outSideBytes(g) || loaded > outSideBytes(g)+int64(2*os.Getpagesize()) {
 		t.Fatalf("%d concurrent first reads mapped %d bytes for a %d-byte out-side", readers, loaded, outSideBytes(g))
 	}
 	requireSameAccessors(t, "concurrent first read", built, g)
@@ -150,7 +153,6 @@ func TestMemOutSideRewrittenInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := openMemPending(t, path, built.CSRBytes())
-	defer g.Close()
 	sec := computeLayout(built.n, built.m).sections[secOutAdj]
 	corruptAt(t, path, sec.off+sec.payloadBytes()/2)
 	defer func() {

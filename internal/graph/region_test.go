@@ -1,12 +1,15 @@
 package graph
 
 import (
+	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
 
+	"dimm/internal/offheap"
+	"dimm/internal/offheaptest"
 	"dimm/internal/rss"
 	"dimm/internal/sealed"
 )
@@ -30,12 +33,10 @@ func regionTestFile(t *testing.T) (string, *Graph) {
 	return path, g
 }
 
-// settledRSS collects garbage, runs pending finalizers and returns freed
-// heap to the OS before reading VmRSS; it skips the test off procfs.
+// settledRSS returns freed Go heap to the OS before reading VmRSS; it
+// skips the test off procfs.
 func settledRSS(t *testing.T) int64 {
 	t.Helper()
-	runtime.GC()
-	runtime.GC() // the first cycle queues finalizers, the second frees what they dropped
 	debug.FreeOSMemory()
 	r := rss.Current()
 	if r == 0 {
@@ -44,10 +45,16 @@ func settledRSS(t *testing.T) int64 {
 	return r
 }
 
+// The two VmRSS round trips below allow 0.9–1.25× the bytes made
+// resident and 1/4 of them left over after Close. Over 20 runs each,
+// with and without -race, and 3 runs of CI's race step (ten packages at
+// once), growth read 1.00–1.05× and VmRSS after Close was below the
+// baseline.
+
 // TestMemGraphLivesOffHeap: a mem open costs VmRSS ≈ CSRBytes, the
 // in-side until the first out-side read, but almost no Go heap, matches
 // the built graph, and Close hands the RSS back at once — twice without
-// harm, and without a second free by the GC.
+// harm.
 func TestMemGraphLivesOffHeap(t *testing.T) {
 	path, want := regionTestFile(t)
 	csr := want.CSRBytes()
@@ -59,6 +66,7 @@ func TestMemGraphLivesOffHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)
+	t.Cleanup(func() { g.Close() })
 	r1 := rss.Current()
 	if d := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); d >= 1<<20 {
 		t.Fatalf("opening a %d-byte CSR grew HeapAlloc by %d bytes, want < 1 MiB", csr, d)
@@ -67,11 +75,11 @@ func TestMemGraphLivesOffHeap(t *testing.T) {
 	if held >= csr {
 		t.Fatalf("a mem open holds %d of the CSR's %d bytes before any out-side read", held, csr)
 	}
-	if d := r1 - r0; d < held*9/10 || d > held*3/2 {
+	if d := r1 - r0; d < held*9/10 || d > held*5/4 {
 		t.Fatalf("opening a CSR that holds %d bytes grew VmRSS by %d bytes, want ≈ CSRBytes", held, d)
 	}
 	g.OutDegree(0)
-	if d := rss.Current() - r0; g.CSRBytes() != csr || d < csr*9/10 || d > csr*3/2 {
+	if d := rss.Current() - r0; g.CSRBytes() != csr || d < csr*9/10 || d > csr*5/4 {
 		t.Fatalf("after the out-side's first read CSRBytes is %d and VmRSS grew by %d bytes, want %d", g.CSRBytes(), d, csr)
 	}
 	requireGraphsEqual(t, want, g)
@@ -89,31 +97,64 @@ func TestMemGraphLivesOffHeap(t *testing.T) {
 	}
 }
 
-// TestMemGraphReleasedByGC: graphs that are dropped without Close give
-// their regions back through the finalizer, so twenty open/drop rounds
-// never hold more than a CSR or two — also when nothing but the opens
-// themselves runs the GC, whose pacer never sees the regions.
-func TestMemGraphReleasedByGC(t *testing.T) {
+// TestMmapGraphVmRSSRoundTrip: reading every page of a mapped graph
+// makes the file resident in VmRSS, and Close hands it back at once.
+func TestMmapGraphVmRSSRoundTrip(t *testing.T) {
 	path, want := regionTestFile(t)
-	csr := want.CSRBytes()
-	for _, collect := range []bool{true, false} {
-		r0 := settledRSS(t)
-		var peak int64
-		for i := 0; i < 20; i++ {
-			g, err := OpenSegmented(path, BackendMem)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0 := settledRSS(t)
+	g, err := OpenSegmented(path, BackendMmap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	var sum byte
+	for off := 0; off < len(g.seg.region); off += os.Getpagesize() {
+		sum += g.seg.region[off]
+	}
+	if d := rss.Current() - r0; d < st.Size()*9/10 || d > st.Size()*5/4 {
+		t.Fatalf("reading a %d-byte mapped file grew VmRSS by %d bytes (page sum %d)", st.Size(), d, sum)
+	}
+	requireGraphsEqual(t, want, g)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := settledRSS(t) - r0; d > st.Size()/4 {
+		t.Fatalf("VmRSS still %d bytes above the baseline after Close (file %d bytes)", d, st.Size())
+	}
+}
+
+// TestDroppedGraphLeaks: a graph dropped without Close is a leak. A
+// finalizer frees its mappings, a mapped file included, and counts
+// their bytes in offheap.Leaked.
+func TestDroppedGraphLeaks(t *testing.T) {
+	path, _ := regionTestFile(t)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []Backend{BackendMem, BackendMmap} {
+		base, leaked := offheap.Mapped(), offheap.Leaked()
+		want := func() int64 {
+			g, err := OpenSegmented(path, backend)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if adj, _ := g.InNeighbors(uint32(i)); len(adj) != want.InDegree(uint32(i)) {
-				t.Fatalf("round %d: in-degree %d, want %d", i, len(adj), want.InDegree(uint32(i)))
+			if g.Mapped() {
+				return st.Size() + offheap.Mapped() - base
 			}
-			peak = max(peak, rss.Current()-r0)
-			if collect {
-				runtime.GC()
-			}
+			return offheap.Mapped() - base
+		}()
+		offheaptest.ExpectLeak(want)
+		offheaptest.AwaitFinalizers()
+		if got := offheap.Mapped(); got != base {
+			t.Fatalf("%v: %d bytes still mapped after the graph became garbage", backend, got-base)
 		}
-		if peak >= 2*csr {
-			t.Fatalf("runtime.GC between rounds %v: VmRSS rose by %d bytes over 20 dropped opens of a %d-byte CSR, want < 2×", collect, peak, csr)
+		if got := offheap.Leaked() - leaked; got != want {
+			t.Fatalf("%v: Leaked grew by %d bytes for a dropped graph holding %d", backend, got, want)
 		}
 	}
 }
@@ -123,18 +164,15 @@ func TestMemGraphReleasedByGC(t *testing.T) {
 // whole region was filled, and the failed open leaves nothing mapped.
 func TestMemOpenChecksumReleasesRegion(t *testing.T) {
 	path, want := regionTestFile(t)
-	csr := want.CSRBytes()
 	sec := computeLayout(want.n, want.m).sections[secInProbSum]
 	corruptAt(t, path, sec.off+sec.payloadBytes()-1)
-	r0 := settledRSS(t)
-	for i := 0; i < 20; i++ {
-		_, err := OpenSegmented(path, BackendMem)
-		if se := corruption(t, err, sealed.ErrChecksum); se.Section != "inProbSum" {
-			t.Fatalf("flip in inProbSum blamed %s block %d", se.Section, se.Block)
-		}
+	base := offheap.Mapped()
+	_, err := OpenSegmented(path, BackendMem)
+	if se := corruption(t, err, sealed.ErrChecksum); se.Section != "inProbSum" {
+		t.Fatalf("flip in inProbSum blamed %s block %d", se.Section, se.Block)
 	}
-	if d := rss.Current() - r0; d >= csr {
-		t.Fatalf("20 failed opens left VmRSS %d bytes above the baseline (CSR %d bytes)", d, csr)
+	if got := offheap.Mapped(); got != base {
+		t.Fatalf("a failed open left %d bytes mapped", got-base)
 	}
 }
 
@@ -182,8 +220,6 @@ func TestMemGraphCompactMatchesBuilt(t *testing.T) {
 	if mem.seg.region != nil {
 		t.Fatal("Compact left the mem graph's region mapped")
 	}
-	runtime.GC()
-	runtime.GC()
 	requireGraphsEqual(t, built, mem)
 	if built.ContentHash() != mem.ContentHash() {
 		t.Fatalf("content hash %s, built graph %s", mem.ContentHash(), built.ContentHash())

@@ -213,6 +213,7 @@ func TestBuildSegmentedMatchesHeapTrivalency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { got.Close() })
 	requireGraphsEqual(t, want, got)
 }
 
@@ -251,6 +252,7 @@ func TestBuildSegmentedFileWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { got.Close() })
 	requireGraphsEqual(t, want, got)
 	if got.WeightTag() != "file" {
 		t.Fatalf("WeightTag = %q, want file", got.WeightTag())
@@ -296,6 +298,7 @@ func TestConvertEdgeListToSegmented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { got.Close() })
 	requireGraphsEqual(t, want, got)
 }
 
@@ -501,6 +504,7 @@ func TestEnableMutationRejectsMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { mem.Close() })
 	if err := mem.EnableMutation(); err != nil {
 		t.Fatalf("EnableMutation on mem-loaded segmented graph: %v", err)
 	}

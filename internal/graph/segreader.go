@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"dimm/internal/checksum"
@@ -64,8 +63,9 @@ func ParseBackend(s string) (Backend, error) {
 // segState is the segmented-file provenance of a Graph opened from a
 // .dsg file: the source path, the region its CSR slices alias, and the
 // per-block CRCs read from the file's trailers — which BaseHash reuses
-// so fingerprinting a 100M-edge graph never re-reads the CSR. A
-// finalizer on it releases the region once no Graph holds it.
+// so fingerprinting a 100M-edge graph never re-reads the CSR. Graph.Close
+// releases it; a finalizer frees one whose graph was dropped and counts
+// it in offheap.Leaked.
 type segState struct {
 	path      string
 	region    []byte // the mapping the CSR aliases; nil once released
@@ -84,13 +84,8 @@ type segState struct {
 	out       []byte
 }
 
-// privateRegions counts the live BackendMem regions. The GC's pacer never
-// sees them, so a dropped graph's region would otherwise wait for a cycle
-// the heap happens to trigger while a reopened copy is filled beside it.
-var privateRegions atomic.Int64
-
-// release unmaps the region and cancels the finalizer, so Close, Compact
-// and the GC never free it twice. Idempotent.
+// release unmaps the region and cancels the finalizer, so Close and
+// Compact never free it twice. Idempotent.
 func (s *segState) release() error {
 	var errs []error
 	if s.file != nil {
@@ -106,11 +101,18 @@ func (s *segState) release() error {
 			errs = append(errs, unmapFile(data), offheap.Unmap(s.inP))
 			s.inP = nil
 		} else {
-			privateRegions.Add(-1)
 			errs = append(errs, offheap.Unmap(data))
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// leak is the finalizer of a segment state whose graph was dropped
+// without Close: it counts every mapping it still holds as leaked, the
+// file mapping of BackendMmap included, and releases them.
+func (s *segState) leak() {
+	offheap.RecordLeak(cap(s.region) + cap(s.out) + cap(s.inP))
+	s.release()
 }
 
 // isProbSection reports the two per-edge probability sections, which a
@@ -204,13 +206,7 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 	var place segPlacement
 	switch backend {
 	case BackendMem:
-		if privateRegions.Load() > 0 {
-			runtime.GC() // lets finalizers release the regions of dropped graphs first
-		}
 		seg.region, place, err = loadSegMem(f, path, hdr, seg)
-		if seg.region != nil {
-			privateRegions.Add(1)
-		}
 		seg.file, f = f, nil // kept open for the out-side's first use
 		g.outPending.Store(true)
 	case BackendMmap:
@@ -253,7 +249,7 @@ func OpenSegmented(path string, backend Backend) (*Graph, error) {
 		seg.release()
 		return nil, err
 	}
-	runtime.SetFinalizer(seg, (*segState).release)
+	runtime.SetFinalizer(seg, (*segState).leak)
 	return g, nil
 }
 
@@ -605,9 +601,10 @@ func (g *Graph) WeightTag() string {
 }
 
 // Close releases the region a segmented graph's CSR aliases — the file
-// mapping (BackendMmap) or the verified private copy (BackendMem) — at
-// once instead of when the GC finds the graph unreachable. The graph
-// must not be used afterwards. It also releases the per-edge
+// mapping (BackendMmap) or the verified private copy (BackendMem). It is
+// the only release: a graph dropped without Close is freed by a
+// finalizer and counted in offheap.Leaked. The graph must not be used
+// afterwards. It also releases the per-edge
 // probability mapping EnableMutation materialized on a compact graph.
 // Graphs that own heap slices (built in memory, loaded from other
 // formats, or compacted) otherwise ignore Close. Idempotent.

@@ -1,0 +1,9 @@
+package mutate
+
+import (
+	"testing"
+
+	"dimm/internal/offheaptest"
+)
+
+func TestMain(m *testing.M) { offheaptest.Main(m) }

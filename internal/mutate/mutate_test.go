@@ -25,6 +25,7 @@ func testGraph(t testing.TB, model diffusion.Model) *graph.Graph {
 		t.Fatal(err)
 	}
 	g.EnableMutation()
+	t.Cleanup(func() { g.Close() })
 	return g
 }
 

@@ -8,11 +8,11 @@
 // copied from the .dsg file, and internal/rrset, whose RR-set member
 // arenas and inverted-index postings are the θ-sized arrays of a run.
 //
-// Memory here is released explicitly. A Region also carries a finalizer
-// as a backstop for an owner that drops it without Free, but the GC
-// cannot see garbage outside the heap and so never hurries to run it:
-// an owner that waits for the finalizer holds the memory until some
-// unrelated heap growth triggers a cycle.
+// Memory here is released by its owner, explicitly: a Region by Free.
+// A Region dropped without Free is a leak. Its finalizer still unmaps it,
+// so a leak stays bounded, and adds the bytes to Leaked, which tests
+// hold to zero. Nothing waits for that finalizer: the GC cannot see
+// garbage outside the heap, so it may run late or never.
 //
 // On Linux a region grows with mremap(MREMAP_MAYMOVE), which moves page
 // table entries rather than bytes, so doubling an arena copies nothing.
@@ -35,6 +35,8 @@ const MinBytes = 1 << 20
 var (
 	// mapped is the process-wide total of live mapped bytes (page-rounded).
 	mapped atomic.Int64
+	// leaked is the total of bytes a finalizer freed instead of an owner.
+	leaked atomic.Int64
 	// mu serializes map, remap and unmap. Beyond the counter, it gives
 	// the race detector the order it needs: a release happens before any
 	// later mapping that reuses its addresses, as with syscall.Mmap's own
@@ -45,6 +47,14 @@ var (
 // Mapped returns how many bytes of anonymous memory this package holds
 // mapped right now, across every owner.
 func Mapped() int64 { return mapped.Load() }
+
+// Leaked returns how many bytes finalizers freed because their owner
+// was dropped without releasing them: zero if every owner releases.
+func Leaked() int64 { return leaked.Load() }
+
+// RecordLeak adds n bytes to Leaked, from the finalizer of an owner
+// whose memory is not a Region (a file mapping, a raw Map).
+func RecordLeak(n int) { leaked.Add(int64(n)) }
 
 // pageRound rounds n up to a whole number of pages.
 func pageRound(n int) int {
@@ -106,9 +116,8 @@ func Unmap(b []byte) error {
 }
 
 // Region is one owned mapping: the handle an owner keeps so it can free
-// the memory explicitly, and so anything that aliases the memory can pin
-// it by holding the handle. A finalizer frees a Region nobody references
-// any more; see the package comment for why owners must not rely on it.
+// the memory explicitly. A Region dropped without Free is freed by its
+// finalizer and counted in Leaked.
 type Region struct {
 	b []byte
 }
@@ -121,7 +130,7 @@ func NewRegion(size int) (*Region, error) {
 		return nil, err
 	}
 	r := &Region{b: b}
-	runtime.SetFinalizer(r, (*Region).Free)
+	runtime.SetFinalizer(r, func(dropped *Region) { RecordLeak(cap(dropped.b)); dropped.Free() })
 	return r, nil
 }
 

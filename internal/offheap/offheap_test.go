@@ -2,10 +2,7 @@
 
 package offheap
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestRegionGrowthKeepsContents: ten doublings of one region (mremap on
 // Linux, map-copy-unmap elsewhere) keep every byte written before each
@@ -56,28 +53,5 @@ func TestRegionGrowthKeepsContents(t *testing.T) {
 	}
 	if got := Mapped(); got != base {
 		t.Fatalf("%d bytes still counted after Free, want %d", got, base)
-	}
-}
-
-// TestRegionFinalizerBackstop: a region dropped without Free is unmapped
-// once the GC finds it.
-func TestRegionFinalizerBackstop(t *testing.T) {
-	base := Mapped()
-	func() {
-		r, err := NewRegion(MinBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		Uint32s(r.Bytes())[0] = 1
-	}()
-	if Mapped() <= base {
-		t.Fatal("region not counted")
-	}
-	for i := 0; i < 100 && Mapped() > base; i++ {
-		runtime.GC()
-		runtime.Gosched()
-	}
-	if got := Mapped(); got > base {
-		t.Fatalf("%d bytes still mapped after the region became garbage", got-base)
 	}
 }

@@ -23,30 +23,26 @@
 // segment's postings, go further: from offheap.MinBytes up they live in
 // anonymous mappings (internal/offheap), which the GC neither scans nor
 // paces against, so their resident cost is their size rather than that
-// size plus heap headroom. That memory is released explicitly, under
-// three ownership rules:
+// size plus heap headroom. That memory is released by its owner, under
+// two ownership rules:
 //
-//   - A Collection that has never handed out a Snapshot owns its arena:
-//     growth resizes it in place, ApplyPatches frees the old arena once
-//     the new one is built, and Release frees it at once.
-//   - A Snapshot pins the arena. The collection never moves or frees a
-//     pinned arena again, and allocates any later arena on the Go heap;
-//     the snapshots hold the arena's handle, whose finalizer unmaps it
-//     after the last view is gone.
+//   - A Collection owns its arena: growth resizes it in place,
+//     ApplyPatches frees the old arena once the new one is built, and
+//     Release frees it at once. A Set slice or a Snapshot is a view of
+//     the arena, valid until the collection's next mutation.
 //   - An Index owns its segments' postings and frees them when it
 //     compacts and on Release.
 //
-// After a Release the collection or index is empty, never dangling. A
-// finalizer frees an owned arena its owner dropped without Release, but
-// only when the GC next runs — which off-heap garbage never prompts —
-// so every owner that replaces a large sample releases the old one.
+// After a Release the collection or index is empty, never dangling.
+// Every owner that drops a large sample releases it first: one dropped
+// without Release is freed by a finalizer and counted in
+// offheap.Leaked.
 package rrset
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"dimm/internal/offheap"
 )
@@ -58,10 +54,7 @@ type Collection struct {
 	offs  []int64  // offs[i]..offs[i+1] delimits RR set i; len = Count()+1
 
 	// region backs nodes once the arena is off the heap (nil otherwise).
-	// pinned is set for good by the first Snapshot: from then on region
-	// belongs to the snapshots' handles and the collection only drops it.
 	region *offheap.Region
-	pinned atomic.Bool
 
 	// edgesExamined accumulates, over all generated RR sets, the number of
 	// incoming edges the sampler inspected — the w(R) quantity whose
@@ -77,16 +70,16 @@ type Collection struct {
 // expected total member count.
 func NewCollection(sizeHint int) *Collection {
 	c := &Collection{offs: make([]int64, 1, 1024)}
-	c.nodes, c.region = newUint32s(sizeHint, true)
+	c.nodes, c.region = newUint32s(sizeHint)
 	return c
 }
 
 // newUint32s returns an empty []uint32 with room for capacity elements.
-// With offHeap set, an array of at least offheap.MinBytes lives in a
-// fresh mapping, whose handle comes back beside it; anything smaller,
-// and any mapping the system refuses, is an ordinary heap slice.
-func newUint32s(capacity int, offHeap bool) ([]uint32, *offheap.Region) {
-	if offHeap && 4*capacity >= offheap.MinBytes {
+// An array of at least offheap.MinBytes lives in a fresh mapping, whose
+// handle comes back beside it; anything smaller, and any mapping the
+// system refuses, is an ordinary heap slice.
+func newUint32s(capacity int) ([]uint32, *offheap.Region) {
+	if 4*capacity >= offheap.MinBytes {
 		if r, err := offheap.NewRegion(4 * capacity); err == nil {
 			return offheap.Uint32s(r.Bytes())[:0:capacity], r
 		}
@@ -153,34 +146,30 @@ func (c *Collection) ensure(sets, members, div int) {
 	}
 }
 
-// growNodes gives the member arena room for capacity members. An owned
+// growNodes gives the member arena room for capacity members. An
 // off-heap arena is resized in place (on Linux without copying a byte);
-// otherwise the members move to a new arena, off the heap while the
-// collection is unpinned and the size warrants it.
+// otherwise the members move to a new arena, off the heap when the size
+// warrants it.
 func (c *Collection) growNodes(capacity int) {
-	if c.region != nil && !c.pinned.Load() {
+	if c.region != nil {
 		if err := c.region.Resize(4 * capacity); err == nil {
 			c.nodes = offheap.Uint32s(c.region.Bytes())[:len(c.nodes):capacity]
 			return
 		}
 	}
-	grown, region := newUint32s(capacity, !c.pinned.Load())
+	grown, region := newUint32s(capacity)
 	c.setNodes(append(grown, c.nodes...), region)
 }
 
-// setNodes installs a new member arena, freeing the old one's mapping if
-// the collection still owns it and dropping it if snapshots pin it.
+// setNodes installs a new member arena and frees the old one's mapping.
 func (c *Collection) setNodes(nodes []uint32, region *offheap.Region) {
-	if !c.pinned.Load() {
-		c.region.Free()
-	}
+	c.region.Free()
 	c.nodes, c.region = nodes, region
 }
 
-// Release empties the collection and frees its member arena now, unless
-// a Snapshot pins it (the snapshots then keep it until they are gone).
-// Sets read before the call must not be used after it; the collection
-// itself stays usable and starts over from empty.
+// Release empties the collection and frees its member arena now. Sets
+// and Snapshots taken before the call must not be used after it; the
+// collection itself stays usable and starts over from empty.
 func (c *Collection) Release() {
 	c.setNodes(nil, nil)
 	c.offs = []int64{0}
@@ -231,10 +220,9 @@ type Patch struct {
 
 // ApplyPatches rewrites the collection with each patched position
 // replaced by its new members; all other sets keep their bytes and
-// positions. The rebuild allocates fresh arenas, so Snapshots taken
-// before the call remain valid views of the pre-repair sample (readers
-// drain against the old epoch while the repair installs); an arena no
-// snapshot pins is freed as soon as its replacement is built. Positions out
+// positions. The rebuild allocates a fresh arena and frees the old one
+// as soon as its replacement is built, so Sets and Snapshots taken
+// before the call must not be used after it. Positions out
 // of range or duplicated are an error; edgesExamined is preserved (it is
 // a lifetime generation counter, not a property of the resident bytes).
 func (c *Collection) ApplyPatches(patches []Patch) error {
@@ -262,7 +250,7 @@ func (c *Collection) ApplyPatches(patches []Patch) error {
 		}
 		total += int64(len(p.Members)) - (c.offs[p.Pos+1] - c.offs[p.Pos])
 	}
-	nodes, region := newUint32s(int(total), !c.pinned.Load())
+	nodes, region := newUint32s(int(total))
 	offs := make([]int64, 1, count+1)
 	copyRun := func(from, to int) { // unpatched sets [from, to)
 		if to <= from {
@@ -346,32 +334,24 @@ func (c *Collection) AppendWireRange(b []byte, from int) []byte {
 	return b
 }
 
-// Snapshot is an immutable view of a Collection prefix. Because the
-// collection is append-only, the arena bytes a snapshot references are
-// never rewritten by later Appends (growth either extends in place past
-// the snapshot's length or reallocates, leaving the old backing array
-// intact), so a snapshot taken under a lock stays safe to read after the
-// lock is released — the accessor a concurrent query service hands to
-// readers while a grower extends the live collection. Reset breaks this
-// guarantee (it reuses the arena in place): snapshots must not outlive a
-// Reset of their collection.
-//
-// An off-heap arena stays mapped while a Snapshot holding it is
-// reachable, not while a slice returned by Set is: keep the Snapshot
-// itself alive (runtime.KeepAlive) until such slices are last used.
+// Snapshot is a read-only view of a Collection's sets, valid until the
+// collection's next mutation (Append, Reserve, AppendCollection,
+// ApplyPatches, Reset or Release), the same contract as a slice from
+// Set: growth may move or free the arena it views. A reader that keeps
+// a snapshot past a lock must hold off every mutator, for instance by
+// holding the lock that serializes them. A snapshot keeps its collection
+// reachable, so a reader that keeps it alive to the end of its reads
+// (runtime.KeepAlive) may drop the collection after Snapshot().
 type Snapshot struct {
-	nodes  []uint32
-	offs   []int64
-	region *offheap.Region // pins an off-heap arena; nil for a heap one
+	nodes []uint32
+	offs  []int64
+	owner *Collection // reachability only; never mutated through
 }
 
-// Snapshot captures the current contents as an immutable view and pins
-// the arena (see the package comment). The caller must synchronize the
-// call itself against concurrent Appends (e.g. take it under the read
-// side of the lock that guards growth).
+// Snapshot returns a view of the current contents. The caller must
+// synchronize the call itself against concurrent mutation.
 func (c *Collection) Snapshot() Snapshot {
-	c.pinned.Store(true)
-	return Snapshot{nodes: c.nodes, offs: c.offs, region: c.region}
+	return Snapshot{nodes: c.nodes, offs: c.offs, owner: c}
 }
 
 // Count returns the number of RR sets in the snapshot.

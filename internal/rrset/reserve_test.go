@@ -62,6 +62,7 @@ func TestReserveIsInvisibleAndAllocFree(t *testing.T) {
 // a small hint costs O(log N) regrows, not append's 1.25× dozens.
 func TestAppendGrowsByDoubling(t *testing.T) {
 	c := NewCollection(1 << 10)
+	t.Cleanup(c.Release)
 	c.Reserve(100, 50) // under-estimate: must not pin exact-fit growth
 	set := make([]uint32, 16)
 	lastCap := cap(c.nodes)

@@ -171,6 +171,7 @@ func TestLemma1Unbiased(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := NewCollection(1024)
+			t.Cleanup(c.Release)
 			hit := 0
 			inSeed := map[uint32]bool{}
 			for _, v := range seeds {
@@ -215,6 +216,7 @@ func TestExampleTwoIC(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCollection(1024)
+	t.Cleanup(c.Release)
 	want := []uint32{0, 2, 3} // v1, v3, v4 in 0-based ids
 	rooted, match := 0, 0
 	for rooted < 200000 {
@@ -245,6 +247,7 @@ func TestExampleTwoLT(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCollection(1024)
+	t.Cleanup(c.Release)
 	want := []uint32{0, 2, 3}
 	rooted, match := 0, 0
 	for rooted < 200000 {
@@ -283,6 +286,7 @@ func TestLemma3EPS(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewCollection(1 << 20)
+		t.Cleanup(c.Release)
 		s.SampleManyInto(c, 300000)
 		got := c.AvgSize()
 		if math.Abs(got-want) > 0.02 {
@@ -350,6 +354,8 @@ func TestSubsetMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp, cs := NewCollection(1<<20), NewCollection(1<<20)
+	t.Cleanup(cp.Release)
+	t.Cleanup(cs.Release)
 	plain.SampleManyInto(cp, draws)
 	sub.SampleManyInto(cs, draws)
 	mp, ms := cp.AvgSize(), cs.AvgSize()

@@ -102,6 +102,15 @@ func NewShardedSamplerBatch(g *graph.Graph, model diffusion.Model, seed uint64, 
 	return ss, nil
 }
 
+// Release frees the shards' merge buffers, which live off the heap once
+// a round is large. The sampler stays usable; its next round regrows
+// them.
+func (ss *ShardedSampler) Release() {
+	for _, buf := range ss.bufs {
+		buf.Release()
+	}
+}
+
 // Parallelism returns P, the number of shards.
 func (ss *ShardedSampler) Parallelism() int { return len(ss.shards) }
 

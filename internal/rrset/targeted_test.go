@@ -39,6 +39,7 @@ func TestTargetedRootDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCollection(1024)
+	t.Cleanup(c.Release)
 	const draws = 200000
 	counts := make([]float64, 4)
 	for i := 0; i < draws; i++ {
@@ -70,6 +71,7 @@ func TestTargetedUnbiasedness(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCollection(1024)
+	t.Cleanup(c.Release)
 	const draws = 300000
 	hits := 0
 	for i := 0; i < draws; i++ {

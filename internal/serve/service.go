@@ -627,13 +627,27 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Close shuts the worker clusters down. In-flight queries that already
-// hold the sample locks finish from the resident state; growth after
-// Close fails.
+// errClosed is every call's answer once Close has begun.
+var errClosed = errors.New("serve: service is closed")
+
+// Close shuts the worker clusters down and releases both mirrors'
+// samples and indexes. It waits for an in-flight grower or updater and
+// for queries reading the sample; queries, growth and updates after
+// Close fail.
 func (s *Service) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	s.growMu.Lock()
+	defer s.growMu.Unlock()
+	s.mu.Lock()
+	for _, m := range s.mirrors {
+		m.coll.Release()
+		if m.idx != nil {
+			m.idx.Release()
+		}
+	}
+	s.mu.Unlock()
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
 	// Close both clusters unconditionally and join the errors: an early
@@ -671,6 +685,9 @@ func (s *Service) Query(k int, eps float64) (*Answer, error) {
 	}
 	if eps < s.cfg.EpsFloor || eps >= 1 {
 		return nil, badQueryf("serve: eps=%v outside [floor=%v, 1)", eps, s.cfg.EpsFloor)
+	}
+	if s.closed.Load() {
+		return nil, errClosed
 	}
 	if s.updateDebt.Load() {
 		// A graph update partially applied: the master graph moved past
@@ -809,7 +826,7 @@ func (s *Service) grow(fromEpoch uint64) error {
 		return nil // a concurrent query grew the sample; re-evaluate
 	}
 	if s.closed.Load() {
-		return fmt.Errorf("serve: service is closed")
+		return errClosed
 	}
 	targetTheta := cur * 2
 	if cur == 0 {
@@ -878,11 +895,12 @@ func (s *Service) grow(fromEpoch uint64) error {
 }
 
 // updateSketch absorbs the RR instances appended since the last absorb
-// into the fast tier's bottom-k sketches. Runs after growth with the
-// epoch write lock already released: the snapshot is immutable, so
-// seed queries proceed while the sketch rebuilds, and fast spread readers
-// block only on sketchMu for the absorb itself. No-op when the tier is
-// disabled or nothing was appended.
+// into the fast tier's bottom-k sketches. Runs after growth, under growMu
+// (or inside New) with the epoch write lock already released: every
+// writer of a mirror holds growMu, so the snapshot stays valid while
+// seed queries proceed, and fast spread readers block only on sketchMu
+// for the absorb itself. No-op when the tier is disabled or nothing was
+// appended.
 func (s *Service) updateSketch() {
 	if s.cfg.SketchK < 0 {
 		return
@@ -991,7 +1009,7 @@ func (s *Service) Spread(seeds []uint32, rounds int64) (mean, stderr float64, er
 		}
 	}
 	if s.closed.Load() {
-		return 0, 0, fmt.Errorf("serve: service is closed")
+		return 0, 0, errClosed
 	}
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
@@ -1092,8 +1110,7 @@ func (s *Service) MetricsSnapshot() metrics.Snapshot {
 
 // Stats snapshots the counters. The sample figures are read under the
 // epoch lock, so a concurrent grower is never blocked for longer than a
-// few field loads. They are read directly rather than through
-// rrset.Snapshot, which would pin the collections' arenas.
+// few field loads.
 func (s *Service) Stats() Stats {
 	s.mu.RLock()
 	epoch := s.epoch

@@ -9,6 +9,7 @@ import (
 
 	"dimm/internal/diffusion"
 	"dimm/internal/graph"
+	"dimm/internal/offheap"
 )
 
 func testGraph(t testing.TB) *graph.Graph {
@@ -310,5 +311,31 @@ func TestAnswerCacheLRU(t *testing.T) {
 	c.put(6, 0.3, &Answer{K: 6, Epoch: 0})
 	if _, ok := c.get(6, 0.3); ok {
 		t.Fatal("pre-growth answer cached after the epoch moved")
+	}
+}
+
+// TestCloseReleasesMirrors: Close frees both mirrors' off-heap samples
+// and indexes at once, and a query after it fails instead of growing.
+func TestCloseReleasesMirrors(t *testing.T) {
+	base := offheap.Mapped()
+	s := testService(t, Config{Machines: 2, EpsFloor: 0.1, KMax: 20})
+	if _, err := s.Query(20, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if perMirror := 4 * st.TotalRRSize / 2; perMirror < offheap.MinBytes {
+		t.Fatalf("each mirror holds about %d bytes of members, want at least %d to map them", perMirror, offheap.MinBytes)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := offheap.Mapped(); got != base {
+		t.Fatalf("%d bytes still mapped after Close", got-base)
+	}
+	if _, err := s.Query(5, 0.3); !errors.Is(err, errClosed) {
+		t.Fatalf("query after Close: %v, want %v", err, errClosed)
+	}
+	if got := s.Stats().Generated; got != st.Generated {
+		t.Fatalf("a query after Close generated %d RR sets", got-st.Generated)
 	}
 }

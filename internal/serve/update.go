@@ -61,15 +61,15 @@ func (s *Service) Update(seq uint64, ops []graph.EdgeUpdate) (*UpdateResult, err
 	if !s.cfg.Dynamic {
 		return nil, badQueryf("serve: this service is static; start it with dynamic graphs enabled to accept updates")
 	}
-	if s.closed.Load() {
-		return nil, fmt.Errorf("serve: service is closed")
-	}
 	if len(ops) == 0 {
 		return nil, badQueryf("serve: empty update batch")
 	}
 
 	s.growMu.Lock()
 	defer s.growMu.Unlock()
+	if s.closed.Load() { // checked under growMu: Close releases the mirrors under it
+		return nil, errClosed
+	}
 
 	g := s.cfg.Graph
 	v := g.Version()
@@ -306,8 +306,8 @@ func (s *Service) maybeCheckpointDelta(b mutate.Batch, repaired int, remirrored 
 // repair. The incremental absorb in updateSketch only ever appends the
 // sample's new suffix; a repair rewrites sets in the absorbed prefix,
 // which the bottom-k structure cannot un-absorb, so the repaired sample
-// gets a fresh build with the same parameters. No-op when the tier is
-// disabled.
+// gets a fresh build with the same parameters. Runs under growMu, which
+// keeps the snapshot valid. No-op when the tier is disabled.
 func (s *Service) rebuildSketch() {
 	if s.cfg.SketchK < 0 {
 		return

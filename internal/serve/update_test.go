@@ -28,6 +28,7 @@ func dynGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	g := testGraph(t)
 	g.EnableMutation()
+	t.Cleanup(func() { g.Close() })
 	return g
 }
 

@@ -100,7 +100,8 @@ func (s *Set) RelStdErr() float64 {
 // parallelism shards the node space; the resulting sketch bytes are
 // identical at every setting (see the package comment). The snapshot
 // must extend the one previous Absorb calls saw — instances are
-// identified by their position.
+// identified by their position — and its collection must not mutate
+// until Absorb returns.
 func (s *Set) Absorb(snap rrset.Snapshot, parallelism int) int {
 	from := int(s.theta)
 	count := snap.Count()
@@ -114,7 +115,7 @@ func (s *Set) Absorb(snap rrset.Snapshot, parallelism int) int {
 	s.shard(parallelism, func(lo, hi uint32) { s.countRange(snap, from, count, lo, hi, fill) })
 	s.grow(fill)
 	s.shard(parallelism, func(lo, hi uint32) { s.absorbRange(snap, from, count, lo, hi, fill) })
-	runtime.KeepAlive(snap) // its handle keeps an off-heap arena mapped
+	runtime.KeepAlive(snap) // its collection owns the arena the shards read
 	s.theta = int64(count)
 	return count - from
 }

@@ -141,7 +141,9 @@ func Compact(dir string) error {
 		return nil
 	}
 	r1 := rrset.NewCollection(0)
+	defer r1.Release()
 	r2 := rrset.NewCollection(0)
+	defer r2.Release()
 	for _, rec := range man.Epochs {
 		if err := readSegment(filepath.Join(dir, rec.File), rec, r1, r2); err != nil {
 			return err
