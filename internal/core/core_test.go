@@ -44,6 +44,7 @@ func TestDIIMMEqualsIMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Release)
 	sres, err := imm.Run(e, p)
 	if err != nil {
 		t.Fatal(err)

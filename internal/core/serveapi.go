@@ -58,11 +58,12 @@ func PlanResidentSample(n, kMax int, epsFloor, delta float64) (SampleBudget, err
 
 // SelectFromSample runs the exact lazy-bucket greedy over an existing
 // collection and its inverted index, without generating a single RR set.
-// All selection state (covered labels, degree vector, scratch) belongs
-// to the call, so concurrent selections over the same immutable
-// collection are safe — the read side of the serve layer's epoch scheme.
-// The n-sized scratch comes from a pool in internal/coverage, so a
-// repeated query leaves no n-sized garbage behind.
+// The selection state (covered labels, re-insertion stacks) belongs to
+// the call, and the initial degree order is the index's cached one,
+// built by the first query after a change and shared read-only, so
+// concurrent selections over the same immutable collection are safe —
+// the read side of the serve layer's epoch scheme — and a query
+// allocates nothing n-sized.
 // The greedy counts a popped node's marginal on the local oracle
 // (coverage.Counter), a sequential scan with no map stage to spread
 // across goroutines.

@@ -10,14 +10,11 @@ import (
 )
 
 // TestSelectFromSampleReusesScratch: after warm-up, a repeated seed
-// query over one resident sample allocates no n-sized slice — the
-// greedy's degree vector, bucket chains and selected flags come back
-// from the coverage package's pool — and every repeat returns the same
-// seeds and marginals in the same order.
+// query over one resident sample allocates no n-sized slice — the greedy
+// scans the index's cached degree order and keeps no per-node state —
+// and every repeat returns the same seeds and marginals in the same
+// order.
 func TestSelectFromSampleReusesScratch(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool drops entries at random under the race detector")
-	}
 	const n, k = 50000, 20
 	g := testGraph(t, n)
 	s, err := rrset.NewSampler(g, diffusion.IC, 5, false)

@@ -25,57 +25,7 @@ func RunGreedyUntil(o Oracle, maxSeeds int, target int64) (*Result, error) {
 	if target < 0 {
 		return nil, fmt.Errorf("coverage: negative coverage target %d", target)
 	}
-	deg, err := o.InitialDegrees()
-	if err != nil {
-		return nil, err
-	}
-	if len(deg) != n {
-		return nil, fmt.Errorf("coverage: oracle returned %d degrees for %d items", len(deg), n)
-	}
-	next := make([]int32, n)
-	head, err := bucketLists(deg, next)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	selected := make([]bool, n)
-	if target == 0 {
-		return res, nil
-	}
-	for d := int64(len(head) - 1); d >= 0; d-- {
-		for head[d] != 0 {
-			v := head[d] - 1
-			head[d] = next[v]
-			if selected[v] {
-				continue
-			}
-			if cur := deg[v]; cur < d {
-				next[v] = head[cur]
-				head[cur] = v + 1
-				continue
-			}
-			if deg[v] == 0 {
-				// No remaining item adds coverage; the target is
-				// unreachable on this data.
-				return res, nil
-			}
-			selected[v] = true
-			res.Seeds = append(res.Seeds, uint32(v))
-			res.Marginals = append(res.Marginals, deg[v])
-			res.Coverage += deg[v]
-			if res.Coverage >= target || len(res.Seeds) == maxSeeds {
-				return res, nil
-			}
-			deltas, err := o.Select(uint32(v))
-			if err != nil {
-				return nil, err
-			}
-			for _, dl := range deltas {
-				deg[dl.Node] -= int64(dl.Dec)
-			}
-		}
-	}
-	return res, nil
+	return greedy(o, maxSeeds, target)
 }
 
 // costItem is a lazy-heap entry for the budgeted greedy.

@@ -14,7 +14,6 @@ package coverage
 
 import (
 	"fmt"
-	"sync"
 
 	"dimm/internal/bitset"
 	"dimm/internal/rrset"
@@ -74,61 +73,11 @@ type Result struct {
 	Marginals []int64
 }
 
-// bucketLists builds the vector D of Algorithm 1 over initial degrees
-// deg. Bucket lists are intrusive singly-linked: head[d] is the first
-// node in bucket d (+1, 0 = empty) and next[v] chains nodes within one
-// bucket, at first by ascending node id. A node lives in exactly one
-// bucket; its bucket index can only be stale upwards (degrees never
-// increase), so a downward scan with re-insertion visits every node at
-// its true degree eventually. A negative degree — an oracle bug, or a
-// worker's signed repair corrections gone wrong — is an error, not an
-// index panic. next must have len(deg) entries; every one is overwritten.
-func bucketLists(deg []int64, next []int32) (head []int32, err error) {
-	var dMax int64
-	for v, d := range deg {
-		if d < 0 {
-			return nil, fmt.Errorf("coverage: oracle returned negative initial degree %d for item %d", d, v)
-		}
-		dMax = max(dMax, d)
-	}
-	head = make([]int32, dMax+1)
-	for v := len(deg) - 1; v >= 0; v-- {
-		next[v] = head[deg[v]]
-		head[deg[v]] = int32(v) + 1
-	}
-	return head, nil
-}
-
-// greedyScratch is RunGreedy's n-sized working state: the degree vector
-// (filled in place when the oracle is a LocalOracle), the bucket chains
-// and the selected flags. A resident service runs one greedy per seed
-// query over the same n, so the scratch is pooled instead of becoming
-// ≈ 13 bytes per node of garbage every query.
-type greedyScratch struct {
-	deg      []int64
-	next     []int32
-	selected []bool
-}
-
-var scratchPool sync.Pool
-
-// getScratch returns cleared scratch for n items, dropping any pooled
-// entry sized for another n.
-func getScratch(n int) *greedyScratch {
-	if s, ok := scratchPool.Get().(*greedyScratch); ok && len(s.next) == n {
-		clear(s.selected)
-		return s
-	}
-	return &greedyScratch{deg: make([]int64, n), next: make([]int32, n), selected: make([]bool, n)}
-}
-
 // RunGreedy executes the master side of Algorithm 1: the vector D of
-// bucket lists over coverage values, scanned in decreasing order with
-// lazy re-insertion of stale entries (lines 5-13). Its work is linear in
-// the number of items plus the number of lazy moves, which is bounded by
-// the total coverage decrement volume. A popped node's true marginal
-// comes from the oracle's own count when it is a Counter, from the
-// applied Select deltas otherwise; the two agree at every pop.
+// coverage buckets, scanned in decreasing order with lazy re-insertion
+// of stale entries (lines 5-13). A popped node's true marginal comes
+// from the oracle's own count when it is a Counter, from the applied
+// Select deltas otherwise; the two agree at every pop.
 func RunGreedy(o Oracle, k int) (*Result, error) {
 	n := o.NumItems()
 	if k <= 0 {
@@ -137,66 +86,111 @@ func RunGreedy(o Oracle, k int) (*Result, error) {
 	if k > n {
 		return nil, fmt.Errorf("coverage: k = %d exceeds the %d selectable items", k, n)
 	}
-	sc := getScratch(n)
-	defer scratchPool.Put(sc)
-	var deg []int64
+	return greedy(o, k, -1)
+}
+
+// reinserted is an entry of a bucket's stack of re-inserted nodes: the
+// node and the 1-based position of the entry below it (0 at the bottom).
+type reinserted struct {
+	node  uint32
+	below int
+}
+
+// greedy is the bucket scan both RunGreedy and RunGreedyUntil run. It
+// picks until it holds maxSeeds seeds; with a target ≥ 0 it also stops
+// once the coverage reaches target, or before a pick whose marginal is 0.
+//
+// D starts as an order of the items by initial degree (rrset.DegreeOrder):
+// a LocalOracle's index caches it, any other oracle's InitialDegrees is
+// counting-sorted. A popped node whose degree fell below the bucket's is
+// pushed on the stack of its true bucket; degrees never increase, so a
+// node's place is stale only upwards and the downward scan meets every
+// node at its true degree eventually. At bucket d the scan pops that
+// bucket's stack (last in, first out), then the nodes whose initial
+// degree is d (by ascending id): the order of the linked bucket lists of
+// the paper's D with re-insertion at the head. A picked node is never
+// re-inserted. The work is O(max degree + pops) plus what the oracle
+// does per pop and per pick; nothing n-sized is allocated when the order
+// is the index's.
+func greedy(o Oracle, maxSeeds int, target int64) (*Result, error) {
+	var (
+		ord *rrset.DegreeOrder
+		deg []int64
+	)
 	if lo, ok := o.(*LocalOracle); ok {
-		deg = sc.deg
-		lo.fillDegrees(deg)
+		lo.covered.Reset(lo.c.Count())
+		ord = lo.idx.DegreeOrder()
 	} else {
 		var err error
 		if deg, err = o.InitialDegrees(); err != nil {
 			return nil, err
 		}
-		if len(deg) != n {
-			return nil, fmt.Errorf("coverage: oracle returned %d degrees for %d items", len(deg), n)
+		if len(deg) != o.NumItems() {
+			return nil, fmt.Errorf("coverage: oracle returned %d degrees for %d items", len(deg), o.NumItems())
 		}
-	}
-	next, selected := sc.next, sc.selected
-	head, err := bucketLists(deg, next)
-	if err != nil {
-		return nil, err
+		// A negative degree — an oracle bug, or a worker's signed repair
+		// corrections gone wrong — is an error, not an index panic.
+		if ord, err = rrset.OrderByDegree(deg); err != nil {
+			return nil, fmt.Errorf("coverage: oracle's initial degrees: %w", err)
+		}
 	}
 	cnt, recount := o.(Counter)
 
 	res := &Result{
-		Seeds:     make([]uint32, 0, k),
-		Marginals: make([]int64, 0, k),
+		Seeds:     make([]uint32, 0, maxSeeds),
+		Marginals: make([]int64, 0, maxSeeds),
 	}
-	for d := int64(len(head) - 1); d >= 0; d-- {
-		for head[d] != 0 {
-			v := head[d] - 1
-			head[d] = next[v]
-			if selected[v] {
-				continue
+	if target == 0 {
+		return res, nil
+	}
+	top := make([]int, ord.MaxDegree()+1) // 1-based stack tops, 0 = empty
+	var stack []reinserted
+	next := 0 // the next node of ord.Nodes the scan reaches
+	for d := ord.MaxDegree(); d >= 0; d-- {
+		for {
+			var v uint32
+			if t := top[d]; t != 0 {
+				e := stack[t-1]
+				v, top[d] = e.node, e.below
+			} else if next < ord.Ends[d] {
+				v = ord.Nodes[next]
+				next++
+			} else {
+				break
 			}
+			var cur int64
 			if recount {
-				deg[v] = cnt.Marginal(uint32(v))
+				cur = cnt.Marginal(v)
+			} else {
+				cur = deg[v]
 			}
-			if cur := deg[v]; cur < d {
+			if cur < int64(d) {
 				// Outdated coverage (line 9): move to the true bucket.
-				next[v] = head[cur]
-				head[cur] = v + 1
+				stack = append(stack, reinserted{node: v, below: top[cur]})
+				top[cur] = len(stack)
 				continue
 			}
-			u := uint32(v)
-			selected[v] = true
-			res.Seeds = append(res.Seeds, u)
-			res.Marginals = append(res.Marginals, deg[v])
-			res.Coverage += deg[v]
-			if len(res.Seeds) == k {
+			if target >= 0 && cur == 0 {
+				// No remaining item adds coverage; the target is
+				// unreachable on this data.
+				return res, nil
+			}
+			res.Seeds = append(res.Seeds, v)
+			res.Marginals = append(res.Marginals, cur)
+			res.Coverage += cur
+			if len(res.Seeds) == maxSeeds || (target >= 0 && res.Coverage >= target) {
 				return res, nil
 			}
 			if recount {
-				cnt.Cover(u)
+				cnt.Cover(v)
 				continue
 			}
-			deltas, err := o.Select(u)
+			deltas, err := o.Select(v)
 			if err != nil {
 				return nil, err
 			}
 			for _, dl := range deltas {
-				if int(dl.Node) >= n {
+				if int(dl.Node) >= len(deg) {
 					return nil, fmt.Errorf("coverage: oracle delta for item %d out of range", dl.Node)
 				}
 				deg[dl.Node] -= int64(dl.Dec)
@@ -206,7 +200,7 @@ func RunGreedy(o Oracle, k int) (*Result, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("coverage: bucket scan exhausted after %d of %d selections", len(res.Seeds), k)
+	return nil, fmt.Errorf("coverage: bucket scan exhausted after %d of %d selections", len(res.Seeds), maxSeeds)
 }
 
 // LocalOracle is the single-machine oracle over one RR-set collection.
@@ -229,11 +223,14 @@ type LocalOracle struct {
 }
 
 // NewLocalOracle builds the oracle for n selectable items over c. The
-// index must have been built from c (idx.Count() == c.Count()). The map
-// stage is sequential until SetParallelism.
+// index must have been built from c (idx.Count() == c.Count()) for the
+// same n items. The map stage is sequential until SetParallelism.
 func NewLocalOracle(c *rrset.Collection, idx *rrset.Index, n int) (*LocalOracle, error) {
 	if idx.Count() != c.Count() {
 		return nil, fmt.Errorf("coverage: index covers %d RR sets, collection has %d", idx.Count(), c.Count())
+	}
+	if idx.NumNodes() != n {
+		return nil, fmt.Errorf("coverage: index spans %d items, oracle %d", idx.NumNodes(), n)
 	}
 	return &LocalOracle{
 		c:       c,
@@ -242,6 +239,14 @@ func NewLocalOracle(c *rrset.Collection, idx *rrset.Index, n int) (*LocalOracle,
 		covered: bitset.New(c.Count()),
 		par:     1,
 	}, nil
+}
+
+// Release frees the collection and the index the oracle reads now. Call
+// it only on an oracle that owns them, as SetSystem's oracles do; the
+// oracle is unusable after it.
+func (o *LocalOracle) Release() {
+	o.idx.Release()
+	o.c.Release()
 }
 
 // SetParallelism sets the number of map-stage goroutines for Select.
@@ -260,15 +265,10 @@ func (o *LocalOracle) NumItems() int { return o.n }
 // InitialDegrees implements Oracle: it relabels every RR set uncovered
 // and returns the per-node coverage counts.
 func (o *LocalOracle) InitialDegrees() ([]int64, error) {
-	deg := make([]int64, o.n)
-	o.fillDegrees(deg)
-	return deg, nil
-}
-
-// fillDegrees is InitialDegrees into a caller-owned vector of n entries.
-func (o *LocalOracle) fillDegrees(deg []int64) {
 	o.covered.Reset(o.c.Count())
+	deg := make([]int64, o.n)
 	o.idx.FillDegrees(deg)
+	return deg, nil
 }
 
 // Select implements Oracle: the map stage of Algorithm 1 for seed u.

@@ -59,6 +59,8 @@ func (s *SetSystem) TotalSize() int64 { return int64(len(s.elems)) }
 // elements participate (nil = all). The returned oracle's elements are the
 // kept elements, each represented as the list of local item ids covering
 // it — exactly the element-distributed representation of Algorithm 1.
+// The oracle owns the collection and index it reads: its Release frees
+// them.
 func (s *SetSystem) invertToOracle(keepSet []int32, numItems int, keepElem func(e uint32) bool) (*LocalOracle, error) {
 	// Inverted lists: element -> covering (kept) sets.
 	lists := make([][]uint32, s.numElements)
@@ -82,9 +84,21 @@ func (s *SetSystem) invertToOracle(keepSet []int32, numItems int, keepElem func(
 	}
 	idx, err := rrset.BuildIndex(c, numItems)
 	if err != nil {
+		c.Release()
 		return nil, err
 	}
 	return NewLocalOracle(c, idx, numItems)
+}
+
+// greedyOnce runs RunGreedy over an oracle invertToOracle built and
+// releases the oracle.
+func (s *SetSystem) greedyOnce(keepSet []int32, numItems, k int) (*Result, error) {
+	o, err := s.invertToOracle(keepSet, numItems, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer o.Release()
+	return RunGreedy(o, k)
 }
 
 // identityKeep returns a keepSet slice mapping every set to itself.
@@ -99,17 +113,14 @@ func (s *SetSystem) identityKeep() []int32 {
 // SequentialGreedy runs the centralized greedy over the whole family —
 // the baseline whose speedup Fig. 10(b) reports.
 func (s *SetSystem) SequentialGreedy(k int) (*Result, error) {
-	o, err := s.invertToOracle(s.identityKeep(), s.numSets, nil)
-	if err != nil {
-		return nil, err
-	}
-	return RunGreedy(o, k)
+	return s.greedyOnce(s.identityKeep(), s.numSets, k)
 }
 
 // ElementOracles partitions the *elements* across machines (element e goes
 // to machine e mod machines) and returns one LocalOracle per machine over
 // the full item space — the NEWGREEDI data layout for a SetSystem. Combine
 // them with NewMultiOracle (reference) or ship them to cluster workers.
+// Each oracle owns what it reads; the caller releases it.
 func (s *SetSystem) ElementOracles(machines int) ([]*LocalOracle, error) {
 	if machines < 1 {
 		return nil, fmt.Errorf("coverage: need >= 1 machine, got %d", machines)
@@ -120,6 +131,9 @@ func (s *SetSystem) ElementOracles(machines int) ([]*LocalOracle, error) {
 		m := uint32(i)
 		o, err := s.invertToOracle(keep, s.numSets, func(e uint32) bool { return e%uint32(machines) == m })
 		if err != nil {
+			for _, o := range oracles[:i] {
+				o.Release()
+			}
 			return nil, err
 		}
 		oracles[i] = o
@@ -135,6 +149,11 @@ func (s *SetSystem) NewGreeDiSequential(k, machines int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		for _, o := range oracles {
+			o.Release()
+		}
+	}()
 	multi, err := NewMultiOracle(oracles)
 	if err != nil {
 		return nil, err
@@ -175,11 +194,7 @@ func GreeDi(s *SetSystem, k, machines int) (*Result, error) {
 		if kappa == 0 {
 			continue
 		}
-		o, err := s.invertToOracle(keep, len(local2global), nil)
-		if err != nil {
-			return nil, err
-		}
-		res, err := RunGreedy(o, kappa)
+		res, err := s.greedyOnce(keep, len(local2global), kappa)
 		if err != nil {
 			return nil, err
 		}
@@ -198,11 +213,7 @@ func GreeDi(s *SetSystem, k, machines int) (*Result, error) {
 	for local, setID := range candidates {
 		keep[setID] = int32(local)
 	}
-	o, err := s.invertToOracle(keep, len(candidates), nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := RunGreedy(o, k)
+	res, err := s.greedyOnce(keep, len(candidates), k)
 	if err != nil {
 		return nil, err
 	}

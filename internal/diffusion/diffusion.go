@@ -63,7 +63,7 @@ type Simulator struct {
 	visited []uint32 // epoch stamps; visited[v] == epoch means active
 	epoch   uint32
 	queue   []uint32
-	thresh  []float64 // LT: remaining threshold mass per node this run
+	thresh  []float64 // LT: remaining threshold mass per node this run, made by the first LT run
 	dirty   []uint32  // LT: the nodes whose threshold this run drew
 }
 
@@ -74,7 +74,6 @@ func NewSimulator(g *graph.Graph, seed uint64) *Simulator {
 		r:       xrand.New(seed),
 		visited: make([]uint32, g.NumNodes()),
 		queue:   make([]uint32, 0, 1024),
-		thresh:  make([]float64, g.NumNodes()),
 	}
 }
 
@@ -117,12 +116,13 @@ func (s *Simulator) runIC(seeds []uint32) int {
 	// one coin per edge to an inactive target, in scan order.
 	rng := *s.r
 	uniform := s.g.UniformIn()
+	out := s.g.Out()
 	var prob []float32
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
-		adj := s.g.OutAdj(u)
+		adj := out.Adj(u)
 		if !uniform {
-			_, prob = s.g.OutNeighbors(u)
+			prob = out.Prob(u)
 		}
 		for i, v := range adj {
 			if s.visited[v] == s.epoch {
@@ -158,9 +158,11 @@ func (s *Simulator) runLT(seeds []uint32) int {
 	activated := len(s.queue)
 	// dirty lists the nodes whose threshold was drawn this run, so the
 	// thresh array can be reset to its zero ("undrawn") state afterwards.
-	// It holds at most one entry per node, so it is sized once.
-	if s.dirty == nil {
-		s.dirty = make([]uint32, 0, len(s.thresh))
+	// It holds at most one entry per node, so it is sized once. An IC
+	// simulator never makes either.
+	if s.thresh == nil {
+		s.thresh = make([]float64, len(s.visited))
+		s.dirty = make([]uint32, 0, len(s.visited))
 	}
 	dirty := s.dirty[:0]
 	defer func() {
@@ -170,12 +172,13 @@ func (s *Simulator) runLT(seeds []uint32) int {
 	}()
 	rng := *s.r
 	uniform := s.g.UniformIn()
+	out := s.g.Out()
 	var prob []float32
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
-		adj := s.g.OutAdj(u)
+		adj := out.Adj(u)
 		if !uniform {
-			_, prob = s.g.OutNeighbors(u)
+			prob = out.Prob(u)
 		}
 		for i, v := range adj {
 			if s.visited[v] == s.epoch {

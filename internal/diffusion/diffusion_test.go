@@ -290,3 +290,27 @@ func TestSimulatorStreamGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulatorThresholdsOnFirstLTRun: only LT reads per-node
+// thresholds, so an IC simulator never holds the n-entry array; the
+// first LT run makes it, and a mixed sequence still runs both models.
+func TestSimulatorThresholdsOnFirstLTRun(t *testing.T) {
+	sim := NewSimulator(fig1(t), 3)
+	for i := 0; i < 5; i++ {
+		if got := sim.RunOnce([]uint32{0}, IC); got < 3 {
+			t.Fatalf("IC run %d activated %d nodes, want ≥ 3", i, got)
+		}
+	}
+	if sim.thresh != nil || sim.dirty != nil {
+		t.Fatal("an IC-only simulator holds LT thresholds")
+	}
+	if got := sim.RunOnce([]uint32{0}, LT); got < 3 {
+		t.Fatalf("LT run activated %d nodes, want ≥ 3", got)
+	}
+	if len(sim.thresh) != 4 {
+		t.Fatalf("after an LT run the simulator holds %d thresholds, want 4", len(sim.thresh))
+	}
+	if got := sim.RunOnce([]uint32{0}, IC); got < 3 {
+		t.Fatalf("IC run after LT activated %d nodes", got)
+	}
+}

@@ -291,6 +291,34 @@ func TestUniformFlagIsChecked(t *testing.T) {
 	}
 }
 
+// TestEnableMutationSmallEdgeProbsOnHeap: per-edge arrays below
+// offheap.MinBytes are made on the Go heap, as small RR arrays are: a
+// mutable test graph of a few edges maps nothing.
+func TestEnableMutationSmallEdgeProbsOnHeap(t *testing.T) {
+	b := NewBuilder(3)
+	for _, e := range [][2]uint32{{0, 1}, {1, 2}, {2, 0}} {
+		if err := b.AddEdge(e[0], e[1], 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build()
+	if !g.UniformIn() || g.inProb != nil {
+		t.Fatal("the built graph is not compact")
+	}
+	base := offheap.Mapped()
+	if err := g.EnableMutation(); err != nil {
+		t.Fatal(err)
+	}
+	if g.edgeProbs != nil || offheap.Mapped() != base {
+		t.Fatalf("EnableMutation mapped %d bytes for %d edges", offheap.Mapped()-base, g.NumEdges())
+	}
+	for u := uint32(0); u < 3; u++ {
+		if _, p := g.OutNeighbors(u); len(p) != 1 || p[0] != 0.5 {
+			t.Fatalf("node %d's out-probabilities read %v, want [0.5]", u, p)
+		}
+	}
+}
+
 // TestEnableMutationMaterializesEdgeProbs: on a compact graph
 // EnableMutation fills the per-edge arrays off the Go heap from inP, so
 // the graph's bytes grow by 8 per edge and the accessors are unchanged;

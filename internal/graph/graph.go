@@ -67,7 +67,8 @@ type Graph struct {
 	inP []float32
 
 	// edgeProbs is the off-heap mapping EnableMutation filled outProb and
-	// inProb into on a compact graph; nil otherwise.
+	// inProb into on a compact graph of ≥ offheap.MinBytes of them; nil
+	// otherwise.
 	edgeProbs *offheap.Region
 
 	// inProbSum[v] is the sum of v's incoming edge probabilities. The LT
@@ -123,6 +124,32 @@ func (g *Graph) OutAdj(u uint32) []uint32 {
 	g.loadOut()
 	return g.outAdj[g.outStart[u]:g.outStart[u+1]]
 }
+
+// OutCSR is a view of the out-CSR for a kernel that reads the out-side
+// of many nodes, such as a forward simulation: Graph.Out makes the
+// out-side readable once, so its accessors need no first-use check and
+// inline. It is valid while the arrays it views are: until Close or the
+// next ApplyUpdates or Compact.
+type OutCSR struct {
+	start []int64
+	adj   []uint32
+	prob  []float32
+}
+
+// Out returns the view of the out-CSR, loading a BackendMem graph's
+// out-side if no read has yet.
+func (g *Graph) Out() OutCSR {
+	g.loadOut()
+	return OutCSR{start: g.outStart, adj: g.outAdj, prob: g.outProb}
+}
+
+// Adj is OutAdj over the view.
+func (o OutCSR) Adj(u uint32) []uint32 { return o.adj[o.start[u]:o.start[u+1]] }
+
+// Prob returns p(u, head) for u's out-edges, aligned with Adj(u), on a
+// graph that keeps per-edge arrays (every graph whose UniformIn does not
+// hold); on a compact graph read InP of the heads instead.
+func (o OutCSR) Prob(u uint32) []float32 { return o.prob[o.start[u]:o.start[u+1]] }
 
 // InAdj returns the tails of v's incoming edges. The slice aliases the
 // graph's storage, must not be modified, and is valid until Close and

@@ -134,7 +134,8 @@ type mutState struct {
 //
 // On a compact graph it first materializes the per-edge out- and
 // in-probability arrays from InP, in one mapping off the Go heap that
-// the graph owns: tombstones and reweights act on single edges. InP
+// the graph owns (on the heap below offheap.MinBytes): tombstones and
+// reweights act on single edges. InP
 // stays valid until the first update clears UniformIn. Updates write
 // both sides, so a mem graph's out-side is loaded here.
 func (g *Graph) EnableMutation() error {
@@ -146,15 +147,21 @@ func (g *Graph) EnableMutation() error {
 	}
 	g.loadOut()
 	if g.inProb == nil && g.m > 0 {
-		r, err := offheap.NewRegion(int(2 * 4 * g.m))
-		if err != nil {
-			return fmt.Errorf("graph: mapping per-edge probabilities: %w", err)
+		var probs []float32
+		if size := int(2 * 4 * g.m); size >= offheap.MinBytes {
+			r, err := offheap.NewRegion(size)
+			if err != nil {
+				return fmt.Errorf("graph: mapping per-edge probabilities: %w", err)
+			}
+			b := r.Bytes()
+			probs = unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), 2*g.m)
+			g.edgeProbs = r
+		} else {
+			probs = make([]float32, 2*g.m)
 		}
-		b := r.Bytes()
-		out := unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), g.m)
-		in := unsafe.Slice((*float32)(unsafe.Pointer(&b[4*g.m])), g.m)
+		out, in := probs[:g.m:g.m], probs[g.m:]
 		g.fillEdgeProbs(out, in)
-		g.outProb, g.inProb, g.edgeProbs = out, in, r
+		g.outProb, g.inProb = out, in
 	}
 	m := &mutState{
 		inIdx:  make([]int32, g.n),

@@ -145,10 +145,11 @@ func fig1(t testing.TB) *graph.Graph {
 func TestIMMFindsOptimalSeedOnFig1(t *testing.T) {
 	g := fig1(t)
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
-		res, _, err := RunIMM(g, model, 1, 0.3, 0.05, false, 42)
+		res, e, err := RunIMM(g, model, 1, 0.3, 0.05, false, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.Release()
 		if len(res.Seeds) != 1 || res.Seeds[0] != 0 {
 			t.Fatalf("%v: IMM picked %v, want {v1}", model, res.Seeds)
 		}
@@ -173,10 +174,11 @@ func TestIMMApproximationGuarantee(t *testing.T) {
 	}
 	const k = 2
 	const eps = 0.2
-	res, _, err := RunIMM(wc, diffusion.IC, k, eps, 0.05, false, 7)
+	res, e, err := RunIMM(wc, diffusion.IC, k, eps, 0.05, false, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.Release()
 	got, err := diffusion.ExactSpread(wc, res.Seeds, diffusion.IC)
 	if err != nil {
 		t.Fatal(err)
@@ -213,14 +215,16 @@ func TestSubsetEngineAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := RunIMM(wc, diffusion.IC, 5, 0.4, 0.05, false, 3)
+	plain, e, err := RunIMM(wc, diffusion.IC, 5, 0.4, 0.05, false, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, _, err := RunIMM(wc, diffusion.IC, 5, 0.4, 0.05, true, 3)
+	e.Release()
+	sub, e, err := RunIMM(wc, diffusion.IC, 5, 0.4, 0.05, true, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.Release()
 	// Different samplers ⇒ different seeds possible; estimated spreads
 	// must agree within the ε-band.
 	if math.Abs(plain.EstSpread-sub.EstSpread) > 0.25*math.Max(plain.EstSpread, sub.EstSpread) {
@@ -231,14 +235,16 @@ func TestSubsetEngineAgrees(t *testing.T) {
 func TestRunIMMDeterministic(t *testing.T) {
 	g, _ := graph.GenPreferential(graph.GenConfig{Nodes: 200, AvgDegree: 6, Seed: 5, UniformAttach: 0.2})
 	wc, _ := graph.AssignWeights(g, graph.WeightedCascade, 0, 0)
-	a, _, err := RunIMM(wc, diffusion.LT, 3, 0.4, 0.1, false, 99)
+	a, e, err := RunIMM(wc, diffusion.LT, 3, 0.4, 0.1, false, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunIMM(wc, diffusion.LT, 3, 0.4, 0.1, false, 99)
+	e.Release()
+	b, e, err := RunIMM(wc, diffusion.LT, 3, 0.4, 0.1, false, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.Release()
 	if a.Theta != b.Theta || a.Coverage != b.Coverage {
 		t.Fatal("same seed produced different runs")
 	}
@@ -255,6 +261,7 @@ func TestLocalEngineGenerateIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Release)
 	if err := e.Generate(100); err != nil {
 		t.Fatal(err)
 	}

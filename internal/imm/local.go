@@ -65,11 +65,16 @@ func (e *LocalEngine) SelectK(k int) (*coverage.Result, error) {
 	return coverage.RunGreedy(o, k)
 }
 
-// Collection exposes the RR sets for statistics (Table IV).
+// Collection exposes the RR sets for statistics (Table IV). It is valid
+// until Release.
 func (e *LocalEngine) Collection() *rrset.Collection { return e.coll }
 
+// Release frees the engine's RR sets now; the engine holds none after it.
+func (e *LocalEngine) Release() { e.coll.Release() }
+
 // RunIMM is the sequential convenience entry point: vanilla IMM when
-// subset is false, sequential SUBSIM-style sampling when true.
+// subset is false, sequential SUBSIM-style sampling when true. The
+// caller releases the returned engine.
 func RunIMM(g *graph.Graph, model diffusion.Model, k int, eps, delta float64, subset bool, seed uint64) (*Result, *LocalEngine, error) {
 	p, err := ComputeParams(g.NumNodes(), k, eps, delta)
 	if err != nil {
@@ -81,6 +86,7 @@ func RunIMM(g *graph.Graph, model diffusion.Model, k int, eps, delta float64, su
 	}
 	res, err := Run(e, p)
 	if err != nil {
+		e.Release()
 		return nil, nil, fmt.Errorf("imm: %w", err)
 	}
 	return res, e, nil

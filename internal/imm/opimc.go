@@ -214,6 +214,12 @@ func (e *LocalDualEngine) Count() int64 { return e.r1.Count() }
 // SelectK implements DualEngine.
 func (e *LocalDualEngine) SelectK(k int) (*coverage.Result, error) { return e.r1.SelectK(k) }
 
+// Release frees both engines' RR sets now.
+func (e *LocalDualEngine) Release() {
+	e.r1.Release()
+	e.r2.Release()
+}
+
 // CoverageOn2 implements DualEngine.
 func (e *LocalDualEngine) CoverageOn2(seeds []uint32) (int64, error) {
 	return coverage.CoverageOf(e.r2.Collection(), seeds), nil

@@ -27,6 +27,7 @@ func TestOPIMCValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Release)
 	if _, err := RunOPIMC(e, 50, 0, 0.2, 0.1); err == nil {
 		t.Fatal("k=0 accepted")
 	}
@@ -44,6 +45,7 @@ func TestOPIMCBasicRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Release)
 	res, err := RunOPIMC(e, g.NumNodes(), 10, 0.3, 0.05)
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +80,7 @@ func TestOPIMCCertifiedBoundsHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Release)
 	res, err := RunOPIMC(e, wc.NumNodes(), 2, 0.2, 0.05)
 	if err != nil {
 		t.Fatal(err)
@@ -120,14 +123,16 @@ func TestOPIMCStopsEarlierThanIMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Release)
 	opim, err := RunOPIMC(e, g.NumNodes(), k, eps, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	immRes, _, err := RunIMM(g, diffusion.IC, k, eps, delta, false, 3)
+	immRes, ie, err := RunIMM(g, diffusion.IC, k, eps, delta, false, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ie.Release()
 	// OPIM-C keeps two collections, so compare 2·θ_opim against θ_imm.
 	if 2*opim.Theta >= immRes.Theta {
 		t.Logf("note: OPIM-C used %d×2 RR sets vs IMM's %d on this instance", opim.Theta, immRes.Theta)
@@ -148,6 +153,7 @@ func TestOPIMCDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(e.Release)
 		res, err := RunOPIMC(e, g.NumNodes(), 4, 0.4, 0.05)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dimm/internal/bitset"
 	"dimm/internal/offheap"
@@ -48,6 +49,12 @@ type Index struct {
 	// fullBuilds counts from-scratch constructions (instrumentation for
 	// the incremental-maintenance guarantee; see Worker.ensureIndex).
 	fullBuilds int
+
+	// order caches DegreeOrder. Every change of the index drops it (under
+	// the caller's exclusive access); the first reader after the change
+	// builds it under orderMu, so concurrent readers build it once.
+	order   atomic.Pointer[DegreeOrder]
+	orderMu sync.Mutex
 }
 
 // windowBits is the log2 of a window's id count. A window is 2¹⁰ words
@@ -134,6 +141,7 @@ func (idx *Index) appendSets(c *Collection, from int) error {
 	if c.Count() > 1<<32 {
 		return fmt.Errorf("rrset: %d RR sets exceed the uint32 id space", c.Count())
 	}
+	idx.order.Store(nil)
 	for from < c.Count() {
 		to := min(c.Count(), (from>>windowBits+1)<<windowBits)
 		if err := idx.appendSeg(c, from, to); err != nil {
@@ -409,11 +417,84 @@ func (idx *Index) FillDegrees(deg []int64) {
 	}
 }
 
+// DegreeOrder lists items by degree, descending, ties by ascending id:
+// the initial vector D of Algorithm 1 (lines 3–5) laid out flat. The
+// items of degree d are Nodes[Ends[d+1]:Ends[d]], so Ends[d] counts the
+// items of degree ≥ d: Ends[0] = len(Nodes), and the last entry, one
+// past the largest degree, is 0.
+type DegreeOrder struct {
+	Nodes []uint32
+	Ends  []int
+}
+
+// MaxDegree returns the largest degree in the order (0 when empty).
+func (o *DegreeOrder) MaxDegree() int { return len(o.Ends) - 2 }
+
+// OrderByDegree counting-sorts the items 0..len(deg)-1 by deg in
+// O(len(deg) + max degree). A negative degree is an error naming its
+// item.
+func OrderByDegree(deg []int64) (*DegreeOrder, error) {
+	// Count each degree, growing the counts to the largest seen, turn
+	// them into the first slot of each degree's run (the items of higher
+	// degree come first), and place the items by ascending id; every
+	// slot then ends where its run does.
+	ends := make([]int, 1)
+	for v, d := range deg {
+		if d < 0 {
+			return nil, fmt.Errorf("rrset: negative degree %d for item %d", d, v)
+		}
+		if d >= int64(len(ends)) {
+			ends = append(ends, make([]int, d+1-int64(len(ends)))...)
+		}
+		ends[d]++
+	}
+	above := 0
+	for d := len(ends) - 1; d >= 0; d-- {
+		ends[d], above = above, above+ends[d]
+	}
+	ends = append(ends, 0)
+	nodes := make([]uint32, len(deg))
+	for v, d := range deg {
+		nodes[ends[d]] = uint32(v)
+		ends[d]++
+	}
+	return &DegreeOrder{Nodes: nodes, Ends: ends}, nil
+}
+
+// DegreeOrder returns the index's items in the order of OrderByDegree
+// over Degree. It is built once per change of the index, by its first
+// reader, and is read-only: concurrent readers share it, and it is valid
+// until the index next changes.
+func (idx *Index) DegreeOrder() *DegreeOrder {
+	if o := idx.order.Load(); o != nil {
+		return o
+	}
+	idx.orderMu.Lock()
+	defer idx.orderMu.Unlock()
+	if o := idx.order.Load(); o != nil {
+		return o
+	}
+	deg := make([]int64, idx.n)
+	idx.FillDegrees(deg)
+	o, err := OrderByDegree(deg)
+	if err != nil {
+		panic(err) // a posting count below zero: the index is corrupt
+	}
+	idx.order.Store(o)
+	return o
+}
+
+// NumNodes returns the size of the index's item space.
+func (idx *Index) NumNodes() int { return idx.n }
+
 // Bytes returns the index's resident size: every segment's postings,
-// tables and tombstone bitset, plus a patched index's overlay postings
-// and degree adjustments.
+// tables and tombstone bitset, a patched index's overlay postings and
+// degree adjustments, and the degree order while it is held.
 func (idx *Index) Bytes() int64 {
 	b := 4 * (idx.overlayLen + len(idx.degAdj))
+	if o := idx.order.Load(); o != nil {
+		b += 4*len(o.Nodes) + 8*len(o.Ends)
+	}
 	for _, s := range idx.segs {
 		b += 8*(len(s.has)+len(s.dead)) + 4*(len(s.rank)+len(s.offs)) + 2*len(s.ids)
 	}

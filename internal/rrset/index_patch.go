@@ -36,6 +36,7 @@ func (idx *Index) ApplyPatches(c *Collection, patches []Patch) error {
 	if len(patches) == 0 {
 		return nil
 	}
+	idx.order.Store(nil)
 	// Compact first when the accumulated debt got too big: the index
 	// still matches c's pre-patch membership here, so a full rebuild
 	// from c is valid, and the patches below then apply to fresh state.
@@ -112,6 +113,7 @@ func (idx *Index) Release() {
 		idx.segs[i] = indexSeg{}
 	}
 	idx.segs = idx.segs[:0]
+	idx.order.Store(nil)
 	idx.count = 0
 	idx.increments = 0
 	idx.overlay = nil

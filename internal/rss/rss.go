@@ -18,6 +18,10 @@ func Peak() int64 { return readStatus("VmHWM:") }
 // Current returns VmRSS, the resident set size right now, in bytes.
 func Current() int64 { return readStatus("VmRSS:") }
 
+// Anon returns RssAnon, the part of VmRSS that is anonymous memory (the
+// Go heap and anonymous mappings, not file pages), in bytes.
+func Anon() int64 { return readStatus("RssAnon:") }
+
 func readStatus(field string) int64 {
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {
