@@ -23,7 +23,9 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Starts the resident query service on a synthetic graph — handy for
-# poking the HTTP API with curl (see README "Serving").
+# Starts the resident query service on a 20K-node synthetic graph that
+# gengraph writes to serve.dsg (ignored by git) — handy for poking the
+# HTTP API with curl (see README "Serving").
 serve:
-	$(GO) run ./cmd/dimmsrv -synth-nodes 20000 -machines 2 -kmax 20 -eps-floor 0.3 -warm -listen :8080
+	$(GO) run ./cmd/gengraph -nodes 20000 -out serve.dsg
+	$(GO) run ./cmd/dimmsrv -graph serve.dsg -machines 2 -kmax 20 -eps-floor 0.3 -warm -listen :8080

@@ -5,11 +5,13 @@
 //	# 50 seeds on a SNAP edge list, IC model, 8 in-process machines
 //	dimm -graph soc-LiveJournal1.txt -k 50 -machines 8
 //
-//	# synthetic network, LT model, tighter epsilon, verify by simulation
-//	dimm -synth-nodes 100000 -synth-degree 20 -model lt -eps 0.1 -verify 10000
+//	# a synthetic network made by gengraph, LT model, tighter epsilon,
+//	# verified by simulation
+//	gengraph -nodes 100000 -degree 20 -out g.dsg
+//	dimm -graph g.dsg -model lt -eps 0.1 -verify 10000
 //
-//	# against TCP workers started with `dimmd -worker` (see cmd/dimmd)
-//	dimm -graph g.bin -workers 127.0.0.1:7001,127.0.0.1:7002
+//	# against TCP workers started with dimmd (see cmd/dimmd)
+//	dimm -graph g.dsg -workers 127.0.0.1:7001,127.0.0.1:7002
 package main
 
 import (
@@ -30,13 +32,11 @@ func main() {
 	log.SetPrefix("dimm: ")
 
 	var (
-		graphPath   = flag.String("graph", "", "edge-list (.txt), binary (.bin) or segmented (.dsg) graph file")
+		graphPath   = flag.String("graph", "", "segmented (.dsg) graph file, or a text edge list")
 		backendName = flag.String("graph-backend", "mem", "graph materialization: mem (heap) | mmap (demand-paged, .dsg files only; serves graphs larger than RAM)")
 		undirected  = flag.Bool("undirected", false, "treat the edge list as undirected")
 		weights     = flag.String("weights", "wc", "edge weight model: wc|uniform|trivalency|file (file = keep probabilities from the input)")
 		uniformP    = flag.Float64("uniform-p", 0.1, "probability for -weights uniform")
-		synthNodes  = flag.Int("synth-nodes", 0, "generate a synthetic network with this many nodes instead of loading one")
-		synthDeg    = flag.Float64("synth-degree", 10, "average degree for the synthetic network")
 		modelName   = flag.String("model", "ic", "diffusion model: ic|lt")
 		algo        = flag.String("algo", "imm", "framework: imm (DIIMM) | opimc (distributed OPIM-C)")
 		k           = flag.Int("k", 50, "number of seeds")
@@ -62,7 +62,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := loadOrGenerate(*graphPath, *backendName, *undirected, *weights, float32(*uniformP), *synthNodes, *synthDeg, *seed)
+	if *graphPath == "" {
+		log.Fatal("missing -graph (make one with gengraph; try -h)")
+	}
+	backend, err := graph.ParseBackend(*backendName)
+	if err != nil {
+		log.Fatal(err)
+	}
+	g, err := graph.LoadAny(*graphPath, graph.LoadOptions{
+		Undirected: *undirected, Weights: *weights, UniformP: float32(*uniformP), Seed: *seed, Backend: backend,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -141,33 +150,4 @@ func main() {
 		mean, se := dimm.EstimateSpread(g, res.Seeds, model, *verify, *seed+1)
 		fmt.Printf("monte-carlo verification: spread %.1f ± %.1f over %d simulations\n", mean, se, *verify)
 	}
-}
-
-func loadOrGenerate(path, backendName string, undirected bool, weights string, uniformP float32, synthNodes int, synthDeg float64, seed uint64) (*graph.Graph, error) {
-	backend, err := graph.ParseBackend(backendName)
-	if err != nil {
-		return nil, err
-	}
-	if synthNodes > 0 {
-		g, err := graph.GenPreferential(graph.GenConfig{
-			Nodes: synthNodes, AvgDegree: synthDeg, Seed: seed, UniformAttach: 0.15,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if weights == "file" {
-			return g, nil
-		}
-		wm, err := graph.ParseWeightModel(weights)
-		if err != nil {
-			return nil, err
-		}
-		return graph.AssignWeights(g, wm, uniformP, seed)
-	}
-	if path == "" {
-		return nil, fmt.Errorf("provide -graph or -synth-nodes (try -h)")
-	}
-	return graph.LoadAny(path, graph.LoadOptions{
-		Undirected: undirected, Weights: weights, UniformP: uniformP, Seed: seed, Backend: backend,
-	})
 }

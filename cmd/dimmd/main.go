@@ -3,12 +3,13 @@
 // deployment path: start one dimmd per machine, then point cmd/dimm (or
 // any program using the library's cluster package) at the addresses.
 //
-//	# on each worker machine (all must load the same graph):
-//	dimmd -graph g.bin -listen :7001 -model ic -seed-index 0
-//	dimmd -graph g.bin -listen :7002 -model ic -seed-index 1
+//	# on each worker machine (all must load the same graph, a .dsg made
+//	# by gengraph):
+//	dimmd -graph g.dsg -listen :7001 -model ic -seed-index 0
+//	dimmd -graph g.dsg -listen :7002 -model ic -seed-index 1
 //
 //	# on the master:
-//	dimm -graph g.bin -workers host1:7001,host2:7002
+//	dimm -graph g.dsg -workers host1:7001,host2:7002
 //
 // The -seed-index must be distinct per worker: worker i samples the RNG
 // stream derived from (-seed, i), which is what makes a distributed run
@@ -47,7 +48,7 @@ func main() {
 	log.SetPrefix("dimmd: ")
 
 	var (
-		graphPath   = flag.String("graph", "", "edge-list (.txt), binary (.bin) or segmented (.dsg) graph file")
+		graphPath   = flag.String("graph", "", "segmented (.dsg) graph file, or a text edge list")
 		backendName = flag.String("graph-backend", "mem", "graph materialization: mem (heap) | mmap (demand-paged, .dsg files only; incompatible with -dynamic)")
 		undirected  = flag.Bool("undirected", false, "treat the edge list as undirected")
 		weights     = flag.String("weights", "wc", "edge weight model: wc|uniform|trivalency|file")

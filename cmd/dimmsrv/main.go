@@ -17,22 +17,22 @@
 // started with distinct -seed-index values so their RR streams are
 // independent — the certificate is unsound otherwise.
 //
-//	dimmsrv -graph g.bin -workers host1:7001,host2:7001,host3:7001,host4:7001
+//	dimmsrv -graph g.dsg -workers host1:7001,host2:7001,host3:7001,host4:7001
 //
 // With -checkpoint-dir the resident sample is checkpointed to disk after
 // every growth epoch, and -restore replays it on the next start — a warm
 // restart that answers the same queries byte-identically with zero RR
 // generation (see README "Checkpointing" and cmd/dimmstore):
 //
-//	dimmsrv -graph g.bin -warm -checkpoint-dir /var/lib/dimm/ckpt
+//	dimmsrv -graph g.dsg -warm -checkpoint-dir /var/lib/dimm/ckpt
 //	# ...crash or deploy...
-//	dimmsrv -graph g.bin -checkpoint-dir /var/lib/dimm/ckpt -restore
+//	dimmsrv -graph g.dsg -checkpoint-dir /var/lib/dimm/ckpt -restore
 //
 // With -dynamic the service accepts streaming edge updates — the graph
 // mutates behind a delta overlay and the resident RR sample is repaired
 // in place instead of resampled (see README "Dynamic graphs"):
 //
-//	dimmsrv -graph g.bin -dynamic
+//	dimmsrv -graph g.dsg -dynamic
 //	curl -X POST localhost:8080/v1/update \
 //	  -d '{"seq": 1, "ops": [{"op":"add","from":12,"to":99,"prob":0.05}]}'
 //
@@ -67,13 +67,11 @@ func main() {
 	log.SetPrefix("dimmsrv: ")
 
 	var (
-		graphPath   = flag.String("graph", "", "edge-list (.txt), binary (.bin) or segmented (.dsg) graph file")
+		graphPath   = flag.String("graph", "", "segmented (.dsg) graph file, or a text edge list")
 		backendName = flag.String("graph-backend", "mem", "graph materialization: mem (heap) | mmap (demand-paged, .dsg files only; incompatible with -dynamic)")
 		undirected  = flag.Bool("undirected", false, "treat the edge list as undirected")
 		weights     = flag.String("weights", "wc", "edge weight model: wc|uniform|trivalency|file")
 		uniformP    = flag.Float64("uniform-p", 0.1, "probability for -weights uniform")
-		synthNodes  = flag.Int("synth-nodes", 0, "generate a synthetic network with this many nodes instead of loading one")
-		synthDeg    = flag.Float64("synth-degree", 10, "average degree for the synthetic network")
 		modelName   = flag.String("model", "ic", "diffusion model: ic|lt")
 
 		listen      = flag.String("listen", ":8080", "HTTP listen address")
@@ -111,7 +109,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := loadOrGenerate(*graphPath, *backendName, *undirected, *weights, float32(*uniformP), *synthNodes, *synthDeg, *seed)
+	if *graphPath == "" {
+		log.Fatal("missing -graph (make one with gengraph; try -h)")
+	}
+	backend, err := graph.ParseBackend(*backendName)
+	if err != nil {
+		log.Fatal(err)
+	}
+	g, err := graph.LoadAny(*graphPath, graph.LoadOptions{
+		Undirected: *undirected, Weights: *weights, UniformP: float32(*uniformP), Seed: *seed, Backend: backend,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -243,33 +250,4 @@ func dialWorkerHalves(list string, n int, callTimeout time.Duration, seed uint64
 		}
 	}
 	return pair, nil
-}
-
-func loadOrGenerate(path, backendName string, undirected bool, weights string, uniformP float32, synthNodes int, synthDeg float64, seed uint64) (*graph.Graph, error) {
-	backend, err := graph.ParseBackend(backendName)
-	if err != nil {
-		return nil, err
-	}
-	if synthNodes > 0 {
-		g, err := graph.GenPreferential(graph.GenConfig{
-			Nodes: synthNodes, AvgDegree: synthDeg, Seed: seed, UniformAttach: 0.15,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if weights == "file" {
-			return g, nil
-		}
-		wm, err := graph.ParseWeightModel(weights)
-		if err != nil {
-			return nil, err
-		}
-		return graph.AssignWeights(g, wm, uniformP, seed)
-	}
-	if path == "" {
-		return nil, fmt.Errorf("provide -graph or -synth-nodes (try -h)")
-	}
-	return graph.LoadAny(path, graph.LoadOptions{
-		Undirected: undirected, Weights: weights, UniformP: uniformP, Seed: seed, Backend: backend,
-	})
 }

@@ -1,6 +1,8 @@
-// Command gengraph generates the synthetic dataset stand-ins of Table III
-// (or custom graphs) and converts between the text, binary and segmented
-// formats.
+// Command gengraph makes every graph file the other commands read: the
+// synthetic dataset stand-ins of Table III, custom graphs, and SNAP edge
+// lists converted to the segmented format. The -out extension picks the
+// format: .dsg writes the segmented binary format, .txt a "u v p" text
+// edge list.
 //
 //	# materialize all four Table III stand-ins at the default scale
 //	gengraph -datasets all -out ./data
@@ -14,9 +16,6 @@
 //
 //	# convert a SNAP edge list (streaming for .dsg outputs)
 //	gengraph -convert soc-LiveJournal1.txt -out lj.dsg
-//
-//	# legacy single-file binary, kept for older tooling
-//	gengraph -nodes 100000 -out g.bin -format v1
 package main
 
 import (
@@ -46,8 +45,7 @@ func main() {
 		kind       = flag.String("kind", "pa", "custom graph generator: pa|er|community|rmat")
 		seed       = flag.Uint64("seed", 1, "generator seed")
 		convert    = flag.String("convert", "", "edge-list file to convert (streaming when -out is .dsg)")
-		out        = flag.String("out", ".", "output directory (or file for -nodes/-convert)")
-		format     = flag.String("format", "", "output format: seg (segmented .dsg, the default), v1 (legacy binary), txt; empty infers from the -out extension")
+		out        = flag.String("out", ".", "output directory for -datasets; for -nodes/-convert a .dsg (segmented) or .txt (edge list) file")
 		stats      = flag.String("stats", "", "print statistics for a graph file and exit")
 		sortBufMB  = flag.Int("sort-buf-mb", 0, "external-sort buffer for disk-direct builds, MiB (0 = default)")
 	)
@@ -59,7 +57,8 @@ func main() {
 
 	case *convert != "":
 		start := time.Now()
-		if outFormat(*format, *out) == "seg" {
+		seg := segmentedOut(*out)
+		if seg {
 			st, err := graph.ConvertEdgeListToSegmented(*convert, *out, *undirected, graph.SegmentBuildOptions{
 				Weights: graph.WeightedCascade, HasWeights: true, SortBufBytes: *sortBufMB << 20,
 			})
@@ -80,7 +79,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := writeAny(*out, outFormat(*format, *out), g); err != nil {
+		if err := writeAny(*out, seg, g); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s: %d nodes, %d edges -> %s\n", *convert, g.NumNodes(), g.NumEdges(), *out)
@@ -90,7 +89,8 @@ func main() {
 	case *nodes > 0:
 		cfg := graph.GenConfig{Nodes: *nodes, AvgDegree: *degree, Undirected: *undirected, Seed: *seed, UniformAttach: 0.15}
 		start := time.Now()
-		if *kind == "rmat" && outFormat(*format, *out) == "seg" {
+		seg := segmentedOut(*out)
+		if *kind == "rmat" && seg {
 			// Disk-direct: the R-MAT stream feeds the external sorter and
 			// the segment writer; nothing edge-sized is ever heap-resident.
 			st, err := graph.BuildSegmented(*out, *nodes, func(emit func(from, to uint32, prob float32) error) error {
@@ -134,7 +134,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := writeAny(*out, outFormat(*format, *out), g); err != nil {
+		if err := writeAny(*out, seg, g); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("generated %d nodes, %d edges (avg degree %.1f) -> %s\n",
@@ -159,8 +159,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			path := filepath.Join(*out, spec.Name+".bin")
-			if err := graph.WriteBinaryFile(path, g); err != nil {
+			path := filepath.Join(*out, spec.Name+".dsg")
+			if err := graph.WriteSegmentedFile(path, g, graph.WeightedCascade.String()); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("%-16s %9d nodes %10d edges  avg %.1f  %s  -> %s\n",
@@ -173,40 +173,32 @@ func main() {
 	}
 }
 
-// outFormat resolves the -format flag: explicit wins, otherwise the
-// output extension decides, with segmented as the modern default.
-func outFormat(format, path string) string {
-	switch format {
-	case "seg", "v1", "txt":
-		return format
-	case "":
-	default:
-		log.Fatalf("unknown -format %q (want seg|v1|txt)", format)
-	}
+// segmentedOut reports whether -out names a .dsg file, and refuses a
+// name the other commands would not read back as what was written:
+// graph.LoadAny opens a .dsg as segmented and reads anything else as a
+// text edge list.
+func segmentedOut(path string) bool {
 	switch {
-	case strings.HasSuffix(path, ".bin"):
-		return "v1"
+	case strings.HasSuffix(path, ".dsg"):
+		return true
 	case strings.HasSuffix(path, ".txt"):
-		return "txt"
+		return false
 	default:
-		return "seg"
+		log.Fatalf("-out %q: name a .dsg (segmented) or .txt (edge list) file", path)
+		return false
 	}
 }
 
-func writeAny(path, format string, g *graph.Graph) error {
-	switch format {
-	case "txt":
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return graph.WriteEdgeList(f, g)
-	case "v1":
-		return graph.WriteBinaryFile(path, g)
-	default:
+func writeAny(path string, seg bool, g *graph.Graph) error {
+	if seg {
 		return graph.WriteSegmentedFile(path, g, graph.WeightedCascade.String())
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return graph.WriteEdgeList(f, g)
 }
 
 // report prints the throughput and memory line every generating mode
@@ -258,13 +250,7 @@ func printStats(path string, undirected bool) {
 		fmt.Printf("  content hash  %s\n", g.ContentHash())
 		return
 	}
-	var g *graph.Graph
-	var err error
-	if strings.HasSuffix(path, ".bin") {
-		g, err = graph.ReadBinaryFile(path)
-	} else {
-		g, err = graph.LoadEdgeListFile(path, undirected)
-	}
+	g, err := graph.LoadAny(path, graph.LoadOptions{Undirected: undirected, Weights: "file"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,13 +3,13 @@
 // influence maximization, and seed minimization.
 //
 //	# reach a specific audience: nodes listed in targets.txt get weight 1
-//	influapp -graph g.bin -mode targeted -targets targets.txt -k 20
+//	influapp -graph g.dsg -mode targeted -targets targets.txt -k 20
 //
 //	# degree-priced influencers under a budget
-//	influapp -graph g.bin -mode budgeted -budget 100 -cost-model degree
+//	influapp -graph g.dsg -mode budgeted -budget 100 -cost-model degree
 //
 //	# smallest seed set reaching 5% of the network
-//	influapp -graph g.bin -mode seedmin -goal-frac 0.05
+//	influapp -graph g.dsg -mode seedmin -goal-frac 0.05
 package main
 
 import (
@@ -31,11 +31,9 @@ func main() {
 	log.SetPrefix("influapp: ")
 
 	var (
-		graphPath   = flag.String("graph", "", "edge-list (.txt), binary (.bin) or segmented (.dsg) graph file")
+		graphPath   = flag.String("graph", "", "segmented (.dsg) graph file, or a text edge list")
 		backendName = flag.String("graph-backend", "mem", "graph materialization: mem (heap) | mmap (demand-paged, .dsg files only)")
 		undirected  = flag.Bool("undirected", false, "treat the edge list as undirected")
-		synthNodes  = flag.Int("synth-nodes", 0, "generate a synthetic network instead of loading one")
-		synthDeg    = flag.Float64("synth-degree", 10, "average degree for the synthetic network")
 		mode        = flag.String("mode", "targeted", "application: targeted|budgeted|seedmin")
 		modelName   = flag.String("model", "ic", "diffusion model: ic|lt")
 		machines    = flag.Int("machines", 4, "number of machines")
@@ -54,7 +52,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := loadGraph(*graphPath, *backendName, *undirected, *synthNodes, *synthDeg, *seed)
+	if *graphPath == "" {
+		log.Fatal("missing -graph (make one with gengraph; try -h)")
+	}
+	backend, err := graph.ParseBackend(*backendName)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// A text edge list carries no probabilities: apply the paper's WC
+	// setting. A segmented file keeps the weights it stores.
+	weights := "wc"
+	if strings.HasSuffix(*graphPath, ".dsg") {
+		weights = "file"
+	}
+	g, err := graph.LoadAny(*graphPath, graph.LoadOptions{Undirected: *undirected, Weights: weights, Backend: backend})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,30 +142,6 @@ func main() {
 	default:
 		log.Fatalf("unknown -mode %q (want targeted|budgeted|seedmin)", *mode)
 	}
-}
-
-func loadGraph(path, backendName string, undirected bool, synthNodes int, synthDeg float64, seed uint64) (*graph.Graph, error) {
-	backend, err := graph.ParseBackend(backendName)
-	if err != nil {
-		return nil, err
-	}
-	if synthNodes > 0 {
-		g, err := graph.GenPreferential(graph.GenConfig{Nodes: synthNodes, AvgDegree: synthDeg, Seed: seed, UniformAttach: 0.15})
-		if err != nil {
-			return nil, err
-		}
-		return graph.AssignWeights(g, graph.WeightedCascade, 0, 0)
-	}
-	if path == "" {
-		return nil, fmt.Errorf("provide -graph or -synth-nodes (try -h)")
-	}
-	// Text edge lists carry no probabilities: apply the paper's WC
-	// setting. The binary and segmented formats store their weights.
-	weights := "wc"
-	if strings.HasSuffix(path, ".bin") || strings.HasSuffix(path, ".dsg") {
-		weights = "file"
-	}
-	return graph.LoadAny(path, graph.LoadOptions{Undirected: undirected, Weights: weights, Backend: backend})
 }
 
 func readIDs(path string, n int) ([]uint32, error) {

@@ -76,16 +76,6 @@ func LoadGraph(path string, undirected bool) (*Graph, error) {
 	return graph.LoadEdgeListFile(path, undirected)
 }
 
-// LoadGraphBinary reads a graph written by SaveGraphBinary.
-func LoadGraphBinary(path string) (*Graph, error) {
-	return graph.ReadBinaryFile(path)
-}
-
-// SaveGraphBinary writes the graph in the fast binary format.
-func SaveGraphBinary(path string, g *Graph) error {
-	return graph.WriteBinaryFile(path, g)
-}
-
 // GraphBackend selects how LoadGraphFile materializes a segmented graph:
 // a verified private copy or a demand-paged read-only mapping.
 type GraphBackend = graph.Backend
@@ -104,11 +94,11 @@ const (
 	MmapBackend = graph.BackendMmap
 )
 
-// LoadGraphFile loads a graph from any supported format, routed by
-// extension: ".dsg" segmented (the out-of-core format; the only one
-// MmapBackend accepts), ".bin" legacy binary, anything else a SNAP-style
-// text edge list. weights is "wc", "uniform", "trivalency", or "file" to
-// keep the stored probabilities.
+// LoadGraphFile loads a graph from either supported format, routed by
+// extension: ".dsg" segmented (the one binary format, written by
+// SaveGraphSegmented; the only one MmapBackend accepts), anything else a
+// SNAP-style text edge list. weights is "wc", "uniform", "trivalency", or
+// "file" to keep the stored probabilities.
 func LoadGraphFile(path string, backend GraphBackend, weights string, undirected bool) (*Graph, error) {
 	return graph.LoadAny(path, graph.LoadOptions{
 		Undirected: undirected, Weights: weights, Backend: backend,

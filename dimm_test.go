@@ -3,6 +3,7 @@ package dimm
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -34,16 +35,22 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeGraphIO(t *testing.T) {
 	g := testNetwork(t)
-	path := filepath.Join(t.TempDir(), "g.bin")
-	if err := SaveGraphBinary(path, g); err != nil {
+	path := filepath.Join(t.TempDir(), "g.dsg")
+	if err := SaveGraphSegmented(path, g, "wc"); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadGraphBinary(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, backend := range []GraphBackend{MemBackend, MmapBackend} {
+		back, err := LoadGraphFile(path, backend, "file", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.ContentHash() != g.ContentHash() {
+			t.Fatalf("%v: .dsg round trip changed the graph", backend)
+		}
+		back.Close()
 	}
-	if back.NumNodes() != g.NumNodes() || back.NumEdges() != g.NumEdges() {
-		t.Fatal("binary round trip changed the graph")
+	if _, err := LoadGraphFile(filepath.Join(t.TempDir(), "g.bin"), MemBackend, "file", false); err == nil || !strings.Contains(err.Error(), "gengraph") {
+		t.Fatalf("a .bin path: got %v, want a refusal naming gengraph", err)
 	}
 }
 

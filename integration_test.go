@@ -23,7 +23,7 @@ var buildOnce = sync.OnceValues(func() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	for _, tool := range []string{"dimm", "dimmd", "gengraph", "maxcover", "influapp", "experiments"} {
+	for _, tool := range []string{"dimm", "dimmd", "gengraph", "influapp", "experiments"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "./cmd/"+tool)
 		cmd.Dir = repoRoot()
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -72,7 +72,7 @@ func freePorts(t *testing.T, n int) []int {
 func TestIntegrationMultiProcess(t *testing.T) {
 	bin := binaries(t)
 	dir := t.TempDir()
-	graphPath := filepath.Join(dir, "net.bin")
+	graphPath := filepath.Join(dir, "net.dsg")
 
 	// 1. Generate a dataset with gengraph.
 	out, err := exec.Command(filepath.Join(bin, "gengraph"),
@@ -156,7 +156,7 @@ func TestIntegrationMultiProcess(t *testing.T) {
 func TestIntegrationCLITools(t *testing.T) {
 	bin := binaries(t)
 	dir := t.TempDir()
-	graphPath := filepath.Join(dir, "net.bin")
+	graphPath := filepath.Join(dir, "net.dsg")
 	out, err := exec.Command(filepath.Join(bin, "gengraph"),
 		"-nodes", "1500", "-degree", "6", "-seed", "3", "-out", graphPath).CombinedOutput()
 	if err != nil {
@@ -175,16 +175,6 @@ func TestIntegrationCLITools(t *testing.T) {
 		"-k", "4", "-eps", "0.4", "-delta", "0.05", "-seed", "2").CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "certified:") {
 		t.Fatalf("dimm -algo opimc: %v\n%s", err, out)
-	}
-
-	// maxcover -compare must certify Lemma 2 on the CLI path too.
-	out, err = exec.Command(filepath.Join(bin, "maxcover"),
-		"-graph", graphPath, "-k", "10", "-machines", "3", "-compare").CombinedOutput()
-	if err != nil {
-		t.Fatalf("maxcover: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "equals the centralized greedy exactly") {
-		t.Fatalf("maxcover did not certify Lemma 2:\n%s", out)
 	}
 
 	// influapp all three modes.
@@ -208,5 +198,81 @@ func TestIntegrationCLITools(t *testing.T) {
 	out, err = exec.Command(filepath.Join(bin, "experiments"), "-run", "sweep").CombinedOutput()
 	if err == nil || !strings.Contains(string(out), "valid names: tableIII") {
 		t.Fatalf("experiments -run sweep: err %v, want a failure listing the valid names\n%s", err, out)
+	}
+}
+
+// TestIntegrationGengraphThenDimm pins that a graph made by gengraph
+// and read by dimm gives what dimm's own generator gave before it was
+// removed: the seeds (and θ) below are what dimm printed when it
+// generated the same 3000-node, degree-8 graph itself with seed 5, for
+// -k 5 -machines 2 -eps 0.4 under each model/weights setting.
+func TestIntegrationGengraphThenDimm(t *testing.T) {
+	bin := binaries(t)
+	dir := t.TempDir()
+	graphPath := filepath.Join(dir, "g.dsg")
+	out, err := exec.Command(filepath.Join(bin, "gengraph"),
+		"-nodes", "3000", "-degree", "8", "-seed", "5", "-out", graphPath).CombinedOutput()
+	if err != nil {
+		t.Fatalf("gengraph: %v\n%s", err, out)
+	}
+	for _, c := range []struct {
+		flags []string
+		want  []string
+	}{
+		{[]string{"-model", "ic"}, []string{"seeds (5): [2862 2999 2967 2656 2747]", "theta: 91862 RR sets"}},
+		{[]string{"-model", "lt"}, []string{"seeds (5): [2862 2967 2999 2656 2677]"}},
+		{[]string{"-weights", "trivalency"}, []string{"seeds (5): [2384 1672 2910 2503 2558]", "theta: 492697 RR sets"}},
+	} {
+		args := append([]string{"-graph", graphPath, "-seed", "5", "-k", "5", "-machines", "2", "-eps", "0.4"}, c.flags...)
+		out, err := exec.Command(filepath.Join(bin, "dimm"), args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("dimm %v: %v\n%s", c.flags, err, out)
+		}
+		for _, line := range c.want {
+			if !strings.Contains(string(out), line) {
+				t.Errorf("dimm %v: output lacks %q:\n%s", c.flags, line, out)
+			}
+		}
+	}
+}
+
+// TestIntegrationGengraphOutputs: every file gengraph writes is one the
+// other commands read back, and an output name they would not read as
+// written is refused before anything is written.
+func TestIntegrationGengraphOutputs(t *testing.T) {
+	bin := binaries(t)
+	dir := t.TempDir()
+	out, err := exec.Command(filepath.Join(bin, "gengraph"),
+		"-datasets", "facebook-sim", "-scale", "0.25", "-out", dir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("gengraph -datasets: %v\n%s", err, out)
+	}
+	txt := filepath.Join(dir, "g.txt")
+	out, err = exec.Command(filepath.Join(bin, "gengraph"),
+		"-nodes", "500", "-degree", "4", "-out", txt).CombinedOutput()
+	if err != nil {
+		t.Fatalf("gengraph -out g.txt: %v\n%s", err, out)
+	}
+	for _, path := range []string{filepath.Join(dir, "facebook-sim.dsg"), txt} {
+		out, err := exec.Command(filepath.Join(bin, "dimm"),
+			"-graph", path, "-k", "3", "-eps", "0.5", "-metrics=false").CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "seeds (3):") {
+			t.Fatalf("dimm -graph %s: %v\n%s", path, err, out)
+		}
+	}
+	for _, name := range []string{"g.bin", "g"} {
+		path := filepath.Join(dir, name)
+		out, err := exec.Command(filepath.Join(bin, "gengraph"),
+			"-nodes", "500", "-degree", "4", "-out", path).CombinedOutput()
+		if err == nil {
+			t.Fatalf("gengraph -out %s succeeded:\n%s", name, out)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("gengraph -out %s left a file behind (stat: %v)", name, err)
+		}
+	}
+	out, err = exec.Command(filepath.Join(bin, "dimm"), "-graph", filepath.Join(dir, "old.bin")).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "gengraph") {
+		t.Fatalf("dimm -graph old.bin: err %v, want a refusal naming gengraph\n%s", err, out)
 	}
 }

@@ -38,15 +38,7 @@ func TestCompactGraphInvariant(t *testing.T) {
 		if err := WriteSegmentedFile(dsg, g, name); err != nil {
 			t.Fatal(err)
 		}
-		var bin bytes.Buffer
-		if err := WriteBinary(&bin, g); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadBinary(&bin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		via := map[string]*Graph{"built": g, "bin": back}
+		via := map[string]*Graph{"built": g}
 		for _, backend := range []Backend{BackendMem, BackendMmap} {
 			sg, err := OpenSegmented(dsg, backend)
 			if err != nil {

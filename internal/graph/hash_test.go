@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -46,17 +46,23 @@ func TestContentHashDiscriminates(t *testing.T) {
 	}
 }
 
+// TestContentHashSurvivesBinaryRoundTrip: a trivalency graph (per-edge
+// probabilities, not the compact WC form) read back from .dsg by either
+// backend keeps its content hash.
 func TestContentHashSurvivesBinaryRoundTrip(t *testing.T) {
-	g := hashTestGraph(t, 11, WeightedCascade)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	g := hashTestGraph(t, 11, Trivalency)
+	path := filepath.Join(t.TempDir(), "g.dsg")
+	if err := WriteSegmentedFile(path, g, "trivalency"); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ContentHash() != g.ContentHash() {
-		t.Fatal("binary round trip changed the content hash")
+	for _, backend := range []Backend{BackendMem, BackendMmap} {
+		back, err := OpenSegmented(path, backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.ContentHash() != g.ContentHash() {
+			t.Fatalf("%v: round trip changed the content hash", backend)
+		}
+		back.Close()
 	}
 }

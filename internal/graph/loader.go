@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -86,7 +85,9 @@ func streamEdgeList(r io.Reader, undirected bool, remap idRemap, emit func(from,
 // typically follow with AssignWeights to apply the paper's WC setting.
 //
 // Real SNAP datasets (the paper's Facebook/Google+/LiveJournal files) load
-// through this function unchanged.
+// through this function unchanged. A list with no edge (empty, comments
+// or self-loops only) is refused, as ConvertEdgeListToSegmented refuses
+// it.
 func LoadEdgeList(r io.Reader, undirected bool) (*Graph, error) {
 	var raw []Edge
 	remap := make(idRemap)
@@ -96,6 +97,9 @@ func LoadEdgeList(r io.Reader, undirected bool) (*Graph, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if len(raw) == 0 {
+		return nil, fmt.Errorf("graph: the edge list holds no edges")
 	}
 	b := NewBuilderHint(len(remap), len(raw))
 	for _, e := range raw {
@@ -161,128 +165,10 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Binary format: a fixed header followed by the out-CSR arrays. The in-CSR
-// is reconstructed on load (it is a deterministic function of the edges).
-// Magic distinguishes the file from text edge lists and guards endianness.
-const binaryMagic = 0x44494d31 // "DIM1"
-
-// WriteBinary writes g in the repository's compact binary format, which
-// loads an order of magnitude faster than text for large graphs.
-func WriteBinary(w io.Writer, g *Graph) error {
-	g.loadOut()
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []uint64{binaryMagic, uint64(g.n), uint64(g.m)}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outStart); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outAdj); err != nil {
-		return err
-	}
-	outProb, _ := g.edgeProbArrays()
-	if err := binary.Write(bw, binary.LittleEndian, outProb); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary loads a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic, n, m uint64
-	for _, p := range []*uint64{&magic, &n, &m} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: reading binary header: %w", err)
-		}
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x (not a DIM1 binary graph)", magic)
-	}
-	if n > 1<<32 {
-		return nil, fmt.Errorf("graph: node count %d exceeds uint32 id space", n)
-	}
-	g := &Graph{
-		n:         int64(n),
-		m:         int64(m),
-		outStart:  make([]int64, n+1),
-		outAdj:    make([]uint32, m),
-		outProb:   make([]float32, m),
-		inStart:   make([]int64, n+1),
-		inAdj:     make([]uint32, m),
-		inProb:    make([]float32, m),
-		inProbSum: make([]float64, n),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.outStart); err != nil {
-		return nil, fmt.Errorf("graph: reading outStart: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.outAdj); err != nil {
-		return nil, fmt.Errorf("graph: reading outAdj: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.outProb); err != nil {
-		return nil, fmt.Errorf("graph: reading outProb: %w", err)
-	}
-	if g.outStart[0] != 0 || g.outStart[n] != int64(m) {
-		return nil, fmt.Errorf("graph: corrupt CSR offsets")
-	}
-	// Rebuild in-CSR.
-	for i := int64(0); i < g.m; i++ {
-		g.inStart[g.outAdj[i]+1]++
-	}
-	for v := int64(0); v < g.n; v++ {
-		g.inStart[v+1] += g.inStart[v]
-	}
-	pos := make([]int64, n)
-	for u := int64(0); u < g.n; u++ {
-		lo, hi := g.outStart[u], g.outStart[u+1]
-		if hi < lo || hi > int64(m) {
-			return nil, fmt.Errorf("graph: corrupt CSR segment for node %d", u)
-		}
-		for i := lo; i < hi; i++ {
-			v := g.outAdj[i]
-			if int64(v) >= g.n {
-				return nil, fmt.Errorf("graph: edge head %d out of range", v)
-			}
-			ip := g.inStart[v] + pos[v]
-			g.inAdj[ip] = uint32(u)
-			g.inProb[ip] = g.outProb[i]
-			pos[v]++
-		}
-	}
-	g.finalize()
-	return g, nil
-}
-
-// WriteBinaryFile writes g to path in binary format.
-func WriteBinaryFile(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteBinary(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadBinaryFile loads a binary graph from path.
-func ReadBinaryFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
-}
-
 // LoadOptions configures LoadAny.
 type LoadOptions struct {
 	// Undirected doubles every edge of a text edge list (ignored for the
-	// binary and segmented formats, which store directed edges).
+	// segmented format, which stores directed edges).
 	Undirected bool
 	// Weights is the CLI weight setting: a ParseWeightModel name, or
 	// "file" to keep the probabilities stored in the input.
@@ -290,16 +176,17 @@ type LoadOptions struct {
 	UniformP float32 // UniformWeight's p
 	Seed     uint64  // Trivalency's draw seed
 	// Backend selects heap vs mmap materialization. Only the segmented
-	// format supports BackendMmap; the legacy formats must rebuild the
-	// in-CSR on load, which is inherently a heap operation.
+	// format supports BackendMmap; a text edge list is parsed onto the
+	// heap.
 	Backend Backend
 }
 
-// LoadAny loads a graph from any of the repository's on-disk formats,
-// routed by extension — ".dsg" segmented, ".bin" legacy binary, anything
-// else a text edge list — and applies the requested weight model. It is
-// the one loader the cmds share, so every binary resolves formats,
-// backends and weights identically.
+// LoadAny loads a graph from either of the repository's on-disk formats,
+// routed by extension — ".dsg" segmented, anything else a text edge list
+// — and applies the requested weight model. It is the one loader the
+// cmds share, so every binary resolves formats, backends and weights
+// identically. A ".bin" path is refused: that legacy format is no longer
+// read, and gengraph writes the graph again as a .dsg.
 //
 // For segmented files the weight model is reconciled against the tag
 // baked into the header: a match (or Weights "file") uses the stored
@@ -309,6 +196,9 @@ type LoadOptions struct {
 // *MappedGraphError, since the result would silently not be the file on
 // disk).
 func LoadAny(path string, o LoadOptions) (*Graph, error) {
+	if strings.HasSuffix(path, ".bin") {
+		return nil, fmt.Errorf("graph: %s: the legacy .bin format is no longer read; write the graph again as a .dsg with gengraph (-nodes or -datasets to generate it, -convert to convert its edge list)", path)
+	}
 	var wm WeightModel
 	if o.Weights != "file" && o.Weights != "" {
 		var err error
@@ -333,13 +223,7 @@ func LoadAny(path string, o LoadOptions) (*Graph, error) {
 	if o.Backend == BackendMmap {
 		return nil, fmt.Errorf("graph: %s: the mmap backend requires the segmented format (convert with gengraph -convert %s -out graph.dsg)", path, path)
 	}
-	var g *Graph
-	var err error
-	if strings.HasSuffix(path, ".bin") {
-		g, err = ReadBinaryFile(path)
-	} else {
-		g, err = LoadEdgeListFile(path, o.Undirected)
-	}
+	g, err := LoadEdgeListFile(path, o.Undirected)
 	if err != nil {
 		return nil, err
 	}

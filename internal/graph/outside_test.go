@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -69,7 +68,6 @@ func TestMemOutSideLoadedOnFirstUse(t *testing.T) {
 			g.DegreeHistogramLogBins()
 			return nil
 		},
-		"WriteBinary": func(g *Graph) error { return WriteBinary(&bytes.Buffer{}, g) },
 		"WriteSegmentedFile": func(g *Graph) error {
 			return WriteSegmentedFile(filepath.Join(t.TempDir(), "again.dsg"), g, "wc")
 		},

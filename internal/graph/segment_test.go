@@ -541,27 +541,9 @@ func TestLoadAnySegmentedWeightReconciliation(t *testing.T) {
 	if _, err := LoadAny(path, LoadOptions{Weights: "uniform", UniformP: 0.1, Backend: BackendMmap}); !errors.As(err, &want) {
 		t.Fatalf("mmap weight mismatch: got %v, want *MappedGraphError", err)
 	}
-	// mmap over a non-segmented format: plain refusal.
-	if _, err := LoadAny(filepath.Join(t.TempDir(), "nope.bin"), LoadOptions{Backend: BackendMmap}); err == nil {
-		t.Fatal("LoadAny accepted mmap backend for a .bin path")
-	}
-}
-
-// TestLegacyBinaryHashStable pins that the legacy v1 binary round-trip
-// preserves the content hash: BaseHash covers the out-CSR, which DIM1
-// stores verbatim (the in-CSR is a derived rebuild).
-func TestLegacyBinaryHashStable(t *testing.T) {
-	g := segTestGraph(t)
-	path := filepath.Join(t.TempDir(), "g.bin")
-	if err := WriteBinaryFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ContentHash() != g.ContentHash() {
-		t.Fatalf("binary round-trip changed hash: %s vs %s", got.ContentHash(), g.ContentHash())
+	// mmap over a text edge list: plain refusal.
+	if _, err := LoadAny(filepath.Join(t.TempDir(), "nope.txt"), LoadOptions{Backend: BackendMmap}); err == nil {
+		t.Fatal("LoadAny accepted mmap backend for a .txt path")
 	}
 }
 

@@ -103,10 +103,12 @@ func (s *indexSeg) isDead(p uint32) bool {
 const maxIndexIncrements = 64
 
 // BuildIndex constructs the inverted index of the first c.Count() RR sets
-// for a graph of n nodes. RR-set ids must fit in uint32.
+// for a graph of n nodes. RR-set ids must fit in uint32, and members
+// must be below n.
 func BuildIndex(c *Collection, n int) (*Index, error) {
 	idx := &Index{n: n, fullBuilds: 1}
 	if err := idx.appendSets(c, 0); err != nil {
+		idx.Release()
 		return nil, err
 	}
 	return idx, nil
@@ -175,6 +177,10 @@ func (idx *Index) appendSeg(c *Collection, from, to int) error {
 	words := (idx.n + 63) / 64
 	seg := indexSeg{from: from, has: make([]uint64, words), rank: make([]uint32, words)}
 	for _, v := range c.nodes[lo:hi] {
+		if int(v) >= len(cur) {
+			// cur is not all zeros now: it does not go back to the pool.
+			return fmt.Errorf("rrset: RR-set member %d outside a %d-node graph", v, idx.n)
+		}
 		cur[v]++
 		seg.has[v>>6] |= 1 << (v & 63)
 	}

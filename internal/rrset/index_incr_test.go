@@ -102,6 +102,23 @@ func TestIndexAppendFromValidation(t *testing.T) {
 	if len(idx.segs) != 1 || idx.Count() != 2 {
 		t.Fatalf("no-op append changed the index: %d segs, %d sets", len(idx.segs), idx.Count())
 	}
+	// A member outside the graph is an error, not a panic, and the failed
+	// build leaves the pooled cursors clean for the next one.
+	if _, err := BuildIndex(c, 2); err == nil {
+		t.Fatal("BuildIndex accepted member 2 in a 2-node graph")
+	}
+	c.Append([]uint32{9}, 0)
+	if err := idx.AppendFrom(c, 2); err == nil {
+		t.Fatal("AppendFrom accepted member 9 in a 4-node graph")
+	}
+	again, err := BuildIndex(c, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Degree(0) != 1 || again.Degree(2) != 1 || again.Degree(9) != 1 || again.Degree(3) != 0 {
+		t.Fatalf("index after failed builds: degrees %d %d %d %d, want 1 1 1 0",
+			again.Degree(0), again.Degree(2), again.Degree(9), again.Degree(3))
+	}
 }
 
 // TestIndexSegmentCapCompacts drives the pathological many-tiny-increments

@@ -27,8 +27,8 @@ type Restored struct {
 // collections and inverted indexes for an n-node graph. It returns
 // ErrNoCheckpoint when the store is empty, and the *sealed.Error of the
 // first bad segment otherwise — a partially corrupt store restores
-// nothing.
-func (s *Store) Restore(n int) (*Restored, error) {
+// nothing, and a failed Restore releases all it had built.
+func (s *Store) Restore(n int) (res *Restored, err error) {
 	if len(s.man.Epochs) == 0 {
 		return nil, ErrNoCheckpoint
 	}
@@ -37,6 +37,16 @@ func (s *Store) Restore(n int) (*Restored, error) {
 	}
 	r1 := rrset.NewCollection(0)
 	r2 := rrset.NewCollection(0)
+	var idx1 *rrset.Index
+	defer func() {
+		if err != nil {
+			if idx1 != nil {
+				idx1.Release()
+			}
+			r1.Release()
+			r2.Release()
+		}
+	}()
 	var bytes int64
 	for _, rec := range s.man.Epochs {
 		if err := readSegment(s.segPath(rec.File), rec, r1, r2); err != nil {
@@ -47,8 +57,7 @@ func (s *Store) Restore(n int) (*Restored, error) {
 	if r1.Count() != s.r1Stored || r2.Count() != s.r2Stored {
 		return nil, manifestError(s.dir, sealed.ErrStale, "replayed set counts disagree with the manifest totals")
 	}
-	idx1, err := rrset.BuildIndex(r1, n)
-	if err != nil {
+	if idx1, err = rrset.BuildIndex(r1, n); err != nil {
 		return nil, err
 	}
 	idx2, err := rrset.BuildIndex(r2, n)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dimm/internal/offheap"
 	"dimm/internal/rrset"
 	"dimm/internal/sealed"
 )
@@ -347,4 +348,75 @@ func TestCheckpointRejectsShrunkCollections(t *testing.T) {
 	if _, err := s.Checkpoint(5, small1, small2); !errors.Is(err, sealed.ErrStale) {
 		t.Fatalf("shrunk collections: got %v, want ErrStale", err)
 	}
+}
+
+// TestRestoreReleasesOnError: a Restore that fails, whichever step
+// failed, leaves nothing mapped. The collections hold more than
+// offheap.MinBytes of members and span two 2^16-set index windows, so
+// both arenas and the first window's postings live off the Go heap.
+func TestRestoreReleasesOnError(t *testing.T) {
+	const sets, size = 70000, 16
+	r1, r2 := rrset.NewCollection(0), rrset.NewCollection(0)
+	t.Cleanup(func() { r1.Release(); r2.Release() })
+	members := make([]uint32, size)
+	for i := 0; i < sets; i++ {
+		for j := range members {
+			members[j] = uint32(i*size+j) % 1000
+		}
+		r1.Append(members, 0)
+		r2.Append(members, 0)
+	}
+	dir := t.TempDir()
+	fp := testFingerprint()
+	s, err := Open(dir, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checkpoint(1, r1, r2); err != nil {
+		t.Fatal(err)
+	}
+	r1.Append([]uint32{1, 2}, 0)
+	r2.Append([]uint32{3, 4000}, 0) // the largest member: node 4000
+	if _, err := s.Checkpoint(2, r1, r2); err != nil {
+		t.Fatal(err)
+	}
+
+	base := offheap.Mapped()
+	res, err := s.Restore(5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := offheap.Mapped() - base; grew < 3*offheap.MinBytes {
+		t.Fatalf("a restore mapped %d bytes, want more than 3 MiB for the test to mean anything", grew)
+	}
+	res.Idx1.Release()
+	res.Idx2.Release()
+	res.R1.Release()
+	res.R2.Release()
+	if got := offheap.Mapped(); got != base {
+		t.Fatalf("releasing a restore left %d bytes mapped, want %d", got, base)
+	}
+
+	failed := func(what string, n int, check func(error) bool) {
+		t.Helper()
+		if _, err := s.Restore(n); err == nil || !check(err) {
+			t.Fatalf("%s: Restore(%d) returned %v", what, n, err)
+		}
+		if got := offheap.Mapped(); got != base {
+			t.Fatalf("%s: a failed Restore left %d bytes mapped, want %d", what, got-base, 0)
+		}
+	}
+	anyErr := func(error) bool { return true }
+	failed("R2's index", 2000, anyErr) // R1's index builds first
+	failed("R1's index", 500, anyErr)
+	segs := segFiles(t, dir)
+	data, err := os.ReadFile(segs[len(segs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(segs[len(segs)-1], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	failed("corrupt last segment", 5000, func(err error) bool { return errors.Is(err, sealed.ErrChecksum) })
 }
